@@ -1,8 +1,6 @@
 //! Criterion benchmarks of end-to-end file-system throughput on a
 //! `MemDisk` — the same mixes as the `fs_throughput` binary, at criterion
-//! scale. The read groups compare the coalesced read path (with and
-//! without read-ahead) against the legacy per-block path that
-//! `coalesced_reads = false` preserves.
+//! scale. The sequential-read group runs with and without read-ahead.
 
 use blockdev::MemDisk;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -11,9 +9,8 @@ use workload::{LargeFileBench, LargeFilePhase, SmallFileBench};
 
 const DISK_MB: u64 = 64;
 
-fn lfs_with(coalesced: bool, read_ahead: u32) -> Lfs<MemDisk> {
+fn lfs_with(read_ahead: u32) -> Lfs<MemDisk> {
     let mut cfg = lfs_bench::production_lfs_config(DISK_MB);
-    cfg.coalesced_reads = coalesced;
     cfg.read_ahead_blocks = read_ahead;
     Lfs::format(MemDisk::new(DISK_MB * 256), cfg).unwrap()
 }
@@ -27,7 +24,7 @@ fn bench_small_files(c: &mut Criterion) {
     let mut g = c.benchmark_group("fs_small_files");
     g.bench_function("create", |b| {
         b.iter_batched_ref(
-            || lfs_with(true, 0),
+            || lfs_with(0),
             |fs| small.create_phase(fs).unwrap(),
             BatchSize::LargeInput,
         )
@@ -35,7 +32,7 @@ fn bench_small_files(c: &mut Criterion) {
     g.bench_function("read_cold", |b| {
         b.iter_batched_ref(
             || {
-                let mut fs = lfs_with(true, 0);
+                let mut fs = lfs_with(0);
                 small.create_phase(&mut fs).unwrap();
                 fs.drop_caches();
                 fs
@@ -47,7 +44,7 @@ fn bench_small_files(c: &mut Criterion) {
     g.bench_function("delete", |b| {
         b.iter_batched_ref(
             || {
-                let mut fs = lfs_with(true, 0);
+                let mut fs = lfs_with(0);
                 small.create_phase(&mut fs).unwrap();
                 fs
             },
@@ -65,13 +62,9 @@ fn bench_seq_read(c: &mut Criterion) {
         seed: 0xf19,
     };
     let mut g = c.benchmark_group("fs_seq_read_8mb_cold");
-    for (name, coalesced, read_ahead) in [
-        ("per_block", false, 0u32),
-        ("coalesced", true, 0),
-        ("coalesced_ra32", true, 32),
-    ] {
+    for (name, read_ahead) in [("no_read_ahead", 0u32), ("read_ahead_32", 32)] {
         g.bench_function(name, |b| {
-            let mut fs = lfs_with(coalesced, read_ahead);
+            let mut fs = lfs_with(read_ahead);
             let ino = large.setup(&mut fs).unwrap();
             large
                 .run_phase(&mut fs, ino, LargeFilePhase::SeqWrite)
@@ -96,7 +89,7 @@ fn bench_seq_write(c: &mut Criterion) {
     let mut g = c.benchmark_group("fs_seq_write_8mb");
     g.bench_function("lfs", |b| {
         b.iter_batched_ref(
-            || lfs_with(true, 0),
+            || lfs_with(0),
             |fs| {
                 let ino = large.setup(fs).unwrap();
                 large.run_phase(fs, ino, LargeFilePhase::SeqWrite).unwrap();

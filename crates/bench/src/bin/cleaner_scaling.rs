@@ -116,6 +116,7 @@ fn main() -> std::process::ExitCode {
             append_jsonl(
                 "cleaner_scaling",
                 &json!({
+                    "bench": "cleaner_scaling",
                     "mix": slug,
                     "variant": v.label,
                     "policy": format!("{:?}", v.policy),

@@ -41,9 +41,8 @@ fn main() -> std::process::ExitCode {
         };
         let host = workload.host();
         println!(
-            "volume_scaling/{}: {file_mb} MB on {} Wren IVs, host {}{suffix}",
+            "volume_scaling/{}: {file_mb} MB on N Wren IVs, host {}{suffix}",
             workload.slug(),
-            "N",
             host.name
         );
         let mut table = Table::new(&[

@@ -11,12 +11,13 @@
 //! asynchronous sequential transfers" (§3).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use blockdev::{IoBuf, QueueDevice, WriteKind, BLOCK_SIZE};
 use vfs::{FsError, FsResult, Ino};
 
 use crate::dirlog;
-use crate::fs::{gather_write_retry, set_dirty, IndKey, Lfs};
+use crate::fs::{set_dirty, IndKey, Lfs, IO_ATTEMPTS};
 use crate::inode::INODE_DISK_SIZE;
 use crate::layout::{classify_block, BlockClass, DiskAddr, NIL_ADDR};
 use crate::ordering::{CheckpointReady, DataWritten, Flush};
@@ -35,7 +36,7 @@ const MAX_CHECKPOINT_HEAT: usize = 512;
 /// One block scheduled for the current partial write.
 #[derive(Clone, Debug)]
 enum Item {
-    DirLog(Box<[u8]>),
+    DirLog(Arc<Vec<u8>>),
     Data { ino: Ino, bno: u64 },
     Ind { ino: Ino, key: IndKey },
     InodeBlk { inos: Vec<Ino> },
@@ -169,7 +170,7 @@ impl<D: QueueDevice> Lfs<D> {
         let meta = ngroups - 1;
         let mut groups: Vec<Vec<Item>> = vec![Vec::new(); ngroups];
         for b in dirlog_blocks {
-            groups[0].push(Item::DirLog(b));
+            groups[0].push(Item::DirLog(Arc::new(b.into_vec())));
         }
 
         // Data blocks, grouped per file. With age-sorting enabled the
@@ -507,11 +508,7 @@ impl<D: QueueDevice> Lfs<D> {
             let chunk_items = &items[item_idx..item_idx + c.n_items];
             let chunk_addrs = &addrs[item_idx..item_idx + c.n_items];
             let start = self.sb.seg_start(c.seg) + c.off as u64;
-            written = if self.cfg.gather_writes {
-                self.write_chunk_gather(chunk_items, chunk_addrs, start, seq, time, by_cleaner)?
-            } else {
-                self.write_chunk_assembled(chunk_items, chunk_addrs, start, seq, time, by_cleaner)?
-            };
+            written = self.write_chunk(chunk_items, chunk_addrs, start, seq, time, by_cleaner)?;
             if !by_cleaner {
                 self.bytes_since_checkpoint += ((1 + c.n_items) * BLOCK_SIZE) as u64;
             }
@@ -551,28 +548,28 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(written)
     }
 
-    /// Writes one partial-write chunk as a single gather request: data and
-    /// directory-log blocks go to the device as borrowed slices straight
-    /// from the cache; only genuinely synthesized blocks (the summary,
-    /// inode groups, indirect/imap/usage encodes) are rendered, into the
-    /// reusable scratch pool. Produces byte-for-byte the same disk image —
-    /// and, on the simulated disk, the same service time — as
-    /// [`Lfs::write_chunk_assembled`], minus one host copy per cached
-    /// block.
+    /// Writes one partial-write chunk as a single gather submission.
     ///
-    /// On a queued device (ring capacity > 1) the chunk is *submitted*
-    /// instead of written: cached data blocks ride along as `Arc` clones
-    /// ([`IoBuf::Shared`], still zero-copy — a later in-place write to a
-    /// block in flight copies-on-write), synthesized blocks as shared
-    /// windows of a pooled scratch buffer, and the call returns without
-    /// waiting for the device. The foreground only blocks again at an
-    /// ordering barrier (a read, a checkpoint fence, or the ring filling
-    /// up). Retries of transient apply failures belong to the ring engine
-    /// on this path — re-issuing from here would reorder the log around
-    /// later queued submissions — and are folded back into
+    /// Cached data blocks and directory-log payloads ride along as `Arc`
+    /// clones ([`IoBuf::Shared`], zero-copy — a later in-place write to a
+    /// block still in flight copies-on-write); only genuinely synthesized
+    /// blocks (the summary, inode groups, indirect/imap/usage encodes) are
+    /// rendered, into a pooled scratch buffer whose windows are shared
+    /// the same way. [`QueueDevice::submit_gather`] then either applies
+    /// the chunk before returning (synchronous devices and capacity-1
+    /// rings) or parks it, in which case the foreground only blocks again
+    /// at an ordering barrier: a read, a checkpoint fence, or the ring
+    /// filling up.
+    ///
+    /// Who retries a transient device error follows
+    /// [`QueueDevice::queue_capacity`]. At capacity 1 a submit error
+    /// belongs to this chunk and is retried in place with the bounded
+    /// policy of [`Lfs::retry_io`]. Above it the ring engine owns retries
+    /// — re-issuing from here would reorder the log around later queued
+    /// submissions — and its counts are folded back into
     /// [`crate::LfsStats`] by [`Lfs::absorb_queue_errors`].
     #[allow(clippy::too_many_arguments)]
-    fn write_chunk_gather(
+    fn write_chunk(
         &mut self,
         items: &[Item],
         addrs: &[DiskAddr],
@@ -584,35 +581,28 @@ impl<D: QueueDevice> Lfs<D> {
         let staged = Flush::stage();
         let n = items.len();
         let need = (1 + n) * BLOCK_SIZE;
-        let queued = self.dev.queue_capacity() > 1;
-        // Synthesized blocks render into `scratch`: the plain reusable
-        // buffer on the synchronous path, or a pooled `Arc` buffer on the
-        // queued path (a pool entry is free again once its submission
-        // completed and dropped the other strong reference).
-        let mut owned_scratch = Vec::new();
-        let mut arc_scratch = None;
-        let scratch: &mut Vec<u8> = if queued {
-            let arc = match self
-                .scratch_pool
-                .iter()
-                .position(|a| std::sync::Arc::strong_count(a) == 1)
-            {
-                Some(i) => self.scratch_pool.swap_remove(i),
-                None => std::sync::Arc::new(Vec::new()),
-            };
-            std::sync::Arc::make_mut(arc_scratch.insert(arc))
-        } else {
-            owned_scratch = std::mem::take(&mut self.scratch);
-            &mut owned_scratch
+        // A pool entry is free again once its submission completed and
+        // dropped the other strong references, so the pool never grows
+        // past the ring depth + 1 (one entry on a synchronous device).
+        let mut arc = match self
+            .scratch_pool
+            .iter()
+            .position(|a| Arc::strong_count(a) == 1)
+        {
+            Some(i) => self.scratch_pool.swap_remove(i),
+            None => Arc::new(Vec::new()),
         };
+        let scratch = Arc::make_mut(&mut arc);
         if scratch.len() < need {
             scratch.resize(need, 0);
         }
         // Pass 1: render synthesized blocks into their scratch slots and
-        // build the summary entries. Each entry's content checksum (the
-        // torn-write detector roll-forward relies on) is computed over the
-        // exact bytes the device will receive — scratch slot or borrowed
-        // cache block.
+        // build the summary entries. Each entry's content checksum is
+        // computed over the exact bytes the device will receive — scratch
+        // slot or shared cache block. Roll-forward refuses to replay a
+        // chunk whose blocks do not all verify, so a torn segment write is
+        // indistinguishable from the end of the log instead of being
+        // replayed as garbage.
         let mut entries = Vec::with_capacity(n);
         for (j, item) in items.iter().enumerate() {
             let dst = &mut scratch[(1 + j) * BLOCK_SIZE..(2 + j) * BLOCK_SIZE];
@@ -685,7 +675,7 @@ impl<D: QueueDevice> Lfs<D> {
                 }
             };
             self.stats
-                .add_log_bytes(entry_stats_kind(item), BLOCK_SIZE as u64, by_cleaner);
+                .add_log_bytes(item.stats_kind(), BLOCK_SIZE as u64, by_cleaner);
             entries.push(entry);
         }
         let summary = Summary {
@@ -699,159 +689,31 @@ impl<D: QueueDevice> Lfs<D> {
         self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
         self.stats
             .add_log_bytes(BlockKind::Summary, BLOCK_SIZE as u64, by_cleaner);
-        // Pass 2 (queued): enqueue the chunk and return without waiting.
-        // The summary and synthesized blocks go as shared windows of the
-        // pooled scratch `Arc`; cached data blocks as `Arc` clones of
-        // their cache entries (no copy — an in-place overwrite while the
-        // submission is in flight clones-on-write instead); only the
-        // small, rare directory-log payloads are copied into owned
-        // buffers. The pool entry goes back in the pool still pinned by
-        // the in-flight submission and becomes reusable on completion.
-        if let Some(arc) = arc_scratch {
-            let mut bufs: Vec<IoBuf> = Vec::with_capacity(1 + n);
-            bufs.push(IoBuf::shared_range(arc.clone(), 0, BLOCK_SIZE));
-            for (j, item) in items.iter().enumerate() {
-                match item {
-                    Item::DirLog(data) => bufs.push(IoBuf::Owned(data.to_vec())),
-                    Item::Data { ino, bno } => {
-                        bufs.push(IoBuf::shared(self.blocks[&(*ino, *bno)].data.clone()))
-                    }
-                    _ => bufs.push(IoBuf::shared_range(
-                        arc.clone(),
-                        (1 + j) * BLOCK_SIZE,
-                        BLOCK_SIZE,
-                    )),
-                }
-            }
-            self.scratch_pool.push(arc);
-            self.dev
-                .submit_gather(start, bufs, WriteKind::Async)
-                .map_err(FsError::device)?;
-            return Ok(sealed.submitted());
-        }
-        // Pass 2 (synchronous): hand the device the block list without
-        // assembling it — scratch slots for synthesized blocks, borrowed
-        // cache data for the rest. `gather_write_retry` is a free function
-        // over disjoint fields precisely so these borrows can be live
-        // across the write.
-        let scratch_ref: &[u8] = &owned_scratch;
-        let mut bufs: Vec<&[u8]> = Vec::with_capacity(1 + n);
-        bufs.push(&scratch_ref[..BLOCK_SIZE]);
+        // Pass 2: the block list. The pool entry goes back in the pool
+        // still pinned by the submission and becomes reusable on
+        // completion.
+        let mut bufs: Vec<IoBuf> = Vec::with_capacity(1 + n);
+        bufs.push(IoBuf::shared_range(arc.clone(), 0, BLOCK_SIZE));
         for (j, item) in items.iter().enumerate() {
-            match item {
-                Item::DirLog(data) => bufs.push(data),
-                Item::Data { ino, bno } => bufs.push(&self.blocks[&(*ino, *bno)].data),
-                _ => bufs.push(&scratch_ref[(1 + j) * BLOCK_SIZE..(2 + j) * BLOCK_SIZE]),
-            }
+            bufs.push(match item {
+                Item::DirLog(data) => IoBuf::shared(data.clone()),
+                Item::Data { ino, bno } => IoBuf::shared(self.blocks[&(*ino, *bno)].data.clone()),
+                _ => IoBuf::shared_range(arc.clone(), (1 + j) * BLOCK_SIZE, BLOCK_SIZE),
+            });
         }
-        let res = gather_write_retry(
-            &mut self.dev,
-            &mut self.stats,
-            &self.obs,
-            start,
-            &bufs,
-            WriteKind::Async,
-        );
-        drop(bufs);
-        self.scratch = owned_scratch;
-        res.map(|()| sealed.submitted())
-    }
-
-    /// The legacy chunk writer: assembles the whole chunk into one fresh
-    /// contiguous buffer and issues a plain `write_blocks`. Kept (behind
-    /// `LfsConfig::gather_writes = false`) as the reference the gather
-    /// path is tested byte-for-byte against.
-    #[allow(clippy::too_many_arguments)]
-    fn write_chunk_assembled(
-        &mut self,
-        items: &[Item],
-        addrs: &[DiskAddr],
-        start: u64,
-        seq: u64,
-        time: u64,
-        by_cleaner: bool,
-    ) -> FsResult<Flush<DataWritten>> {
-        let staged = Flush::stage();
-        let mut entries = Vec::with_capacity(items.len());
-        let mut buf = vec![0u8; (1 + items.len()) * BLOCK_SIZE];
-        for (j, item) in items.iter().enumerate() {
-            let dst = &mut buf[(1 + j) * BLOCK_SIZE..(2 + j) * BLOCK_SIZE];
-            let mut entry = match item {
-                Item::DirLog(data) => {
-                    dst.copy_from_slice(data);
-                    SummaryEntry::meta(EntryKind::DirLog, 0, time)
-                }
-                Item::Data { ino, bno } => {
-                    let b = &self.blocks[&(*ino, *bno)];
-                    dst.copy_from_slice(&b.data);
-                    SummaryEntry::data(*ino, *bno as u32, self.imap.version(*ino), b.mtime)
-                }
-                Item::Ind { ino, key } => {
-                    let e = &self.inds[&(*ino, *key)];
-                    dst.copy_from_slice(&e.blk.encode());
-                    match key {
-                        IndKey::Single(k) => SummaryEntry {
-                            kind: EntryKind::Indirect1,
-                            ino: *ino,
-                            offset: *k,
-                            version: self.imap.version(*ino),
-                            mtime: time,
-                            csum: 0,
-                        },
-                        IndKey::Double => SummaryEntry {
-                            kind: EntryKind::Indirect2,
-                            ino: *ino,
-                            offset: 0,
-                            version: self.imap.version(*ino),
-                            mtime: time,
-                            csum: 0,
-                        },
-                    }
-                }
-                Item::InodeBlk { inos } => {
-                    for (slot, &ino) in inos.iter().enumerate() {
-                        let inode = &self.inodes[&ino].inode;
-                        inode.encode_into(
-                            &mut dst[slot * INODE_DISK_SIZE..(slot + 1) * INODE_DISK_SIZE],
-                        );
-                    }
-                    SummaryEntry::meta(EntryKind::InodeBlock, 0, time)
-                }
-                Item::Imap(idx) => {
-                    dst.copy_from_slice(&self.imap.encode_block(*idx));
-                    SummaryEntry::meta(EntryKind::ImapBlock, *idx as u32, time)
-                }
-                Item::Usage(idx) => {
-                    self.usage.block_written(*idx, addrs[j]);
-                    dst.copy_from_slice(&self.usage.encode_block(*idx));
-                    SummaryEntry::meta(EntryKind::UsageBlock, *idx as u32, time)
-                }
+        self.scratch_pool.push(arc);
+        let in_place = self.dev.queue_capacity() <= 1;
+        self.retry_io(true, if in_place { IO_ATTEMPTS } else { 1 }, |dev| {
+            // An in-place retry needs the list again; cloning an `IoBuf`
+            // is a reference-count bump.
+            let bufs = if in_place {
+                bufs.clone()
+            } else {
+                std::mem::take(&mut bufs)
             };
-            // Per-block content checksum: roll-forward refuses to
-            // replay a chunk whose blocks do not all verify, so a
-            // torn segment write is indistinguishable from the end
-            // of the log instead of being replayed as garbage.
-            entry.csum = crate::codec::block_checksum(dst);
-            self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
-            self.stats
-                .add_log_bytes(entry_stats_kind(item), BLOCK_SIZE as u64, by_cleaner);
-            entries.push(entry);
-        }
-        let summary = Summary {
-            epoch: self.epoch,
-            seq,
-            write_time: time,
-            entries,
-        };
-        buf[..BLOCK_SIZE].copy_from_slice(&summary.encode());
-        let sealed = staged.seal_summary();
-        self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
-        self.stats
-            .add_log_bytes(BlockKind::Summary, BLOCK_SIZE as u64, by_cleaner);
-        // Bounded retry: transient device errors must not abort a
-        // flush that the cache can simply reissue.
-        self.write_retry(start, &buf, WriteKind::Async)
-            .map(|()| sealed.submitted())
+            dev.submit_gather(start, bufs, WriteKind::Async).map(drop)
+        })?;
+        Ok(sealed.submitted())
     }
 
     fn maybe_evict_after_flush(&mut self) {
@@ -1126,8 +988,4 @@ impl<D: QueueDevice> Lfs<D> {
         }
         self.write_retry(region, &enc[..BLOCK_SIZE], WriteKind::Sync)
     }
-}
-
-fn entry_stats_kind(item: &Item) -> BlockKind {
-    item.stats_kind()
 }

@@ -11,7 +11,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use blockdev::{BlockDevice, QueueDevice, BLOCK_SIZE};
+use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{DirEntry, FileSystem, FileType, FsError, FsResult, Ino, Metadata, StatFs, ROOT_INO};
 
 use crate::config::LfsConfig;
@@ -63,58 +63,15 @@ pub(crate) fn set_dirty(flag: &mut bool, count: &mut usize) {
     }
 }
 
-/// Issues one gather write ([`BlockDevice::write_run_gather`]) with the
-/// same bounded-retry policy as [`Lfs::write_retry`]. A free function over
-/// disjoint [`Lfs`] fields rather than a method: the borrowed slices in
-/// `bufs` point into the block cache, which a `&mut self` receiver would
-/// forbid.
-pub(crate) fn gather_write_retry<D: BlockDevice>(
-    dev: &mut D,
-    stats: &mut LfsStats,
-    obs: &crate::obs::FsObs,
-    start: u64,
-    bufs: &[&[u8]],
-    kind: blockdev::WriteKind,
-) -> FsResult<()> {
-    for attempt in 0..IO_ATTEMPTS {
-        match dev.write_run_gather(start, bufs, kind) {
-            Ok(()) => return Ok(()),
-            Err(e) if is_transient(&e) && attempt + 1 < IO_ATTEMPTS => {
-                stats.io_retries += 1;
-                let trace = &obs.obs.trace;
-                if trace.is_on() {
-                    trace.emit(dev.stats().busy_ns, || lfs_obs::TraceEvent::Retry {
-                        write: true,
-                        attempt: attempt + 1,
-                    });
-                }
-                backoff(attempt);
-            }
-            Err(e) => {
-                if is_transient(&e) {
-                    stats.io_giveups += 1;
-                    let trace = &obs.obs.trace;
-                    if trace.is_on() {
-                        trace.emit(dev.stats().busy_ns, || lfs_obs::TraceEvent::Giveup {
-                            write: true,
-                        });
-                    }
-                }
-                return Err(FsError::device(e));
-            }
-        }
-    }
-    unreachable!("retry loop always returns")
-}
-
 /// A cached file (or directory) data block.
 ///
-/// The payload is reference-counted so the queued write path can hand the
-/// device a zero-copy window onto the cache ([`blockdev::IoBuf`]): a
-/// submission clones the `Arc`, and a later in-place mutation of the
-/// still-in-flight block copies-on-write via [`Arc::make_mut`] instead of
-/// corrupting the queued snapshot. On the synchronous path the count
-/// never exceeds one and `make_mut` degenerates to a plain `&mut`.
+/// The payload is reference-counted so the write path can hand the device
+/// a zero-copy window onto the cache ([`blockdev::IoBuf`]): a submission
+/// clones the `Arc`, and a later in-place mutation of the still-in-flight
+/// block copies-on-write via [`Arc::make_mut`] instead of corrupting the
+/// queued snapshot. On a synchronous device the submission has completed
+/// by then, the count is back to one, and `make_mut` degenerates to a
+/// plain `&mut`.
 pub(crate) struct CachedBlock {
     pub(crate) data: Arc<Vec<u8>>,
     pub(crate) dirty: bool,
@@ -208,8 +165,8 @@ pub struct Lfs<D: QueueDevice> {
     /// Log write points, one per (temperature stream, shard) pair:
     /// `write_points[t * nshards + s]` is the `(segment, next free block
     /// offset)` of stream `t`'s log head on shard `s`. Stream 0 is the
-    /// hottest; the last stream is the coldest and receives
-    /// cleaner-salvaged blocks. With `streams = 1` (the default) this is
+    /// hottest, the last the coldest; blocks are routed by their file's
+    /// heat ([`Lfs::stream_of_block`]). With `streams = 1` (the default) this is
     /// one entry per shard and behaves exactly like the per-shard write
     /// point it generalizes; on a single volume it is one entry, the
     /// scalar `cur_seg`/`cur_off` pair of the paper. Always non-empty.
@@ -250,16 +207,16 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) stats: LfsStats,
     /// Observability handles (tracing + metrics); off by default.
     pub(crate) obs: crate::obs::FsObs,
-    /// Reusable serialization pool: synthesized blocks (summaries, inode
-    /// groups, map encodes) of each partial-write chunk render here, and
-    /// checkpoints encode into the same allocation, instead of a fresh
-    /// `Vec` per chunk. Grows to the largest chunk seen and stays.
+    /// Reusable checkpoint-region encode buffer: grows to the largest
+    /// region image seen and stays, so steady-state checkpoints allocate
+    /// nothing.
     pub(crate) scratch: Vec<u8>,
-    /// Scratch pool for the *queued* write path: each in-flight chunk's
-    /// synthesized blocks render into one `Arc<Vec<u8>>` whose windows are
-    /// submitted zero-copy ([`blockdev::IoBuf::Shared`]). A buffer is
-    /// reusable once its strong count drops back to one (the submission
-    /// completed), so the pool never grows past the ring depth + 1.
+    /// Scratch pool of the chunk writer: each chunk's synthesized blocks
+    /// (summary, inode groups, map encodes) render into one
+    /// `Arc<Vec<u8>>` whose windows are submitted zero-copy
+    /// ([`blockdev::IoBuf::Shared`]). A buffer is reusable once its
+    /// strong count drops back to one (the submission completed), so the
+    /// pool never grows past the ring depth + 1.
     pub(crate) scratch_pool: Vec<Arc<Vec<u8>>>,
     /// The checkpoint sequence each region currently holds on disk
     /// (`None` until this instance writes it). Group commit may skip the
@@ -408,96 +365,67 @@ impl<D: QueueDevice> Lfs<D> {
         }
     }
 
-    /// Writes `buf` at `start`, retrying transient device errors with
-    /// exponential backoff.
+    /// Runs one device operation with up to `attempts` tries, backing off
+    /// exponentially between them (`write` only labels the trace events).
     ///
     /// Only [`blockdev::BlockError::Io`] is considered transient; geometry
     /// errors (`OutOfRange`, `Misaligned`) are bugs or corruption and fail
     /// immediately. Each absorbed retry bumps [`LfsStats::io_retries`];
     /// exhausting the budget bumps [`LfsStats::io_giveups`] (the
     /// degraded-mode signal) and surfaces the last error as
-    /// [`FsError::Device`].
+    /// [`FsError::Device`]. With `attempts == 1` the caller does not own
+    /// retries at all, so a failure is passed through uncounted.
+    pub(crate) fn retry_io<T>(
+        &mut self,
+        write: bool,
+        attempts: u32,
+        mut op: impl FnMut(&mut D) -> blockdev::Result<T>,
+    ) -> FsResult<T> {
+        let mut attempt = 0;
+        loop {
+            match op(&mut self.dev) {
+                Ok(v) => return Ok(v),
+                Err(e) if is_transient(&e) && attempt + 1 < attempts => {
+                    self.stats.io_retries += 1;
+                    self.emit(|| lfs_obs::TraceEvent::Retry {
+                        write,
+                        attempt: attempt + 1,
+                    });
+                    backoff(attempt);
+                    attempt += 1;
+                }
+                Err(e) => {
+                    if is_transient(&e) && attempts > 1 {
+                        self.stats.io_giveups += 1;
+                        self.emit(|| lfs_obs::TraceEvent::Giveup { write });
+                    }
+                    return Err(FsError::device(e));
+                }
+            }
+        }
+    }
+
+    /// Writes `buf` at `start` under the [`Lfs::retry_io`] policy.
     pub(crate) fn write_retry(
         &mut self,
         start: u64,
         buf: &[u8],
         kind: blockdev::WriteKind,
     ) -> FsResult<()> {
-        for attempt in 0..IO_ATTEMPTS {
-            match self.dev.write_blocks(start, buf, kind) {
-                Ok(()) => return Ok(()),
-                Err(e) if is_transient(&e) && attempt + 1 < IO_ATTEMPTS => {
-                    self.stats.io_retries += 1;
-                    self.emit(|| lfs_obs::TraceEvent::Retry {
-                        write: true,
-                        attempt: attempt + 1,
-                    });
-                    backoff(attempt);
-                }
-                Err(e) => {
-                    if is_transient(&e) {
-                        self.stats.io_giveups += 1;
-                        self.emit(|| lfs_obs::TraceEvent::Giveup { write: true });
-                    }
-                    return Err(FsError::device(e));
-                }
-            }
-        }
-        unreachable!("retry loop always returns")
+        self.retry_io(true, IO_ATTEMPTS, |dev| dev.write_blocks(start, buf, kind))
     }
 
-    /// Reads into `buf` from `start`, retrying transient device errors.
-    /// See [`Lfs::write_retry`] for the retry policy.
+    /// Reads into `buf` from `start` under the [`Lfs::retry_io`] policy.
     pub(crate) fn read_retry(&mut self, start: u64, buf: &mut [u8]) -> FsResult<()> {
-        for attempt in 0..IO_ATTEMPTS {
-            match self.dev.read_blocks(start, buf) {
-                Ok(()) => return Ok(()),
-                Err(e) if is_transient(&e) && attempt + 1 < IO_ATTEMPTS => {
-                    self.stats.io_retries += 1;
-                    self.emit(|| lfs_obs::TraceEvent::Retry {
-                        write: false,
-                        attempt: attempt + 1,
-                    });
-                    backoff(attempt);
-                }
-                Err(e) => {
-                    if is_transient(&e) {
-                        self.stats.io_giveups += 1;
-                        self.emit(|| lfs_obs::TraceEvent::Giveup { write: false });
-                    }
-                    return Err(FsError::device(e));
-                }
-            }
-        }
-        unreachable!("retry loop always returns")
+        self.retry_io(false, IO_ATTEMPTS, |dev| dev.read_blocks(start, buf))
     }
 
     /// Reads a contiguous run of blocks as *one* device request (see
-    /// [`BlockDevice::read_run`] for why this costs exactly the same
-    /// simulated time as per-block reads), retrying transient errors.
-    /// See [`Lfs::write_retry`] for the retry policy.
+    /// [`blockdev::BlockDevice::read_run`] for why this costs exactly the same
+    /// simulated time as reading the blocks back to back) under the
+    /// [`Lfs::retry_io`] policy.
     pub(crate) fn read_run_retry(&mut self, start: u64, buf: &mut [u8]) -> FsResult<()> {
-        for attempt in 0..IO_ATTEMPTS {
-            match self.dev.read_run(start, buf) {
-                Ok(()) => return Ok(()),
-                Err(e) if is_transient(&e) && attempt + 1 < IO_ATTEMPTS => {
-                    self.stats.io_retries += 1;
-                    self.emit(|| lfs_obs::TraceEvent::Retry {
-                        write: false,
-                        attempt: attempt + 1,
-                    });
-                    backoff(attempt);
-                }
-                Err(e) => {
-                    if is_transient(&e) {
-                        self.stats.io_giveups += 1;
-                        self.emit(|| lfs_obs::TraceEvent::Giveup { write: false });
-                    }
-                    return Err(FsError::device(e));
-                }
-            }
-        }
-        unreachable!("retry loop always returns")
+        self.retry_io(false, IO_ATTEMPTS, |dev| dev.read_run(start, buf))
     }
 
     /// Folds device-side retry/giveup counts from the submission ring
@@ -967,7 +895,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// indirect-block load — and before skipping a cached block), blocks
     /// enter the cache in the same order with the same LRU ticks, and a
     /// run costs the same simulated time as its blocks read back-to-back
-    /// ([`BlockDevice::read_run`]). Only the device's *request count*
+    /// ([`blockdev::BlockDevice::read_run`]). Only the device's *request count*
     /// differs.
     fn fetch_blocks(&mut self, ino: Ino, first: u64, last: u64) -> FsResult<()> {
         // The run being assembled: (start address, first file block,
@@ -995,7 +923,7 @@ impl<D: QueueDevice> Lfs<D> {
                     None => {
                         // Resolving this pointer reads an indirect block;
                         // issue the pending run first so device requests
-                        // stay in per-block order.
+                        // stay in file-block order.
                         self.fetch_run(ino, &mut run)?;
                         let a = self.block_ptr(ino, bno)?;
                         win = self.ptr_window(ino, bno)?;
@@ -1023,7 +951,7 @@ impl<D: QueueDevice> Lfs<D> {
         // are already resolvable from cached state and stay contiguous.
         // Stops at holes, cached blocks, pointers that would need their
         // own device read, and end of file — so with the default window
-        // of 0 the fetched block set is identical to the per-block path.
+        // of 0 exactly the requested blocks are fetched.
         if self.cfg.read_ahead_blocks > 0 && run.is_some() {
             let file_blocks = blocks_for_size(self.inode_ref(ino)?.size);
             let limit = last.saturating_add(self.cfg.read_ahead_blocks as u64);
@@ -1318,13 +1246,9 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(())
     }
 
-    /// The shared read path.
-    ///
-    /// With [`LfsConfig::coalesced_reads`] (the default) the missing
-    /// blocks of the range are fetched up front in contiguous-address
-    /// runs; otherwise each block is fetched on its own as the copy loop
-    /// reaches it. Both paths return the same bytes, leave the cache in
-    /// the same state, and cost the same simulated device time.
+    /// The shared read path: the missing blocks of the range are fetched
+    /// up front in contiguous-address runs ([`Lfs::fetch_blocks`]), then
+    /// copied out of the cache.
     pub(crate) fn read_internal(
         &mut self,
         ino: Ino,
@@ -1336,11 +1260,9 @@ impl<D: QueueDevice> Lfs<D> {
             return Ok(0);
         }
         let n = buf.len().min((size - offset) as usize);
-        if self.cfg.coalesced_reads {
-            let first = offset / BLOCK_SIZE as u64;
-            let last = (offset + n as u64 - 1) / BLOCK_SIZE as u64;
-            self.fetch_blocks(ino, first, last)?;
-        }
+        let first = offset / BLOCK_SIZE as u64;
+        let last = (offset + n as u64 - 1) / BLOCK_SIZE as u64;
+        self.fetch_blocks(ino, first, last)?;
         let mut pos = 0usize;
         while pos < n {
             let abs = offset + pos as u64;
@@ -1351,9 +1273,8 @@ impl<D: QueueDevice> Lfs<D> {
                 buf[pos..pos + len].copy_from_slice(&b.data[off_in..off_in + len]);
                 pos += len;
             } else {
-                // The per-block path lands here for every miss; the
-                // coalesced path only when a cache smaller than the
-                // request evicted a block between fetch and copy.
+                // A cache smaller than the request evicted the block
+                // between fetch and copy.
                 self.ensure_block(ino, bno)?;
             }
         }

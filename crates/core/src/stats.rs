@@ -140,10 +140,10 @@ pub struct LfsStats {
     /// Bytes of new file data accepted from applications.
     pub app_bytes_written: u64,
     /// Host-side bytes memcpy'd into write buffers while serializing
-    /// partial writes. With gather writes only synthesized blocks
-    /// (summaries, inode groups, map encodes) are rendered; data and
-    /// directory-log blocks go to the device as borrowed slices, so this
-    /// counter is the direct measure of what the zero-copy path saves.
+    /// partial writes. Only synthesized blocks (summaries, inode groups,
+    /// map encodes) are rendered; data and directory-log blocks go to the
+    /// device by reference, so this counter staying below the user bytes
+    /// written is the direct check that the write path is zero-copy.
     pub flush_copy_bytes: u64,
     /// Transient device errors absorbed by retrying.
     pub io_retries: u64,

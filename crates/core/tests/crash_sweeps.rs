@@ -73,14 +73,17 @@ where
     }
 }
 
-#[test]
-fn torn_create_is_atomic() {
+/// Creates `/fresh` with `len` bytes of 7s under torn cuts. The survivor
+/// must hold the whole write, nothing, or — when the write outgrows the
+/// flush threshold and reaches the log in several flushes — a flushed
+/// prefix of it; never bytes that were not written.
+fn torn_create(len: usize, prefix_is_legal: bool) {
     torn_sweep(
         |fs| {
             fs.write_file("/base", b"pre-existing").unwrap();
         },
         |fs| {
-            fs.write_file("/fresh", &[7u8; 12_000]).unwrap();
+            fs.write_file("/fresh", &vec![7u8; len]).unwrap();
         },
         |fs, cut, n| {
             let base = fs.lookup("/base").expect("base must survive");
@@ -89,7 +92,10 @@ fn torn_create_is_atomic() {
                 Ok(ino) => {
                     let data = fs.read_to_vec(ino).unwrap();
                     assert!(
-                        data == vec![7u8; 12_000] || data.is_empty(),
+                        data.iter().all(|&b| b == 7)
+                            && (data.is_empty()
+                                || data.len() == len
+                                || (prefix_is_legal && data.len() < len)),
                         "torn cut {cut}/{n}: half-created content, len {}",
                         data.len()
                     );
@@ -99,6 +105,24 @@ fn torn_create_is_atomic() {
             }
         },
     );
+}
+
+#[test]
+fn torn_create_is_atomic() {
+    torn_create(12_000, false);
+}
+
+/// A torn gather write must recover exactly like a torn contiguous write:
+/// `CrashDisk` journals the gathered bytes as one request, a crash tears
+/// an arbitrary block subset out of it, and the per-entry summary
+/// checksums make roll-forward treat the damage as end-of-log. The file
+/// reaches past its direct blocks, so shared cache blocks and blocks
+/// rendered into the scratch pool (summary, indirect block, inode group)
+/// travel in the same requests and a tear can split them — across
+/// several chunks, since the file is larger than a segment.
+#[test]
+fn torn_gather_write_recovers_atomically() {
+    torn_create(72_000, true);
 }
 
 #[test]

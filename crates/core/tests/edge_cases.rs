@@ -291,6 +291,42 @@ fn sparse_scavenging_reads_less_and_stays_correct() {
     );
 }
 
+/// The sparse cleaner path must fetch maximal runs of consecutive live
+/// blocks as single device requests: for a segment whose liveness is
+/// clustered (whole small files), the request count stays below the
+/// block count.
+#[test]
+fn sparse_cleaner_reads_coalesce_runs() {
+    let mut cfg = LfsConfig::small();
+    cfg.read_live_threshold = 1.0; // Every scavenge takes the sparse path.
+    let mut fs = Lfs::format(MemDisk::new(4096), cfg).unwrap();
+    for i in 0..32 {
+        fs.write_file(&format!("/f{i}"), &vec![i as u8; 3 * BLOCK_SIZE])
+            .unwrap();
+    }
+    fs.sync().unwrap();
+    for i in (0..32).step_by(2) {
+        fs.unlink(&format!("/f{i}")).unwrap();
+    }
+    fs.sync().unwrap();
+
+    let before = fs.device().stats();
+    let cleaned = fs.clean_pass().unwrap();
+    let after = fs.device().stats();
+    assert!(cleaned > 0, "cleaner found nothing to clean");
+    let requests = after.reads - before.reads;
+    let blocks = (after.bytes_read - before.bytes_read) / BLOCK_SIZE as u64;
+    assert!(
+        requests < blocks,
+        "sparse cleaner issued {requests} read requests for {blocks} blocks \
+         (runs were not coalesced)"
+    );
+    for i in (1..32).step_by(2) {
+        let ino = fs.lookup(&format!("/f{i}")).unwrap();
+        assert_eq!(fs.read_to_vec(ino).unwrap(), vec![i as u8; 3 * BLOCK_SIZE]);
+    }
+}
+
 #[test]
 fn per_block_mtimes_keep_cold_segments_old() {
     // The §3.6 refinement the paper planned: Sprite kept one mtime per

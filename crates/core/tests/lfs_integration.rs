@@ -452,6 +452,14 @@ fn stats_track_write_cost_components() {
     assert!(s.log_bytes(lfs_core::BlockKind::Data) >= 50 * 4096);
     assert!(s.log_bytes(lfs_core::BlockKind::Summary) > 0);
     assert!(s.log_bytes(lfs_core::BlockKind::Inode) > 0);
+    // The flush path renders only the blocks it synthesizes; cached data
+    // and directory-log payloads reach the device by reference, uncopied.
+    assert_eq!(
+        s.flush_copy_bytes,
+        s.total_log_bytes()
+            - s.log_bytes(lfs_core::BlockKind::Data)
+            - s.log_bytes(lfs_core::BlockKind::DirLog)
+    );
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! observably identical under arbitrary operation sequences, across
 //! remounts, and under cleaning pressure.
 
-use blockdev::{CrashDisk, MemDisk};
+use blockdev::{BlockDevice, CrashDisk, MemDisk};
 use lfs_core::{Lfs, LfsConfig};
 use proptest::prelude::*;
 use vfs::{model::ModelFs, FileSystem, FsError};
@@ -358,6 +358,52 @@ proptest! {
             );
         }
         let _ = model;
+    }
+
+    /// Read-ahead may fetch blocks nobody asked for yet, but it must never
+    /// change what a read returns or what reaches the disk — and since it
+    /// only ever extends a run, never splits one, it must not cost more
+    /// device requests than no read-ahead. Offsets reach past the ten
+    /// direct blocks so indirect-block loads break runs too.
+    #[test]
+    fn read_ahead_changes_neither_bytes_nor_image(
+        ops in proptest::collection::vec(
+            (0u8..7, 0u8..4, 0u32..300_000, 1u16..32_768, any::<u8>()), 1..60),
+    ) {
+        let mut pair = [0u32, 8].map(|window| {
+            let mut cfg = LfsConfig::small();
+            cfg.read_ahead_blocks = window;
+            let mut fs = Lfs::format(MemDisk::new(4096), cfg).unwrap();
+            let inos: Vec<_> = (0..4).map(|i| fs.create(&format!("/f{i}")).unwrap()).collect();
+            (fs, inos)
+        });
+        for &(sel, file, offset, len, fill) in &ops {
+            let outs = pair.each_mut().map(|(fs, inos)| {
+                let ino = inos[file as usize];
+                match sel {
+                    0 | 1 => fs.write(ino, offset as u64, &vec![fill; len as usize / 2]).unwrap(),
+                    2 => fs.truncate(ino, offset as u64).unwrap(),
+                    3 | 4 => {
+                        let mut buf = vec![0u8; len as usize];
+                        let n = fs.read(ino, offset as u64, &mut buf).unwrap();
+                        buf.truncate(n);
+                        return Some(buf);
+                    }
+                    5 => fs.sync().unwrap(),
+                    _ => fs.drop_caches(),
+                }
+                None
+            });
+            prop_assert_eq!(&outs[0], &outs[1], "read bytes diverged");
+        }
+        let [(mut base, _), (mut ahead, _)] = pair;
+        base.sync().unwrap();
+        ahead.sync().unwrap();
+        prop_assert!(
+            ahead.device().stats().reads <= base.device().stats().reads,
+            "read-ahead increased the request count"
+        );
+        prop_assert_eq!(base.into_device().image(), ahead.into_device().image());
     }
 
     /// File contents survive write/truncate sequences at random offsets

@@ -52,7 +52,7 @@ fn golden_workload<D: blockdev::QueueDevice>(fs: &mut Lfs<D>) {
         let file = r % 6;
         match (r >> 8) % 20 {
             0..=13 => {
-                let offset = (splitmix(&mut st) % 120_000) as u64;
+                let offset = splitmix(&mut st) % 120_000;
                 let len = 1 + (splitmix(&mut st) % 12_288) as usize;
                 let fill = (splitmix(&mut st) & 0xff) as u8;
                 let ino = match fs.lookup(&path(file)) {
@@ -108,7 +108,7 @@ fn single_stream_is_bit_identical_to_pre_stream_image() {
     let fs = run_golden(SimDisk::new(4096, DiskModel::wren_iv()), LfsConfig::small());
     let s = fs.device().stats();
     let got = (
-        fnv1a(&fs.into_device().image()),
+        fnv1a(fs.into_device().image()),
         s.busy_ns,
         s.positioning_ns,
         s.seeks,
@@ -137,11 +137,40 @@ fn single_stream_two_shard_volume_is_bit_identical_to_pre_stream_image() {
     let shards = fs.into_device().into_shards();
     let mut h = 0u64;
     for sh in &shards {
-        h = h.wrapping_mul(0x100_0000_01b3) ^ fnv1a(&sh.image());
+        h = h.wrapping_mul(0x100_0000_01b3) ^ fnv1a(sh.image());
     }
     let got = (h, busy, pos, seeks, writes, bw);
     println!("GOLDEN_TWO_SHARD: {got:#018x?}");
     assert_eq!(got, GOLDEN_TWO_SHARD);
+}
+
+/// Read-side golden, captured on the last tree that still had a
+/// one-request-per-block read path to compare against (PR 13's parent):
+/// after the golden workload, a cold front-to-back read of every file
+/// must cost exactly these device requests, bytes and simulated service
+/// time. Runs of contiguous addresses go out as single requests, so
+/// `reads` (55 for 90 blocks) pins the batching and `busy_ns` pins that a
+/// run is charged what its blocks cost back to back.
+const GOLDEN_READ: (u64, u64, u64) = (
+    0x37,        // reads
+    0x0005_a000, // bytes_read (90 blocks)
+    0x3c33_7127, // busy_ns
+);
+
+#[test]
+fn cold_read_back_matches_pinned_requests_and_service_time() {
+    let mut fs = run_golden(SimDisk::new(4096, DiskModel::wren_iv()), LfsConfig::small());
+    fs.drop_caches();
+    let before = fs.device().stats();
+    contents(&mut fs);
+    let after = fs.device().stats();
+    let got = (
+        after.reads - before.reads,
+        after.bytes_read - before.bytes_read,
+        after.busy_ns - before.busy_ns,
+    );
+    println!("GOLDEN_READ: {got:#x?}");
+    assert_eq!(got, GOLDEN_READ);
 }
 
 // ---- content equivalence ------------------------------------------------

@@ -2,15 +2,17 @@
 
 use std::process::Command;
 
-fn tmpdir() -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("lfs-tools-test-{}", std::process::id()));
+/// A directory of the calling test's own: tests run on parallel threads
+/// of one process, and each removes its directory when it is done.
+fn tmpdir(test: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("lfs-tools-test-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
 }
 
 #[test]
 fn mklfs_dump_fsck_pipeline() {
-    let dir = tmpdir();
+    let dir = tmpdir("mklfs_dump_fsck_pipeline");
     let img = dir.join("disk.img");
     let img_s = img.to_str().unwrap();
 
@@ -71,7 +73,7 @@ fn mklfs_dump_fsck_pipeline() {
 
 #[test]
 fn mklfs_512kb_segments() {
-    let dir = tmpdir();
+    let dir = tmpdir("mklfs_512kb_segments");
     let img = dir.join("disk512.img");
     let out = Command::new(env!("CARGO_BIN_EXE_mklfs"))
         .args([img.to_str().unwrap(), "8", "--seg-kb", "512"])
@@ -84,7 +86,7 @@ fn mklfs_512kb_segments() {
 
 #[test]
 fn lfsck_rejects_garbage() {
-    let dir = tmpdir();
+    let dir = tmpdir("lfsck_rejects_garbage");
     let img = dir.join("junk.img");
     std::fs::write(&img, vec![0xa5u8; 64 * 4096]).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_lfsck"))
@@ -97,8 +99,7 @@ fn lfsck_rejects_garbage() {
 
 #[test]
 fn corrupt_image_is_diagnosed_with_exit_code_2() {
-    let dir = tmpdir().join("corrupt-exit2");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("corrupt_image_is_diagnosed_with_exit_code_2");
     let img = dir.join("junk.img");
     std::fs::write(&img, vec![0x5au8; 80 * 4096]).unwrap();
     for bin in [env!("CARGO_BIN_EXE_lfsck"), env!("CARGO_BIN_EXE_lfsdump")] {
@@ -124,8 +125,7 @@ fn corrupt_image_is_diagnosed_with_exit_code_2() {
 fn torn_checkpoints_are_corrupt_not_crash() {
     // A valid superblock with both checkpoint regions trashed must yield a
     // clean diagnostic and exit 2, not a panic (exit 101).
-    let dir = tmpdir().join("torn-cp");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir("torn_checkpoints_are_corrupt_not_crash");
     let img = dir.join("torn.img");
     let img_s = img.to_str().unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_mklfs"))
