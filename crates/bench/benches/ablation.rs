@@ -1,5 +1,6 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! segment size, cleaning policy, age-sorting, and checkpoint interval.
+//! segment size, cleaning policy (every policy but greedy age-sorts), and
+//! checkpoint interval.
 
 use blockdev::MemDisk;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -21,12 +22,11 @@ fn churn(fs: &mut Lfs<MemDisk>) {
     fs.sync().unwrap();
 }
 
-fn config(seg_blocks: u32, policy: CleaningPolicy, age_sort: bool) -> LfsConfig {
+fn config(seg_blocks: u32, policy: CleaningPolicy) -> LfsConfig {
     let mut cfg = LfsConfig::small();
     cfg.seg_blocks = seg_blocks;
     cfg.flush_threshold_bytes = (seg_blocks as u64 - 1) * 4096;
     cfg.policy = policy;
-    cfg.age_sort = age_sort;
     cfg
 }
 
@@ -38,7 +38,7 @@ fn bench_segment_size(c: &mut Criterion) {
                 || {
                     Lfs::format(
                         MemDisk::new(1536),
-                        config(seg_blocks, CleaningPolicy::CostBenefit, true),
+                        config(seg_blocks, CleaningPolicy::CostBenefit),
                     )
                     .unwrap()
                 },
@@ -52,14 +52,10 @@ fn bench_segment_size(c: &mut Criterion) {
 
 fn bench_policy(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_policy");
-    for (name, policy, sort) in [
-        ("cost_benefit_agesort", CleaningPolicy::CostBenefit, true),
-        ("greedy_agesort", CleaningPolicy::Greedy, true),
-        ("greedy_plain", CleaningPolicy::Greedy, false),
-    ] {
-        g.bench_function(name, |b| {
+    for policy in CleaningPolicy::ALL {
+        g.bench_function(policy.name(), |b| {
             b.iter_batched_ref(
-                || Lfs::format(MemDisk::new(1536), config(16, policy, sort)).unwrap(),
+                || Lfs::format(MemDisk::new(1536), config(16, policy)).unwrap(),
                 churn,
                 BatchSize::LargeInput,
             )
@@ -77,7 +73,7 @@ fn bench_checkpoint_interval(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter_batched_ref(
                 || {
-                    let mut cfg = config(32, CleaningPolicy::CostBenefit, true);
+                    let mut cfg = config(32, CleaningPolicy::CostBenefit);
                     cfg.checkpoint_every_bytes = every;
                     Lfs::format(MemDisk::new(3072), cfg).unwrap()
                 },
@@ -97,7 +93,7 @@ fn bench_sparse_scavenging(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter_batched_ref(
                 || {
-                    let mut cfg = config(16, CleaningPolicy::CostBenefit, true);
+                    let mut cfg = config(16, CleaningPolicy::CostBenefit);
                     cfg.read_live_threshold = threshold;
                     Lfs::format(MemDisk::new(1536), cfg).unwrap()
                 },

@@ -3,7 +3,7 @@
 
 use blockdev::MemDisk;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use lfs_core::{Lfs, LfsConfig};
+use lfs_core::{CleaningPolicy, Lfs, LfsConfig};
 use vfs::FileSystem;
 
 /// A file system under churn pressure: most segments dirty, cleanable.
@@ -21,20 +21,17 @@ fn churned(cfg: LfsConfig) -> Lfs<MemDisk> {
 
 fn bench_clean_pass(c: &mut Criterion) {
     let mut g = c.benchmark_group("clean_pass");
-    g.bench_function("cost_benefit", |b| {
-        b.iter_batched_ref(
-            || churned(LfsConfig::small()),
-            |fs| fs.clean_pass().unwrap(),
-            BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("greedy", |b| {
-        b.iter_batched_ref(
-            || churned(LfsConfig::small().greedy()),
-            |fs| fs.clean_pass().unwrap(),
-            BatchSize::LargeInput,
-        )
-    });
+    for policy in CleaningPolicy::ALL {
+        let mut cfg = LfsConfig::small();
+        cfg.policy = policy;
+        g.bench_function(policy.name(), |b| {
+            b.iter_batched_ref(
+                || churned(cfg),
+                |fs| fs.clean_pass().unwrap(),
+                BatchSize::LargeInput,
+            )
+        });
+    }
     g.finish();
 }
 

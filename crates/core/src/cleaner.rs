@@ -8,173 +8,24 @@
 //! inode; surviving candidates are confirmed against the actual block
 //! pointers.
 //!
-//! Policy: segments are selected either greedily (least utilized first) or
-//! by the cost-benefit ratio
-//!
-//! ```text
-//! benefit   (1 - u) * age
-//! ------- = -------------
-//!   cost        1 + u
-//! ```
-//!
-//! which "allows cold segments to be cleaned at a much higher utilization
-//! than hot segments" (§3.5). With age-sorting enabled, live blocks are
-//! written back grouped by age so cold data segregates into its own
-//! segments — the source of the bimodal distribution in Figure 6.
+//! Policy: segments are selected by [`crate::CleaningPolicy`] — greedy,
+//! cost-benefit or adaptive; the ranking and pacing maths live in the
+//! `lfs_policy` crate, which the simulator shares. Every policy but greedy
+//! also writes live blocks back grouped by age (see `flush`), so cold data
+//! segregates into its own segments — the source of the bimodal
+//! distribution in Figure 6.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
-use vfs::{FsError, FsResult};
+use vfs::{FsError, FsResult, Ino};
 
-use crate::config::CleaningPolicy;
 use crate::fs::{CachedBlock, IndKey, Lfs};
 use crate::inode::{Inode, INODE_DISK_SIZE};
 use crate::layout::DiskAddr;
-use crate::summary::{EntryKind, Summary};
+use crate::summary::{EntryKind, Summary, SummaryEntry};
 use crate::usage::SegState;
-
-/// What a policy may observe about the candidate population before
-/// scoring individual segments: the live segment-utilization
-/// distribution, summarized. Greedy and cost-benefit ignore it (their
-/// scores are per-segment functions, which keeps them bit-identical to
-/// the pre-trait cleaner); the adaptive policy reads it to blend between
-/// the two regimes and to pace itself.
-#[derive(Clone, Copy, Debug)]
-pub struct PolicyCtx {
-    /// Mean utilization of the dirty (cleanable) segments.
-    pub mean_util: f64,
-    /// Mean age of the dirty segments, in logical clock ticks.
-    pub mean_age: f64,
-    /// Clean segments as a fraction of all segments.
-    pub clean_frac: f64,
-}
-
-impl Default for PolicyCtx {
-    fn default() -> Self {
-        PolicyCtx {
-            mean_util: 0.5,
-            mean_age: 1.0,
-            clean_frac: 0.5,
-        }
-    }
-}
-
-/// A victim-selection and pacing policy (§3.4–3.6 generalized): scores
-/// candidate segments and decides how many to take per pass.
-pub trait CleanPolicy {
-    /// Short name for traces and benches.
-    fn name(&self) -> &'static str;
-    /// Ranks a segment for cleaning: higher is better. `u` is the
-    /// segment's utilization and `age` the time since its youngest block
-    /// was written.
-    fn rank(&self, u: f64, age: u64, ctx: &PolicyCtx) -> f64;
-    /// How many segments to pick this pass, given the configured base.
-    fn pace(&self, base: u32, _ctx: &PolicyCtx) -> u32 {
-        base
-    }
-}
-
-/// Always clean the least-utilized segments (§3.4).
-pub struct Greedy;
-
-impl CleanPolicy for Greedy {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-    fn rank(&self, u: f64, _age: u64, _ctx: &PolicyCtx) -> f64 {
-        1.0 - u
-    }
-}
-
-/// The paper's cost-benefit policy `(1-u)*age/(1+u)` (§3.5).
-pub struct CostBenefit;
-
-impl CleanPolicy for CostBenefit {
-    fn name(&self) -> &'static str {
-        "cost-benefit"
-    }
-    fn rank(&self, u: f64, age: u64, _ctx: &PolicyCtx) -> f64 {
-        (1.0 - u) * age as f64 / (1.0 + u)
-    }
-}
-
-/// Utilization-distribution-adaptive policy (Lomet & Luo).
-///
-/// Cost-benefit's fixed `age` weighting has two failure modes: when the
-/// disk is mostly empty it passes over nearly-free segments in favour of
-/// old half-full ones (copying for no reason), and its age term has
-/// dimensions of raw clock ticks, so its strength varies with geometry
-/// and workload rate. `Adaptive` fixes both by reading the candidate
-/// population: ages are normalized by the population mean (scale-free),
-/// and the age term is weighted by the population's mean utilization —
-/// on an emptyish disk (low mean utilization) it scores almost purely on
-/// free space like greedy, while on a full disk it leans on age like
-/// cost-benefit, where hot/cold segregation matters most. Pacing scales
-/// with the clean-segment deficit so a nearly-wedged disk cleans in
-/// bigger installments and an idle one in smaller.
-pub struct Adaptive;
-
-impl CleanPolicy for Adaptive {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-    fn rank(&self, u: f64, age: u64, ctx: &PolicyCtx) -> f64 {
-        let age_norm = age as f64 / ctx.mean_age.max(1.0);
-        (1.0 - u) / (1.0 + u) * (1.0 + age_norm * ctx.mean_util)
-    }
-    fn pace(&self, base: u32, ctx: &PolicyCtx) -> u32 {
-        let deficit = (1.0 - ctx.clean_frac).clamp(0.0, 1.0);
-        ((base as f64 * (0.5 + 1.5 * deficit)).round() as u32).max(1)
-    }
-}
-
-impl CleaningPolicy {
-    /// The policy implementation this configuration value selects.
-    pub fn as_policy(self) -> &'static dyn CleanPolicy {
-        match self {
-            CleaningPolicy::Greedy => &Greedy,
-            CleaningPolicy::CostBenefit => &CostBenefit,
-            CleaningPolicy::Adaptive => &Adaptive,
-        }
-    }
-}
-
-/// Ranks a segment for cleaning under `policy` with a neutral
-/// population context: higher is better. The single place the real
-/// cleaner, the simulator comparisons, and external analysis share for
-/// the fixed (non-adaptive) policies.
-pub fn rank(policy: CleaningPolicy, u: f64, age: u64) -> f64 {
-    policy.as_policy().rank(u, age, &PolicyCtx::default())
-}
-
-/// Max-heap entry for candidate selection: `(score, seg, live_bytes)`
-/// ordered by score descending with ties to the lower segment id — the
-/// same order the previous full stable sort produced.
-struct HeapCand((f64, u32, u64));
-
-impl PartialEq for HeapCand {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for HeapCand {}
-
-impl PartialOrd for HeapCand {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapCand {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-             .0
-            .partial_cmp(&other.0 .0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            // Lower segment id wins ties, so it must compare greater.
-            .then(other.0 .1.cmp(&self.0 .1))
-    }
-}
 
 impl<D: QueueDevice> Lfs<D> {
     /// Runs the cleaner if the number of clean segments has fallen below
@@ -188,57 +39,9 @@ impl<D: QueueDevice> Lfs<D> {
             return Ok(());
         }
         self.cleaning = true;
-        let res = if self.cfg.clean_pace_segs > 0 {
-            self.clean_increment()
-        } else {
-            self.clean_until_high_water()
-        };
+        let res = self.clean_until_high_water();
         self.cleaning = false;
         res
-    }
-
-    /// One paced installment of background cleaning: at most
-    /// `clean_pace_segs` segments are relocated, then control returns
-    /// to the foreground. The next mutation that still finds the file
-    /// system below the low-water mark runs the next installment, so
-    /// cleaning interleaves with foreground traffic instead of holding
-    /// the write point for a full low-to-high-water burst. An
-    /// installment is deferred while queued foreground writes are still
-    /// in flight — the cleaner spends device idle time first.
-    fn clean_increment(&mut self) -> FsResult<()> {
-        if self.nsop_depth > 0 {
-            // See `clean_until_high_water`: checkpoints are deferred
-            // mid-namespace-operation, so copying now would only burn
-            // log space.
-            return Ok(());
-        }
-        let q = self.dev.queue_stats();
-        let in_flight = q.submitted.saturating_sub(q.completed);
-        if in_flight as usize * 2 > self.dev.queue_capacity() {
-            // Foreground submissions fill more than half the ring; let
-            // them drain rather than queueing cleaner traffic behind
-            // them. The mutation stream (or the next checkpoint fence)
-            // will trigger the next installment — and if it never
-            // comes, allocation failure falls back to the unpaced
-            // emergency path.
-            return Ok(());
-        }
-        let mut cands = self.select_candidates();
-        if cands.is_empty() {
-            // A checkpoint may still promote pending-free segments.
-            if self
-                .usage
-                .iter()
-                .any(|(_, u)| u.state == SegState::PendingFree)
-            {
-                self.checkpoint()?;
-            }
-            return Ok(());
-        }
-        cands.truncate(self.cfg.clean_pace_segs as usize);
-        self.clean_segments(&cands)?;
-        self.checkpoint()?;
-        Ok(())
     }
 
     /// Forces one cleaning pass regardless of the watermarks; returns the
@@ -247,28 +50,28 @@ impl<D: QueueDevice> Lfs<D> {
     pub fn clean_pass(&mut self) -> FsResult<u32> {
         let was_cleaning = self.cleaning;
         self.cleaning = true;
-        let res = (|| {
-            let cands = self.select_candidates();
-            if cands.is_empty() {
-                return Ok(0);
-            }
-            let n = cands.len() as u32;
-            self.clean_segments(&cands)?;
-            self.checkpoint()?;
-            Ok(n)
-        })();
+        let res = self.pass();
         self.cleaning = was_cleaning;
         res
     }
 
-    /// Emergency cleaning invoked by `flush` when segment allocation
-    /// fails: regenerate whatever clean segments the policy can, using
-    /// the cleaner's reserved pool for the relocations.
-    pub(crate) fn clean_for_space(&mut self) -> FsResult<()> {
-        self.clean_until_high_water()
+    /// One pass: pick victims and relocate their live data, then
+    /// checkpoint, which makes the relocations durable and promotes the
+    /// sources to clean. Returns the number of segments cleaned.
+    fn pass(&mut self) -> FsResult<u32> {
+        let cands = self.select_candidates();
+        if !cands.is_empty() {
+            self.clean_segments(&cands)?;
+            self.checkpoint()?;
+        }
+        Ok(cands.len() as u32)
     }
 
-    fn clean_until_high_water(&mut self) -> FsResult<()> {
+    /// The one cleaning schedule: pass after pass until the high-water
+    /// mark. Also the emergency path `flush` takes when segment
+    /// allocation fails — regenerate whatever clean segments the policy
+    /// can, using the cleaner's reserved pool for the relocations.
+    pub(crate) fn clean_until_high_water(&mut self) -> FsResult<()> {
         if self.nsop_depth > 0 {
             // Checkpoints are deferred while a namespace operation is
             // mid-flight (see `Lfs::checkpoint`), and without them cleaned
@@ -282,8 +85,8 @@ impl<D: QueueDevice> Lfs<D> {
             if self.usage.clean_count() >= self.cfg.clean_high_water {
                 return Ok(());
             }
-            let cands = self.select_candidates();
-            if cands.is_empty() {
+            let before = self.usage.clean_count();
+            if self.pass()? == 0 {
                 // A checkpoint may still promote pending-free segments.
                 let pending = self
                     .usage
@@ -295,11 +98,6 @@ impl<D: QueueDevice> Lfs<D> {
                 }
                 return Ok(());
             }
-            let before = self.usage.clean_count();
-            self.clean_segments(&cands)?;
-            // The checkpoint makes the relocations durable and promotes
-            // the sources to clean.
-            self.checkpoint()?;
             // Guard against zero-net oscillation: when the best available
             // candidates are so full that relocating them consumes as much
             // space as it frees, stop — more free space must come from
@@ -321,74 +119,53 @@ impl<D: QueueDevice> Lfs<D> {
     fn select_candidates(&self) -> Vec<u32> {
         let seg_bytes = self.cfg.seg_bytes();
         let now = self.clock;
-        let pol = self.cfg.policy.as_policy();
-        // Summarize the candidate population for the policy: the live
-        // utilization distribution of the dirty segments plus the free
-        // fraction. The fixed policies ignore it, so computing it does
-        // not perturb their selections.
-        let ctx = {
-            let mut nsegs = 0u64;
-            let mut ndirty = 0u64;
-            let mut util_sum = 0.0f64;
-            let mut age_sum = 0.0f64;
-            for (seg, u) in self.usage.iter() {
-                nsegs += 1;
-                if u.state == SegState::Dirty && !self.is_write_point_seg(seg) {
-                    ndirty += 1;
-                    util_sum += u.utilization(seg_bytes);
-                    age_sum += (now.saturating_sub(u.last_write) + 1) as f64;
-                }
-            }
-            PolicyCtx {
-                mean_util: if ndirty == 0 {
-                    0.0
-                } else {
-                    util_sum / ndirty as f64
-                },
-                mean_age: if ndirty == 0 {
-                    1.0
-                } else {
-                    age_sum / ndirty as f64
-                },
-                clean_frac: if nsegs == 0 {
-                    0.0
-                } else {
-                    self.usage.clean_count() as f64 / nsegs as f64
-                },
-            }
+        let policy = self.cfg.policy;
+        // Candidates as `(segment, live bytes, utilization, age)`: sealed
+        // dirty segments off the write points with something to reclaim.
+        let candidates = || {
+            self.usage
+                .iter()
+                .filter(|&(seg, u)| {
+                    !self.is_write_point_seg(seg)
+                        && u.state == SegState::Dirty
+                        && u.seal_seq <= self.checkpoint_seq
+                        && (u.live_bytes as u64) < seg_bytes
+                })
+                .map(|(seg, u)| {
+                    let age = (now.saturating_sub(u.last_write) + 1) as f64;
+                    (seg, u.live_bytes as u64, u.utilization(seg_bytes), age)
+                })
         };
-        let per_pass = pol.pace(self.cfg.segs_per_clean, &ctx);
+        let pop = policy.population(
+            candidates().map(|(_, _, util, age)| (util, age)),
+            self.usage.clean_count(),
+            self.cfg.clean_high_water,
+        );
+        let per_pass = policy.pace(self.cfg.segs_per_clean, &pop);
         // Split candidates as they stream out of the usage table: empty
         // segments go to their own (small, capped) list, the rest into a
         // max-heap popped lazily below. Only the handful of segments a
         // pass actually picks pay ordering cost, instead of a full sort
         // of every dirty segment on each pass. Ties break toward the
         // lower segment id, matching what the previous stable sort (over
-        // the id-ordered usage iterator) produced.
+        // the id-ordered usage iterator) produced. Scores are never
+        // negative or NaN, and such floats order exactly like their bit
+        // patterns, which (unlike `f64`) a heap can key on.
         let desc = |a: &(f64, u32, u64), b: &(f64, u32, u64)| {
             b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.1.cmp(&b.1))
         };
         let mut empties: Vec<(f64, u32, u64)> = Vec::new();
-        let mut heap: std::collections::BinaryHeap<HeapCand> = self
-            .usage
-            .iter()
-            .filter(|&(seg, u)| {
-                !self.is_write_point_seg(seg)
-                    && u.state == SegState::Dirty
-                    && u.seal_seq <= self.checkpoint_seq
-                    && (u.live_bytes as u64) < seg_bytes
-            })
-            .filter_map(|(seg, u)| {
-                let util = u.utilization(seg_bytes);
-                let age = now.saturating_sub(u.last_write) + 1;
-                let cand = (pol.rank(util, age, &ctx), seg, u.live_bytes as u64);
-                if u.live_bytes == 0 {
-                    empties.push(cand);
+        let mut heap: BinaryHeap<(u64, Reverse<u32>, u64)> = candidates()
+            .filter_map(|(seg, live, util, age)| {
+                let score = policy.rank(util, age, &pop);
+                debug_assert!(score >= 0.0, "segment {seg} scored {score}");
+                if live == 0 {
+                    empties.push((score, seg, live));
                     None
                 } else {
-                    Some(HeapCand(cand))
+                    Some((score.to_bits(), Reverse(seg), live))
                 }
             })
             .collect();
@@ -439,7 +216,7 @@ impl<D: QueueDevice> Lfs<D> {
         // Lazy best-first pop: most passes examine only a few segments
         // beyond the `segs_per_clean` they pick (budget skips excepted).
         while picked.len() - nempties < per_pass as usize {
-            let Some(HeapCand((_, seg, live))) = heap.pop() else {
+            let Some((_, Reverse(seg), live)) = heap.pop() else {
                 break;
             };
             if live_total + live > budget {
@@ -469,7 +246,7 @@ impl<D: QueueDevice> Lfs<D> {
             }
             let starved = |sh: usize, has_pick: &[bool]| clean_per_shard[sh] == 0 && !has_pick[sh];
             if (0..n).any(|sh| starved(sh, &has_pick)) {
-                while let Some(HeapCand((_, seg, live))) = heap.pop() {
+                while let Some((_, Reverse(seg), live)) = heap.pop() {
                     let sh = self.shard_of_seg(seg);
                     if !starved(sh, &has_pick) {
                         continue;
@@ -574,55 +351,32 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(())
     }
 
-    /// Diagnostic: re-scavenges a segment and describes anything still
-    /// live (used only in the corruption error path).
+    /// Diagnostic: re-walks a segment and describes anything still live
+    /// (used only in the corruption error path).
     fn debug_scavenge_report(&mut self, seg: u32) -> String {
-        let seg_blocks = self.sb.seg_blocks as usize;
-        let mut buf = vec![0u8; seg_blocks * BLOCK_SIZE];
         let start = self.sb.seg_start(seg);
-        if self.dev.read_blocks(start, &mut buf).is_err() {
-            return "unreadable".into();
-        }
         let mut out = String::new();
-        let mut off = 0usize;
-        let mut prev_seq = 0u64;
-        while off + 1 < seg_blocks {
-            let Ok(summary) = Summary::decode(&buf[off * BLOCK_SIZE..(off + 1) * BLOCK_SIZE])
-            else {
-                break;
-            };
-            if summary.seq <= prev_seq || off + 1 + summary.entries.len() > seg_blocks {
-                break;
-            }
-            prev_seq = summary.seq;
-            for (j, entry) in summary.entries.iter().enumerate() {
-                let addr = start + (off + 1 + j) as u64;
-                let live = match entry.kind {
-                    EntryKind::Data => {
-                        self.imap
-                            .get(entry.ino)
-                            .map(|e| e.is_live() && e.version == entry.version)
-                            .unwrap_or(false)
-                            && self.block_ptr(entry.ino, entry.offset as u64).unwrap_or(0) == addr
+        let walked = self.read_segment(seg).and_then(|buf| {
+            self.walk_summaries(seg, Some(&buf), |fs, summary, first| {
+                for (j, entry) in summary.entries.iter().enumerate() {
+                    let blk = first + j;
+                    let addr = start + blk as u64;
+                    let content = &buf[blk * BLOCK_SIZE..(blk + 1) * BLOCK_SIZE];
+                    let live = fs.entry_is_live(entry, addr)?
+                        && (entry.kind != EntryKind::InodeBlock
+                            || !fs.live_inodes_in(addr, content).is_empty());
+                    if live {
+                        out.push_str(&format!(
+                            " {:?}(ino {} off {})",
+                            entry.kind, entry.ino, entry.offset
+                        ));
                     }
-                    EntryKind::ImapBlock => {
-                        (entry.offset as usize) < self.imap.num_blocks()
-                            && self.imap.block_addr(entry.offset as usize) == addr
-                    }
-                    EntryKind::UsageBlock => {
-                        (entry.offset as usize) < self.usage.num_blocks()
-                            && self.usage.block_addr(entry.offset as usize) == addr
-                    }
-                    _ => false,
-                };
-                if live {
-                    out.push_str(&format!(
-                        " {:?}(ino {} off {})",
-                        entry.kind, entry.ino, entry.offset
-                    ));
                 }
-            }
-            off += 1 + summary.entries.len();
+                Ok(())
+            })
+        });
+        if walked.is_err() {
+            return "unreadable".into();
         }
         if out.is_empty() {
             out = " nothing verifiably live (accounting drift)".into();
@@ -630,27 +384,40 @@ impl<D: QueueDevice> Lfs<D> {
         out
     }
 
-    /// Reads one segment, walks its summaries, and stages every live block
-    /// as dirty cache state so the next flush relocates it.
-    fn scavenge_segment(&mut self, seg: u32) -> FsResult<()> {
-        let seg_bytes = self.cfg.seg_bytes();
-        let u = self.usage.get(seg).utilization(seg_bytes);
-        if self.cfg.read_live_threshold > 0.0 && u < self.cfg.read_live_threshold {
-            return self.scavenge_segment_sparse(seg);
-        }
-        let seg_blocks = self.sb.seg_blocks as usize;
-        let mut buf = vec![0u8; seg_blocks * BLOCK_SIZE];
-        let start = self.sb.seg_start(seg);
-        self.read_retry(start, &mut buf)?;
+    /// Reads all of `seg` in one request, on the cleaner's account.
+    fn read_segment(&mut self, seg: u32) -> FsResult<Vec<u8>> {
+        let mut buf = vec![0u8; self.sb.seg_blocks as usize * BLOCK_SIZE];
+        self.read_retry(self.sb.seg_start(seg), &mut buf)?;
         self.stats.cleaner.bytes_read += buf.len() as u64;
+        Ok(buf)
+    }
 
+    /// Decodes `seg`'s summary chain, handing `visit` each summary and the
+    /// segment-relative block offset of its first entry. Summary blocks
+    /// come out of `whole` when the segment was read in one request, and
+    /// are fetched one at a time otherwise.
+    fn walk_summaries(
+        &mut self,
+        seg: u32,
+        whole: Option<&[u8]>,
+        mut visit: impl FnMut(&mut Self, &Summary, usize) -> FsResult<()>,
+    ) -> FsResult<()> {
+        let seg_blocks = self.sb.seg_blocks as usize;
+        let start = self.sb.seg_start(seg);
+        let mut sbuf = vec![0u8; BLOCK_SIZE];
         let mut off = 0usize;
         let mut prev_seq = 0u64;
         while off + 1 < seg_blocks {
-            let sblock = &buf[off * BLOCK_SIZE..(off + 1) * BLOCK_SIZE];
-            let summary = match Summary::decode(sblock) {
-                Ok(s) => s,
-                Err(_) => break, // End of this segment's valid chain.
+            let sblock = match whole {
+                Some(buf) => &buf[off * BLOCK_SIZE..(off + 1) * BLOCK_SIZE],
+                None => {
+                    self.read_retry(start + off as u64, &mut sbuf)?;
+                    self.stats.cleaner.bytes_read += BLOCK_SIZE as u64;
+                    &sbuf[..]
+                }
+            };
+            let Ok(summary) = Summary::decode(sblock) else {
+                break; // End of this segment's valid chain.
             };
             // Stale summaries left over from the segment's previous life
             // have smaller sequence numbers; the live chain is strictly
@@ -659,126 +426,131 @@ impl<D: QueueDevice> Lfs<D> {
                 break;
             }
             prev_seq = summary.seq;
-            for (j, entry) in summary.entries.iter().enumerate() {
-                let blk_off = off + 1 + j;
-                let addr = start + blk_off as u64;
-                let content = &buf[blk_off * BLOCK_SIZE..(blk_off + 1) * BLOCK_SIZE];
-                self.stage_if_live(entry, addr, content)?;
-            }
+            visit(self, &summary, off + 1)?;
             off += 1 + summary.entries.len();
         }
         Ok(())
     }
 
-    /// The "read just the live blocks" variant the paper proposes but
-    /// never implemented (§3.4): walk the summaries block by block and
-    /// fetch only the blocks that are actually live. For very sparse
-    /// segments this reads a small fraction of the segment at the cost of
-    /// discontiguous (seeking) reads — the ablation bench quantifies the
-    /// trade.
-    fn scavenge_segment_sparse(&mut self, seg: u32) -> FsResult<()> {
-        let seg_blocks = self.sb.seg_blocks as usize;
+    /// Walks one segment's summaries and stages every live block as dirty
+    /// cache state so the next flush relocates it.
+    fn scavenge_segment(&mut self, seg: u32) -> FsResult<()> {
+        let u = self.usage.get(seg).utilization(self.cfg.seg_bytes());
+        let sparse = self.cfg.read_live_threshold > 0.0 && u < self.cfg.read_live_threshold;
         let start = self.sb.seg_start(seg);
-        let mut sbuf = vec![0u8; BLOCK_SIZE];
-        let mut off = 0usize;
-        let mut prev_seq = 0u64;
-        while off + 1 < seg_blocks {
-            self.read_retry(start + off as u64, &mut sbuf)?;
-            self.stats.cleaner.bytes_read += BLOCK_SIZE as u64;
-            let summary = match Summary::decode(&sbuf) {
-                Ok(s) => s,
-                Err(_) => break,
-            };
-            if summary.seq <= prev_seq || off + 1 + summary.entries.len() > seg_blocks {
-                break;
-            }
-            prev_seq = summary.seq;
-            // Pass 1: the fast liveness pre-checks, which need no block
-            // contents (confirming a data pointer may load an indirect
-            // block, but never the data itself).
-            let mut worth: Vec<(usize, DiskAddr)> = Vec::new();
+        if !sparse {
+            let buf = self.read_segment(seg)?;
+            return self.walk_summaries(seg, Some(&buf), |fs, summary, first| {
+                for (j, entry) in summary.entries.iter().enumerate() {
+                    let blk = first + j;
+                    let addr = start + blk as u64;
+                    if fs.entry_is_live(entry, addr)? {
+                        fs.stage(entry, addr, &buf[blk * BLOCK_SIZE..(blk + 1) * BLOCK_SIZE])?;
+                    }
+                }
+                Ok(())
+            });
+        }
+        // The "read just the live blocks" variant the paper proposes but
+        // never implemented (§3.4): fetch the summaries block by block and
+        // then only the blocks that are actually live. For very sparse
+        // segments this reads a small fraction of the segment at the cost
+        // of discontiguous (seeking) reads — the ablation bench quantifies
+        // the trade.
+        self.walk_summaries(seg, None, |fs, summary, first| {
+            let mut live: Vec<(usize, DiskAddr)> = Vec::new();
             for (j, entry) in summary.entries.iter().enumerate() {
-                let addr = start + (off + 1 + j) as u64;
-                let worth_reading = match entry.kind {
-                    EntryKind::Data => {
-                        let e = match self.imap.get(entry.ino) {
-                            Ok(e) => *e,
-                            Err(_) => continue,
-                        };
-                        e.is_live()
-                            && e.version == entry.version
-                            && self.block_ptr(entry.ino, entry.offset as u64)? == addr
-                    }
-                    EntryKind::Indirect1 | EntryKind::Indirect2 => true,
-                    EntryKind::InodeBlock => true,
-                    EntryKind::ImapBlock => {
-                        (entry.offset as usize) < self.imap.num_blocks()
-                            && self.imap.block_addr(entry.offset as usize) == addr
-                    }
-                    EntryKind::UsageBlock => {
-                        (entry.offset as usize) < self.usage.num_blocks()
-                            && self.usage.block_addr(entry.offset as usize) == addr
-                    }
-                    EntryKind::DirLog => false,
-                };
-                if worth_reading {
-                    worth.push((j, addr));
+                let addr = start + (first + j) as u64;
+                if fs.entry_is_live(entry, addr)? {
+                    live.push((j, addr));
                 }
             }
-            // Pass 2: fetch the survivors. Entries adjacent in the chunk
-            // occupy adjacent disk blocks, so every maximal stretch of
-            // consecutive addresses is one contiguous run — read it as a
-            // single device request instead of block by block. Staging
-            // re-verifies liveness per block, so batching never relocates
-            // anything the per-block order would not have.
+            // Entries adjacent in the chunk occupy adjacent disk blocks,
+            // so every maximal stretch of consecutive addresses is one
+            // contiguous run — read it as a single device request instead
+            // of block by block.
             let mut i = 0usize;
-            while i < worth.len() {
+            while i < live.len() {
                 let mut end = i + 1;
-                while end < worth.len() && worth[end].1 == worth[end - 1].1 + 1 {
+                while end < live.len() && live[end].1 == live[end - 1].1 + 1 {
                     end += 1;
                 }
-                let count = end - i;
-                let mut content = vec![0u8; count * BLOCK_SIZE];
-                self.read_run_retry(worth[i].1, &mut content)?;
-                self.stats.cleaner.bytes_read += content.len() as u64;
-                for (k, &(j, addr)) in worth[i..end].iter().enumerate() {
-                    self.stage_if_live(
-                        &summary.entries[j],
-                        addr,
-                        &content[k * BLOCK_SIZE..(k + 1) * BLOCK_SIZE],
-                    )?;
+                let mut content = vec![0u8; (end - i) * BLOCK_SIZE];
+                fs.read_run_retry(live[i].1, &mut content)?;
+                fs.stats.cleaner.bytes_read += content.len() as u64;
+                for (&(j, addr), block) in live[i..end].iter().zip(content.chunks(BLOCK_SIZE)) {
+                    fs.stage(&summary.entries[j], addr, block)?;
                 }
                 i = end;
             }
-            off += 1 + summary.entries.len();
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
-    /// Checks one summarised block for liveness and stages it if live.
-    fn stage_if_live(
-        &mut self,
-        entry: &crate::summary::SummaryEntry,
-        addr: DiskAddr,
-        content: &[u8],
-    ) -> FsResult<()> {
+    /// Whether the block `entry` summarises, written at `addr`, is still
+    /// part of the file system — decided from the maps and block pointers
+    /// alone (confirming a pointer may load an indirect block, but never
+    /// the block itself).
+    fn entry_is_live(&mut self, entry: &SummaryEntry, addr: DiskAddr) -> FsResult<bool> {
+        // The uid fast path: a version mismatch means the file was deleted
+        // or truncated — "the block can be discarded immediately without
+        // examining the file's inode" (§3.3).
+        let uid_current = |fs: &Self| {
+            fs.imap
+                .get(entry.ino)
+                .is_ok_and(|e| e.is_live() && e.version == entry.version)
+        };
+        let idx = entry.offset as usize;
+        Ok(match entry.kind {
+            EntryKind::Data => {
+                uid_current(self) && self.block_ptr(entry.ino, entry.offset as u64)? == addr
+            }
+            EntryKind::Indirect1 | EntryKind::Indirect2 => {
+                let key = ind_key(entry);
+                uid_current(self)
+                    && self.ensure_ind(entry.ino, key, false)?
+                    && self.inds[&(entry.ino, key)].disk_addr == addr
+            }
+            // Live while the inode map places any inode in it, which only
+            // its slots can say: see `live_inodes_in`.
+            EntryKind::InodeBlock => true,
+            EntryKind::ImapBlock => {
+                idx < self.imap.num_blocks() && self.imap.block_addr(idx) == addr
+            }
+            EntryKind::UsageBlock => {
+                idx < self.usage.num_blocks() && self.usage.block_addr(idx) == addr
+            }
+            // Directory-log records matter only between a checkpoint and
+            // a crash; segments eligible for cleaning are older than the
+            // last checkpoint, so these are dead.
+            EntryKind::DirLog => false,
+        })
+    }
+
+    /// The inodes in the inode block `content`, written at `addr`, that
+    /// the inode map still places there.
+    fn live_inodes_in(&self, addr: DiskAddr, content: &[u8]) -> Vec<Ino> {
+        (0..crate::layout::INODES_PER_BLOCK)
+            .filter_map(|slot| {
+                let b = &content[slot * INODE_DISK_SIZE..(slot + 1) * INODE_DISK_SIZE];
+                // An undecodable slot in a dead chunk is legal (torn write
+                // behind a valid summary); skip it rather than abort the
+                // pass. Live-but-rotted inodes surface in
+                // `clean_segments`' live-bytes audit instead.
+                let ino = Inode::decode(b).ok()??.ino;
+                let e = self.imap.get(ino).ok()?;
+                (e.is_live() && e.addr == addr && e.slot == slot as u8).then_some(ino)
+            })
+            .collect()
+    }
+
+    /// Stages one summarised block, which `entry_is_live` has confirmed,
+    /// for relocation.
+    fn stage(&mut self, entry: &SummaryEntry, addr: DiskAddr, content: &[u8]) -> FsResult<()> {
+        let ino = entry.ino;
         match entry.kind {
             EntryKind::Data => {
-                let ino = entry.ino;
-                let e = match self.imap.get(ino) {
-                    Ok(e) => *e,
-                    Err(_) => return Ok(()),
-                };
-                // The uid fast path: a version mismatch means the file was
-                // deleted or truncated — "the block can be discarded
-                // immediately without examining the file's inode" (§3.3).
-                if !e.is_live() || e.version != entry.version {
-                    return Ok(());
-                }
                 let bno = entry.offset as u64;
-                if self.block_ptr(ino, bno)? != addr {
-                    return Ok(());
-                }
                 // The block is confirmed live; refuse to relocate it if
                 // the media rotted it (silent propagation of bad data is
                 // worse than a loud failure). Dead blocks are never
@@ -822,78 +594,34 @@ impl<D: QueueDevice> Lfs<D> {
                 }
             }
             EntryKind::Indirect1 | EntryKind::Indirect2 => {
-                let ino = entry.ino;
-                let e = match self.imap.get(ino) {
-                    Ok(e) => *e,
-                    Err(_) => return Ok(()),
-                };
-                if !e.is_live() || e.version != entry.version {
-                    return Ok(());
-                }
-                let key = match entry.kind {
-                    EntryKind::Indirect1 => IndKey::Single(entry.offset),
-                    _ => IndKey::Double,
-                };
-                if let Some(cached) = self.inds.get_mut(&(ino, key)) {
-                    if cached.disk_addr == addr {
-                        crate::fs::set_dirty(&mut cached.dirty, &mut self.dirty_ind_count);
-                        self.dirty_files.insert(ino);
-                    }
-                    return Ok(());
-                }
-                // Not cached: confirm via the parent pointer, then load.
-                if self.ensure_ind(ino, key, false)? {
-                    let cached = self.inds.get_mut(&(ino, key)).unwrap();
-                    if cached.disk_addr == addr {
-                        crate::fs::set_dirty(&mut cached.dirty, &mut self.dirty_ind_count);
-                        self.dirty_files.insert(ino);
-                    }
-                }
+                let cached = self
+                    .inds
+                    .get_mut(&(ino, ind_key(entry)))
+                    .expect("entry_is_live cached the indirect block");
+                crate::fs::set_dirty(&mut cached.dirty, &mut self.dirty_ind_count);
+                self.dirty_files.insert(ino);
             }
             EntryKind::InodeBlock => {
-                for slot in 0..crate::layout::INODES_PER_BLOCK {
-                    let b = &content[slot * INODE_DISK_SIZE..(slot + 1) * INODE_DISK_SIZE];
-                    // An undecodable slot in a dead chunk is legal (torn
-                    // write behind a valid summary); skip it rather than
-                    // abort the pass. Live-but-rotted inodes surface in
-                    // `clean_segments`' live-bytes audit instead.
-                    let Ok(decoded) = Inode::decode(b) else {
-                        continue;
-                    };
-                    let Some(inode) = decoded else {
-                        continue;
-                    };
-                    let ino = inode.ino;
-                    let e = match self.imap.get(ino) {
-                        Ok(e) => *e,
-                        Err(_) => continue,
-                    };
-                    if e.is_live() && e.addr == addr && e.slot == slot as u8 {
-                        self.ensure_inode(ino)?;
-                        let c = self.inodes.get_mut(&ino).unwrap();
-                        crate::fs::set_dirty(&mut c.dirty, &mut self.dirty_inode_count);
-                        self.dirty_files.insert(ino);
-                    }
+                for ino in self.live_inodes_in(addr, content) {
+                    self.ensure_inode(ino)?;
+                    let c = self.inodes.get_mut(&ino).unwrap();
+                    crate::fs::set_dirty(&mut c.dirty, &mut self.dirty_inode_count);
+                    self.dirty_files.insert(ino);
                 }
             }
-            EntryKind::ImapBlock => {
-                let idx = entry.offset as usize;
-                if idx < self.imap.num_blocks() && self.imap.block_addr(idx) == addr {
-                    self.imap.mark_block_dirty(idx);
-                }
-            }
-            EntryKind::UsageBlock => {
-                let idx = entry.offset as usize;
-                if idx < self.usage.num_blocks() && self.usage.block_addr(idx) == addr {
-                    self.usage.mark_block_dirty(idx);
-                }
-            }
-            EntryKind::DirLog => {
-                // Directory-log records matter only between a checkpoint
-                // and a crash; segments eligible for cleaning are older
-                // than the last checkpoint, so these are dead.
-            }
+            EntryKind::ImapBlock => self.imap.mark_block_dirty(entry.offset as usize),
+            EntryKind::UsageBlock => self.usage.mark_block_dirty(entry.offset as usize),
+            EntryKind::DirLog => {} // Never live.
         }
         Ok(())
+    }
+}
+
+/// The cache key of the indirect block an `Indirect1`/`Indirect2` summary
+/// entry describes.
+fn ind_key(entry: &SummaryEntry) -> IndKey {
+    match entry.kind {
+        EntryKind::Indirect1 => IndKey::Single(entry.offset),
+        _ => IndKey::Double,
     }
 }

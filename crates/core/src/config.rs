@@ -2,23 +2,9 @@
 
 use blockdev::BLOCK_SIZE;
 
-/// Which cleaning policy the cleaner uses to select segments (Section 3.4,
-/// policy question 3) and whether live blocks are age-sorted on the way out
-/// (policy question 4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CleaningPolicy {
-    /// Always clean the least-utilized segments.
-    Greedy,
-    /// Clean the segments with the highest benefit-to-cost ratio
-    /// `(1-u)*age/(1+u)` — the paper's cost-benefit policy (Section 3.5).
-    CostBenefit,
-    /// Adapt victim selection and pacing to the measured utilization
-    /// distribution of the candidate set (Lomet & Luo): greedy-like when
-    /// segments are mostly empty, cost-benefit-like as the disk fills,
-    /// with scale-free ages so the blend is geometry-independent. See
-    /// [`crate::cleaner::Adaptive`].
-    Adaptive,
-}
+/// Which policy the cleaner uses to select segments (Section 3.4, policy
+/// question 3): the one definition the simulator measures.
+pub use lfs_policy::CleaningPolicy;
 
 /// Configuration for [`crate::Lfs`].
 ///
@@ -42,22 +28,11 @@ pub struct LfsConfig {
     /// How many segments the cleaner reads per pass ("a few tens of
     /// segments at a time").
     pub segs_per_clean: u32,
-    /// When non-zero, background cleaning runs as bounded installments
-    /// of at most this many segments per trigger instead of one burst
-    /// from the low-water mark all the way to the high-water mark. Each
-    /// mutation that finds the file system below the low-water mark
-    /// contributes one installment, so cleaning interleaves with
-    /// foreground traffic; an installment is skipped while queued
-    /// foreground writes are still in flight, so the cleaner spends
-    /// idle device time first. 0 (the default) keeps the burst
-    /// behaviour. Emergency cleaning on allocation failure always runs
-    /// unpaced regardless of this setting.
-    pub clean_pace_segs: u32,
-    /// Segment-selection policy.
+    /// Segment-selection policy. Every policy but
+    /// [`CleaningPolicy::Greedy`] also sorts live blocks by age before
+    /// rewriting them (the age-sort of Section 3.4, policy question 4):
+    /// "LFS Greedy" in Figures 5 and 7 is greedy without the sort.
     pub policy: CleaningPolicy,
-    /// Sort live blocks by age before rewriting them (the age-sort of
-    /// Section 3.4; always beneficial with cost-benefit selection).
-    pub age_sort: bool,
     /// Flush the write buffer once this many dirty bytes accumulate.
     /// Defaults to one segment's payload so that most flushes fill a whole
     /// segment, as the paper assumes.
@@ -108,9 +83,7 @@ impl LfsConfig {
             clean_low_water: 16,
             clean_high_water: 40,
             segs_per_clean: 16,
-            clean_pace_segs: 0,
             policy: CleaningPolicy::CostBenefit,
-            age_sort: true,
             flush_threshold_bytes: 255 * BLOCK_SIZE as u64,
             roll_forward: true,
             checkpoint_every_bytes: 8 << 20,
@@ -131,9 +104,7 @@ impl LfsConfig {
             clean_low_water: 6,
             clean_high_water: 12,
             segs_per_clean: 4,
-            clean_pace_segs: 0,
             policy: CleaningPolicy::CostBenefit,
-            age_sort: true,
             flush_threshold_bytes: 15 * BLOCK_SIZE as u64,
             roll_forward: true,
             checkpoint_every_bytes: 1 << 20,
@@ -151,18 +122,10 @@ impl LfsConfig {
         self
     }
 
-    /// Caps each background-cleaning trigger at `segs` relocated
-    /// segments (see [`LfsConfig::clean_pace_segs`]).
-    pub fn paced(mut self, segs: u32) -> LfsConfig {
-        self.clean_pace_segs = segs;
-        self
-    }
-
     /// Switches the cleaner to the greedy policy without age-sort — the
     /// "LFS Greedy" configuration of Figures 5 and 7.
     pub fn greedy(mut self) -> LfsConfig {
         self.policy = CleaningPolicy::Greedy;
-        self.age_sort = false;
         self
     }
 
@@ -173,8 +136,7 @@ impl LfsConfig {
         self
     }
 
-    /// Switches the cleaner to the adaptive policy (with age-sort, which
-    /// it subsumes but never hurts).
+    /// Switches the cleaner to the adaptive policy.
     pub fn adaptive(mut self) -> LfsConfig {
         self.policy = CleaningPolicy::Adaptive;
         self
@@ -202,20 +164,12 @@ mod tests {
         let c = LfsConfig::default();
         assert_eq!(c.seg_bytes(), 1 << 20);
         assert_eq!(c.policy, CleaningPolicy::CostBenefit);
-        assert!(c.age_sort);
     }
 
     #[test]
     fn half_megabyte_variant() {
         let c = LfsConfig::default().with_half_megabyte_segments();
         assert_eq!(c.seg_bytes(), 512 << 10);
-    }
-
-    #[test]
-    fn greedy_variant_disables_age_sort() {
-        let c = LfsConfig::default().greedy();
-        assert_eq!(c.policy, CleaningPolicy::Greedy);
-        assert!(!c.age_sort);
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl<D: QueueDevice> Lfs<D> {
             inos.extend(self.dirty_files.iter().copied());
             inos.into_iter().collect()
         };
-        if self.cleaning && self.cfg.age_sort {
+        if self.cleaning && self.cfg.policy != crate::CleaningPolicy::Greedy {
             // "Sort the blocks by the time they were last modified and
             // group blocks of similar age together into new segments"
             // (§3.4). Files are ordered by the age of their oldest dirty
@@ -327,7 +327,7 @@ impl<D: QueueDevice> Lfs<D> {
                 let mut rounds = 0;
                 while matches!(plan, Err(FsError::NoSpace)) && !self.cleaning && rounds < 4 {
                     self.cleaning = true;
-                    let res = self.clean_for_space();
+                    let res = self.clean_until_high_water();
                     self.cleaning = false;
                     res?;
                     plan = self.layout(&counts);

@@ -7,27 +7,17 @@
 //! signal: an exponentially-decaying write counter per inode, advanced
 //! on the file system's logical clock.
 //!
-//! The estimator is deliberately integer-only: heat is a Q16
-//! fixed-point value, each write adds `1.0`, and elapsed time decays it
-//! by one binary order of magnitude per half-life. No floats, no wall
-//! clock, no randomness — the same operation sequence always yields the
-//! same routing, which is what lets `streams = 1` stay bit-identical
-//! and multi-stream runs stay reproducible.
+//! The counter arithmetic and the hot/warm/cold thresholds are
+//! [`lfs_policy::heat`] — integer-only Q16, shared with the simulator;
+//! this module keeps the per-inode map and its checkpoint snapshot. No
+//! floats, no wall clock, no randomness — the same operation sequence
+//! always yields the same routing, which is what lets `streams = 1`
+//! stay bit-identical and multi-stream runs stay reproducible.
 
 use std::collections::BTreeMap;
 
+use lfs_policy::heat::{class, decayed, ONE};
 use vfs::Ino;
-
-/// One write's worth of heat (Q16 fixed point: 1.0).
-const ONE: u64 = 1 << 16;
-
-/// Heat at or above this is "hot": roughly three writes within the last
-/// half-life.
-const HOT: u64 = 3 * ONE;
-
-/// Heat at or above this (but below [`HOT`]) is "warm": about one
-/// recent write.
-const WARM: u64 = ONE;
 
 /// Entry-count bound; reaching it triggers a sweep of fully-decayed
 /// entries so the map tracks live temperature, not history.
@@ -36,20 +26,14 @@ const SWEEP_LEN: usize = 8192;
 #[derive(Clone, Copy, Debug)]
 struct Heat {
     /// Q16 decayed write counter.
-    q: u64,
+    q: u32,
     /// Logical-clock time of the last touch (decay anchor).
     last: u64,
 }
 
 impl Heat {
-    fn decayed(self, now: u64, half_life: u64) -> u64 {
-        let elapsed = now.saturating_sub(self.last);
-        let shift = elapsed / half_life.max(1);
-        if shift >= 48 {
-            0
-        } else {
-            self.q >> shift
-        }
+    fn decayed(self, now: u64, half_life: u64) -> u32 {
+        decayed(self.q, now.saturating_sub(self.last), half_life)
     }
 }
 
@@ -87,7 +71,7 @@ impl HeatMap {
     }
 
     /// Current decayed heat of `ino`, Q16.
-    pub fn heat(&self, ino: Ino, now: u64) -> u64 {
+    pub fn heat(&self, ino: Ino, now: u64) -> u32 {
         self.entries
             .get(&ino)
             .map_or(0, |h| h.decayed(now, self.half_life))
@@ -97,18 +81,7 @@ impl HeatMap {
     /// hottest, `nstreams - 1` coldest. Data never seen before is cold —
     /// the first write carries no evidence of re-writing.
     pub fn class(&self, ino: Ino, now: u64, nstreams: usize) -> usize {
-        if nstreams <= 1 {
-            return 0;
-        }
-        let q = self.heat(ino, now);
-        let class = if q >= HOT {
-            0
-        } else if q >= WARM {
-            1
-        } else {
-            2
-        };
-        class.min(nstreams - 1)
+        class(self.heat(ino, now), nstreams)
     }
 
     /// Serializes the hottest entries (decayed to `now`, zero entries
@@ -118,14 +91,8 @@ impl HeatMap {
         let mut v: Vec<(u32, u32)> = self
             .entries
             .iter()
-            .filter_map(|(&ino, h)| {
-                let q = h.decayed(now, self.half_life);
-                if q == 0 {
-                    None
-                } else {
-                    Some((ino, q.min(u32::MAX as u64) as u32))
-                }
-            })
+            .map(|(&ino, h)| (ino, h.decayed(now, self.half_life)))
+            .filter(|&(_, q)| q != 0)
             .collect();
         // Hottest first; ties to the lower inode for determinism.
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -137,13 +104,7 @@ impl HeatMap {
     pub fn restore(&mut self, entries: &[(u32, u32)], then: u64) {
         self.entries.clear();
         for &(ino, q) in entries {
-            self.entries.insert(
-                ino as Ino,
-                Heat {
-                    q: q as u64,
-                    last: then,
-                },
-            );
+            self.entries.insert(ino as Ino, Heat { q, last: then });
         }
     }
 

@@ -123,8 +123,7 @@ impl<D: QueueDevice> Lfs<D> {
         if let Some(eff) = d.transfer_efficiency() {
             reg.gauge("disk.transfer_efficiency").set(eff);
         }
-        // How far the cleaner is from its high-water target — the
-        // backlog a paced cleaner works down one installment at a time.
+        // How far the cleaner is from its high-water target.
         reg.gauge("lfs.cleaner.backlog_segs").set(
             self.cfg
                 .clean_high_water
@@ -132,11 +131,8 @@ impl<D: QueueDevice> Lfs<D> {
         );
         // Active selection policy, as a presence marker (`lfstop` probes
         // the known names): counters carry no string labels.
-        reg.counter(&format!(
-            "lfs.cleaner.policy.{}",
-            self.cfg.policy.as_policy().name()
-        ))
-        .store(1);
+        reg.counter(&format!("lfs.cleaner.policy.{}", self.cfg.policy.name()))
+            .store(1);
         let q = self.dev.queue_stats();
         if q.submitted > 0 {
             reg.counter("queue.submitted").store(q.submitted);

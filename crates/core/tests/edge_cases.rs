@@ -272,15 +272,22 @@ fn sparse_scavenging_reads_less_and_stays_correct() {
         }
         let report = fs.check().unwrap();
         assert!(report.is_clean(), "thr {threshold}: {:#?}", report.errors);
-        (
+        let (read, cleaned) = (
             fs.stats().cleaner.bytes_read,
             fs.stats().cleaner.segments_cleaned,
-            digests,
-        )
+        );
+        (read, cleaned, digests, fs.into_device().image().to_vec())
     };
-    let (full_read, full_cleaned, d1) = run(0.0);
-    let (sparse_read, sparse_cleaned, d2) = run(0.9);
+    let (full_read, full_cleaned, d1, full_image) = run(0.0);
+    let (sparse_read, sparse_cleaned, d2, _) = run(0.9);
     assert_eq!(d1, d2, "file contents diverged");
+    // Both read paths decide liveness with one walker and one predicate,
+    // so always-sparse relocates exactly what whole-segment reads do.
+    let (.., always_sparse_image) = run(1.0);
+    assert!(
+        full_image == always_sparse_image,
+        "device images diverged between whole-segment and live-block reads"
+    );
     assert!(full_cleaned > 0 && sparse_cleaned > 0);
     // Normalise per segment cleaned; the sparse cleaner must read less.
     let full_per = full_read as f64 / full_cleaned as f64;

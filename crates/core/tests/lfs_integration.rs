@@ -287,16 +287,26 @@ fn cleaner_preserves_cold_data() {
 }
 
 #[test]
-fn greedy_policy_also_works() {
-    let mut fs = Lfs::format(MemDisk::new(1024), LfsConfig::small().greedy()).unwrap();
-    let ino = fs.create("/churn").unwrap();
-    for round in 0..150u32 {
-        fs.write(ino, 0, &vec![(round % 251) as u8; 64 * 1024])
-            .unwrap();
+fn every_policy_cleans_the_same_churn() {
+    for policy in CleaningPolicy::ALL {
+        let mut cfg = LfsConfig::small();
+        cfg.policy = policy;
+        let mut fs = Lfs::format(MemDisk::new(1024), cfg).unwrap();
+        let ino = fs.create("/churn").unwrap();
+        for round in 0..150u32 {
+            fs.write(ino, 0, &vec![(round % 251) as u8; 64 * 1024])
+                .unwrap();
+        }
+        let name = policy.name();
+        assert!(fs.stats().cleaner.segments_cleaned > 0, "{name}");
+        assert_eq!(fs.config().policy, policy);
+        assert_eq!(
+            fs.read_to_vec(ino).unwrap(),
+            vec![149u8; 64 * 1024],
+            "{name}"
+        );
+        check_clean(&mut fs);
     }
-    assert!(fs.stats().cleaner.segments_cleaned > 0);
-    assert_eq!(fs.config().policy, CleaningPolicy::Greedy);
-    check_clean(&mut fs);
 }
 
 #[test]

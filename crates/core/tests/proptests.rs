@@ -275,10 +275,12 @@ proptest! {
         run_ops(&ops, LfsConfig::small(), 1024);
     }
 
-    /// Greedy cleaning without age-sort must preserve the same semantics.
+    /// The non-default policies (greedy, which also drops the age-sort,
+    /// and adaptive) must preserve the same semantics.
     #[test]
-    fn lfs_matches_model_greedy(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+    fn lfs_matches_model_other_policies(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         run_ops(&ops, LfsConfig::small().greedy(), 1024);
+        run_ops(&ops, LfsConfig::small().adaptive(), 1024);
     }
 
     /// Any operation sequence, crashed at any point, recovers to a

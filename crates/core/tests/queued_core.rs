@@ -1,9 +1,9 @@
 //! File-system-level tests for the submission-queue device model:
 //! on-disk image parity between direct and queued devices, group-commit
-//! amortization of idle `sync` calls, the paced / bounded-staging
-//! behaviour of the background cleaner, and the ring's error paths —
-//! how retries and giveups fold into [`LfsStats`], and what a crash cut
-//! between submit and fence leaves on disk.
+//! amortization of idle `sync` calls, the bounded-staging behaviour of
+//! the cleaner, and the ring's error paths — how retries and giveups
+//! fold into [`LfsStats`], and what a crash cut between submit and fence
+//! leaves on disk.
 
 use blockdev::{BlockDevice, CrashDisk, FaultDisk, FaultPlan, MemDisk, QueueDevice, QueuedDev};
 use lfs_core::{InvariantSuite, Lfs, LfsConfig};
@@ -145,50 +145,6 @@ fn group_commit_skips_queue_traffic() {
     assert_eq!(q0.submitted, q1.submitted);
     assert_eq!(q0.fences, q1.fences);
     assert_eq!(fs.device().inner().stats().writes, w0);
-}
-
-/// Overwrite churn that forces the cleaner, shared by the pacing tests.
-fn churn<D: QueueDevice>(fs: &mut Lfs<D>) {
-    let ino = fs.create("/churn").unwrap();
-    for round in 0..200u32 {
-        let data = vec![(round % 251) as u8; 64 * 1024];
-        fs.write(ino, 0, &data).unwrap();
-        fs.advance_clock(100);
-    }
-    fs.sync().unwrap();
-}
-
-/// With `clean_pace_segs` set, the cleaner reclaims the same space in
-/// more, smaller installments instead of one low-to-high-water burst —
-/// the knob that lets background cleaning interleave with foreground
-/// traffic.
-#[test]
-fn paced_cleaner_runs_bounded_installments() {
-    let mut unpaced_fs = Lfs::format(MemDisk::new(4096), LfsConfig::small()).unwrap();
-    churn(&mut unpaced_fs);
-    let unpaced = *unpaced_fs.stats();
-    assert!(unpaced.cleaner.segments_cleaned > 0, "churn never cleaned");
-
-    let mut paced_fs = Lfs::format(MemDisk::new(4096), LfsConfig::small().paced(1)).unwrap();
-    churn(&mut paced_fs);
-    let paced = *paced_fs.stats();
-
-    assert!(
-        paced.cleaner.segments_cleaned > 0,
-        "paced churn never cleaned"
-    );
-    assert!(
-        paced.cleaner.passes > unpaced.cleaner.passes,
-        "pacing must split cleaning into more installments: paced {} vs unpaced {}",
-        paced.cleaner.passes,
-        unpaced.cleaner.passes
-    );
-    // Pacing changes when cleaning happens, not whether the data
-    // survives it.
-    let ino = paced_fs.lookup("/churn").unwrap();
-    let data = paced_fs.read_to_vec(ino).unwrap();
-    assert_eq!(data.len(), 64 * 1024);
-    assert!(data.iter().all(|&b| b == 199)); // last round: 199 % 251
 }
 
 /// A cleaning pass over many segments must flush incrementally — at

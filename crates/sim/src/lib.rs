@@ -67,20 +67,9 @@ impl AccessPattern {
     }
 }
 
-/// Which policy selects segments for cleaning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Policy {
-    /// Always the least-utilized segments.
-    Greedy,
-    /// Highest `(1-u)*age/(1+u)` first (§3.5).
-    CostBenefit,
-    /// Population-normalized scoring mirroring `lfs_core`'s adaptive
-    /// policy: `(1-u)/(1+u) * (1 + (age/mean_age) * mean_util)` over the
-    /// candidate population, with pacing scaled by the clean-segment
-    /// deficit. On an emptyish disk it behaves like greedy; on a full
-    /// one it leans on age like cost-benefit.
-    Adaptive,
-}
+/// Which policy selects segments for cleaning: the one definition
+/// `lfs_core` runs.
+pub use lfs_policy::CleaningPolicy as Policy;
 
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug)]
@@ -102,10 +91,10 @@ pub struct SimConfig {
     /// Segments cleaned per pass ("a few tens at a time").
     pub segs_per_pass: u32,
     /// Number of temperature-keyed write streams (log heads). `1` is the
-    /// classic single-head log; with more, new writes are routed by a
-    /// per-file heat estimate (hottest stream first) and cleaner
-    /// relocations go to the coldest stream — mirroring `lfs_core`'s
-    /// write-stream machinery.
+    /// classic single-head log; with more, every block — new writes and
+    /// the cleaner's survivors alike — is routed by its file's own heat
+    /// (hottest stream first), so only survivors that have gone idle
+    /// land in the coldest stream.
     pub streams: u32,
     /// PRNG seed (the simulator is fully deterministic).
     pub seed: u64,

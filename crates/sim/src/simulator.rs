@@ -5,17 +5,12 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use lfs_policy::heat;
+
 use crate::histogram::Histogram;
-use crate::{AccessPattern, Policy, SimConfig};
+use crate::{AccessPattern, SimConfig};
 
 const NO_SEG: u32 = u32::MAX;
-
-/// Q16 fixed-point heat unit (mirrors `lfs_core`'s estimator).
-const HEAT_ONE: u32 = 1 << 16;
-/// At or above this a file routes to the hottest stream.
-const HEAT_HOT: u32 = 3 * HEAT_ONE;
-/// At or above this a file routes to the warm stream.
-const HEAT_WARM: u32 = HEAT_ONE;
 
 /// Precomputed Zipfian sampler (Gray et al.'s quick method): one uniform
 /// draw per sample after an O(n) harmonic precomputation.
@@ -216,32 +211,23 @@ impl Simulator {
     /// Decayed heat of file `f` at the current clock.
     fn file_heat(&self, f: u32) -> u32 {
         let (q, last) = self.heat[f as usize];
-        let shifts = (self.clock.saturating_sub(last) / self.heat_half_life).min(31);
-        q >> shifts
+        heat::decayed(q, self.clock.saturating_sub(last), self.heat_half_life)
     }
 
     /// Records a write to `f` in the heat estimator (several streams
     /// only; a single-stream simulator never calls this).
     fn touch_file(&mut self, f: u32) {
         let q = self.file_heat(f);
-        self.heat[f as usize] = (q.saturating_add(HEAT_ONE), self.clock);
+        self.heat[f as usize] = (q.saturating_add(heat::ONE), self.clock);
     }
 
-    /// The stream a new write of `f` routes to: hottest first, mirroring
-    /// `lfs_core::heat`'s class thresholds.
+    /// The stream a write of `f` routes to: hottest first.
     fn stream_of(&self, f: u32) -> usize {
         let n = self.nstreams();
         if n == 1 {
-            return 0;
+            return 0; // No heat is tracked for a single stream.
         }
-        let q = self.file_heat(f);
-        if q >= HEAT_HOT {
-            0
-        } else if q >= HEAT_WARM {
-            1.min(n - 1)
-        } else {
-            n - 1
-        }
+        heat::class(self.file_heat(f), n)
     }
 
     /// Routes cleaner-pass trace events (picked-segment utilizations,
@@ -386,61 +372,31 @@ impl Simulator {
         let mut stalled = 0;
         while self.clean_segments_available() < target {
             let before = self.clean_segments_available();
-            // The adaptive policy scores against the candidate
-            // population: mean utilization, mean age, and the
-            // clean-segment fraction (see `lfs_core::cleaner::Adaptive`).
-            let (mean_util, mean_age) = if self.cfg.policy == Policy::Adaptive {
-                let mut n = 0u64;
-                let (mut us, mut ages) = (0.0f64, 0.0f64);
-                for (i, s) in self.segs.iter().enumerate() {
-                    if !s.clean && !is_head(self, i) && s.live < spb {
-                        n += 1;
-                        us += s.live as f64 * inv_spb;
-                        ages += (self.clock.saturating_sub(s.youngest) + 1) as f64;
-                    }
-                }
-                if n == 0 {
-                    (0.5, 1.0)
-                } else {
-                    (us / n as f64, ages / n as f64)
-                }
-            } else {
-                (0.5, 1.0)
+            // Candidates as `(segment, utilization, age)`: every dirty
+            // segment off the log heads with something to reclaim.
+            let policy = self.cfg.policy;
+            let candidates = || {
+                self.segs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, s)| !s.clean && !is_head(self, i) && s.live < spb)
+                    .map(|(i, s)| {
+                        let u = s.live as f64 * inv_spb;
+                        let age = (self.clock.saturating_sub(s.youngest) + 1) as f64;
+                        (i as u32, u, age)
+                    })
             };
-            let mut ranked: Vec<(f64, u32)> = self
-                .segs
-                .iter()
-                .enumerate()
-                .filter(|&(i, s)| !s.clean && !is_head(self, i) && s.live < spb)
-                .map(|(i, s)| {
-                    let u = s.live as f64 * inv_spb;
-                    let age = (self.clock.saturating_sub(s.youngest) + 1) as f64;
-                    let score = match self.cfg.policy {
-                        Policy::Greedy => 1.0 - u,
-                        Policy::CostBenefit => (1.0 - u) * age / (1.0 + u),
-                        Policy::Adaptive => {
-                            let age_norm = age / mean_age.max(1.0);
-                            (1.0 - u) / (1.0 + u) * (1.0 + age_norm * mean_util)
-                        }
-                    };
-                    (score, i as u32)
-                })
+            let pop = policy.population(candidates().map(|(_, u, age)| (u, age)), before, target);
+            let mut ranked: Vec<(f64, u32)> = candidates()
+                .map(|(i, u, age)| (policy.rank(u, age, &pop), i))
                 .collect();
             if ranked.is_empty() {
                 break; // Only fully-live segments remain.
             }
             // Only the pace's worth of top scores matter: a linear-time
             // selection beats sorting the whole candidate list, and the
-            // (small) selected prefix is then ordered best-first. The
-            // adaptive policy paces by the clean-segment deficit —
-            // bigger installments the closer the disk is to wedging.
-            let pace = if self.cfg.policy == Policy::Adaptive {
-                let fill = self.clean_segments_available() as f64 / target as f64;
-                let deficit = (1.0 - fill).clamp(0.0, 1.0);
-                ((self.cfg.segs_per_pass as f64 * (0.25 + 0.75 * deficit)).round() as usize).max(1)
-            } else {
-                self.cfg.segs_per_pass as usize
-            };
+            // (small) selected prefix is then ordered best-first.
+            let pace = policy.pace(self.cfg.segs_per_pass, &pop) as usize;
             let k = pace.min(ranked.len());
             let desc = |a: &(f64, u32), b: &(f64, u32)| b.0.partial_cmp(&a.0).unwrap();
             if k < ranked.len() {
@@ -632,7 +588,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::write_cost_formula;
+    use crate::{write_cost_formula, Policy};
 
     fn quick(cfg: SimConfig) -> SimResult {
         Simulator::new(cfg).run_until_stable()

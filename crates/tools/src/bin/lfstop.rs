@@ -108,11 +108,18 @@ fn print_cleaner(snap: &MetricsSnapshot) -> bool {
     let Some(cleaned) = c("lfs.cleaner.segments_cleaned") else {
         return false;
     };
-    let policy = ["greedy", "cost-benefit", "adaptive"]
-        .iter()
-        .find(|p| c(&format!("lfs.cleaner.policy.{p}")).is_some())
-        .copied()
-        .unwrap_or("?");
+    // A snapshot merged over several mounts (torture rotates policies
+    // across seeds) can carry more than one marker; show them all.
+    let policies: Vec<&str> = lfs_core::CleaningPolicy::ALL
+        .map(lfs_core::CleaningPolicy::name)
+        .into_iter()
+        .filter(|p| c(&format!("lfs.cleaner.policy.{p}")).is_some())
+        .collect();
+    let policy = if policies.is_empty() {
+        "?".into()
+    } else {
+        policies.join("+")
+    };
     // Paper write cost: (new + cleaner reads + cleaner writes) / new,
     // with "new" the non-cleaner log traffic.
     let new_bytes: u64 = snap

@@ -370,7 +370,11 @@ fn run_seed<D: TortureDev>(
     obs: &lfs_obs::Obs,
     make: impl FnOnce(Vec<FaultDisk<CrashDisk>>) -> D,
 ) -> Result<(), String> {
-    let cfg = LfsConfig::small().with_streams(opts.streams);
+    let mut cfg = LfsConfig::small().with_streams(opts.streams);
+    // Consecutive seeds rotate through the cleaning policies, so every
+    // smoke covers all of them and a seed still replays exactly.
+    let policies = lfs_core::CleaningPolicy::ALL;
+    cfg.policy = policies[seed as usize % policies.len()];
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Phase 1: quiet device, base files, checkpoint, journal baseline.

@@ -36,10 +36,9 @@ fn segment_picture(fs: &Lfs<MemDisk>) -> String {
         .collect()
 }
 
-fn run(policy: CleaningPolicy, age_sort: bool) {
+fn run(policy: CleaningPolicy) {
     let mut cfg = LfsConfig::small();
     cfg.policy = policy;
-    cfg.age_sort = age_sort;
     let mut fs = Lfs::format(MemDisk::new(1536), cfg).unwrap();
 
     // Cold data: 25 files written once and never touched again.
@@ -49,10 +48,7 @@ fn run(policy: CleaningPolicy, age_sort: bool) {
     }
     // Hot churn: rotate writes over a 256 KB working set.
     let hot = fs.create("/hot").unwrap();
-    println!(
-        "policy {:?} (age_sort={age_sort}) — segment map per round",
-        policy
-    );
+    println!("policy {} — segment map per round", policy.name());
     println!("  legend: . clean, @ active, p pending-free, 1-4 utilization quartile\n");
     for round in 0..10u32 {
         for step in 0..30u32 {
@@ -79,8 +75,8 @@ fn run(policy: CleaningPolicy, age_sort: bool) {
 }
 
 fn main() {
-    run(CleaningPolicy::CostBenefit, true);
-    run(CleaningPolicy::Greedy, false);
+    run(CleaningPolicy::CostBenefit);
+    run(CleaningPolicy::Greedy);
     println!(
         "Cost-benefit with age-sorting segregates the cold files into their own\n\
          segments (stable '4' columns) and cleans mostly hot, mostly-empty\n\
