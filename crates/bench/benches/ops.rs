@@ -2,7 +2,7 @@
 //! systems (in-memory disk; measures CPU cost of the implementations).
 
 use blockdev::MemDisk;
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use ffs_baseline::{Ffs, FfsConfig};
 use lfs_core::{Lfs, LfsConfig};
 use vfs::FileSystem;
@@ -120,9 +120,30 @@ fn bench_rename_unlink(c: &mut Criterion) {
     g.finish();
 }
 
+/// Checksum kernel over 4 KB blocks: `cold_64mb` sweeps a buffer far
+/// larger than any cache once per iteration (the flush path's case:
+/// every logged block is summed once, from DRAM), `resident` re-sums one
+/// block. Recorded, never gated.
+fn bench_checksum(c: &mut Criterion) {
+    let mut g = c.benchmark_group("checksum/4k");
+    let cold: Vec<u8> = (0..64usize << 20)
+        .map(|i| (i * 31 + (i >> 12)) as u8)
+        .collect();
+    g.bench_function("cold_64mb", |b| {
+        b.iter(|| {
+            cold.chunks_exact(4096)
+                .fold(0u32, |acc, blk| acc ^ lfs_core::block_checksum(blk))
+        })
+    });
+    g.bench_function("resident", |b| {
+        b.iter(|| lfs_core::block_checksum(black_box(&cold[..4096])))
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_create, bench_write_read, bench_rename_unlink
+    targets = bench_create, bench_write_read, bench_rename_unlink, bench_checksum
 }
 criterion_main!(benches);

@@ -72,6 +72,10 @@ pub struct FaultPlan {
     /// Blocks whose contents rot silently: reads succeed but return data
     /// with deterministic bit flips.
     pub bitrot: BTreeSet<u64>,
+    /// Start blocks whose read requests fault as if `read_fault_rate`
+    /// were 1 — one burst on the first read there — so a test can aim a
+    /// transient error at one particular request.
+    pub read_fault_at: BTreeSet<u64>,
 }
 
 impl Default for FaultPlan {
@@ -91,6 +95,7 @@ impl FaultPlan {
             forgiveness: 8,
             tear_writes: false,
             bitrot: BTreeSet::new(),
+            read_fault_at: BTreeSet::new(),
         }
     }
 
@@ -121,6 +126,12 @@ impl FaultPlan {
     /// Marks `block` as silently rotted.
     pub fn with_bitrot(mut self, block: u64) -> Self {
         self.bitrot.insert(block);
+        self
+    }
+
+    /// Makes the first read request starting at block `start` fault.
+    pub fn with_read_fault_at(mut self, start: u64) -> Self {
+        self.read_fault_at.insert(start);
         self
     }
 }
@@ -264,6 +275,16 @@ impl<D: BlockDevice> FaultDisk<D> {
         false
     }
 
+    /// [`FaultDisk::decide`] for a read request starting at `start`.
+    fn decide_read(&mut self, start: u64) -> bool {
+        let rate = if self.plan.read_fault_at.contains(&start) {
+            1.0
+        } else {
+            self.plan.read_fault_rate
+        };
+        self.decide(OP_READ, start, rate)
+    }
+
     fn injected_error() -> crate::error::BlockError {
         crate::error::BlockError::Io(std::io::Error::new(
             std::io::ErrorKind::Interrupted,
@@ -345,7 +366,7 @@ impl<D: BlockDevice> BlockDevice for FaultDisk<D> {
 
     fn read_blocks(&mut self, start: u64, buf: &mut [u8]) -> Result<()> {
         let count = check_request(self.inner.num_blocks(), start, buf.len())?;
-        if self.decide(OP_READ, start, self.plan.read_fault_rate) {
+        if self.decide_read(start) {
             self.counts.read_faults += 1;
             return Err(Self::injected_error());
         }
@@ -356,7 +377,7 @@ impl<D: BlockDevice> BlockDevice for FaultDisk<D> {
 
     fn read_run(&mut self, start: u64, buf: &mut [u8]) -> Result<()> {
         let count = check_request(self.inner.num_blocks(), start, buf.len())?;
-        if self.decide(OP_READ, start, self.plan.read_fault_rate) {
+        if self.decide_read(start) {
             self.counts.read_faults += 1;
             return Err(Self::injected_error());
         }
@@ -367,7 +388,7 @@ impl<D: BlockDevice> BlockDevice for FaultDisk<D> {
 
     fn read_run_scatter(&mut self, start: u64, bufs: &mut [&mut [u8]]) -> Result<()> {
         check_request(self.inner.num_blocks(), start, bufs.len() * BLOCK_SIZE)?;
-        if self.decide(OP_READ, start, self.plan.read_fault_rate) {
+        if self.decide_read(start) {
             self.counts.read_faults += 1;
             return Err(Self::injected_error());
         }

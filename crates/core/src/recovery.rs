@@ -318,9 +318,7 @@ impl<D: QueueDevice> Lfs<D> {
                     continue;
                 }
                 let probe = self.sb.seg_start(seg) + off as u64;
-                self.dev
-                    .read_blocks(probe, &mut buf)
-                    .map_err(FsError::device)?;
+                self.read_retry(probe, &mut buf)?;
                 if let Ok(s) = Summary::decode(&buf) {
                     if s.epoch == cp.epoch && s.seq == cp.seq + 1 {
                         found = true;
@@ -337,7 +335,7 @@ impl<D: QueueDevice> Lfs<D> {
         let mut heads: HashMap<u64, u32> = HashMap::new();
         for seg in 0..self.sb.nsegments {
             let addr = self.sb.seg_start(seg);
-            if self.dev.read_blocks(addr, &mut buf).is_err() {
+            if self.read_retry(addr, &mut buf).is_err() {
                 continue;
             }
             if let Ok(s) = Summary::decode(&buf) {
@@ -377,7 +375,7 @@ impl<D: QueueDevice> Lfs<D> {
                             continue;
                         }
                         let addr = self.sb.seg_start(qseg) + qoff as u64;
-                        if self.dev.read_blocks(addr, &mut buf).is_err() {
+                        if self.read_retry(addr, &mut buf).is_err() {
                             continue;
                         }
                         if let Ok(s) = Summary::decode(&buf) {
@@ -423,9 +421,7 @@ impl<D: QueueDevice> Lfs<D> {
             };
             let (seg, off) = cursors[cur];
             let addr = self.sb.seg_start(seg) + off as u64;
-            self.dev
-                .read_blocks(addr, &mut buf)
-                .map_err(FsError::device)?;
+            self.read_retry(addr, &mut buf)?;
             let summary = match Summary::decode(&buf) {
                 Ok(s) => s,
                 Err(_) => break,
@@ -469,7 +465,9 @@ impl<D: QueueDevice> Lfs<D> {
             // fully reached the disk, so the log effectively ends at the
             // previous partial write.
             let mut chunk = vec![0u8; nent as usize * BLOCK_SIZE];
-            if self.dev.read_blocks(addr + 1, &mut chunk).is_err() {
+            // Only a read that still fails after the bounded retries ends
+            // the log: a transient fault must not drop a synced tail.
+            if self.read_retry(addr + 1, &mut chunk).is_err() {
                 break;
             }
             let verified = summary.entries.iter().enumerate().all(|(j, e)| {

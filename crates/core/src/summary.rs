@@ -21,6 +21,8 @@ use crate::codec::{checksum, Reader, Writer};
 const MAGIC: u32 = 0x5347_5355; // "SUGS"
 const HEADER_SIZE: usize = 40;
 const ENTRY_SIZE: usize = 28;
+/// Where the header stores the summary's own checksum.
+const SUM_FIELD: std::ops::Range<usize> = 32..HEADER_SIZE;
 
 /// Maximum blocks one summary can describe.
 pub const MAX_SUMMARY_ENTRIES: usize = (BLOCK_SIZE - HEADER_SIZE) / ENTRY_SIZE;
@@ -185,7 +187,7 @@ impl Summary {
             }
         }
         let sum = Self::compute_checksum(buf, self.entries.len());
-        buf[32..40].copy_from_slice(&sum.to_le_bytes());
+        buf[SUM_FIELD].copy_from_slice(&sum.to_le_bytes());
     }
 
     /// Parses and validates a summary block; any failure (bad magic, bad
@@ -235,15 +237,15 @@ impl Summary {
         })
     }
 
+    /// Checksum of the header and the `n` entries, taken with the stored
+    /// sum field (bytes 32..40) as zero. Padding after the last entry is
+    /// not covered.
     fn compute_checksum(buf: &[u8], n: usize) -> u64 {
-        let mut h = checksum(&buf[..32]);
-        // Mix in the entry bytes (skipping the checksum field itself).
-        let entries = &buf[HEADER_SIZE..HEADER_SIZE + n * ENTRY_SIZE];
-        for &b in entries {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        let len = HEADER_SIZE + n * ENTRY_SIZE;
+        let mut covered = [0u8; BLOCK_SIZE];
+        covered[..len].copy_from_slice(&buf[..len]);
+        covered[SUM_FIELD].fill(0);
+        checksum(&covered[..len])
     }
 }
 
@@ -333,6 +335,17 @@ mod tests {
         let mut buf = sample().encode();
         buf[HEADER_SIZE + ENTRY_SIZE - 1] ^= 0x80; // csum byte of entry 0
         assert!(Summary::decode(&buf).is_err());
+    }
+
+    #[test]
+    fn any_flipped_bit_in_header_or_entries_fails_decode() {
+        let s = sample();
+        let buf = s.encode();
+        for bit in 0..(HEADER_SIZE + s.entries.len() * ENTRY_SIZE) * 8 {
+            let mut bad = buf.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(Summary::decode(&bad).is_err(), "bit {bit} undetected");
+        }
     }
 
     #[test]

@@ -12,7 +12,10 @@ use crate::codec::{checksum, Reader, Writer};
 use crate::layout::{DiskAddr, CR0_ADDR, CR1_ADDR, SEGMENTS_START};
 
 const MAGIC: u64 = 0x4c46_5353_5052_3931; // "LFSSPR91"
-const VERSION: u32 = 1;
+/// On-disk format version. History: 1 = byte-wise FNV-1a checksums
+/// (unreadable by this tree); 2 = checksum v2 ([`crate::codec::checksum`]),
+/// byte layout unchanged.
+const VERSION: u32 = 2;
 
 /// The on-disk superblock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,8 +91,18 @@ impl Superblock {
         if r.get_u64() != MAGIC {
             return Err(FsError::Corrupt("superblock: bad magic".into()));
         }
-        if r.get_u32() != VERSION {
-            return Err(FsError::Corrupt("superblock: bad version".into()));
+        match r.get_u32() {
+            VERSION => {}
+            // Diagnosed before the checksum comparison: a v1 image sums
+            // with the old function, and is old, not corrupt.
+            1 => {
+                return Err(FsError::Corrupt(
+                    "superblock: on-disk format v1 (byte-wise checksums) is not \
+                     supported; re-create the image with mklfs"
+                        .into(),
+                ))
+            }
+            _ => return Err(FsError::Corrupt("superblock: bad version".into())),
         }
         let seg_blocks = r.get_u32();
         let nsegments = r.get_u32();
@@ -136,6 +149,17 @@ mod tests {
             bad[i] ^= 0xff;
             assert!(Superblock::decode(&bad).is_err(), "byte {i} undetected");
         }
+    }
+
+    #[test]
+    fn format_v1_is_diagnosed_as_old_not_corrupt() {
+        let mut buf = sample().encode();
+        buf[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let err = Superblock::decode(&buf).unwrap_err().to_string();
+        assert!(err.contains("on-disk format v1"), "{err}");
+        buf[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let err = Superblock::decode(&buf).unwrap_err().to_string();
+        assert!(err.contains("bad version"), "{err}");
     }
 
     #[test]

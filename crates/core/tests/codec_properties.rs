@@ -144,6 +144,36 @@ proptest! {
     }
 
     #[test]
+    fn checksum_always_detects_a_change_confined_to_one_word(
+        data in proptest::collection::vec(any::<u8>(), 1..300),
+        at in any::<proptest::sample::Index>(),
+        delta in 1u64..=u64::MAX,
+    ) {
+        // Any burst inside one aligned 8-byte word (the last may be
+        // partial) changes the sum — a guarantee, not a probability.
+        let word = at.index(data.len()) / 8 * 8;
+        let mut bad = data.clone();
+        let mut changed = false;
+        for (b, d) in bad[word..].iter_mut().take(8).zip(delta.to_le_bytes()) {
+            *b ^= d;
+            changed |= d != 0;
+        }
+        if changed {
+            prop_assert_ne!(lfs_core::checksum(&bad), lfs_core::checksum(&data));
+        }
+    }
+
+    #[test]
+    fn checksum_distinguishes_zero_extension(
+        data in proptest::collection::vec(any::<u8>(), 0..200),
+        pad in 1usize..100,
+    ) {
+        let mut extended = data.clone();
+        extended.resize(data.len() + pad, 0);
+        prop_assert_ne!(lfs_core::checksum(&extended), lfs_core::checksum(&data));
+    }
+
+    #[test]
     fn checkpoint_roundtrips(
         epoch in any::<u32>(),
         seq in any::<u64>(),

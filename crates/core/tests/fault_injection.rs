@@ -170,3 +170,36 @@ fn rotted_newest_checkpoint_falls_back_to_older_region() {
     assert!(matches!(fs.lookup("/b"), Err(FsError::NotFound)));
     assert!(fs.check().unwrap().is_clean());
 }
+
+#[test]
+fn transient_read_fault_does_not_truncate_roll_forward() {
+    let cfg = LfsConfig::small();
+    let mut fs = Lfs::format(MemDisk::new(2048), cfg).unwrap();
+    fs.write_file("/durable", b"safe").unwrap();
+    fs.sync().unwrap();
+    // Flushed to the log but not checkpointed: only roll-forward finds it.
+    fs.write_file("/tail", &[0xab; 9000]).unwrap();
+    fs.flush().unwrap();
+    let sb = *fs.superblock();
+    let mut image = fs.into_device();
+
+    // The first post-checkpoint chunk sits at the checkpointed write
+    // point: summary block first, then the blocks it describes.
+    let (cp, _) = Checkpoint::read_latest(&mut image, CR_ADDRS).unwrap();
+    let (seg, off) = cp.write_points()[0];
+    let chunk = sb.seg_start(seg) + off as u64 + 1;
+
+    // One transient error on the read of that chunk's blocks, which
+    // roll-forward used to take as the end of the log.
+    let plan = FaultPlan::new(20).with_read_fault_at(chunk);
+    let mut fs2 = Lfs::mount(FaultDisk::new(image, plan), cfg).unwrap();
+    assert_eq!(
+        fs2.device().counts().read_faults,
+        1,
+        "fault missed the chunk"
+    );
+    let ino = fs2.lookup("/tail").expect("synced log tail was dropped");
+    assert_eq!(fs2.read_to_vec(ino).unwrap(), vec![0xab; 9000]);
+    assert_eq!(fs2.stats().io_retries, 1);
+    assert!(fs2.check().unwrap().is_clean());
+}

@@ -80,8 +80,15 @@ fn golden_workload<D: blockdev::QueueDevice>(fs: &mut Lfs<D>) {
 /// Golden values captured from the tree immediately before PR 10 (the
 /// last commit with single write point per shard and no stream config).
 /// `streams = 1` must reproduce them bit for bit.
+///
+/// Re-pinned by rule in PR 20 (on-disk format v2, parent a55596d): the
+/// checksum function changed, and summaries, checkpoints and the
+/// superblock embed checksums, so element 0 (the image hash) of both
+/// tuples moved. The other five — device time, seeks, requests, bytes —
+/// and all of `GOLDEN_READ` are as committed at the parent: no byte of
+/// layout moved.
 const GOLDEN_SINGLE: (u64, u64, u64, u64, u64, u64) = (
-    0xfa44_cc75_7bf3_af8f, // image fnv1a
+    0x03c2_f5d4_61e8_6ede, // image fnv1a
     0x0000_0002_6a92_0d4d, // busy_ns
     0x0000_0001_56e1_218f, // positioning_ns
     0x179,                 // seeks
@@ -89,7 +96,7 @@ const GOLDEN_SINGLE: (u64, u64, u64, u64, u64, u64) = (
     0x0049_d000,           // bytes_written
 );
 const GOLDEN_TWO_SHARD: (u64, u64, u64, u64, u64, u64) = (
-    0x6a56_d546_d8c4_513c,
+    0x2f2c_a92d_643c_08c0,
     0x0000_0002_530e_0392,
     0x0000_0001_639b_f060,
     0x161,

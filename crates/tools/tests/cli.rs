@@ -157,6 +157,33 @@ fn torn_checkpoints_are_corrupt_not_crash() {
 }
 
 #[test]
+fn format_v1_image_is_diagnosed_as_old() {
+    // An image from before checksum v2 must be called old, not corrupt.
+    let dir = tmpdir("format_v1_image_is_diagnosed_as_old");
+    let img = dir.join("v1.img");
+    let img_s = img.to_str().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_mklfs"))
+        .args([img_s, "16"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    // The superblock is block 0; its version is the u32 after the magic.
+    let mut bytes = std::fs::read(&img).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&img, bytes).unwrap();
+
+    for bin in [env!("CARGO_BIN_EXE_lfsck"), env!("CARGO_BIN_EXE_lfsdump")] {
+        let out = Command::new(bin).arg(img_s).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+        assert!(stderr.contains("on-disk format v1"), "{bin}: {stderr}");
+        assert!(stderr.contains("mklfs"), "{bin}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn tools_usage_errors() {
     for bin in [env!("CARGO_BIN_EXE_mklfs"), env!("CARGO_BIN_EXE_lfsck")] {
         let out = Command::new(bin).output().unwrap();
