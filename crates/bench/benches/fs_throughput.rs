@@ -1,6 +1,6 @@
 //! Criterion benchmarks of end-to-end file-system throughput on a
 //! `MemDisk` — the same mixes as the `fs_throughput` binary, at criterion
-//! scale. The sequential-read group runs with and without read-ahead.
+//! scale.
 
 use blockdev::MemDisk;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -9,9 +9,8 @@ use workload::{LargeFileBench, LargeFilePhase, SmallFileBench};
 
 const DISK_MB: u64 = 64;
 
-fn lfs_with(read_ahead: u32) -> Lfs<MemDisk> {
-    let mut cfg = lfs_bench::production_lfs_config(DISK_MB);
-    cfg.read_ahead_blocks = read_ahead;
+fn lfs() -> Lfs<MemDisk> {
+    let cfg = lfs_bench::production_lfs_config(DISK_MB);
     Lfs::format(MemDisk::new(DISK_MB * 256), cfg).unwrap()
 }
 
@@ -24,7 +23,7 @@ fn bench_small_files(c: &mut Criterion) {
     let mut g = c.benchmark_group("fs_small_files");
     g.bench_function("create", |b| {
         b.iter_batched_ref(
-            || lfs_with(0),
+            lfs,
             |fs| small.create_phase(fs).unwrap(),
             BatchSize::LargeInput,
         )
@@ -32,7 +31,7 @@ fn bench_small_files(c: &mut Criterion) {
     g.bench_function("read_cold", |b| {
         b.iter_batched_ref(
             || {
-                let mut fs = lfs_with(0);
+                let mut fs = lfs();
                 small.create_phase(&mut fs).unwrap();
                 fs.drop_caches();
                 fs
@@ -44,7 +43,7 @@ fn bench_small_files(c: &mut Criterion) {
     g.bench_function("delete", |b| {
         b.iter_batched_ref(
             || {
-                let mut fs = lfs_with(0);
+                let mut fs = lfs();
                 small.create_phase(&mut fs).unwrap();
                 fs
             },
@@ -62,21 +61,19 @@ fn bench_seq_read(c: &mut Criterion) {
         seed: 0xf19,
     };
     let mut g = c.benchmark_group("fs_seq_read_8mb_cold");
-    for (name, read_ahead) in [("no_read_ahead", 0u32), ("read_ahead_32", 32)] {
-        g.bench_function(name, |b| {
-            let mut fs = lfs_with(read_ahead);
-            let ino = large.setup(&mut fs).unwrap();
+    g.bench_function("lfs", |b| {
+        let mut fs = lfs();
+        let ino = large.setup(&mut fs).unwrap();
+        large
+            .run_phase(&mut fs, ino, LargeFilePhase::SeqWrite)
+            .unwrap();
+        b.iter(|| {
+            fs.drop_caches();
             large
-                .run_phase(&mut fs, ino, LargeFilePhase::SeqWrite)
-                .unwrap();
-            b.iter(|| {
-                fs.drop_caches();
-                large
-                    .run_phase(&mut fs, ino, LargeFilePhase::SeqRead)
-                    .unwrap()
-            })
-        });
-    }
+                .run_phase(&mut fs, ino, LargeFilePhase::SeqRead)
+                .unwrap()
+        })
+    });
     g.finish();
 }
 
@@ -89,7 +86,7 @@ fn bench_seq_write(c: &mut Criterion) {
     let mut g = c.benchmark_group("fs_seq_write_8mb");
     g.bench_function("lfs", |b| {
         b.iter_batched_ref(
-            || lfs_with(0),
+            lfs,
             |fs| {
                 let ino = large.setup(fs).unwrap();
                 large.run_phase(fs, ino, LargeFilePhase::SeqWrite).unwrap();

@@ -13,10 +13,11 @@
 //! `REPS` times and the best wall-clock time is kept, which filters
 //! scheduler noise the same way criterion's minimum-of-samples does.
 //!
-//! The configuration is the production one plus a 32-block read-ahead
-//! window. `--gate` checks deterministic counters only, so it cannot flake
-//! and needs no reference run: the sequential-read mix must reach the
-//! device in at most one request per eight blocks read, the write-heavy
+//! The configuration is the production one. `--gate` checks deterministic
+//! counters only, so it cannot flake and needs no reference run: the
+//! sequential-read mix must reach the device in at most one request per
+//! eight blocks read (the per-file read-ahead window has to open by
+//! itself for that), the write-heavy
 //! mixes must memcpy fewer host bytes into write buffers
 //! (`lfs.flush_copy_bytes`) than the user bytes they wrote, and the two
 //! submission-queue overlap checks must hold. Wall-clock throughput is
@@ -37,9 +38,6 @@ use serde_json::json;
 use workload::{LargeFileBench, LargeFilePhase, SmallFileBench};
 
 const REPS: u32 = 5;
-
-/// Read-ahead window of the measured configuration, in blocks (128 KB).
-const READ_AHEAD_BLOCKS: u32 = 32;
 
 /// `--gate`: the sequential-read-heavy mix must average at least this
 /// many blocks per device read request, or runs of contiguous addresses
@@ -69,8 +67,7 @@ const GATE_MIN_QUEUE_DEPTH: f64 = 1.5;
 const GATE_MIN_OVERLAP_RATIO: f64 = 1.15;
 
 fn mem_lfs(mb: u64) -> Lfs<MemDisk> {
-    let mut cfg = lfs_bench::production_lfs_config(mb);
-    cfg.read_ahead_blocks = READ_AHEAD_BLOCKS;
+    let cfg = lfs_bench::production_lfs_config(mb);
     or_die(
         "format LFS on MemDisk",
         Lfs::format(MemDisk::new(mb * 256), cfg),

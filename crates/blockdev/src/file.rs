@@ -1,7 +1,7 @@
 //! An image-file-backed block device for the command-line tools.
 
 use std::fs::{File, OpenOptions};
-use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, IoSlice, IoSliceMut, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::device::{check_request, BlockDevice, WriteKind};
@@ -65,6 +65,37 @@ impl BlockDevice for FileDisk {
         self.file.read_exact(buf)?;
         self.stats.reads += 1;
         self.stats.bytes_read += buf.len() as u64;
+        if let Some(obs) = &self.obs {
+            obs.record(true, 0); // no timing model: count the request only
+        }
+        Ok(())
+    }
+
+    fn read_run_scatter(&mut self, start: u64, bufs: &mut [&mut [u8]]) -> Result<()> {
+        let len = bufs.len() * BLOCK_SIZE;
+        check_request(self.num_blocks, start, len)?;
+        if let Some(b) = bufs.iter().find(|b| b.len() != BLOCK_SIZE) {
+            return Err(crate::BlockError::Misaligned { len: b.len() });
+        }
+        self.file.seek(SeekFrom::Start(start * BLOCK_SIZE as u64))?;
+        // One vectored read straight into the callers' buffers; a short
+        // read (the kernel caps the slices per call) resumes mid-buffer.
+        let mut done = 0;
+        while done < len {
+            let mut skip = done % BLOCK_SIZE;
+            let mut slices: Vec<IoSliceMut<'_>> = bufs[done / BLOCK_SIZE..]
+                .iter_mut()
+                .map(|b| IoSliceMut::new(&mut b[std::mem::take(&mut skip)..]))
+                .collect();
+            match self.file.read_vectored(&mut slices) {
+                Ok(0) => return Err(std::io::Error::from(ErrorKind::UnexpectedEof).into()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.stats.reads += 1;
+        self.stats.bytes_read += len as u64;
         if let Some(obs) = &self.obs {
             obs.record(true, 0); // no timing model: count the request only
         }
@@ -146,6 +177,74 @@ mod tests {
             d.read_block(3, &mut b).unwrap();
             assert!(b.iter().all(|&x| x == 0x5a));
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `FileDisk` seen through the trait's provided methods only.
+    struct Defaults(FileDisk);
+
+    impl BlockDevice for Defaults {
+        fn num_blocks(&self) -> u64 {
+            self.0.num_blocks()
+        }
+        fn read_blocks(&mut self, start: u64, buf: &mut [u8]) -> Result<()> {
+            self.0.read_blocks(start, buf)
+        }
+        fn write_blocks(&mut self, start: u64, buf: &[u8], kind: WriteKind) -> Result<()> {
+            self.0.write_blocks(start, buf, kind)
+        }
+        fn stats(&self) -> IoStats {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn scatter_read_matches_the_bounce_default() {
+        let dir = std::env::temp_dir().join(format!("blockdev-scatter-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("img");
+        const N: u64 = 12;
+        let mut d = FileDisk::create(&path, N).unwrap();
+        let image: Vec<u8> = (0..N as usize * BLOCK_SIZE)
+            .map(|i| (i / BLOCK_SIZE * 31 + i % 251) as u8)
+            .collect();
+        d.write_blocks(0, &image, WriteKind::Sync).unwrap();
+        let mut plain = Defaults(FileDisk::open(&path).unwrap());
+
+        // Runs of every length at every start, the image's last block
+        // included.
+        for start in 0..N {
+            for count in 1..=(N - start) as usize {
+                let mut got = vec![vec![0xeeu8; BLOCK_SIZE]; count];
+                let mut want = vec![vec![0x11u8; BLOCK_SIZE]; count];
+                let before = d.stats();
+                let mut bufs: Vec<&mut [u8]> = got.iter_mut().map(|b| &mut b[..]).collect();
+                d.read_run_scatter(start, &mut bufs).unwrap();
+                let mut bufs: Vec<&mut [u8]> = want.iter_mut().map(|b| &mut b[..]).collect();
+                plain.read_run_scatter(start, &mut bufs).unwrap();
+                assert_eq!(got, want, "run of {count} at {start}");
+                let after = d.stats();
+                assert_eq!(after.reads - before.reads, 1);
+                assert_eq!(
+                    after.bytes_read - before.bytes_read,
+                    (count * BLOCK_SIZE) as u64
+                );
+            }
+        }
+
+        // Past the end: refused like `read_blocks`, nothing read.
+        let mut two = vec![vec![0u8; BLOCK_SIZE]; 2];
+        let mut bufs: Vec<&mut [u8]> = two.iter_mut().map(|b| &mut b[..]).collect();
+        let scatter = d.read_run_scatter(N - 1, &mut bufs).unwrap_err();
+        let flat = d
+            .read_blocks(N - 1, &mut vec![0u8; 2 * BLOCK_SIZE])
+            .unwrap_err();
+        assert_eq!(scatter.to_string(), flat.to_string());
+        assert!(matches!(scatter, crate::BlockError::OutOfRange { .. }));
+        assert!(matches!(
+            d.read_run_scatter(0, &mut []),
+            Err(crate::BlockError::Misaligned { len: 0 })
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -569,14 +569,13 @@ impl<D: QueueDevice> Lfs<D> {
                 // (from the summary entry): relocation does not make data
                 // young, and the cost-benefit policy depends on that.
                 if !self.blocks.contains_key(&(ino, bno)) {
-                    let lru = {
-                        self.lru_tick += 1;
-                        self.lru_tick
-                    };
+                    let lru = self.stamp((ino, bno));
+                    let mut buf = self.take_buf();
+                    buf.copy_from_slice(content);
                     self.blocks.insert(
                         (ino, bno),
                         CachedBlock {
-                            data: std::sync::Arc::new(content.to_vec()),
+                            data: std::sync::Arc::new(buf),
                             dirty: false,
                             lru,
                             mtime: entry.mtime,

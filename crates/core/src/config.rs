@@ -57,13 +57,6 @@ pub struct LfsConfig {
     /// utilization is very low (we haven't tried this in Sprite LFS)"
     /// (§3.4). 0.0 disables it, matching Sprite; see the ablation bench.
     pub read_live_threshold: f64,
-    /// Extend the last run of a file read (runs of blocks with contiguous
-    /// disk addresses are fetched as one device request) by up to this
-    /// many blocks past the requested range, as long as the addresses stay
-    /// contiguous and the blocks are not already cached. 0 disables
-    /// read-ahead: exactly the requested blocks are fetched, which is what
-    /// the figure benchmarks measure.
-    pub read_ahead_blocks: u32,
     /// Number of temperature-keyed write streams per shard (hot → cold).
     /// 1 (the default) keeps the single write point per shard and is
     /// bit-identical to the pre-stream image; 2 splits hot/cold; 3 adds a
@@ -89,7 +82,6 @@ impl LfsConfig {
             checkpoint_every_bytes: 8 << 20,
             cache_limit_bytes: 64 << 20,
             read_live_threshold: 0.0,
-            read_ahead_blocks: 0,
             streams: 1,
         }
     }
@@ -110,7 +102,6 @@ impl LfsConfig {
             checkpoint_every_bytes: 1 << 20,
             cache_limit_bytes: 8 << 20,
             read_live_threshold: 0.0,
-            read_ahead_blocks: 0,
             streams: 1,
         }
     }

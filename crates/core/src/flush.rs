@@ -544,7 +544,9 @@ impl<D: QueueDevice> Lfs<D> {
         self.dirty_ind_count = 0;
         self.dirty_files.clear();
         self.dirlog_pending.clear();
-        self.maybe_evict_after_flush();
+        // Everything is clean now: trim the cache back to its limit.
+        let (limit, _) = self.cache_bounds();
+        self.evict(self.blocks.len().saturating_sub(limit), None);
         Ok(written)
     }
 
@@ -714,33 +716,6 @@ impl<D: QueueDevice> Lfs<D> {
             dev.submit_gather(start, bufs, WriteKind::Async).map(drop)
         })?;
         Ok(sealed.submitted())
-    }
-
-    fn maybe_evict_after_flush(&mut self) {
-        // Reuse the normal eviction policy via a no-op block touch.
-        let limit = (self.cfg.cache_limit_bytes / BLOCK_SIZE as u64) as usize;
-        if self.blocks.len() <= limit {
-            return;
-        }
-        let mut clean: Vec<((Ino, u64), u64)> = self
-            .blocks
-            .iter()
-            // Pinned blocks (payload `Arc` shared with a reader snapshot
-            // or an in-flight submission) stay; see `Lfs::maybe_evict_except`.
-            .filter(|(_, b)| !b.dirty && !b.pinned())
-            .map(|(&k, b)| (k, b.lru))
-            .collect();
-        // Only the `excess` least-recently-used clean blocks leave the
-        // cache; a selection partition finds them in O(n) instead of
-        // paying for a full sort of every clean entry.
-        let excess = self.blocks.len() - limit;
-        if clean.len() > excess {
-            clean.select_nth_unstable_by_key(excess - 1, |&(_, lru)| lru);
-            clean.truncate(excess);
-        }
-        for (k, _) in clean {
-            self.blocks.remove(&k);
-        }
     }
 
     /// Computes chunk placement for the per-group item counts in

@@ -8,7 +8,7 @@
 //! "once a file's inode has been found, the number of disk I/Os required
 //! to read the file is identical in Sprite LFS and Unix FFS" (§3.1).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{hash_map::Entry, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
@@ -20,8 +20,7 @@ use crate::dirlog::{DirLogRecord, DirOp};
 use crate::inode::{IndirectBlock, Inode, InodeAttrs};
 use crate::inodemap::InodeMap;
 use crate::layout::{
-    blocks_for_size, classify_block, BlockClass, DiskAddr, IND1_START, IND2_START, MAX_FILE_SIZE,
-    NIL_ADDR, PTRS_PER_BLOCK,
+    blocks_for_size, classify_block, BlockClass, DiskAddr, MAX_FILE_SIZE, NIL_ADDR, PTRS_PER_BLOCK,
 };
 use crate::stats::LfsStats;
 use crate::superblock::Superblock;
@@ -38,6 +37,10 @@ pub(crate) const IO_ATTEMPTS: u32 = 5;
 /// writes inside a half-life to classify hot; one half-life of silence
 /// halves its heat. See [`crate::heat`].
 pub(crate) const HEAT_HALF_LIFE: u64 = 128;
+
+/// Stale entries the LRU index may carry beyond twice the resident block
+/// count before [`Lfs::stamp`] sweeps it.
+const LRU_INDEX_SLACK: usize = 64;
 
 /// Whether a device error is worth retrying. Geometry errors are
 /// deterministic (a retry cannot fix an out-of-range request); only
@@ -86,7 +89,7 @@ pub(crate) struct CachedBlock {
 impl CachedBlock {
     /// Whether the block is pinned against eviction: its payload `Arc` is
     /// shared with a concurrent reader's published snapshot or an
-    /// in-flight queued submission. See [`Lfs::maybe_evict_except`].
+    /// in-flight queued submission. See [`Lfs::evict`].
     pub(crate) fn pinned(&self) -> bool {
         Arc::strong_count(&self.data) > 1
     }
@@ -96,6 +99,53 @@ impl CachedBlock {
 pub(crate) struct CachedInode {
     pub(crate) inode: Inode,
     pub(crate) dirty: bool,
+    /// Sequential-read detector; lives and dies with the cache entry.
+    pub(crate) ra: ReadAhead,
+}
+
+/// Largest read-ahead window, in blocks (128 KB).
+pub(crate) const READ_AHEAD_MAX: u32 = 32;
+
+/// Per-file sequential-read detector, fed by every request that reaches
+/// [`Lfs::fetch_blocks`]. Two marks, because the two front ends see
+/// different requests: [`Lfs::read`] sees every one, so a scan keeps
+/// landing on `next_req`; [`crate::SharedLfs`] serves hits without the
+/// writer lane, so the next request the detector sees begins where the
+/// last read-ahead ended.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct ReadAhead {
+    /// The file block after the last request.
+    next_req: u64,
+    /// The file block after the last read-ahead (never behind `next_req`
+    /// while a scan lasts).
+    next_ra: u64,
+    /// Blocks the next fetch may read past its request.
+    window: u32,
+}
+
+impl ReadAhead {
+    /// Opens the window for a request that begins at `first`: doubled
+    /// (2, 4, … [`READ_AHEAD_MAX`]) when the request continues a scan,
+    /// zero after a seek.
+    fn open(&mut self, first: u64) -> u32 {
+        self.window = if first == self.next_req || first == self.next_ra {
+            (self.window * 2).clamp(2, READ_AHEAD_MAX)
+        } else {
+            0
+        };
+        self.window
+    }
+
+    /// Records that the request ended at `last` and that blocks up to
+    /// `end` (exclusive) were fetched for it.
+    fn close(&mut self, last: u64, end: u64) {
+        self.next_req = last + 1;
+        self.next_ra = if self.window == 0 {
+            end
+        } else {
+            self.next_ra.max(end)
+        };
+    }
 }
 
 /// Identifies one indirect block of a file: `Single(k)` is single-indirect
@@ -150,6 +200,16 @@ pub struct Lfs<D: QueueDevice> {
     /// flag transition so `needs_flush` never scans the cache.
     pub(crate) dirty_inode_count: usize,
     pub(crate) blocks: HashMap<(Ino, u64), CachedBlock>,
+    /// Every LRU stamp ever handed out, oldest first, with the block it
+    /// went to. An entry is *live* while that block is resident and still
+    /// carries the stamp; each resident block has exactly one live entry.
+    /// Stale entries (block gone or restamped) are dropped when
+    /// [`Lfs::evict`] meets them and when the index outgrows the cache
+    /// ([`Lfs::stamp`]).
+    pub(crate) lru_index: VecDeque<(u64, (Ino, u64))>,
+    /// Buffers of evicted blocks, contents arbitrary, for the next blocks
+    /// to enter the cache ([`Lfs::take_buf`]).
+    pub(crate) pool: Vec<Vec<u8>>,
     pub(crate) dirty_blocks: BTreeSet<(Ino, u64)>,
     pub(crate) inds: HashMap<(Ino, IndKey), CachedInd>,
     /// Running count of dirty entries in `inds`; see `dirty_inode_count`.
@@ -287,6 +347,7 @@ impl<D: QueueDevice> Lfs<D> {
             CachedInode {
                 inode: root,
                 dirty: true,
+                ra: ReadAhead::default(),
             },
         );
         fs.dirty_inode_count += 1;
@@ -336,6 +397,8 @@ impl<D: QueueDevice> Lfs<D> {
             inodes: HashMap::new(),
             dirty_inode_count: 0,
             blocks: HashMap::new(),
+            lru_index: VecDeque::new(),
+            pool: Vec::new(),
             dirty_blocks: BTreeSet::new(),
             inds: HashMap::new(),
             dirty_ind_count: 0,
@@ -576,6 +639,8 @@ impl<D: QueueDevice> Lfs<D> {
     /// resident.
     pub fn drop_caches(&mut self) {
         self.blocks.retain(|_, b| b.dirty);
+        self.compact_lru_index();
+        self.pool = Vec::new();
         self.inds.retain(|_, e| e.dirty);
         let dirty: std::collections::HashSet<Ino> = self.dirty_files.iter().copied().collect();
         self.inodes.retain(|ino, c| c.dirty || dirty.contains(ino));
@@ -645,6 +710,7 @@ impl<D: QueueDevice> Lfs<D> {
                     CachedInode {
                         inode,
                         dirty: false,
+                        ra: ReadAhead::default(),
                     },
                 );
             }
@@ -691,9 +757,14 @@ impl<D: QueueDevice> Lfs<D> {
     /// Stores a modified inode back into the cache and marks it dirty.
     pub(crate) fn put_inode(&mut self, inode: Inode) {
         let ino = inode.ino;
-        let old = self
-            .inodes
-            .insert(inode.ino, CachedInode { inode, dirty: true });
+        let old = self.inodes.insert(
+            inode.ino,
+            CachedInode {
+                inode,
+                dirty: true,
+                ra: ReadAhead::default(),
+            },
+        );
         if !old.is_some_and(|c| c.dirty) {
             self.dirty_inode_count += 1;
         }
@@ -830,33 +901,88 @@ impl<D: QueueDevice> Lfs<D> {
 
     // ----- data block cache --------------------------------------------
 
-    fn touch_lru(&mut self) -> u64 {
+    /// Hands out the next LRU stamp and records in the index that it goes
+    /// to `key`. The caller stores it in the block (inserting the block if
+    /// need be) before anything else touches the cache.
+    pub(crate) fn stamp(&mut self, key: (Ino, u64)) -> u64 {
+        // Every earlier stamp is in its block by now, so whatever fails
+        // the liveness test is garbage; sweeping it only once it makes up
+        // half the index keeps a stamp O(1) amortised.
+        if self.lru_index.len() > 2 * self.blocks.len() + LRU_INDEX_SLACK {
+            self.compact_lru_index();
+        }
         self.lru_tick += 1;
+        self.lru_index.push_back((self.lru_tick, key));
         self.lru_tick
     }
 
+    /// Drops every stale entry of the LRU index.
+    fn compact_lru_index(&mut self) {
+        let blocks = &self.blocks;
+        self.lru_index
+            .retain(|&(stamp, key)| blocks.get(&key).is_some_and(|b| b.lru == stamp));
+    }
+
+    /// The cache limit in blocks, and the level to which clean blocks may
+    /// overshoot it before the read path evicts — which is also the most
+    /// that resident blocks and pooled buffers may add up to.
+    pub(crate) fn cache_bounds(&self) -> (usize, usize) {
+        let limit = (self.cfg.cache_limit_bytes / BLOCK_SIZE as u64) as usize;
+        (limit, limit + limit / 8)
+    }
+
+    /// A block-sized buffer for a block about to enter the cache. A pooled
+    /// buffer still holds the bytes of the block evicted from it, so every
+    /// caller overwrites all of it ([`Lfs::zeroed_buf`] otherwise).
+    pub(crate) fn take_buf(&mut self) -> Vec<u8> {
+        self.pool.pop().unwrap_or_else(|| vec![0u8; BLOCK_SIZE])
+    }
+
+    /// [`Lfs::take_buf`], zero-filled: a hole, or a block about to be
+    /// written in part.
+    fn zeroed_buf(&mut self) -> Vec<u8> {
+        match self.pool.pop() {
+            Some(mut buf) => {
+                buf.fill(0);
+                buf
+            }
+            None => vec![0u8; BLOCK_SIZE],
+        }
+    }
+
     /// Ensures file block `bno` of `ino` is cached (reading from disk or
-    /// materialising zeros for a hole).
+    /// materialising zeros for a hole). The single-block helper of the
+    /// write path and the directory code; file reads go through
+    /// [`Lfs::fetch_blocks`].
     pub(crate) fn ensure_block(&mut self, ino: Ino, bno: u64) -> FsResult<()> {
         if self.blocks.contains_key(&(ino, bno)) {
             return Ok(());
         }
         let addr = self.block_ptr(ino, bno)?;
-        let mut data = vec![0u8; BLOCK_SIZE];
-        if addr != NIL_ADDR {
+        let data = if addr == NIL_ADDR {
+            self.zeroed_buf()
+        } else {
+            let mut data = self.take_buf();
             self.dev
                 .read_blocks(addr, &mut data)
                 .map_err(FsError::device)?;
-        }
+            data
+        };
         self.insert_fetched(ino, bno, data);
         Ok(())
     }
 
     /// Inserts one freshly fetched (clean) block, with exactly the cache
-    /// bookkeeping [`Lfs::ensure_block`] does: LRU touch, modification
-    /// stamp, eviction check.
+    /// bookkeeping [`Lfs::ensure_block`] does: LRU stamp, modification
+    /// time, eviction check.
+    ///
+    /// The block is protected from the eviction its own insertion
+    /// triggers: when every other entry is dirty or pinned it would be the
+    /// only candidate, and callers that fetch-then-access would find the
+    /// cache empty under them (panic in the write path, livelock in the
+    /// read path).
     fn insert_fetched(&mut self, ino: Ino, bno: u64, data: Vec<u8>) {
-        let lru = self.touch_lru();
+        let lru = self.stamp((ino, bno));
         let mtime = self.clock;
         self.blocks.insert(
             (ino, bno),
@@ -867,74 +993,73 @@ impl<D: QueueDevice> Lfs<D> {
                 mtime,
             },
         );
-        self.maybe_evict_except(Some((ino, bno)));
-    }
-
-    /// Ensures file block `bno` of `ino` is cached and returns a clone of
-    /// its reference-counted payload. The extra `Arc` pins the cache entry
-    /// ([`CachedBlock::pinned`]) for as long as the caller holds it, and a
-    /// writer that mutates the block meanwhile copies-on-write
-    /// (`Arc::make_mut`), so the returned snapshot stays immutable.
-    pub(crate) fn block_arc(&mut self, ino: Ino, bno: u64) -> FsResult<Arc<Vec<u8>>> {
-        self.ensure_block(ino, bno)?;
-        Ok(self
-            .blocks
-            .get(&(ino, bno))
-            .expect("ensure_block keeps its own block resident")
-            .data
-            .clone())
+        let (limit, high) = self.cache_bounds();
+        if self.blocks.len() > high {
+            self.evict(self.blocks.len() - limit, Some((ino, bno)));
+        }
     }
 
     /// Ensures file blocks `first..=last` of `ino` are cached, fetching
     /// runs of blocks with *contiguous disk addresses* as single device
-    /// requests.
+    /// requests, and returns the file block after the last one fetched.
     ///
-    /// Exactly equivalent to calling [`Lfs::ensure_block`] on each block
-    /// in order: device requests happen in the same order (a pending run
-    /// is issued before anything that would itself touch the device — an
-    /// indirect-block load — and before skipping a cached block), blocks
-    /// enter the cache in the same order with the same LRU ticks, and a
-    /// run costs the same simulated time as its blocks read back-to-back
-    /// ([`blockdev::BlockDevice::read_run`]). Only the device's *request count*
-    /// differs.
-    fn fetch_blocks(&mut self, ino: Ino, first: u64, last: u64) -> FsResult<()> {
+    /// Over the requested blocks this is exactly equivalent to calling
+    /// [`Lfs::ensure_block`] on each in order: device requests happen in
+    /// the same order (a pending run is issued before anything that would
+    /// itself touch the device — an indirect-block load — and before
+    /// skipping a cached block), blocks enter the cache in the same order
+    /// with the same LRU stamps, and a run costs the same simulated time
+    /// as its blocks read back-to-back
+    /// ([`blockdev::BlockDevice::read_run`]). Only the device's *request
+    /// count* differs.
+    ///
+    /// Every call is one request to the file's [`ReadAhead`] detector, and
+    /// the window it opens lets the *final* run grow past `last`: through
+    /// blocks whose addresses are resolvable from cached state and stay
+    /// contiguous, stopping at holes, cached blocks, pointers that would
+    /// need their own device read, and end of file. A scan therefore reads
+    /// the blocks it would have read anyway, in the same order, in fewer
+    /// requests.
+    fn fetch_blocks(&mut self, ino: Ino, first: u64, last: u64) -> FsResult<u64> {
+        self.ensure_inode(ino)?;
+        let c = self.inodes.get_mut(&ino).expect("ensured above");
+        let ahead = c.ra.open(first) as u64;
+        let file_blocks = blocks_for_size(c.inode.size);
         // The run being assembled: (start address, first file block,
         // block count).
         let mut run: Option<(DiskAddr, u64, u64)> = None;
-        // Pointer window: one cloned stretch of pointers (the inode's
+        // Pointer window: a copied stretch of pointers (from the inode's
         // direct array or a cached indirect block), so assembly resolves
         // addresses with an array index per block instead of per-block
         // cache lookups. Purely a lookup cache — loading it never touches
-        // the device.
+        // the device — and never longer than this call can use.
         let mut win: Option<(u64, Vec<DiskAddr>)> = None;
+        let want = |bno: u64| (last - bno + 1 + ahead) as usize;
         for bno in first..=last {
             if self.blocks.contains_key(&(ino, bno)) {
                 self.fetch_run(ino, &mut run)?;
                 continue;
             }
+            if win_lookup(&win, bno).is_none() {
+                win = self.ptr_window(ino, bno, want(bno))?;
+            }
             let addr = match win_lookup(&win, bno) {
                 Some(a) => a,
-                None => match self.ptr_window(ino, bno)? {
-                    Some(w) => {
-                        let a = w.1[(bno - w.0) as usize];
-                        win = Some(w);
-                        a
-                    }
-                    None => {
-                        // Resolving this pointer reads an indirect block;
-                        // issue the pending run first so device requests
-                        // stay in file-block order.
-                        self.fetch_run(ino, &mut run)?;
-                        let a = self.block_ptr(ino, bno)?;
-                        win = self.ptr_window(ino, bno)?;
-                        a
-                    }
-                },
+                None => {
+                    // Resolving this pointer reads an indirect block;
+                    // issue the pending run first so device requests stay
+                    // in file-block order.
+                    self.fetch_run(ino, &mut run)?;
+                    let a = self.block_ptr(ino, bno)?;
+                    win = self.ptr_window(ino, bno, want(bno))?;
+                    a
+                }
             };
             if addr == NIL_ADDR {
                 // A hole: materialise zeros without a device read.
                 self.fetch_run(ino, &mut run)?;
-                self.insert_fetched(ino, bno, vec![0u8; BLOCK_SIZE]);
+                let zeros = self.zeroed_buf();
+                self.insert_fetched(ino, bno, zeros);
                 continue;
             }
             run = match run {
@@ -947,71 +1072,76 @@ impl<D: QueueDevice> Lfs<D> {
                 None => Some((addr, bno, 1)),
             };
         }
-        // Read-ahead: extend the final run through blocks whose addresses
-        // are already resolvable from cached state and stay contiguous.
-        // Stops at holes, cached blocks, pointers that would need their
-        // own device read, and end of file — so with the default window
-        // of 0 exactly the requested blocks are fetched.
-        if self.cfg.read_ahead_blocks > 0 && run.is_some() {
-            let file_blocks = blocks_for_size(self.inode_ref(ino)?.size);
-            let limit = last.saturating_add(self.cfg.read_ahead_blocks as u64);
-            let mut next = last + 1;
-            while next < file_blocks && next <= limit {
-                let (start, rb, count) = run.expect("checked above");
-                if self.blocks.contains_key(&(ino, next)) {
-                    break;
-                }
-                let addr = match win_lookup(&win, next) {
-                    Some(a) => Some(a),
-                    None => {
-                        win = self.ptr_window(ino, next)?;
-                        win.as_ref().map(|w| w.1[(next - w.0) as usize])
-                    }
-                };
-                match addr {
-                    Some(a) if a != NIL_ADDR && a == start + count => {
-                        run = Some((start, rb, count + 1));
-                    }
-                    _ => break,
-                }
-                next += 1;
+        // Read-ahead: while the request's last run is still pending, let
+        // it grow through the window.
+        let mut end = last + 1;
+        let stop = file_blocks.min(end.saturating_add(ahead));
+        while let Some((start, rb, count)) = run {
+            if end >= stop || self.blocks.contains_key(&(ino, end)) {
+                break;
             }
+            if win_lookup(&win, end).is_none() {
+                win = self.ptr_window(ino, end, (stop - end) as usize)?;
+            }
+            match win_lookup(&win, end) {
+                Some(a) if a != NIL_ADDR && a == start + count => {
+                    run = Some((start, rb, count + 1));
+                }
+                _ => break,
+            }
+            end += 1;
         }
-        self.fetch_run(ino, &mut run)
+        self.fetch_run(ino, &mut run)?;
+        if let Some(c) = self.inodes.get_mut(&ino) {
+            c.ra.close(last, end);
+        }
+        Ok(end)
     }
 
-    /// Returns the contiguous stretch of file-block pointers covering
-    /// `bno` that is resolvable from cached state alone: `(first file
-    /// block of the stretch, the pointer values)`. `None` exactly when an
+    /// Returns up to `want` file-block pointers starting at `bno`, as far
+    /// as they are resolvable from cached state alone and lie in one
+    /// pointer array: `(bno, the pointer values)`. `None` exactly when an
     /// indirect block would need its own device read first. A stretch
     /// under an absent indirect tree comes back as [`NIL_ADDR`]s, matching
     /// per-block hole semantics.
-    fn ptr_window(&mut self, ino: Ino, bno: u64) -> FsResult<Option<(u64, Vec<DiskAddr>)>> {
+    fn ptr_window(
+        &mut self,
+        ino: Ino,
+        bno: u64,
+        want: usize,
+    ) -> FsResult<Option<(u64, Vec<DiskAddr>)>> {
+        let some = |ptrs: &[DiskAddr], i: usize| {
+            let n = want.min(ptrs.len() - i);
+            Ok(Some((bno, ptrs[i..i + n].to_vec())))
+        };
+        let nil = |i: usize| {
+            let n = want.min(PTRS_PER_BLOCK - i);
+            Ok(Some((bno, vec![NIL_ADDR; n])))
+        };
         match classify_block(bno).ok_or(FsError::FileTooLarge)? {
-            BlockClass::Direct(_) => Ok(Some((0, self.inode_ref(ino)?.direct.to_vec()))),
-            BlockClass::Indirect1(_) => {
+            BlockClass::Direct(i) => some(&self.inode_ref(ino)?.direct, i),
+            BlockClass::Indirect1(i) => {
                 if let Some(e) = self.inds.get(&(ino, IndKey::Single(0))) {
-                    return Ok(Some((IND1_START, e.blk.ptrs.to_vec())));
+                    return some(&e.blk.ptrs[..], i);
                 }
                 if self.inode_ref(ino)?.indirect == NIL_ADDR {
-                    return Ok(Some((IND1_START, vec![NIL_ADDR; PTRS_PER_BLOCK])));
+                    return nil(i);
                 }
                 Ok(None)
             }
-            BlockClass::Indirect2(i, _) => {
-                let win_start = IND2_START + (i * PTRS_PER_BLOCK) as u64;
+            BlockClass::Indirect2(i, j) => {
                 let key = IndKey::Single(i as u32 + 1);
                 if let Some(e) = self.inds.get(&(ino, key)) {
-                    return Ok(Some((win_start, e.blk.ptrs.to_vec())));
+                    return some(&e.blk.ptrs[..], j);
                 }
                 if let Some(d) = self.inds.get(&(ino, IndKey::Double)) {
                     if d.blk.ptrs[i] == NIL_ADDR {
-                        return Ok(Some((win_start, vec![NIL_ADDR; PTRS_PER_BLOCK])));
+                        return nil(j);
                     }
                     return Ok(None);
                 }
                 if self.inode_ref(ino)?.dindirect == NIL_ADDR {
-                    return Ok(Some((win_start, vec![NIL_ADDR; PTRS_PER_BLOCK])));
+                    return nil(j);
                 }
                 Ok(None)
             }
@@ -1028,14 +1158,14 @@ impl<D: QueueDevice> Lfs<D> {
         if count == 1 {
             // Single-block run: skip the scatter-list machinery (this is
             // the common case for small files).
-            let mut data = vec![0u8; BLOCK_SIZE];
+            let mut data = self.take_buf();
             self.dev
                 .read_run(start, &mut data)
                 .map_err(FsError::device)?;
             self.insert_fetched(ino, first_bno, data);
             return Ok(());
         }
-        let mut boxes: Vec<Vec<u8>> = (0..count).map(|_| vec![0u8; BLOCK_SIZE]).collect();
+        let mut boxes: Vec<Vec<u8>> = (0..count).map(|_| self.take_buf()).collect();
         let mut bufs: Vec<&mut [u8]> = boxes.iter_mut().map(|b| &mut b[..]).collect();
         self.dev
             .read_run_scatter(start, &mut bufs)
@@ -1060,8 +1190,11 @@ impl<D: QueueDevice> Lfs<D> {
         self.dirty_files.insert(ino);
     }
 
-    /// Evicts clean blocks when the cache exceeds its limit, never
-    /// evicting `protect`.
+    /// Evicts the `excess` least recently stamped blocks among those that
+    /// are clean, unpinned and not `protect` (all of them when there are
+    /// fewer), walking the LRU index from its cold end: a round costs the
+    /// blocks it evicts plus the entries it steps over, not a scan of the
+    /// cache.
     ///
     /// Blocks whose payload `Arc` is shared are *pinned* and never
     /// evicted: a second strong count means a concurrent reader holds a
@@ -1075,32 +1208,38 @@ impl<D: QueueDevice> Lfs<D> {
     /// (`needs_flush`'s debug asserts) can be checked against scans at
     /// any interleaving point.
     ///
-    /// `protect` is set by [`Lfs::insert_fetched`] so a freshly fetched
-    /// block cannot be evicted by its own insertion: when every other
-    /// entry is dirty or pinned, the newest block would otherwise be the
-    /// only candidate, and callers that fetch-then-access would find the
-    /// cache empty under them (panic in the write path, livelock in the
-    /// read path).
-    fn maybe_evict_except(&mut self, protect: Option<(Ino, u64)>) {
-        let limit = (self.cfg.cache_limit_bytes / BLOCK_SIZE as u64) as usize;
-        if self.blocks.len() <= limit + limit / 8 {
-            return;
+    /// A victim's buffer goes to the pool while resident blocks and pooled
+    /// buffers together stay within the cache's high-water mark.
+    pub(crate) fn evict(&mut self, excess: usize, protect: Option<(Ino, u64)>) {
+        let (_, high) = self.cache_bounds();
+        let mut kept = Vec::new();
+        let mut evicted = 0;
+        while evicted < excess {
+            let Some((stamp, key)) = self.lru_index.pop_front() else {
+                break;
+            };
+            let Entry::Occupied(e) = self.blocks.entry(key) else {
+                continue;
+            };
+            let b = e.get();
+            if b.lru != stamp {
+                continue;
+            }
+            if b.dirty || b.pinned() || Some(key) == protect {
+                kept.push((stamp, key));
+                continue;
+            }
+            let data = e.remove().data;
+            evicted += 1;
+            if self.blocks.len() + self.pool.len() < high {
+                // Unpinned, so the count is one and the unwrap succeeds.
+                if let Ok(buf) = Arc::try_unwrap(data) {
+                    self.pool.push(buf);
+                }
+            }
         }
-        let mut clean: Vec<((Ino, u64), u64)> = self
-            .blocks
-            .iter()
-            .filter(|(&k, b)| !b.dirty && !b.pinned() && Some(k) != protect)
-            .map(|(&k, b)| (k, b.lru))
-            .collect();
-        let excess = self.blocks.len().saturating_sub(limit);
-        // Only the `excess` least-recently-used entries are evicted, so an
-        // O(n) partition suffices — no need to sort the whole clean set.
-        if clean.len() > excess && excess > 0 {
-            clean.select_nth_unstable_by_key(excess - 1, |&(_, lru)| lru);
-            clean.truncate(excess);
-        }
-        for (k, _) in clean.into_iter().take(excess) {
-            self.blocks.remove(&k);
+        for e in kept.into_iter().rev() {
+            self.lru_index.push_front(e);
         }
     }
 
@@ -1131,6 +1270,32 @@ impl<D: QueueDevice> Lfs<D> {
             self.dirty_blocks.len() as u64 * BLOCK_SIZE as u64,
             "dirty byte total diverged from dirty block set"
         );
+        if cfg!(debug_assertions) {
+            // Dirty and pinned blocks can hold the cache above its limit;
+            // the pool never adds to that.
+            let (_, high) = self.cache_bounds();
+            assert!(
+                self.pool.is_empty() || self.blocks.len() + self.pool.len() <= high,
+                "{} blocks + {} pooled buffers exceed the high-water mark {high}",
+                self.blocks.len(),
+                self.pool.len()
+            );
+            assert!(self.pool.iter().all(|b| b.len() == BLOCK_SIZE));
+            let live: Vec<_> = self
+                .lru_index
+                .iter()
+                .filter(|&&(stamp, key)| self.blocks.get(&key).is_some_and(|b| b.lru == stamp))
+                .collect();
+            assert!(
+                live.windows(2).all(|w| w[0].0 < w[1].0),
+                "live LRU index entries are not in stamp order"
+            );
+            assert_eq!(
+                live.len(),
+                self.blocks.len(),
+                "a resident block lacks its live LRU index entry"
+            );
+        }
     }
 
     /// Drops all cached state for a deleted file.
@@ -1207,7 +1372,7 @@ impl<D: QueueDevice> Lfs<D> {
             let full_overwrite = off_in == 0 && n == BLOCK_SIZE;
             if full_overwrite {
                 // No read needed: replace or insert the whole block.
-                let lru = self.touch_lru();
+                let lru = self.stamp((ino, bno));
                 let existing = self.blocks.get_mut(&(ino, bno));
                 match existing {
                     Some(b) => {
@@ -1216,10 +1381,12 @@ impl<D: QueueDevice> Lfs<D> {
                     }
                     None => {
                         let mtime = self.clock;
+                        let mut buf = self.take_buf();
+                        buf.copy_from_slice(&data[pos..pos + n]);
                         self.blocks.insert(
                             (ino, bno),
                             CachedBlock {
-                                data: Arc::new(data[pos..pos + n].to_vec()),
+                                data: Arc::new(buf),
                                 dirty: false,
                                 lru,
                                 mtime,
@@ -1260,9 +1427,11 @@ impl<D: QueueDevice> Lfs<D> {
             return Ok(0);
         }
         let n = buf.len().min((size - offset) as usize);
-        let first = offset / BLOCK_SIZE as u64;
-        let last = (offset + n as u64 - 1) / BLOCK_SIZE as u64;
-        self.fetch_blocks(ino, first, last)?;
+        if n > 0 {
+            let first = offset / BLOCK_SIZE as u64;
+            let last = (offset + n as u64 - 1) / BLOCK_SIZE as u64;
+            self.fetch_blocks(ino, first, last)?;
+        }
         let mut pos = 0usize;
         while pos < n {
             let abs = offset + pos as u64;
@@ -1281,6 +1450,39 @@ impl<D: QueueDevice> Lfs<D> {
         let now = self.clock;
         self.imap.set_atime_quiet(ino, now);
         Ok(n)
+    }
+
+    /// The miss path of [`crate::SharedLfs`]: fetches file blocks
+    /// `first..=last` exactly as [`Lfs::read`] would (one
+    /// [`Lfs::fetch_blocks`] call, read-ahead included) and hands `each`
+    /// the payload of every block of the fetched range, in file order.
+    /// The extra `Arc` pins the cache entry ([`CachedBlock::pinned`]) for
+    /// as long as the caller holds it, and a writer that mutates the block
+    /// meanwhile copies-on-write (`Arc::make_mut`), so the snapshot stays
+    /// immutable. Requested blocks are always delivered; a read-ahead
+    /// block that a small cache has already evicted again is skipped.
+    pub(crate) fn fetch_snapshots(
+        &mut self,
+        ino: Ino,
+        first: u64,
+        last: u64,
+        mut each: impl FnMut(u64, &Arc<Vec<u8>>),
+    ) -> FsResult<()> {
+        let end = self.fetch_blocks(ino, first, last)?;
+        for bno in first..end {
+            let data = match self.blocks.get(&(ino, bno)) {
+                Some(b) => &b.data,
+                None if bno > last => continue,
+                None => {
+                    // A cache smaller than the request evicted the block
+                    // between fetch and copy.
+                    self.ensure_block(ino, bno)?;
+                    &self.blocks[&(ino, bno)].data
+                }
+            };
+            each(bno, data);
+        }
+        Ok(())
     }
 
     /// Frees all blocks of `ino` past `new_blocks` file blocks, adjusting

@@ -29,9 +29,14 @@
 //!   shared `Arc` — the writer can never mutate that payload in place,
 //!   because [`Arc::make_mut`] in the core's write path copies-on-write
 //!   whenever a published snapshot holds a second reference.
-//! * A miss takes the writer lane, loads through the ordinary cache
-//!   ([`Lfs::block_arc`]), and publishes the snapshot tagged with the
-//!   generation observed *under the lock*.
+//! * The first block of a request that misses takes the writer lane
+//!   *once* for the rest of the request: the blocks are fetched the way
+//!   [`Lfs::read`] fetches them (`fetch_blocks`: runs of contiguous disk
+//!   addresses as single device requests, extended by the file's
+//!   read-ahead window), and every block fetched — read-ahead included —
+//!   is published tagged with the generation observed *under the lock*.
+//!   A sequential scan therefore takes the lane once per window and
+//!   serves the requests in between lock-free.
 //!
 //! This gives **per-file ordering**: once a client observes a write's
 //! completion, every later read of that file sees a generation at least
@@ -117,10 +122,17 @@ pub struct SharedReadStats {
     /// Total `read` calls served.
     pub reads: u64,
     /// Reads satisfied entirely from the shared cache (no writer lane).
+    /// A read takes the lane at most once for its blocks, so
+    /// `reads - lockfree_reads` is the number of lane trips (plus reads
+    /// at or past end of file, which look no block up and count in
+    /// `reads` only).
     pub lockfree_reads: u64,
-    /// Individual block lookups that hit the shared cache.
+    /// Requested blocks copied out of the shared cache without the lane —
+    /// those ahead of a request's first miss included.
     pub block_hits: u64,
-    /// Block lookups that fell through to the writer lane.
+    /// Requested blocks served under the writer lane: a request's first
+    /// miss and every block after it. (Read-ahead blocks are nobody's
+    /// lookup and count nowhere; they turn later lookups into hits.)
     pub block_misses: u64,
     /// Payload bytes returned to readers.
     pub read_bytes: u64,
@@ -359,24 +371,14 @@ impl<D: QueueDevice> SharedLfs<D> {
         })
     }
 
-    /// Loads one block snapshot through the writer lane (recording its
-    /// device time in `op.read_ns`, like the exclusive read path) and
-    /// publishes it.
-    fn load_block(&self, ino: Ino, bno: u64) -> FsResult<Arc<Vec<u8>>> {
-        self.with_writer(|fs| {
-            let data = fs.timed(|o| &o.read, |fs| fs.block_arc(ino, bno))?;
-            self.publish_block(ino, bno, self.gen_of(ino), Arc::clone(&data));
-            Ok(data)
-        })
-    }
-
     // ----- lock-free read ----------------------------------------------
 
     /// The concurrent read path: generation-validated lookups against the
-    /// shared cache, falling back to the writer lane per missing block.
-    /// Matches [`Lfs::read`] exactly for a single client (same bytes, same
-    /// errors, same queued-atime effect); concurrent readers may observe
-    /// block-granular tearing against in-flight writes.
+    /// shared cache; the first missing block takes the writer lane once
+    /// for the rest of the request. Matches [`Lfs::read`] exactly for a
+    /// single client (same bytes, same errors, same queued-atime effect);
+    /// concurrent readers may observe block-granular tearing against
+    /// in-flight writes.
     pub fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
         let c = &self.inner.counters;
         c.reads.fetch_add(1, Ordering::Relaxed);
@@ -392,28 +394,34 @@ impl<D: QueueDevice> SharedLfs<D> {
             return Ok(0);
         }
         let n = buf.len().min((meta.size - offset) as usize);
-        let mut lock_free = true;
-        let mut pos = 0usize;
-        while pos < n {
-            let abs = offset + pos as u64;
-            let bno = abs / BLOCK_SIZE as u64;
-            let off_in = (abs % BLOCK_SIZE as u64) as usize;
-            let len = (BLOCK_SIZE - off_in).min(n - pos);
-            let data = match self.block_lookup(ino, bno, meta.gen) {
-                Some(d) => {
-                    c.block_hits.fetch_add(1, Ordering::Relaxed);
-                    d
-                }
-                None => {
-                    lock_free = false;
-                    c.block_misses.fetch_add(1, Ordering::Relaxed);
-                    self.load_block(ino, bno)?
-                }
+        let buf = &mut buf[..n];
+        let bs = BLOCK_SIZE as u64;
+        // The file blocks the request covers, `bno..end`: none when it
+        // asks for no bytes.
+        let mut bno = offset / bs;
+        let end = if n == 0 {
+            bno
+        } else {
+            (offset + n as u64 - 1) / bs + 1
+        };
+        // Copies the part of file block `b` that the request covers.
+        let copy_out = |buf: &mut [u8], b: u64, data: &[u8]| {
+            let from = (b * bs).max(offset);
+            let to = ((b + 1) * bs).min(offset + n as u64);
+            buf[(from - offset) as usize..(to - offset) as usize]
+                .copy_from_slice(&data[(from - b * bs) as usize..(to - b * bs) as usize]);
+        };
+        let mut hits = 0;
+        while bno < end {
+            let Some(data) = self.block_lookup(ino, bno, meta.gen) else {
+                break;
             };
-            buf[pos..pos + len].copy_from_slice(&data[off_in..off_in + len]);
-            pos += len;
+            copy_out(buf, bno, &data);
+            bno += 1;
+            hits += 1;
         }
-        if lock_free {
+        c.block_hits.fetch_add(hits, Ordering::Relaxed);
+        if bno == end {
             c.lockfree_reads.fetch_add(1, Ordering::Relaxed);
             // A pure cache hit consumes zero device time; record it so the
             // latency histogram keeps one sample per read, as the
@@ -427,6 +435,24 @@ impl<D: QueueDevice> SharedLfs<D> {
             if let Some(h) = hist {
                 h.record(0);
             }
+        } else {
+            c.block_misses.fetch_add(end - bno, Ordering::Relaxed);
+            // One lane trip, and one `op.read_ns` sample carrying its
+            // device time, for everything the request still lacks.
+            self.with_writer(|fs| {
+                let gen = self.gen_of(ino);
+                fs.timed(
+                    |o| &o.read,
+                    |fs| {
+                        fs.fetch_snapshots(ino, bno, end - 1, |b, data| {
+                            if b < end {
+                                copy_out(buf, b, data);
+                            }
+                            self.publish_block(ino, b, gen, Arc::clone(data));
+                        })
+                    },
+                )
+            })?;
         }
         c.read_bytes.fetch_add(n as u64, Ordering::Relaxed);
         lock(&self.inner.atimes).push((ino, self.inner.clock.load(Ordering::Acquire)));

@@ -2,7 +2,7 @@
 //! observably identical under arbitrary operation sequences, across
 //! remounts, and under cleaning pressure.
 
-use blockdev::{BlockDevice, CrashDisk, MemDisk};
+use blockdev::{BlockDevice, CrashDisk, DiskModel, MemDisk, SimDisk};
 use lfs_core::{Lfs, LfsConfig};
 use proptest::prelude::*;
 use vfs::{model::ModelFs, FileSystem, FsError};
@@ -362,50 +362,61 @@ proptest! {
         let _ = model;
     }
 
-    /// Read-ahead may fetch blocks nobody asked for yet, but it must never
-    /// change what a read returns or what reaches the disk — and since it
-    /// only ever extends a run, never splits one, it must not cost more
-    /// device requests than no read-ahead. Offsets reach past the ten
-    /// direct blocks so indirect-block loads break runs too.
+    /// Read-ahead fetches blocks before anyone asks for them, but only
+    /// blocks a scan is about to ask for: scanning every file front to
+    /// back in 1–3-block requests must return the bytes, move the bytes,
+    /// take the simulated time and leave the image that one whole-file
+    /// request per file does — in no more device requests than blocks.
+    /// Offsets reach past the ten direct blocks so indirect-block loads
+    /// break runs too.
     #[test]
-    fn read_ahead_changes_neither_bytes_nor_image(
+    fn scan_request_size_changes_neither_bytes_image_nor_busy_time(
         ops in proptest::collection::vec(
-            (0u8..7, 0u8..4, 0u32..300_000, 1u16..32_768, any::<u8>()), 1..60),
+            (0u8..4, 0u8..4, 0u32..300_000, 1u16..32_768, any::<u8>()), 1..40),
+        steps in proptest::collection::vec(1usize..=3, 1..24),
     ) {
-        let mut pair = [0u32, 8].map(|window| {
-            let mut cfg = LfsConfig::small();
-            cfg.read_ahead_blocks = window;
-            let mut fs = Lfs::format(MemDisk::new(4096), cfg).unwrap();
+        let mut steps = steps.iter().cycle();
+        let [whole, stepped] = [None, Some(&mut steps)].map(|mut steps| {
+            let disk = SimDisk::new(4096, DiskModel::wren_iv());
+            let mut fs = Lfs::format(disk, LfsConfig::small()).unwrap();
             let inos: Vec<_> = (0..4).map(|i| fs.create(&format!("/f{i}")).unwrap()).collect();
-            (fs, inos)
-        });
-        for &(sel, file, offset, len, fill) in &ops {
-            let outs = pair.each_mut().map(|(fs, inos)| {
+            for &(sel, file, offset, len, fill) in &ops {
                 let ino = inos[file as usize];
                 match sel {
-                    0 | 1 => fs.write(ino, offset as u64, &vec![fill; len as usize / 2]).unwrap(),
-                    2 => fs.truncate(ino, offset as u64).unwrap(),
-                    3 | 4 => {
-                        let mut buf = vec![0u8; len as usize];
-                        let n = fs.read(ino, offset as u64, &mut buf).unwrap();
-                        buf.truncate(n);
-                        return Some(buf);
-                    }
-                    5 => fs.sync().unwrap(),
-                    _ => fs.drop_caches(),
+                    0..=2 => fs.write(ino, offset as u64, &vec![fill; len as usize / 2]).unwrap(),
+                    _ => fs.truncate(ino, offset as u64).unwrap(),
                 }
-                None
-            });
-            prop_assert_eq!(&outs[0], &outs[1], "read bytes diverged");
-        }
-        let [(mut base, _), (mut ahead, _)] = pair;
-        base.sync().unwrap();
-        ahead.sync().unwrap();
-        prop_assert!(
-            ahead.device().stats().reads <= base.device().stats().reads,
-            "read-ahead increased the request count"
-        );
-        prop_assert_eq!(base.into_device().image(), ahead.into_device().image());
+            }
+            fs.sync().unwrap();
+            fs.drop_caches();
+            let before = fs.device().stats();
+            let mut bytes = Vec::new();
+            for &ino in &inos {
+                let size = fs.metadata(ino).unwrap().size as usize;
+                let mut buf = vec![0u8; size];
+                let mut pos = 0;
+                while pos < size {
+                    let want = steps.as_mut().map_or(size, |s| s.next().unwrap() * 4096);
+                    let end = size.min(pos + want);
+                    prop_assert_eq!(fs.read(ino, pos as u64, &mut buf[pos..end]).unwrap(), end - pos);
+                    pos = end;
+                }
+                bytes.push(buf);
+            }
+            let after = fs.device().stats();
+            fs.sync().unwrap();
+            Ok((bytes, before, after, fs.into_device()))
+        });
+        let (whole, stepped) = (whole?, stepped?);
+        prop_assert_eq!(&whole.0, &stepped.0, "read bytes diverged");
+        let moved = |(_, b, a, _): &(_, blockdev::IoStats, blockdev::IoStats, _)| {
+            (a.bytes_read - b.bytes_read, a.busy_ns - b.busy_ns)
+        };
+        prop_assert_eq!(moved(&whole), moved(&stepped), "(bytes read, busy ns) diverged");
+        let requests = stepped.2.reads - stepped.1.reads;
+        prop_assert!(requests * 4096 <= moved(&stepped).0, "more requests than blocks");
+        prop_assert!(requests >= whole.2.reads - whole.1.reads);
+        prop_assert_eq!(whole.3.image(), stepped.3.image());
     }
 
     /// File contents survive write/truncate sequences at random offsets
