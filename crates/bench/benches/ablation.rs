@@ -85,29 +85,9 @@ fn bench_checkpoint_interval(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sparse_scavenging(c: &mut Criterion) {
-    // The §3.4 "read just the live blocks" option the paper proposed but
-    // never tried.
-    let mut g = c.benchmark_group("ablation_sparse_scavenging");
-    for (name, threshold) in [("whole_segment_reads", 0.0), ("live_block_reads", 0.9)] {
-        g.bench_function(name, |b| {
-            b.iter_batched_ref(
-                || {
-                    let mut cfg = config(16, CleaningPolicy::CostBenefit);
-                    cfg.read_live_threshold = threshold;
-                    Lfs::format(MemDisk::new(1536), cfg).unwrap()
-                },
-                churn,
-                BatchSize::LargeInput,
-            )
-        });
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_segment_size, bench_policy, bench_checkpoint_interval, bench_sparse_scavenging
+    targets = bench_segment_size, bench_policy, bench_checkpoint_interval
 }
 criterion_main!(benches);

@@ -22,10 +22,45 @@ use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{FsError, FsResult, Ino};
 
 use crate::fs::{CachedBlock, IndKey, Lfs};
-use crate::inode::{Inode, INODE_DISK_SIZE};
 use crate::layout::DiskAddr;
 use crate::summary::{EntryKind, Summary, SummaryEntry};
 use crate::usage::SegState;
+
+/// A run of blocks the cleaner reads from a victim also covers a dead
+/// stretch (summary blocks included) of at most this many blocks, instead
+/// of ending there and starting a second request behind it. With a request
+/// costing what `R` block transfers cost, bridging a gap of `g` blocks
+/// pays exactly when `g <= R`; EXPERIMENTS.md ("Cleaner-read methodology")
+/// measures `R` on the devices we run on and sweeps this constant.
+const CLEAN_BRIDGE_BLOCKS: usize = 2;
+
+/// One live block of a victim: found by the liveness walk, consulted by
+/// the read plan, staged — and kept until the pass ends, so the pass's
+/// audit can name a block that did not move without re-reading anything.
+struct LiveBlock {
+    seg: u32,
+    /// Segment-relative block offset.
+    blk: u32,
+    entry: SummaryEntry,
+    /// Whether the read plan fetched the block's bytes.
+    read: bool,
+}
+
+/// The cleaner's working memory. It lives in [`Lfs`] so that no victim and
+/// no run allocates: every buffer grows to its high-water mark once and is
+/// reused by every victim after.
+#[derive(Default)]
+pub(crate) struct CleanScratch {
+    /// One segment of read buffer; block `b` of a victim lands at
+    /// `b * BLOCK_SIZE`.
+    buf: Vec<u8>,
+    /// `(inode block address, ino)`, sorted, for every inode the map
+    /// placed in a victim when the pass began
+    /// ([`Lfs::index_inode_homes`]).
+    homes: Vec<(DiskAddr, Ino)>,
+    /// The pass's live blocks, victim by victim in summary order.
+    live: Vec<LiveBlock>,
+}
 
 impl<D: QueueDevice> Lfs<D> {
     /// Runs the cleaner if the number of clean segments has fallen below
@@ -311,6 +346,8 @@ impl<D: QueueDevice> Lfs<D> {
         // bounds the delay a background pass can impose on a foreground
         // flush to roughly one segment write.
         let stage_bound = (self.sb.seg_blocks.saturating_sub(1)) as u64 * BLOCK_SIZE as u64;
+        self.index_inode_homes(segs);
+        self.clean.live.clear();
         for &seg in segs {
             let usage = *self.usage.get(seg);
             self.stats.cleaner.segments_cleaned += 1;
@@ -351,21 +388,30 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(())
     }
 
-    /// Diagnostic: re-walks a segment and describes anything still live
-    /// (used only in the corruption error path).
+    /// Diagnostic for the corruption error path: what of `seg` is still
+    /// live. The pass's plan is asked first — a block it staged that the
+    /// flush did not move is the answer, found without touching the disk;
+    /// only when the plan knows of none is the summary chain walked again
+    /// (on nobody's account: the reads of a diagnostic are not cleaning
+    /// cost).
     fn debug_scavenge_report(&mut self, seg: u32) -> String {
         let start = self.sb.seg_start(seg);
+        for i in 0..self.clean.live.len() {
+            let LiveBlock {
+                seg: s, blk, entry, ..
+            } = self.clean.live[i];
+            if s == seg && matches!(self.entry_is_live(&entry, start + blk as u64), Ok(true)) {
+                return format!(
+                    " {:?}(ino {} off {}) at block {blk} was staged but not relocated",
+                    entry.kind, entry.ino, entry.offset
+                );
+            }
+        }
         let mut out = String::new();
-        let walked = self.read_segment(seg).and_then(|buf| {
-            self.walk_summaries(seg, Some(&buf), |fs, summary, first| {
+        let walked = self.with_seg_buf(|fs, buf| {
+            fs.walk_summaries(seg, buf, |fs, summary, first| {
                 for (j, entry) in summary.entries.iter().enumerate() {
-                    let blk = first + j;
-                    let addr = start + blk as u64;
-                    let content = &buf[blk * BLOCK_SIZE..(blk + 1) * BLOCK_SIZE];
-                    let live = fs.entry_is_live(entry, addr)?
-                        && (entry.kind != EntryKind::InodeBlock
-                            || !fs.live_inodes_in(addr, content).is_empty());
-                    if live {
+                    if fs.entry_is_live(entry, start + (first + j) as u64)? {
                         out.push_str(&format!(
                             " {:?}(ino {} off {})",
                             entry.kind, entry.ino, entry.offset
@@ -384,38 +430,35 @@ impl<D: QueueDevice> Lfs<D> {
         out
     }
 
-    /// Reads all of `seg` in one request, on the cleaner's account.
-    fn read_segment(&mut self, seg: u32) -> FsResult<Vec<u8>> {
-        let mut buf = vec![0u8; self.sb.seg_blocks as usize * BLOCK_SIZE];
-        self.read_retry(self.sb.seg_start(seg), &mut buf)?;
-        self.stats.cleaner.bytes_read += buf.len() as u64;
-        Ok(buf)
+    /// Lends `f` the cleaner's segment-sized buffer.
+    fn with_seg_buf<T>(&mut self, f: impl FnOnce(&mut Self, &mut [u8]) -> T) -> T {
+        let mut buf = std::mem::take(&mut self.clean.buf);
+        buf.resize(self.sb.seg_blocks as usize * BLOCK_SIZE, 0);
+        let out = f(self, &mut buf);
+        self.clean.buf = buf;
+        out
     }
 
     /// Decodes `seg`'s summary chain, handing `visit` each summary and the
-    /// segment-relative block offset of its first entry. Summary blocks
-    /// come out of `whole` when the segment was read in one request, and
-    /// are fetched one at a time otherwise.
+    /// segment-relative block offset of its first entry. Each summary
+    /// block is read on its own into its place in `buf`; returns how many
+    /// were read (the block that ends a short chain included), for the
+    /// caller to account.
     fn walk_summaries(
         &mut self,
         seg: u32,
-        whole: Option<&[u8]>,
+        buf: &mut [u8],
         mut visit: impl FnMut(&mut Self, &Summary, usize) -> FsResult<()>,
-    ) -> FsResult<()> {
+    ) -> FsResult<u64> {
         let seg_blocks = self.sb.seg_blocks as usize;
         let start = self.sb.seg_start(seg);
-        let mut sbuf = vec![0u8; BLOCK_SIZE];
         let mut off = 0usize;
         let mut prev_seq = 0u64;
+        let mut read = 0u64;
         while off + 1 < seg_blocks {
-            let sblock = match whole {
-                Some(buf) => &buf[off * BLOCK_SIZE..(off + 1) * BLOCK_SIZE],
-                None => {
-                    self.read_retry(start + off as u64, &mut sbuf)?;
-                    self.stats.cleaner.bytes_read += BLOCK_SIZE as u64;
-                    &sbuf[..]
-                }
-            };
+            let sblock = &mut buf[off * BLOCK_SIZE..(off + 1) * BLOCK_SIZE];
+            self.read_retry(start + off as u64, sblock)?;
+            read += 1;
             let Ok(summary) = Summary::decode(sblock) else {
                 break; // End of this segment's valid chain.
             };
@@ -429,68 +472,160 @@ impl<D: QueueDevice> Lfs<D> {
             visit(self, &summary, off + 1)?;
             off += 1 + summary.entries.len();
         }
-        Ok(())
+        Ok(read)
     }
 
-    /// Walks one segment's summaries and stages every live block as dirty
-    /// cache state so the next flush relocates it.
+    /// Relocates one victim in three steps, none of which reads a byte it
+    /// will not use. *Liveness*: walk the summary chain (summary blocks
+    /// only) and keep the entries [`Lfs::entry_is_live`] confirms from
+    /// memory. *Plan*: of those, only a data block the cache does not hold
+    /// and an inode block with an inode the cache does not hold need their
+    /// bytes; address-adjacent ones — across chunk boundaries too — form
+    /// one run, and a run also swallows a dead stretch of at most
+    /// [`CLEAN_BRIDGE_BLOCKS`], so a full segment degenerates to a single
+    /// first-live‥last-live request. *Stage*: every live entry, in summary
+    /// order, becomes dirty cache state for the next flush to relocate.
     fn scavenge_segment(&mut self, seg: u32) -> FsResult<()> {
-        let u = self.usage.get(seg).utilization(self.cfg.seg_bytes());
-        let sparse = self.cfg.read_live_threshold > 0.0 && u < self.cfg.read_live_threshold;
-        let start = self.sb.seg_start(seg);
-        if !sparse {
-            let buf = self.read_segment(seg)?;
-            return self.walk_summaries(seg, Some(&buf), |fs, summary, first| {
+        self.with_seg_buf(|fs, buf| {
+            let start = fs.sb.seg_start(seg);
+            let first = fs.clean.live.len();
+            let summaries = fs.walk_summaries(seg, buf, |fs, summary, first_blk| {
                 for (j, entry) in summary.entries.iter().enumerate() {
-                    let blk = first + j;
-                    let addr = start + blk as u64;
-                    if fs.entry_is_live(entry, addr)? {
-                        fs.stage(entry, addr, &buf[blk * BLOCK_SIZE..(blk + 1) * BLOCK_SIZE])?;
+                    let blk = (first_blk + j) as u32;
+                    if fs.entry_is_live(entry, start + blk as u64)? {
+                        fs.clean.live.push(LiveBlock {
+                            seg,
+                            blk,
+                            entry: *entry,
+                            read: false,
+                        });
                     }
                 }
                 Ok(())
-            });
-        }
-        // The "read just the live blocks" variant the paper proposes but
-        // never implemented (§3.4): fetch the summaries block by block and
-        // then only the blocks that are actually live. For very sparse
-        // segments this reads a small fraction of the segment at the cost
-        // of discontiguous (seeking) reads — the ablation bench quantifies
-        // the trade.
-        self.walk_summaries(seg, None, |fs, summary, first| {
-            let mut live: Vec<(usize, DiskAddr)> = Vec::new();
-            for (j, entry) in summary.entries.iter().enumerate() {
-                let addr = start + (first + j) as u64;
-                if fs.entry_is_live(entry, addr)? {
-                    live.push((j, addr));
+            })?;
+            fs.stats.cleaner.read_requests += summaries;
+            fs.stats.cleaner.bytes_read += summaries * BLOCK_SIZE as u64;
+
+            // The pending run, as segment-relative blocks `from..to`.
+            let mut run: Option<(usize, usize)> = None;
+            for i in first..fs.clean.live.len() {
+                let LiveBlock { blk, entry, .. } = fs.clean.live[i];
+                if !fs.needs_bytes(&entry, start + blk as u64) {
+                    continue;
                 }
+                fs.clean.live[i].read = true;
+                let blk = blk as usize;
+                run = Some(match run {
+                    Some((from, to)) if blk - to <= CLEAN_BRIDGE_BLOCKS => (from, blk + 1),
+                    Some((from, to)) => {
+                        fs.read_victim_run(start, from, to, buf)?;
+                        (blk, blk + 1)
+                    }
+                    None => (blk, blk + 1),
+                });
             }
-            // Entries adjacent in the chunk occupy adjacent disk blocks,
-            // so every maximal stretch of consecutive addresses is one
-            // contiguous run — read it as a single device request instead
-            // of block by block.
-            let mut i = 0usize;
-            while i < live.len() {
-                let mut end = i + 1;
-                while end < live.len() && live[end].1 == live[end - 1].1 + 1 {
-                    end += 1;
-                }
-                let mut content = vec![0u8; (end - i) * BLOCK_SIZE];
-                fs.read_run_retry(live[i].1, &mut content)?;
-                fs.stats.cleaner.bytes_read += content.len() as u64;
-                for (&(j, addr), block) in live[i..end].iter().zip(content.chunks(BLOCK_SIZE)) {
-                    fs.stage(&summary.entries[j], addr, block)?;
-                }
-                i = end;
+            if let Some((from, to)) = run {
+                fs.read_victim_run(start, from, to, buf)?;
+            }
+
+            for i in first..fs.clean.live.len() {
+                let LiveBlock {
+                    blk, entry, read, ..
+                } = fs.clean.live[i];
+                let at = blk as usize * BLOCK_SIZE;
+                let content = read.then(|| &buf[at..at + BLOCK_SIZE]);
+                fs.stage(&entry, start + blk as u64, content)?;
             }
             Ok(())
         })
     }
 
-    /// Whether the block `entry` summarises, written at `addr`, is still
-    /// part of the file system — decided from the maps and block pointers
-    /// alone (confirming a pointer may load an indirect block, but never
-    /// the block itself).
+    /// Reads blocks `from..to` of the victim starting at `start` into their
+    /// place in `buf` as one request, on the cleaner's account.
+    fn read_victim_run(
+        &mut self,
+        start: DiskAddr,
+        from: usize,
+        to: usize,
+        buf: &mut [u8],
+    ) -> FsResult<()> {
+        let span = &mut buf[from * BLOCK_SIZE..to * BLOCK_SIZE];
+        self.read_run_retry(start + from as u64, span)?;
+        self.stats.cleaner.read_requests += 1;
+        self.stats.cleaner.bytes_read += span.len() as u64;
+        Ok(())
+    }
+
+    /// Indexes, with one scan of the inode map, every inode the map places
+    /// in a non-empty segment of `segs`: what lets a pass decide an inode
+    /// block's liveness without reading it.
+    fn index_inode_homes(&mut self, segs: &[u32]) {
+        let mut homes = std::mem::take(&mut self.clean.homes);
+        homes.clear();
+        let mut victims: Vec<u32> = segs
+            .iter()
+            .copied()
+            .filter(|&seg| self.usage.get(seg).live_bytes != 0)
+            .collect();
+        victims.sort_unstable();
+        if !victims.is_empty() {
+            let in_victim = |addr| {
+                let seg = self.sb.seg_of(addr);
+                seg.is_some_and(|seg| victims.binary_search(&seg).is_ok())
+            };
+            homes.extend(
+                self.imap
+                    .live_entries()
+                    .filter(|(_, e)| in_victim(e.addr))
+                    .map(|(ino, e)| (e.addr, ino)),
+            );
+            homes.sort_unstable();
+        }
+        self.clean.homes = homes;
+    }
+
+    /// The stretch of the pass's index that is about the inode block at
+    /// `addr`.
+    fn homes_at(&self, addr: DiskAddr) -> std::ops::Range<usize> {
+        let homes = &self.clean.homes;
+        let lo = homes.partition_point(|&(a, _)| a < addr);
+        lo..lo + homes[lo..].partition_point(|&(a, _)| a == addr)
+    }
+
+    /// Whether the inode map places `ino` in the inode block at `addr`
+    /// right now. Relocation only ever moves inodes *out* of victims, so
+    /// the pass's index can be stale only by excess, which this filters.
+    fn inode_lives_at(&self, ino: Ino, addr: DiskAddr) -> bool {
+        self.imap.get(ino).is_ok_and(|e| e.addr == addr)
+    }
+
+    /// The inodes the inode map places in the inode block at `addr` — a
+    /// block of one of this pass's victims.
+    fn live_inodes_at(&self, addr: DiskAddr) -> impl Iterator<Item = Ino> + '_ {
+        self.clean.homes[self.homes_at(addr)]
+            .iter()
+            .map(|&(_, ino)| ino)
+            .filter(move |&ino| self.inode_lives_at(ino, addr))
+    }
+
+    /// Whether staging the live block `entry` describes, at `addr`, takes
+    /// its bytes from the disk: a data block only when the cache does not
+    /// hold it, an inode block only when it holds an inode the cache does
+    /// not. Everything else relocates from memory.
+    fn needs_bytes(&self, entry: &SummaryEntry, addr: DiskAddr) -> bool {
+        match entry.kind {
+            EntryKind::Data => !self.blocks.contains_key(&(entry.ino, entry.offset as u64)),
+            EntryKind::InodeBlock => self
+                .live_inodes_at(addr)
+                .any(|ino| !self.inodes.contains_key(&ino)),
+            _ => false,
+        }
+    }
+
+    /// Whether the block `entry` summarises, written at `addr` in a victim
+    /// of this pass, is still part of the file system — decided from the
+    /// maps and block pointers alone (confirming a pointer may load an
+    /// inode or indirect block, but never the block itself).
     fn entry_is_live(&mut self, entry: &SummaryEntry, addr: DiskAddr) -> FsResult<bool> {
         // The uid fast path: a version mismatch means the file was deleted
         // or truncated — "the block can be discarded immediately without
@@ -511,9 +646,8 @@ impl<D: QueueDevice> Lfs<D> {
                     && self.ensure_ind(entry.ino, key, false)?
                     && self.inds[&(entry.ino, key)].disk_addr == addr
             }
-            // Live while the inode map places any inode in it, which only
-            // its slots can say: see `live_inodes_in`.
-            EntryKind::InodeBlock => true,
+            // Live while the inode map places any inode in it.
+            EntryKind::InodeBlock => self.live_inodes_at(addr).next().is_some(),
             EntryKind::ImapBlock => {
                 idx < self.imap.num_blocks() && self.imap.block_addr(idx) == addr
             }
@@ -527,48 +661,36 @@ impl<D: QueueDevice> Lfs<D> {
         })
     }
 
-    /// The inodes in the inode block `content`, written at `addr`, that
-    /// the inode map still places there.
-    fn live_inodes_in(&self, addr: DiskAddr, content: &[u8]) -> Vec<Ino> {
-        (0..crate::layout::INODES_PER_BLOCK)
-            .filter_map(|slot| {
-                let b = &content[slot * INODE_DISK_SIZE..(slot + 1) * INODE_DISK_SIZE];
-                // An undecodable slot in a dead chunk is legal (torn write
-                // behind a valid summary); skip it rather than abort the
-                // pass. Live-but-rotted inodes surface in
-                // `clean_segments`' live-bytes audit instead.
-                let ino = Inode::decode(b).ok()??.ino;
-                let e = self.imap.get(ino).ok()?;
-                (e.is_live() && e.addr == addr && e.slot == slot as u8).then_some(ino)
-            })
-            .collect()
-    }
-
     /// Stages one summarised block, which `entry_is_live` has confirmed,
-    /// for relocation.
-    fn stage(&mut self, entry: &SummaryEntry, addr: DiskAddr, content: &[u8]) -> FsResult<()> {
+    /// for relocation. `content` is the block as just read from `addr`,
+    /// when [`Lfs::needs_bytes`] asked for it.
+    fn stage(
+        &mut self,
+        entry: &SummaryEntry,
+        addr: DiskAddr,
+        content: Option<&[u8]>,
+    ) -> FsResult<()> {
         let ino = entry.ino;
+        // The block is confirmed live; refuse to relocate it if the media
+        // rotted it (silent propagation of bad data is worse than a loud
+        // failure). Dead blocks are never read, let alone checked — a
+        // torn chunk in a crashed segment legally holds garbage behind a
+        // valid summary.
+        if content.is_some_and(|c| crate::codec::block_checksum(c) != entry.csum) {
+            return Err(FsError::Corrupt(format!(
+                "cleaner: live {:?} block (ino {ino} off {}) at addr {addr} \
+                 failed its summary checksum (media rot?)",
+                entry.kind, entry.offset
+            )));
+        }
         match entry.kind {
             EntryKind::Data => {
                 let bno = entry.offset as u64;
-                // The block is confirmed live; refuse to relocate it if
-                // the media rotted it (silent propagation of bad data is
-                // worse than a loud failure). Dead blocks are never
-                // checked — a torn chunk in a crashed segment legally
-                // holds garbage behind a valid summary.
-                if crate::codec::block_checksum(content) != entry.csum
-                    && !self.blocks.contains_key(&(ino, bno))
-                {
-                    return Err(FsError::Corrupt(format!(
-                        "cleaner: live block (ino {ino} blk {bno}) at addr {addr} \
-                         failed its summary checksum (media rot?)"
-                    )));
-                }
                 // Stage the block: dirty cache state relocates on flush.
                 // Crucially, keep the block's ORIGINAL modification time
                 // (from the summary entry): relocation does not make data
                 // young, and the cost-benefit policy depends on that.
-                if !self.blocks.contains_key(&(ino, bno)) {
+                if let Some(content) = content {
                     let lru = self.stamp((ino, bno));
                     let mut buf = self.take_buf();
                     buf.copy_from_slice(content);
@@ -601,9 +723,17 @@ impl<D: QueueDevice> Lfs<D> {
                 self.dirty_files.insert(ino);
             }
             EntryKind::InodeBlock => {
-                for ino in self.live_inodes_in(addr, content) {
-                    self.ensure_inode(ino)?;
-                    let c = self.inodes.get_mut(&ino).unwrap();
+                if let Some(content) = content {
+                    self.adopt_inode_block(addr, content)?;
+                }
+                for i in self.homes_at(addr) {
+                    let ino = self.clean.homes[i].1;
+                    if !self.inode_lives_at(ino, addr) {
+                        continue;
+                    }
+                    let c = self.inodes.get_mut(&ino).ok_or_else(|| {
+                        FsError::Corrupt(format!("inode {ino}: block {addr} does not hold it"))
+                    })?;
                     crate::fs::set_dirty(&mut c.dirty, &mut self.dirty_inode_count);
                     self.dirty_files.insert(ino);
                 }

@@ -50,13 +50,6 @@ pub struct LfsConfig {
     pub checkpoint_every_bytes: u64,
     /// Maximum bytes of clean blocks cached in memory (the "file cache").
     pub cache_limit_bytes: u64,
-    /// When a segment's utilization is below this threshold, the cleaner
-    /// reads only its summary blocks and live blocks instead of the whole
-    /// segment. The paper suggests this but never tried it: "in practice
-    /// it may be faster to read just the live blocks, particularly if the
-    /// utilization is very low (we haven't tried this in Sprite LFS)"
-    /// (§3.4). 0.0 disables it, matching Sprite; see the ablation bench.
-    pub read_live_threshold: f64,
     /// Number of temperature-keyed write streams per shard (hot → cold).
     /// 1 (the default) keeps the single write point per shard and is
     /// bit-identical to the pre-stream image; 2 splits hot/cold; 3 adds a
@@ -81,7 +74,6 @@ impl LfsConfig {
             roll_forward: true,
             checkpoint_every_bytes: 8 << 20,
             cache_limit_bytes: 64 << 20,
-            read_live_threshold: 0.0,
             streams: 1,
         }
     }
@@ -101,7 +93,6 @@ impl LfsConfig {
             roll_forward: true,
             checkpoint_every_bytes: 1 << 20,
             cache_limit_bytes: 8 << 20,
-            read_live_threshold: 0.0,
             streams: 1,
         }
     }

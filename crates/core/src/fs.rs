@@ -284,6 +284,8 @@ pub struct Lfs<D: QueueDevice> {
     /// `write_seq` — otherwise an idle `sync` after `format`'s first
     /// checkpoint would leave the second region unwritten.
     pub(crate) cp_seqs: [Option<u64>; 2],
+    /// The cleaner's reusable working memory (see `cleaner.rs`).
+    pub(crate) clean: crate::cleaner::CleanScratch,
 }
 
 /// Looks `bno` up in a pointer window (see [`Lfs::ptr_window`]).
@@ -425,6 +427,7 @@ impl<D: QueueDevice> Lfs<D> {
             scratch: Vec::new(),
             scratch_pool: Vec::new(),
             cp_seqs: [None, None],
+            clean: Default::default(),
         }
     }
 
@@ -687,10 +690,22 @@ impl<D: QueueDevice> Lfs<D> {
         self.dev
             .read_block(entry.addr, &mut buf)
             .map_err(FsError::device)?;
-        // Inodes are packed 16 to a block exactly so that one read serves
-        // many files; adopt every still-current inode in the block, not
-        // just the requested one (a big win for "read files in creation
-        // order" workloads — Figure 8's read phase).
+        self.adopt_inode_block(entry.addr, &buf)?;
+        if !self.inodes.contains_key(&ino) {
+            return Err(FsError::Corrupt(format!(
+                "inode {ino}: slot {} of block {} does not hold it",
+                entry.slot, entry.addr
+            )));
+        }
+        Ok(())
+    }
+
+    /// Caches every inode of the inode block `buf`, read from `addr`, that
+    /// the inode map still places there and the cache does not hold yet.
+    /// Inodes are packed 16 to a block exactly so that one read serves
+    /// many files (a big win for "read files in creation order" workloads
+    /// — Figure 8's read phase).
+    pub(crate) fn adopt_inode_block(&mut self, addr: DiskAddr, buf: &[u8]) -> FsResult<()> {
         for slot in 0..crate::layout::INODES_PER_BLOCK {
             let off = slot * crate::inode::INODE_DISK_SIZE;
             let Some(inode) = Inode::decode(&buf[off..off + crate::inode::INODE_DISK_SIZE])? else {
@@ -701,7 +716,7 @@ impl<D: QueueDevice> Lfs<D> {
                 continue;
             }
             let current = match self.imap.get(other) {
-                Ok(e) => e.is_live() && e.addr == entry.addr && e.slot == slot as u8,
+                Ok(e) => e.is_live() && e.addr == addr && e.slot == slot as u8,
                 Err(_) => false,
             };
             if current {
@@ -714,12 +729,6 @@ impl<D: QueueDevice> Lfs<D> {
                     },
                 );
             }
-        }
-        if !self.inodes.contains_key(&ino) {
-            return Err(FsError::Corrupt(format!(
-                "inode {ino}: slot {} of block {} does not hold it",
-                entry.slot, entry.addr
-            )));
         }
         Ok(())
     }

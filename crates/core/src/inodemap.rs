@@ -332,13 +332,18 @@ impl InodeMap {
         out
     }
 
-    /// Iterates over the live inode numbers.
-    pub fn live_inos(&self) -> impl Iterator<Item = Ino> + '_ {
+    /// Iterates over the live inodes and their entries.
+    pub fn live_entries(&self) -> impl Iterator<Item = (Ino, &ImapEntry)> + '_ {
         self.entries
             .iter()
             .enumerate()
             .filter(|(_, e)| e.is_live())
-            .map(|(i, _)| i as Ino)
+            .map(|(i, e)| (i as Ino, e))
+    }
+
+    /// Iterates over the live inode numbers.
+    pub fn live_inos(&self) -> impl Iterator<Item = Ino> + '_ {
+        self.live_entries().map(|(ino, _)| ino)
     }
 }
 

@@ -240,6 +240,8 @@ impl LfsStats {
         reg.counter("lfs.cleaner.segments_empty")
             .store(c.segments_empty);
         reg.counter("lfs.cleaner.bytes_read").store(c.bytes_read);
+        reg.counter("lfs.cleaner.read_requests")
+            .store(c.read_requests);
         reg.counter("lfs.cleaner.bytes_written")
             .store(c.bytes_written);
         reg.counter("lfs.cleaner.passes").store(c.passes);

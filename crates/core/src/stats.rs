@@ -74,8 +74,12 @@ pub struct CleanerStats {
     /// Sum of the utilizations of the *non-empty* cleaned segments (for
     /// the "Avg" column of Table 2).
     pub utilization_sum: f64,
-    /// Bytes read from disk by the cleaner.
+    /// Bytes read from disk by the cleaner: the summary blocks of every
+    /// non-empty victim, and the runs of live blocks it had to fetch.
     pub bytes_read: u64,
+    /// Device read requests behind `bytes_read` (one per summary block,
+    /// one per run).
+    pub read_requests: u64,
     /// Live bytes written back by the cleaner.
     pub bytes_written: u64,
     /// Number of cleaning passes.
@@ -226,11 +230,19 @@ impl LfsStats {
     ///
     /// `(new + cleaner reads + cleaner writes) / new`.
     pub fn write_cost(&self) -> f64 {
+        self.write_cost_reading(self.cleaner.bytes_read)
+    }
+
+    /// [`LfsStats::write_cost`] had the cleaner read `cleaner_read` bytes
+    /// — every non-empty victim whole, say, which is how the paper's
+    /// formula (1) accounts it and what Table 2 reports next to the
+    /// measured cost.
+    pub fn write_cost_reading(&self, cleaner_read: u64) -> f64 {
         let new = self.new_log_bytes();
         if new == 0 {
             return 1.0;
         }
-        (new + self.cleaner.bytes_read + self.cleaner_written_bytes()) as f64 / new as f64
+        (new + cleaner_read + self.cleaner_written_bytes()) as f64 / new as f64
     }
 }
 

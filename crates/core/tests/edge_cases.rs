@@ -247,94 +247,6 @@ fn readdir_root_after_heavy_churn() {
 }
 
 #[test]
-fn sparse_scavenging_reads_less_and_stays_correct() {
-    // The §3.4 "read just the live blocks" option, which Sprite never
-    // tried: at low utilization the cleaner should read far less than
-    // whole segments, with identical semantics.
-    let run = |threshold: f64| {
-        let mut cfg = LfsConfig::small();
-        cfg.read_live_threshold = threshold;
-        let mut fs = Lfs::format(MemDisk::new(1024), cfg).unwrap();
-        let mut digests = Vec::new();
-        for i in 0..20 {
-            fs.write_file(&format!("/keep{i}"), &vec![i as u8; 4096])
-                .unwrap();
-        }
-        let hot = fs.create("/hot").unwrap();
-        for round in 0..120u32 {
-            let off = (round % 6) as u64 * 32 * 1024;
-            fs.write(hot, off, &vec![round as u8; 32 * 1024]).unwrap();
-        }
-        fs.sync().unwrap();
-        for i in 0..20 {
-            let ino = fs.lookup(&format!("/keep{i}")).unwrap();
-            digests.push(fs.read_to_vec(ino).unwrap());
-        }
-        let report = fs.check().unwrap();
-        assert!(report.is_clean(), "thr {threshold}: {:#?}", report.errors);
-        let (read, cleaned) = (
-            fs.stats().cleaner.bytes_read,
-            fs.stats().cleaner.segments_cleaned,
-        );
-        (read, cleaned, digests, fs.into_device().image().to_vec())
-    };
-    let (full_read, full_cleaned, d1, full_image) = run(0.0);
-    let (sparse_read, sparse_cleaned, d2, _) = run(0.9);
-    assert_eq!(d1, d2, "file contents diverged");
-    // Both read paths decide liveness with one walker and one predicate,
-    // so always-sparse relocates exactly what whole-segment reads do.
-    let (.., always_sparse_image) = run(1.0);
-    assert!(
-        full_image == always_sparse_image,
-        "device images diverged between whole-segment and live-block reads"
-    );
-    assert!(full_cleaned > 0 && sparse_cleaned > 0);
-    // Normalise per segment cleaned; the sparse cleaner must read less.
-    let full_per = full_read as f64 / full_cleaned as f64;
-    let sparse_per = sparse_read as f64 / sparse_cleaned as f64;
-    assert!(
-        sparse_per < full_per,
-        "sparse {sparse_per:.0} B/seg vs full {full_per:.0} B/seg"
-    );
-}
-
-/// The sparse cleaner path must fetch maximal runs of consecutive live
-/// blocks as single device requests: for a segment whose liveness is
-/// clustered (whole small files), the request count stays below the
-/// block count.
-#[test]
-fn sparse_cleaner_reads_coalesce_runs() {
-    let mut cfg = LfsConfig::small();
-    cfg.read_live_threshold = 1.0; // Every scavenge takes the sparse path.
-    let mut fs = Lfs::format(MemDisk::new(4096), cfg).unwrap();
-    for i in 0..32 {
-        fs.write_file(&format!("/f{i}"), &vec![i as u8; 3 * BLOCK_SIZE])
-            .unwrap();
-    }
-    fs.sync().unwrap();
-    for i in (0..32).step_by(2) {
-        fs.unlink(&format!("/f{i}")).unwrap();
-    }
-    fs.sync().unwrap();
-
-    let before = fs.device().stats();
-    let cleaned = fs.clean_pass().unwrap();
-    let after = fs.device().stats();
-    assert!(cleaned > 0, "cleaner found nothing to clean");
-    let requests = after.reads - before.reads;
-    let blocks = (after.bytes_read - before.bytes_read) / BLOCK_SIZE as u64;
-    assert!(
-        requests < blocks,
-        "sparse cleaner issued {requests} read requests for {blocks} blocks \
-         (runs were not coalesced)"
-    );
-    for i in (1..32).step_by(2) {
-        let ino = fs.lookup(&format!("/f{i}")).unwrap();
-        assert_eq!(fs.read_to_vec(ino).unwrap(), vec![i as u8; 3 * BLOCK_SIZE]);
-    }
-}
-
-#[test]
 fn per_block_mtimes_keep_cold_segments_old() {
     // The §3.6 refinement the paper planned: Sprite kept one mtime per
     // file, so touching byte 0 of a big file made ALL its segments look

@@ -129,17 +129,32 @@ fn print_cleaner(snap: &MetricsSnapshot) -> bool {
         .map(|(_, &v)| v)
         .sum();
     let cr = c("lfs.cleaner.bytes_read").unwrap_or(0);
-    let cw = c("lfs.cleaner.bytes_written").unwrap_or(0);
+    let cw: u64 = snap
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with("lfs.cleaner_log_bytes."))
+        .map(|(_, &v)| v)
+        .sum();
     let wc = if new_bytes > 0 {
         format!("{:.2}", (new_bytes + cr + cw) as f64 / new_bytes as f64)
     } else {
         "-".into()
     };
+    let empty = c("lfs.cleaner.segments_empty").unwrap_or(0);
     println!(
-        "Cleaner ({policy}): {cleaned} cleaned ({} empty), {} passes, write cost {wc}",
-        c("lfs.cleaner.segments_empty").unwrap_or(0),
+        "Cleaner ({policy}): {cleaned} cleaned ({empty} empty), {} passes, write cost {wc}",
         c("lfs.cleaner.passes").unwrap_or(0),
     );
+    // What a victim that had to be read cost: summaries plus the runs of
+    // live blocks the cache did not already hold.
+    let read = cleaned.saturating_sub(empty);
+    if read > 0 {
+        println!(
+            "Reads per non-empty victim: {:.1} KB in {:.1} requests",
+            cr as f64 / 1024.0 / read as f64,
+            c("lfs.cleaner.read_requests").unwrap_or(0) as f64 / read as f64,
+        );
+    }
 
     // Utilization-at-clean histogram: the victim-fullness distribution
     // the bimodal argument is about. A good policy shows mass at both
