@@ -370,8 +370,11 @@ impl<D: QueueDevice> Lfs<D> {
             self.scavenge_segment(seg)?;
         }
         // Write the remaining staged live data back to the head of the
-        // log (with age-sorting if configured — see `flush`).
-        self.flush()?;
+        // log (with age-sorting if configured — see `flush`). This closing
+        // flush also carries the dirty map blocks: a victim may hold live
+        // inode-map or usage-table blocks, which must move before the
+        // check below, and the pass checkpoints right after anyway.
+        self.flush_tokened(true).map(drop)?;
         for &seg in segs {
             let live = self.usage.get(seg).live_bytes;
             if live != 0 {

@@ -2,13 +2,21 @@
 //!
 //! A flush gathers everything dirty in the file cache — directory-log
 //! records first (the §4.2 ordering guarantee), then file data blocks,
-//! indirect blocks, inode blocks, inode-map blocks, and segment-usage
-//! blocks — lays the blocks out after a summary block in the current
-//! segment, updates every pointer to the new addresses, and issues one
-//! large sequential device write per chunk. "For workloads that contain
-//! many small files, a log-structured file system converts the many small
-//! synchronous random writes of traditional file systems into large
-//! asynchronous sequential transfers" (§3).
+//! indirect blocks and inode blocks — lays the blocks out after a summary
+//! block in the current segment, updates every pointer to the new
+//! addresses, and issues one large sequential device write per chunk.
+//! "For workloads that contain many small files, a log-structured file
+//! system converts the many small synchronous random writes of traditional
+//! file systems into large asynchronous sequential transfers" (§3).
+//!
+//! Inode-map and segment-usage blocks ride only the flushes that end in a
+//! checkpoint: the checkpoint's own flush and settle loop, and the closing
+//! flush of a cleaner pass (which checkpoints right after). Sprite LFS
+//! does the same — at a checkpoint it "first writes out all modified
+//! information to the log, including … blocks of the inode map and
+//! segment usage table" (§4.1) — and roll-forward rebuilds the newer map
+//! entries from the inodes, summaries and directory-operation log of the
+//! tail (§4.2). Every other flush leaves the maps dirty in memory.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -80,10 +88,12 @@ struct LayoutPlan {
 }
 
 impl<D: QueueDevice> Lfs<D> {
-    /// True if any state is waiting to reach the log. O(1): the inode and
-    /// indirect-block dirty populations are running counts maintained at
-    /// every flag transition, not cache scans (this predicate runs on
-    /// every write while the caches hold the whole working set).
+    /// True if a flush has work to do: file state waiting to reach the
+    /// log. Dirty inode-map and usage-table blocks do not count — only a
+    /// checkpoint writes them. O(1): the inode and indirect-block dirty
+    /// populations are running counts maintained at every flag transition,
+    /// not cache scans (this predicate runs on every write while the
+    /// caches hold the whole working set).
     pub fn needs_flush(&self) -> bool {
         debug_assert_eq!(
             self.dirty_inode_count,
@@ -97,45 +107,59 @@ impl<D: QueueDevice> Lfs<D> {
             || !self.dirlog_pending.is_empty()
             || self.dirty_inode_count > 0
             || self.dirty_ind_count > 0
-            || self.imap.has_dirty()
-            || self.usage.has_dirty()
     }
 
-    /// True when a `sync` would be a pure group commit: nothing dirty,
-    /// nothing in the log tail past the last checkpoint, and *both*
-    /// checkpoint regions already record `write_seq` — exactly the skip
-    /// condition of `checkpoint_inner`. [`crate::SharedLfs`] mirrors this
-    /// into an atomic so concurrent `sync` callers can hand off without
-    /// taking the writer lane at all.
-    pub(crate) fn sync_settled(&self) -> bool {
-        self.nsop_depth == 0
-            && !self.needs_flush()
+    /// True if the inode map or usage table holds changes the log has not
+    /// seen — what a checkpoint writes beyond a flush.
+    fn maps_dirty(&self) -> bool {
+        self.imap.has_dirty() || self.usage.has_dirty()
+    }
+
+    /// The group-commit condition of `checkpoint_inner`: nothing dirty,
+    /// map blocks included, nothing in the log tail past the last
+    /// checkpoint, and *both* checkpoint regions already record
+    /// `write_seq` (see `cp_seqs` — `format` writes the regions one at a
+    /// time).
+    fn checkpoint_current(&self) -> bool {
+        !self.needs_flush()
+            && !self.maps_dirty()
             && self.checkpoint_seq == self.write_seq
             && self.bytes_since_checkpoint == 0
             && self.cp_seqs[0] == Some(self.write_seq)
             && self.cp_seqs[1] == Some(self.write_seq)
     }
 
+    /// True when a `sync` would be a pure group commit — exactly the skip
+    /// condition of `checkpoint_inner`. [`crate::SharedLfs`] mirrors this
+    /// into an atomic so concurrent `sync` callers can hand off without
+    /// taking the writer lane at all.
+    pub(crate) fn sync_settled(&self) -> bool {
+        self.nsop_depth == 0 && self.checkpoint_current()
+    }
+
     /// Writes everything dirty to the log as one or more partial writes.
     ///
     /// This is the paper's fundamental operation: it converts the
     /// accumulated small modifications into large sequential transfers.
-    /// It does *not* write a checkpoint; see [`Lfs::checkpoint`].
+    /// It does *not* write a checkpoint, nor the inode-map and usage-table
+    /// blocks only a checkpoint writes; see [`Lfs::checkpoint`].
     pub fn flush(&mut self) -> FsResult<()> {
-        self.flush_tokened().map(drop)
+        self.flush_tokened(false).map(drop)
     }
 
-    /// [`Lfs::flush`], returning the [`Flush<DataWritten>`] ordering token
-    /// of the last chunk written. Checkpointing goes through this form:
-    /// the token is the compile-time proof that the log writes a
-    /// checkpoint will cover were staged → sealed → submitted in order,
-    /// and [`Flush::fence`] is the only way to turn it into the
-    /// [`CheckpointReady`] the region write demands.
-    pub(crate) fn flush_tokened(&mut self) -> FsResult<Flush<DataWritten>> {
-        if !self.needs_flush() {
+    /// The one flush path, returning the [`Flush<DataWritten>`] ordering
+    /// token of the last chunk written; `maps` says whether the partial
+    /// writes also carry the dirty inode-map and usage-table blocks.
+    /// Checkpointing goes through this form: the token is the
+    /// compile-time proof that the log writes a checkpoint will cover were
+    /// staged → sealed → submitted in order, and [`Flush::fence`] is the
+    /// only way to turn it into the [`CheckpointReady`] the region write
+    /// demands.
+    pub(crate) fn flush_tokened(&mut self, maps: bool) -> FsResult<Flush<DataWritten>> {
+        if !(self.needs_flush() || maps && self.maps_dirty()) {
             return Ok(Flush::idle());
         }
-        let res = self.timed(|o| &o.flush, |fs| fs.flush_inner());
+        let res = self.timed(|o| &o.flush, |fs| fs.flush_inner(maps));
         // On a queued device the ring engine owns retries of transient
         // apply failures; fold whatever it absorbed (or gave up on) into
         // the same ledger the synchronous retry paths use.
@@ -143,7 +167,7 @@ impl<D: QueueDevice> Lfs<D> {
         res
     }
 
-    fn flush_inner(&mut self) -> FsResult<Flush<DataWritten>> {
+    fn flush_inner(&mut self, maps: bool) -> FsResult<Flush<DataWritten>> {
         // ---- gather -----------------------------------------------------
         let dirlog_blocks = dirlog::encode_records(&self.dirlog_pending);
 
@@ -281,31 +305,37 @@ impl<D: QueueDevice> Lfs<D> {
             });
         }
 
-        // Inode-map blocks: already dirty ones plus those about to change
-        // because of the inode relocations above.
-        let mut imap_blocks: BTreeSet<usize> = self.imap.dirty_blocks().into_iter().collect();
-        for &ino in &dirty_inos {
-            imap_blocks.insert(crate::inodemap::InodeMap::block_of(ino));
-        }
-        for &idx in &imap_blocks {
-            groups[meta].push(Item::Imap(idx));
-        }
+        // Map blocks ride only a flush that ends in a checkpoint (see the
+        // module docs); any other flush leaves them dirty in memory.
+        let mut usage_blocks: BTreeSet<usize> = BTreeSet::new();
+        if maps {
+            // Inode-map blocks: already dirty ones plus those about to
+            // change because of the inode relocations above.
+            let mut imap_blocks: BTreeSet<usize> = self.imap.dirty_blocks().into_iter().collect();
+            for &ino in &dirty_inos {
+                imap_blocks.insert(crate::inodemap::InodeMap::block_of(ino));
+            }
+            for &idx in &imap_blocks {
+                groups[meta].push(Item::Imap(idx));
+            }
 
-        // Usage blocks: iterate with the layout until the set of touched
-        // segments stabilises (normally one extra round at most).
-        let mut usage_blocks: BTreeSet<usize> = self.usage.dirty_blocks().into_iter().collect();
-        // Segments that will lose live bytes (old homes of rewritten
-        // blocks) are known before layout.
-        for &(ino, bno) in &dirty_data {
-            let old = self.block_ptr(ino, bno)?;
-            if old != NIL_ADDR {
-                if let Some(seg) = self.sb.seg_of(old) {
-                    usage_blocks.insert(crate::usage::UsageTable::block_of(seg));
+            // Usage blocks: iterate with the layout until the set of
+            // touched segments stabilises (normally one extra round at
+            // most).
+            usage_blocks.extend(self.usage.dirty_blocks());
+            // Segments that will lose live bytes (old homes of rewritten
+            // blocks) are known before layout.
+            for &(ino, bno) in &dirty_data {
+                let old = self.block_ptr(ino, bno)?;
+                if old != NIL_ADDR {
+                    if let Some(seg) = self.sb.seg_of(old) {
+                        usage_blocks.insert(crate::usage::UsageTable::block_of(seg));
+                    }
                 }
             }
-        }
-        for &(seg, _) in &self.write_points {
-            usage_blocks.insert(crate::usage::UsageTable::block_of(seg));
+            for &(seg, _) in &self.write_points {
+                usage_blocks.insert(crate::usage::UsageTable::block_of(seg));
+            }
         }
 
         // Usage items are appended in place (to the metadata group) and
@@ -336,9 +366,11 @@ impl<D: QueueDevice> Lfs<D> {
                 plan?
             };
             let mut grew = false;
-            for c in &plan.chunks {
-                if usage_blocks.insert(crate::usage::UsageTable::block_of(c.seg)) {
-                    grew = true;
+            if maps {
+                for c in &plan.chunks {
+                    if usage_blocks.insert(crate::usage::UsageTable::block_of(c.seg)) {
+                        grew = true;
+                    }
                 }
             }
             if !grew {
@@ -843,24 +875,20 @@ impl<D: QueueDevice> Lfs<D> {
 
     fn checkpoint_inner(&mut self) -> FsResult<()> {
         // Group commit: when nothing has reached the log since the last
-        // checkpoint and *both* regions already record `write_seq` (see
-        // `cp_seqs` — `format` writes the regions one at a time), there
-        // is nothing to make durable. Concurrent `sync` callers amortize
+        // checkpoint — dirty map blocks included, or a `sync` after a
+        // map-only change would be acknowledged without reaching the
+        // disk — and both regions already record `write_seq`, there is
+        // nothing to make durable. Concurrent `sync` callers amortize
         // into the one checkpoint already on disk: one log append + one
         // checkpoint barrier serves them all (§4.1's cost argument).
-        if !self.needs_flush()
-            && self.checkpoint_seq == self.write_seq
-            && self.bytes_since_checkpoint == 0
-            && self.cp_seqs[0] == Some(self.write_seq)
-            && self.cp_seqs[1] == Some(self.write_seq)
-        {
+        if self.checkpoint_current() {
             self.stats.group_commits += 1;
             return Ok(());
         }
         // Every flush hands back the ordering token of its last chunk;
         // the settle loop keeps only the newest one, which is all the
         // fence below needs — a barrier drains *everything* in flight.
-        let written = self.flush_tokened()?;
+        let written = self.flush_tokened(true)?;
         // Let the inode map and usage table reach the log; their own
         // relocations are accounted quietly, so this settles quickly.
         // Settle writes may dip into the cleaner's reserve — finishing
@@ -868,10 +896,10 @@ impl<D: QueueDevice> Lfs<D> {
         self.settling = true;
         let settle = (|mut written: Flush<DataWritten>| -> FsResult<Flush<DataWritten>> {
             for _ in 0..4 {
-                if !self.imap.has_dirty() && !self.usage.has_dirty() {
+                if !self.maps_dirty() {
                     break;
                 }
-                written = self.flush_tokened()?;
+                written = self.flush_tokened(true)?;
             }
             Ok(written)
         })(written);
@@ -962,5 +990,38 @@ impl<D: QueueDevice> Lfs<D> {
             self.write_retry(region + 1, &enc[BLOCK_SIZE..], WriteKind::Sync)?;
         }
         self.write_retry(region, &enc[..BLOCK_SIZE], WriteKind::Sync)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use blockdev::MemDisk;
+    use vfs::FileSystem;
+
+    use crate::{Lfs, LfsConfig};
+
+    /// Group commit requires clean map blocks too: with both regions
+    /// current, a change only the usage table records leaves a flush
+    /// nothing to do, but a `sync` must still checkpoint it instead of
+    /// acknowledging it without writing.
+    #[test]
+    fn sync_after_a_map_only_change_checkpoints() {
+        let mut fs = Lfs::format(MemDisk::new(2048), LfsConfig::small()).unwrap();
+        fs.write_file("/f", b"x").unwrap();
+        fs.sync().unwrap();
+        fs.sync().unwrap(); // Both regions now record `write_seq`.
+        assert!(fs.sync_settled());
+        fs.usage.mark_block_dirty(0);
+        assert!(!fs.needs_flush());
+        assert!(!fs.sync_settled());
+        let (cp, gc) = (fs.stats().checkpoints, fs.stats().group_commits);
+        fs.sync().unwrap();
+        assert_eq!(
+            fs.stats().checkpoints,
+            cp + 1,
+            "the map change was not written"
+        );
+        assert_eq!(fs.stats().group_commits, gc);
+        assert!(!fs.usage.has_dirty());
     }
 }

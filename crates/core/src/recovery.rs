@@ -7,10 +7,14 @@
 //! automatically incorporates their data blocks), segment utilizations are
 //! adjusted for the overwrites and deletions the tail implies, and the
 //! directory-operation log is replayed to restore consistency between
-//! directory entries and inodes — completing half-done operations or
-//! undoing the unfinishable ones (a create whose inode never reached the
-//! log). Without roll-forward, the tail is simply discarded, which is how
-//! the production Sprite systems ran.
+//! directory entries and inodes — completing half-done operations, undoing
+//! the unfinishable ones (a create whose inode never reached the log), and
+//! freeing the inodes the tail unlinked. Inode-map and usage-table blocks
+//! reach the log only with checkpoints, so those three sources are all a
+//! tail normally holds; the one exception is a cleaner pass's closing
+//! flush, whose map blocks are replayed too. Without roll-forward, the
+//! tail is simply discarded, which is how the production Sprite systems
+//! ran.
 //!
 //! Nothing in this module trusts bytes read from the device: checkpoint
 //! regions, segment summaries, inode blocks, and directory-log records are
@@ -25,7 +29,7 @@
 use std::collections::HashMap;
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
-use vfs::{FileSystem, FsError, FsResult, Ino};
+use vfs::{FileSystem, FileType, FsError, FsResult, Ino};
 
 use crate::checkpoint::Checkpoint;
 use crate::config::LfsConfig;
@@ -196,7 +200,6 @@ impl<D: QueueDevice> Lfs<D> {
         // blocks in the log can be quietly stale for the segments they
         // themselves landed in).
         self.usage.overlay_live(&cp.live_bytes);
-        self.imap.rebuild_free_list();
         // Segments recorded as PendingFree are safe to reuse: any
         // checkpoint that stored that state was written after the
         // cleaner's relocations reached the log.
@@ -230,6 +233,9 @@ impl<D: QueueDevice> Lfs<D> {
             // checkpoint.
             self.usage.promote_pending(cp.seq);
         }
+        // Only now is the map final: an inode the tail adopted must not
+        // stay on the free list, or the next create reuses a live number.
+        self.imap.rebuild_free_list();
         self.reconcile_streams(self.write_seq);
         Ok(())
     }
@@ -722,20 +728,24 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Replays one directory-operation-log record, restoring consistency
     /// between the directory entry and the inode's reference count.
+    ///
+    /// Records are replayed in log order against the state the tail's
+    /// inodes produced, so each compares versions rather than testing
+    /// for one: truncation to zero bumps a live inode's version, and an
+    /// inode number freed in the tail may be live again by its end.
     fn replay_record(&mut self, rec: &DirLogRecord) -> FsResult<()> {
+        let live = self.live_version(rec.ino);
         match rec.op {
             DirOp::Create | DirOp::Mkdir | DirOp::Link => {
-                let inode_live = self
-                    .imap
-                    .get(rec.ino)
-                    .map(|e| e.is_live() && e.version == rec.version)
-                    .unwrap_or(false);
-                let dir_live = self.imap.get(rec.dir).map(|e| e.is_live()).unwrap_or(false);
-                if !dir_live {
+                // An inode live at a newer version than the record was
+                // written (and then truncated, or freed and reborn): not
+                // a create to undo. The records after this one say what
+                // became of it.
+                if live.is_some_and(|v| v > rec.version) || !self.live_dir(rec.dir)? {
                     return Ok(());
                 }
                 let existing = self.dir_lookup(rec.dir, &rec.name)?;
-                if inode_live {
+                if live == Some(rec.version) {
                     // Complete the operation: entry present, nlink right.
                     if existing.map(|s| s.ino) != Some(rec.ino) {
                         if existing.is_some() {
@@ -758,42 +768,34 @@ impl<D: QueueDevice> Lfs<D> {
                 }
             }
             DirOp::Unlink | DirOp::Rmdir => {
-                let dir_live = self.imap.get(rec.dir).map(|e| e.is_live()).unwrap_or(false);
-                if dir_live {
+                if self.live_dir(rec.dir)? {
                     if let Some(slot) = self.dir_lookup(rec.dir, &rec.name)? {
                         if slot.ino == rec.ino {
                             self.dir_remove(rec.dir, &rec.name)?;
                         }
                     }
                 }
-                let live_same_version = self
-                    .imap
-                    .get(rec.ino)
-                    .map(|e| e.is_live() && e.version == rec.version)
-                    .unwrap_or(false);
-                if live_same_version {
-                    if rec.nlink == 0 {
+                match live {
+                    // The last link went. Inode-map blocks reach the log
+                    // only with checkpoints, so this record is what frees
+                    // the inode — also when the tail never saw the version
+                    // a truncation to zero gave it just before.
+                    Some(v) if rec.nlink == 0 && v <= rec.version => {
                         self.delete_file(rec.ino)?;
-                    } else {
+                    }
+                    Some(v) if rec.nlink > 0 && v == rec.version => {
                         let mut inode = self.inode_clone(rec.ino)?;
                         if inode.nlink != rec.nlink {
                             inode.nlink = rec.nlink;
                             self.put_inode(inode);
                         }
                     }
+                    _ => {}
                 }
-                // Deletions that became durable through the tail's
-                // inode-map blocks have their liveness retired by the
-                // live->free diff in `replay_partial_write`.
             }
             DirOp::Rename => {
-                let inode_live = self
-                    .imap
-                    .get(rec.ino)
-                    .map(|e| e.is_live() && e.version == rec.version)
-                    .unwrap_or(false);
                 // Remove the source entry.
-                if self.imap.get(rec.dir).map(|e| e.is_live()).unwrap_or(false) {
+                if self.live_dir(rec.dir)? {
                     if let Some(slot) = self.dir_lookup(rec.dir, &rec.name)? {
                         if slot.ino == rec.ino {
                             self.dir_remove(rec.dir, &rec.name)?;
@@ -801,13 +803,7 @@ impl<D: QueueDevice> Lfs<D> {
                     }
                 }
                 // Install the destination entry.
-                if inode_live
-                    && self
-                        .imap
-                        .get(rec.dir2)
-                        .map(|e| e.is_live())
-                        .unwrap_or(false)
-                {
+                if live == Some(rec.version) && self.live_dir(rec.dir2)? {
                     let existing = self.dir_lookup(rec.dir2, &rec.name2)?;
                     if existing.map(|s| s.ino) != Some(rec.ino) {
                         if existing.is_some() {
@@ -820,6 +816,21 @@ impl<D: QueueDevice> Lfs<D> {
             }
         }
         Ok(())
+    }
+
+    /// The version of `ino` if the inode map holds it live.
+    fn live_version(&self, ino: Ino) -> Option<u32> {
+        self.imap
+            .get(ino)
+            .ok()
+            .filter(|e| e.is_live())
+            .map(|e| e.version)
+    }
+
+    /// Whether a record may edit directory `dir`: the number may have been
+    /// freed and reused for a regular file later in the same tail.
+    fn live_dir(&mut self, dir: Ino) -> FsResult<bool> {
+        Ok(self.live_version(dir).is_some() && self.inode_attrs(dir)?.ftype == FileType::Directory)
     }
 }
 

@@ -3,14 +3,16 @@
 //! "For each segment, the table records the number of live bytes in the
 //! segment and the most recent modified time of any block in the segment.
 //! These two values are used by the segment cleaner when choosing segments
-//! to clean" (§3.6). The blocks of the table are written to the log and
-//! their addresses are stored in the checkpoint regions.
+//! to clean" (§3.6). The table lives in memory; its blocks are written to
+//! the log with checkpoints (and a cleaner pass's closing flush), and
+//! their addresses are stored in the checkpoint regions. Roll-forward
+//! re-derives what changed since from the log tail (§4.2).
 //!
 //! The live-byte counts are *advisory*: the cleaning mechanism re-verifies
 //! every block's liveness against the inode map and inode pointers before
-//! copying it (§3.3), so a count that is one flush stale can never corrupt
-//! data — it can only make the policy slightly suboptimal. This is what
-//! lets Sprite LFS do without a bitmap or free list.
+//! copying it (§3.3), so a count that is one checkpoint stale can never
+//! corrupt data — it can only make the policy slightly suboptimal. This is
+//! what lets Sprite LFS do without a bitmap or free list.
 
 use std::collections::BTreeSet;
 
@@ -167,10 +169,11 @@ impl UsageTable {
     ///
     /// Used for the table's (and inode map's) *own* block relocations:
     /// accounting them loudly would re-dirty the table on every metadata
-    /// flush and the checkpoint stabilisation loop would never terminate.
-    /// The in-memory counts stay exact; the on-disk copy of the affected
-    /// entry is at most one flush stale, which is safe because liveness is
-    /// always re-verified by the cleaning mechanism (§3.3).
+    /// write and the checkpoint stabilisation loop would never terminate.
+    /// The in-memory counts stay exact (and the checkpoint persists them
+    /// exactly); the on-disk copy of the affected entry is at most one
+    /// checkpoint stale, which is safe because liveness is always
+    /// re-verified by the cleaning mechanism (§3.3).
     pub fn add_live_quiet(&mut self, seg: u32, bytes: u32, block_mtime: u64) {
         let e = &mut self.entries[seg as usize];
         e.live_bytes = e.live_bytes.saturating_add(bytes);

@@ -76,10 +76,19 @@ fn churn<D: QueueDevice>(fs: &mut Lfs<D>) {
 /// two-shard `VolumeSet` — captured at parent `79925d5`, the last tree
 /// whose cleaner read victims whole. Reading less must not move a byte of
 /// the log.
+///
+/// Re-pinned by rule in PR 25 (parent `4c83c2e`): inode-map and
+/// usage-table blocks now reach the log only with checkpoints and a
+/// cleaner pass's closing flush, so every element of all three tuples
+/// moved — the image, and the write traffic, which fell: requests
+/// 0x348 / 0x506 / 0x271 → 0x307 / 0x4e9 / 0x251, bytes 0x1cf_2000 /
+/// 0x1e9_f000 / 0x198_5000 → 0x1a0_e000 / 0x1bf_9000 / 0x17f_6000.
+/// What the cleaner reads is not pinned here, and the exact read counts
+/// below did not move.
 const GOLDEN_CLEANED: [(u64, u64, u64); 3] = [
-    (0x76c0_0fc3_0a67_cf8e, 0x348, 0x01cf_2000),
-    (0x7651_4062_ddcb_7063, 0x506, 0x01e9_f000),
-    (0x3525_8ef6_ca6f_847f, 0x271, 0x0198_5000),
+    (0xb08a_d12c_8a95_fdaf, 0x307, 0x01a0_e000),
+    (0xbfce_1ab3_8ff1_87e1, 0x4e9, 0x01bf_9000),
+    (0x4530_f790_345d_e405, 0x251, 0x017f_6000),
 ];
 
 #[test]

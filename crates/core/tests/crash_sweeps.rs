@@ -19,6 +19,10 @@ fn verify_cut(suite: &InvariantSuite, image: MemDisk, cfg: LfsConfig, tag: &str)
     fs.unwrap_or_else(|| panic!("{tag}: ok report without a mounted fs"))
 }
 
+/// Two legs per operation kind: one makes the setup and the operation
+/// durable with `sync` (a checkpoint), the other with `flush` alone, so
+/// that every cut — the last one included — recovers the operation
+/// through roll-forward of the log tail (§4.2).
 fn sweep<Setup, Op, Check>(setup: Setup, op: Op, check: Check)
 where
     Setup: Fn(&mut Lfs<CrashDisk>),
@@ -26,19 +30,25 @@ where
     Check: Fn(&mut Lfs<MemDisk>, usize, usize),
 {
     let cfg = LfsConfig::small();
-    let mut fs = Lfs::format(CrashDisk::new(2048), cfg).unwrap();
-    setup(&mut fs);
-    fs.sync().unwrap();
-    fs.device_mut().checkpoint_baseline();
-    op(&mut fs);
-    fs.sync().unwrap();
-    let suite = InvariantSuite::new();
-    let crash: &CrashDisk = fs.device();
-    let n = crash.num_writes();
-    for cut in 0..=n {
-        let image = crash.image_after(cut).unwrap();
-        let mut fs2 = verify_cut(&suite, image, cfg, &format!("cut {cut}/{n}"));
-        check(&mut fs2, cut, n);
+    for leg in ["sync", "flush"] {
+        let persist = |fs: &mut Lfs<CrashDisk>| match leg {
+            "sync" => fs.sync().unwrap(),
+            _ => fs.flush().unwrap(),
+        };
+        let mut fs = Lfs::format(CrashDisk::new(2048), cfg).unwrap();
+        setup(&mut fs);
+        persist(&mut fs);
+        fs.device_mut().checkpoint_baseline();
+        op(&mut fs);
+        persist(&mut fs);
+        let suite = InvariantSuite::new();
+        let crash: &CrashDisk = fs.device();
+        let n = crash.num_writes();
+        for cut in 0..=n {
+            let image = crash.image_after(cut).unwrap();
+            let mut fs2 = verify_cut(&suite, image, cfg, &format!("{leg} leg: cut {cut}/{n}"));
+            check(&mut fs2, cut, n);
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end tests for the log-structured file system.
 
 use blockdev::{CrashDisk, MemDisk};
-use lfs_core::{CleaningPolicy, Lfs, LfsConfig};
+use lfs_core::{BlockKind, CleaningPolicy, Lfs, LfsConfig};
 use vfs::{FileSystem, FsError};
 
 /// A 16 MB memory disk.
@@ -416,6 +416,94 @@ fn roll_forward_removes_half_finished_creates() {
     assert!(fs3.lookup("/d/c").is_ok());
     assert!(fs3.lookup("/d/a").is_err());
     assert!(fs3.lookup("/d/b").is_err());
+}
+
+/// Flushes without checkpointing, drops the file system (a crash right
+/// after the flush) and mounts the image, so everything since the last
+/// checkpoint comes back through roll-forward alone.
+fn flush_and_remount(mut fs: Lfs<MemDisk>) -> Lfs<MemDisk> {
+    fs.flush().unwrap();
+    Lfs::mount(fs.into_device(), LfsConfig::small()).unwrap()
+}
+
+/// Inode-map and usage-table blocks reach the log with checkpoints only
+/// (§4.1): flushes, however many, leave them to the next `sync`.
+#[test]
+fn map_blocks_reach_the_log_with_checkpoints_only() {
+    let mut fs = small_fs();
+    let map_bytes = |fs: &Lfs<MemDisk>| {
+        fs.stats().log_bytes(BlockKind::Imap) + fs.stats().log_bytes(BlockKind::Usage)
+    };
+    let before = map_bytes(&fs);
+    for i in 0..20 {
+        fs.write_file(&format!("/f{i}"), &[i as u8; 6000]).unwrap();
+        fs.flush().unwrap();
+    }
+    assert_eq!(map_bytes(&fs), before, "a flush wrote map blocks");
+    fs.sync().unwrap();
+    assert!(
+        map_bytes(&fs) > before,
+        "the checkpoint wrote no map blocks"
+    );
+    let mut fs = Lfs::mount(fs.into_device(), LfsConfig::small()).unwrap();
+    let ino = fs.lookup("/f7").unwrap();
+    assert_eq!(fs.read_to_vec(ino).unwrap(), [7u8; 6000]);
+    check_clean(&mut fs);
+}
+
+#[test]
+fn roll_forward_takes_adopted_inodes_off_the_free_list() {
+    let mut fs = small_fs();
+    fs.mkdir("/c2").unwrap();
+    let mut fs = flush_and_remount(fs);
+    // The tail's inode for /c2 was adopted; its number must not be
+    // handed out again.
+    fs.mkdir("/c").unwrap();
+    assert_ne!(fs.lookup("/c").unwrap(), fs.lookup("/c2").unwrap());
+    check_clean(&mut fs);
+}
+
+#[test]
+fn roll_forward_keeps_a_create_truncated_to_zero() {
+    let mut fs = small_fs();
+    let ino = fs.write_file("/t", &[9u8; 50_000]).unwrap();
+    fs.flush().unwrap();
+    fs.truncate(ino, 0).unwrap();
+    fs.write(ino, 0, b"fresh").unwrap();
+    // The tail holds the create record at the file's first version and
+    // the inode at the version the truncation gave it.
+    let mut fs = flush_and_remount(fs);
+    let ino = fs.lookup("/t").expect("a written, truncated file survives");
+    assert_eq!(fs.read_to_vec(ino).unwrap(), b"fresh");
+    check_clean(&mut fs);
+}
+
+#[test]
+fn roll_forward_ignores_records_for_a_directory_number_reused_by_a_file() {
+    let mut fs = small_fs();
+    fs.mkdir("/dir2").unwrap();
+    fs.create("/dir2/y").unwrap();
+    fs.unlink("/dir2/y").unwrap();
+    fs.rmdir("/dir2").unwrap();
+    // Reuses the directory's inode number for a regular file.
+    fs.write_file("/dir2", b"now a file").unwrap();
+    let mut fs = flush_and_remount(fs);
+    let ino = fs.lookup("/dir2").unwrap();
+    assert_eq!(fs.read_to_vec(ino).unwrap(), b"now a file");
+    check_clean(&mut fs);
+}
+
+#[test]
+fn roll_forward_frees_a_file_truncated_then_unlinked() {
+    let mut fs = small_fs();
+    let ino = fs.write_file("/f", &[4u8; 20_000]).unwrap();
+    fs.sync().unwrap();
+    fs.truncate(ino, 0).unwrap();
+    fs.unlink("/f").unwrap();
+    // Only the unlink record, at the truncated version, reaches the tail.
+    let mut fs = flush_and_remount(fs);
+    assert!(matches!(fs.lookup("/f"), Err(FsError::NotFound)));
+    check_clean(&mut fs);
 }
 
 #[test]

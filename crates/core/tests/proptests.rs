@@ -206,10 +206,25 @@ fn run_ops(ops: &[Op], cfg: LfsConfig, disk_blocks: u64) {
                 );
             }
             Op::Remount => {
+                // By step parity (so a case replays deterministically):
+                // checkpoint before the remount, or only flush and make
+                // the mount roll the tail forward (§4.2). Both must land
+                // on the model's state.
                 let mut f = fs_opt.take().unwrap();
-                f.sync().unwrap();
-                let dev = f.into_device();
-                fs_opt = Some(Lfs::mount(dev, cfg).unwrap());
+                if step % 2 == 0 {
+                    f.sync().unwrap();
+                } else {
+                    f.flush().unwrap();
+                }
+                let mut f = Lfs::mount(f.into_device(), cfg)
+                    .unwrap_or_else(|e| panic!("step {step} remount: {e}"));
+                let report = f.check().unwrap();
+                assert!(
+                    report.is_clean(),
+                    "step {step} remount: {:#?}",
+                    report.errors
+                );
+                fs_opt = Some(f);
             }
             Op::Sync => {
                 fs.sync().unwrap();

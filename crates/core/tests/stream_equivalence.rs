@@ -87,21 +87,31 @@ fn golden_workload<D: blockdev::QueueDevice>(fs: &mut Lfs<D>) {
 /// tuples moved. The other five — device time, seeks, requests, bytes —
 /// and all of `GOLDEN_READ` are as committed at the parent: no byte of
 /// layout moved.
+///
+/// Re-pinned by rule in PR 25 (parent 4c83c2e): inode-map and
+/// usage-table blocks now reach the log with checkpoints and a cleaner
+/// pass's closing flush only, not with every partial write, so the log
+/// layout changed on purpose. In `GOLDEN_SINGLE` every element moved
+/// (bytes written 0x49_d000 → 0x46_c000, in one request more: 0xa9 →
+/// 0xaa). In `GOLDEN_TWO_SHARD` all but the request count moved (bytes
+/// 0x3e_f000 → 0x3e_5000). `GOLDEN_READ` reads the same 90 blocks in 57
+/// requests instead of 55, so its request count and busy time moved: the
+/// files' blocks sit at other addresses.
 const GOLDEN_SINGLE: (u64, u64, u64, u64, u64, u64) = (
-    0x03c2_f5d4_61e8_6ede, // image fnv1a
-    0x0000_0002_6a92_0d4d, // busy_ns
-    0x0000_0001_56e1_218f, // positioning_ns
-    0x179,                 // seeks
-    0xa9,                  // writes
-    0x0049_d000,           // bytes_written
+    0xface_cf00_b3ee_e644, // image fnv1a
+    0x0000_0002_5fbe_cd12, // busy_ns
+    0x0000_0001_5541_a63d, // positioning_ns
+    0x17a,                 // seeks
+    0xaa,                  // writes
+    0x0046_c000,           // bytes_written
 );
 const GOLDEN_TWO_SHARD: (u64, u64, u64, u64, u64, u64) = (
-    0x2f2c_a92d_643c_08c0,
-    0x0000_0002_530e_0392,
-    0x0000_0001_639b_f060,
-    0x161,
+    0xb021_4b8a_2635_1eca,
+    0x0000_0002_4ffa_9e5a,
+    0x0000_0001_6269_5012,
+    0x162,
     0x90,
-    0x003e_f000,
+    0x003e_5000,
 );
 
 fn run_golden<D: blockdev::QueueDevice>(dev: D, cfg: LfsConfig) -> Lfs<D> {
@@ -156,12 +166,13 @@ fn single_stream_two_shard_volume_is_bit_identical_to_pre_stream_image() {
 /// after the golden workload, a cold front-to-back read of every file
 /// must cost exactly these device requests, bytes and simulated service
 /// time. Runs of contiguous addresses go out as single requests, so
-/// `reads` (55 for 90 blocks) pins the batching and `busy_ns` pins that a
-/// run is charged what its blocks cost back to back.
+/// `reads` (57 for 90 blocks) pins the batching and `busy_ns` pins that a
+/// run is charged what its blocks cost back to back. Re-pinned in PR 25
+/// with the write goldens above (see there).
 const GOLDEN_READ: (u64, u64, u64) = (
-    0x37,        // reads
+    0x39,        // reads
     0x0005_a000, // bytes_read (90 blocks)
-    0x3c33_7127, // busy_ns
+    0x3dd9_c11a, // busy_ns
 );
 
 #[test]

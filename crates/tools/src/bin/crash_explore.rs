@@ -150,6 +150,19 @@ fn tolerable(e: &FsError) -> bool {
     matches!(e, FsError::NotFound | FsError::AlreadyExists)
 }
 
+/// Replaces the contents of `path` the way an application overwrites a
+/// file — truncate to zero, then write — creating it only when missing.
+fn overwrite<D: QueueDevice>(fs: &mut Lfs<D>, path: &str, content: &[u8]) -> Result<(), FsError> {
+    match fs.lookup(path) {
+        Ok(ino) => {
+            fs.truncate(ino, 0)?;
+            fs.write(ino, 0, content)
+        }
+        Err(FsError::NotFound) => fs.write_file(path, content).map(drop),
+        Err(e) => Err(e),
+    }
+}
+
 /// Records the canonical trace and returns the journaling disk plus the
 /// invariant suite describing exactly what the trace promised.
 ///
@@ -193,7 +206,7 @@ fn record_trace<D: ExploreDev>(
                 // Register the attempt before issuing it: a cut can
                 // preserve a prefix of a write that "failed" later.
                 suite.push_version(&path, content.clone());
-                fs.write_file(&path, &content).map(|_| ()).map(|()| {
+                overwrite(&mut fs, &path, &content).map(|()| {
                     live[target] = Some(content);
                 })
             }
