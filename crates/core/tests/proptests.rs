@@ -5,34 +5,16 @@
 use blockdev::{BlockDevice, CrashDisk, DiskModel, MemDisk, SimDisk};
 use lfs_core::{Lfs, LfsConfig};
 use proptest::prelude::*;
-use vfs::{model::ModelFs, FileSystem, FsError};
+use vfs::model::{assert_same_tree, ModelFs};
+use vfs::{at_path, FileSystem, Names, Op, Outcome};
 
-/// The operations the generator can issue. Paths are drawn from a small
-/// fixed namespace so that collisions (create-over-existing, rename onto a
-/// file, …) actually happen.
-#[derive(Clone, Debug)]
-enum Op {
-    Create(u8),
-    Mkdir(u8),
-    WriteAt {
-        file: u8,
-        offset: u16,
-        len: u16,
-        fill: u8,
-    },
-    Truncate {
-        file: u8,
-        size: u16,
-    },
-    Unlink(u8),
-    Rmdir(u8),
-    Rename(u8, u8),
-    Link(u8, u8),
-    Remount,
-    Sync,
-}
+/// One generated step: file-system calls, each with the outcome that
+/// names its inode, or `None` for a remount.
+type Step = Option<Vec<(Op, Outcome)>>;
 
-/// Maps a small integer to a path in a two-level namespace.
+/// Maps a small integer to a path in a two-level namespace. Paths are
+/// drawn from a small fixed namespace so that collisions
+/// (create-over-existing, rename onto a file, …) actually happen.
 fn path_for(n: u8) -> String {
     match n % 12 {
         0 => "/a".into(),
@@ -50,225 +32,96 @@ fn path_for(n: u8) -> String {
     }
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn call(op: Op) -> Step {
+    Some(vec![(op, Outcome::Unit)])
+}
+
+/// A call on whatever file `n` names when the step runs.
+fn on_file(n: u8, op: impl FnOnce(vfs::Ino) -> Op) -> Step {
+    Some(at_path(path_for(n), op).into())
+}
+
+/// Renames of a directory into itself or a descendant are skipped — both
+/// systems treat this as caller error; see DESIGN.md.
+fn rename(a: u8, b: u8) -> Step {
+    let (from, to) = (path_for(a), path_for(b));
+    if to.starts_with(&format!("{from}/")) || from == to {
+        return Some(vec![]);
+    }
+    call(Op::Rename(from, to))
+}
+
+fn op_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
-        any::<u8>().prop_map(Op::Create),
-        any::<u8>().prop_map(Op::Mkdir),
+        any::<u8>().prop_map(|n| call(Op::Create(path_for(n)))),
+        any::<u8>().prop_map(|n| call(Op::Mkdir(path_for(n)))),
         (any::<u8>(), any::<u16>(), 0u16..6000, any::<u8>()).prop_map(
-            |(file, offset, len, fill)| Op::WriteAt {
-                file,
-                offset,
-                len,
-                fill
-            }
+            |(file, offset, len, fill)| on_file(file, |ino| {
+                Op::Write(ino, offset as u64, vec![fill; len as usize])
+            })
         ),
-        (any::<u8>(), any::<u16>()).prop_map(|(file, size)| Op::Truncate { file, size }),
-        any::<u8>().prop_map(Op::Unlink),
-        any::<u8>().prop_map(Op::Rmdir),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::Rename(a, b)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::Link(a, b)),
-        Just(Op::Remount),
-        Just(Op::Sync),
+        (any::<u8>(), any::<u16>())
+            .prop_map(|(file, size)| on_file(file, |ino| Op::Truncate(ino, size as u64))),
+        any::<u8>().prop_map(|n| call(Op::Unlink(path_for(n)))),
+        any::<u8>().prop_map(|n| call(Op::Rmdir(path_for(n)))),
+        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| rename(a, b)),
+        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| call(Op::Link(path_for(a), path_for(b)))),
+        Just(None),
+        Just(call(Op::Sync)),
     ]
 }
 
-/// Normalises errors to a comparable shape: both systems must fail, but
-/// the exact variant may differ in edge cases we don't pin down (e.g.
-/// which of two problems a path triggers first).
-fn err_kind(e: &FsError) -> &'static str {
-    match e {
-        FsError::NotFound => "notfound",
-        FsError::AlreadyExists => "exists",
-        FsError::NotADirectory => "notdir",
-        FsError::IsADirectory => "isdir",
-        FsError::DirectoryNotEmpty => "notempty",
-        FsError::NoSpace => "nospace",
-        FsError::NoInodes => "noinodes",
-        FsError::NameTooLong => "toolong",
-        FsError::InvalidPath => "badpath",
-        FsError::FileTooLarge => "toobig",
-        FsError::InvalidArgument(_) => "badarg",
-        FsError::Corrupt(_) => "corrupt",
-        FsError::Device(_) => "device",
-    }
-}
-
-fn run_ops(ops: &[Op], cfg: LfsConfig, disk_blocks: u64) {
+fn run_ops(steps: &[Step], cfg: LfsConfig, disk_blocks: u64) {
     let fs = Lfs::format(MemDisk::new(disk_blocks), cfg).unwrap();
     let mut model = ModelFs::new();
     let mut fs_opt = Some(fs);
+    let (mut fs_names, mut model_names) = (Names::default(), Names::default());
 
-    for (step, op) in ops.iter().enumerate() {
+    for (step, calls) in steps.iter().enumerate() {
+        let Some(calls) = calls else {
+            // By step parity (so a case replays deterministically):
+            // checkpoint before the remount, or only flush and make the
+            // mount roll the tail forward (§4.2). Both must land on the
+            // model's state.
+            let mut f = fs_opt.take().unwrap();
+            if step % 2 == 0 {
+                f.sync().unwrap();
+            } else {
+                f.flush().unwrap();
+            }
+            let mut f = Lfs::mount(f.into_device(), cfg)
+                .unwrap_or_else(|e| panic!("step {step} remount: {e}"));
+            let report = f.check().unwrap();
+            assert!(
+                report.is_clean(),
+                "step {step} remount: {:#?}",
+                report.errors
+            );
+            fs_opt = Some(f);
+            continue;
+        };
         let fs = fs_opt.as_mut().unwrap();
-        match op {
-            Op::Create(n) => {
-                let p = path_for(*n);
-                let a = fs.create(&p);
-                let b = model.create(&p);
-                assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "step {step} create({p}): {a:?} vs {b:?}"
-                );
-                if let (Err(ea), Err(eb)) = (&a, &b) {
-                    assert_eq!(err_kind(ea), err_kind(eb), "step {step} create({p})");
-                }
-            }
-            Op::Mkdir(n) => {
-                let p = path_for(*n);
-                let a = fs.mkdir(&p);
-                let b = model.mkdir(&p);
-                assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "step {step} mkdir({p}): {a:?} vs {b:?}"
-                );
-            }
-            Op::WriteAt {
-                file,
-                offset,
-                len,
-                fill,
-            } => {
-                let p = path_for(*file);
-                let (a, b) = match (fs.lookup(&p), model.lookup(&p)) {
-                    (Ok(ia), Ok(ib)) => {
-                        let data = vec![*fill; *len as usize];
-                        (
-                            fs.write(ia, *offset as u64, &data),
-                            model.write(ib, *offset as u64, &data),
-                        )
-                    }
-                    (ra, rb) => {
-                        assert_eq!(ra.is_ok(), rb.is_ok(), "step {step} lookup({p})");
-                        continue;
-                    }
-                };
-                assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "step {step} write({p}): {a:?} vs {b:?}"
-                );
-            }
-            Op::Truncate { file, size } => {
-                let p = path_for(*file);
-                if let (Ok(ia), Ok(ib)) = (fs.lookup(&p), model.lookup(&p)) {
-                    let a = fs.truncate(ia, *size as u64);
-                    let b = model.truncate(ib, *size as u64);
-                    assert_eq!(a.is_ok(), b.is_ok(), "step {step} truncate({p})");
-                }
-            }
-            Op::Unlink(n) => {
-                let p = path_for(*n);
-                let a = fs.unlink(&p);
-                let b = model.unlink(&p);
-                assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "step {step} unlink({p}): {a:?} vs {b:?}"
-                );
-            }
-            Op::Rmdir(n) => {
-                let p = path_for(*n);
-                let a = fs.rmdir(&p);
-                let b = model.rmdir(&p);
-                assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "step {step} rmdir({p}): {a:?} vs {b:?}"
-                );
-            }
-            Op::Rename(x, y) => {
-                let from = path_for(*x);
-                let to = path_for(*y);
-                // Skip renames of a directory into itself/descendant —
-                // both systems treat this as caller error; see DESIGN.md.
-                if to.starts_with(&format!("{from}/")) || from == to {
-                    continue;
-                }
-                let a = fs.rename(&from, &to);
-                let b = model.rename(&from, &to);
-                assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "step {step} rename({from},{to}): {a:?} vs {b:?}"
-                );
-            }
-            Op::Link(x, y) => {
-                let ex = path_for(*x);
-                let nw = path_for(*y);
-                let a = fs.link(&ex, &nw);
-                let b = model.link(&ex, &nw);
-                assert_eq!(
-                    a.is_ok(),
-                    b.is_ok(),
-                    "step {step} link({ex},{nw}): {a:?} vs {b:?}"
-                );
-            }
-            Op::Remount => {
-                // By step parity (so a case replays deterministically):
-                // checkpoint before the remount, or only flush and make
-                // the mount roll the tail forward (§4.2). Both must land
-                // on the model's state.
-                let mut f = fs_opt.take().unwrap();
-                if step % 2 == 0 {
-                    f.sync().unwrap();
-                } else {
-                    f.flush().unwrap();
-                }
-                let mut f = Lfs::mount(f.into_device(), cfg)
-                    .unwrap_or_else(|e| panic!("step {step} remount: {e}"));
-                let report = f.check().unwrap();
-                assert!(
-                    report.is_clean(),
-                    "step {step} remount: {:#?}",
-                    report.errors
-                );
-                fs_opt = Some(f);
-            }
-            Op::Sync => {
-                fs.sync().unwrap();
-            }
+        for (op, recorded) in calls {
+            let a = fs_names.apply(fs, op, recorded);
+            let b = model_names.apply(&mut model, op, recorded);
+            // Both must fail where one does; the error may differ in edge
+            // cases we don't pin down (which of two problems a path
+            // triggers first), except for create.
+            let codes = |r: &vfs::FsResult<Outcome>| r.as_ref().err().map(|e| e.wire_code());
+            let same = match op {
+                Op::Create(_) => codes(&a) == codes(&b),
+                _ => a.is_ok() == b.is_ok(),
+            };
+            assert!(same, "step {step} {op:?}: {a:?} vs {b:?}");
         }
     }
 
     // Final deep comparison of every observable.
     let fs = fs_opt.as_mut().unwrap();
-    compare(fs, &mut model, "/");
+    assert_same_tree(fs, &mut model);
     fs.sync().unwrap();
     let report = fs.check().unwrap();
     assert!(report.is_clean(), "fsck: {:#?}", report.errors);
-}
-
-/// Recursively compares directory listings, metadata, and file contents.
-fn compare(fs: &mut Lfs<MemDisk>, model: &mut ModelFs, path: &str) {
-    let a = fs.readdir(path).unwrap();
-    let b = model.readdir(path).unwrap();
-    let names_a: Vec<&str> = a.iter().map(|e| e.name.as_str()).collect();
-    let names_b: Vec<&str> = b.iter().map(|e| e.name.as_str()).collect();
-    assert_eq!(names_a, names_b, "directory {path} differs");
-    for (ea, eb) in a.iter().zip(&b) {
-        assert_eq!(ea.ftype, eb.ftype, "{path}/{} type", ea.name);
-        let child = if path == "/" {
-            format!("/{}", ea.name)
-        } else {
-            format!("{path}/{}", ea.name)
-        };
-        match ea.ftype {
-            vfs::FileType::Directory => compare(fs, model, &child),
-            vfs::FileType::Regular => {
-                let ia = fs.lookup(&child).unwrap();
-                let ib = model.lookup(&child).unwrap();
-                let ma = fs.metadata(ia).unwrap();
-                let mb = model.metadata(ib).unwrap();
-                assert_eq!(ma.size, mb.size, "{child} size");
-                assert_eq!(ma.nlink, mb.nlink, "{child} nlink");
-                let da = fs.read_to_vec(ia).unwrap();
-                let db = model.read_to_vec(ib).unwrap();
-                assert_eq!(da, db, "{child} contents differ");
-            }
-        }
-    }
 }
 
 proptest! {
@@ -309,55 +162,17 @@ proptest! {
         let cfg = LfsConfig::small();
         let mut fs = Lfs::format(CrashDisk::new(2048), cfg).unwrap();
         fs.device_mut().checkpoint_baseline();
-        let mut model = ModelFs::new();
-        for op in &ops {
-            // Drive both; ignore per-op results (validity is checked by
-            // the other properties), we only care about crash states.
-            match op {
-                Op::Create(n) => {
-                    let p = path_for(*n);
-                    let _ = fs.create(&p);
-                    let _ = model.create(&p);
-                }
-                Op::Mkdir(n) => {
-                    let p = path_for(*n);
-                    let _ = fs.mkdir(&p);
-                    let _ = model.mkdir(&p);
-                }
-                Op::WriteAt { file, offset, len, fill } => {
-                    let p = path_for(*file);
-                    if let Ok(i) = fs.lookup(&p) {
-                        let _ = fs.write(i, *offset as u64, &vec![*fill; *len as usize]);
-                    }
-                }
-                Op::Truncate { file, size } => {
-                    let p = path_for(*file);
-                    if let Ok(i) = fs.lookup(&p) {
-                        let _ = fs.truncate(i, *size as u64);
-                    }
-                }
-                Op::Unlink(n) => {
-                    let _ = fs.unlink(&path_for(*n));
-                }
-                Op::Rmdir(n) => {
-                    let _ = fs.rmdir(&path_for(*n));
-                }
-                Op::Rename(a, b) => {
-                    let from = path_for(*a);
-                    let to = path_for(*b);
-                    if !to.starts_with(&format!("{from}/")) && from != to {
-                        let _ = fs.rename(&from, &to);
-                    }
-                }
-                Op::Link(a, b) => {
-                    let _ = fs.link(&path_for(*a), &path_for(*b));
-                }
-                Op::Remount => {
-                    let _ = fs.flush();
-                }
-                Op::Sync => {
-                    fs.sync().unwrap();
-                }
+        let mut names = Names::default();
+        // Per-call results are ignored (validity is checked by the other
+        // properties); we only care about crash states.
+        for calls in &ops {
+            let Some(calls) = calls else {
+                let _ = fs.flush();
+                continue;
+            };
+            for (op, recorded) in calls {
+                let r = names.apply(&mut fs, op, recorded);
+                assert!(*op != Op::Sync || r.is_ok(), "sync: {r:?}");
             }
         }
         fs.sync().unwrap();
@@ -374,7 +189,6 @@ proptest! {
                 "cut {}/{}: fsck: {:#?}", cut, n, report.errors
             );
         }
-        let _ = model;
     }
 
     /// Read-ahead fetches blocks before anyone asks for them, but only

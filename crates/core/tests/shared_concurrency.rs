@@ -23,112 +23,60 @@ use std::sync::Arc;
 use blockdev::MemDisk;
 use lfs_core::{Lfs, LfsConfig, SharedLfs};
 use proptest::prelude::*;
-use vfs::{FileSystem, Ino};
+use vfs::model::assert_same_tree;
+use vfs::{FileSystem, Ino, Names, Op, Outcome};
 
 const DISK_BLOCKS: u64 = 4096; // 16 MB
 
 const NFILES: u8 = 3;
 
-#[derive(Clone, Debug)]
-enum Op {
-    Write {
-        file: u8,
-        offset: u32,
-        len: u16,
-        fill: u8,
-    },
-    Truncate {
-        file: u8,
-        size: u32,
-    },
-    Read {
-        file: u8,
-        offset: u32,
-        len: u16,
-    },
-    /// Unlink + recreate: forces inode reuse, the stale-snapshot hazard
-    /// the per-inode generation counters exist for.
-    Recreate {
-        file: u8,
-    },
-    Sync,
-    DropCaches,
+/// One generated step: file-system calls on the files `/f0`…, whose
+/// inode names are their numbers, or `None` for a cache drop.
+type Step = Option<Vec<(Op, Outcome)>>;
+
+fn path(file: u8) -> String {
+    format!("/f{file}")
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn call(op: Op) -> Step {
+    Some(vec![(op, Outcome::Unit)])
+}
+
+fn op_strategy() -> impl Strategy<Value = Step> {
+    let read = || {
+        (0..NFILES, 0u32..220_000, 1u16..16_384)
+            .prop_map(|(file, offset, len)| call(Op::Read(file as Ino, offset as u64, len as u32)))
+    };
     prop_oneof![
         (0..NFILES, 0u32..200_000, 1u16..12_288, any::<u8>()).prop_map(
-            |(file, offset, len, fill)| Op::Write {
-                file,
-                offset,
-                len,
-                fill
-            }
+            |(file, offset, len, fill)| call(Op::Write(
+                file as Ino,
+                offset as u64,
+                vec![fill; len as usize]
+            ))
         ),
-        (0..NFILES, 0u32..200_000).prop_map(|(file, size)| Op::Truncate { file, size }),
-        (0..NFILES, 0u32..220_000, 1u16..16_384).prop_map(|(file, offset, len)| Op::Read {
-            file,
-            offset,
-            len
-        }),
-        (0..NFILES, 0u32..220_000, 1u16..16_384).prop_map(|(file, offset, len)| Op::Read {
-            file,
-            offset,
-            len
-        }),
-        (0..NFILES).prop_map(|file| Op::Recreate { file }),
-        Just(Op::Sync),
-        Just(Op::DropCaches),
+        (0..NFILES, 0u32..200_000)
+            .prop_map(|(file, size)| call(Op::Truncate(file as Ino, size as u64))),
+        read(),
+        read(),
+        // Unlink + recreate: forces inode reuse, the stale-snapshot hazard
+        // the per-inode generation counters exist for.
+        (0..NFILES).prop_map(|file| Some(vec![
+            (Op::Unlink(path(file)), Outcome::Unit),
+            (Op::Create(path(file)), Outcome::Ino(file as Ino)),
+        ])),
+        Just(call(Op::Sync)),
+        Just(None),
     ]
 }
 
-/// Applies one op through the `FileSystem` trait (so the identical code
-/// path drives both the plain and the shared instance); returns read
-/// bytes for comparison.
-fn apply<F: FileSystem>(fs: &mut F, inos: &mut [Ino], op: &Op) -> Option<Vec<u8>> {
-    match op {
-        Op::Write {
-            file,
-            offset,
-            len,
-            fill,
-        } => {
-            let data = vec![*fill; *len as usize];
-            fs.write(inos[*file as usize], *offset as u64, &data)
-                .expect("write");
-            None
-        }
-        Op::Truncate { file, size } => {
-            fs.truncate(inos[*file as usize], *size as u64)
-                .expect("truncate");
-            None
-        }
-        Op::Read { file, offset, len } => {
-            let mut buf = vec![0u8; *len as usize];
-            let n = fs
-                .read(inos[*file as usize], *offset as u64, &mut buf)
-                .expect("read");
-            buf.truncate(n);
-            Some(buf)
-        }
-        Op::Recreate { file } => {
-            let path = format!("/f{file}");
-            fs.unlink(&path).expect("unlink");
-            inos[*file as usize] = fs.create(&path).expect("recreate");
-            None
-        }
-        Op::Sync => {
-            fs.sync().expect("sync");
-            None
-        }
-        Op::DropCaches => None, // applied out-of-band (API differs)
-    }
-}
-
-fn setup<F: FileSystem>(fs: &mut F) -> Vec<Ino> {
-    (0..NFILES)
-        .map(|i| fs.create(&format!("/f{i}")).expect("create"))
-        .collect()
+/// Creates the files every step addresses, binding their names.
+fn setup() -> Step {
+    Some(
+        (0..NFILES)
+            .map(|file| (Op::Create(path(file)), Outcome::Ino(file as Ino)))
+            .collect(),
+    )
 }
 
 proptest! {
@@ -136,7 +84,8 @@ proptest! {
 
     /// The acceptance-criterion property: depth-1, single-client traces
     /// leave bit-identical disk images with and without the concurrent
-    /// front-end.
+    /// front-end, after returning the same outcome — read bytes and
+    /// allocated inodes included — for every call.
     #[test]
     fn single_client_shared_matches_plain_bit_for_bit(
         ops in proptest::collection::vec(op_strategy(), 1..50),
@@ -145,20 +94,21 @@ proptest! {
         let mut plain = Lfs::format(MemDisk::new(DISK_BLOCKS), cfg).expect("format");
         let mut shared =
             SharedLfs::format(MemDisk::new(DISK_BLOCKS), cfg).expect("format");
-        let mut inos_p = setup(&mut plain);
-        let mut inos_s = setup(&mut shared);
+        let (mut plain_names, mut shared_names) = (Names::default(), Names::default());
 
-        for op in &ops {
-            if matches!(op, Op::DropCaches) {
+        for step in std::iter::once(&setup()).chain(&ops) {
+            let Some(calls) = step else {
                 plain.drop_caches();
                 shared.drop_caches();
                 continue;
+            };
+            for (op, recorded) in calls {
+                let out_p = plain_names.apply(&mut plain, op, recorded).expect("plain");
+                let out_s = shared_names.apply(&mut shared, op, recorded).expect("shared");
+                prop_assert_eq!(out_p, out_s, "outcomes diverged on {:?}", op);
             }
-            let out_p = apply(&mut plain, &mut inos_p, op);
-            let out_s = apply(&mut shared, &mut inos_s, op);
-            prop_assert_eq!(&out_p, &out_s, "read bytes diverged on {:?}", op);
         }
-        prop_assert_eq!(&inos_p, &inos_s, "inode allocation diverged");
+        assert_same_tree(&mut plain, &mut shared);
 
         plain.sync().expect("final sync");
         shared.sync_all().expect("final sync");
@@ -182,28 +132,27 @@ proptest! {
         let mut cfg = LfsConfig::small();
         cfg.cache_limit_bytes = 16 * 4096; // constant eviction pressure
         let mut shared = SharedLfs::format(MemDisk::new(DISK_BLOCKS), cfg).expect("format");
-        let mut inos = setup(&mut shared);
+        let mut names = Names::default();
         // A second handle holds reads open so published Arcs stay pinned
         // across subsequent mutations.
         let mut pin_handle = shared.clone();
-        let mut pinned: Vec<Vec<u8>> = Vec::new();
+        let mut pinned: Vec<Outcome> = Vec::new();
 
-        for op in &ops {
-            if matches!(op, Op::DropCaches) {
+        for step in std::iter::once(&setup()).chain(&ops) {
+            let Some(calls) = step else {
                 shared.drop_caches();
                 continue;
-            }
-            apply(&mut shared, &mut inos, op);
-            if let Op::Write { file, offset, .. } = op {
-                // Read through the lock-free path right after the write:
-                // publishes the block Arc into the shard cache (pin) while
-                // the tiny cache limit forces evictions on the next op.
-                let mut buf = vec![0u8; 4096];
-                let n = pin_handle
-                    .read(inos[*file as usize], *offset as u64, &mut buf)
-                    .expect("pin read");
-                buf.truncate(n);
-                pinned.push(buf);
+            };
+            for (op, recorded) in calls {
+                names.apply(&mut shared, op, recorded).expect("apply");
+                if let Op::Write(file, offset, _) = op {
+                    // Read through the lock-free path right after the
+                    // write: publishes the block Arc into the shard cache
+                    // (pin) while the tiny cache limit forces evictions on
+                    // the next op.
+                    let pin = Op::Read(*file, *offset, 4096);
+                    pinned.push(names.apply(&mut pin_handle, &pin, &Outcome::Unit).expect("pin read"));
+                }
             }
             shared.with_fs(|fs| fs.assert_running_counts());
         }

@@ -20,7 +20,9 @@ use blockdev::{BlockDevice, CrashDisk, DiskModel, MemDisk, SimDisk, VolumeSet};
 use lfs_core::layout::SEGMENTS_START;
 use lfs_core::{InvariantSuite, Lfs, LfsConfig};
 use proptest::prelude::*;
-use vfs::FileSystem;
+use vfs::{FileSystem, Ino, Op};
+
+mod common;
 
 const SEG_BLOCKS: u64 = 16;
 
@@ -220,69 +222,19 @@ fn multi_stream_multi_shard_agrees_with_single_stream_on_contents() {
     );
 }
 
-#[derive(Clone, Debug)]
-enum Op {
-    Write {
-        file: u8,
-        offset: u32,
-        len: u16,
-        fill: u8,
-    },
-    Truncate {
-        file: u8,
-        size: u32,
-    },
-    Unlink {
-        file: u8,
-    },
-    Sync,
-    DropCaches,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn op_strategy() -> impl Strategy<Value = Option<Op>> {
     (0u8..10, 0u8..6, 0u32..120_000, 1u16..8192, any::<u8>()).prop_map(
-        |(sel, file, offset, len, fill)| match sel {
-            0..=5 => Op::Write {
-                file,
-                offset,
-                len,
-                fill,
-            },
-            6 => Op::Truncate { file, size: offset },
-            7 => Op::Unlink { file },
-            8 => Op::Sync,
-            _ => Op::DropCaches,
+        |(sel, file, offset, len, fill)| {
+            let (file, offset) = (file as Ino, offset as u64);
+            match sel {
+                0..=5 => Some(Op::Write(file, offset, vec![fill; len as usize])),
+                6 => Some(Op::Truncate(file, offset)),
+                7 => Some(Op::Unlink(common::path(file))),
+                8 => Some(Op::Sync),
+                _ => None,
+            }
         },
     )
-}
-
-fn apply<D: blockdev::QueueDevice>(fs: &mut Lfs<D>, op: &Op) {
-    let path = |f: u8| format!("/f{f}");
-    match op {
-        Op::Write {
-            file,
-            offset,
-            len,
-            fill,
-        } => {
-            let ino = match fs.lookup(&path(*file)) {
-                Ok(ino) => ino,
-                Err(_) => fs.create(&path(*file)).expect("create"),
-            };
-            fs.write(ino, *offset as u64, &vec![*fill; *len as usize])
-                .expect("write");
-        }
-        Op::Truncate { file, size } => {
-            if let Ok(ino) = fs.lookup(&path(*file)) {
-                fs.truncate(ino, *size as u64).expect("truncate");
-            }
-        }
-        Op::Unlink { file } => {
-            let _ = fs.unlink(&path(*file));
-        }
-        Op::Sync => fs.sync().expect("sync"),
-        Op::DropCaches => fs.drop_caches(),
-    }
 }
 
 proptest! {
@@ -300,10 +252,9 @@ proptest! {
         let cfg3 = LfsConfig::small().with_streams(3);
         let mut one = Lfs::format(MemDisk::new(4096), cfg1).expect("format");
         let mut three = Lfs::format(MemDisk::new(4096), cfg3).expect("format");
-        for op in &ops {
-            apply(&mut one, op);
-            apply(&mut three, op);
-        }
+        let stream = common::stream(&ops);
+        common::run(&mut one, &stream);
+        common::run(&mut three, &stream);
         one.sync().expect("sync");
         three.sync().expect("sync");
         let want = contents(&mut one);

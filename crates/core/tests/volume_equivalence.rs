@@ -21,7 +21,10 @@ use blockdev::{
 use lfs_core::layout::SEGMENTS_START;
 use lfs_core::{Lfs, LfsConfig};
 use proptest::prelude::*;
-use vfs::{FileSystem, FsError, Ino};
+use vfs::model::assert_same_tree;
+use vfs::{FileSystem, FsError, Ino, Op};
+
+mod common;
 
 const SEG_BLOCKS: u64 = 16;
 
@@ -37,69 +40,21 @@ fn mem_set(n: usize, stripes: u64) -> VolumeSet<MemDisk> {
     VolumeSet::new(shards, SEGMENTS_START, SEG_BLOCKS)
 }
 
-#[derive(Clone, Debug)]
-enum Op {
-    Write {
-        file: u8,
-        offset: u32,
-        len: u16,
-        fill: u8,
-    },
-    Truncate {
-        file: u8,
-        size: u32,
-    },
-    Unlink {
-        file: u8,
-    },
-    Sync,
-    DropCaches,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn op_strategy() -> impl Strategy<Value = Option<Op>> {
     prop_oneof![
         (0..4u8, 0u32..120_000, 1u16..12_288, any::<u8>()).prop_map(|(file, offset, len, fill)| {
-            Op::Write {
-                file,
-                offset,
-                len,
-                fill,
-            }
+            Some(Op::Write(
+                file as Ino,
+                offset as u64,
+                vec![fill; len as usize],
+            ))
         }),
-        (0..4u8, 0u32..120_000).prop_map(|(file, size)| Op::Truncate { file, size }),
-        (0..4u8).prop_map(|file| Op::Unlink { file }),
-        Just(Op::Sync),
-        Just(Op::DropCaches),
+        (0..4u8, 0u32..120_000)
+            .prop_map(|(file, size)| Some(Op::Truncate(file as Ino, size as u64))),
+        (0..4u8).prop_map(|file| Some(Op::Unlink(common::path(file as Ino)))),
+        Just(Some(Op::Sync)),
+        Just(None),
     ]
-}
-
-fn apply<D: blockdev::QueueDevice>(fs: &mut Lfs<D>, op: &Op) {
-    let path = |f: u8| format!("/f{f}");
-    match op {
-        Op::Write {
-            file,
-            offset,
-            len,
-            fill,
-        } => {
-            let ino = match fs.lookup(&path(*file)) {
-                Ok(ino) => ino,
-                Err(_) => fs.create(&path(*file)).expect("create"),
-            };
-            fs.write(ino, *offset as u64, &vec![*fill; *len as usize])
-                .expect("write");
-        }
-        Op::Truncate { file, size } => {
-            if let Ok(ino) = fs.lookup(&path(*file)) {
-                fs.truncate(ino, *size as u64).expect("truncate");
-            }
-        }
-        Op::Unlink { file } => {
-            let _ = fs.unlink(&path(*file));
-        }
-        Op::Sync => fs.sync().expect("sync"),
-        Op::DropCaches => fs.drop_caches(),
-    }
 }
 
 proptest! {
@@ -120,10 +75,9 @@ proptest! {
         );
         let mut fs_bare = Lfs::format(bare, cfg()).expect("format bare");
         let mut fs_wrap = Lfs::format(wrapped, cfg()).expect("format wrapped");
-        for op in &ops {
-            apply(&mut fs_bare, op);
-            apply(&mut fs_wrap, op);
-        }
+        let stream = common::stream(&ops);
+        common::run(&mut fs_bare, &stream);
+        common::run(&mut fs_wrap, &stream);
         fs_bare.sync().expect("sync");
         fs_wrap.sync().expect("sync");
 
@@ -151,28 +105,14 @@ proptest! {
     ) {
         let mut fs_one = Lfs::format(mem_set(1, 4 * 32), cfg()).expect("format 1");
         let mut fs_four = Lfs::format(mem_set(4, 32), cfg()).expect("format 4");
-        for op in &ops {
-            apply(&mut fs_one, op);
-            apply(&mut fs_four, op);
-        }
+        let stream = common::stream(&ops);
+        common::run(&mut fs_one, &stream);
+        common::run(&mut fs_four, &stream);
         fs_one.sync().expect("sync");
         fs_four.sync().expect("sync");
         let mut fs_one = Lfs::mount(fs_one.into_device(), cfg()).expect("remount 1");
         let mut fs_four = Lfs::mount(fs_four.into_device(), cfg()).expect("remount 4");
-        for f in 0..4u8 {
-            let a = fs_one
-                .lookup(&format!("/f{f}"))
-                .and_then(|ino| fs_one.read_to_vec(ino));
-            let b = fs_four
-                .lookup(&format!("/f{f}"))
-                .and_then(|ino| fs_four.read_to_vec(ino));
-            match (a, b) {
-                (Ok(da), Ok(db)) => prop_assert_eq!(da, db, "contents diverged on /f{}", f),
-                (Err(_), Err(_)) => {}
-                (a, b) => prop_assert!(false, "existence diverged on /f{}: {:?} vs {:?}",
-                    f, a.is_ok(), b.is_ok()),
-            }
-        }
+        assert_same_tree(&mut fs_one, &mut fs_four);
     }
 }
 

@@ -3,7 +3,8 @@
 use blockdev::{BlockDevice, DiskModel, MemDisk, SimDisk};
 use ffs_baseline::{Ffs, FfsConfig};
 use proptest::prelude::*;
-use vfs::{model::ModelFs, FileSystem, FsError};
+use vfs::model::{assert_same_tree, ModelFs};
+use vfs::{at_path, FileSystem, FsError, Ino, Names, Op, Outcome};
 
 fn small_fs() -> Ffs<MemDisk> {
     Ffs::format(MemDisk::new(2048), FfsConfig::small()).unwrap()
@@ -158,31 +159,40 @@ fn path_for(n: u8) -> String {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Op {
-    Create(u8),
-    Mkdir(u8),
-    Write(u8, u16, u16, u8),
-    Truncate(u8, u16),
-    Unlink(u8),
-    Rmdir(u8),
-    Rename(u8, u8),
-    Link(u8, u8),
-    Remount,
+/// One generated step: file-system calls, each with the outcome that
+/// names its inode, or `None` for a remount.
+type Step = Option<Vec<(Op, Outcome)>>;
+
+fn call(op: Op) -> Step {
+    Some(vec![(op, Outcome::Unit)])
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+/// A call on whatever file `n` names when the step runs.
+fn on_file(n: u8, op: impl FnOnce(Ino) -> Op) -> Step {
+    Some(at_path(path_for(n), op).into())
+}
+
+fn op_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
-        any::<u8>().prop_map(Op::Create),
-        any::<u8>().prop_map(Op::Mkdir),
-        (any::<u8>(), any::<u16>(), 0u16..5000, any::<u8>())
-            .prop_map(|(f, o, l, v)| Op::Write(f, o, l, v)),
-        (any::<u8>(), any::<u16>()).prop_map(|(f, s)| Op::Truncate(f, s)),
-        any::<u8>().prop_map(Op::Unlink),
-        any::<u8>().prop_map(Op::Rmdir),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::Rename(a, b)),
-        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Op::Link(a, b)),
-        Just(Op::Remount),
+        any::<u8>().prop_map(|n| call(Op::Create(path_for(n)))),
+        any::<u8>().prop_map(|n| call(Op::Mkdir(path_for(n)))),
+        (any::<u8>(), any::<u16>(), 0u16..5000, any::<u8>()).prop_map(|(f, o, l, v)| on_file(
+            f,
+            |ino| Op::Write(ino, o as u64, vec![v; l as usize])
+        )),
+        (any::<u8>(), any::<u16>())
+            .prop_map(|(f, s)| on_file(f, |ino| Op::Truncate(ino, s as u64))),
+        any::<u8>().prop_map(|n| call(Op::Unlink(path_for(n)))),
+        any::<u8>().prop_map(|n| call(Op::Rmdir(path_for(n)))),
+        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| {
+            let (from, to) = (path_for(a), path_for(b));
+            if to.starts_with(&format!("{from}/")) || from == to {
+                return Some(vec![]);
+            }
+            call(Op::Rename(from, to))
+        }),
+        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| call(Op::Link(path_for(a), path_for(b)))),
+        Just(None),
     ]
 }
 
@@ -194,109 +204,25 @@ proptest! {
         let fs = Ffs::format(MemDisk::new(4096), FfsConfig::small()).unwrap();
         let mut model = ModelFs::new();
         let mut fs_opt = Some(fs);
-        for (step, op) in ops.iter().enumerate() {
+        let (mut fs_names, mut model_names) = (Names::default(), Names::default());
+        for (step, calls) in ops.iter().enumerate() {
+            let Some(calls) = calls else {
+                let mut f = fs_opt.take().unwrap();
+                f.sync().unwrap();
+                fs_opt = Some(Ffs::mount(f.into_device(), FfsConfig::small()).unwrap());
+                continue;
+            };
             let fs = fs_opt.as_mut().unwrap();
-            match op {
-                Op::Create(n) => {
-                    let p = path_for(*n);
-                    prop_assert_eq!(fs.create(&p).is_ok(), model.create(&p).is_ok(), "step {} create {}", step, p);
-                }
-                Op::Mkdir(n) => {
-                    let p = path_for(*n);
-                    prop_assert_eq!(fs.mkdir(&p).is_ok(), model.mkdir(&p).is_ok(), "step {} mkdir {}", step, p);
-                }
-                Op::Write(f, o, l, v) => {
-                    let p = path_for(*f);
-                    if let (Ok(a), Ok(b)) = (fs.lookup(&p), model.lookup(&p)) {
-                        let data = vec![*v; *l as usize];
-                        let ra = fs.write(a, *o as u64, &data);
-                        let rb = model.write(b, *o as u64, &data);
-                        prop_assert_eq!(ra.is_ok(), rb.is_ok(), "step {} write {}", step, p);
-                    }
-                }
-                Op::Truncate(f, s) => {
-                    let p = path_for(*f);
-                    if let (Ok(a), Ok(b)) = (fs.lookup(&p), model.lookup(&p)) {
-                        let ra = fs.truncate(a, *s as u64);
-                        let rb = model.truncate(b, *s as u64);
-                        prop_assert_eq!(ra.is_ok(), rb.is_ok(), "step {} truncate {}", step, p);
-                    }
-                }
-                Op::Unlink(n) => {
-                    let p = path_for(*n);
-                    prop_assert_eq!(fs.unlink(&p).is_ok(), model.unlink(&p).is_ok(), "step {} unlink {}", step, p);
-                }
-                Op::Rmdir(n) => {
-                    let p = path_for(*n);
-                    prop_assert_eq!(fs.rmdir(&p).is_ok(), model.rmdir(&p).is_ok(), "step {} rmdir {}", step, p);
-                }
-                Op::Rename(a, b) => {
-                    let from = path_for(*a);
-                    let to = path_for(*b);
-                    if to.starts_with(&format!("{from}/")) || from == to {
-                        continue;
-                    }
-                    prop_assert_eq!(
-                        fs.rename(&from, &to).is_ok(),
-                        model.rename(&from, &to).is_ok(),
-                        "step {} rename {} {}", step, from, to
-                    );
-                }
-                Op::Link(a, b) => {
-                    let ex = path_for(*a);
-                    let nw = path_for(*b);
-                    prop_assert_eq!(
-                        fs.link(&ex, &nw).is_ok(),
-                        model.link(&ex, &nw).is_ok(),
-                        "step {} link {} {}", step, ex, nw
-                    );
-                }
-                Op::Remount => {
-                    let mut f = fs_opt.take().unwrap();
-                    f.sync().unwrap();
-                    fs_opt = Some(Ffs::mount(f.into_device(), FfsConfig::small()).unwrap());
-                }
+            for (op, recorded) in calls {
+                let a = fs_names.apply(fs, op, recorded);
+                let b = model_names.apply(&mut model, op, recorded);
+                prop_assert_eq!(a.is_ok(), b.is_ok(), "step {} {:?}: {:?} vs {:?}", step, op, a, b);
             }
         }
         // Compare final state.
         let fs = fs_opt.as_mut().unwrap();
-        compare(fs, &mut model, "/")?;
+        assert_same_tree(fs, &mut model);
         let report = fs.fsck().unwrap();
         prop_assert!(report.is_clean(), "fsck: {:#?}", report.errors);
     }
-}
-
-fn compare(fs: &mut Ffs<MemDisk>, model: &mut ModelFs, path: &str) -> Result<(), TestCaseError> {
-    let a = fs.readdir(path).unwrap();
-    let b = model.readdir(path).unwrap();
-    let na: Vec<&str> = a.iter().map(|e| e.name.as_str()).collect();
-    let nb: Vec<&str> = b.iter().map(|e| e.name.as_str()).collect();
-    prop_assert_eq!(na, nb, "dir {} differs", path);
-    for e in &a {
-        let child = if path == "/" {
-            format!("/{}", e.name)
-        } else {
-            format!("{path}/{}", e.name)
-        };
-        match e.ftype {
-            vfs::FileType::Directory => compare(fs, model, &child)?,
-            vfs::FileType::Regular => {
-                let ia = fs.lookup(&child).unwrap();
-                let ib = model.lookup(&child).unwrap();
-                prop_assert_eq!(
-                    fs.read_to_vec(ia).unwrap(),
-                    model.read_to_vec(ib).unwrap(),
-                    "{} contents",
-                    child
-                );
-                prop_assert_eq!(
-                    fs.metadata(ia).unwrap().nlink,
-                    model.metadata(ib).unwrap().nlink,
-                    "{} nlink",
-                    child
-                );
-            }
-        }
-    }
-    Ok(())
 }

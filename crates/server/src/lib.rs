@@ -5,7 +5,8 @@
 //! Three pieces:
 //!
 //! * [`protocol`] — `lfs-wire/1`, a small framed request/response
-//!   protocol (length-prefixed frames, numeric error codes from
+//!   protocol: length-prefixed frames, each carrying one [`vfs::Op`] or
+//!   its result in the [`vfs::wire`] encoding (numeric error codes from
 //!   [`vfs::FsError::wire_code`]).
 //! * [`pool`] — a bounded work-stealing thread pool; the bound doubles
 //!   as connection admission control.
@@ -13,7 +14,7 @@
 //!   [`Client`], which implements [`vfs::FileSystem`] so workload
 //!   generators can drive a remote mount unchanged.
 //!
-//! The server executes every request against an
+//! The server applies every decoded [`vfs::Op`] to an
 //! [`lfs_core::SharedLfs`], so reads from concurrent connections are
 //! served lock-free from the shared snapshot cache while mutations
 //! serialize through the writer lane (see `lfs_core::shared`).

@@ -1,11 +1,11 @@
 //! The framed request protocol: `lfs-wire/1`.
 //!
 //! Every message is one frame: a little-endian `u32` payload length
-//! followed by the payload. Request payloads start with a `u8` opcode;
-//! response payloads start with a `u8` status — `0` for success, else an
-//! [`FsError::wire_code`] followed by a detail string. All integers are
-//! little-endian; strings are `u16` length + UTF-8 bytes; byte buffers
-//! are `u32` length + raw bytes.
+//! followed by the payload. A request payload is one encoded [`vfs::Op`]
+//! and a response payload one encoded result; that encoding lives with
+//! the types it encodes, in [`vfs::wire`], next to
+//! [`vfs::FsError::wire_code`]. This module adds the frames and their
+//! size limit, and keeps the protocol's names for the two payload types.
 //!
 //! The format deliberately has no versioning handshake: it is an
 //! internal protocol between the bundled client and server, and the
@@ -13,182 +13,21 @@
 
 use std::io::{self, Read, Write};
 
-use vfs::{DirEntry, FileType, FsError, FsResult, Ino, Metadata, StatFs};
-
-/// Largest accepted frame payload. Caps a single read/write at 8 MB plus
-/// headers — far above anything the workloads issue, small enough that a
-/// corrupt length prefix cannot OOM the server.
-pub const MAX_FRAME: usize = 8 * 1024 * 1024 + 64;
-
+pub use vfs::wire::{decode_response, encode_response};
 /// One client request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// `create(path)`.
-    Create(String),
-    /// `mkdir(path)`.
-    Mkdir(String),
-    /// `lookup(path)`.
-    Lookup(String),
-    /// `write(ino, offset, data)`.
-    Write(Ino, u64, Vec<u8>),
-    /// `read(ino, offset, len)`.
-    Read(Ino, u64, u32),
-    /// `truncate(ino, size)`.
-    Truncate(Ino, u64),
-    /// `unlink(path)`.
-    Unlink(String),
-    /// `rmdir(path)`.
-    Rmdir(String),
-    /// `rename(from, to)`.
-    Rename(String, String),
-    /// `link(existing, new)`.
-    Link(String, String),
-    /// `metadata(ino)`.
-    Metadata(Ino),
-    /// `readdir(path)`.
-    Readdir(String),
-    /// `sync()`.
-    Sync,
-    /// `statfs()`.
-    Statfs,
-}
-
-const OP_CREATE: u8 = 1;
-const OP_MKDIR: u8 = 2;
-const OP_LOOKUP: u8 = 3;
-const OP_WRITE: u8 = 4;
-const OP_READ: u8 = 5;
-const OP_TRUNCATE: u8 = 6;
-const OP_UNLINK: u8 = 7;
-const OP_RMDIR: u8 = 8;
-const OP_RENAME: u8 = 9;
-const OP_LINK: u8 = 10;
-const OP_METADATA: u8 = 11;
-const OP_READDIR: u8 = 12;
-const OP_SYNC: u8 = 13;
-const OP_STATFS: u8 = 14;
-
+pub use vfs::Op as Request;
 /// One successful server reply; errors travel as status codes instead.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Reply {
-    /// No payload (write/truncate/unlink/rmdir/rename/link/sync).
-    Unit,
-    /// An inode number (create/mkdir/lookup).
-    Ino(Ino),
-    /// Read payload bytes.
-    Data(Vec<u8>),
-    /// Stat result.
-    Metadata(Metadata),
-    /// Directory listing.
-    Entries(Vec<DirEntry>),
-    /// File-system statistics.
-    Statfs(StatFs),
-}
+pub use vfs::Outcome as Reply;
 
-// ----- primitive encoders ------------------------------------------------
+/// The most data one read or write frame carries. [`crate::Client`]
+/// splits longer calls into pieces of this size, and the server refuses a
+/// longer `Read` rather than allocate for it.
+pub const MAX_IO: usize = 8 * 1024 * 1024;
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize);
-    put_u16(buf, s.len() as u16);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
-}
-
-/// Bounds-checked little-endian reader over a payload slice.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "truncated frame payload",
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let n = self.u16()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 string"))
-    }
-
-    fn bytes(&mut self) -> io::Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn done(&self) -> io::Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing bytes in frame",
-            ));
-        }
-        Ok(())
-    }
-}
-
-fn ftype_code(t: FileType) -> u8 {
-    match t {
-        FileType::Regular => 0,
-        FileType::Directory => 1,
-    }
-}
-
-fn ftype_from(code: u8) -> io::Result<FileType> {
-    match code {
-        0 => Ok(FileType::Regular),
-        1 => Ok(FileType::Directory),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad file-type code",
-        )),
-    }
-}
+/// Largest accepted frame payload: one [`MAX_IO`] piece plus headers. Far
+/// above anything the workloads issue, small enough that a corrupt length
+/// prefix cannot OOM the server.
+pub const MAX_FRAME: usize = MAX_IO + 64;
 
 // ----- frames ------------------------------------------------------------
 
@@ -227,216 +66,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-impl Request {
-    /// Encodes the request into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(16);
-        match self {
-            Request::Create(p) => {
-                b.push(OP_CREATE);
-                put_str(&mut b, p);
-            }
-            Request::Mkdir(p) => {
-                b.push(OP_MKDIR);
-                put_str(&mut b, p);
-            }
-            Request::Lookup(p) => {
-                b.push(OP_LOOKUP);
-                put_str(&mut b, p);
-            }
-            Request::Write(ino, off, data) => {
-                b.push(OP_WRITE);
-                put_u32(&mut b, *ino);
-                put_u64(&mut b, *off);
-                put_bytes(&mut b, data);
-            }
-            Request::Read(ino, off, len) => {
-                b.push(OP_READ);
-                put_u32(&mut b, *ino);
-                put_u64(&mut b, *off);
-                put_u32(&mut b, *len);
-            }
-            Request::Truncate(ino, size) => {
-                b.push(OP_TRUNCATE);
-                put_u32(&mut b, *ino);
-                put_u64(&mut b, *size);
-            }
-            Request::Unlink(p) => {
-                b.push(OP_UNLINK);
-                put_str(&mut b, p);
-            }
-            Request::Rmdir(p) => {
-                b.push(OP_RMDIR);
-                put_str(&mut b, p);
-            }
-            Request::Rename(f, t) => {
-                b.push(OP_RENAME);
-                put_str(&mut b, f);
-                put_str(&mut b, t);
-            }
-            Request::Link(e, n) => {
-                b.push(OP_LINK);
-                put_str(&mut b, e);
-                put_str(&mut b, n);
-            }
-            Request::Metadata(ino) => {
-                b.push(OP_METADATA);
-                put_u32(&mut b, *ino);
-            }
-            Request::Readdir(p) => {
-                b.push(OP_READDIR);
-                put_str(&mut b, p);
-            }
-            Request::Sync => b.push(OP_SYNC),
-            Request::Statfs => b.push(OP_STATFS),
-        }
-        b
-    }
-
-    /// Decodes a request frame payload.
-    pub fn decode(payload: &[u8]) -> io::Result<Request> {
-        let mut r = Reader::new(payload);
-        let req = match r.u8()? {
-            OP_CREATE => Request::Create(r.str()?),
-            OP_MKDIR => Request::Mkdir(r.str()?),
-            OP_LOOKUP => Request::Lookup(r.str()?),
-            OP_WRITE => Request::Write(r.u32()?, r.u64()?, r.bytes()?),
-            OP_READ => Request::Read(r.u32()?, r.u64()?, r.u32()?),
-            OP_TRUNCATE => Request::Truncate(r.u32()?, r.u64()?),
-            OP_UNLINK => Request::Unlink(r.str()?),
-            OP_RMDIR => Request::Rmdir(r.str()?),
-            OP_RENAME => Request::Rename(r.str()?, r.str()?),
-            OP_LINK => Request::Link(r.str()?, r.str()?),
-            OP_METADATA => Request::Metadata(r.u32()?),
-            OP_READDIR => Request::Readdir(r.str()?),
-            OP_SYNC => Request::Sync,
-            OP_STATFS => Request::Statfs,
-            op => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown opcode {op}"),
-                ))
-            }
-        };
-        r.done()?;
-        Ok(req)
-    }
-}
-
-const REPLY_UNIT: u8 = 0;
-const REPLY_INO: u8 = 1;
-const REPLY_DATA: u8 = 2;
-const REPLY_METADATA: u8 = 3;
-const REPLY_ENTRIES: u8 = 4;
-const REPLY_STATFS: u8 = 5;
-
-/// Encodes a server result — `Ok(reply)` or `Err(fs error)` — into a
-/// response frame payload.
-pub fn encode_response(result: &FsResult<Reply>) -> Vec<u8> {
-    let mut b = Vec::with_capacity(16);
-    match result {
-        Err(e) => {
-            b.push(e.wire_code());
-            put_str(&mut b, &e.to_string());
-        }
-        Ok(reply) => {
-            b.push(0);
-            match reply {
-                Reply::Unit => b.push(REPLY_UNIT),
-                Reply::Ino(ino) => {
-                    b.push(REPLY_INO);
-                    put_u32(&mut b, *ino);
-                }
-                Reply::Data(d) => {
-                    b.push(REPLY_DATA);
-                    put_bytes(&mut b, d);
-                }
-                Reply::Metadata(m) => {
-                    b.push(REPLY_METADATA);
-                    put_u32(&mut b, m.ino);
-                    b.push(ftype_code(m.ftype));
-                    put_u64(&mut b, m.size);
-                    put_u32(&mut b, m.nlink);
-                    put_u16(&mut b, m.mode);
-                    put_u64(&mut b, m.mtime);
-                    put_u64(&mut b, m.atime);
-                    put_u64(&mut b, m.ctime);
-                }
-                Reply::Entries(es) => {
-                    b.push(REPLY_ENTRIES);
-                    put_u32(&mut b, es.len() as u32);
-                    for e in es {
-                        put_u32(&mut b, e.ino);
-                        b.push(ftype_code(e.ftype));
-                        put_str(&mut b, &e.name);
-                    }
-                }
-                Reply::Statfs(s) => {
-                    b.push(REPLY_STATFS);
-                    put_u64(&mut b, s.total_bytes);
-                    put_u64(&mut b, s.live_bytes);
-                    put_u64(&mut b, s.num_files);
-                }
-            }
-        }
-    }
-    b
-}
-
-/// Decodes a response frame payload back into the server's result.
-pub fn decode_response(payload: &[u8]) -> io::Result<FsResult<Reply>> {
-    let mut r = Reader::new(payload);
-    let status = r.u8()?;
-    if status != 0 {
-        let detail = r.str()?;
-        r.done()?;
-        return Ok(Err(FsError::from_wire(status, &detail)));
-    }
-    let reply = match r.u8()? {
-        REPLY_UNIT => Reply::Unit,
-        REPLY_INO => Reply::Ino(r.u32()?),
-        REPLY_DATA => Reply::Data(r.bytes()?),
-        REPLY_METADATA => Reply::Metadata(Metadata {
-            ino: r.u32()?,
-            ftype: ftype_from(r.u8()?)?,
-            size: r.u64()?,
-            nlink: r.u32()?,
-            mode: r.u16()?,
-            mtime: r.u64()?,
-            atime: r.u64()?,
-            ctime: r.u64()?,
-        }),
-        REPLY_ENTRIES => {
-            let n = r.u32()? as usize;
-            let mut es = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                es.push(DirEntry {
-                    ino: r.u32()?,
-                    ftype: ftype_from(r.u8()?)?,
-                    name: r.str()?,
-                });
-            }
-            Reply::Entries(es)
-        }
-        REPLY_STATFS => Reply::Statfs(StatFs {
-            total_bytes: r.u64()?,
-            live_bytes: r.u64()?,
-            num_files: r.u64()?,
-        }),
-        tag => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown reply tag {tag}"),
-            ))
-        }
-    };
-    r.done()?;
-    Ok(Ok(reply))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vfs::{DirEntry, FileType, FsError, FsResult, Metadata, StatFs};
 
     fn roundtrip_req(req: Request) {
         let enc = req.encode();

@@ -1,7 +1,9 @@
 //! The TCP front end: connection handling over the bounded pool, and the
 //! matching [`Client`] that speaks `lfs-wire/1` and implements
-//! [`FileSystem`], so any workload generator can drive a remote mount
-//! exactly like an embedded one.
+//! [`vfs::FileSystem`], so any workload generator can drive a remote
+//! mount exactly like an embedded one. Both ends deal in [`vfs::Op`]s:
+//! the server applies each one it decodes, and the client forwards each
+//! call as one.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -12,10 +14,12 @@ use std::thread::JoinHandle;
 
 use blockdev::QueueDevice;
 use lfs_core::SharedLfs;
-use vfs::{DirEntry, FileSystem, FsError, FsResult, Ino, Metadata, StatFs};
+use vfs::{Forward, FsError, FsResult};
 
 use crate::pool::Pool;
-use crate::protocol::{decode_response, encode_response, read_frame, write_frame, Reply, Request};
+use crate::protocol::{
+    decode_response, encode_response, read_frame, write_frame, Reply, Request, MAX_IO,
+};
 
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -91,7 +95,7 @@ impl Drop for ServerHandle {
 }
 
 /// Binds `addr` and serves `fs` until [`ServerHandle::stop`]. Each
-/// connection is one pool job running a read-decode-execute-respond loop;
+/// connection is one pool job running a read-decode-apply-respond loop;
 /// the bounded pool is the admission control: at most `workers`
 /// connections are live, at most `queue_cap` more are parked.
 pub fn serve<D, A>(fs: SharedLfs<D>, addr: A, cfg: ServerConfig) -> io::Result<ServerHandle>
@@ -150,7 +154,11 @@ fn serve_connection<D: QueueDevice + Send>(fs: SharedLfs<D>, stream: TcpStream) 
     let mut fs = fs; // FileSystem methods take &mut self.
     while let Some(payload) = read_frame(&mut rd)? {
         let result = match Request::decode(&payload) {
-            Ok(req) => execute(&mut fs, req),
+            // Checked before `apply` allocates the reply buffer.
+            Ok(Request::Read(_, _, len)) if len as usize > MAX_IO => Err(FsError::InvalidArgument(
+                "read longer than one frame carries",
+            )),
+            Ok(req) => req.apply(&mut fs),
             Err(e) => Err(FsError::InvalidArgument(
                 // Keep the static-str error variant; the detail string
                 // still travels in the response body via Display.
@@ -167,33 +175,9 @@ fn serve_connection<D: QueueDevice + Send>(fs: SharedLfs<D>, stream: TcpStream) 
     Ok(())
 }
 
-/// Executes one request against the shared mount.
-fn execute<D: QueueDevice + Send>(fs: &mut SharedLfs<D>, req: Request) -> FsResult<Reply> {
-    match req {
-        Request::Create(p) => fs.create(&p).map(Reply::Ino),
-        Request::Mkdir(p) => fs.mkdir(&p).map(Reply::Ino),
-        Request::Lookup(p) => fs.lookup(&p).map(Reply::Ino),
-        Request::Write(ino, off, data) => fs.write(ino, off, &data).map(|()| Reply::Unit),
-        Request::Read(ino, off, len) => {
-            let mut buf = vec![0u8; len as usize];
-            let n = fs.read(ino, off, &mut buf)?;
-            buf.truncate(n);
-            Ok(Reply::Data(buf))
-        }
-        Request::Truncate(ino, size) => fs.truncate(ino, size).map(|()| Reply::Unit),
-        Request::Unlink(p) => fs.unlink(&p).map(|()| Reply::Unit),
-        Request::Rmdir(p) => fs.rmdir(&p).map(|()| Reply::Unit),
-        Request::Rename(f, t) => fs.rename(&f, &t).map(|()| Reply::Unit),
-        Request::Link(e, n) => fs.link(&e, &n).map(|()| Reply::Unit),
-        Request::Metadata(ino) => fs.metadata(ino).map(Reply::Metadata),
-        Request::Readdir(p) => fs.readdir(&p).map(Reply::Entries),
-        Request::Sync => fs.sync().map(|()| Reply::Unit),
-        Request::Statfs => fs.statfs().map(Reply::Statfs),
-    }
-}
-
-/// A connected `lfs-wire/1` client. Implements [`FileSystem`], so the
-/// workload generators drive a server exactly like an embedded mount.
+/// A connected `lfs-wire/1` client. Implements [`vfs::FileSystem`]
+/// through [`Forward`], so the workload generators drive a server exactly
+/// like an embedded mount.
 pub struct Client {
     rd: BufReader<TcpStream>,
     wr: BufWriter<TcpStream>,
@@ -210,7 +194,8 @@ impl Client {
         })
     }
 
-    fn call(&mut self, req: &Request) -> FsResult<Reply> {
+    /// One request frame out, one response frame back.
+    fn round_trip(&mut self, req: &Request) -> FsResult<Reply> {
         let io_err = |e: io::Error| FsError::device(format!("wire: {e}"));
         write_frame(&mut self.wr, &req.encode()).map_err(io_err)?;
         self.wr.flush().map_err(io_err)?;
@@ -219,94 +204,47 @@ impl Client {
             .ok_or_else(|| FsError::device("wire: server closed connection"))?;
         decode_response(&payload).map_err(io_err)?
     }
-
-    fn expect_ino(&mut self, req: Request) -> FsResult<Ino> {
-        match self.call(&req)? {
-            Reply::Ino(ino) => Ok(ino),
-            r => Err(FsError::device(format!("wire: unexpected reply {r:?}"))),
-        }
-    }
-
-    fn expect_unit(&mut self, req: Request) -> FsResult<()> {
-        match self.call(&req)? {
-            Reply::Unit => Ok(()),
-            r => Err(FsError::device(format!("wire: unexpected reply {r:?}"))),
-        }
-    }
 }
 
-impl FileSystem for Client {
-    fn create(&mut self, path: &str) -> FsResult<Ino> {
-        self.expect_ino(Request::Create(path.into()))
-    }
+fn unexpected(r: Reply) -> FsError {
+    FsError::device(format!("wire: unexpected reply {r:?}"))
+}
 
-    fn mkdir(&mut self, path: &str) -> FsResult<Ino> {
-        self.expect_ino(Request::Mkdir(path.into()))
-    }
-
-    fn lookup(&mut self, path: &str) -> FsResult<Ino> {
-        self.expect_ino(Request::Lookup(path.into()))
-    }
-
-    fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<()> {
-        self.expect_unit(Request::Write(ino, offset, data.to_vec()))
-    }
-
-    fn read(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        match self.call(&Request::Read(ino, offset, buf.len() as u32))? {
-            Reply::Data(d) => {
-                if d.len() > buf.len() {
-                    return Err(FsError::device("wire: oversized read reply"));
+impl Forward for Client {
+    /// Sends `req`; a read or write of more than [`MAX_IO`] bytes goes as
+    /// consecutive pieces of at most that size, so no frame outgrows
+    /// [`crate::protocol::MAX_FRAME`]. Such a call is not atomic against
+    /// other clients.
+    fn call(&mut self, req: Request) -> FsResult<Reply> {
+        match req {
+            Request::Read(ino, off, len) if len as usize > MAX_IO => {
+                let mut data = Vec::new();
+                while data.len() < len as usize {
+                    let want = (len as usize - data.len()).min(MAX_IO);
+                    let at = off + data.len() as u64;
+                    match self.round_trip(&Request::Read(ino, at, want as u32))? {
+                        Reply::Data(d) if d.len() <= want => {
+                            data.extend_from_slice(&d);
+                            if d.len() < want {
+                                break; // end of file
+                            }
+                        }
+                        r => return Err(unexpected(r)),
+                    }
                 }
-                buf[..d.len()].copy_from_slice(&d);
-                Ok(d.len())
+                Ok(Reply::Data(data))
             }
-            r => Err(FsError::device(format!("wire: unexpected reply {r:?}"))),
-        }
-    }
-
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-        self.expect_unit(Request::Truncate(ino, size))
-    }
-
-    fn unlink(&mut self, path: &str) -> FsResult<()> {
-        self.expect_unit(Request::Unlink(path.into()))
-    }
-
-    fn rmdir(&mut self, path: &str) -> FsResult<()> {
-        self.expect_unit(Request::Rmdir(path.into()))
-    }
-
-    fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
-        self.expect_unit(Request::Rename(from.into(), to.into()))
-    }
-
-    fn link(&mut self, existing: &str, new: &str) -> FsResult<()> {
-        self.expect_unit(Request::Link(existing.into(), new.into()))
-    }
-
-    fn metadata(&mut self, ino: Ino) -> FsResult<Metadata> {
-        match self.call(&Request::Metadata(ino))? {
-            Reply::Metadata(m) => Ok(m),
-            r => Err(FsError::device(format!("wire: unexpected reply {r:?}"))),
-        }
-    }
-
-    fn readdir(&mut self, path: &str) -> FsResult<Vec<DirEntry>> {
-        match self.call(&Request::Readdir(path.into()))? {
-            Reply::Entries(es) => Ok(es),
-            r => Err(FsError::device(format!("wire: unexpected reply {r:?}"))),
-        }
-    }
-
-    fn sync(&mut self) -> FsResult<()> {
-        self.expect_unit(Request::Sync)
-    }
-
-    fn statfs(&mut self) -> FsResult<StatFs> {
-        match self.call(&Request::Statfs)? {
-            Reply::Statfs(s) => Ok(s),
-            r => Err(FsError::device(format!("wire: unexpected reply {r:?}"))),
+            Request::Write(ino, off, data) if data.len() > MAX_IO => {
+                for (i, piece) in data.chunks(MAX_IO).enumerate() {
+                    let at = off + (i * MAX_IO) as u64;
+                    let r = self.round_trip(&Request::Write(ino, at, piece.to_vec()))?;
+                    if r != Reply::Unit {
+                        return Err(unexpected(r));
+                    }
+                }
+                Ok(Reply::Unit)
+            }
+            req => self.round_trip(&req),
         }
     }
 }
@@ -316,6 +254,7 @@ mod tests {
     use super::*;
     use blockdev::MemDisk;
     use lfs_core::LfsConfig;
+    use vfs::FileSystem;
 
     fn test_server() -> (ServerHandle, SharedLfs<MemDisk>) {
         let fs = SharedLfs::format(MemDisk::new(4096), LfsConfig::small()).unwrap();
@@ -390,6 +329,37 @@ mod tests {
             let ino = fs.lookup(&format!("/c{i}")).unwrap();
             assert_eq!(fs.read_to_vec(ino).unwrap(), vec![i; 100]);
         }
+    }
+
+    /// A read or write longer than one frame carries goes out in pieces
+    /// and comes back whole.
+    #[test]
+    fn io_larger_than_one_frame_round_trips() {
+        let fs = SharedLfs::format(MemDisk::new(8192), LfsConfig::small()).unwrap();
+        let h = serve(fs, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut c = Client::connect(h.addr()).unwrap();
+        let data: Vec<u8> = (0..9 << 20).map(|i: u32| (i % 251) as u8).collect();
+        let ino = c.write_file("/big", &data).unwrap();
+        assert!(c.read_to_vec(ino).unwrap() == data, "9 MB came back wrong");
+        h.stop();
+    }
+
+    /// A `Read` length off the wire is refused before anything is
+    /// allocated for it, and the connection goes on serving.
+    #[test]
+    fn oversized_read_is_refused_and_the_connection_survives() {
+        let (h, _fs) = test_server();
+        let mut c = Client::connect(h.addr()).unwrap();
+        let ino = c.write_file("/f", b"small").unwrap();
+        let mut s = TcpStream::connect(h.addr()).unwrap();
+        let mut rd = BufReader::new(s.try_clone().unwrap());
+        write_frame(&mut s, &Request::Read(ino, 0, u32::MAX).encode()).unwrap();
+        let res = decode_response(&read_frame(&mut rd).unwrap().unwrap()).unwrap();
+        assert!(matches!(res, Err(FsError::InvalidArgument(_))), "{res:?}");
+        write_frame(&mut s, &Request::Read(ino, 0, 64).encode()).unwrap();
+        let res = decode_response(&read_frame(&mut rd).unwrap().unwrap()).unwrap();
+        assert_eq!(res.unwrap(), Reply::Data(b"small".to_vec()));
+        h.stop();
     }
 
     #[test]

@@ -8,17 +8,26 @@
 //! exactly the same workload code — the comparison methodology of Section 5
 //! of the paper.
 //!
+//! A call to the trait is also data: an [`Op`], whose success is an
+//! [`Outcome`]. The server runs decoded `Op`s ([`wire`] is their
+//! `lfs-wire/1` encoding), a recording is a stream of `(Op, Outcome)`
+//! pairs that [`Names`] replays onto any file system, and the property
+//! tests generate such streams.
+//!
 //! The crate also ships [`model::ModelFs`], a deliberately simple in-memory
 //! reference implementation used as an oracle by the property-based tests:
 //! any sequence of operations must leave a real file system and the model
-//! in observably identical states.
+//! in observably identical states ([`model::assert_same_tree`]).
 
 mod error;
 pub mod model;
+mod op;
 pub mod path;
 mod types;
+pub mod wire;
 
 pub use error::{FsError, FsResult};
+pub use op::{at_path, Forward, Names, Op, Outcome};
 pub use types::{DirEntry, FileType, Metadata, StatFs};
 
 /// Inode number. Inode 1 is always the root directory; 0 is never a valid

@@ -394,6 +394,34 @@ impl FileSystem for ModelFs {
     }
 }
 
+/// Asserts that two file systems hold the same tree: the same names and
+/// types in every directory, and the same size, link count and contents
+/// in every regular file. Panics at the first difference.
+pub fn assert_same_tree(a: &mut impl FileSystem, b: &mut impl FileSystem) {
+    fn walk(a: &mut impl FileSystem, b: &mut impl FileSystem, dir: &str) {
+        let ea = a.readdir(dir).unwrap();
+        let eb = b.readdir(dir).unwrap();
+        let names = |es: &[DirEntry]| -> Vec<(String, FileType)> {
+            es.iter().map(|e| (e.name.clone(), e.ftype)).collect()
+        };
+        assert_eq!(names(&ea), names(&eb), "directory {dir} differs");
+        for e in &ea {
+            let child = format!("{}/{}", dir.trim_end_matches('/'), e.name);
+            if e.ftype == FileType::Directory {
+                walk(a, b, &child);
+                continue;
+            }
+            let (ia, ib) = (a.lookup(&child).unwrap(), b.lookup(&child).unwrap());
+            let (ma, mb) = (a.metadata(ia).unwrap(), b.metadata(ib).unwrap());
+            assert_eq!(ma.size, mb.size, "{child} size");
+            assert_eq!(ma.nlink, mb.nlink, "{child} nlink");
+            let (da, db) = (a.read_to_vec(ia).unwrap(), b.read_to_vec(ib).unwrap());
+            assert!(da == db, "{child} contents differ");
+        }
+    }
+    walk(a, b, "/");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

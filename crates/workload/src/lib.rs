@@ -24,8 +24,9 @@
 //!   temperature streams segregate;
 //! - [`wal`] — write-ahead-log appends with group commit and log
 //!   rotation (§2.1's database pattern), the hottest stream of all;
-//! - [`trace`] — operation recording and replay: reproducible workload
-//!   streams and the op-journal ("NVRAM write buffer", §2.1) demo.
+//! - [`trace`] — recording and replay of `(vfs::Op, vfs::Outcome)`
+//!   streams: reproducible workloads and the op-journal ("NVRAM write
+//!   buffer", §2.1) demo.
 
 pub mod clients;
 pub mod kv;
@@ -40,7 +41,7 @@ pub use kv::{KvChurn, KvRun, Zipf};
 pub use largefile::{LargeFileBench, LargeFilePhase};
 pub use production::{PartitionModel, ProductionWorkload};
 pub use smallfile::SmallFileBench;
-pub use trace::{replay, TraceOp, Tracer};
+pub use trace::{decode_stream, encode_stream, replay, Tracer};
 pub use wal::{WalConfig, WalRun};
 
 use rand::rngs::StdRng;

@@ -2,14 +2,22 @@
 //!
 //! The paper's workload characterisation rests on trace-driven analysis
 //! (§2.2 cites the BSD trace study). This module provides the plumbing:
-//! a [`TraceOp`] is one file-system operation in a serialisable form; a
-//! [`Tracer`] wraps any [`FileSystem`] and records everything driven
-//! through it; [`replay`] applies a trace to any other file system.
+//! a [`Tracer`] wraps any [`FileSystem`] and records the stream of
+//! `(Op, Outcome)` pairs driven through it; [`replay`] applies a stream to
+//! any other file system; [`encode_stream`] and [`decode_stream`] persist
+//! one in the `lfs-wire/1` encoding the server speaks.
+//!
+//! Inside a stream an inode number is a name, bound by the
+//! [`Outcome::Ino`] of the create, mkdir or lookup that returned it and
+//! translated separately for each target ([`vfs::Names`]). A replayed
+//! write therefore reaches the file it reached when recorded, even after
+//! the file's directory was renamed or the name it was opened by was
+//! unlinked.
 //!
 //! Two uses in this repository:
 //!
 //! - reproducibility: a benchmark's exact operation stream can be saved
-//!   (JSONL) and re-applied to both file systems or to a future version;
+//!   and re-applied to both file systems or to a future version;
 //! - the `nvram_journal` example: §2.1 notes that "for applications that
 //!   require better crash recovery, non-volatile RAM may be used for the
 //!   write buffer". An operation journal in stable memory is the
@@ -17,252 +25,18 @@
 //!   journal tail over the recovered file system, eliminating the
 //!   lost-seconds window.
 
-use serde_json::Value;
-use vfs::{FileSystem, FsResult, Ino};
+use std::io;
 
-/// One recorded operation.
-///
-/// Paths are recorded instead of inode numbers so a trace is meaningful
-/// on a file system with different inode allocation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceOp {
-    /// `create(path)`.
-    Create {
-        /// Path of the new file.
-        path: String,
-    },
-    /// `mkdir(path)`.
-    Mkdir {
-        /// Path of the new directory.
-        path: String,
-    },
-    /// `write(lookup(path), offset, data)`. Data is stored as a fill
-    /// byte + length when it is a constant run, else raw bytes.
-    Write {
-        /// File path.
-        path: String,
-        /// Byte offset.
-        offset: u64,
-        /// Literal data (empty when `fill` is used; omitted from the
-        /// JSONL form when empty).
-        data: Vec<u8>,
-        /// Constant-fill representation: `(byte, length)`; omitted from
-        /// the JSONL form when absent.
-        fill: Option<(u8, u64)>,
-    },
-    /// `truncate(lookup(path), size)`.
-    Truncate {
-        /// File path.
-        path: String,
-        /// New size.
-        size: u64,
-    },
-    /// `unlink(path)`.
-    Unlink {
-        /// Path to remove.
-        path: String,
-    },
-    /// `rmdir(path)`.
-    Rmdir {
-        /// Directory to remove.
-        path: String,
-    },
-    /// `rename(from, to)`.
-    Rename {
-        /// Source path.
-        from: String,
-        /// Destination path.
-        to: String,
-    },
-    /// `link(existing, new)`.
-    Link {
-        /// Existing file.
-        existing: String,
-        /// New hard link.
-        new: String,
-    },
-    /// `sync()`.
-    Sync,
-}
-
-impl TraceOp {
-    /// Applies this operation to `fs`. Errors from the underlying file
-    /// system propagate (a trace replayed on a too-small disk can
-    /// legitimately fail with `NoSpace`).
-    pub fn apply<F: FileSystem>(&self, fs: &mut F) -> FsResult<()> {
-        match self {
-            TraceOp::Create { path } => fs.create(path).map(|_| ()),
-            TraceOp::Mkdir { path } => fs.mkdir(path).map(|_| ()),
-            TraceOp::Write {
-                path,
-                offset,
-                data,
-                fill,
-            } => {
-                let ino = fs.lookup(path)?;
-                match fill {
-                    Some((byte, len)) => fs.write(ino, *offset, &vec![*byte; *len as usize]),
-                    None => fs.write(ino, *offset, data),
-                }
-            }
-            TraceOp::Truncate { path, size } => {
-                let ino = fs.lookup(path)?;
-                fs.truncate(ino, *size)
-            }
-            TraceOp::Unlink { path } => fs.unlink(path),
-            TraceOp::Rmdir { path } => fs.rmdir(path),
-            TraceOp::Rename { from, to } => fs.rename(from, to),
-            TraceOp::Link { existing, new } => fs.link(existing, new),
-            TraceOp::Sync => fs.sync(),
-        }
-    }
-
-    /// Serialises to one JSON line (externally-tagged, the same shape
-    /// serde would produce: `{"Create":{"path":"/a"}}`, `"Sync"`).
-    pub fn to_jsonl(&self) -> String {
-        fn tag(name: &str, fields: Vec<(String, Value)>) -> Value {
-            Value::Object(vec![(name.to_string(), Value::Object(fields))])
-        }
-        fn s(v: &str) -> Value {
-            Value::String(v.to_string())
-        }
-        let path_field = |p: &String| ("path".to_string(), s(p));
-        let value = match self {
-            TraceOp::Create { path } => tag("Create", vec![path_field(path)]),
-            TraceOp::Mkdir { path } => tag("Mkdir", vec![path_field(path)]),
-            TraceOp::Write {
-                path,
-                offset,
-                data,
-                fill,
-            } => {
-                let mut fields = vec![path_field(path), ("offset".to_string(), json_u64(*offset))];
-                if !data.is_empty() {
-                    fields.push((
-                        "data".to_string(),
-                        Value::Array(data.iter().map(|&b| json_u64(b as u64)).collect()),
-                    ));
-                }
-                if let Some((byte, len)) = fill {
-                    fields.push((
-                        "fill".to_string(),
-                        Value::Array(vec![json_u64(*byte as u64), json_u64(*len)]),
-                    ));
-                }
-                tag("Write", fields)
-            }
-            TraceOp::Truncate { path, size } => tag(
-                "Truncate",
-                vec![path_field(path), ("size".to_string(), json_u64(*size))],
-            ),
-            TraceOp::Unlink { path } => tag("Unlink", vec![path_field(path)]),
-            TraceOp::Rmdir { path } => tag("Rmdir", vec![path_field(path)]),
-            TraceOp::Rename { from, to } => tag(
-                "Rename",
-                vec![("from".to_string(), s(from)), ("to".to_string(), s(to))],
-            ),
-            TraceOp::Link { existing, new } => tag(
-                "Link",
-                vec![
-                    ("existing".to_string(), s(existing)),
-                    ("new".to_string(), s(new)),
-                ],
-            ),
-            TraceOp::Sync => s("Sync"),
-        };
-        value.to_string()
-    }
-
-    /// Parses one JSON line.
-    pub fn from_jsonl(line: &str) -> Option<TraceOp> {
-        let value = serde_json::from_str(line).ok()?;
-        if value.as_str() == Some("Sync") {
-            return Some(TraceOp::Sync);
-        }
-        let Value::Object(members) = &value else {
-            return None;
-        };
-        let (variant, body) = members.first()?;
-        let field = |name: &str| body.get(name);
-        let path_of = |name: &str| field(name).and_then(Value::as_str).map(String::from);
-        match variant.as_str() {
-            "Create" => Some(TraceOp::Create {
-                path: path_of("path")?,
-            }),
-            "Mkdir" => Some(TraceOp::Mkdir {
-                path: path_of("path")?,
-            }),
-            "Write" => {
-                let data = match field("data") {
-                    Some(v) => v
-                        .as_array()?
-                        .iter()
-                        .map(|b| b.as_u64().map(|u| u as u8))
-                        .collect::<Option<Vec<u8>>>()?,
-                    None => Vec::new(),
-                };
-                let fill = match field("fill") {
-                    Some(v) => {
-                        let pair = v.as_array()?;
-                        Some((pair.first()?.as_u64()? as u8, pair.get(1)?.as_u64()?))
-                    }
-                    None => None,
-                };
-                Some(TraceOp::Write {
-                    path: path_of("path")?,
-                    offset: field("offset")?.as_u64()?,
-                    data,
-                    fill,
-                })
-            }
-            "Truncate" => Some(TraceOp::Truncate {
-                path: path_of("path")?,
-                size: field("size")?.as_u64()?,
-            }),
-            "Unlink" => Some(TraceOp::Unlink {
-                path: path_of("path")?,
-            }),
-            "Rmdir" => Some(TraceOp::Rmdir {
-                path: path_of("path")?,
-            }),
-            "Rename" => Some(TraceOp::Rename {
-                from: path_of("from")?,
-                to: path_of("to")?,
-            }),
-            "Link" => Some(TraceOp::Link {
-                existing: path_of("existing")?,
-                new: path_of("new")?,
-            }),
-            _ => None,
-        }
-    }
-}
-
-fn json_u64(v: u64) -> Value {
-    use serde_json::Number;
-    if v <= i64::MAX as u64 {
-        Value::Number(Number::I64(v as i64))
-    } else {
-        Value::Number(Number::U64(v))
-    }
-}
-
-/// Compresses constant-fill data into the compact representation.
-fn compress(data: &[u8]) -> (Vec<u8>, Option<(u8, u64)>) {
-    match data.first() {
-        Some(&b) if data.iter().all(|&x| x == b) => (Vec::new(), Some((b, data.len() as u64))),
-        _ => (data.to_vec(), None),
-    }
-}
+use vfs::wire::{decode_response, encode_response};
+use vfs::{FileSystem, Forward, FsResult, Names, Op, Outcome};
 
 /// A recording wrapper: drives an inner file system and remembers every
-/// mutation as a [`TraceOp`]. Reads are not recorded (they don't change
-/// state); inode-based calls are translated back to paths via an internal
-/// reverse map maintained from the recorded operations.
+/// successful call that changes it, plus every create, mkdir and lookup,
+/// whose outcomes bind the inode names later calls use. Reads, metadata,
+/// readdir and statfs are not recorded.
 pub struct Tracer<F: FileSystem> {
     inner: F,
-    ops: Vec<TraceOp>,
-    paths: std::collections::HashMap<Ino, String>,
+    stream: Vec<(Op, Outcome)>,
 }
 
 impl<F: FileSystem> Tracer<F> {
@@ -270,157 +44,88 @@ impl<F: FileSystem> Tracer<F> {
     pub fn new(fs: F) -> Tracer<F> {
         Tracer {
             inner: fs,
-            ops: Vec::new(),
-            paths: std::collections::HashMap::new(),
+            stream: Vec::new(),
         }
     }
 
-    /// The recorded operations so far.
-    pub fn ops(&self) -> &[TraceOp] {
-        &self.ops
+    /// The recorded stream so far.
+    pub fn stream(&self) -> &[(Op, Outcome)] {
+        &self.stream
     }
 
-    /// Consumes the tracer, returning the inner file system and the trace.
-    pub fn into_parts(self) -> (F, Vec<TraceOp>) {
-        (self.inner, self.ops)
+    /// Consumes the tracer, returning the inner file system and the stream.
+    pub fn into_parts(self) -> (F, Vec<(Op, Outcome)>) {
+        (self.inner, self.stream)
     }
 
-    /// Operations recorded since index `from` (the journal tail).
-    pub fn tail(&self, from: usize) -> &[TraceOp] {
-        &self.ops[from..]
-    }
-
-    fn path_of(&self, ino: Ino) -> FsResult<String> {
-        self.paths
-            .get(&ino)
-            .cloned()
-            .ok_or(vfs::FsError::InvalidArgument(
-                "inode was not opened through this tracer",
-            ))
+    /// The stream recorded since index `from` (the journal tail).
+    pub fn tail(&self, from: usize) -> &[(Op, Outcome)] {
+        &self.stream[from..]
     }
 }
 
-impl<F: FileSystem> FileSystem for Tracer<F> {
-    fn create(&mut self, path: &str) -> FsResult<Ino> {
-        let ino = self.inner.create(path)?;
-        self.paths.insert(ino, path.to_string());
-        self.ops.push(TraceOp::Create { path: path.into() });
-        Ok(ino)
-    }
-
-    fn mkdir(&mut self, path: &str) -> FsResult<Ino> {
-        let ino = self.inner.mkdir(path)?;
-        self.paths.insert(ino, path.to_string());
-        self.ops.push(TraceOp::Mkdir { path: path.into() });
-        Ok(ino)
-    }
-
-    fn lookup(&mut self, path: &str) -> FsResult<Ino> {
-        let ino = self.inner.lookup(path)?;
-        self.paths.insert(ino, path.to_string());
-        Ok(ino)
-    }
-
-    fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<()> {
-        self.inner.write(ino, offset, data)?;
-        let path = self.path_of(ino)?;
-        let (raw, fill) = compress(data);
-        self.ops.push(TraceOp::Write {
-            path,
-            offset,
-            data: raw,
-            fill,
-        });
-        Ok(())
-    }
-
-    fn read(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        self.inner.read(ino, offset, buf)
-    }
-
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-        self.inner.truncate(ino, size)?;
-        let path = self.path_of(ino)?;
-        self.ops.push(TraceOp::Truncate { path, size });
-        Ok(())
-    }
-
-    fn unlink(&mut self, path: &str) -> FsResult<()> {
-        self.inner.unlink(path)?;
-        self.ops.push(TraceOp::Unlink { path: path.into() });
-        Ok(())
-    }
-
-    fn rmdir(&mut self, path: &str) -> FsResult<()> {
-        self.inner.rmdir(path)?;
-        self.ops.push(TraceOp::Rmdir { path: path.into() });
-        Ok(())
-    }
-
-    fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
-        self.inner.rename(from, to)?;
-        // Keep the reverse map coherent for later inode-based writes.
-        let moved: Vec<Ino> = self
-            .paths
-            .iter()
-            .filter(|(_, p)| p.as_str() == from)
-            .map(|(&i, _)| i)
-            .collect();
-        for ino in moved {
-            self.paths.insert(ino, to.to_string());
+impl<F: FileSystem> Forward for Tracer<F> {
+    fn call(&mut self, op: Op) -> FsResult<Outcome> {
+        let outcome = op.apply(&mut self.inner)?;
+        if !matches!(
+            op,
+            Op::Read(..) | Op::Metadata(_) | Op::Readdir(_) | Op::Statfs
+        ) {
+            self.stream.push((op, outcome.clone()));
         }
-        self.ops.push(TraceOp::Rename {
-            from: from.into(),
-            to: to.into(),
-        });
-        Ok(())
-    }
-
-    fn link(&mut self, existing: &str, new: &str) -> FsResult<()> {
-        self.inner.link(existing, new)?;
-        self.ops.push(TraceOp::Link {
-            existing: existing.into(),
-            new: new.into(),
-        });
-        Ok(())
-    }
-
-    fn metadata(&mut self, ino: Ino) -> FsResult<vfs::Metadata> {
-        self.inner.metadata(ino)
-    }
-
-    fn readdir(&mut self, path: &str) -> FsResult<Vec<vfs::DirEntry>> {
-        self.inner.readdir(path)
-    }
-
-    fn sync(&mut self) -> FsResult<()> {
-        self.inner.sync()?;
-        self.ops.push(TraceOp::Sync);
-        Ok(())
-    }
-
-    fn statfs(&mut self) -> FsResult<vfs::StatFs> {
-        self.inner.statfs()
+        Ok(outcome)
     }
 }
 
-/// Replays a trace onto `fs`, stopping at the first error.
-pub fn replay<F: FileSystem>(fs: &mut F, ops: &[TraceOp]) -> FsResult<usize> {
-    for (i, op) in ops.iter().enumerate() {
-        op.apply(fs).inspect_err(|_| {
-            // Keep the index visible for debugging failed replays.
-            let _ = i;
-        })?;
+/// Replays a stream onto `fs`, stopping at the first error.
+pub fn replay<F: FileSystem>(fs: &mut F, stream: &[(Op, Outcome)]) -> FsResult<usize> {
+    let mut names = Names::default();
+    for (op, recorded) in stream {
+        names.apply(fs, op, recorded)?;
     }
-    Ok(ops.len())
+    Ok(stream.len())
+}
+
+/// Serialises a stream: per entry, the op's request payload and then its
+/// outcome's response payload, each behind a little-endian `u32` length.
+pub fn encode_stream(stream: &[(Op, Outcome)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (op, outcome) in stream {
+        for payload in [op.encode(), encode_response(&Ok(outcome.clone()))] {
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(&payload);
+        }
+    }
+    out
+}
+
+/// Parses what [`encode_stream`] wrote.
+pub fn decode_stream(mut bytes: &[u8]) -> io::Result<Vec<(Op, Outcome)>> {
+    fn payload<'a>(bytes: &mut &'a [u8]) -> io::Result<&'a [u8]> {
+        let bad = || io::Error::new(io::ErrorKind::InvalidData, "truncated stream");
+        let len: [u8; 4] = bytes.get(..4).ok_or_else(bad)?.try_into().expect("4 bytes");
+        let end = 4 + u32::from_le_bytes(len) as usize;
+        let p = bytes.get(4..end).ok_or_else(bad)?;
+        *bytes = &bytes[end..];
+        Ok(p)
+    }
+    let mut stream = Vec::new();
+    while !bytes.is_empty() {
+        let op = Op::decode(payload(&mut bytes)?)?;
+        let outcome = decode_response(payload(&mut bytes)?)?.map_err(io::Error::other)?;
+        stream.push((op, outcome));
+    }
+    Ok(stream)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vfs::model::ModelFs;
+    use blockdev::MemDisk;
+    use lfs_core::{Lfs, LfsConfig};
+    use vfs::model::{assert_same_tree, ModelFs};
 
-    fn sample_trace() -> (Vec<TraceOp>, Vec<(String, Vec<u8>)>) {
+    fn sample_trace() -> Tracer<ModelFs> {
         let mut t = Tracer::new(ModelFs::new());
         t.mkdir("/d").unwrap();
         let a = t.create("/d/a").unwrap();
@@ -436,51 +141,24 @@ mod tests {
         // A post-rename inode-based write must resolve to the new path.
         let z = t.lookup("/d/z").unwrap();
         t.write(z, 0, b"after-rename").unwrap();
-
-        let (mut fs, ops) = t.into_parts();
-        let mut state = Vec::new();
-        for p in ["/d/z", "/zz"] {
-            let ino = fs.lookup(p).unwrap();
-            state.push((p.to_string(), fs.read_to_vec(ino).unwrap()));
-        }
-        (ops, state)
+        t
     }
 
     #[test]
     fn replay_reproduces_state_exactly() {
-        let (ops, expected) = sample_trace();
+        let (mut traced, stream) = sample_trace().into_parts();
         let mut fresh = ModelFs::new();
-        replay(&mut fresh, &ops).unwrap();
-        for (path, data) in &expected {
-            let ino = fresh.lookup(path).unwrap();
-            assert_eq!(&fresh.read_to_vec(ino).unwrap(), data, "{path}");
-        }
+        replay(&mut fresh, &stream).unwrap();
+        assert_same_tree(&mut traced, &mut fresh);
         assert!(fresh.lookup("/b").is_err());
     }
 
     #[test]
-    fn jsonl_roundtrip() {
-        let (ops, _) = sample_trace();
-        let lines: Vec<String> = ops.iter().map(TraceOp::to_jsonl).collect();
-        let back: Vec<TraceOp> = lines
-            .iter()
-            .map(|l| TraceOp::from_jsonl(l).unwrap())
-            .collect();
-        assert_eq!(back, ops);
-    }
-
-    #[test]
-    fn constant_fills_are_compressed() {
-        let mut t = Tracer::new(ModelFs::new());
-        let f = t.create("/f").unwrap();
-        t.write(f, 0, &[9u8; 10_000]).unwrap();
-        let (_, ops) = t.into_parts();
-        let line = ops.last().unwrap().to_jsonl();
-        assert!(
-            line.len() < 200,
-            "fill not compressed: {} bytes",
-            line.len()
-        );
+    fn streams_roundtrip_through_the_wire_encoding() {
+        let stream = sample_trace().stream().to_vec();
+        let bytes = encode_stream(&stream);
+        assert_eq!(decode_stream(&bytes).unwrap(), stream);
+        assert!(decode_stream(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]
@@ -488,9 +166,65 @@ mod tests {
         let mut t = Tracer::new(ModelFs::new());
         t.create("/a").unwrap();
         t.sync().unwrap();
-        let mark = t.ops().len();
+        let mark = t.stream().len();
         t.create("/b").unwrap();
         t.create("/c").unwrap();
         assert_eq!(t.tail(mark).len(), 2);
+    }
+
+    /// Replays `trace` onto a fresh model and a fresh LFS and returns what
+    /// each holds at `path`.
+    fn replayed_contents(trace: impl FnOnce(&mut Tracer<ModelFs>), path: &str) -> [Vec<u8>; 2] {
+        let mut t = Tracer::new(ModelFs::new());
+        trace(&mut t);
+        let (_, stream) = t.into_parts();
+        let mut model = ModelFs::new();
+        replay(&mut model, &stream).unwrap();
+        let mut lfs = Lfs::format(MemDisk::new(1024), LfsConfig::small()).unwrap();
+        replay(&mut lfs, &stream).unwrap();
+        let model_ino = model.lookup(path).unwrap();
+        let lfs_ino = lfs.lookup(path).unwrap();
+        [
+            model.read_to_vec(model_ino).unwrap(),
+            lfs.read_to_vec(lfs_ino).unwrap(),
+        ]
+    }
+
+    /// A write through an inode whose parent directory was renamed after
+    /// the file was opened reaches that file on replay.
+    #[test]
+    fn replay_follows_a_file_whose_directory_was_renamed() {
+        let got = replayed_contents(
+            |t| {
+                t.mkdir("/d").unwrap();
+                let f = t.create("/d/f").unwrap();
+                t.rename("/d", "/e").unwrap();
+                t.write(f, 0, b"moved with its directory").unwrap();
+            },
+            "/e/f",
+        );
+        assert_eq!(
+            got,
+            [
+                b"moved with its directory".to_vec(),
+                b"moved with its directory".to_vec()
+            ]
+        );
+    }
+
+    /// A write through an inode whose recorded name was unlinked reaches
+    /// the file through the hard link that remains.
+    #[test]
+    fn replay_follows_a_file_through_its_remaining_hard_link() {
+        let got = replayed_contents(
+            |t| {
+                let f = t.create("/a").unwrap();
+                t.link("/a", "/b").unwrap();
+                t.unlink("/a").unwrap();
+                t.write(f, 0, b"still linked").unwrap();
+            },
+            "/b",
+        );
+        assert_eq!(got, [b"still linked".to_vec(), b"still linked".to_vec()]);
     }
 }

@@ -5,8 +5,9 @@
 //! recovery, non-volatile RAM may be used for the write buffer."
 //!
 //! We model the NVRAM as an operation journal that survives the crash
-//! (here: a `Vec<TraceOp>` kept outside the file system; on real hardware
-//! it would live in battery-backed RAM). After the crash, normal LFS
+//! (here: the recorded `(Op, Outcome)` stream, encoded to bytes kept
+//! outside the file system; on real hardware they would live in
+//! battery-backed RAM). After the crash, normal LFS
 //! recovery restores everything up to the last flush, and then the journal
 //! tail is replayed — closing the lost-seconds window entirely.
 //!
@@ -17,7 +18,7 @@
 use blockdev::CrashDisk;
 use lfs_core::{Lfs, LfsConfig};
 use vfs::FileSystem;
-use workload::{replay, Tracer};
+use workload::{decode_stream, encode_stream, replay, Tracer};
 
 fn main() {
     let cfg = LfsConfig::small();
@@ -30,7 +31,7 @@ fn main() {
         .write_file("/mail/inbox", b"message 1\n")
         .expect("write");
     traced.sync().expect("sync");
-    let journal_mark = traced.ops().len(); // NVRAM cleared at checkpoint.
+    let journal_mark = traced.stream().len(); // NVRAM cleared at checkpoint.
 
     // The vulnerable window: buffered writes after the last sync.
     let inbox = traced.lookup("/mail/inbox").expect("lookup");
@@ -43,7 +44,7 @@ fn main() {
 
     // ---- CRASH: the file cache contents are gone; the op journal
     // (NVRAM) survives. -------------------------------------------------
-    let journal: Vec<workload::TraceOp> = traced.tail(journal_mark).to_vec();
+    let nvram: Vec<u8> = encode_stream(traced.tail(journal_mark));
     let (fs, _) = traced.into_parts();
     let image = {
         let crash: &CrashDisk = fs.device();
@@ -61,6 +62,7 @@ fn main() {
     println!("plain recovery:  inbox {inbox_len} bytes, outbox lost: {lost_outbox}");
 
     // NVRAM recovery: replay the journal tail on top.
+    let journal = decode_stream(&nvram).expect("journal decode");
     let replayed = replay(&mut plain, &journal).expect("journal replay");
     let ino = plain.lookup("/mail/inbox").expect("inbox");
     let inbox = plain.read_to_vec(ino).expect("read");
