@@ -45,12 +45,10 @@ fn bench_roll_forward(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    let mut no_rf = cfg;
-    no_rf.roll_forward = false;
     c.bench_function("mount_discard_tail", |b| {
         b.iter_batched(
             || MemDisk::from_image(image.clone()),
-            |disk| Lfs::mount(disk, no_rf).unwrap(),
+            |disk| Lfs::mount_checkpoint_only(disk, cfg).unwrap(),
             BatchSize::LargeInput,
         )
     });

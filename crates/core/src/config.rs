@@ -37,16 +37,13 @@ pub struct LfsConfig {
     /// Defaults to one segment's payload so that most flushes fill a whole
     /// segment, as the paper assumes.
     pub flush_threshold_bytes: u64,
-    /// Run roll-forward at mount (Section 4.2). The production Sprite
-    /// system had this disabled and discarded the log tail; both modes are
-    /// supported and tested.
-    pub roll_forward: bool,
     /// Write a checkpoint automatically after this many bytes of new log
-    /// data (0 disables; checkpoints then happen only on `sync` and when
-    /// the cleaner needs to recycle segments). This is the paper's
-    /// suggested alternative to the fixed 30-second interval: "perform
-    /// checkpoints after a given amount of new data has been written"
-    /// (§4.1).
+    /// data (0 disables; checkpoints then happen only on an explicit
+    /// [`crate::Lfs::checkpoint`] and when the cleaner needs to recycle
+    /// segments — `sync` appends to the log and leaves the rest to
+    /// roll-forward). This is the paper's suggested alternative to the
+    /// fixed 30-second interval: "perform checkpoints after a given
+    /// amount of new data has been written" (§4.1).
     pub checkpoint_every_bytes: u64,
     /// Maximum bytes of clean blocks cached in memory (the "file cache").
     pub cache_limit_bytes: u64,
@@ -71,7 +68,6 @@ impl LfsConfig {
             segs_per_clean: 16,
             policy: CleaningPolicy::CostBenefit,
             flush_threshold_bytes: 255 * BLOCK_SIZE as u64,
-            roll_forward: true,
             checkpoint_every_bytes: 8 << 20,
             cache_limit_bytes: 64 << 20,
             streams: 1,
@@ -90,7 +86,6 @@ impl LfsConfig {
             segs_per_clean: 4,
             policy: CleaningPolicy::CostBenefit,
             flush_threshold_bytes: 15 * BLOCK_SIZE as u64,
-            roll_forward: true,
             checkpoint_every_bytes: 1 << 20,
             cache_limit_bytes: 8 << 20,
             streams: 1,

@@ -16,7 +16,8 @@
 //! information to the log, including … blocks of the inode map and
 //! segment usage table" (§4.1) — and roll-forward rebuilds the newer map
 //! entries from the inodes, summaries and directory-operation log of the
-//! tail (§4.2). Every other flush leaves the maps dirty in memory.
+//! tail (§4.2). Every other flush leaves the maps dirty in memory; that
+//! includes a `sync`'s, which is a flush plus a fence (see `Lfs::sync`).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -115,26 +116,14 @@ impl<D: QueueDevice> Lfs<D> {
         self.imap.has_dirty() || self.usage.has_dirty()
     }
 
-    /// The group-commit condition of `checkpoint_inner`: nothing dirty,
-    /// map blocks included, nothing in the log tail past the last
-    /// checkpoint, and *both* checkpoint regions already record
-    /// `write_seq` (see `cp_seqs` — `format` writes the regions one at a
-    /// time).
-    fn checkpoint_current(&self) -> bool {
-        !self.needs_flush()
-            && !self.maps_dirty()
-            && self.checkpoint_seq == self.write_seq
-            && self.bytes_since_checkpoint == 0
-            && self.cp_seqs[0] == Some(self.write_seq)
-            && self.cp_seqs[1] == Some(self.write_seq)
-    }
-
-    /// True when a `sync` would be a pure group commit — exactly the skip
-    /// condition of `checkpoint_inner`. [`crate::SharedLfs`] mirrors this
-    /// into an atomic so concurrent `sync` callers can hand off without
-    /// taking the writer lane at all.
+    /// True when a `sync` would be a pure group commit: nothing a flush
+    /// would write, and the last fence already covers every partial
+    /// write. Dirty map blocks do not count — they wait for the next
+    /// checkpoint. [`crate::SharedLfs`] mirrors this into an atomic so
+    /// concurrent `sync` callers can hand off without taking the writer
+    /// lane at all.
     pub(crate) fn sync_settled(&self) -> bool {
-        self.nsop_depth == 0 && self.checkpoint_current()
+        !self.needs_flush() && self.durable_seq == self.write_seq
     }
 
     /// Writes everything dirty to the log as one or more partial writes.
@@ -150,11 +139,11 @@ impl<D: QueueDevice> Lfs<D> {
     /// The one flush path, returning the [`Flush<DataWritten>`] ordering
     /// token of the last chunk written; `maps` says whether the partial
     /// writes also carry the dirty inode-map and usage-table blocks.
-    /// Checkpointing goes through this form: the token is the
-    /// compile-time proof that the log writes a checkpoint will cover were
+    /// `sync` and checkpointing go through this form: the token is the
+    /// compile-time proof that the log writes a fence will cover were
     /// staged → sealed → submitted in order, and [`Flush::fence`] is the
     /// only way to turn it into the [`CheckpointReady`] the region write
-    /// demands.
+    /// demands (a `sync` fences and stops there).
     pub(crate) fn flush_tokened(&mut self, maps: bool) -> FsResult<Flush<DataWritten>> {
         if !(self.needs_flush() || maps && self.maps_dirty()) {
             return Ok(Flush::idle());
@@ -874,17 +863,6 @@ impl<D: QueueDevice> Lfs<D> {
     }
 
     fn checkpoint_inner(&mut self) -> FsResult<()> {
-        // Group commit: when nothing has reached the log since the last
-        // checkpoint — dirty map blocks included, or a `sync` after a
-        // map-only change would be acknowledged without reaching the
-        // disk — and both regions already record `write_seq`, there is
-        // nothing to make durable. Concurrent `sync` callers amortize
-        // into the one checkpoint already on disk: one log append + one
-        // checkpoint barrier serves them all (§4.1's cost argument).
-        if self.checkpoint_current() {
-            self.stats.group_commits += 1;
-            return Ok(());
-        }
         // Every flush hands back the ordering token of its last chunk;
         // the settle loop keeps only the newest one, which is all the
         // fence below needs — a barrier drains *everything* in flight.
@@ -940,6 +918,7 @@ impl<D: QueueDevice> Lfs<D> {
         // must reflect it on this call, not whenever the next flush runs.
         self.absorb_queue_errors();
         let ready = fence_res?;
+        self.durable_seq = self.write_seq;
         let region = self.sb.checkpoint_addrs()[self.next_cr];
         // Write the region payload-first, header-last (see
         // `Checkpoint::write_to`), retrying transient device errors so a
@@ -953,7 +932,6 @@ impl<D: QueueDevice> Lfs<D> {
         self.scratch = enc;
         write_res?;
         let written_cr = self.next_cr;
-        self.cp_seqs[written_cr] = Some(self.write_seq);
         self.next_cr = 1 - self.next_cr;
         self.checkpoint_seq = self.write_seq;
         self.bytes_since_checkpoint = 0;
@@ -995,33 +973,37 @@ impl<D: QueueDevice> Lfs<D> {
 
 #[cfg(test)]
 mod tests {
-    use blockdev::MemDisk;
+    use blockdev::{BlockDevice, MemDisk};
     use vfs::FileSystem;
 
     use crate::{Lfs, LfsConfig};
 
-    /// Group commit requires clean map blocks too: with both regions
-    /// current, a change only the usage table records leaves a flush
-    /// nothing to do, but a `sync` must still checkpoint it instead of
-    /// acknowledging it without writing.
+    /// A change only the maps record (here a usage-table block) gives a
+    /// flush nothing to write, so a `sync` group-commits past it: map
+    /// state becomes durable at the next checkpoint, as in Sprite
+    /// (§4.1), and until then roll-forward rebuilds what the tail implies.
     #[test]
-    fn sync_after_a_map_only_change_checkpoints() {
+    fn sync_after_a_map_only_change_leaves_it_to_the_checkpoint() {
         let mut fs = Lfs::format(MemDisk::new(2048), LfsConfig::small()).unwrap();
         fs.write_file("/f", b"x").unwrap();
         fs.sync().unwrap();
-        fs.sync().unwrap(); // Both regions now record `write_seq`.
         assert!(fs.sync_settled());
         fs.usage.mark_block_dirty(0);
         assert!(!fs.needs_flush());
-        assert!(!fs.sync_settled());
+        assert!(fs.sync_settled(), "map blocks do not unsettle a sync");
         let (cp, gc) = (fs.stats().checkpoints, fs.stats().group_commits);
+        let writes = fs.device().stats().writes;
         fs.sync().unwrap();
+        assert_eq!(fs.stats().group_commits, gc + 1);
+        assert_eq!(fs.stats().checkpoints, cp);
+        assert_eq!(fs.device().stats().writes, writes);
+        assert!(fs.usage.has_dirty());
+        fs.checkpoint().unwrap();
         assert_eq!(
             fs.stats().checkpoints,
             cp + 1,
             "the map change was not written"
         );
-        assert_eq!(fs.stats().group_commits, gc);
         assert!(!fs.usage.has_dirty());
     }
 }

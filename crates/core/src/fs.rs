@@ -246,6 +246,9 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) write_seq: u64,
     /// Sequence number covered by the last checkpoint.
     pub(crate) checkpoint_seq: u64,
+    /// The `write_seq` covered by the last fence — a `sync`'s or a
+    /// checkpoint's. Every partial write up to it has reached the device.
+    pub(crate) durable_seq: u64,
     /// Which checkpoint region the *next* checkpoint goes to.
     pub(crate) next_cr: usize,
     /// Logical clock (incremented per mutation).
@@ -278,12 +281,6 @@ pub struct Lfs<D: QueueDevice> {
     /// strong count drops back to one (the submission completed), so the
     /// pool never grows past the ring depth + 1.
     pub(crate) scratch_pool: Vec<Arc<Vec<u8>>>,
-    /// The checkpoint sequence each region currently holds on disk
-    /// (`None` until this instance writes it). Group commit may skip the
-    /// region writes only when *both* regions already record
-    /// `write_seq` — otherwise an idle `sync` after `format`'s first
-    /// checkpoint would leave the second region unwritten.
-    pub(crate) cp_seqs: [Option<u64>; 2],
     /// The cleaner's reusable working memory (see `cleaner.rs`).
     pub(crate) clean: crate::cleaner::CleanScratch,
 }
@@ -414,6 +411,7 @@ impl<D: QueueDevice> Lfs<D> {
             cleaned_per_shard: vec![0; shards],
             write_seq: 0,
             checkpoint_seq: 0,
+            durable_seq: 0,
             next_cr: 0,
             clock: 0,
             lru_tick: 0,
@@ -426,7 +424,6 @@ impl<D: QueueDevice> Lfs<D> {
             obs: crate::obs::FsObs::default(),
             scratch: Vec::new(),
             scratch_pool: Vec::new(),
-            cp_seqs: [None, None],
             clean: Default::default(),
         }
     }
@@ -2120,8 +2117,26 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
             .collect())
     }
 
+    /// Makes every acknowledged write durable through roll-forward: one
+    /// flush appends the dirty data, indirect and inode blocks and the
+    /// pending directory-log records as partial writes, and one fence
+    /// drains them to the device. No checkpoint is written; inode-map and
+    /// usage-table state (access times, segment states) waits for the
+    /// next one (§4.1–4.2). A `sync` that finds nothing dirty and the log
+    /// already fenced is a group commit: no device request at all.
     fn sync(&mut self) -> FsResult<()> {
-        self.checkpoint()
+        if self.sync_settled() {
+            self.stats.group_commits += 1;
+            return Ok(());
+        }
+        let written = self.flush_tokened(false)?;
+        // The fence is the commit; no region write follows it.
+        let fence_res = written.fence(&mut self.dev).map_err(FsError::device);
+        // As in `checkpoint_inner`: a ring giveup *is* the fence failure.
+        self.absorb_queue_errors();
+        let _committed = fence_res?;
+        self.durable_seq = self.write_seq;
+        Ok(())
     }
 
     fn statfs(&mut self) -> FsResult<StatFs> {

@@ -28,6 +28,8 @@
 //!    write ([`Flush::fence`]). This token is the *only* way to reach
 //!    [`crate::checkpoint::Checkpoint::write_ordered`], and it is
 //!    consumed by it: one fence authorizes one checkpoint region write.
+//!    A `sync` stops here: its fence is the commit, and it writes no
+//!    region.
 //!
 //! Every token is zero-sized, `!Clone`, and constructible only at the
 //! chain's entry point, so the protocol costs nothing at runtime and the

@@ -1,8 +1,8 @@
 //! Mount and crash recovery: checkpoints plus roll-forward (§4).
 //!
 //! Mount reads both checkpoint regions and initialises the in-memory state
-//! from the valid one with the newest sequence number. With roll-forward
-//! enabled, the log tail written after that checkpoint is then scanned:
+//! from the valid one with the newest sequence number. Roll-forward then
+//! scans the log tail written after that checkpoint:
 //! new inodes found in summaries are adopted into the inode map (which
 //! automatically incorporates their data blocks), segment utilizations are
 //! adjusted for the overwrites and deletions the tail implies, and the
@@ -12,9 +12,12 @@
 //! freeing the inodes the tail unlinked. Inode-map and usage-table blocks
 //! reach the log only with checkpoints, so those three sources are all a
 //! tail normally holds; the one exception is a cleaner pass's closing
-//! flush, whose map blocks are replayed too. Without roll-forward, the
-//! tail is simply discarded, which is how the production Sprite systems
-//! ran.
+//! flush, whose map blocks are replayed too. Roll-forward is what makes
+//! `sync` durable: a sync appends to the log and fences it, and only
+//! periodic checkpoints rewrite the regions. The checkpoint-only mount
+//! ([`Lfs::mount_checkpoint_only`], for tests and tools) discards the
+//! tail, as the production Sprite systems ran, and so drops every
+//! acknowledged sync since the last checkpoint.
 //!
 //! Nothing in this module trusts bytes read from the device: checkpoint
 //! regions, segment summaries, inode blocks, and directory-log records are
@@ -57,7 +60,26 @@ impl<D: QueueDevice> Lfs<D> {
     /// Like [`Lfs::mount`], but with observability attached *before*
     /// recovery runs, so roll-forward trace events (and the end-of-mount
     /// checkpoint) are captured.
-    pub fn mount_with_obs(mut dev: D, cfg: LfsConfig, obs: lfs_obs::Obs) -> FsResult<Lfs<D>> {
+    pub fn mount_with_obs(dev: D, cfg: LfsConfig, obs: lfs_obs::Obs) -> FsResult<Lfs<D>> {
+        Self::mount_inner(dev, cfg, obs, true)
+    }
+
+    /// Mounts from the newest usable checkpoint and discards the log tail
+    /// past it — the raw checkpoint view, as the production Sprite systems
+    /// ran without roll-forward. Everything acknowledged by a `sync`
+    /// since that checkpoint is dropped, so this is for tests, tools and
+    /// recovery measurements, never for serving a file system.
+    #[doc(hidden)]
+    pub fn mount_checkpoint_only(dev: D, cfg: LfsConfig) -> FsResult<Lfs<D>> {
+        Self::mount_inner(dev, cfg, lfs_obs::Obs::off(), false)
+    }
+
+    fn mount_inner(
+        mut dev: D,
+        cfg: LfsConfig,
+        obs: lfs_obs::Obs,
+        roll_forward: bool,
+    ) -> FsResult<Lfs<D>> {
         let mut sb_buf = [0u8; BLOCK_SIZE];
         dev.read_block(SUPERBLOCK_ADDR, &mut sb_buf)
             .map_err(FsError::device)?;
@@ -86,7 +108,7 @@ impl<D: QueueDevice> Lfs<D> {
         }
         let mut last_err = FsError::Corrupt("no checkpoint candidate".into());
         for (cp, idx) in candidates {
-            match Self::mount_at_checkpoint(dev, sb, cfg, &cp, idx, obs.clone()) {
+            match Self::mount_at_checkpoint(dev, sb, cfg, &cp, idx, obs.clone(), roll_forward) {
                 Ok(mut fs) => {
                     fs.nfiles = fs.imap.live_count().saturating_sub(1);
                     // Commit the new epoch (and anything recovery
@@ -118,13 +140,14 @@ impl<D: QueueDevice> Lfs<D> {
         cp: &Checkpoint,
         idx: usize,
         obs: lfs_obs::Obs,
+        roll_forward: bool,
     ) -> Result<Lfs<D>, (D, FsError)> {
         let mut cfg = cfg;
         cfg.seg_blocks = sb.seg_blocks;
         cfg.max_inodes = sb.max_inodes;
         let mut fs = Lfs::bare(dev, sb, cfg);
         fs.set_obs(obs);
-        match fs.load_checkpoint_state(cp, idx) {
+        match fs.load_checkpoint_state(cp, idx, roll_forward) {
             Ok(()) => Ok(fs),
             Err(e) => Err((fs.into_device(), e)),
         }
@@ -134,7 +157,12 @@ impl<D: QueueDevice> Lfs<D> {
     /// the in-memory state from it. Every quantity the checkpoint supplies
     /// is range-checked before use — a checksummed region can still be a
     /// stale or hostile one.
-    fn load_checkpoint_state(&mut self, cp: &Checkpoint, idx: usize) -> FsResult<()> {
+    fn load_checkpoint_state(
+        &mut self,
+        cp: &Checkpoint,
+        idx: usize,
+        roll_forward: bool,
+    ) -> FsResult<()> {
         let corrupt = |what: &str| FsError::Corrupt(format!("checkpoint: {what}"));
         // One write point per (stream, shard) pair, stored stream-major,
         // each on its own shard. A checkpoint from a volume set of a
@@ -225,7 +253,7 @@ impl<D: QueueDevice> Lfs<D> {
         // cannot destroy anything the checkpoint references. Roll-forward
         // itself only reads; its mutations reach the log through the
         // end-of-mount checkpoint.
-        if self.cfg.roll_forward {
+        if roll_forward {
             self.roll_forward(cp)?;
             // Usage blocks recovered from the log tail may reintroduce
             // PendingFree states; those covered by the loaded checkpoint
@@ -843,7 +871,7 @@ where
 {
     let mut fs = Lfs::mount(dev, cfg)?;
     let out = f(&mut fs)?;
-    fs.sync()?;
+    fs.checkpoint()?;
     Ok((fs.into_device(), out))
 }
 

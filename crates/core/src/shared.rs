@@ -46,13 +46,14 @@
 //! grey zone — and a read spanning multiple blocks may be torn at block
 //! granularity, exactly like two processes sharing a page cache.
 //!
-//! **Concurrent `sync` batches through the group-commit path.** Callers
-//! serialize on the writer lane, where `checkpoint_inner`'s dual-region
-//! `cp_seqs` guard already amortizes redundant checkpoints; on top of
-//! that, a `settled` atomic mirrors [`Lfs::sync_settled`] so that when
-//! both regions already cover the log tail a `sync` returns without
-//! touching the lane at all (counted in `sync_handoffs` — the WAL-style
-//! commit handoff).
+//! **Concurrent `sync` batches through the group-commit path.** A `sync`
+//! is a log append — a flush and a fence, no checkpoint — and callers
+//! with work to do serialize on the writer lane. A `settled` atomic
+//! mirrors [`Lfs::sync_settled`] (nothing dirty, and the last fence
+//! covers every partial write), refreshed at every lane exit, so a
+//! `sync` arriving after another one made everything durable returns
+//! without touching the lane at all (counted in `sync_handoffs` — the
+//! WAL-style commit handoff).
 //!
 //! **Access times** are the one piece of mutable state a lock-free read
 //! must produce. Reads queue `(ino, clock)` pairs into a pending list and
@@ -472,9 +473,11 @@ impl<D: QueueDevice> SharedLfs<D> {
         self.with_writer(|fs| fs.checkpoint())
     }
 
-    /// `sync` with the group-commit fast path: when both checkpoint
-    /// regions already cover everything durable-relevant, hand off to the
-    /// checkpoint that is already on disk without taking the writer lane.
+    /// `sync` with the group-commit fast path. When nothing is dirty and
+    /// the last fence covers every partial write, every acknowledged
+    /// write is already durable through roll-forward, so the call returns
+    /// without taking the writer lane. Otherwise it runs [`Lfs`]'s
+    /// `sync` — one flush and one fence, no checkpoint — on the lane.
     pub fn sync_all(&self) -> FsResult<()> {
         if self.inner.settled.load(Ordering::Acquire) {
             self.inner

@@ -134,10 +134,10 @@ pub struct LfsStats {
     pub cleaner: CleanerStats,
     /// Checkpoints performed.
     pub checkpoints: u64,
-    /// `sync` calls satisfied by group commit: nothing had reached the
-    /// log since the last checkpoint and both regions already recorded
-    /// it, so the call amortized into the checkpoint already on disk
-    /// instead of writing its own.
+    /// `sync` calls satisfied by group commit: nothing was dirty and the
+    /// last fence already covered every partial write, so the call
+    /// amortized into the log append already on disk and issued no
+    /// device request.
     pub group_commits: u64,
     /// Partial writes (flushes) performed.
     pub partial_writes: u64,

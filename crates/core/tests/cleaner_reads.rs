@@ -57,11 +57,11 @@ fn churn<D: QueueDevice>(fs: &mut Lfs<D>) {
                 .unwrap();
         }
         if round % 50 == 49 {
-            fs.sync().unwrap();
+            fs.checkpoint().unwrap();
             fs.drop_caches();
         }
     }
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     assert!(
         fs.stats().cleaner.segments_cleaned > 100,
         "the churn must clean heavily, cleaned {}",
@@ -218,13 +218,13 @@ fn f_in_two_segments() -> (Lfs<MemDisk>, Ino) {
     let mut fs = Lfs::format(MemDisk::new(1024), on_demand()).unwrap();
     let f = fs.create("/f").unwrap();
     let pad = fs.create("/pad").unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     for k in 0..10u64 {
         fs.write(f, k * BS, &[0xf0 + k as u8; BLOCK_SIZE]).unwrap();
     }
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     fs.write(pad, 0, &vec![7u8; 30 * BLOCK_SIZE]).unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     assert_eq!(shape(&fs, 0), "SimuSldimuSddddd");
     assert_eq!(shape(&fs, 1), "SdddddimuSdddddd");
     (fs, f)
@@ -235,7 +235,7 @@ fn kill(fs: &mut Lfs<MemDisk>, f: Ino, ks: &[u64]) {
     for &k in ks {
         fs.write(f, k * BS, &[0xe0 + k as u8; BLOCK_SIZE]).unwrap();
     }
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
 }
 
 /// Empties the caches and brings back the inodes alone, so that every
@@ -313,7 +313,7 @@ fn a_dead_inode_block_is_never_read() {
     // says without a read — so the one run is 1‥6.
     kill(&mut fs, f, &[0, 1, 2, 3, 4]);
     fs.unlink("/pad").unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     forget_blocks(&mut fs, &[f]);
     let pass = clean_pass(&mut fs);
     assert_eq!((&pass.victims[..], pass.empty), (&[0, 1, 2, 3][..], 3));
@@ -360,7 +360,7 @@ fn an_empty_victim_is_not_read_at_all() {
     for i in 0..10 {
         fs.unlink(&format!("/f{i}")).unwrap();
     }
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     let pass = clean_pass(&mut fs);
     assert!(pass.empty > 0 && pass.empty == pass.victims.len() as u64);
     assert_eq!(pass.cleaner, (0, 0));
@@ -380,20 +380,20 @@ fn twenty_files_in_one_segment() -> (Lfs<MemDisk>, Vec<Ino>) {
     let files: Vec<Ino> = (0..20)
         .map(|i| fs.create(&format!("/f{i}")).unwrap())
         .collect();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     for (i, &ino) in files.iter().enumerate() {
         fs.write(ino, 0, &vec![i as u8; 10 * BLOCK_SIZE]).unwrap();
     }
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     for i in 0..6 {
         fs.write_file(&format!("/pad{i}"), &vec![9u8; 10 * BLOCK_SIZE])
             .unwrap();
     }
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     for i in 0..6 {
         fs.unlink(&format!("/pad{i}")).unwrap();
     }
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     let shape = shape(&fs, 0);
     assert_eq!(shape.matches('S').count(), 5);
     assert_eq!(&shape[..13], "SimuSldiimuSd");
@@ -408,7 +408,7 @@ fn runs_join_across_a_chunk_boundary() {
     for name in (0..20).filter(|&i| i != 14).map(|i| format!("/f{i}")) {
         fs.unlink(&name).unwrap();
     }
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     forget_blocks(&mut fs, &[files[14]]);
     // Only /f14 is live, and the summary between its two halves is
     // bridged like any other short gap: one run, 152‥163.
@@ -427,7 +427,7 @@ fn runs_join_across_a_chunk_boundary() {
 fn a_nearly_full_victim_is_one_first_live_to_last_live_request() {
     let (mut fs, files) = twenty_files_in_one_segment();
     fs.write(files[3], 5 * BS, &[0xee; BLOCK_SIZE]).unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     forget_blocks(&mut fs, &files);
     // All 200 data blocks but one are live: the dead one and the summary
     // at 156 are bridged, so the two chunks cost one request, 12‥213 —
@@ -456,9 +456,9 @@ fn an_inode_block_is_read_only_for_an_inode_the_cache_lacks() {
     let build = || {
         let mut fs = Lfs::format(MemDisk::new(1024), on_demand()).unwrap();
         let e = fs.create("/e").unwrap();
-        fs.sync().unwrap();
+        fs.checkpoint().unwrap();
         fs.write_file("/pad", &vec![7u8; 10 * BLOCK_SIZE]).unwrap();
-        fs.sync().unwrap();
+        fs.checkpoint().unwrap();
         assert_eq!(shape(&fs, 0), "SimuSldimuSldddd");
         forget_blocks(&mut fs, &[]);
         (fs, e)

@@ -7,7 +7,9 @@
 //! of the legal states (before or after the operation, never in
 //! between).
 
-use blockdev::{CrashDisk, MemDisk};
+use blockdev::{CrashDisk, MemDisk, QueueDevice, QueuedDev};
+use lfs_core::checkpoint::Checkpoint;
+use lfs_core::layout::{CR0_ADDR, CR1_ADDR};
 use lfs_core::{InvariantSuite, Lfs, LfsConfig};
 use vfs::{FileSystem, FsError};
 
@@ -20,9 +22,9 @@ fn verify_cut(suite: &InvariantSuite, image: MemDisk, cfg: LfsConfig, tag: &str)
 }
 
 /// Two legs per operation kind: one makes the setup and the operation
-/// durable with `sync` (a checkpoint), the other with `flush` alone, so
-/// that every cut — the last one included — recovers the operation
-/// through roll-forward of the log tail (§4.2).
+/// durable with a checkpoint, the other with `sync` alone (a log append:
+/// flush + fence), so that every cut — the last one included — recovers
+/// the operation through roll-forward of the log tail (§4.2).
 fn sweep<Setup, Op, Check>(setup: Setup, op: Op, check: Check)
 where
     Setup: Fn(&mut Lfs<CrashDisk>),
@@ -30,10 +32,10 @@ where
     Check: Fn(&mut Lfs<MemDisk>, usize, usize),
 {
     let cfg = LfsConfig::small();
-    for leg in ["sync", "flush"] {
+    for leg in ["checkpoint", "sync"] {
         let persist = |fs: &mut Lfs<CrashDisk>| match leg {
-            "sync" => fs.sync().unwrap(),
-            _ => fs.flush().unwrap(),
+            "checkpoint" => fs.checkpoint().unwrap(),
+            _ => fs.sync().unwrap(),
         };
         let mut fs = Lfs::format(CrashDisk::new(2048), cfg).unwrap();
         setup(&mut fs);
@@ -56,7 +58,8 @@ where
 /// writes: the straddling request persists an arbitrary seed-chosen subset
 /// of its blocks, not a prefix. This models a disk that reorders sectors
 /// within one request — the failure the per-entry summary checksums exist
-/// to catch.
+/// to catch. The same two legs as [`sweep`]: the checkpoint leg tears
+/// the region writes too.
 fn torn_sweep<Setup, Op, Check>(setup: Setup, op: Op, check: Check)
 where
     Setup: Fn(&mut Lfs<CrashDisk>),
@@ -64,21 +67,27 @@ where
     Check: Fn(&mut Lfs<MemDisk>, usize, usize),
 {
     let cfg = LfsConfig::small();
-    let mut fs = Lfs::format(CrashDisk::new(2048), cfg).unwrap();
-    setup(&mut fs);
-    fs.sync().unwrap();
-    fs.device_mut().checkpoint_baseline();
-    op(&mut fs);
-    fs.sync().unwrap();
-    let suite = InvariantSuite::new();
-    let crash: &CrashDisk = fs.device();
-    let n = crash.num_block_cuts();
-    for cut in 0..=n {
-        for seed in [1u64, 0x9e37_79b9_7f4a_7c15] {
-            let image = crash.torn_image_after(cut, seed, false).unwrap();
-            let tag = format!("torn cut {cut}/{n} seed {seed:#x}");
-            let mut fs2 = verify_cut(&suite, image, cfg, &tag);
-            check(&mut fs2, cut, n);
+    for leg in ["checkpoint", "sync"] {
+        let persist = |fs: &mut Lfs<CrashDisk>| match leg {
+            "checkpoint" => fs.checkpoint().unwrap(),
+            _ => fs.sync().unwrap(),
+        };
+        let mut fs = Lfs::format(CrashDisk::new(2048), cfg).unwrap();
+        setup(&mut fs);
+        persist(&mut fs);
+        fs.device_mut().checkpoint_baseline();
+        op(&mut fs);
+        persist(&mut fs);
+        let suite = InvariantSuite::new();
+        let crash: &CrashDisk = fs.device();
+        let n = crash.num_block_cuts();
+        for cut in 0..=n {
+            for seed in [1u64, 0x9e37_79b9_7f4a_7c15] {
+                let image = crash.torn_image_after(cut, seed, false).unwrap();
+                let tag = format!("{leg} leg: torn cut {cut}/{n} seed {seed:#x}");
+                let mut fs2 = verify_cut(&suite, image, cfg, &tag);
+                check(&mut fs2, cut, n);
+            }
         }
     }
 }
@@ -376,6 +385,63 @@ fn double_crash_recover_crash_again() {
     }
 }
 
+/// An acknowledged `sync` is durable without a checkpoint: write, `sync`,
+/// cut the journal at its end, mount — roll-forward brings back every
+/// byte, and the sync wrote no checkpoint region. Bare, and behind a
+/// depth-4 submission ring, where the flush's writes reach the journal
+/// only through the sync's fence.
+#[test]
+fn sync_survives_a_crash_without_a_checkpoint() {
+    fn run<D: QueueDevice>(dev: D, journal: impl Fn(&D) -> &CrashDisk, tag: &str) {
+        let cfg = LfsConfig::small();
+        let mut fs = Lfs::format(dev, cfg).unwrap();
+        fs.write_file("/base", &[1u8; 10_000]).unwrap();
+        fs.checkpoint().unwrap();
+        let mut cp_image = journal(fs.device()).image_now();
+
+        let mut suite = InvariantSuite::new();
+        let mut base = vec![1u8; 10_000];
+        base[4000..9000].fill(2);
+        let ino = fs.lookup("/base").unwrap();
+        fs.write(ino, 4000, &[2u8; 5000]).unwrap();
+        suite.expect_exact("/base", base);
+        fs.mkdir("/d").unwrap();
+        let synced: Vec<u8> = (0..70_000u32).map(|i| (i % 251) as u8).collect();
+        fs.write_file("/d/synced", &synced).unwrap();
+        suite.expect_exact("/d/synced", synced.clone());
+        fs.link("/d/synced", "/alias").unwrap();
+        suite.expect_exact("/alias", synced);
+
+        let checkpoints = fs.stats().checkpoints;
+        fs.sync().unwrap();
+        assert_eq!(
+            fs.stats().checkpoints,
+            checkpoints,
+            "{tag}: sync checkpointed"
+        );
+
+        let crash = journal(fs.device());
+        let mut image = crash.image_after(crash.num_writes()).unwrap();
+        let regions = |img: &mut MemDisk| {
+            [CR0_ADDR, CR1_ADDR].map(|a| Checkpoint::read_from(img, a).unwrap())
+        };
+        assert_eq!(
+            regions(&mut image),
+            regions(&mut cp_image),
+            "{tag}: the sync rewrote a checkpoint region"
+        );
+        let mut fs2 = verify_cut(&suite, image, cfg, tag);
+        let alias = fs2.lookup("/alias").unwrap();
+        assert_eq!(fs2.metadata(alias).unwrap().nlink, 2, "{tag}");
+    }
+    run(CrashDisk::new(2048), |d| d, "bare");
+    run(
+        QueuedDev::new(CrashDisk::new(2048), 4),
+        |d| d.inner(),
+        "queue 4",
+    );
+}
+
 #[test]
 fn checkpoint_never_splits_a_namespace_op() {
     // Regression: the cleaner (or any other checkpoint trigger) used to be
@@ -386,7 +452,7 @@ fn checkpoint_never_splits_a_namespace_op() {
     // checkpoint to the end of the operation.
     //
     // The check that catches it: after every operation, the *raw newest
-    // checkpoint* (mount with roll-forward disabled, so flushed-but-not-
+    // checkpoint* (the checkpoint-only mount, so flushed-but-not-
     // checkpointed chunks are ignored) must describe a self-consistent
     // file system. A churn workload on a small disk keeps the cleaner busy
     // enough to tempt it mid-operation; with the guard removed, several of
@@ -396,8 +462,6 @@ fn checkpoint_never_splits_a_namespace_op() {
 
     fn churn(seed: u64) -> Result<(), String> {
         let cfg = LfsConfig::small();
-        let mut raw = cfg;
-        raw.roll_forward = false;
         let mut fs = Lfs::format(CrashDisk::new(512), cfg).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         for opno in 0..400 {
@@ -412,7 +476,7 @@ fn checkpoint_never_splits_a_namespace_op() {
                 let b = format!("/f{}", rng.gen_range(0u32..8));
                 fs.rename(&a, &b)
             } else {
-                fs.sync()
+                fs.checkpoint()
             };
             match r {
                 Ok(())
@@ -421,7 +485,7 @@ fn checkpoint_never_splits_a_namespace_op() {
                 | Err(FsError::NoSpace) => {}
                 Err(e) => return Err(format!("seed {seed} op {opno}: {e}")),
             }
-            let mut snap = Lfs::mount(fs.device().image_now(), raw)
+            let mut snap = Lfs::mount_checkpoint_only(fs.device().image_now(), cfg)
                 .map_err(|e| format!("seed {seed} op {opno}: raw checkpoint unmountable: {e}"))?;
             let report = snap.check().unwrap();
             if !report.is_clean() {

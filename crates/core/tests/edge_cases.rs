@@ -128,7 +128,8 @@ fn clean_pass_public_api() {
     for i in 0..10 {
         fs.unlink(&format!("/f{i}")).unwrap();
     }
-    fs.sync().unwrap();
+    // Only segments a checkpoint covers are eligible victims.
+    fs.checkpoint().unwrap();
     let cleaned = fs.clean_pass().unwrap();
     assert!(cleaned > 0, "nothing cleaned");
     assert!(fs.check().unwrap().is_clean());
@@ -213,9 +214,9 @@ fn statfs_tracks_lifecycle() {
 fn alternating_checkpoint_regions_survive_corruption_of_one() {
     let mut fs = small_fs();
     fs.write_file("/a", b"1").unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     fs.write_file("/b", b"2").unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     let mut image = fs.into_device();
     // Corrupt checkpoint region A entirely.
     let junk = vec![0xffu8; BLOCK_SIZE];

@@ -13,28 +13,25 @@ const CR_ADDRS: [u64; 2] = [CR0_ADDR, CR1_ADDR];
 /// Formats a small file system, writes `/a`, checkpoints, writes `/b`,
 /// checkpoints again, and returns the raw device. The newest checkpoint
 /// region knows about both files; the older one only about `/a`.
-fn two_checkpoint_image(cfg: LfsConfig) -> MemDisk {
-    let mut fs = Lfs::format(MemDisk::new(2048), cfg).unwrap();
+fn two_checkpoint_image() -> MemDisk {
+    let mut fs = Lfs::format(MemDisk::new(2048), LfsConfig::small()).unwrap();
     fs.write_file("/a", b"alpha").unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     fs.write_file("/b", b"beta").unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     fs.into_device()
 }
 
-/// Config used by the fallback tests: roll-forward off, so mounting from
-/// the older checkpoint region visibly loses `/b` instead of replaying it
-/// back from the log.
-fn no_replay_cfg() -> LfsConfig {
-    let mut cfg = LfsConfig::small();
-    cfg.roll_forward = false;
-    cfg
+/// Mount used by the fallback tests: the checkpoint view alone, so
+/// mounting from the older region visibly loses `/b` instead of
+/// replaying it back from the log.
+fn mount_no_replay<D: blockdev::QueueDevice>(dev: D) -> Result<Lfs<D>, FsError> {
+    Lfs::mount_checkpoint_only(dev, LfsConfig::small())
 }
 
 #[test]
 fn torn_newest_checkpoint_falls_back_to_older_region() {
-    let cfg = no_replay_cfg();
-    let mut dev = two_checkpoint_image(cfg);
+    let mut dev = two_checkpoint_image();
     let (_, newest) = Checkpoint::read_latest(&mut dev, CR_ADDRS).unwrap();
 
     // Tear the newest region: garbage over its header block, as if the
@@ -43,19 +40,18 @@ fn torn_newest_checkpoint_falls_back_to_older_region() {
     dev.write_block(CR_ADDRS[newest], &garbage, WriteKind::Sync)
         .unwrap();
 
-    let mut fs = Lfs::mount(dev, cfg).expect("mount must fall back to the older region");
+    let mut fs = mount_no_replay(dev).expect("mount must fall back to the older region");
     assert!(fs.lookup("/a").is_ok(), "older checkpoint state lost");
     assert!(
         matches!(fs.lookup("/b"), Err(FsError::NotFound)),
-        "/b postdates the surviving checkpoint and roll-forward is off"
+        "/b postdates the surviving checkpoint and the tail is not replayed"
     );
     assert!(fs.check().unwrap().is_clean());
 }
 
 #[test]
 fn geometry_corrupt_but_checksummed_checkpoint_falls_back() {
-    let cfg = no_replay_cfg();
-    let mut dev = two_checkpoint_image(cfg);
+    let mut dev = two_checkpoint_image();
     let (mut cp, newest) = Checkpoint::read_latest(&mut dev, CR_ADDRS).unwrap();
 
     // The checksum is valid but the geometry is impossible: the claimed
@@ -64,7 +60,7 @@ fn geometry_corrupt_but_checksummed_checkpoint_falls_back() {
     cp.cur_seg = u32::MAX / 2;
     cp.write_to(&mut dev, CR_ADDRS[newest]).unwrap();
 
-    let mut fs = Lfs::mount(dev, cfg).expect("mount must reject impossible geometry");
+    let mut fs = mount_no_replay(dev).expect("mount must reject impossible geometry");
     assert!(fs.lookup("/a").is_ok());
     assert!(matches!(fs.lookup("/b"), Err(FsError::NotFound)));
     assert!(fs.check().unwrap().is_clean());
@@ -72,13 +68,12 @@ fn geometry_corrupt_but_checksummed_checkpoint_falls_back() {
 
 #[test]
 fn both_checkpoint_regions_torn_is_corrupt_not_panic() {
-    let cfg = no_replay_cfg();
-    let mut dev = two_checkpoint_image(cfg);
+    let mut dev = two_checkpoint_image();
     let garbage = [0xa5u8; BLOCK_SIZE];
     for addr in CR_ADDRS {
         dev.write_block(addr, &garbage, WriteKind::Sync).unwrap();
     }
-    match Lfs::mount(dev, cfg) {
+    match mount_no_replay(dev) {
         Err(FsError::Corrupt(_)) => {}
         Err(e) => panic!("expected Corrupt, got {e}"),
         Ok(_) => panic!("mount succeeded with no valid checkpoint"),
@@ -143,7 +138,7 @@ fn exhausted_retries_surface_device_error_and_degraded_stat() {
 #[test]
 fn rotted_checkpoint_headers_fail_mount_cleanly() {
     let cfg = LfsConfig::small();
-    let dev = two_checkpoint_image(cfg);
+    let dev = two_checkpoint_image();
     // Seed chosen so the deterministic flips land inside the validated
     // prefix of both header blocks (flips in the region's dead padding are
     // harmless by design — the checksum only covers live bytes).
@@ -159,12 +154,11 @@ fn rotted_checkpoint_headers_fail_mount_cleanly() {
 
 #[test]
 fn rotted_newest_checkpoint_falls_back_to_older_region() {
-    let cfg = no_replay_cfg();
-    let mut dev = two_checkpoint_image(cfg);
+    let mut dev = two_checkpoint_image();
     let (_, newest) = Checkpoint::read_latest(&mut dev, CR_ADDRS).unwrap();
 
     let plan = FaultPlan::new(3).with_bitrot(CR_ADDRS[newest]);
-    let mut fs = Lfs::mount(FaultDisk::new(dev, plan), cfg)
+    let mut fs = mount_no_replay(FaultDisk::new(dev, plan))
         .expect("mount must fall back past the rotted region");
     assert!(fs.lookup("/a").is_ok());
     assert!(matches!(fs.lookup("/b"), Err(FsError::NotFound)));
@@ -176,7 +170,7 @@ fn transient_read_fault_does_not_truncate_roll_forward() {
     let cfg = LfsConfig::small();
     let mut fs = Lfs::format(MemDisk::new(2048), cfg).unwrap();
     fs.write_file("/durable", b"safe").unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     // Flushed to the log but not checkpointed: only roll-forward finds it.
     fs.write_file("/tail", &[0xab; 9000]).unwrap();
     fs.flush().unwrap();

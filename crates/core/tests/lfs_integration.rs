@@ -336,22 +336,21 @@ fn no_space_is_reported_not_corrupted() {
 
 #[test]
 fn crash_without_sync_loses_tail_but_stays_consistent() {
-    let mut cfg = LfsConfig::small();
-    cfg.roll_forward = false;
+    let cfg = LfsConfig::small();
     let crash = CrashDisk::new(4096);
     let mut fs = Lfs::format(crash, cfg).unwrap();
     fs.write_file("/durable", b"safe").unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     fs.write_file("/volatile", b"gone").unwrap();
     // Crash now (no sync).
     let image = {
         let crash: &CrashDisk = fs.device();
         crash.image_after(crash.num_writes()).unwrap()
     };
-    let mut fs2 = Lfs::mount(image, cfg).unwrap();
+    let mut fs2 = Lfs::mount_checkpoint_only(image, cfg).unwrap();
     let d = fs2.lookup("/durable").unwrap();
     assert_eq!(fs2.read_to_vec(d).unwrap(), b"safe");
-    // Without roll-forward, the unsynced file is gone.
+    // From the checkpoint alone, the unsynced file is gone.
     assert!(fs2.lookup("/volatile").is_err());
     let report = fs2.check().unwrap();
     assert!(report.is_clean(), "{:#?}", report.errors);
@@ -363,7 +362,7 @@ fn roll_forward_recovers_flushed_but_not_checkpointed_data() {
     let crash = CrashDisk::new(4096);
     let mut fs = Lfs::format(crash, cfg).unwrap();
     fs.write_file("/durable", b"safe").unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     // Write and flush (to the log) but do NOT checkpoint.
     let v = fs.write_file("/recovered", &[0xab; 9000]).unwrap();
     fs.flush().unwrap();
@@ -427,7 +426,8 @@ fn flush_and_remount(mut fs: Lfs<MemDisk>) -> Lfs<MemDisk> {
 }
 
 /// Inode-map and usage-table blocks reach the log with checkpoints only
-/// (§4.1): flushes, however many, leave them to the next `sync`.
+/// (§4.1): flushes and syncs, however many, leave them to the next
+/// checkpoint.
 #[test]
 fn map_blocks_reach_the_log_with_checkpoints_only() {
     let mut fs = small_fs();
@@ -437,10 +437,14 @@ fn map_blocks_reach_the_log_with_checkpoints_only() {
     let before = map_bytes(&fs);
     for i in 0..20 {
         fs.write_file(&format!("/f{i}"), &[i as u8; 6000]).unwrap();
-        fs.flush().unwrap();
+        if i % 2 == 0 {
+            fs.flush().unwrap();
+        } else {
+            fs.sync().unwrap();
+        }
     }
-    assert_eq!(map_bytes(&fs), before, "a flush wrote map blocks");
-    fs.sync().unwrap();
+    assert_eq!(map_bytes(&fs), before, "a flush or sync wrote map blocks");
+    fs.checkpoint().unwrap();
     assert!(
         map_bytes(&fs) > before,
         "the checkpoint wrote no map blocks"
@@ -448,6 +452,48 @@ fn map_blocks_reach_the_log_with_checkpoints_only() {
     let mut fs = Lfs::mount(fs.into_device(), LfsConfig::small()).unwrap();
     let ino = fs.lookup("/f7").unwrap();
     assert_eq!(fs.read_to_vec(ino).unwrap(), [7u8; 6000]);
+    check_clean(&mut fs);
+}
+
+/// `sync` makes data, inodes and namespace operations durable through
+/// roll-forward; state only the inode map records — access times (§3.1)
+/// — becomes durable at the next checkpoint, as in Sprite (§4.1).
+#[test]
+fn access_times_become_durable_at_the_next_checkpoint() {
+    let setup = || {
+        let mut fs = small_fs();
+        let a = fs.write_file("/a", b"read me").unwrap();
+        let b = fs.write_file("/b", b"old").unwrap();
+        fs.checkpoint().unwrap();
+        let before = fs.metadata(a).unwrap().atime;
+        fs.advance_clock(1000);
+        fs.read(a, 0, &mut [0u8; 4]).unwrap();
+        let read_at = fs.metadata(a).unwrap().atime;
+        assert!(read_at > before);
+        // /b's inode shares /a's inode-map block and moves in the log,
+        // so that block is dirty as well.
+        fs.write(b, 0, b"new").unwrap();
+        fs.sync().unwrap();
+        (fs, a, b, before, read_at)
+    };
+
+    let (fs, a, b, before, _) = setup();
+    let mut fs = Lfs::mount(fs.into_device(), LfsConfig::small()).unwrap();
+    assert_eq!(
+        fs.read_to_vec(b).unwrap(),
+        b"new",
+        "the synced write was lost"
+    );
+    assert_eq!(
+        fs.metadata(a).unwrap().atime,
+        before,
+        "a sync wrote the inode map"
+    );
+
+    let (mut fs, a, _, _, read_at) = setup();
+    fs.checkpoint().unwrap();
+    let mut fs = Lfs::mount(fs.into_device(), LfsConfig::small()).unwrap();
+    assert_eq!(fs.metadata(a).unwrap().atime, read_at);
     check_clean(&mut fs);
 }
 
@@ -497,7 +543,7 @@ fn roll_forward_ignores_records_for_a_directory_number_reused_by_a_file() {
 fn roll_forward_frees_a_file_truncated_then_unlinked() {
     let mut fs = small_fs();
     let ino = fs.write_file("/f", &[4u8; 20_000]).unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     fs.truncate(ino, 0).unwrap();
     fs.unlink("/f").unwrap();
     // Only the unlink record, at the truncated version, reaches the tail.

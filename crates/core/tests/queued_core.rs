@@ -65,7 +65,7 @@ fn queued_device_image_and_stats_parity() {
     let q = queued.device().queue_stats();
     assert!(q.submitted > 0, "no queued submissions recorded");
     assert_eq!(q.submitted, q.completed);
-    assert!(q.fences > 0, "checkpoints must fence the ring");
+    assert!(q.fences > 0, "syncs and checkpoints must fence the ring");
     assert_eq!(q.giveups, 0);
     assert_eq!(queued.stats().io_giveups, 0);
 
@@ -78,49 +78,44 @@ fn queued_device_image_and_stats_parity() {
     assert_eq!(d.image(), qd.image(), "disk images diverged");
 }
 
-/// Idle `sync` calls group-commit: once both checkpoint regions record
-/// the current log position, `sync` returns without touching the disk.
-/// A region that is stale (the alternate not yet rewritten) still gets
-/// its own checkpoint first — group commit never weakens the
-/// dual-region invariant.
+/// Idle `sync` calls group-commit: once the last fence covers every
+/// partial write (`durable_seq == write_seq`) and nothing is dirty,
+/// `sync` returns without touching the disk. A `sync` with work to do is
+/// a log append — one flush and one fence — and never a checkpoint.
 #[test]
 fn group_commit_amortizes_idle_syncs() {
     let mut fs = Lfs::format(MemDisk::new(2048), LfsConfig::small()).unwrap();
-    // format wrote both regions at the same sequence, so the very first
-    // idle sync is already free.
+    // format's checkpoints fenced everything, so the very first idle
+    // sync is already free.
     let w0 = fs.device().stats().writes;
     let cp0 = fs.stats().checkpoints;
     fs.sync().unwrap();
     assert_eq!(fs.stats().group_commits, 1);
-    assert_eq!(
-        fs.stats().checkpoints,
-        cp0,
-        "group commit must not checkpoint"
-    );
     assert_eq!(
         fs.device().stats().writes,
         w0,
         "group commit must not write"
     );
 
-    // New data: the next sync is a real checkpoint (one region)...
+    // New data: the next sync appends it to the log...
     fs.write_file("/f", b"dirty again").unwrap();
     fs.sync().unwrap();
-    assert_eq!(fs.stats().checkpoints, cp0 + 1);
+    assert!(fs.device().stats().writes > w0, "the sync wrote nothing");
     assert_eq!(fs.stats().group_commits, 1);
-    // ...the one after refreshes the alternate region (still real)...
-    fs.sync().unwrap();
-    assert_eq!(fs.stats().checkpoints, cp0 + 2);
-    assert_eq!(fs.stats().group_commits, 1);
-    // ...and only then do further idle syncs amortize away.
+    // ...and every idle sync after it amortizes away.
     let w1 = fs.device().stats().writes;
     fs.sync().unwrap();
     fs.sync().unwrap();
-    assert_eq!(fs.stats().checkpoints, cp0 + 2);
     assert_eq!(fs.stats().group_commits, 3);
     assert_eq!(fs.device().stats().writes, w1);
+    assert_eq!(
+        fs.stats().checkpoints,
+        cp0,
+        "a sync must not checkpoint, idle or not"
+    );
 
-    // The image stays mountable after a run that group-committed.
+    // The image stays mountable after a run that group-committed, and
+    // roll-forward brings back what only the sync wrote.
     let ino = fs.lookup("/f").unwrap();
     assert_eq!(fs.read_to_vec(ino).unwrap(), b"dirty again");
     let disk = fs.into_device();
@@ -129,22 +124,33 @@ fn group_commit_amortizes_idle_syncs() {
     assert_eq!(fs.read_to_vec(ino).unwrap(), b"dirty again");
 }
 
-/// Group commit composes with the queue: a queued device sees no
-/// submissions at all for an idle sync.
+/// Group commit composes with the queue: an idle sync issues no
+/// submission and no fence. A sync after a flush that left nothing dirty
+/// still fences — the flushed writes are not yet covered by one.
 #[test]
 fn group_commit_skips_queue_traffic() {
     let mut fs = Lfs::format(QueuedDev::new(MemDisk::new(2048), 8), LfsConfig::small()).unwrap();
     fs.write_file("/f", b"x").unwrap();
     fs.sync().unwrap();
-    fs.sync().unwrap(); // refresh the alternate region
     let q0 = fs.device().queue_stats();
     let w0 = fs.device().inner().stats().writes;
     fs.sync().unwrap();
-    assert!(fs.stats().group_commits >= 1);
+    assert_eq!(fs.stats().group_commits, 1);
     let q1 = fs.device().queue_stats();
     assert_eq!(q0.submitted, q1.submitted);
     assert_eq!(q0.fences, q1.fences);
     assert_eq!(fs.device().inner().stats().writes, w0);
+
+    fs.write_file("/g", b"y").unwrap();
+    fs.flush().unwrap();
+    let q2 = fs.device().queue_stats();
+    assert!(q2.submitted > q1.submitted);
+    fs.sync().unwrap();
+    let q3 = fs.device().queue_stats();
+    assert_eq!(q3.submitted, q2.submitted, "nothing was left to flush");
+    assert_eq!(q3.fences, q2.fences + 1, "the flushed writes need a fence");
+    assert_eq!(fs.stats().group_commits, 1);
+    assert_eq!(fs.device().in_flight(), 0);
 }
 
 /// A cleaning pass over many segments must flush incrementally — at
@@ -165,11 +171,12 @@ fn cleaner_bounds_staged_data_per_flush() {
         let data = vec![(i + 1) as u8; 8 * 4096];
         fs.write_file(&format!("/f{i}"), &data).unwrap();
     }
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
     for i in (0..16u32).step_by(2) {
         fs.unlink(&format!("/f{i}")).unwrap();
     }
-    fs.sync().unwrap();
+    // Only segments a checkpoint covers are eligible victims.
+    fs.checkpoint().unwrap();
 
     let flushes = |fs: &Lfs<MemDisk>| {
         fs.metrics_snapshot()
@@ -207,7 +214,7 @@ fn faulty_queued_fs(seed: u64, depth: usize) -> Lfs<QueuedDev<FaultDisk<MemDisk>
 }
 
 /// A fault burst that outlasts the ring's retry budget becomes a
-/// giveup: the checkpoint's fence surfaces the error, and the very same
+/// giveup: the sync's fence surfaces the error, and the very same
 /// call folds the ring's unclaimed retry/giveup counts into [`LfsStats`]
 /// — a later probe of the device finds nothing left to claim.
 #[test]
@@ -233,9 +240,9 @@ fn ring_giveup_mid_trace_folds_into_stats_once() {
     assert_eq!(fs.device_mut().take_queue_errors(), (0, 0));
 
     // The giveup lost in-flight log writes, but nothing durable: the
-    // fence failed *before* the checkpoint regions were touched, so the
-    // on-disk image still recovers to the last fenced state — `/base`
-    // intact, `/doomed` simply never happened.
+    // sync failed, so nothing was acknowledged, and the on-disk image
+    // still recovers to the last fenced state — `/base` intact, `/doomed`
+    // simply never happened.
     let mut suite = InvariantSuite::new();
     suite.expect_exact("/base", b"stable ground".to_vec());
     suite.expect_history("/doomed", vec![vec![0x5a; 3 * 4096]]);

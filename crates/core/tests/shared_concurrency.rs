@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use blockdev::MemDisk;
+use blockdev::{BlockDevice, MemDisk};
 use lfs_core::{Lfs, LfsConfig, SharedLfs};
 use proptest::prelude::*;
 use vfs::model::assert_same_tree;
@@ -307,9 +307,10 @@ fn racing_reads_never_observe_torn_blocks() {
     shared.with_fs(|fs| fs.assert_running_counts());
 }
 
-/// Concurrent `sync` from many clients batches through group commit: when
-/// everything is already settled the calls return via the lock-free
-/// handoff, and the checkpoint count stays far below the sync count.
+/// Concurrent `sync` from many clients batches through group commit: once
+/// a sync has fenced the log (`durable_seq == write_seq`) and nothing is
+/// dirty, every further call returns via the lock-free handoff — no
+/// lane, no device write, no fence, no checkpoint.
 #[test]
 fn concurrent_syncs_batch_through_group_commit() {
     let shared = SharedLfs::format(MemDisk::new(DISK_BLOCKS), LfsConfig::small()).expect("format");
@@ -319,6 +320,7 @@ fn concurrent_syncs_batch_through_group_commit() {
     w.sync().expect("sync");
     let base = shared.stats();
     let base_shared = shared.shared_stats();
+    let base_writes = shared.with_fs(|fs| fs.device().stats().writes);
 
     const SYNCS_PER_THREAD: u64 = 200;
     std::thread::scope(|s| {
@@ -340,19 +342,16 @@ fn concurrent_syncs_batch_through_group_commit() {
     let stats = shared.stats();
     let sstats = shared.shared_stats();
     let total = 4 * SYNCS_PER_THREAD;
-    let absorbed = (sstats.sync_handoffs - base_shared.sync_handoffs)
-        + (stats.group_commits - base.group_commits);
-    let checkpoints = stats.checkpoints - base.checkpoints;
-    // The seed sync covered one checkpoint region, so exactly one of the
-    // concurrent syncs may legitimately write the second region; every
-    // other call must be absorbed — group commit under the lane, or the
-    // settled handoff without taking the lane at all.
-    assert!(
-        absorbed >= total - 1,
-        "only {absorbed} of {total} redundant syncs were absorbed"
+    assert_eq!(
+        sstats.sync_handoffs - base_shared.sync_handoffs,
+        total,
+        "every idle sync must hand off without the lane"
     );
-    assert!(
-        checkpoints <= 1,
-        "redundant syncs wrote {checkpoints} checkpoints"
+    assert_eq!(stats.group_commits, base.group_commits);
+    assert_eq!(stats.checkpoints, base.checkpoints);
+    assert_eq!(
+        shared.with_fs(|fs| fs.device().stats().writes),
+        base_writes,
+        "idle syncs wrote to the device"
     );
 }

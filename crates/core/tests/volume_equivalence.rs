@@ -159,7 +159,7 @@ fn roll_forward_recovers_tail_across_shards() {
             .expect("write");
         inos.push((path, ino));
     }
-    fs.sync().expect("sync");
+    fs.checkpoint().expect("checkpoint");
     // Tail: enough chunks to rotate over every shard's write point.
     for i in 0..12 {
         let path = format!("/tail{i}");
@@ -204,13 +204,14 @@ fn cleaner_regenerates_segments_on_every_shard() {
             Err(e) => panic!("write: {e:?}"),
         }
     }
-    fs.sync().expect("sync");
+    fs.checkpoint().expect("checkpoint");
     for (i, path) in created.iter().enumerate() {
         if i % 3 != 0 {
             fs.unlink(path).expect("unlink");
         }
     }
-    fs.sync().expect("sync");
+    // Only segments a checkpoint covers are eligible victims.
+    fs.checkpoint().expect("checkpoint");
     for _ in 0..8 {
         if fs.clean_pass().expect("clean") == 0 {
             break;

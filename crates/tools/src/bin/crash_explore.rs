@@ -3,7 +3,7 @@
 //! Where `torture` *samples* crash states (random cuts, one seeded torn
 //! subset each), this tool *enumerates* them. It records a canonical
 //! short workload — creates, overwrites, renames, unlinks, an explicit
-//! cleaner pass, flushes, and checkpoints — on a journaling
+//! cleaner pass, flushes, syncs, and checkpoints — on a journaling
 //! [`CrashDisk`], then walks [`ModelCheck`] over the journal:
 //!
 //! - every block-granular prefix cut (all of
@@ -19,7 +19,11 @@
 //! [`InvariantSuite`]: recoverability (checkpoint checksum gating and
 //! older-region fallback), structural consistency (the full offline
 //! checker), and namespace/content atomicity (base files byte-exact, hot
-//! files a prefix of a version they legally held). A violation is
+//! files a prefix of a version they legally held). The base files are
+//! made durable by a `sync`, which appends to the log and fences it
+//! without a checkpoint, so "base files byte-exact in every state" is
+//! the acknowledged-sync check: every cut must bring them back through
+//! roll-forward. A violation is
 //! minimized by greedy [`CrashSpec`] shrinking into the smallest recipe
 //! that still fails, then printed as a self-contained repro.
 //!
@@ -178,8 +182,11 @@ fn record_trace<D: ExploreDev>(
     let mut fs = Lfs::format(disk, cfg).map_err(|e| format!("format: {e}"))?;
     let mut suite = InvariantSuite::new();
 
-    // Base files: durable before the crash window opens, so every
-    // enumerated state must hold them byte-exact.
+    // Base files: acknowledged by a `sync` before the crash window
+    // opens, so every enumerated state must hold them byte-exact. The
+    // sync writes no checkpoint; only roll-forward of the log tail
+    // brings them back, until the first mid-trace checkpoint covers
+    // them.
     for i in 0..BASE_FILES {
         let content = version_content(i as u32, 1500 + 2500 * i);
         fs.write_file(&format!("/base{i}"), &content)
@@ -234,10 +241,15 @@ fn record_trace<D: ExploreDev>(
                 return Err(format!("op {opno}: {e}"));
             }
         }
-        // A mid-trace checkpoint roughly every 10 ops: cuts straddling
-        // the region write are the states §4.1's alternation exists for.
-        if opno % 10 == 9 {
+        // A mid-trace sync and checkpoint every 10 ops. The sync is a log
+        // append plus a fence; cuts straddling the checkpoint's region
+        // write are the states §4.1's alternation exists for.
+        if opno % 10 == 4 {
             fs.sync().map_err(|e| format!("op {opno} sync: {e}"))?;
+        }
+        if opno % 10 == 9 {
+            fs.checkpoint()
+                .map_err(|e| format!("op {opno} checkpoint: {e}"))?;
         }
     }
     fs.flush().map_err(|e| format!("final flush: {e}"))?;

@@ -91,7 +91,15 @@ pub trait FileSystem {
     /// Lists a directory.
     fn readdir(&mut self, path: &str) -> FsResult<Vec<DirEntry>>;
 
-    /// Forces all buffered modifications to stable storage.
+    /// Makes every modification acknowledged so far survive a crash.
+    ///
+    /// What survives is the file system's contract. On the
+    /// log-structured file system, `sync` appends data, inodes, indirect
+    /// blocks and namespace operations to the log and fences the device
+    /// without writing a checkpoint; recovery brings them back by
+    /// roll-forward. Access times and segment-usage state become durable
+    /// at its next checkpoint instead. Its fence does not yet reach the
+    /// device's own `sync` (the host's `fsync` on an image file).
     fn sync(&mut self) -> FsResult<()>;
 
     /// Returns file-system-wide statistics.

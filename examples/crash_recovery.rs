@@ -12,8 +12,13 @@ use blockdev::CrashDisk;
 use lfs_core::{Lfs, LfsConfig};
 use vfs::FileSystem;
 
-fn probe(image: blockdev::MemDisk, cfg: LfsConfig, label: &str) {
-    let mut fs = Lfs::mount(image, cfg).expect("recovery mount");
+fn probe(image: blockdev::MemDisk, cfg: LfsConfig, roll_forward: bool, label: &str) {
+    let mut fs = if roll_forward {
+        Lfs::mount(image, cfg)
+    } else {
+        Lfs::mount_checkpoint_only(image, cfg)
+    }
+    .expect("recovery mount");
     let report = fs.check().expect("fsck");
     let names: Vec<&str> = ["/a.txt", "/b.txt", "/renamed.txt", "/dir/c.txt"]
         .into_iter()
@@ -31,14 +36,14 @@ fn main() {
 
     // --- Durable state: written and checkpointed --------------------------
     fs.write_file("/a.txt", b"checkpointed data").unwrap();
-    fs.sync().unwrap();
+    fs.checkpoint().unwrap();
 
-    // --- Log tail: flushed to the log but NOT checkpointed ---------------
+    // --- Log tail: synced (appended and fenced) but NOT checkpointed ------
     fs.write_file("/b.txt", b"in the log tail").unwrap();
     fs.mkdir("/dir").unwrap();
     fs.write_file("/dir/c.txt", b"also in the tail").unwrap();
-    fs.flush().unwrap();
-    let cut_flushed = fs.device().num_writes();
+    fs.sync().unwrap();
+    let cut_synced = fs.device().num_writes();
 
     // --- In-memory only: never reached the disk ---------------------------
     fs.write_file("/never.txt", b"lost on crash").unwrap();
@@ -53,35 +58,38 @@ fn main() {
         cut_renamed
     );
 
-    // Crash right after the un-checkpointed creates were flushed.
+    // Crash right after the un-checkpointed creates were synced.
     let crash: &CrashDisk = fs.device();
     probe(
-        crash.image_after(cut_flushed).unwrap(),
+        crash.image_after(cut_synced).unwrap(),
         cfg,
-        "crash after flush        ",
+        true,
+        "crash after sync         ",
     );
 
     // Crash after the rename hit the log.
     probe(
         crash.image_after(cut_renamed).unwrap(),
         cfg,
+        true,
         "crash after rename flush ",
     );
 
-    // Same crash, but with roll-forward disabled (production Sprite did
-    // this): everything since the last checkpoint is discarded.
-    let mut no_rf = cfg;
-    no_rf.roll_forward = false;
+    // Same crash, read back from the checkpoint alone, as production
+    // Sprite did without roll-forward: everything since the last
+    // checkpoint is discarded — acknowledged syncs included.
     probe(
         crash.image_after(cut_renamed).unwrap(),
-        no_rf,
-        "same, roll-forward OFF   ",
+        cfg,
+        false,
+        "same, checkpoint only    ",
     );
 
     println!(
-        "\nWith roll-forward, the flushed-but-not-checkpointed files (b.txt,\n\
-         dir/c.txt) are recovered and the rename is atomic; without it, only\n\
-         the checkpointed a.txt survives. /never.txt is gone either way —\n\
-         the paper assumes losing a few seconds of work is acceptable (§2.1)."
+        "\nWith roll-forward, the synced-but-not-checkpointed files (b.txt,\n\
+         dir/c.txt) are recovered and the rename is atomic; from the\n\
+         checkpoint alone, only the checkpointed a.txt survives. /never.txt\n\
+         is gone either way — the paper assumes losing a few seconds of work\n\
+         is acceptable (§2.1)."
     );
 }

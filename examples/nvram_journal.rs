@@ -31,7 +31,7 @@ fn main() {
         .write_file("/mail/inbox", b"message 1\n")
         .expect("write");
     traced.sync().expect("sync");
-    let journal_mark = traced.stream().len(); // NVRAM cleared at checkpoint.
+    let journal_mark = traced.stream().len(); // NVRAM cleared: the sync is durable.
 
     // The vulnerable window: buffered writes after the last sync.
     let inbox = traced.lookup("/mail/inbox").expect("lookup");

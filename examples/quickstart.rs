@@ -42,7 +42,8 @@ fn main() {
         println!("dir entry: {} (inode {})", entry.name, entry.ino);
     }
 
-    // Unmount and remount: state comes back from the checkpoint.
+    // Drop and remount: the synced state comes back from the last
+    // checkpoint plus roll-forward of the log tail the sync appended.
     let disk = fs.into_device();
     let mut fs = Lfs::mount(disk, LfsConfig::default()).expect("mount");
     let ino = fs.lookup("/notes-link").expect("lookup");
