@@ -12,15 +12,22 @@ use crate::{Lfs, LfsConfig, SharedLfs};
 
 type Key = (Ino, u64);
 
+/// Every resident block's key.
+fn resident(fs: &Lfs<MemDisk>) -> Vec<Key> {
+    let mut keys = Vec::new();
+    fs.blocks.for_each(|k, _| keys.push(k));
+    keys
+}
+
 /// What `evict(excess, protect)` must remove, computed the slow way: the
 /// `excess` smallest stamps among clean, unpinned, unprotected blocks.
 fn reference_victims(fs: &Lfs<MemDisk>, excess: usize, protect: Option<Key>) -> BTreeSet<Key> {
-    let mut candidates: Vec<(u64, Key)> = fs
-        .blocks
-        .iter()
-        .filter(|&(&k, b)| !b.dirty && !b.pinned() && Some(k) != protect)
-        .map(|(&k, b)| (b.lru, k))
-        .collect();
+    let mut candidates: Vec<(u64, Key)> = Vec::new();
+    fs.blocks.for_each(|k, b| {
+        if !b.dirty && !b.pinned() && Some(k) != protect {
+            candidates.push((b.lru, k));
+        }
+    });
     candidates.sort_unstable();
     candidates.truncate(excess);
     candidates.into_iter().map(|(_, k)| k).collect()
@@ -31,6 +38,9 @@ proptest! {
     /// overwritten, truncated and dropped blocks, dirty and pinned blocks
     /// at the cold end, compactions — and after every operation an
     /// explicit eviction round must remove exactly the reference victims.
+    /// `MemDisk` completes every submission at once, so nothing here is
+    /// in flight; the held `pins` stand in for the queued submissions that
+    /// pin blocks on a deeper ring.
     #[test]
     fn evict_picks_the_reference_victims(
         ops in proptest::collection::vec((0u8..10, 0usize..3, 0u64..40, 1usize..6, 0usize..12), 1..80),
@@ -39,7 +49,8 @@ proptest! {
         cfg.cache_limit_bytes = 24 * BLOCK_SIZE as u64;
         let mut fs = Lfs::format(MemDisk::new(4096), cfg).unwrap();
         let inos: Vec<Ino> = (0..3).map(|i| fs.create(&format!("/f{i}")).unwrap()).collect();
-        // Stand-ins for snapshots published to concurrent readers.
+        // Stand-ins for in-flight submissions: each holds a block's
+        // payload `Arc`, as a queued write does.
         let mut pins: Vec<Arc<Vec<u8>>> = Vec::new();
         for &(sel, file, bno, n, k) in &ops {
             let ino = inos[file];
@@ -54,18 +65,18 @@ proptest! {
                 7 => fs.truncate(ino, at).unwrap(),
                 8 if k == 0 => fs.drop_caches(),
                 8 => pins.truncate(pins.len() / 2),
-                _ => pins.extend(fs.blocks.get(&(ino, bno)).map(|b| b.data.clone())),
+                _ => pins.extend(fs.blocks.get((ino, bno), |b| b.data.clone())),
             }
             fs.assert_running_counts();
 
-            let mut resident: Vec<Key> = fs.blocks.keys().copied().collect();
+            let mut resident = resident(&fs);
             resident.sort_unstable();
             let protect = resident.get(k).copied();
             let expected = reference_victims(&fs, n, protect);
             fs.evict(n, protect);
             let gone: BTreeSet<Key> = resident
                 .into_iter()
-                .filter(|k| !fs.blocks.contains_key(k))
+                .filter(|&k| !fs.blocks.contains(k))
                 .collect();
             prop_assert_eq!(gone, expected);
             fs.assert_running_counts();
@@ -140,7 +151,7 @@ fn recycled_buffers_show_no_old_bytes<F: Under>(mut fs: F) {
     // refills the pool with poison.
     fs.sync().unwrap();
     poison_pool(&mut fs, a);
-    fs.lfs(|l| assert!(!l.blocks.keys().any(|&(ino, _)| ino == b)));
+    fs.lfs(|l| assert!(!resident(l).iter().any(|&(ino, _)| ino == b)));
     assert_eq!(fs.read_to_vec(b).unwrap(), want);
     fs.lfs(|l| l.assert_running_counts());
 }
@@ -167,6 +178,6 @@ fn drop_caches_empties_the_pool() {
     fs.sync().unwrap();
     poison_pool(&mut fs, a);
     fs.drop_caches();
-    assert!(fs.pool.is_empty() && fs.blocks.is_empty() && fs.lru_index.is_empty());
+    assert!(fs.pool.is_empty() && fs.blocks.len() == 0 && fs.lru_index.is_empty());
     fs.assert_running_counts();
 }

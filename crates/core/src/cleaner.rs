@@ -21,7 +21,8 @@ use std::collections::BinaryHeap;
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{FsError, FsResult, Ino};
 
-use crate::fs::{CachedBlock, IndKey, Lfs};
+use crate::cache::CachedBlock;
+use crate::fs::{IndKey, Lfs};
 use crate::layout::DiskAddr;
 use crate::summary::{EntryKind, Summary, SummaryEntry};
 use crate::usage::SegState;
@@ -617,7 +618,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// not. Everything else relocates from memory.
     fn needs_bytes(&self, entry: &SummaryEntry, addr: DiskAddr) -> bool {
         match entry.kind {
-            EntryKind::Data => !self.blocks.contains_key(&(entry.ino, entry.offset as u64)),
+            EntryKind::Data => !self.blocks.contains((entry.ino, entry.offset as u64)),
             EntryKind::InodeBlock => self
                 .live_inodes_at(addr)
                 .any(|ino| !self.inodes.contains_key(&ino)),
@@ -697,25 +698,16 @@ impl<D: QueueDevice> Lfs<D> {
                     let lru = self.stamp((ino, bno));
                     let mut buf = self.take_buf();
                     buf.copy_from_slice(content);
-                    self.blocks.insert(
-                        (ino, bno),
-                        CachedBlock {
-                            data: std::sync::Arc::new(buf),
-                            dirty: false,
-                            lru,
-                            mtime: entry.mtime,
-                        },
-                    );
+                    self.blocks
+                        .insert((ino, bno), CachedBlock::clean(buf, lru, entry.mtime));
                 }
                 let original_mtime = self
                     .blocks
-                    .get(&(ino, bno))
-                    .map(|b| if b.dirty { b.mtime } else { entry.mtime })
+                    .get((ino, bno), |b| if b.dirty { b.mtime } else { entry.mtime })
                     .unwrap_or(entry.mtime);
                 self.mark_block_dirty(ino, bno);
-                if let Some(b) = self.blocks.get_mut(&(ino, bno)) {
-                    b.mtime = original_mtime;
-                }
+                self.blocks
+                    .get_mut((ino, bno), |b| b.mtime = original_mtime);
             }
             EntryKind::Indirect1 | EntryKind::Indirect2 => {
                 let cached = self

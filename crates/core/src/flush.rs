@@ -215,7 +215,7 @@ impl<D: QueueDevice> Lfs<D> {
                 let oldest_block = self
                     .dirty_blocks
                     .range((ino, 0)..=(ino, u64::MAX))
-                    .filter_map(|k| self.blocks.get(k).map(|b| b.mtime))
+                    .filter_map(|&k| self.blocks.get(k, |b| b.mtime))
                     .min();
                 let key = match oldest_block {
                     Some(t) => t,
@@ -400,11 +400,7 @@ impl<D: QueueDevice> Lfs<D> {
                     // Per-block modification time (the §3.6 refinement):
                     // segment ages reflect the blocks actually in them,
                     // not the owning file's latest touch.
-                    let mtime = self
-                        .blocks
-                        .get(&(*ino, *bno))
-                        .map(|b| b.mtime)
-                        .unwrap_or(now);
+                    let mtime = self.blocks.get((*ino, *bno), |b| b.mtime).unwrap_or(now);
                     let old = self.set_block_ptr(*ino, *bno, addr)?;
                     if old != NIL_ADDR {
                         if let Some(s) = self.sb.seg_of(old) {
@@ -549,11 +545,13 @@ impl<D: QueueDevice> Lfs<D> {
         self.write_points = plan.end_wps;
 
         // ---- clear dirty state --------------------------------------------
-        for (ino, bno) in std::mem::take(&mut self.dirty_blocks) {
-            if let Some(b) = self.blocks.get_mut(&(ino, bno)) {
+        let mut blocks = self.blocks.lock_all();
+        for key in std::mem::take(&mut self.dirty_blocks) {
+            if let Some(b) = blocks.get_mut(key) {
                 b.dirty = false;
             }
         }
+        drop(blocks);
         self.dirty_bytes = 0;
         for c in self.inodes.values_mut() {
             c.dirty = false;
@@ -627,6 +625,8 @@ impl<D: QueueDevice> Lfs<D> {
         // indistinguishable from the end of the log instead of being
         // replayed as garbage.
         let mut entries = Vec::with_capacity(n);
+        // The data blocks' payloads, in item order, for pass 2.
+        let mut payloads = Vec::with_capacity(n);
         for (j, item) in items.iter().enumerate() {
             let dst = &mut scratch[(1 + j) * BLOCK_SIZE..(2 + j) * BLOCK_SIZE];
             let entry = match item {
@@ -636,10 +636,14 @@ impl<D: QueueDevice> Lfs<D> {
                     e
                 }
                 Item::Data { ino, bno } => {
-                    let b = &self.blocks[&(*ino, *bno)];
+                    let (mtime, data) = self
+                        .blocks
+                        .get((*ino, *bno), |b| (b.mtime, b.data.clone()))
+                        .expect("dirty blocks are resident");
                     let mut e =
-                        SummaryEntry::data(*ino, *bno as u32, self.imap.version(*ino), b.mtime);
-                    e.csum = crate::codec::block_checksum(&b.data);
+                        SummaryEntry::data(*ino, *bno as u32, self.imap.version(*ino), mtime);
+                    e.csum = crate::codec::block_checksum(&data);
+                    payloads.push(data);
                     e
                 }
                 Item::Ind { ino, key } => {
@@ -717,10 +721,11 @@ impl<D: QueueDevice> Lfs<D> {
         // completion.
         let mut bufs: Vec<IoBuf> = Vec::with_capacity(1 + n);
         bufs.push(IoBuf::shared_range(arc.clone(), 0, BLOCK_SIZE));
+        let mut payloads = payloads.into_iter();
         for (j, item) in items.iter().enumerate() {
             bufs.push(match item {
                 Item::DirLog(data) => IoBuf::shared(data.clone()),
-                Item::Data { ino, bno } => IoBuf::shared(self.blocks[&(*ino, *bno)].data.clone()),
+                Item::Data { .. } => IoBuf::shared(payloads.next().expect("one per data item")),
                 _ => IoBuf::shared_range(arc.clone(), (1 + j) * BLOCK_SIZE, BLOCK_SIZE),
             });
         }

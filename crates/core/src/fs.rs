@@ -8,12 +8,13 @@
 //! "once a file's inode has been found, the number of disk I/Os required
 //! to read the file is identical in Sprite LFS and Unix FFS" (§3.1).
 
-use std::collections::{hash_map::Entry, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{DirEntry, FileSystem, FileType, FsError, FsResult, Ino, Metadata, StatFs, ROOT_INO};
 
+use crate::cache::{BlockCache, CachedBlock, Key};
 use crate::config::LfsConfig;
 use crate::dir::{self, DirRecord};
 use crate::dirlog::{DirLogRecord, DirOp};
@@ -63,35 +64,6 @@ pub(crate) fn set_dirty(flag: &mut bool, count: &mut usize) {
     if !*flag {
         *flag = true;
         *count += 1;
-    }
-}
-
-/// A cached file (or directory) data block.
-///
-/// The payload is reference-counted so the write path can hand the device
-/// a zero-copy window onto the cache ([`blockdev::IoBuf`]): a submission
-/// clones the `Arc`, and a later in-place mutation of the still-in-flight
-/// block copies-on-write via [`Arc::make_mut`] instead of corrupting the
-/// queued snapshot. On a synchronous device the submission has completed
-/// by then, the count is back to one, and `make_mut` degenerates to a
-/// plain `&mut`.
-pub(crate) struct CachedBlock {
-    pub(crate) data: Arc<Vec<u8>>,
-    pub(crate) dirty: bool,
-    pub(crate) lru: u64,
-    /// The block's modification time — per *block*, not per file, which
-    /// is the refinement §3.6 of the paper says Sprite planned. The
-    /// cleaner preserves it across relocations so segment ages and
-    /// age-sorting reflect true block ages.
-    pub(crate) mtime: u64,
-}
-
-impl CachedBlock {
-    /// Whether the block is pinned against eviction: its payload `Arc` is
-    /// shared with a concurrent reader's published snapshot or an
-    /// in-flight queued submission. See [`Lfs::evict`].
-    pub(crate) fn pinned(&self) -> bool {
-        Arc::strong_count(&self.data) > 1
     }
 }
 
@@ -199,7 +171,9 @@ pub struct Lfs<D: QueueDevice> {
     /// Running count of dirty entries in `inodes`, maintained at every
     /// flag transition so `needs_flush` never scans the cache.
     pub(crate) dirty_inode_count: usize,
-    pub(crate) blocks: HashMap<(Ino, u64), CachedBlock>,
+    /// The block cache, shared with [`crate::SharedLfs`]'s lock-free
+    /// readers; everything about it but the map lives in the fields below.
+    pub(crate) blocks: Arc<BlockCache>,
     /// Every LRU stamp ever handed out, oldest first, with the block it
     /// went to. An entry is *live* while that block is resident and still
     /// carries the stamp; each resident block has exactly one live entry.
@@ -283,6 +257,18 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) scratch_pool: Vec<Arc<Vec<u8>>>,
     /// The cleaner's reusable working memory (see `cleaner.rs`).
     pub(crate) clean: crate::cleaner::CleanScratch,
+}
+
+/// A block-sized buffer from `pool`; see [`Lfs::take_buf`].
+fn take_buf(pool: &mut Vec<Vec<u8>>) -> Vec<u8> {
+    pool.pop().unwrap_or_else(|| vec![0u8; BLOCK_SIZE])
+}
+
+/// Marks a cached block dirty as of `now` and returns whether it already
+/// was; [`Lfs::note_dirty`] does the bookkeeping.
+fn dirty_at(b: &mut CachedBlock, now: u64) -> bool {
+    b.mtime = now;
+    std::mem::replace(&mut b.dirty, true)
 }
 
 /// Looks `bno` up in a pointer window (see [`Lfs::ptr_window`]).
@@ -395,7 +381,7 @@ impl<D: QueueDevice> Lfs<D> {
             epoch: 0,
             inodes: HashMap::new(),
             dirty_inode_count: 0,
-            blocks: HashMap::new(),
+            blocks: Arc::default(),
             lru_index: VecDeque::new(),
             pool: Vec::new(),
             dirty_blocks: BTreeSet::new(),
@@ -910,7 +896,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// Hands out the next LRU stamp and records in the index that it goes
     /// to `key`. The caller stores it in the block (inserting the block if
     /// need be) before anything else touches the cache.
-    pub(crate) fn stamp(&mut self, key: (Ino, u64)) -> u64 {
+    pub(crate) fn stamp(&mut self, key: Key) -> u64 {
         // Every earlier stamp is in its block by now, so whatever fails
         // the liveness test is garbage; sweeping it only once it makes up
         // half the index keeps a stamp O(1) amortised.
@@ -924,9 +910,9 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Drops every stale entry of the LRU index.
     fn compact_lru_index(&mut self) {
-        let blocks = &self.blocks;
+        let blocks = self.blocks.lock_all();
         self.lru_index
-            .retain(|&(stamp, key)| blocks.get(&key).is_some_and(|b| b.lru == stamp));
+            .retain(|&(stamp, key)| blocks.get(key).is_some_and(|b| b.lru == stamp));
     }
 
     /// The cache limit in blocks, and the level to which clean blocks may
@@ -941,7 +927,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// buffer still holds the bytes of the block evicted from it, so every
     /// caller overwrites all of it ([`Lfs::zeroed_buf`] otherwise).
     pub(crate) fn take_buf(&mut self) -> Vec<u8> {
-        self.pool.pop().unwrap_or_else(|| vec![0u8; BLOCK_SIZE])
+        take_buf(&mut self.pool)
     }
 
     /// [`Lfs::take_buf`], zero-filled: a hole, or a block about to be
@@ -961,7 +947,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// write path and the directory code; file reads go through
     /// [`Lfs::fetch_blocks`].
     pub(crate) fn ensure_block(&mut self, ino: Ino, bno: u64) -> FsResult<()> {
-        if self.blocks.contains_key(&(ino, bno)) {
+        if self.blocks.contains((ino, bno)) {
             return Ok(());
         }
         let addr = self.block_ptr(ino, bno)?;
@@ -989,16 +975,8 @@ impl<D: QueueDevice> Lfs<D> {
     /// read path).
     fn insert_fetched(&mut self, ino: Ino, bno: u64, data: Vec<u8>) {
         let lru = self.stamp((ino, bno));
-        let mtime = self.clock;
-        self.blocks.insert(
-            (ino, bno),
-            CachedBlock {
-                data: Arc::new(data),
-                dirty: false,
-                lru,
-                mtime,
-            },
-        );
+        self.blocks
+            .insert((ino, bno), CachedBlock::clean(data, lru, self.clock));
         let (limit, high) = self.cache_bounds();
         if self.blocks.len() > high {
             self.evict(self.blocks.len() - limit, Some((ino, bno)));
@@ -1007,7 +985,7 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Ensures file blocks `first..=last` of `ino` are cached, fetching
     /// runs of blocks with *contiguous disk addresses* as single device
-    /// requests, and returns the file block after the last one fetched.
+    /// requests.
     ///
     /// Over the requested blocks this is exactly equivalent to calling
     /// [`Lfs::ensure_block`] on each in order: device requests happen in
@@ -1026,7 +1004,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// need their own device read, and end of file. A scan therefore reads
     /// the blocks it would have read anyway, in the same order, in fewer
     /// requests.
-    fn fetch_blocks(&mut self, ino: Ino, first: u64, last: u64) -> FsResult<u64> {
+    fn fetch_blocks(&mut self, ino: Ino, first: u64, last: u64) -> FsResult<()> {
         self.ensure_inode(ino)?;
         let c = self.inodes.get_mut(&ino).expect("ensured above");
         let ahead = c.ra.open(first) as u64;
@@ -1042,7 +1020,7 @@ impl<D: QueueDevice> Lfs<D> {
         let mut win: Option<(u64, Vec<DiskAddr>)> = None;
         let want = |bno: u64| (last - bno + 1 + ahead) as usize;
         for bno in first..=last {
-            if self.blocks.contains_key(&(ino, bno)) {
+            if self.blocks.contains((ino, bno)) {
                 self.fetch_run(ino, &mut run)?;
                 continue;
             }
@@ -1083,7 +1061,7 @@ impl<D: QueueDevice> Lfs<D> {
         let mut end = last + 1;
         let stop = file_blocks.min(end.saturating_add(ahead));
         while let Some((start, rb, count)) = run {
-            if end >= stop || self.blocks.contains_key(&(ino, end)) {
+            if end >= stop || self.blocks.contains((ino, end)) {
                 break;
             }
             if win_lookup(&win, end).is_none() {
@@ -1101,7 +1079,7 @@ impl<D: QueueDevice> Lfs<D> {
         if let Some(c) = self.inodes.get_mut(&ino) {
             c.ra.close(last, end);
         }
-        Ok(end)
+        Ok(())
     }
 
     /// Returns up to `want` file-block pointers starting at `bno`, as far
@@ -1186,14 +1164,21 @@ impl<D: QueueDevice> Lfs<D> {
     /// stamping the block's modification time.
     pub(crate) fn mark_block_dirty(&mut self, ino: Ino, bno: u64) {
         let now = self.clock;
-        let b = self.blocks.get_mut(&(ino, bno)).expect("block not cached");
-        b.mtime = now;
-        if !b.dirty {
-            b.dirty = true;
+        let was_dirty = self
+            .blocks
+            .get_mut((ino, bno), |b| dirty_at(b, now))
+            .expect("block not cached");
+        self.note_dirty((ino, bno), was_dirty);
+    }
+
+    /// The flush bookkeeping of [`Lfs::mark_block_dirty`], for a block
+    /// [`dirty_at`] has just marked.
+    fn note_dirty(&mut self, key: Key, was_dirty: bool) {
+        if !was_dirty {
             self.dirty_bytes += BLOCK_SIZE as u64;
-            self.dirty_blocks.insert((ino, bno));
+            self.dirty_blocks.insert(key);
         }
-        self.dirty_files.insert(ino);
+        self.dirty_files.insert(key.0);
     }
 
     /// Evicts the `excess` least recently stamped blocks among those that
@@ -1203,31 +1188,27 @@ impl<D: QueueDevice> Lfs<D> {
     /// cache.
     ///
     /// Blocks whose payload `Arc` is shared are *pinned* and never
-    /// evicted: a second strong count means a concurrent reader holds a
-    /// published snapshot ([`crate::SharedLfs`]'s read cache) or a queued
-    /// submission still references the block in flight. Evicting the
-    /// entry itself would be data-safe (every holder keeps its own
-    /// reference), but dropping it would let an interleaved re-read
-    /// install a *second* allocation for the same `(ino, bno)` while the
-    /// first is still being served — the divergence the pin guard exists
-    /// to prevent, and the reason the running dirty-count invariants
-    /// (`needs_flush`'s debug asserts) can be checked against scans at
-    /// any interleaving point.
+    /// evicted: a second strong count means a queued submission still
+    /// references the block in flight. Evicting it would be data-safe
+    /// (the ring keeps its own reference), but its buffer could not go
+    /// back to the pool, and a re-read would install a second copy of a
+    /// block the ring still holds. Lock-free readers never pin: they copy
+    /// bytes out under the shard lock and keep no reference.
     ///
     /// A victim's buffer goes to the pool while resident blocks and pooled
     /// buffers together stay within the cache's high-water mark.
-    pub(crate) fn evict(&mut self, excess: usize, protect: Option<(Ino, u64)>) {
+    pub(crate) fn evict(&mut self, excess: usize, protect: Option<Key>) {
         let (_, high) = self.cache_bounds();
         let mut kept = Vec::new();
         let mut evicted = 0;
+        let mut blocks = self.blocks.lock_all();
         while evicted < excess {
             let Some((stamp, key)) = self.lru_index.pop_front() else {
                 break;
             };
-            let Entry::Occupied(e) = self.blocks.entry(key) else {
+            let Some(b) = blocks.get(key) else {
                 continue;
             };
-            let b = e.get();
             if b.lru != stamp {
                 continue;
             }
@@ -1235,11 +1216,11 @@ impl<D: QueueDevice> Lfs<D> {
                 kept.push((stamp, key));
                 continue;
             }
-            let data = e.remove().data;
+            let victim = blocks.remove(key).expect("looked up above");
             evicted += 1;
             if self.blocks.len() + self.pool.len() < high {
                 // Unpinned, so the count is one and the unwrap succeeds.
-                if let Ok(buf) = Arc::try_unwrap(data) {
+                if let Ok(buf) = Arc::try_unwrap(victim.data) {
                     self.pool.push(buf);
                 }
             }
@@ -1266,11 +1247,15 @@ impl<D: QueueDevice> Lfs<D> {
             self.inds.values().filter(|c| c.dirty).count(),
             "dirty indirect running count diverged from scan"
         );
-        debug_assert_eq!(
-            self.dirty_blocks.len(),
-            self.blocks.values().filter(|b| b.dirty).count(),
-            "dirty block set diverged from scan"
-        );
+        if cfg!(debug_assertions) {
+            let mut dirty = 0;
+            self.blocks.for_each(|_, b| dirty += b.dirty as usize);
+            assert_eq!(
+                self.dirty_blocks.len(),
+                dirty,
+                "dirty block set diverged from scan"
+            );
+        }
         debug_assert_eq!(
             self.dirty_bytes,
             self.dirty_blocks.len() as u64 * BLOCK_SIZE as u64,
@@ -1290,7 +1275,7 @@ impl<D: QueueDevice> Lfs<D> {
             let live: Vec<_> = self
                 .lru_index
                 .iter()
-                .filter(|&&(stamp, key)| self.blocks.get(&key).is_some_and(|b| b.lru == stamp))
+                .filter(|&&(stamp, key)| self.blocks.get(key, |b| b.lru == stamp) == Some(true))
                 .collect();
             assert!(
                 live.windows(2).all(|w| w[0].0 < w[1].0),
@@ -1316,20 +1301,14 @@ impl<D: QueueDevice> Lfs<D> {
             }
             i != ino
         });
-        let keys: Vec<(Ino, u64)> = self
-            .blocks
-            .keys()
-            .filter(|&&(i, _)| i == ino)
-            .copied()
-            .collect();
-        for k in keys {
-            if let Some(b) = self.blocks.remove(&k) {
-                if b.dirty {
-                    self.dirty_bytes -= BLOCK_SIZE as u64;
-                }
+        let (dirty_bytes, dirty_blocks) = (&mut self.dirty_bytes, &mut self.dirty_blocks);
+        self.blocks.retain(|k, b| {
+            if k.0 == ino && b.dirty {
+                *dirty_bytes -= BLOCK_SIZE as u64;
+                dirty_blocks.remove(&k);
             }
-            self.dirty_blocks.remove(&k);
-        }
+            k.0 != ino
+        });
         self.dirty_files.remove(&ino);
         self.dcache.remove(&ino);
     }
@@ -1375,37 +1354,29 @@ impl<D: QueueDevice> Lfs<D> {
             let bno = abs / BLOCK_SIZE as u64;
             let off_in = (abs % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - off_in).min(data.len() - pos);
-            let full_overwrite = off_in == 0 && n == BLOCK_SIZE;
-            if full_overwrite {
+            let now = self.clock;
+            // Copies this stretch in and marks the block dirty, under one
+            // shard lock.
+            let write = |b: &mut CachedBlock| {
+                Arc::make_mut(&mut b.data)[off_in..off_in + n].copy_from_slice(&data[pos..pos + n]);
+                dirty_at(b, now)
+            };
+            let was_dirty = if n == BLOCK_SIZE {
                 // No read needed: replace or insert the whole block.
                 let lru = self.stamp((ino, bno));
-                let existing = self.blocks.get_mut(&(ino, bno));
-                match existing {
-                    Some(b) => {
-                        Arc::make_mut(&mut b.data).copy_from_slice(&data[pos..pos + n]);
-                        b.lru = lru;
-                    }
-                    None => {
-                        let mtime = self.clock;
-                        let mut buf = self.take_buf();
-                        buf.copy_from_slice(&data[pos..pos + n]);
-                        self.blocks.insert(
-                            (ino, bno),
-                            CachedBlock {
-                                data: Arc::new(buf),
-                                dirty: false,
-                                lru,
-                                mtime,
-                            },
-                        );
-                    }
-                }
+                let pool = &mut self.pool;
+                let make = || CachedBlock::clean(take_buf(pool), lru, now);
+                self.blocks.upsert((ino, bno), make, |b| {
+                    b.lru = lru;
+                    write(b)
+                })
             } else {
                 self.ensure_block(ino, bno)?;
-                let b = self.blocks.get_mut(&(ino, bno)).unwrap();
-                Arc::make_mut(&mut b.data)[off_in..off_in + n].copy_from_slice(&data[pos..pos + n]);
-            }
-            self.mark_block_dirty(ino, bno);
+                self.blocks
+                    .get_mut((ino, bno), write)
+                    .expect("ensured above")
+            };
+            self.note_dirty((ino, bno), was_dirty);
             pos += n;
         }
         let now = self.now();
@@ -1444,8 +1415,11 @@ impl<D: QueueDevice> Lfs<D> {
             let bno = abs / BLOCK_SIZE as u64;
             let off_in = (abs % BLOCK_SIZE as u64) as usize;
             let len = (BLOCK_SIZE - off_in).min(n - pos);
-            if let Some(b) = self.blocks.get(&(ino, bno)) {
-                buf[pos..pos + len].copy_from_slice(&b.data[off_in..off_in + len]);
+            let dst = &mut buf[pos..pos + len];
+            let copied = self.blocks.get((ino, bno), |b| {
+                dst.copy_from_slice(&b.data[off_in..off_in + len])
+            });
+            if copied.is_some() {
                 pos += len;
             } else {
                 // A cache smaller than the request evicted the block
@@ -1458,37 +1432,12 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(n)
     }
 
-    /// The miss path of [`crate::SharedLfs`]: fetches file blocks
-    /// `first..=last` exactly as [`Lfs::read`] would (one
-    /// [`Lfs::fetch_blocks`] call, read-ahead included) and hands `each`
-    /// the payload of every block of the fetched range, in file order.
-    /// The extra `Arc` pins the cache entry ([`CachedBlock::pinned`]) for
-    /// as long as the caller holds it, and a writer that mutates the block
-    /// meanwhile copies-on-write (`Arc::make_mut`), so the snapshot stays
-    /// immutable. Requested blocks are always delivered; a read-ahead
-    /// block that a small cache has already evicted again is skipped.
-    pub(crate) fn fetch_snapshots(
-        &mut self,
-        ino: Ino,
-        first: u64,
-        last: u64,
-        mut each: impl FnMut(u64, &Arc<Vec<u8>>),
-    ) -> FsResult<()> {
-        let end = self.fetch_blocks(ino, first, last)?;
-        for bno in first..end {
-            let data = match self.blocks.get(&(ino, bno)) {
-                Some(b) => &b.data,
-                None if bno > last => continue,
-                None => {
-                    // A cache smaller than the request evicted the block
-                    // between fetch and copy.
-                    self.ensure_block(ino, bno)?;
-                    &self.blocks[&(ino, bno)].data
-                }
-            };
-            each(bno, data);
+    /// Drops a block from the cache, dirty or not.
+    fn drop_block(&mut self, key: Key) {
+        if self.blocks.remove(key).is_some_and(|b| b.dirty) {
+            self.dirty_bytes -= BLOCK_SIZE as u64;
         }
-        Ok(())
+        self.dirty_blocks.remove(&key);
     }
 
     /// Frees all blocks of `ino` past `new_blocks` file blocks, adjusting
@@ -1498,27 +1447,17 @@ impl<D: QueueDevice> Lfs<D> {
         // Dirty blocks can exist beyond the recorded size (a write that
         // buffered data and then failed before updating the size); drop
         // them too, or they leak in the cache forever.
-        let zombies: Vec<(Ino, u64)> = self
+        let zombies: Vec<Key> = self
             .dirty_blocks
             .range((ino, old_blocks.max(new_blocks))..=(ino, u64::MAX))
             .copied()
             .collect();
         for key in zombies {
-            if let Some(b) = self.blocks.remove(&key) {
-                if b.dirty {
-                    self.dirty_bytes -= BLOCK_SIZE as u64;
-                }
-            }
-            self.dirty_blocks.remove(&key);
+            self.drop_block(key);
         }
         for bno in new_blocks..old_blocks {
             // Drop the cached copy first.
-            if let Some(b) = self.blocks.remove(&(ino, bno)) {
-                if b.dirty {
-                    self.dirty_bytes -= BLOCK_SIZE as u64;
-                }
-            }
-            self.dirty_blocks.remove(&(ino, bno));
+            self.drop_block((ino, bno));
             let old = match classify_block(bno) {
                 Some(BlockClass::Direct(_)) => self.set_block_ptr(ino, bno, NIL_ADDR)?,
                 Some(_) => {
@@ -1643,9 +1582,7 @@ impl<D: QueueDevice> Lfs<D> {
         let nblocks = blocks_for_size(attrs.size);
         let mut cache = DirCache::default();
         for blk in 0..nblocks {
-            self.ensure_block(dirino, blk)?;
-            let records = dir::decode_block(&self.blocks[&(dirino, blk)].data)?;
-            for rec in records {
+            for rec in self.dir_block_records(dirino, blk)? {
                 cache.map.insert(
                     rec.name,
                     DirSlot {
@@ -1669,7 +1606,9 @@ impl<D: QueueDevice> Lfs<D> {
     /// Reads the records of one directory block from cache.
     fn dir_block_records(&mut self, dirino: Ino, blk: u64) -> FsResult<Vec<DirRecord>> {
         self.ensure_block(dirino, blk)?;
-        dir::decode_block(&self.blocks[&(dirino, blk)].data)
+        self.blocks
+            .get((dirino, blk), |b| dir::decode_block(&b.data))
+            .expect("ensured above")
     }
 
     /// Rewrites one directory block with `records`.
@@ -1912,11 +1851,12 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
             // extension reads back zeros.
             if !size.is_multiple_of(BLOCK_SIZE as u64) {
                 let bno = size / BLOCK_SIZE as u64;
-                if self.block_ptr(ino, bno)? != NIL_ADDR || self.blocks.contains_key(&(ino, bno)) {
+                if self.block_ptr(ino, bno)? != NIL_ADDR || self.blocks.contains((ino, bno)) {
                     self.ensure_block(ino, bno)?;
                     let off = (size % BLOCK_SIZE as u64) as usize;
-                    let b = self.blocks.get_mut(&(ino, bno)).unwrap();
-                    Arc::make_mut(&mut b.data)[off..].fill(0);
+                    self.blocks
+                        .get_mut((ino, bno), |b| Arc::make_mut(&mut b.data)[off..].fill(0))
+                        .expect("ensured above");
                     self.mark_block_dirty(ino, bno);
                 }
             }

@@ -678,15 +678,7 @@ impl<D: QueueDevice> Lfs<D> {
             self.dirty_inode_count -= 1;
         }
         self.dcache.remove(&ino);
-        let stale: Vec<(Ino, u64)> = self
-            .blocks
-            .keys()
-            .filter(|&&(i, _)| i == ino)
-            .copied()
-            .collect();
-        for k in stale {
-            self.blocks.remove(&k);
-        }
+        self.blocks.retain(|(i, _), _| i != ino);
         let dic = &mut self.dirty_ind_count;
         self.inds.retain(|&(i, _), e| {
             if i == ino && e.dirty {

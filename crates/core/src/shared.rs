@@ -8,43 +8,45 @@
 //! checkpoints — already funnels through the tail of the log. `SharedLfs`
 //! makes that explicit with a **writer lane**: one `Mutex<Lfs<D>>` through
 //! which every mutating operation (and every cache miss) passes, in a
-//! total order. Because the lane is the only path to the device, all of
-//! PR 7's crash-state guarantees carry over unchanged: the sequence of
-//! device writes produced by N concurrent clients is *some* serial
-//! interleaving of their operations, and every prefix of that sequence is
-//! a crash state the single-threaded core could also have produced.
+//! total order. Because the lane is the only path to the device, the
+//! crash-state guarantees of the single-threaded core carry over
+//! unchanged: the sequence of device writes produced by N concurrent
+//! clients is *some* serial interleaving of their operations, and every
+//! prefix of that sequence is a crash state the single-threaded core
+//! could also have produced.
 //!
-//! **Reads are served lock-free** against a sharded, reference-counted
-//! snapshot cache layered over the core's `Arc`'d COW block cache:
+//! **Reads are served lock-free** from the core's own block cache — the
+//! one cache, which absorbs writes and serves reads for both front ends:
 //!
-//! * Every inode has a monotonically increasing **generation counter**
-//!   (`gens`, a `Vec<AtomicU64>` indexed by inode number). The writer
-//!   lane bumps the generation of every inode an operation touches,
-//!   *before* releasing the lock.
-//! * A read loads the inode's generation once, then consults the sharded
-//!   read cache: per-inode metadata (`{gen, ftype, size}`) and per-block
-//!   payload (`{gen, Arc<Vec<u8>>}`) entries are valid only while their
-//!   recorded generation matches the current one. A hit touches no lock
-//!   but the shard's `RwLock` read side and copies straight out of the
-//!   shared `Arc` — the writer can never mutate that payload in place,
-//!   because [`Arc::make_mut`] in the core's write path copies-on-write
-//!   whenever a published snapshot holds a second reference.
-//! * The first block of a request that misses takes the writer lane
-//!   *once* for the rest of the request: the blocks are fetched the way
-//!   [`Lfs::read`] fetches them (`fetch_blocks`: runs of contiguous disk
+//! * The cache maps `(ino, file block)` to the block's bytes and is split
+//!   into 16 shards behind `RwLock`s. The lane is its only writer: it
+//!   inserts, overwrites, dirties and evicts entries under the shard's
+//!   write lock. A read copies a resident block's bytes out under the
+//!   shard's read lock, so it sees the block whole, old or new, and keeps
+//!   no reference to it afterwards: readers never delay eviction.
+//! * Each inode has one atomic word: its size plus a directory bit, or
+//!   "unknown". The lane stores it after every operation that can change
+//!   either (create, mkdir, write, truncate, and the inode an unlink,
+//!   rmdir or rename may delete) and after every miss. A read loads the
+//!   word once and copies the resident blocks the request covers.
+//! * At the first block the request lacks — or at once when the word is
+//!   unknown — the read takes the writer lane *once* and runs
+//!   [`Lfs::read`] for the rest of the request: the missing blocks are
+//!   fetched the way every read fetches them (runs of contiguous disk
 //!   addresses as single device requests, extended by the file's
-//!   read-ahead window), and every block fetched — read-ahead included —
-//!   is published tagged with the generation observed *under the lock*.
-//!   A sequential scan therefore takes the lane once per window and
-//!   serves the requests in between lock-free.
+//!   read-ahead window). A sequential scan therefore takes the lane once
+//!   per window and serves the requests in between lock-free.
 //!
-//! This gives **per-file ordering**: once a client observes a write's
-//! completion, every later read of that file sees a generation at least
-//! as new as the bump that write published (release/acquire on the
-//! counter), so stale cached snapshots can never satisfy it. Reads
-//! concurrent *with* a write may see either side — the usual POSIX
-//! grey zone — and a read spanning multiple blocks may be torn at block
-//! granularity, exactly like two processes sharing a page cache.
+//! This gives **per-file ordering**: the lane stores a file's word only
+//! after the operation's blocks are in the cache (release/acquire on the
+//! word), so once a client observes a write's completion, every later
+//! read of that file sees a size at least that new and the written bytes
+//! — from the cache, or through the lane once they were evicted. Reads
+//! concurrent *with* a write may see either side — the usual POSIX grey
+//! zone — and a read spanning multiple blocks may be torn at block
+//! granularity, exactly like two processes sharing a page cache. Lock
+//! order is lane before shard: nothing takes the lane while it holds a
+//! shard lock.
 //!
 //! **Concurrent `sync` batches through the group-commit path.** A `sync`
 //! is a log append — a flush and a fence, no checkpoint — and callers
@@ -61,19 +63,10 @@
 //! mutation, flush, or checkpoint — which is exactly where a
 //! single-threaded trace would have applied them. Single-client runs are
 //! therefore **bit-identical** to the plain `Lfs` (pinned by the
-//! `shared_equivalence` proptest): atime values are captured from the
-//! clock mirror at read time and applied before the next imap encode,
-//! and no other state diverges.
-//!
-//! # Memory bound
-//!
-//! Published snapshots pin their writer-cache twins ([`CachedBlock`]
-//! eviction skips pinned blocks), so the read cache is bounded at ~1/4 of
-//! `cache_limit_bytes` (plus metadata); with the writer cache itself the
-//! worst case is ~1.25× the configured limit. Shards evict
-//! stale-generation entries first, then arbitrary ones.
+//! `single_client_shared_matches_plain_bit_for_bit` proptest): atime
+//! values are captured from the clock mirror at read time and applied
+//! before the next imap encode, and no other state diverges.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -81,29 +74,17 @@ use blockdev::{QueueDevice, BLOCK_SIZE};
 use lfs_obs::{Histogram, MetricsSnapshot, Obs};
 use vfs::{DirEntry, FileSystem, FileType, FsError, FsResult, Ino, Metadata, StatFs};
 
+use crate::cache::BlockCache;
 use crate::config::LfsConfig;
 use crate::fs::Lfs;
 use crate::stats::LfsStats;
 
-/// Number of read-cache shards. Sixteen keeps cross-client contention on
-/// the shard `RwLock`s negligible at the client counts the server runs
-/// (each hit takes one read lock) without bloating the structure.
-const SHARDS: usize = 16;
+/// An inode's word when the lane has not described it (or it is gone).
+const UNKNOWN: u64 = u64::MAX;
 
-/// A published block snapshot: valid while `gen` matches the owning
-/// inode's current generation.
-struct RBlock {
-    gen: u64,
-    data: Arc<Vec<u8>>,
-}
-
-/// Published scalar metadata of one inode.
-#[derive(Clone, Copy)]
-struct RMeta {
-    gen: u64,
-    ftype: FileType,
-    size: u64,
-}
+/// An inode's word when it is a directory; otherwise the word is the
+/// file's size.
+const DIR: u64 = 1 << 63;
 
 /// Lock-free read-side counters (all monotonic).
 #[derive(Default)]
@@ -122,17 +103,17 @@ struct ReadCounters {
 pub struct SharedReadStats {
     /// Total `read` calls served.
     pub reads: u64,
-    /// Reads satisfied entirely from the shared cache (no writer lane).
-    /// A read takes the lane at most once for its blocks, so
-    /// `reads - lockfree_reads` is the number of lane trips (plus reads
-    /// at or past end of file, which look no block up and count in
-    /// `reads` only).
+    /// Reads served entirely from the block cache, without the writer
+    /// lane. A read takes the lane at most once, so `reads -
+    /// lockfree_reads` is the number of lane trips (plus reads at or past
+    /// end of file, which look no block up and count in `reads` only).
     pub lockfree_reads: u64,
-    /// Requested blocks copied out of the shared cache without the lane —
+    /// Requested blocks copied out of the block cache without the lane —
     /// those ahead of a request's first miss included.
     pub block_hits: u64,
     /// Requested blocks served under the writer lane: a request's first
-    /// miss and every block after it. (Read-ahead blocks are nobody's
+    /// miss and every block after it, or all of them when the file's size
+    /// was not yet known without the lane. (Read-ahead blocks are nobody's
     /// lookup and count nowhere; they turn later lookups into hits.)
     pub block_misses: u64,
     /// Payload bytes returned to readers.
@@ -143,16 +124,20 @@ pub struct SharedReadStats {
 }
 
 struct Inner<D: QueueDevice> {
+    /// The lane's block cache, read here without the lane. Declared (so
+    /// dropped) before `writer`: the core's own handle is then the last,
+    /// and the blocks are freed where a plain `Lfs` frees them, ahead of
+    /// its buffer pool. Freed after the pool instead, they doubled the
+    /// page faults of the next mount in a format–fill–drop loop.
+    cache: Arc<BlockCache>,
     /// The writer lane: every mutation and every cache miss serializes
     /// here. Poisoning is deliberately ignored (a panicking client must
     /// not brick the mount); on-disk state stays crash-consistent because
     /// the lane only ever produces legal log prefixes.
     writer: Mutex<Lfs<D>>,
-    /// Per-inode generation counters, indexed by inode number. Bumped
-    /// under the writer lock for every inode an operation touches.
-    gens: Vec<AtomicU64>,
-    blocks: [RwLock<HashMap<(Ino, u64), RBlock>>; SHARDS],
-    metas: [RwLock<HashMap<Ino, RMeta>>; SHARDS],
+    /// Per-inode words (a size, [`DIR`] or [`UNKNOWN`]), indexed by inode
+    /// number, stored by the lane only; see the module docs.
+    attrs: Vec<AtomicU64>,
     /// Access times queued by lock-free reads; drained (FIFO) at every
     /// writer-lane acquisition.
     atimes: Mutex<Vec<(Ino, u64)>>,
@@ -163,10 +148,6 @@ struct Inner<D: QueueDevice> {
     counters: ReadCounters,
     /// `op.read_ns` histogram for lock-free hits (zero device time).
     read_hist: RwLock<Option<Arc<Histogram>>>,
-    /// Per-shard entry cap for `blocks`.
-    block_cap: usize,
-    /// Per-shard entry cap for `metas`.
-    meta_cap: usize,
 }
 
 /// A cloneable, thread-safe handle to one mounted log-structured file
@@ -205,40 +186,38 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn block_shard(ino: Ino, bno: u64) -> usize {
-    let h = (ino as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(bno.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-    (h >> 48) as usize % SHARDS
-}
-
-fn meta_shard(ino: Ino) -> usize {
-    ino as usize % SHARDS
+/// Stores what `fs` knows of `ino` in its word of `attrs`: call only with
+/// the lane held (or `fs` owned), after the operation's blocks are in the
+/// cache — the release pairs with `read_at`'s acquire.
+fn publish<D: QueueDevice>(attrs: &[AtomicU64], fs: &Lfs<D>, ino: Ino) {
+    let word = match fs.inodes.get(&ino) {
+        None => UNKNOWN,
+        Some(c) if c.inode.ftype == FileType::Directory => DIR,
+        Some(c) => c.inode.size,
+    };
+    if let Some(w) = attrs.get(ino as usize) {
+        w.store(word, Ordering::Release);
+    }
 }
 
 impl<D: QueueDevice> SharedLfs<D> {
     /// Wraps an already formatted/mounted [`Lfs`] for shared access.
     pub fn new(fs: Lfs<D>) -> SharedLfs<D> {
         let max_inodes = fs.superblock().max_inodes as usize;
-        let cache_blocks = (fs.config().cache_limit_bytes as usize / BLOCK_SIZE).max(SHARDS);
-        // Bound the read cache at a quarter of the writer cache so pinned
-        // twins never dominate the configured limit; see module docs.
-        let block_cap = (cache_blocks / 4 / SHARDS).max(16);
-        let settled = fs.sync_settled();
-        let clock = fs.clock();
+        let attrs: Vec<AtomicU64> = (0..=max_inodes).map(|_| AtomicU64::new(UNKNOWN)).collect();
+        for &ino in fs.inodes.keys() {
+            publish(&attrs, &fs, ino);
+        }
         SharedLfs {
             inner: Arc::new(Inner {
-                writer: Mutex::new(fs),
-                gens: (0..=max_inodes).map(|_| AtomicU64::new(0)).collect(),
-                blocks: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-                metas: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+                cache: Arc::clone(&fs.blocks),
+                attrs,
                 atimes: Mutex::new(Vec::new()),
-                clock: AtomicU64::new(clock),
-                settled: AtomicBool::new(settled),
+                clock: AtomicU64::new(fs.clock()),
+                settled: AtomicBool::new(fs.sync_settled()),
                 counters: ReadCounters::default(),
                 read_hist: RwLock::new(None),
-                block_cap,
-                meta_cap: 1024,
+                writer: Mutex::new(fs),
             }),
         }
     }
@@ -287,177 +266,110 @@ impl<D: QueueDevice> SharedLfs<D> {
         r
     }
 
+    /// Runs the operation `f` on the writer lane and republishes `ino`.
+    fn with_publish<R>(&self, ino: Ino, f: impl FnOnce(&mut Lfs<D>) -> R) -> R {
+        self.with_writer(|fs| {
+            let r = f(fs);
+            publish(&self.inner.attrs, fs, ino);
+            r
+        })
+    }
+
+    /// Runs the namespace operation `f` on the writer lane and
+    /// republishes the inode `path` named before it ran, which `f` may
+    /// have deleted.
+    fn with_victim(&self, path: &str, f: impl FnOnce(&mut Lfs<D>) -> FsResult<()>) -> FsResult<()> {
+        self.with_writer(|fs| {
+            let victim = fs.resolve(path).ok();
+            let r = f(fs);
+            if let Some(v) = victim {
+                publish(&self.inner.attrs, fs, v);
+            }
+            r
+        })
+    }
+
     /// Escape hatch for tools (torture, invariants, benchmarks): exclusive
-    /// access to the underlying [`Lfs`] through the writer lane.
+    /// access to the underlying [`Lfs`] through the writer lane. A change
+    /// `f` makes to a file's size or type is not published to lock-free
+    /// readers; use the [`FileSystem`] methods for those.
     pub fn with_fs<R>(&self, f: impl FnOnce(&mut Lfs<D>) -> R) -> R {
         self.with_writer(f)
     }
 
-    fn gen_of(&self, ino: Ino) -> u64 {
-        self.inner
-            .gens
-            .get(ino as usize)
-            .map_or(0, |g| g.load(Ordering::Acquire))
-    }
-
-    /// Bumps `ino`'s generation; call only while holding the writer lock
-    /// (the release ordering pairs with `gen_of`'s acquire).
-    fn bump_gen(&self, ino: Ino) {
-        if let Some(g) = self.inner.gens.get(ino as usize) {
-            g.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    // ----- read cache ---------------------------------------------------
-
-    fn meta_lookup(&self, ino: Ino, gen: u64) -> Option<RMeta> {
-        let map = self.inner.metas[meta_shard(ino)]
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        map.get(&ino).filter(|m| m.gen == gen).copied()
-    }
-
-    fn block_lookup(&self, ino: Ino, bno: u64, gen: u64) -> Option<Arc<Vec<u8>>> {
-        let map = self.inner.blocks[block_shard(ino, bno)]
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        map.get(&(ino, bno))
-            .filter(|b| b.gen == gen)
-            .map(|b| Arc::clone(&b.data))
-    }
-
-    fn publish_meta(&self, ino: Ino, m: RMeta) {
-        let mut map = self.inner.metas[meta_shard(ino)]
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
-        if map.len() >= self.inner.meta_cap {
-            let gens = &self.inner.gens;
-            map.retain(|&i, e| {
-                gens.get(i as usize)
-                    .is_some_and(|g| g.load(Ordering::Relaxed) == e.gen)
-            });
-            prune_half(&mut map, self.inner.meta_cap);
-        }
-        map.insert(ino, m);
-    }
-
-    fn publish_block(&self, ino: Ino, bno: u64, gen: u64, data: Arc<Vec<u8>>) {
-        let mut map = self.inner.blocks[block_shard(ino, bno)]
-            .write()
-            .unwrap_or_else(|e| e.into_inner());
-        if map.len() >= self.inner.block_cap {
-            let gens = &self.inner.gens;
-            // Stale generations first — those can never serve a hit again.
-            map.retain(|&(i, _), b| {
-                gens.get(i as usize)
-                    .is_some_and(|g| g.load(Ordering::Relaxed) == b.gen)
-            });
-            prune_half(&mut map, self.inner.block_cap);
-        }
-        map.insert((ino, bno), RBlock { gen, data });
-    }
-
-    /// Loads `ino`'s scalar attributes through the writer lane and
-    /// publishes them at the generation observed under the lock.
-    fn load_meta(&self, ino: Ino) -> FsResult<RMeta> {
-        self.with_writer(|fs| {
-            let a = fs.inode_attrs(ino)?;
-            let m = RMeta {
-                gen: self.gen_of(ino),
-                ftype: a.ftype,
-                size: a.size,
-            };
-            self.publish_meta(ino, m);
-            Ok(m)
-        })
-    }
-
     // ----- lock-free read ----------------------------------------------
 
-    /// The concurrent read path: generation-validated lookups against the
-    /// shared cache; the first missing block takes the writer lane once
-    /// for the rest of the request. Matches [`Lfs::read`] exactly for a
-    /// single client (same bytes, same errors, same queued-atime effect);
-    /// concurrent readers may observe block-granular tearing against
-    /// in-flight writes.
+    /// The concurrent read path: copies the resident blocks the request
+    /// covers out of the block cache, and at the first block it lacks
+    /// takes the writer lane once for the rest of the request. Matches
+    /// [`Lfs::read`] exactly for a single client (same bytes, same errors,
+    /// same access time); concurrent readers may observe block-granular
+    /// tearing against in-flight writes.
     pub fn read_at(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
-        let c = &self.inner.counters;
+        let inner = &*self.inner;
+        let c = &inner.counters;
         c.reads.fetch_add(1, Ordering::Relaxed);
-        let gen = self.gen_of(ino);
-        let meta = match self.meta_lookup(ino, gen) {
-            Some(m) => m,
-            None => self.load_meta(ino)?,
-        };
-        if meta.ftype == FileType::Directory {
-            return Err(FsError::IsADirectory);
-        }
-        if offset >= meta.size {
-            return Ok(0);
-        }
-        let n = buf.len().min((meta.size - offset) as usize);
-        let buf = &mut buf[..n];
-        let bs = BLOCK_SIZE as u64;
-        // The file blocks the request covers, `bno..end`: none when it
-        // asks for no bytes.
-        let mut bno = offset / bs;
-        let end = if n == 0 {
-            bno
-        } else {
-            (offset + n as u64 - 1) / bs + 1
-        };
-        // Copies the part of file block `b` that the request covers.
-        let copy_out = |buf: &mut [u8], b: u64, data: &[u8]| {
-            let from = (b * bs).max(offset);
-            let to = ((b + 1) * bs).min(offset + n as u64);
-            buf[(from - offset) as usize..(to - offset) as usize]
-                .copy_from_slice(&data[(from - b * bs) as usize..(to - b * bs) as usize]);
-        };
-        let mut hits = 0;
-        while bno < end {
-            let Some(data) = self.block_lookup(ino, bno, meta.gen) else {
-                break;
-            };
-            copy_out(buf, bno, &data);
-            bno += 1;
-            hits += 1;
-        }
-        c.block_hits.fetch_add(hits, Ordering::Relaxed);
-        if bno == end {
-            c.lockfree_reads.fetch_add(1, Ordering::Relaxed);
-            // A pure cache hit consumes zero device time; record it so the
-            // latency histogram keeps one sample per read, as the
-            // exclusive path does.
-            let hist = self
-                .inner
-                .read_hist
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone();
-            if let Some(h) = hist {
-                h.record(0);
+        let word = inner
+            .attrs
+            .get(ino as usize)
+            .map_or(UNKNOWN, |w| w.load(Ordering::Acquire));
+        // Bytes copied out of resident blocks before the first miss.
+        let mut pos = 0;
+        if word != UNKNOWN {
+            if word == DIR {
+                return Err(FsError::IsADirectory);
             }
-        } else {
-            c.block_misses.fetch_add(end - bno, Ordering::Relaxed);
-            // One lane trip, and one `op.read_ns` sample carrying its
-            // device time, for everything the request still lacks.
-            self.with_writer(|fs| {
-                let gen = self.gen_of(ino);
-                fs.timed(
-                    |o| &o.read,
-                    |fs| {
-                        fs.fetch_snapshots(ino, bno, end - 1, |b, data| {
-                            if b < end {
-                                copy_out(buf, b, data);
-                            }
-                            self.publish_block(ino, b, gen, Arc::clone(data));
-                        })
-                    },
-                )
-            })?;
+            if offset >= word {
+                return Ok(0);
+            }
+            let n = buf.len().min((word - offset) as usize);
+            let mut hits = 0;
+            while pos < n {
+                let at = offset + pos as u64;
+                let (bno, off_in) = (at / BLOCK_SIZE as u64, (at % BLOCK_SIZE as u64) as usize);
+                let dst = &mut buf[pos..n.min(pos + BLOCK_SIZE - off_in)];
+                let len = dst.len();
+                let hit = inner.cache.get((ino, bno), |b| {
+                    dst.copy_from_slice(&b.data[off_in..off_in + len])
+                });
+                if hit.is_none() {
+                    break;
+                }
+                pos += len;
+                hits += 1;
+            }
+            c.block_hits.fetch_add(hits, Ordering::Relaxed);
+            if pos == n {
+                c.lockfree_reads.fetch_add(1, Ordering::Relaxed);
+                // A pure cache hit consumes zero device time; record it so
+                // the latency histogram keeps one sample per read, as the
+                // exclusive path does.
+                let hist = inner
+                    .read_hist
+                    .read()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .clone();
+                if let Some(h) = hist {
+                    h.record(0);
+                }
+                c.read_bytes.fetch_add(n as u64, Ordering::Relaxed);
+                lock(&inner.atimes).push((ino, inner.clock.load(Ordering::Acquire)));
+                return Ok(n);
+            }
         }
-        c.read_bytes.fetch_add(n as u64, Ordering::Relaxed);
-        lock(&self.inner.atimes).push((ino, self.inner.clock.load(Ordering::Acquire)));
-        Ok(n)
+        // One lane trip — one `Lfs::read`, which also sets the access time
+        // and records one `op.read_ns` sample with its device time — for
+        // everything the request still lacks.
+        let from = offset + pos as u64;
+        let got = self.with_publish(ino, |fs| fs.read(ino, from, &mut buf[pos..]))?;
+        if got > 0 {
+            let bs = BLOCK_SIZE as u64;
+            let blocks = (from + got as u64 - 1) / bs - from / bs + 1;
+            c.block_misses.fetch_add(blocks, Ordering::Relaxed);
+        }
+        c.read_bytes
+            .fetch_add((pos + got) as u64, Ordering::Relaxed);
+        Ok(pos + got)
     }
 
     // ----- writer-lane operations ---------------------------------------
@@ -494,16 +406,10 @@ impl<D: QueueDevice> SharedLfs<D> {
         self.with_writer(|fs| fs.advance_clock(delta));
     }
 
-    /// Drops clean cached data in both the core cache and the shared read
-    /// cache, so subsequent reads exercise the disk.
+    /// Drops clean cached data, so subsequent reads exercise the disk
+    /// (see [`Lfs::drop_caches`]).
     pub fn drop_caches(&self) {
         self.with_writer(|fs| fs.drop_caches());
-        for s in &self.inner.blocks {
-            s.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-        for s in &self.inner.metas {
-            s.write().unwrap_or_else(|e| e.into_inner()).clear();
-        }
     }
 
     /// A consistent snapshot of the file-system statistics, taken under
@@ -571,26 +477,13 @@ impl<D: QueueDevice> SharedLfs<D> {
     }
 }
 
-/// When `map` is still at/over `cap` after the stale sweep, drop every
-/// other entry — O(cap) and rare, which beats tracking LRU order on the
-/// lock-free hot path.
-fn prune_half<K, V>(map: &mut HashMap<K, V>, cap: usize) {
-    if map.len() >= cap {
-        let mut keep = false;
-        map.retain(|_, _| {
-            keep = !keep;
-            keep
-        });
-    }
-}
-
 impl<D: QueueDevice> FileSystem for SharedLfs<D> {
     fn create(&mut self, path: &str) -> FsResult<Ino> {
         self.with_writer(|fs| {
+            // Publish even though the file is new: inode numbers are
+            // reused, and the word may describe a previous incarnation.
             let ino = fs.create(path)?;
-            // Bump even though the file is new: inode numbers are reused,
-            // so stale snapshots of a previous incarnation must die here.
-            self.bump_gen(ino);
+            publish(&self.inner.attrs, fs, ino);
             Ok(ino)
         })
     }
@@ -598,7 +491,7 @@ impl<D: QueueDevice> FileSystem for SharedLfs<D> {
     fn mkdir(&mut self, path: &str) -> FsResult<Ino> {
         self.with_writer(|fs| {
             let ino = fs.mkdir(path)?;
-            self.bump_gen(ino);
+            publish(&self.inner.attrs, fs, ino);
             Ok(ino)
         })
     }
@@ -608,13 +501,9 @@ impl<D: QueueDevice> FileSystem for SharedLfs<D> {
     }
 
     fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<()> {
-        self.with_writer(|fs| {
-            let r = fs.write(ino, offset, data);
-            // Bump on error too: a failed write may still have buffered a
-            // prefix of its blocks.
-            self.bump_gen(ino);
-            r
-        })
+        // Published on error too: a failed write may still have grown the
+        // file by a prefix of its blocks.
+        self.with_publish(ino, |fs| fs.write(ino, offset, data))
     }
 
     fn read(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> FsResult<usize> {
@@ -622,66 +511,25 @@ impl<D: QueueDevice> FileSystem for SharedLfs<D> {
     }
 
     fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-        self.with_writer(|fs| {
-            let r = fs.truncate(ino, size);
-            self.bump_gen(ino);
-            r
-        })
+        self.with_publish(ino, |fs| fs.truncate(ino, size))
     }
 
     fn unlink(&mut self, path: &str) -> FsResult<()> {
-        self.with_writer(|fs| {
-            let victim = fs.resolve(path).ok();
-            let r = fs.unlink(path);
-            if r.is_ok() {
-                if let Some(v) = victim {
-                    self.bump_gen(v);
-                }
-            }
-            r
-        })
+        self.with_victim(path, |fs| fs.unlink(path))
     }
 
     fn rmdir(&mut self, path: &str) -> FsResult<()> {
-        self.with_writer(|fs| {
-            let victim = fs.resolve(path).ok();
-            let r = fs.rmdir(path);
-            if r.is_ok() {
-                if let Some(v) = victim {
-                    self.bump_gen(v);
-                }
-            }
-            r
-        })
+        self.with_victim(path, |fs| fs.rmdir(path))
     }
 
     fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
-        self.with_writer(|fs| {
-            let src = fs.resolve(from).ok();
-            let dst = fs.resolve(to).ok();
-            let r = fs.rename(from, to);
-            if r.is_ok() {
-                // The replaced target (if any) is gone; the source keeps
-                // its content but bumping is cheap and removes any doubt.
-                for v in [src, dst].into_iter().flatten() {
-                    self.bump_gen(v);
-                }
-            }
-            r
-        })
+        // The source keeps its inode, type and size; a replaced target
+        // may be gone.
+        self.with_victim(to, |fs| fs.rename(from, to))
     }
 
     fn link(&mut self, existing: &str, new: &str) -> FsResult<()> {
-        self.with_writer(|fs| {
-            let src = fs.resolve(existing).ok();
-            let r = fs.link(existing, new);
-            if r.is_ok() {
-                if let Some(v) = src {
-                    self.bump_gen(v);
-                }
-            }
-            r
-        })
+        self.with_writer(|fs| fs.link(existing, new))
     }
 
     fn metadata(&mut self, ino: Ino) -> FsResult<Metadata> {

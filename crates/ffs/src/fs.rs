@@ -1124,11 +1124,11 @@ impl<D: BlockDevice> FileSystem for Ffs<D> {
     }
 
     fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
         if self.inode_ref(ino)?.ftype == FileType::Directory {
             return Err(FsError::IsADirectory);
+        }
+        if data.is_empty() {
+            return Ok(());
         }
         let end = offset
             .checked_add(data.len() as u64)

@@ -16,7 +16,7 @@
 //!
 //! The server applies every decoded [`vfs::Op`] to an
 //! [`lfs_core::SharedLfs`], so reads from concurrent connections are
-//! served lock-free from the shared snapshot cache while mutations
+//! served lock-free from the core's block cache while mutations
 //! serialize through the writer lane (see `lfs_core::shared`).
 
 pub mod pool;

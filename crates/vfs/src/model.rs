@@ -182,6 +182,9 @@ impl FileSystem for ModelFs {
     fn write(&mut self, ino: Ino, offset: u64, data: &[u8]) -> FsResult<()> {
         let now = self.tick();
         match self.nodes.get_mut(&ino) {
+            // An empty write changes nothing, not even a size it would
+            // extend (POSIX `pwrite` of zero bytes).
+            Some(Node::File { .. }) if data.is_empty() => Ok(()),
             Some(Node::File {
                 data: file, mtime, ..
             }) => {

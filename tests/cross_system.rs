@@ -7,7 +7,7 @@
 
 use blockdev::{BlockDevice, DiskModel, SimDisk};
 use ffs_baseline::{Ffs, FfsConfig};
-use lfs_core::{Lfs, LfsConfig};
+use lfs_core::{Lfs, LfsConfig, SharedLfs};
 use vfs::{model::ModelFs, FileSystem};
 use workload::{LargeFileBench, LargeFilePhase, SmallFileBench};
 
@@ -81,6 +81,33 @@ fn all_three_systems_agree_on_mixed_workload() {
     // And both real systems are internally consistent.
     assert!(lfs.check().unwrap().is_clean());
     assert!(ffs.fsck().unwrap().is_clean());
+}
+
+/// The error codes of an empty write past end of file and of an empty
+/// write to a directory (`None` for success), and the file's size
+/// afterwards.
+fn empty_writes<F: FileSystem>(fs: &mut F) -> (Option<u8>, Option<u8>, u64) {
+    let ino = fs.write_file("/f", b"abc").unwrap();
+    let dir = fs.mkdir("/d").unwrap();
+    let code = |r: vfs::FsResult<()>| r.err().map(|e| e.wire_code());
+    let past_eof = code(fs.write(ino, 10_000, &[]));
+    let to_dir = code(fs.write(dir, 0, &[]));
+    (past_eof, to_dir, fs.metadata(ino).unwrap().size)
+}
+
+/// An empty write leaves the size alone, and an empty write to a directory
+/// is still a write to a directory — on every system, as under POSIX.
+#[test]
+fn all_systems_agree_on_empty_writes() {
+    let want = (None, Some(vfs::FsError::IsADirectory.wire_code()), 3);
+    let mut model = ModelFs::new();
+    assert_eq!(empty_writes(&mut model), want, "model");
+    let mut lfs = Lfs::format(sim_disk_mb(16), LfsConfig::small()).unwrap();
+    assert_eq!(empty_writes(&mut lfs), want, "LFS");
+    let mut shared = SharedLfs::format(sim_disk_mb(16), LfsConfig::small()).unwrap();
+    assert_eq!(empty_writes(&mut shared), want, "shared LFS");
+    let mut ffs = Ffs::format(sim_disk_mb(16), FfsConfig::small()).unwrap();
+    assert_eq!(empty_writes(&mut ffs), want, "FFS");
 }
 
 #[test]
