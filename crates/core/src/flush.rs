@@ -525,7 +525,18 @@ impl<D: QueueDevice> Lfs<D> {
             let chunk_items = &items[item_idx..item_idx + c.n_items];
             let chunk_addrs = &addrs[item_idx..item_idx + c.n_items];
             let start = self.sb.seg_start(c.seg) + c.off as u64;
-            written = self.write_chunk(chunk_items, chunk_addrs, start, seq, time, by_cleaner)?;
+            written = self
+                .write_chunk(chunk_items, chunk_addrs, start, seq, time, by_cleaner)
+                .inspect_err(|_| {
+                    // The write points stay where they were, so the
+                    // segments this plan opened were never opened: give
+                    // them back to the clean set, where the next flush's
+                    // layout takes them again — and where roll-forward,
+                    // which replays that choice, looks for its chunks.
+                    for &seg in &plan.allocated {
+                        self.usage.set_state(seg, SegState::Clean);
+                    }
+                })?;
             if !by_cleaner {
                 self.bytes_since_checkpoint += ((1 + c.n_items) * BLOCK_SIZE) as u64;
             }
@@ -752,10 +763,11 @@ impl<D: QueueDevice> Lfs<D> {
     /// Chunks rotate across shards: the chunk that will carry sequence
     /// number `s` prefers the write points of shard `s % nshards`,
     /// falling back to the next shards in wrap order only when the
-    /// primary shard has neither head room nor a clean segment left.
-    /// Recovery's fast path depends on this: if a shard's write point
-    /// had room for another chunk, the chunk whose sequence maps to that
-    /// shard *must* be there. Within a shard a chunk prefers its own
+    /// primary shard has neither head room nor a clean segment left, and
+    /// a full cursor always moves to the lowest-numbered clean segment of
+    /// its shard. Roll-forward finds the tail by replaying exactly this
+    /// decision (`Lfs::locate_chunk` in `recovery`), so a change here is a
+    /// change there. Within a shard a chunk prefers its own
     /// stream's cursor and falls back to the other streams' cursors on
     /// that shard before trying the next shard — temperature is a
     /// placement *hint*; space is a guarantee. On a single volume with a

@@ -308,30 +308,6 @@ impl InodeMap {
         }
     }
 
-    /// Decodes the entries a raw inode-map block holds, without loading
-    /// them, as `(ino, entry)` pairs — roll-forward diffs these against
-    /// the in-memory state to find deletions that became durable.
-    pub fn peek_block(&self, idx: usize, buf: &[u8]) -> Vec<(Ino, ImapEntry)> {
-        let start = idx * IMAP_ENTRIES_PER_BLOCK;
-        let end = (start + IMAP_ENTRIES_PER_BLOCK).min(self.entries.len());
-        let mut r = Reader::new(buf);
-        let mut out = Vec::with_capacity(end.saturating_sub(start));
-        for i in start..end {
-            let e = ImapEntry {
-                addr: r.get_u64(),
-                version: r.get_u32(),
-                slot: {
-                    let s = r.get_u8();
-                    r.skip(3);
-                    s
-                },
-                atime: r.get_u64(),
-            };
-            out.push((i as Ino, e));
-        }
-        out
-    }
-
     /// Iterates over the live inodes and their entries.
     pub fn live_entries(&self) -> impl Iterator<Item = (Ino, &ImapEntry)> + '_ {
         self.entries

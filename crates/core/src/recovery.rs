@@ -10,14 +10,16 @@
 //! directory entries and inodes — completing half-done operations, undoing
 //! the unfinishable ones (a create whose inode never reached the log), and
 //! freeing the inodes the tail unlinked. Inode-map and usage-table blocks
-//! reach the log only with checkpoints, so those three sources are all a
-//! tail normally holds; the one exception is a cleaner pass's closing
-//! flush, whose map blocks are replayed too. Roll-forward is what makes
-//! `sync` durable: a sync appends to the log and fences it, and only
-//! periodic checkpoints rewrite the regions. The checkpoint-only mount
-//! ([`Lfs::mount_checkpoint_only`], for tests and tools) discards the
-//! tail, as the production Sprite systems ran, and so drops every
-//! acknowledged sync since the last checkpoint.
+//! reach the log only in flushes that end in a checkpoint, so a tail holds
+//! them only when a crash cut that checkpoint off; roll-forward ignores
+//! them, as it ignores data blocks. It finds each chunk of the tail where
+//! the layout put it, so the only segments it reads are the tail's own.
+//!
+//! Roll-forward is what makes `sync` durable: a sync appends to the log
+//! and fences it, and only periodic checkpoints rewrite the regions. The
+//! checkpoint-only mount ([`Lfs::mount_checkpoint_only`], for tests and
+//! tools) discards the tail, as the production Sprite systems ran, and so
+//! drops every acknowledged sync since the last checkpoint.
 //!
 //! Nothing in this module trusts bytes read from the device: checkpoint
 //! regions, segment summaries, inode blocks, and directory-log records are
@@ -29,15 +31,13 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::HashMap;
-
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{FileSystem, FileType, FsError, FsResult, Ino};
 
 use crate::checkpoint::Checkpoint;
 use crate::config::LfsConfig;
 use crate::dirlog::{self, DirLogRecord, DirOp};
-use crate::fs::Lfs;
+use crate::fs::{CachedInode, Lfs, ReadAhead};
 use crate::inode::{IndirectBlock, Inode, INODE_DISK_SIZE};
 use crate::layout::{DiskAddr, NIL_ADDR, SUPERBLOCK_ADDR};
 use crate::summary::{EntryKind, Summary};
@@ -255,11 +255,6 @@ impl<D: QueueDevice> Lfs<D> {
         // end-of-mount checkpoint.
         if roll_forward {
             self.roll_forward(cp)?;
-            // Usage blocks recovered from the log tail may reintroduce
-            // PendingFree states; those covered by the loaded checkpoint
-            // are promotable, the rest wait for the end-of-mount
-            // checkpoint.
-            self.usage.promote_pending(cp.seq);
         }
         // Only now is the map final: an inode the tail adopted must not
         // stay on the free list, or the next create reuses a live number.
@@ -318,178 +313,26 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Scans the log tail written after checkpoint `cp` and recovers it.
     ///
-    /// On a volume set the log is still one sequence-numbered chain, but
-    /// its chunks rotate across per-shard cursors: chunk `s` prefers the
-    /// write point of shard `s % n` (see the layout in `flush`), spilling
-    /// to the other cursors in wrap order only when its primary cursor
-    /// had no room. The traversal replays that placement decision, so on
-    /// a single volume it is exactly the historical single-cursor walk.
+    /// The tail is followed chunk by chunk, by sequence number, from the
+    /// checkpoint's write points: [`Lfs::locate_chunk`] says where the
+    /// layout put each one, so roll-forward reads the tail's summaries and
+    /// chunks and nothing else — no other segment of the disk (§4.2 "scans
+    /// through the log segments that were written after the last
+    /// checkpoint").
     fn roll_forward(&mut self, cp: &Checkpoint) -> FsResult<()> {
-        let seg_blocks = self.sb.seg_blocks;
-        let mut buf = vec![0u8; BLOCK_SIZE];
         let mut cursors = self.write_points.clone();
-        let nsh = self.nshards;
-        let nstr = cursors.len() / nsh;
-        // Fast path: probe the positions the first post-checkpoint chunk
-        // must occupy — the write points of shard `(seq + 1) % nshards`
-        // (the layout never spills a chunk whose preferred cursor has
-        // room; with several streams the chunk's stream is unknown, so
-        // every stream cursor on the primary shard is a candidate). If
-        // every cursor there had room and none holds a valid
-        // continuation summary, the shutdown was clean and there is
-        // nothing to roll forward — recovery cost stays independent of
-        // disk size.
-        {
-            let p = ((cp.seq + 1) % nsh as u64) as usize;
-            let mut all_room = true;
-            let mut found = false;
-            for t in 0..nstr {
-                let (seg, off) = cursors[t * nsh + p];
-                if off + 1 >= seg_blocks {
-                    // That write point filled its segment exactly; a
-                    // tail could start in some other segment.
-                    all_room = false;
-                    continue;
-                }
-                let probe = self.sb.seg_start(seg) + off as u64;
-                self.read_retry(probe, &mut buf)?;
-                if let Ok(s) = Summary::decode(&buf) {
-                    if s.epoch == cp.epoch && s.seq == cp.seq + 1 {
-                        found = true;
-                        break;
-                    }
-                }
-            }
-            if !found && all_room {
-                return Ok(());
-            }
-        }
-        // Index the first summary of every segment so the traversal can
-        // follow the log across segment boundaries by sequence number.
-        let mut heads: HashMap<u64, u32> = HashMap::new();
-        for seg in 0..self.sb.nsegments {
-            let addr = self.sb.seg_start(seg);
-            if self.read_retry(addr, &mut buf).is_err() {
-                continue;
-            }
-            if let Ok(s) = Summary::decode(&buf) {
-                if s.epoch == cp.epoch && s.seq > cp.seq {
-                    heads.insert(s.seq, seg);
-                }
-            }
-        }
-
-        let mut expected = cp.seq + 1;
         let mut records: Vec<DirLogRecord> = Vec::new();
-        loop {
-            // Where chunk `expected` must be: with a single stream, its
-            // primary cursor if that had room; otherwise one of the
-            // other cursors in wrap order (a spilled chunk); otherwise
-            // the head of a freshly allocated segment reached through
-            // the `heads` index. With several streams the chunk's stream
-            // (and so its preferred cursor) is unknown, so every cursor
-            // with room is probed — summaries are sequence-numbered and
-            // checksummed, so a valid match identifies the chunk
-            // regardless of which cursor carried it.
-            let p = (expected % nsh as u64) as usize;
-            let single_fast = nstr == 1 && cursors[p].1 + 1 < seg_blocks;
-            let cur = if single_fast {
-                p
-            } else {
-                let mut found = None;
-                'probe: for k in 0..nsh {
-                    let sh = (p + k) % nsh;
-                    for t in 0..nstr {
-                        let q = t * nsh + sh;
-                        if nstr == 1 && q == p {
-                            continue; // just established it has no room
-                        }
-                        let (qseg, qoff) = cursors[q];
-                        if qoff + 1 >= seg_blocks {
-                            continue;
-                        }
-                        let addr = self.sb.seg_start(qseg) + qoff as u64;
-                        if self.read_retry(addr, &mut buf).is_err() {
-                            continue;
-                        }
-                        if let Ok(s) = Summary::decode(&buf) {
-                            if s.epoch == cp.epoch && s.seq == expected {
-                                found = Some(q);
-                                break 'probe;
-                            }
-                        }
-                    }
-                }
-                match found {
-                    Some(q) => q,
-                    // No cursor has room (or holds the chunk); follow the
-                    // chain into a freshly allocated segment. The layout
-                    // only allocates a fresh segment for a cursor that
-                    // was full, so prefer a full cursor on the segment's
-                    // shard (the lowest-indexed one: with one stream per
-                    // shard this is *the* shard cursor, the historical
-                    // attribution; with several, any same-shard cursor is
-                    // sound — temperature is a hint, not geometry).
-                    None => match heads.get(&expected) {
-                        Some(&next) => {
-                            let sh = self.shard_of_seg(next);
-                            let mut c = sh;
-                            for t in 0..nstr {
-                                let cc = t * nsh + sh;
-                                if cursors[cc].1 + 1 >= seg_blocks {
-                                    c = cc;
-                                    break;
-                                }
-                            }
-                            if cursors[c] == (next, 0) {
-                                break;
-                            }
-                            self.usage.set_state(cursors[c].0, SegState::Dirty);
-                            self.usage.set_seal_seq(cursors[c].0, expected - 1);
-                            cursors[c] = (next, 0);
-                            continue;
-                        }
-                        None => break,
-                    },
-                }
-            };
-            let (seg, off) = cursors[cur];
-            let addr = self.sb.seg_start(seg) + off as u64;
-            self.read_retry(addr, &mut buf)?;
-            let summary = match Summary::decode(&buf) {
-                Ok(s) => s,
-                Err(_) => break,
-            };
-            if summary.epoch != cp.epoch || summary.seq != expected {
-                // Possibly the chain continues in another segment (this
-                // position holds stale data from the segment's previous
-                // life). A chunk never spills while its preferred cursor
-                // has room, so the only legal continuation is a fresh
-                // segment.
-                match heads.get(&expected) {
-                    Some(&next) => {
-                        let sh = self.shard_of_seg(next);
-                        let mut c = sh;
-                        for t in 0..nstr {
-                            let cc = t * nsh + sh;
-                            if cursors[cc].1 + 1 >= seg_blocks {
-                                c = cc;
-                                break;
-                            }
-                        }
-                        if cursors[c] == (next, 0) {
-                            break;
-                        }
-                        self.usage.set_state(cursors[c].0, SegState::Dirty);
-                        self.usage.set_seal_seq(cursors[c].0, expected - 1);
-                        cursors[c] = (next, 0);
-                        continue;
-                    }
-                    _ => break,
-                }
+        let mut seq = cp.seq + 1;
+        while let Some((cur, (seg, off), summary)) = self.locate_chunk(cp.epoch, seq, &cursors) {
+            if seg != cursors[cur].0 {
+                // The chunk opened a fresh segment: the one its cursor
+                // filled was sealed by the chunk before.
+                self.usage.set_state(cursors[cur].0, SegState::Dirty);
+                self.usage.set_seal_seq(cursors[cur].0, seq - 1);
+                cursors[cur] = (seg, 0);
             }
             let nent = summary.entries.len() as u32;
-            if off + 1 + nent > seg_blocks {
+            if off + 1 + nent > self.sb.seg_blocks {
                 break;
             }
             // Verify the whole chunk against the summary's per-block
@@ -497,11 +340,12 @@ impl<D: QueueDevice> Lfs<D> {
             // segment write can persist the summary but lose some of the
             // blocks it describes; any mismatch means this chunk never
             // fully reached the disk, so the log effectively ends at the
-            // previous partial write.
+            // previous partial write. Only a read that still fails after
+            // the bounded retries ends the log: a transient fault must not
+            // drop a synced tail.
+            let first = self.sb.seg_start(seg) + off as u64 + 1;
             let mut chunk = vec![0u8; nent as usize * BLOCK_SIZE];
-            // Only a read that still fails after the bounded retries ends
-            // the log: a transient fault must not drop a synced tail.
-            if self.read_retry(addr + 1, &mut chunk).is_err() {
+            if self.read_retry(first, &mut chunk).is_err() {
                 break;
             }
             let verified = summary.entries.iter().enumerate().all(|(j, e)| {
@@ -511,16 +355,13 @@ impl<D: QueueDevice> Lfs<D> {
             if !verified {
                 break;
             }
-            self.replay_partial_write(&summary, addr + 1, &chunk, &mut records)?;
-            self.emit(|| lfs_obs::TraceEvent::RollForward {
-                seq: summary.seq,
-                seg,
-            });
+            self.replay_partial_write(&summary, first, &chunk, &mut records)?;
+            self.emit(|| lfs_obs::TraceEvent::RollForward { seq, seg });
             self.usage.set_state(seg, SegState::Dirty);
             cursors[cur] = (seg, off + 1 + nent);
-            self.write_seq = summary.seq;
+            self.write_seq = seq;
             self.clock = self.clock.max(summary.write_time);
-            expected += 1;
+            seq += 1;
         }
         self.write_points = cursors;
         for i in 0..self.write_points.len() {
@@ -533,6 +374,64 @@ impl<D: QueueDevice> Lfs<D> {
             self.replay_record(&rec)?;
         }
         Ok(())
+    }
+
+    /// Finds chunk `seq` of the tail, given the write points `cursors`
+    /// the chunks before it left: the cursor that carried it, where it
+    /// starts, and its summary. `None` is the end of the log.
+    ///
+    /// This replays the placement decision of the layout in `flush`.
+    /// Chunk `seq` prefers shard `seq % nshards`, then the next shards in
+    /// wrap order. On a shard, a cursor with room for a summary and a
+    /// block takes the chunk where it stands; a full cursor moves to the
+    /// lowest-numbered clean segment of its shard, which is the one the
+    /// layout allocated: since the checkpoint, the clean set has only
+    /// lost the segments the tail itself opened, and roll-forward takes
+    /// those out again as it meets them. With several streams the chunk's
+    /// stream is unknown, so every stream cursor of a shard is a
+    /// candidate. A summary that decodes to this epoch and `seq`
+    /// identifies the chunk whichever candidate holds it, so a candidate
+    /// that does not hold it costs one block read and nothing else.
+    fn locate_chunk(
+        &mut self,
+        epoch: u32,
+        seq: u64,
+        cursors: &[(u32, u32)],
+    ) -> Option<(usize, (u32, u32), Summary)> {
+        let nsh = self.nshards;
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        let mut probed: Vec<(u32, u32)> = Vec::new();
+        for k in 0..nsh as u64 {
+            let sh = ((seq + k) % nsh as u64) as usize;
+            for cur in (sh..cursors.len()).step_by(nsh) {
+                let (seg, off) = cursors[cur];
+                let at = if off + 1 < self.sb.seg_blocks {
+                    (seg, off)
+                } else {
+                    match self
+                        .usage
+                        .clean_segs()
+                        .find(|&g| self.shard_of_seg(g) == sh)
+                    {
+                        Some(fresh) => (fresh, 0),
+                        None => continue,
+                    }
+                };
+                if probed.contains(&at) {
+                    continue;
+                }
+                probed.push(at);
+                let addr = self.sb.seg_start(at.0) + at.1 as u64;
+                if self.read_retry(addr, &mut buf).is_err() {
+                    continue;
+                }
+                match Summary::decode(&buf) {
+                    Ok(s) if s.epoch == epoch && s.seq == seq => return Some((cur, at, s)),
+                    _ => {}
+                }
+            }
+        }
+        None
     }
 
     /// Processes the blocks of one recovered partial write. `chunk` holds
@@ -551,70 +450,11 @@ impl<D: QueueDevice> Lfs<D> {
             match entry.kind {
                 EntryKind::InodeBlock => {
                     for slot in 0..crate::layout::INODES_PER_BLOCK {
-                        let chunk = &buf[slot * INODE_DISK_SIZE..(slot + 1) * INODE_DISK_SIZE];
-                        let Some(inode) = Inode::decode(chunk)? else {
+                        let raw = &buf[slot * INODE_DISK_SIZE..(slot + 1) * INODE_DISK_SIZE];
+                        let Some(inode) = Inode::decode(raw)? else {
                             continue;
                         };
-                        self.adopt_inode(&inode, addr, slot as u8)?;
-                    }
-                }
-                EntryKind::ImapBlock => {
-                    let idx = entry.offset as usize;
-                    if idx < self.imap.num_blocks() {
-                        // Account the relocation of the map block itself
-                        // (done quietly at runtime, so it must be redone
-                        // here for the counts to stay exact).
-                        let old = self.imap.block_addr(idx);
-                        if old != NIL_ADDR {
-                            if let Some(seg) = self.sb.seg_of(old) {
-                                self.usage.sub_live_quiet(seg, BLOCK_SIZE as u32);
-                            }
-                        }
-                        if let Some(seg) = self.sb.seg_of(addr) {
-                            self.usage
-                                .add_live_quiet(seg, BLOCK_SIZE as u32, summary.write_time);
-                        }
-                        // A live -> free transition in the incoming block
-                        // is a deletion becoming durable; its liveness
-                        // accounting never reached the checkpoint, so
-                        // retire the dead file's blocks here, from the
-                        // about-to-be-replaced entry.
-                        for (ino, incoming) in self.imap.peek_block(idx, buf) {
-                            let cur = match self.imap.get(ino) {
-                                Ok(e) => *e,
-                                Err(_) => continue,
-                            };
-                            if cur.is_live() && !incoming.is_live() {
-                                if let Some(seg) = self.sb.seg_of(cur.addr) {
-                                    self.usage.sub_live(seg, INODE_DISK_SIZE as u32);
-                                }
-                                if let Ok(dead) = self.read_inode_at(cur.addr, cur.slot, ino) {
-                                    self.visit_inode_blocks(&dead, |fs, a| {
-                                        if let Some(seg) = fs.sb.seg_of(a) {
-                                            fs.usage.sub_live(seg, BLOCK_SIZE as u32);
-                                        }
-                                    })?;
-                                }
-                            }
-                        }
-                        self.imap.load_block(idx, buf, addr);
-                    }
-                }
-                EntryKind::UsageBlock => {
-                    let idx = entry.offset as usize;
-                    if idx < self.usage.num_blocks() {
-                        let old = self.usage.block_addr(idx);
-                        if old != NIL_ADDR {
-                            if let Some(seg) = self.sb.seg_of(old) {
-                                self.usage.sub_live_quiet(seg, BLOCK_SIZE as u32);
-                            }
-                        }
-                        if let Some(seg) = self.sb.seg_of(addr) {
-                            self.usage
-                                .add_live_quiet(seg, BLOCK_SIZE as u32, summary.write_time);
-                        }
-                        // Live counts stay under incremental tracking.
-                        self.usage.load_block_preserving_live(idx, buf, addr);
+                        self.adopt_inode(&inode, addr, slot as u8, (first_block, chunk))?;
                     }
                 }
                 EntryKind::DirLog => {
@@ -627,7 +467,20 @@ impl<D: QueueDevice> Lfs<D> {
                 // If data blocks are discovered for a file without a new
                 // copy of the file's inode ... the roll-forward code ...
                 // ignores the new data blocks" (§4.2).
-                EntryKind::Data | EntryKind::Indirect1 | EntryKind::Indirect2 => {}
+                //
+                // Map blocks are ignored too. They reach the log only in
+                // the flushes that end in a checkpoint (a checkpoint's own,
+                // and a cleaner pass's closing one), so a tail holds them
+                // only when a crash cut that checkpoint off. What they
+                // record is what the inodes and directory log of the same
+                // tail rebuild; the copies the loaded checkpoint points to
+                // stay where they are, because the segments holding them
+                // are not reusable before a checkpoint says so.
+                EntryKind::Data
+                | EntryKind::Indirect1
+                | EntryKind::Indirect2
+                | EntryKind::ImapBlock
+                | EntryKind::UsageBlock => {}
             }
         }
         Ok(())
@@ -635,26 +488,36 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Adopts a newer inode found in the log tail, adjusting segment
     /// utilizations for everything the old version referenced and the new
-    /// version references.
-    fn adopt_inode(&mut self, inode: &Inode, addr: DiskAddr, slot: u8) -> FsResult<bool> {
+    /// version references. `chunk` is the verified chunk being replayed
+    /// and the address of its first block; indirect blocks it holds are
+    /// taken from it rather than read again.
+    fn adopt_inode(
+        &mut self,
+        inode: &Inode,
+        addr: DiskAddr,
+        slot: u8,
+        chunk: (DiskAddr, &[u8]),
+    ) -> FsResult<()> {
         let ino = inode.ino;
         if ino as usize >= self.imap.capacity() as usize {
-            return Ok(false);
+            return Ok(());
         }
         let old = *self.imap.get(ino)?;
         if old.is_live() && old.version > inode.version {
-            return Ok(false); // Stale: the file has since been reincarnated.
+            return Ok(()); // Stale: the file has since been reincarnated.
         }
-        if old.is_live() && old.addr == addr && old.slot == slot {
-            return Ok(false); // Already current (e.g. imap block covered it).
-        }
-        // Retire the old version's blocks from the usage accounting.
+        // Retire the old version's blocks from the usage accounting. A
+        // version adopted earlier in the tail is still in the cache.
         if old.is_live() {
             if let Some(seg) = self.sb.seg_of(old.addr) {
                 self.usage.sub_live(seg, INODE_DISK_SIZE as u32);
             }
-            if let Ok(old_inode) = self.read_inode_at(old.addr, old.slot, ino) {
-                self.visit_inode_blocks(&old_inode, |fs, a| {
+            let old_inode = match self.inodes.get(&ino) {
+                Some(c) => Ok(c.inode.clone()),
+                None => self.read_inode_at(old.addr, old.slot, ino),
+            };
+            if let Ok(old_inode) = old_inode {
+                self.visit_inode_blocks(&old_inode, chunk, |fs, a| {
                     if let Some(seg) = fs.sb.seg_of(a) {
                         fs.usage.sub_live(seg, BLOCK_SIZE as u32);
                     }
@@ -668,35 +531,30 @@ impl<D: QueueDevice> Lfs<D> {
                 .add_live(seg, INODE_DISK_SIZE as u32, inode.mtime);
         }
         let mtime = inode.mtime;
-        self.visit_inode_blocks(inode, |fs, a| {
+        self.visit_inode_blocks(inode, chunk, |fs, a| {
             if let Some(seg) = fs.sb.seg_of(a) {
                 fs.usage.add_live(seg, BLOCK_SIZE as u32, mtime);
             }
         })?;
-        // Invalidate any cached copy.
-        if self.inodes.remove(&ino).is_some_and(|c| c.dirty) {
-            self.dirty_inode_count -= 1;
-        }
-        self.dcache.remove(&ino);
-        self.blocks.retain(|(i, _), _| i != ino);
-        let dic = &mut self.dirty_ind_count;
-        self.inds.retain(|&(i, _), e| {
-            if i == ino && e.dirty {
-                *dic -= 1;
-            }
-            i != ino
-        });
-        Ok(true)
+        // Cache the adopted version, which is in hand: the directory-log
+        // replay looks most of the tail's inodes up again. Until that
+        // replay, roll-forward reads around the caches, so they hold no
+        // other copy of this file to invalidate.
+        let cached = CachedInode {
+            inode: inode.clone(),
+            dirty: false,
+            ra: ReadAhead::default(),
+        };
+        self.inodes.insert(ino, cached);
+        Ok(())
     }
 
     /// Reads one inode directly from an inode block on disk.
     fn read_inode_at(&mut self, addr: DiskAddr, slot: u8, expect: Ino) -> FsResult<Inode> {
         let mut buf = vec![0u8; BLOCK_SIZE];
-        self.dev
-            .read_blocks(addr, &mut buf)
-            .map_err(FsError::device)?;
-        let chunk = &buf[slot as usize * INODE_DISK_SIZE..(slot as usize + 1) * INODE_DISK_SIZE];
-        let inode = Inode::decode(chunk)?
+        self.read_retry(addr, &mut buf)?;
+        let raw = &buf[slot as usize * INODE_DISK_SIZE..(slot as usize + 1) * INODE_DISK_SIZE];
+        let inode = Inode::decode(raw)?
             .ok_or_else(|| FsError::Corrupt(format!("inode {expect}: empty slot")))?;
         if inode.ino != expect {
             return Err(FsError::Corrupt(format!(
@@ -708,10 +566,12 @@ impl<D: QueueDevice> Lfs<D> {
     }
 
     /// Calls `f` with the address of every block (data and indirect) that
-    /// `inode` references, reading indirect blocks directly from disk.
+    /// `inode` references. Indirect blocks come from `chunk` (see
+    /// [`Lfs::adopt_inode`]) when it holds them, else from disk.
     fn visit_inode_blocks<F: FnMut(&mut Self, DiskAddr)>(
         &mut self,
         inode: &Inode,
+        chunk: (DiskAddr, &[u8]),
         mut f: F,
     ) -> FsResult<()> {
         for &a in &inode.direct {
@@ -725,18 +585,12 @@ impl<D: QueueDevice> Lfs<D> {
         }
         if inode.dindirect != NIL_ADDR {
             f(self, inode.dindirect);
-            let mut buf = vec![0u8; BLOCK_SIZE];
-            self.dev
-                .read_blocks(inode.dindirect, &mut buf)
-                .map_err(FsError::device)?;
-            let dind = IndirectBlock::decode(&buf);
+            let dind = self.read_indirect(inode.dindirect, chunk)?;
             singles.extend(dind.ptrs.iter().copied().filter(|&p| p != NIL_ADDR));
         }
-        let mut buf = vec![0u8; BLOCK_SIZE];
         for s in singles {
             f(self, s);
-            self.dev.read_blocks(s, &mut buf).map_err(FsError::device)?;
-            let ind = IndirectBlock::decode(&buf);
+            let ind = self.read_indirect(s, chunk)?;
             for &p in ind.ptrs.iter() {
                 if p != NIL_ADDR {
                     f(self, p);
@@ -744,6 +598,25 @@ impl<D: QueueDevice> Lfs<D> {
             }
         }
         Ok(())
+    }
+
+    /// The indirect block at `addr`, from `chunk` if it holds it.
+    fn read_indirect(
+        &mut self,
+        addr: DiskAddr,
+        (first, blocks): (DiskAddr, &[u8]),
+    ) -> FsResult<IndirectBlock> {
+        match addr.checked_sub(first) {
+            Some(j) if j < (blocks.len() / BLOCK_SIZE) as u64 => {
+                let at = j as usize * BLOCK_SIZE;
+                Ok(IndirectBlock::decode(&blocks[at..at + BLOCK_SIZE]))
+            }
+            _ => {
+                let mut buf = vec![0u8; BLOCK_SIZE];
+                self.read_retry(addr, &mut buf)?;
+                Ok(IndirectBlock::decode(&buf))
+            }
+        }
     }
 
     /// Replays one directory-operation-log record, restoring consistency

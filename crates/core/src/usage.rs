@@ -200,28 +200,6 @@ impl UsageTable {
         }
     }
 
-    /// Like [`UsageTable::load_block`] but keeps the in-memory live-byte
-    /// counts (used by roll-forward, which tracks liveness incrementally
-    /// from the checkpoint's exact counts).
-    pub fn load_block_preserving_live(&mut self, idx: usize, buf: &[u8], addr: DiskAddr) {
-        let start = idx * USAGE_ENTRIES_PER_BLOCK;
-        let end = (start + USAGE_ENTRIES_PER_BLOCK).min(self.entries.len());
-        let saved: Vec<u32> = self.entries[start..end]
-            .iter()
-            .map(|e| e.live_bytes)
-            .collect();
-        self.load_block(idx, buf, addr);
-        for (e, live) in self.entries[start..end].iter_mut().zip(saved) {
-            e.live_bytes = live;
-        }
-    }
-
-    /// Overwrites a segment's live-byte count (recovery's recompute).
-    pub fn set_live(&mut self, seg: u32, bytes: u32) {
-        self.entries[seg as usize].live_bytes = bytes;
-        self.dirty[Self::block_of(seg)] = true;
-    }
-
     /// Sets a segment's state.
     pub fn set_state(&mut self, seg: u32, state: SegState) {
         self.entries[seg as usize].state = state;

@@ -7,7 +7,7 @@
 //! of the legal states (before or after the operation, never in
 //! between).
 
-use blockdev::{CrashDisk, MemDisk, QueueDevice, QueuedDev};
+use blockdev::{CrashDisk, MemDisk, QueueDevice, QueuedDev, WriteKind};
 use lfs_core::checkpoint::Checkpoint;
 use lfs_core::layout::{CR0_ADDR, CR1_ADDR};
 use lfs_core::{InvariantSuite, Lfs, LfsConfig};
@@ -347,7 +347,19 @@ fn crash_during_cleaning_never_loses_data() {
     }
     let crash: &CrashDisk = fs.device();
     let n = crash.num_writes();
-    for cut in (0..=n).step_by(7) {
+    // Also cut just before every checkpoint region write (`Sync`, after
+    // its flush's `Async` log writes). Map blocks reach the log only in
+    // flushes that end in a checkpoint — its own, or a cleaner pass's
+    // closing one — so these are the tails that hold map blocks, which
+    // roll-forward ignores.
+    let before_regions: Vec<usize> = (1..n)
+        .filter(|&i| {
+            crash.write_kind(i) == Some(WriteKind::Sync)
+                && crash.write_kind(i - 1) == Some(WriteKind::Async)
+        })
+        .collect();
+    assert!(before_regions.len() >= 4, "only {before_regions:?}");
+    for cut in (0..=n).step_by(7).chain(before_regions) {
         let image = crash.image_after(cut).unwrap();
         verify_cut(&suite, image, cfg, &format!("cut {cut}/{n}"));
     }

@@ -135,6 +135,41 @@ fn exhausted_retries_surface_device_error_and_degraded_stat() {
     assert!(fs.stats().degraded());
 }
 
+/// A flush that fails hands the segments its layout opened back to the
+/// clean set, so the next flush opens the same ones. Roll-forward replays
+/// that choice to find where the tail went on, so a sync after the
+/// failure must survive a crash.
+#[test]
+fn sync_after_a_failed_flush_survives_a_crash() {
+    let cfg = LfsConfig::small();
+    let clean = Lfs::format(MemDisk::new(2048), cfg).unwrap().into_device();
+    let mut fs = Lfs::mount(FaultDisk::new(clean, FaultPlan::new(7)), cfg).unwrap();
+    // Twelve data blocks plus their inode, directory and directory-log
+    // blocks do not fit in what the mount's checkpoint left of its
+    // segment, so the flush has to open a fresh one.
+    fs.write_file("/a", &[1u8; 12 * BLOCK_SIZE]).unwrap();
+    {
+        let plan = fs.device_mut().plan_mut();
+        plan.write_fault_rate = 1.0;
+        plan.transient_failures = 100;
+    }
+    assert!(matches!(fs.flush(), Err(FsError::Device(_))));
+    fs.device_mut().plan_mut().write_fault_rate = 0.0;
+    fs.write_file("/b", &[2u8; 3 * BLOCK_SIZE]).unwrap();
+    fs.sync().unwrap();
+
+    let mut fs2 = Lfs::mount(fs.into_device().into_inner(), cfg).unwrap();
+    let a = fs2
+        .lookup("/a")
+        .expect("synced file lost after a failed flush");
+    assert_eq!(fs2.read_to_vec(a).unwrap(), vec![1u8; 12 * BLOCK_SIZE]);
+    let b = fs2
+        .lookup("/b")
+        .expect("synced file lost after a failed flush");
+    assert_eq!(fs2.read_to_vec(b).unwrap(), vec![2u8; 3 * BLOCK_SIZE]);
+    assert!(fs2.check().unwrap().is_clean());
+}
+
 #[test]
 fn rotted_checkpoint_headers_fail_mount_cleanly() {
     let cfg = LfsConfig::small();

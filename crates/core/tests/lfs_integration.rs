@@ -1,6 +1,6 @@
 //! End-to-end tests for the log-structured file system.
 
-use blockdev::{CrashDisk, MemDisk};
+use blockdev::{BlockDevice, CrashDisk, MemDisk};
 use lfs_core::{BlockKind, CleaningPolicy, Lfs, LfsConfig};
 use vfs::{FileSystem, FsError};
 
@@ -376,6 +376,43 @@ fn roll_forward_recovers_flushed_but_not_checkpointed_data() {
     assert_eq!(fs2.read_to_vec(r).unwrap(), vec![0xab; 9000]);
     let report = fs2.check().unwrap();
     assert!(report.is_clean(), "{:#?}", report.errors);
+}
+
+/// Roll-forward follows the tail from the checkpoint's write points and
+/// reads nothing else (§4.2): the same tail, spread over several
+/// segments, costs the same device reads on a disk with four times as
+/// many segments, with one write stream or three. Each segment the tail
+/// opened is found where the layout put it — the lowest clean segment of
+/// the shard — not through an index of every segment's first block.
+#[test]
+fn roll_forward_reads_the_tail_not_the_disk() {
+    let replay_reads = |cfg: LfsConfig, blocks: u64| {
+        let mut fs = Lfs::format(MemDisk::new(blocks), cfg).unwrap();
+        fs.write_file("/durable", b"safe").unwrap();
+        fs.checkpoint().unwrap();
+        let before = fs.stats().partial_writes;
+        for i in 0..6u8 {
+            fs.write_file(&format!("/t{i}"), &[i; 20_000]).unwrap();
+        }
+        fs.sync().unwrap();
+        assert!(fs.stats().partial_writes - before >= 4, "tail too short");
+        let image = fs.into_device().into_image();
+        let mut full = Lfs::mount(MemDisk::from_image(image.clone()), cfg).unwrap();
+        let reads = full.device().stats().reads;
+        for i in 0..6u8 {
+            let ino = full.lookup(&format!("/t{i}")).unwrap();
+            assert_eq!(full.read_to_vec(ino).unwrap(), vec![i; 20_000]);
+        }
+        check_clean(&mut full);
+        let bare = Lfs::mount_checkpoint_only(MemDisk::from_image(image), cfg).unwrap();
+        reads - bare.device().stats().reads
+    };
+    for streams in [1, 3] {
+        let mut cfg = LfsConfig::small().with_streams(streams);
+        cfg.checkpoint_every_bytes = 0;
+        let (small, large) = (replay_reads(cfg, 1024), replay_reads(cfg, 4096));
+        assert_eq!(small, large, "{streams} streams: read beyond the tail");
+    }
 }
 
 #[test]
