@@ -18,8 +18,22 @@
 //! entries from the inodes, summaries and directory-operation log of the
 //! tail (§4.2). Every other flush leaves the maps dirty in memory; that
 //! includes a `sync`'s, which is a flush plus a fence (see `Lfs::sync`).
+//!
+//! A flush runs in six stages, one function each: **gather** turns the
+//! dirty state into item groups; **place** lays them out as chunks with
+//! [`Placement`]; **assign** gives the items their addresses and makes
+//! final everything the encoded blocks carry; **encode** renders one chunk
+//! into a [`Flush<SummarySealed>`]; **submit** consumes that and returns a
+//! [`Flush<DataWritten>`]; and **commit**, which requires it, advances
+//! `write_seq` and the write points and clears the dirty bits, the map
+//! blocks' too. Encode and submit alternate chunk by chunk, so the scratch
+//! pool stays at the ring depth + 1. A flush that fails before commit
+//! leaves every dirty bit set and every write point where it was, and the
+//! next flush places the same state again.
 
-use std::collections::BTreeSet;
+#![warn(clippy::too_many_lines)]
+
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use blockdev::{IoBuf, QueueDevice, WriteKind, BLOCK_SIZE};
@@ -28,15 +42,14 @@ use vfs::{FsError, FsResult, Ino};
 use crate::dirlog;
 use crate::fs::{set_dirty, IndKey, Lfs, IO_ATTEMPTS};
 use crate::inode::INODE_DISK_SIZE;
-use crate::layout::{classify_block, BlockClass, DiskAddr, NIL_ADDR};
-use crate::ordering::{CheckpointReady, DataWritten, Flush};
+use crate::inodemap::InodeMap;
+use crate::layout::{
+    classify_block, BlockClass, Chunk, DiskAddr, Placement, CLEANER_RESERVE_SEGS, INODES_PER_BLOCK,
+};
+use crate::ordering::{CheckpointReady, DataWritten, Flush, SummarySealed};
 use crate::stats::BlockKind;
-use crate::summary::{EntryKind, Summary, SummaryEntry, MAX_SUMMARY_ENTRIES};
-use crate::usage::SegState;
-
-/// Clean segments normal writes may never consume — the cleaner's private
-/// pool for relocating live data when the log runs out of space.
-pub(crate) const CLEANER_RESERVE_SEGS: usize = 2;
+use crate::summary::{EntryKind, Summary, SummaryEntry};
+use crate::usage::{SegState, UsageTable};
 
 /// Most heat entries a checkpoint persists (the hottest ones win).
 /// Bounds the region payload: 512 pairs cost 4 KB, one extra block.
@@ -66,26 +79,11 @@ impl Item {
     }
 }
 
-/// Placement of one partial write.
-struct ChunkPlan {
-    seg: u32,
-    off: u32,
-    n_items: usize,
-    /// Index into [`Lfs::write_points`] of the cursor this chunk
-    /// advances — encodes both the temperature stream (`cursor /
-    /// nshards`) and the shard (`cursor % nshards`).
-    cursor: usize,
-}
-
-/// The result of the (pure) layout computation.
+/// The layout of one flush: its chunks in sequence order, and the
+/// placement they leave behind.
 struct LayoutPlan {
-    chunks: Vec<ChunkPlan>,
-    /// Segments newly allocated (to be marked Active in order).
-    allocated: Vec<u32>,
-    /// Where every shard's write point ends up after the plan executes
-    /// (same order as [`Lfs::write_points`]; untouched shards keep their
-    /// current position).
-    end_wps: Vec<(u32, u32)>,
+    chunks: Vec<Chunk>,
+    end: Placement,
 }
 
 impl<D: QueueDevice> Lfs<D> {
@@ -156,406 +154,544 @@ impl<D: QueueDevice> Lfs<D> {
         res
     }
 
+    /// The stages of a flush, in order (see the module docs).
     fn flush_inner(&mut self, maps: bool) -> FsResult<Flush<DataWritten>> {
-        // ---- gather -----------------------------------------------------
-        let dirlog_blocks = dirlog::encode_records(&self.dirlog_pending);
+        let mut groups = self.gather(maps)?;
+        let plan = self.place(&mut groups, maps)?;
+        // Flatten into the single write-order list: stream 0 (hottest)
+        // first, the metadata group last so inodes take the highest
+        // sequence numbers of the batch. The layout consumed per-group
+        // counts in the same order, so chunk `i` covers exactly the next
+        // `n` items of this list.
+        let items: Vec<Item> = groups.into_iter().flatten().collect();
+        self.assign(&items, &plan)?;
+        let mut written = Flush::idle();
+        let mut first = 0;
+        for (seq, c) in (self.write_seq + 1..).zip(&plan.chunks) {
+            let (sealed, bufs) = self.encode(&items[first..first + c.n], seq);
+            first += c.n;
+            written = self.submit(sealed, c, bufs).inspect_err(|_| {
+                // The write points stay where they were, so the segments
+                // this plan opened were never opened: give them back to
+                // the clean set, where the next flush's layout takes them
+                // again — and where roll-forward, which replays that
+                // choice, looks for its chunks.
+                for opened in plan.chunks.iter().filter(|c| c.opened) {
+                    self.usage.set_state(opened.seg, SegState::Clean);
+                }
+            })?;
+        }
+        Ok(self.commit(written, plan, &items))
+    }
 
-        // Items are gathered into one group per temperature stream plus
-        // (with several streams) a trailing metadata group; the flat
-        // item list written below is the concatenation of the groups in
-        // that order. With a single stream this is exactly the
-        // historical single-list gather. Two constraints meet here:
-        //
-        // * *Placement*: metadata (directory log, inode/imap/usage
-        //   blocks) rides the hot stream's write point — it turns over
-        //   fastest, so segregating it from cold file data keeps cold
-        //   segments at high, stable utilization (§3.4).
-        // * *Ordering*: an inode must reach the log *after* every data
-        //   and indirect block it references, or roll-forward could
-        //   adopt an inode whose blocks a crash swallowed (§4.2). The
-        //   streams write to distinct cursors but share one sequence
-        //   numbering, and replay stops at the first missing sequence —
-        //   so the inode/imap/usage group must take the *highest*
-        //   sequence numbers, i.e. come last in the flat list, even
-        //   though its chunks land on the stream-0 cursor.
+    /// **Gather**: the dirty state becomes the item groups, one per
+    /// temperature stream, hot first, plus with several streams a trailing
+    /// metadata group. With a single stream this is one list. Two
+    /// constraints meet here:
+    ///
+    /// * *Placement*: metadata (directory log, inode/imap/usage blocks)
+    ///   rides the hot stream's write point — it turns over fastest, so
+    ///   segregating it from cold file data keeps cold segments at high,
+    ///   stable utilization (§3.4).
+    /// * *Ordering*: an inode must reach the log *after* every data and
+    ///   indirect block it references, or roll-forward could adopt an
+    ///   inode whose blocks a crash swallowed (§4.2). The streams write to
+    ///   distinct cursors but share one sequence numbering, and replay
+    ///   stops at the first missing sequence — so the inode/imap/usage
+    ///   group must take the *highest* sequence numbers, i.e. come last,
+    ///   even though its chunks land on the stream-0 cursor.
+    fn gather(&mut self, maps: bool) -> FsResult<Vec<Vec<Item>>> {
         let nstreams = self.stream_count();
         let ngroups = if nstreams == 1 { 1 } else { nstreams + 1 };
         let meta = ngroups - 1;
         let mut groups: Vec<Vec<Item>> = vec![Vec::new(); ngroups];
-        for b in dirlog_blocks {
+        for b in dirlog::encode_records(&self.dirlog_pending) {
             groups[0].push(Item::DirLog(Arc::new(b.into_vec())));
         }
+        self.dirty_parent_inds()?;
+        let dirty_inds = self.inds.iter().filter_map(|(&k, c)| c.dirty.then_some(k));
+        let mut inds: Vec<(Ino, IndKey)> = dirty_inds.collect();
+        inds.sort_unstable();
+        let mut dirty_inos: Vec<Ino> = Vec::new();
+        for ino in self.file_order(&inds) {
+            // Data blocks in file order, then indirect blocks: singles
+            // first (their addresses go into the double), then the
+            // double. Both follow the file's own heat class — an indirect
+            // block changes whenever its file does.
+            let t = self.stream_of(ino);
+            let blocks = self.dirty_blocks.range((ino, 0)..=(ino, u64::MAX));
+            groups[t].extend(blocks.map(|&(_, bno)| Item::Data { ino, bno }));
+            let first = inds.partition_point(|&(i, _)| i < ino);
+            let keys = inds[first..].iter().take_while(|&&(i, _)| i == ino);
+            groups[t].extend(keys.map(|&(_, key)| Item::Ind { ino, key }));
+            if self.inodes.get(&ino).is_some_and(|c| c.dirty) || self.dirty_files.contains(&ino) {
+                dirty_inos.push(ino);
+            }
+        }
+        // Pack dirty inodes 16 to a block, preserving the file order.
+        let inode_blocks = dirty_inos.chunks(INODES_PER_BLOCK);
+        groups[meta].extend(inode_blocks.map(|inos| Item::InodeBlk {
+            inos: inos.to_vec(),
+        }));
+        // Map blocks ride only a flush that ends in a checkpoint (see the
+        // module docs): the dirty inode-map blocks plus those about to
+        // change because of the inode relocations above.
+        if maps {
+            let mut imap_blocks: BTreeSet<usize> = self.imap.dirty_blocks().into_iter().collect();
+            imap_blocks.extend(dirty_inos.iter().map(|&ino| InodeMap::block_of(ino)));
+            groups[meta].extend(imap_blocks.into_iter().map(Item::Imap));
+        }
+        Ok(groups)
+    }
 
-        // Data blocks, grouped per file. With age-sorting enabled the
-        // cleaner's relocations are grouped oldest-first so cold data
-        // segregates from hot data (§3.4, policy 4).
-        let mut file_order: Vec<Ino> = {
-            let mut inos: BTreeSet<Ino> = self.dirty_blocks.iter().map(|&(i, _)| i).collect();
-            for (&(i, _), c) in self.inds.iter() {
-                if c.dirty {
-                    inos.insert(i);
+    /// Makes sure every indirect block that will receive a pointer update
+    /// is in the cache and dirty, so it is part of the batch.
+    fn dirty_parent_inds(&mut self) -> FsResult<()> {
+        let dirty_data: Vec<(Ino, u64)> = self.dirty_blocks.iter().copied().collect();
+        for (ino, bno) in dirty_data {
+            let keys = match classify_block(bno).ok_or(FsError::FileTooLarge)? {
+                BlockClass::Direct(_) => [None, None],
+                BlockClass::Indirect1(_) => [Some(IndKey::Single(0)), None],
+                BlockClass::Indirect2(i, _) => {
+                    [Some(IndKey::Double), Some(IndKey::Single(i as u32 + 1))]
                 }
+            };
+            for key in keys.into_iter().flatten() {
+                self.ensure_ind(ino, key, true)?;
+                let e = self.inds.get_mut(&(ino, key)).expect("ensured above");
+                set_dirty(&mut e.dirty, &mut self.dirty_ind_count);
             }
-            for (&i, c) in self.inodes.iter() {
-                if c.dirty {
-                    inos.insert(i);
-                }
-            }
-            inos.extend(self.dirty_files.iter().copied());
-            inos.into_iter().collect()
-        };
-        if self.cleaning && self.cfg.policy != crate::CleaningPolicy::Greedy {
-            // "Sort the blocks by the time they were last modified and
-            // group blocks of similar age together into new segments"
-            // (§3.4). Files are ordered by the age of their oldest dirty
-            // block; within a file, blocks are already relocated
-            // together, which is the grouping the policy wants.
-            let mut keyed: Vec<(u64, Ino)> = Vec::with_capacity(file_order.len());
-            for ino in file_order {
+        }
+        Ok(())
+    }
+
+    /// The files with dirty state, in write order: by inode number or,
+    /// in a cleaner pass under an age-sorting policy, by the age of their
+    /// oldest dirty block. "Sort the blocks by the time they were last
+    /// modified and group blocks of similar age together into new
+    /// segments" (§3.4, policy 4); within a file, blocks are relocated
+    /// together, which is the grouping the policy wants. `inds` are the
+    /// dirty indirect blocks.
+    fn file_order(&mut self, inds: &[(Ino, IndKey)]) -> Vec<Ino> {
+        let mut inos: BTreeSet<Ino> = self.dirty_blocks.iter().map(|&(i, _)| i).collect();
+        inos.extend(inds.iter().map(|&(i, _)| i));
+        inos.extend(self.inodes.iter().filter(|(_, c)| c.dirty).map(|(&i, _)| i));
+        inos.extend(self.dirty_files.iter().copied());
+        if !self.cleaning || self.cfg.policy == crate::CleaningPolicy::Greedy {
+            return inos.into_iter().collect();
+        }
+        let mut keyed: Vec<(u64, Ino)> = inos
+            .into_iter()
+            .map(|ino| {
                 let oldest_block = self
                     .dirty_blocks
                     .range((ino, 0)..=(ino, u64::MAX))
                     .filter_map(|&k| self.blocks.get(k, |b| b.mtime))
                     .min();
-                let key = match oldest_block {
+                let age = match oldest_block {
                     Some(t) => t,
                     None => self.inode_ref(ino).map(|i| i.mtime).unwrap_or(0),
                 };
-                keyed.push((key, ino));
-            }
-            keyed.sort_unstable();
-            file_order = keyed.into_iter().map(|(_, i)| i).collect();
-        }
+                (age, ino)
+            })
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, i)| i).collect()
+    }
 
-        // Make sure every indirect block that will receive a pointer
-        // update exists in the cache before layout, so it is part of the
-        // batch.
-        let dirty_data: Vec<(Ino, u64)> = self.dirty_blocks.iter().copied().collect();
-        for &(ino, bno) in &dirty_data {
-            match classify_block(bno).ok_or(FsError::FileTooLarge)? {
-                BlockClass::Direct(_) => {}
-                BlockClass::Indirect1(_) => {
-                    self.ensure_ind(ino, IndKey::Single(0), true)?;
-                    let e = self.inds.get_mut(&(ino, IndKey::Single(0))).unwrap();
-                    set_dirty(&mut e.dirty, &mut self.dirty_ind_count);
-                }
-                BlockClass::Indirect2(i, _) => {
-                    self.ensure_ind(ino, IndKey::Double, true)?;
-                    let d = self.inds.get_mut(&(ino, IndKey::Double)).unwrap();
-                    set_dirty(&mut d.dirty, &mut self.dirty_ind_count);
-                    let key = IndKey::Single(i as u32 + 1);
-                    self.ensure_ind(ino, key, true)?;
-                    let e = self.inds.get_mut(&(ino, key)).unwrap();
-                    set_dirty(&mut e.dirty, &mut self.dirty_ind_count);
-                }
-            }
-        }
-
-        let mut dirty_inos: Vec<Ino> = Vec::new();
-        for &ino in &file_order {
-            // Data blocks of this file, in file order.
-            let blocks: Vec<u64> = self
-                .dirty_blocks
-                .range((ino, 0)..=(ino, u64::MAX))
-                .map(|&(_, b)| b)
-                .collect();
-            for bno in blocks {
-                let t = self.stream_of_block(ino, bno);
-                groups[t].push(Item::Data { ino, bno });
-            }
-            // Indirect blocks: singles first (their addresses go into the
-            // double), then the double. They follow the file's own heat
-            // class — an indirect block changes whenever its file does.
-            let mut keys: Vec<IndKey> = self
-                .inds
-                .iter()
-                .filter(|(&(i, _), c)| i == ino && c.dirty)
-                .map(|(&(_, k), _)| k)
-                .collect();
-            keys.sort();
-            let ft = if nstreams == 1 {
-                0
-            } else {
-                self.heat.class(ino, self.clock, nstreams)
-            };
-            for key in keys {
-                groups[ft].push(Item::Ind { ino, key });
-            }
-            if self.inodes.get(&ino).map(|c| c.dirty).unwrap_or(false)
-                || self.dirty_files.contains(&ino)
-            {
-                dirty_inos.push(ino);
-            }
-        }
-        // Pack dirty inodes 16 to a block, preserving the file order.
-        for group in dirty_inos.chunks(crate::layout::INODES_PER_BLOCK) {
-            groups[meta].push(Item::InodeBlk {
-                inos: group.to_vec(),
-            });
-        }
-
-        // Map blocks ride only a flush that ends in a checkpoint (see the
-        // module docs); any other flush leaves them dirty in memory.
+    /// **Place**: lays the groups out as chunks.
+    ///
+    /// A flush that carries the maps also carries the usage block of every
+    /// segment it touches, and which segments those are only the layout
+    /// says: usage items are appended to the metadata group and the layout
+    /// redone until the set stops growing (normally one extra round at
+    /// most). They are truncated off again between rounds — no per-round
+    /// clone of the whole item list, which holds directory-log payloads
+    /// and inode groups.
+    fn place(&mut self, groups: &mut [Vec<Item>], maps: bool) -> FsResult<LayoutPlan> {
+        let meta = groups.len() - 1;
         let mut usage_blocks: BTreeSet<usize> = BTreeSet::new();
         if maps {
-            // Inode-map blocks: already dirty ones plus those about to
-            // change because of the inode relocations above.
-            let mut imap_blocks: BTreeSet<usize> = self.imap.dirty_blocks().into_iter().collect();
-            for &ino in &dirty_inos {
-                imap_blocks.insert(crate::inodemap::InodeMap::block_of(ino));
-            }
-            for &idx in &imap_blocks {
-                groups[meta].push(Item::Imap(idx));
-            }
-
-            // Usage blocks: iterate with the layout until the set of
-            // touched segments stabilises (normally one extra round at
-            // most).
             usage_blocks.extend(self.usage.dirty_blocks());
             // Segments that will lose live bytes (old homes of rewritten
             // blocks) are known before layout.
-            for &(ino, bno) in &dirty_data {
+            let dirty_data: Vec<(Ino, u64)> = self.dirty_blocks.iter().copied().collect();
+            for (ino, bno) in dirty_data {
                 let old = self.block_ptr(ino, bno)?;
-                if old != NIL_ADDR {
-                    if let Some(seg) = self.sb.seg_of(old) {
-                        usage_blocks.insert(crate::usage::UsageTable::block_of(seg));
-                    }
-                }
+                usage_blocks.extend(self.sb.seg_of(old).map(UsageTable::block_of));
             }
-            for &(seg, _) in &self.write_points {
-                usage_blocks.insert(crate::usage::UsageTable::block_of(seg));
-            }
+            let wps = self.write_points.iter();
+            usage_blocks.extend(wps.map(|&(seg, _)| UsageTable::block_of(seg)));
         }
-
-        // Usage items are appended in place (to the metadata group) and
-        // truncated off again when the layout touches new segments — no
-        // per-round clone of the whole item list (which holds dirlog
-        // payloads and inode groups).
         let base_meta = groups[meta].len();
-        let plan = loop {
-            for &idx in &usage_blocks {
-                groups[meta].push(Item::Usage(idx));
-            }
-            let counts: Vec<usize> = groups.iter().map(|g| g.len()).collect();
-            let plan = {
-                let mut plan = self.layout(&counts);
-                // Out of clean segments: let the cleaner regenerate some
-                // (it has a reserved allocation pool precisely so it can
-                // still run now), then retry. Several rounds may be
-                // needed when space is very tight.
-                let mut rounds = 0;
-                while matches!(plan, Err(FsError::NoSpace)) && !self.cleaning && rounds < 4 {
-                    self.cleaning = true;
-                    let res = self.clean_until_high_water();
-                    self.cleaning = false;
-                    res?;
-                    plan = self.layout(&counts);
-                    rounds += 1;
+        loop {
+            groups[meta].extend(usage_blocks.iter().map(|&idx| Item::Usage(idx)));
+            let counts: Vec<usize> = groups.iter().map(Vec::len).collect();
+            // Out of clean segments, the cleaner regenerates some (it has
+            // a reserved allocation pool precisely so it can still run
+            // now) and the layout is retried; several rounds may be
+            // needed when space is very tight.
+            let mut plan = self.layout(&counts);
+            for _ in 0..4 {
+                if plan.is_some() || self.cleaning {
+                    break;
                 }
-                plan?
-            };
+                self.cleaning = true;
+                let res = self.clean_until_high_water();
+                self.cleaning = false;
+                res?;
+                plan = self.layout(&counts);
+            }
+            let plan = plan.ok_or(FsError::NoSpace)?;
             let mut grew = false;
             if maps {
                 for c in &plan.chunks {
-                    if usage_blocks.insert(crate::usage::UsageTable::block_of(c.seg)) {
-                        grew = true;
-                    }
+                    grew |= usage_blocks.insert(UsageTable::block_of(c.seg));
                 }
             }
             if !grew {
-                break plan;
+                return Ok(plan);
             }
             groups[meta].truncate(base_meta);
+        }
+    }
+
+    /// Places chunks for the per-group item counts in `counts` (one entry
+    /// per temperature stream, hot first; with several streams a trailing
+    /// metadata group that targets the hot stream's cursors), chunk by
+    /// chunk through [`Placement::next`], without mutating anything.
+    /// `None` when they do not fit.
+    fn layout(&self, counts: &[usize]) -> Option<LayoutPlan> {
+        // Normal writes leave a couple of segments per shard for the
+        // cleaner, which needs somewhere to copy live data even when the
+        // log is full — without this reserve the file system can wedge
+        // with free space it cannot reach. The cleaner's own relocations
+        // and a checkpoint's settle writes may use everything (the
+        // selection budget guarantees they fit, and completing them is
+        // what regenerates free space).
+        let reserve = if self.cleaning || self.settling {
+            0
+        } else {
+            CLEANER_RESERVE_SEGS
         };
-        // Flatten into the single write-order list: stream 0 (hottest)
-        // first, the metadata group last so inodes take the highest
-        // sequence numbers of the batch. The layout above consumed
-        // per-group counts in the same order, so chunk `i` covers
-        // exactly the next `n_items` of this list.
-        let items: Vec<Item> = groups.into_iter().flatten().collect();
-
-        // ---- commit segment allocation -----------------------------------
-        for &seg in &plan.allocated {
-            self.usage.set_state(seg, SegState::Active);
-        }
-
-        // ---- assign addresses -------------------------------------------
-        let mut addrs: Vec<DiskAddr> = Vec::with_capacity(items.len());
-        for c in &plan.chunks {
-            let base = self.sb.seg_start(c.seg) + c.off as u64;
-            for i in 0..c.n_items {
-                addrs.push(base + 1 + i as u64);
-            }
-        }
-        debug_assert_eq!(addrs.len(), items.len());
-
-        // ---- apply pointer and accounting updates -------------------------
-        let now = self.clock;
-        let by_cleaner = self.cleaning;
-        for (item, &addr) in items.iter().zip(&addrs) {
-            let seg = self.sb.seg_of(addr).expect("log write outside segments");
-            match item {
-                Item::DirLog(_) => {}
-                Item::Data { ino, bno } => {
-                    // Per-block modification time (the §3.6 refinement):
-                    // segment ages reflect the blocks actually in them,
-                    // not the owning file's latest touch.
-                    let mtime = self.blocks.get((*ino, *bno), |b| b.mtime).unwrap_or(now);
-                    let old = self.set_block_ptr(*ino, *bno, addr)?;
-                    if old != NIL_ADDR {
-                        if let Some(s) = self.sb.seg_of(old) {
-                            self.usage.sub_live(s, BLOCK_SIZE as u32);
-                        }
-                    }
-                    self.usage.add_live(seg, BLOCK_SIZE as u32, mtime);
-                }
-                Item::Ind { ino, key } => {
-                    // Update the parent pointer.
-                    match key {
-                        IndKey::Single(0) => {
-                            self.inode_mut(*ino)?.indirect = addr;
-                        }
-                        IndKey::Single(k) => {
-                            let d = self
-                                .inds
-                                .get_mut(&(*ino, IndKey::Double))
-                                .expect("double-indirect missing for child update");
-                            d.blk.ptrs[(*k - 1) as usize] = addr;
-                            set_dirty(&mut d.dirty, &mut self.dirty_ind_count);
-                        }
-                        IndKey::Double => {
-                            self.inode_mut(*ino)?.dindirect = addr;
-                        }
-                    }
-                    let e = self.inds.get_mut(&(*ino, *key)).unwrap();
-                    let old = e.disk_addr;
-                    e.disk_addr = addr;
-                    if old != NIL_ADDR {
-                        if let Some(s) = self.sb.seg_of(old) {
-                            self.usage.sub_live(s, BLOCK_SIZE as u32);
-                        }
-                    }
-                    self.usage.add_live(seg, BLOCK_SIZE as u32, now);
-                }
-                Item::InodeBlk { inos } => {
-                    for (slot, &ino) in inos.iter().enumerate() {
-                        let old = *self.imap.get(ino)?;
-                        if old.is_live() {
-                            if let Some(s) = self.sb.seg_of(old.addr) {
-                                self.usage.sub_live(s, INODE_DISK_SIZE as u32);
-                            }
-                        }
-                        self.imap.set_location(ino, addr, slot as u8);
-                        self.usage.add_live(seg, INODE_DISK_SIZE as u32, now);
-                    }
-                }
-                Item::Imap(idx) => {
-                    let old = self.imap.block_addr(*idx);
-                    if old != NIL_ADDR {
-                        if let Some(s) = self.sb.seg_of(old) {
-                            self.usage.sub_live_quiet(s, BLOCK_SIZE as u32);
-                        }
-                    }
-                    self.usage.add_live_quiet(seg, BLOCK_SIZE as u32, now);
-                    self.imap.block_written(*idx, addr);
-                }
-                Item::Usage(idx) => {
-                    let old = self.usage.block_addr(*idx);
-                    if old != NIL_ADDR {
-                        if let Some(s) = self.sb.seg_of(old) {
-                            self.usage.sub_live_quiet(s, BLOCK_SIZE as u32);
-                        }
-                    }
-                    self.usage.add_live_quiet(seg, BLOCK_SIZE as u32, now);
-                    // `block_written` runs during serialization below so
-                    // the dirty bit survives until the content snapshot.
-                }
-            }
-        }
-
-        // ---- seal segments the layout moved past --------------------------
-        // (Sealing before serialization so the usage blocks carry the
-        // final states.) A segment is sealed when the log head leaves it,
-        // or when it has no room left for another partial write (a chunk
-        // needs a summary plus at least one block).
-        {
-            let mut seq = self.write_seq;
-            let mut seg_last_seq: std::collections::BTreeMap<u32, u64> =
-                std::collections::BTreeMap::new();
-            for c in &plan.chunks {
-                seq += 1;
-                seg_last_seq.insert(c.seg, seq);
-            }
-            // Each touched segment belongs to exactly one cursor: the one
-            // that was parked on it before the flush, or the one the plan
-            // advanced onto it. (With a single stream the owner is always
-            // the segment's shard cursor — the historical lookup.)
-            let mut owner: std::collections::BTreeMap<u32, usize> =
-                std::collections::BTreeMap::new();
-            for (c, &(seg, _)) in self.write_points.iter().enumerate() {
-                owner.insert(seg, c);
-            }
-            for c in &plan.chunks {
-                owner.insert(c.seg, c.cursor);
-            }
-            let mut touched: BTreeSet<u32> = seg_last_seq.keys().copied().collect();
-            for &(seg, _) in &self.write_points {
-                touched.insert(seg);
-            }
-            for seg in touched {
-                let cur = owner[&seg];
-                let (end_seg, end_off) = plan.end_wps[cur];
-                let is_end = seg == end_seg;
-                let end_full = end_off + 1 >= self.sb.seg_blocks;
-                if !is_end || end_full {
-                    self.usage.set_state(seg, SegState::Dirty);
-                    let s = seg_last_seq.get(&seg).copied().unwrap_or(self.write_seq);
-                    self.usage.set_seal_seq(seg, s);
-                }
-            }
-        }
-
-        // ---- serialize and write ------------------------------------------
-        let mut item_idx = 0usize;
+        let mut end = self.placement(reserve);
+        let nstreams = end.streams();
+        let mut chunks = Vec::new();
         let mut seq = self.write_seq;
-        let time = self.clock;
-        let mut written = Flush::idle();
-        for c in &plan.chunks {
-            seq += 1;
-            let chunk_items = &items[item_idx..item_idx + c.n_items];
-            let chunk_addrs = &addrs[item_idx..item_idx + c.n_items];
-            let start = self.sb.seg_start(c.seg) + c.off as u64;
-            written = self
-                .write_chunk(chunk_items, chunk_addrs, start, seq, time, by_cleaner)
-                .inspect_err(|_| {
-                    // The write points stay where they were, so the
-                    // segments this plan opened were never opened: give
-                    // them back to the clean set, where the next flush's
-                    // layout takes them again — and where roll-forward,
-                    // which replays that choice, looks for its chunks.
-                    for &seg in &plan.allocated {
-                        self.usage.set_state(seg, SegState::Clean);
-                    }
-                })?;
-            if !by_cleaner {
-                self.bytes_since_checkpoint += ((1 + c.n_items) * BLOCK_SIZE) as u64;
+        for (g, &count) in counts.iter().enumerate() {
+            let stream = if g < nstreams { g } else { 0 };
+            let mut left = count;
+            while left > 0 {
+                seq += 1;
+                let c = end.next(seq, stream, left)?;
+                left -= c.n;
+                chunks.push(c);
             }
-            self.stats.partial_writes += 1;
-            self.stats.add_stream_bytes(
-                c.cursor / self.nshards,
-                ((1 + c.n_items) * BLOCK_SIZE) as u64,
-            );
-            self.emit(|| lfs_obs::TraceEvent::SegmentWrite {
-                seg: c.seg,
-                blocks: c.n_items as u32 + 1, // items + the summary block
-                by_cleaner,
-            });
-            item_idx += c.n_items;
         }
-        self.write_seq = seq;
-        self.write_points = plan.end_wps;
+        Some(LayoutPlan { chunks, end })
+    }
 
-        // ---- clear dirty state --------------------------------------------
+    /// **Assign**: gives every item its address and makes final the state
+    /// the encoded blocks carry — block pointers, live bytes, the inode
+    /// map, and the states of the segments the plan opens and seals. It
+    /// runs before any chunk is encoded, because the inode-map and usage
+    /// blocks a checkpoint writes must already hold all of it.
+    fn assign(&mut self, items: &[Item], plan: &LayoutPlan) -> FsResult<()> {
+        for c in plan.chunks.iter().filter(|c| c.opened) {
+            self.usage.set_state(c.seg, SegState::Active);
+        }
+        let mut items = items.iter();
+        for c in &plan.chunks {
+            let first = self.sb.seg_start(c.seg) + c.off as u64 + 1;
+            for (addr, item) in (first..).zip(items.by_ref().take(c.n)) {
+                self.assign_item(item, addr)?;
+            }
+        }
+        debug_assert!(items.next().is_none(), "the chunks cover every item");
+        self.seal_segments(plan);
+        Ok(())
+    }
+
+    /// Points whatever references `item` at `addr`, and moves the item's
+    /// live bytes there from its old home.
+    fn assign_item(&mut self, item: &Item, addr: DiskAddr) -> FsResult<()> {
+        let now = self.clock;
+        let seg = self.sb.seg_of(addr).expect("log write outside segments");
+        match *item {
+            Item::DirLog(_) => {}
+            Item::Data { ino, bno } => {
+                // Per-block modification time (the §3.6 refinement):
+                // segment ages reflect the blocks actually in them, not
+                // the owning file's latest touch.
+                let mtime = self.blocks.get((ino, bno), |b| b.mtime).unwrap_or(now);
+                let old = self.set_block_ptr(ino, bno, addr)?;
+                self.sub_live_at(old, BLOCK_SIZE);
+                self.usage.add_live(seg, BLOCK_SIZE as u32, mtime);
+            }
+            Item::Ind { ino, key } => {
+                // Update the parent pointer.
+                match key {
+                    IndKey::Single(0) => self.inode_mut(ino)?.indirect = addr,
+                    IndKey::Single(k) => {
+                        let d = self
+                            .inds
+                            .get_mut(&(ino, IndKey::Double))
+                            .expect("double-indirect missing for child update");
+                        d.blk.ptrs[(k - 1) as usize] = addr;
+                        set_dirty(&mut d.dirty, &mut self.dirty_ind_count);
+                    }
+                    IndKey::Double => self.inode_mut(ino)?.dindirect = addr,
+                }
+                let e = self.inds.get_mut(&(ino, key)).expect("gathered as dirty");
+                let old = std::mem::replace(&mut e.disk_addr, addr);
+                self.sub_live_at(old, BLOCK_SIZE);
+                self.usage.add_live(seg, BLOCK_SIZE as u32, now);
+            }
+            Item::InodeBlk { ref inos } => {
+                for (slot, &ino) in inos.iter().enumerate() {
+                    let old = *self.imap.get(ino)?;
+                    if old.is_live() {
+                        self.sub_live_at(old.addr, INODE_DISK_SIZE);
+                    }
+                    self.imap.set_location(ino, addr, slot as u8);
+                    self.usage.add_live(seg, INODE_DISK_SIZE as u32, now);
+                }
+            }
+            // Like everything else here, the map blocks stay dirty until
+            // commit: a flush that fails writes them again next time.
+            Item::Imap(idx) => {
+                let old = self.imap.set_block_addr(idx, addr);
+                self.move_map_block(old, seg);
+            }
+            Item::Usage(idx) => {
+                let old = self.usage.set_block_addr(idx, addr);
+                self.move_map_block(old, seg);
+            }
+        }
+        Ok(())
+    }
+
+    /// Moves a map block's live bytes from `old`'s segment to `seg`,
+    /// quietly: accounting the maps' own moves loudly would dirty the
+    /// table again (see `UsageTable::add_live_quiet`).
+    fn move_map_block(&mut self, old: DiskAddr, seg: u32) {
+        if let Some(s) = self.sb.seg_of(old) {
+            self.usage.sub_live_quiet(s, BLOCK_SIZE as u32);
+        }
+        self.usage
+            .add_live_quiet(seg, BLOCK_SIZE as u32, self.clock);
+    }
+
+    /// Takes `bytes` live bytes off the segment holding `addr`, if any.
+    fn sub_live_at(&mut self, addr: DiskAddr, bytes: usize) {
+        if let Some(seg) = self.sb.seg_of(addr) {
+            self.usage.sub_live(seg, bytes as u32);
+        }
+    }
+
+    /// Seals every segment the plan leaves with no cursor on it, or with
+    /// no room for another partial write (a chunk needs a summary plus at
+    /// least one block), at the sequence number of the last chunk written
+    /// into it. Sealing happens before encoding so the usage blocks carry
+    /// the final states.
+    fn seal_segments(&mut self, plan: &LayoutPlan) {
+        let wps = self.write_points.iter();
+        let mut last_seq: BTreeMap<u32, u64> = wps.map(|&(seg, _)| (seg, self.write_seq)).collect();
+        for (seq, c) in (self.write_seq + 1..).zip(&plan.chunks) {
+            last_seq.insert(c.seg, seq);
+        }
+        for (seg, seq) in last_seq {
+            if !plan.end.is_open(seg) {
+                self.usage.set_state(seg, SegState::Dirty);
+                self.usage.set_seal_seq(seg, seq);
+            }
+        }
+    }
+
+    /// **Encode**: renders chunk `seq` of `items` — its summary block and
+    /// the blocks it synthesizes — and returns the chunk's block list,
+    /// sealed.
+    ///
+    /// Cached data blocks and directory-log payloads ride along as `Arc`
+    /// clones ([`IoBuf::Shared`], zero-copy — a later in-place write to a
+    /// block still in flight copies-on-write); only genuinely synthesized
+    /// blocks (the summary, inode groups, indirect/imap/usage encodes) are
+    /// rendered, into a pooled scratch buffer whose windows are shared
+    /// the same way. Each summary entry's content checksum is computed over
+    /// the exact bytes the device will receive. Roll-forward refuses to
+    /// replay a chunk whose blocks do not all verify, so a torn segment
+    /// write is indistinguishable from the end of the log instead of being
+    /// replayed as garbage.
+    fn encode(&mut self, items: &[Item], seq: u64) -> (Flush<SummarySealed>, Vec<IoBuf>) {
+        let staged = Flush::stage();
+        let (time, by_cleaner) = (self.clock, self.cleaning);
+        let n = items.len();
+        // A pool entry is free again once its submission completed and
+        // dropped the other strong references, so the pool never grows
+        // past the ring depth + 1 (one entry on a synchronous device).
+        let free = self
+            .scratch_pool
+            .iter()
+            .position(|a| Arc::strong_count(a) == 1);
+        let mut arc = free.map_or_else(Arc::default, |i| self.scratch_pool.swap_remove(i));
+        let scratch = Arc::make_mut(&mut arc);
+        scratch.resize(scratch.len().max((1 + n) * BLOCK_SIZE), 0);
+        let mut entries = Vec::with_capacity(n);
+        // The blocks that are not rendered, in item order, for the list.
+        let mut shared = Vec::with_capacity(n);
+        for (j, item) in items.iter().enumerate() {
+            let dst = &mut scratch[(1 + j) * BLOCK_SIZE..(2 + j) * BLOCK_SIZE];
+            let (mut entry, block) = self.render(item, dst, time);
+            entry.csum = crate::codec::block_checksum(block.as_deref().map_or(&*dst, |b| b));
+            if block.is_none() {
+                self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
+            }
+            self.stats
+                .add_log_bytes(item.stats_kind(), BLOCK_SIZE as u64, by_cleaner);
+            entries.push(entry);
+            shared.push(block);
+        }
+        let summary = Summary {
+            epoch: self.epoch,
+            seq,
+            write_time: time,
+            entries,
+        };
+        summary.encode_into(&mut scratch[..BLOCK_SIZE]);
+        let sealed = staged.seal_summary();
+        self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
+        self.stats
+            .add_log_bytes(BlockKind::Summary, BLOCK_SIZE as u64, by_cleaner);
+        // The pool entry goes back in the pool still pinned by the
+        // submission and becomes reusable on completion.
+        let mut bufs: Vec<IoBuf> = Vec::with_capacity(1 + n);
+        bufs.push(IoBuf::shared_range(arc.clone(), 0, BLOCK_SIZE));
+        for (j, block) in shared.into_iter().enumerate() {
+            bufs.push(match block {
+                Some(b) => IoBuf::shared(b),
+                None => IoBuf::shared_range(arc.clone(), (1 + j) * BLOCK_SIZE, BLOCK_SIZE),
+            });
+        }
+        self.scratch_pool.push(arc);
+        (sealed, bufs)
+    }
+
+    /// One item of [`Lfs::encode`]: its summary entry, checksum still to
+    /// fill in, and the block itself when the cache or the directory log
+    /// already holds it. An indirect, inode, inode-map or usage block is
+    /// rendered into `dst` instead.
+    fn render(
+        &self,
+        item: &Item,
+        dst: &mut [u8],
+        time: u64,
+    ) -> (SummaryEntry, Option<Arc<Vec<u8>>>) {
+        let meta = |kind, offset| SummaryEntry::meta(kind, offset, time);
+        match *item {
+            Item::DirLog(ref data) => (meta(EntryKind::DirLog, 0), Some(data.clone())),
+            Item::Data { ino, bno } => {
+                let (mtime, data) = self
+                    .blocks
+                    .get((ino, bno), |b| (b.mtime, b.data.clone()))
+                    .expect("dirty blocks are resident");
+                let entry = SummaryEntry::data(ino, bno as u32, self.imap.version(ino), mtime);
+                (entry, Some(data))
+            }
+            Item::Ind { ino, key } => {
+                self.inds[&(ino, key)].blk.encode_into(dst);
+                let (kind, offset) = match key {
+                    IndKey::Single(k) => (EntryKind::Indirect1, k),
+                    IndKey::Double => (EntryKind::Indirect2, 0),
+                };
+                let version = self.imap.version(ino);
+                let entry = SummaryEntry::data(ino, offset, version, time);
+                (SummaryEntry { kind, ..entry }, None)
+            }
+            Item::InodeBlk { ref inos } => {
+                // The pool is reused: zero the slot so a partial inode
+                // group leaves the same zero padding a fresh buffer had.
+                dst.fill(0);
+                for (slot, ino) in dst.chunks_mut(INODE_DISK_SIZE).zip(inos) {
+                    self.inodes[ino].inode.encode_into(slot);
+                }
+                (meta(EntryKind::InodeBlock, 0), None)
+            }
+            Item::Imap(idx) => {
+                self.imap.encode_block_into(idx, dst);
+                (meta(EntryKind::ImapBlock, idx as u32), None)
+            }
+            Item::Usage(idx) => {
+                self.usage.encode_block_into(idx, dst);
+                (meta(EntryKind::UsageBlock, idx as u32), None)
+            }
+        }
+    }
+
+    /// **Submit**: issues a sealed chunk — summary first, then its blocks —
+    /// as a single gather request at `c`'s place, and books it.
+    ///
+    /// [`QueueDevice::submit_gather`] either applies the chunk before
+    /// returning (synchronous devices and capacity-1 rings) or parks it, in
+    /// which case the foreground only blocks again at an ordering barrier:
+    /// a read, a checkpoint fence, or the ring filling up. Who retries a
+    /// transient device error follows [`QueueDevice::queue_capacity`]. At
+    /// capacity 1 a submit error belongs to this chunk and is retried in
+    /// place with the bounded policy of [`Lfs::retry_io`]. Above it the
+    /// ring engine owns retries — re-issuing from here would reorder the
+    /// log around later queued submissions — and its counts are folded
+    /// back into [`crate::LfsStats`] by [`Lfs::absorb_queue_errors`].
+    fn submit(
+        &mut self,
+        sealed: Flush<SummarySealed>,
+        c: &Chunk,
+        mut bufs: Vec<IoBuf>,
+    ) -> FsResult<Flush<DataWritten>> {
+        let start = self.sb.seg_start(c.seg) + c.off as u64;
+        let in_place = self.dev.queue_capacity() <= 1;
+        self.retry_io(true, if in_place { IO_ATTEMPTS } else { 1 }, |dev| {
+            // An in-place retry needs the list again; cloning an `IoBuf`
+            // is a reference-count bump.
+            let bufs = if in_place {
+                bufs.clone()
+            } else {
+                std::mem::take(&mut bufs)
+            };
+            dev.submit_gather(start, bufs, WriteKind::Async).map(drop)
+        })?;
+        let (bytes, by_cleaner) = (((1 + c.n) * BLOCK_SIZE) as u64, self.cleaning);
+        if !by_cleaner {
+            self.bytes_since_checkpoint += bytes;
+        }
+        self.stats.partial_writes += 1;
+        self.stats.add_stream_bytes(c.cursor / self.nshards, bytes);
+        self.emit(|| lfs_obs::TraceEvent::SegmentWrite {
+            seg: c.seg,
+            blocks: c.n as u32 + 1, // items + the summary block
+            by_cleaner,
+        });
+        Ok(sealed.submitted())
+    }
+
+    /// **Commit**: with every chunk submitted, which the
+    /// [`Flush<DataWritten>`] it requires and hands back proves, the flush
+    /// becomes the file system's state. The sequence number and the write
+    /// points advance, the map blocks are clean at their new homes, and
+    /// so is everything else the flush wrote.
+    fn commit(
+        &mut self,
+        written: Flush<DataWritten>,
+        plan: LayoutPlan,
+        items: &[Item],
+    ) -> Flush<DataWritten> {
+        self.write_seq += plan.chunks.len() as u64;
+        self.write_points = plan.end.into_write_points();
+        for item in items {
+            match *item {
+                Item::Imap(idx) => self.imap.block_written(idx),
+                Item::Usage(idx) => self.usage.block_written(idx),
+                _ => {}
+            }
+        }
         let mut blocks = self.blocks.lock_all();
         for key in std::mem::take(&mut self.dirty_blocks) {
             if let Some(b) = blocks.get_mut(key) {
@@ -577,289 +713,7 @@ impl<D: QueueDevice> Lfs<D> {
         // Everything is clean now: trim the cache back to its limit.
         let (limit, _) = self.cache_bounds();
         self.evict(self.blocks.len().saturating_sub(limit), None);
-        Ok(written)
-    }
-
-    /// Writes one partial-write chunk as a single gather submission.
-    ///
-    /// Cached data blocks and directory-log payloads ride along as `Arc`
-    /// clones ([`IoBuf::Shared`], zero-copy — a later in-place write to a
-    /// block still in flight copies-on-write); only genuinely synthesized
-    /// blocks (the summary, inode groups, indirect/imap/usage encodes) are
-    /// rendered, into a pooled scratch buffer whose windows are shared
-    /// the same way. [`QueueDevice::submit_gather`] then either applies
-    /// the chunk before returning (synchronous devices and capacity-1
-    /// rings) or parks it, in which case the foreground only blocks again
-    /// at an ordering barrier: a read, a checkpoint fence, or the ring
-    /// filling up.
-    ///
-    /// Who retries a transient device error follows
-    /// [`QueueDevice::queue_capacity`]. At capacity 1 a submit error
-    /// belongs to this chunk and is retried in place with the bounded
-    /// policy of [`Lfs::retry_io`]. Above it the ring engine owns retries
-    /// — re-issuing from here would reorder the log around later queued
-    /// submissions — and its counts are folded back into
-    /// [`crate::LfsStats`] by [`Lfs::absorb_queue_errors`].
-    #[allow(clippy::too_many_arguments)]
-    fn write_chunk(
-        &mut self,
-        items: &[Item],
-        addrs: &[DiskAddr],
-        start: u64,
-        seq: u64,
-        time: u64,
-        by_cleaner: bool,
-    ) -> FsResult<Flush<DataWritten>> {
-        let staged = Flush::stage();
-        let n = items.len();
-        let need = (1 + n) * BLOCK_SIZE;
-        // A pool entry is free again once its submission completed and
-        // dropped the other strong references, so the pool never grows
-        // past the ring depth + 1 (one entry on a synchronous device).
-        let mut arc = match self
-            .scratch_pool
-            .iter()
-            .position(|a| Arc::strong_count(a) == 1)
-        {
-            Some(i) => self.scratch_pool.swap_remove(i),
-            None => Arc::new(Vec::new()),
-        };
-        let scratch = Arc::make_mut(&mut arc);
-        if scratch.len() < need {
-            scratch.resize(need, 0);
-        }
-        // Pass 1: render synthesized blocks into their scratch slots and
-        // build the summary entries. Each entry's content checksum is
-        // computed over the exact bytes the device will receive — scratch
-        // slot or shared cache block. Roll-forward refuses to replay a
-        // chunk whose blocks do not all verify, so a torn segment write is
-        // indistinguishable from the end of the log instead of being
-        // replayed as garbage.
-        let mut entries = Vec::with_capacity(n);
-        // The data blocks' payloads, in item order, for pass 2.
-        let mut payloads = Vec::with_capacity(n);
-        for (j, item) in items.iter().enumerate() {
-            let dst = &mut scratch[(1 + j) * BLOCK_SIZE..(2 + j) * BLOCK_SIZE];
-            let entry = match item {
-                Item::DirLog(data) => {
-                    let mut e = SummaryEntry::meta(EntryKind::DirLog, 0, time);
-                    e.csum = crate::codec::block_checksum(data);
-                    e
-                }
-                Item::Data { ino, bno } => {
-                    let (mtime, data) = self
-                        .blocks
-                        .get((*ino, *bno), |b| (b.mtime, b.data.clone()))
-                        .expect("dirty blocks are resident");
-                    let mut e =
-                        SummaryEntry::data(*ino, *bno as u32, self.imap.version(*ino), mtime);
-                    e.csum = crate::codec::block_checksum(&data);
-                    payloads.push(data);
-                    e
-                }
-                Item::Ind { ino, key } => {
-                    self.inds[&(*ino, *key)].blk.encode_into(dst);
-                    self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
-                    let mut e = match key {
-                        IndKey::Single(k) => SummaryEntry {
-                            kind: EntryKind::Indirect1,
-                            ino: *ino,
-                            offset: *k,
-                            version: self.imap.version(*ino),
-                            mtime: time,
-                            csum: 0,
-                        },
-                        IndKey::Double => SummaryEntry {
-                            kind: EntryKind::Indirect2,
-                            ino: *ino,
-                            offset: 0,
-                            version: self.imap.version(*ino),
-                            mtime: time,
-                            csum: 0,
-                        },
-                    };
-                    e.csum = crate::codec::block_checksum(dst);
-                    e
-                }
-                Item::InodeBlk { inos } => {
-                    // The pool is reused: zero the slot so a partial inode
-                    // group leaves the same zero padding a fresh buffer had.
-                    dst.fill(0);
-                    for (slot, &ino) in inos.iter().enumerate() {
-                        let inode = &self.inodes[&ino].inode;
-                        inode.encode_into(
-                            &mut dst[slot * INODE_DISK_SIZE..(slot + 1) * INODE_DISK_SIZE],
-                        );
-                    }
-                    self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
-                    let mut e = SummaryEntry::meta(EntryKind::InodeBlock, 0, time);
-                    e.csum = crate::codec::block_checksum(dst);
-                    e
-                }
-                Item::Imap(idx) => {
-                    self.imap.encode_block_into(*idx, dst);
-                    self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
-                    let mut e = SummaryEntry::meta(EntryKind::ImapBlock, *idx as u32, time);
-                    e.csum = crate::codec::block_checksum(dst);
-                    e
-                }
-                Item::Usage(idx) => {
-                    self.usage.block_written(*idx, addrs[j]);
-                    self.usage.encode_block_into(*idx, dst);
-                    self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
-                    let mut e = SummaryEntry::meta(EntryKind::UsageBlock, *idx as u32, time);
-                    e.csum = crate::codec::block_checksum(dst);
-                    e
-                }
-            };
-            self.stats
-                .add_log_bytes(item.stats_kind(), BLOCK_SIZE as u64, by_cleaner);
-            entries.push(entry);
-        }
-        let summary = Summary {
-            epoch: self.epoch,
-            seq,
-            write_time: time,
-            entries,
-        };
-        summary.encode_into(&mut scratch[..BLOCK_SIZE]);
-        let sealed = staged.seal_summary();
-        self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
-        self.stats
-            .add_log_bytes(BlockKind::Summary, BLOCK_SIZE as u64, by_cleaner);
-        // Pass 2: the block list. The pool entry goes back in the pool
-        // still pinned by the submission and becomes reusable on
-        // completion.
-        let mut bufs: Vec<IoBuf> = Vec::with_capacity(1 + n);
-        bufs.push(IoBuf::shared_range(arc.clone(), 0, BLOCK_SIZE));
-        let mut payloads = payloads.into_iter();
-        for (j, item) in items.iter().enumerate() {
-            bufs.push(match item {
-                Item::DirLog(data) => IoBuf::shared(data.clone()),
-                Item::Data { .. } => IoBuf::shared(payloads.next().expect("one per data item")),
-                _ => IoBuf::shared_range(arc.clone(), (1 + j) * BLOCK_SIZE, BLOCK_SIZE),
-            });
-        }
-        self.scratch_pool.push(arc);
-        let in_place = self.dev.queue_capacity() <= 1;
-        self.retry_io(true, if in_place { IO_ATTEMPTS } else { 1 }, |dev| {
-            // An in-place retry needs the list again; cloning an `IoBuf`
-            // is a reference-count bump.
-            let bufs = if in_place {
-                bufs.clone()
-            } else {
-                std::mem::take(&mut bufs)
-            };
-            dev.submit_gather(start, bufs, WriteKind::Async).map(drop)
-        })?;
-        Ok(sealed.submitted())
-    }
-
-    /// Computes chunk placement for the per-group item counts in
-    /// `counts` (one entry per temperature stream, hot first; with
-    /// several streams a trailing metadata group that targets the hot
-    /// stream's cursors) without mutating anything.
-    ///
-    /// Chunks rotate across shards: the chunk that will carry sequence
-    /// number `s` prefers the write points of shard `s % nshards`,
-    /// falling back to the next shards in wrap order only when the
-    /// primary shard has neither head room nor a clean segment left, and
-    /// a full cursor always moves to the lowest-numbered clean segment of
-    /// its shard. Roll-forward finds the tail by replaying exactly this
-    /// decision (`Lfs::locate_chunk` in `recovery`), so a change here is a
-    /// change there. Within a shard a chunk prefers its own
-    /// stream's cursor and falls back to the other streams' cursors on
-    /// that shard before trying the next shard — temperature is a
-    /// placement *hint*; space is a guarantee. On a single volume with a
-    /// single stream the rotation is the identity and the placement is
-    /// exactly the historical single-write-point layout.
-    fn layout(&self, counts: &[usize]) -> FsResult<LayoutPlan> {
-        let seg_blocks = self.sb.seg_blocks;
-        let nsh = self.nshards;
-        let nstr = self.stream_count();
-        let mut chunks = Vec::new();
-        let mut allocated = Vec::new();
-        let mut wps = self.write_points.clone();
-        // Clean segments available for allocation, in index order, pooled
-        // per shard and shared by that shard's stream cursors. Normal
-        // writes must leave a couple of segments *per shard* for the
-        // cleaner, which needs somewhere to copy live data even when the
-        // log is full — without this reserve the file system can wedge
-        // with free space it cannot reach.
-        let mut avail: Vec<Vec<u32>> = vec![Vec::new(); nsh];
-        for s in self.usage.clean_segs() {
-            if !self.is_write_point_seg(s) {
-                avail[self.shard_of_seg(s)].push(s);
-            }
-        }
-        // Normal writes leave segments for the cleaner; the cleaner's own
-        // relocations and a checkpoint's settle writes may use everything
-        // (the selection budget guarantees they fit, and completing them
-        // is what regenerates free space).
-        let reserve = if self.cleaning || self.settling {
-            0
-        } else {
-            CLEANER_RESERVE_SEGS
-        };
-        for pool in &mut avail {
-            let keep = pool.len().saturating_sub(reserve);
-            pool.truncate(keep);
-            pool.reverse(); // Pop from the low end.
-        }
-        let mut ordinal = 0u64;
-        for (g, &count) in counts.iter().enumerate() {
-            // The metadata group (index `nstr`, present only with
-            // several streams) targets the hot stream's cursors.
-            let t = if g < nstr { g } else { 0 };
-            let mut remaining = count;
-            while remaining > 0 {
-                let primary = ((self.write_seq + 1 + ordinal) % nsh as u64) as usize;
-                let mut placed = false;
-                'rows: for r in 0..nstr {
-                    let row = (t + r) % nstr;
-                    for k in 0..nsh {
-                        let sh = (primary + k) % nsh;
-                        let cur = self.cursor_index(row, sh);
-                        loop {
-                            let (seg, off) = wps[cur];
-                            let space = seg_blocks.saturating_sub(off) as usize;
-                            if space < 2 {
-                                // No room for a summary plus at least one
-                                // block.
-                                match avail[sh].pop() {
-                                    Some(s) => {
-                                        allocated.push(s);
-                                        wps[cur] = (s, 0);
-                                        continue;
-                                    }
-                                    None => break, // next cursor
-                                }
-                            }
-                            let take = remaining.min(space - 1).min(MAX_SUMMARY_ENTRIES);
-                            chunks.push(ChunkPlan {
-                                seg,
-                                off,
-                                n_items: take,
-                                cursor: cur,
-                            });
-                            wps[cur] = (seg, off + 1 + take as u32);
-                            remaining -= take;
-                            placed = true;
-                            break 'rows;
-                        }
-                    }
-                }
-                if !placed {
-                    return Err(FsError::NoSpace);
-                }
-                ordinal += 1;
-            }
-        }
-        Ok(LayoutPlan {
-            chunks,
-            allocated,
-            end_wps: wps,
-        })
+        written
     }
 
     /// Writes a checkpoint: flushes everything, lets the metadata settle,

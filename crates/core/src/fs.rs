@@ -21,7 +21,8 @@ use crate::dirlog::{DirLogRecord, DirOp};
 use crate::inode::{IndirectBlock, Inode, InodeAttrs};
 use crate::inodemap::InodeMap;
 use crate::layout::{
-    blocks_for_size, classify_block, BlockClass, DiskAddr, MAX_FILE_SIZE, NIL_ADDR, PTRS_PER_BLOCK,
+    blocks_for_size, classify_block, BlockClass, DiskAddr, Placement, MAX_FILE_SIZE, NIL_ADDR,
+    PTRS_PER_BLOCK,
 };
 use crate::stats::LfsStats;
 use crate::superblock::Superblock;
@@ -200,7 +201,7 @@ pub struct Lfs<D: QueueDevice> {
     /// `write_points[t * nshards + s]` is the `(segment, next free block
     /// offset)` of stream `t`'s log head on shard `s`. Stream 0 is the
     /// hottest, the last the coldest; blocks are routed by their file's
-    /// heat ([`Lfs::stream_of_block`]). With `streams = 1` (the default) this is
+    /// heat ([`Lfs::stream_of`]). With `streams = 1` (the default) this is
     /// one entry per shard and behaves exactly like the per-shard write
     /// point it generalizes; on a single volume it is one entry, the
     /// scalar `cur_seg`/`cur_off` pair of the paper. Always non-empty.
@@ -351,27 +352,18 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Constructs the in-memory state shared by `format` and `mount`.
     pub(crate) fn bare(dev: D, sb: Superblock, cfg: LfsConfig) -> Lfs<D> {
-        // One write point per (temperature stream, shard) pair; each
-        // cursor starts its log in the lowest-numbered segment of its
-        // shard not claimed by a hotter stream. On a homogeneous set
-        // this is segment `t * nshards + s` for stream `t` on shard `s`;
-        // mount replaces the assignment with the checkpoint's.
+        // One write point per (temperature stream, shard) pair, opened a
+        // row at a time as `reconcile_streams` does: each cursor starts
+        // its log in the lowest-numbered segment of its shard not claimed
+        // by a hotter stream. On a homogeneous set this is segment
+        // `t * nshards + s` for stream `t` on shard `s`; mount replaces
+        // the assignment with the checkpoint's.
         let shards = dev.shard_count().max(1);
         let streams = cfg.streams.clamp(1, crate::stats::MAX_STREAMS as u32) as usize;
-        let ncursors = shards * streams;
-        let mut write_points = vec![(0u32, 0u32); ncursors];
-        let mut next_stream = vec![0usize; shards];
-        let mut placed = 0usize;
-        let mut g = 0u32;
-        while placed < ncursors && (g as u64) < sb.nsegments as u64 {
-            let s = dev.shard_of_stripe(g as u64).min(shards - 1);
-            if next_stream[s] < streams {
-                write_points[next_stream[s] * shards + s] = (g, 0);
-                next_stream[s] += 1;
-                placed += 1;
-            }
-            g += 1;
-        }
+        let segs = (0..sb.nsegments).map(|g| (g, dev.shard_of_stripe(g as u64).min(shards - 1)));
+        let mut place = Placement::new(sb.seg_blocks, shards, Vec::new(), segs, 0);
+        while place.streams() < streams && place.open_row() {}
+        let write_points = place.into_write_points();
         Lfs {
             dev,
             imap: InodeMap::new(sb.max_inodes),
@@ -561,19 +553,26 @@ impl<D: QueueDevice> Lfs<D> {
         self.dev.shard_of_stripe(seg as u64).min(self.nshards - 1)
     }
 
-    /// The `write_points` index of stream `stream` on shard `shard`.
-    pub(crate) fn cursor_index(&self, stream: usize, shard: usize) -> usize {
-        stream * self.nshards + shard
+    /// The [`Placement`] over the current write points and every clean
+    /// segment off them, each shard keeping `reserve` segments back.
+    pub(crate) fn placement(&self, reserve: usize) -> Placement {
+        let clean = self
+            .usage
+            .clean_segs()
+            .filter(|&s| !self.is_write_point_seg(s))
+            .map(|s| (s, self.shard_of_seg(s)));
+        let wps = self.write_points.clone();
+        Placement::new(self.sb.seg_blocks, self.nshards, wps, clean, reserve)
     }
 
-    /// The temperature stream that should carry a dirty block of `ino`:
-    /// the inode's heat class, for cleaner relocations and foreground
-    /// writes alike. Routing survivors by their file's *own* heat (not
-    /// blanket-coldest) matters: blocks salvaged from a hot segment are
-    /// usually recent and about to die again, and burying them in a cold
-    /// segment seeds it with soon-to-be-dead bytes. Genuinely cold
-    /// survivors still land cold — an idle file's heat decays to zero.
-    pub(crate) fn stream_of_block(&self, ino: Ino, _bno: u64) -> usize {
+    /// The temperature stream that should carry the dirty blocks of
+    /// `ino`: the inode's heat class, for cleaner relocations and
+    /// foreground writes alike. Routing survivors by their file's *own*
+    /// heat (not blanket-coldest) matters: blocks salvaged from a hot
+    /// segment are usually recent and about to die again, and burying them
+    /// in a cold segment seeds it with soon-to-be-dead bytes. Genuinely
+    /// cold survivors still land cold — an idle file's heat decays to zero.
+    pub(crate) fn stream_of(&self, ino: Ino) -> usize {
         let nstreams = self.stream_count();
         if nstreams == 1 {
             return 0;

@@ -268,9 +268,16 @@ impl InodeMap {
         self.dirty[idx] = false;
     }
 
-    /// Marks block `idx` as written at `addr` and clears its dirty bit.
-    pub fn block_written(&mut self, idx: usize, addr: DiskAddr) {
-        self.block_addrs[idx] = addr;
+    /// Records `addr` as block `idx`'s new home and returns the old one.
+    /// The block stays dirty until [`InodeMap::block_written`] says it
+    /// reached the log there.
+    pub fn set_block_addr(&mut self, idx: usize, addr: DiskAddr) -> DiskAddr {
+        std::mem::replace(&mut self.block_addrs[idx], addr)
+    }
+
+    /// Clears block `idx`'s dirty bit: its contents are in the log at
+    /// [`InodeMap::block_addr`].
+    pub fn block_written(&mut self, idx: usize) {
         self.dirty[idx] = false;
     }
 
@@ -376,7 +383,9 @@ mod tests {
         let far = (IMAP_ENTRIES_PER_BLOCK * 2 + 1) as Ino;
         m.set_location(far, 2, 0);
         assert_eq!(m.dirty_blocks(), vec![0, 2]);
-        m.block_written(0, 99);
+        m.set_block_addr(0, 99);
+        assert_eq!(m.dirty_blocks(), vec![0, 2]);
+        m.block_written(0);
         assert_eq!(m.dirty_blocks(), vec![2]);
         assert_eq!(m.block_addr(0), 99);
     }

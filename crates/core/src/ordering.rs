@@ -22,7 +22,11 @@
 //!    checksums has been rendered ([`Flush::seal_summary`]); only now may
 //!    the chunk be handed to the device.
 //! 3. [`Flush<DataWritten>`] — the chunk (summary + blocks, one gather
-//!    request) has been issued ([`Flush::submitted`]).
+//!    request) has been issued ([`Flush::submitted`]). A flush's commit
+//!    stage requires this token of its last chunk: only then does it
+//!    advance the sequence number and the write points and clear the
+//!    dirty bits of what it wrote, the inode-map and usage-table blocks'
+//!    included. A flush that fails before that leaves them all dirty.
 //! 4. [`CheckpointReady`] — an ordering barrier
 //!    ([`blockdev::QueueDevice::fence`]) has drained every in-flight log
 //!    write ([`Flush::fence`]). This token is the *only* way to reach

@@ -13,7 +13,12 @@
 //! reach the log only in flushes that end in a checkpoint, so a tail holds
 //! them only when a crash cut that checkpoint off; roll-forward ignores
 //! them, as it ignores data blocks. It finds each chunk of the tail where
-//! the layout put it, so the only segments it reads are the tail's own.
+//! the layout put it, by following the same `Placement` rule back, so the
+//! only segments it reads are the tail's own. That replay holds because a
+//! flush commits only with a `Flush<DataWritten>` in hand: a flush that
+//! fails before every chunk is submitted advances no write point, takes
+//! no segment out of the clean set, and leaves everything it would have
+//! written dirty for the next flush to place again.
 //!
 //! Roll-forward is what makes `sync` durable: a sync appends to the log
 //! and fences it, and only periodic checkpoints rewrite the regions. The
@@ -30,16 +35,17 @@
 //! alternating-region design of §4.1 exists to provide.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![warn(clippy::too_many_lines)]
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
-use vfs::{FileSystem, FileType, FsError, FsResult, Ino};
+use vfs::{FileType, FsError, FsResult, Ino};
 
 use crate::checkpoint::Checkpoint;
 use crate::config::LfsConfig;
 use crate::dirlog::{self, DirLogRecord, DirOp};
 use crate::fs::{CachedInode, Lfs, ReadAhead};
 use crate::inode::{IndirectBlock, Inode, INODE_DISK_SIZE};
-use crate::layout::{DiskAddr, NIL_ADDR, SUPERBLOCK_ADDR};
+use crate::layout::{DiskAddr, Placement, NIL_ADDR, SUPERBLOCK_ADDR};
 use crate::summary::{EntryKind, Summary};
 use crate::superblock::Superblock;
 use crate::usage::SegState;
@@ -242,10 +248,6 @@ impl<D: QueueDevice> Lfs<D> {
         self.heat.restore(&cp.heat, cp.timestamp);
         self.next_cr = 1 - idx;
         self.write_points = wps;
-        for i in 0..self.write_points.len() {
-            self.usage
-                .set_state(self.write_points[i].0, SegState::Active);
-        }
 
         // Allocation safety across the mount: every segment that looks
         // Clean here was Clean (or PendingFree with its relocation
@@ -255,6 +257,9 @@ impl<D: QueueDevice> Lfs<D> {
         // end-of-mount checkpoint.
         if roll_forward {
             self.roll_forward(cp)?;
+        }
+        for &(seg, _) in &self.write_points {
+            self.usage.set_state(seg, SegState::Active);
         }
         // Only now is the map final: an inode the tail adopted must not
         // stay on the free list, or the next create reuses a live number.
@@ -276,37 +281,18 @@ impl<D: QueueDevice> Lfs<D> {
     /// reconciled set.
     fn reconcile_streams(&mut self, seal_seq: u64) {
         let want = self.cfg.streams.clamp(1, crate::stats::MAX_STREAMS as u32) as usize;
-        while self.stream_count() < want {
-            let clean: Vec<u32> = self
-                .usage
-                .clean_segs()
-                .filter(|&g| !self.is_write_point_seg(g))
-                .collect();
-            let mut row: Vec<(u32, u32)> = Vec::with_capacity(self.nshards);
-            for s in 0..self.nshards {
-                let found = clean
-                    .iter()
-                    .copied()
-                    .find(|&g| self.shard_of_seg(g) == s && !row.iter().any(|&(rg, _)| rg == g));
-                match found {
-                    Some(g) => row.push((g, 0)),
-                    None => break,
-                }
+        if self.stream_count() < want {
+            let (mut place, old) = (self.placement(0), self.write_points.len());
+            while place.streams() < want && place.open_row() {}
+            self.write_points = place.into_write_points();
+            for &(seg, _) in &self.write_points[old..] {
+                self.usage.set_state(seg, SegState::Active);
             }
-            if row.len() < self.nshards {
-                break;
-            }
-            for &(g, _) in &row {
-                self.usage.set_state(g, SegState::Active);
-            }
-            self.write_points.extend(row);
         }
-        while self.stream_count() > want.max(1) {
-            let start = (self.stream_count() - 1) * self.nshards;
-            let extra: Vec<(u32, u32)> = self.write_points.drain(start..).collect();
-            for (g, _) in extra {
-                self.usage.set_state(g, SegState::Dirty);
-                self.usage.set_seal_seq(g, seal_seq);
+        if self.stream_count() > want {
+            for (seg, _) in self.write_points.split_off(want * self.nshards) {
+                self.usage.set_state(seg, SegState::Dirty);
+                self.usage.set_seal_seq(seg, seal_seq);
             }
         }
     }
@@ -320,17 +306,14 @@ impl<D: QueueDevice> Lfs<D> {
     /// through the log segments that were written after the last
     /// checkpoint").
     fn roll_forward(&mut self, cp: &Checkpoint) -> FsResult<()> {
-        let mut cursors = self.write_points.clone();
+        // The clean set is the checkpoint's: since then the layout has
+        // only taken segments out of it, the ones the tail opened, and
+        // `adopt` takes those out again as roll-forward meets them. No
+        // reserve, which only ever holds back a shard's highest segments.
+        let mut place = self.placement(0);
         let mut records: Vec<DirLogRecord> = Vec::new();
         let mut seq = cp.seq + 1;
-        while let Some((cur, (seg, off), summary)) = self.locate_chunk(cp.epoch, seq, &cursors) {
-            if seg != cursors[cur].0 {
-                // The chunk opened a fresh segment: the one its cursor
-                // filled was sealed by the chunk before.
-                self.usage.set_state(cursors[cur].0, SegState::Dirty);
-                self.usage.set_seal_seq(cursors[cur].0, seq - 1);
-                cursors[cur] = (seg, 0);
-            }
+        while let Some((cur, (seg, off), summary)) = self.locate_chunk(cp.epoch, seq, &place) {
             let nent = summary.entries.len() as u32;
             if off + 1 + nent > self.sb.seg_blocks {
                 break;
@@ -348,26 +331,24 @@ impl<D: QueueDevice> Lfs<D> {
             if self.read_retry(first, &mut chunk).is_err() {
                 break;
             }
-            let verified = summary.entries.iter().enumerate().all(|(j, e)| {
-                let b = &chunk[j * BLOCK_SIZE..(j + 1) * BLOCK_SIZE];
-                crate::codec::block_checksum(b) == e.csum
-            });
-            if !verified {
+            let mut blocks = chunk.chunks(BLOCK_SIZE).zip(&summary.entries);
+            if !blocks.all(|(b, e)| crate::codec::block_checksum(b) == e.csum) {
                 break;
+            }
+            if let Some(filled) = place.adopt(cur, seg, off, nent as usize) {
+                // The chunk opened a fresh segment: the one its cursor
+                // filled was sealed by the chunk before.
+                self.usage.set_state(filled, SegState::Dirty);
+                self.usage.set_seal_seq(filled, seq - 1);
             }
             self.replay_partial_write(&summary, first, &chunk, &mut records)?;
             self.emit(|| lfs_obs::TraceEvent::RollForward { seq, seg });
             self.usage.set_state(seg, SegState::Dirty);
-            cursors[cur] = (seg, off + 1 + nent);
             self.write_seq = seq;
             self.clock = self.clock.max(summary.write_time);
             seq += 1;
         }
-        self.write_points = cursors;
-        for i in 0..self.write_points.len() {
-            self.usage
-                .set_state(self.write_points[i].0, SegState::Active);
-        }
+        self.write_points = place.into_write_points();
 
         // Replay the directory operation log (§4.2).
         for rec in records {
@@ -376,59 +357,29 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(())
     }
 
-    /// Finds chunk `seq` of the tail, given the write points `cursors`
-    /// the chunks before it left: the cursor that carried it, where it
+    /// Finds chunk `seq` of the tail, given the placement `place` the
+    /// chunks before it left: the cursor that carried it, where it
     /// starts, and its summary. `None` is the end of the log.
     ///
-    /// This replays the placement decision of the layout in `flush`.
-    /// Chunk `seq` prefers shard `seq % nshards`, then the next shards in
-    /// wrap order. On a shard, a cursor with room for a summary and a
-    /// block takes the chunk where it stands; a full cursor moves to the
-    /// lowest-numbered clean segment of its shard, which is the one the
-    /// layout allocated: since the checkpoint, the clean set has only
-    /// lost the segments the tail itself opened, and roll-forward takes
-    /// those out again as it meets them. With several streams the chunk's
-    /// stream is unknown, so every stream cursor of a shard is a
-    /// candidate. A summary that decodes to this epoch and `seq`
-    /// identifies the chunk whichever candidate holds it, so a candidate
-    /// that does not hold it costs one block read and nothing else.
+    /// The places come from [`Placement::candidates`], the layout's own
+    /// rule; a summary that decodes to this epoch and `seq` identifies the
+    /// chunk whichever candidate holds it, so a candidate that does not
+    /// hold it costs one block read and nothing else.
     fn locate_chunk(
         &mut self,
         epoch: u32,
         seq: u64,
-        cursors: &[(u32, u32)],
+        place: &Placement,
     ) -> Option<(usize, (u32, u32), Summary)> {
-        let nsh = self.nshards;
         let mut buf = vec![0u8; BLOCK_SIZE];
-        let mut probed: Vec<(u32, u32)> = Vec::new();
-        for k in 0..nsh as u64 {
-            let sh = ((seq + k) % nsh as u64) as usize;
-            for cur in (sh..cursors.len()).step_by(nsh) {
-                let (seg, off) = cursors[cur];
-                let at = if off + 1 < self.sb.seg_blocks {
-                    (seg, off)
-                } else {
-                    match self
-                        .usage
-                        .clean_segs()
-                        .find(|&g| self.shard_of_seg(g) == sh)
-                    {
-                        Some(fresh) => (fresh, 0),
-                        None => continue,
-                    }
-                };
-                if probed.contains(&at) {
-                    continue;
-                }
-                probed.push(at);
-                let addr = self.sb.seg_start(at.0) + at.1 as u64;
-                if self.read_retry(addr, &mut buf).is_err() {
-                    continue;
-                }
-                match Summary::decode(&buf) {
-                    Ok(s) if s.epoch == epoch && s.seq == seq => return Some((cur, at, s)),
-                    _ => {}
-                }
+        for (cur, seg, off) in place.candidates(seq) {
+            let addr = self.sb.seg_start(seg) + off as u64;
+            if self.read_retry(addr, &mut buf).is_err() {
+                continue;
+            }
+            match Summary::decode(&buf) {
+                Ok(s) if s.epoch == epoch && s.seq == seq => return Some((cur, (seg, off), s)),
+                _ => {}
             }
         }
         None
@@ -725,23 +676,4 @@ impl<D: QueueDevice> Lfs<D> {
     fn live_dir(&mut self, dir: Ino) -> FsResult<bool> {
         Ok(self.live_version(dir).is_some() && self.inode_attrs(dir)?.ftype == FileType::Directory)
     }
-}
-
-/// A convenience for tests and tools: mounts, runs `f`, and unmounts
-/// (checkpointing) — returning the device.
-pub fn with_mounted<D, T, F>(dev: D, cfg: LfsConfig, f: F) -> FsResult<(D, T)>
-where
-    D: QueueDevice,
-    F: FnOnce(&mut Lfs<D>) -> FsResult<T>,
-{
-    let mut fs = Lfs::mount(dev, cfg)?;
-    let out = f(&mut fs)?;
-    fs.checkpoint()?;
-    Ok((fs.into_device(), out))
-}
-
-/// Returns true when a path exists on the mounted file system — a small
-/// helper used by recovery tests.
-pub fn exists<D: QueueDevice>(fs: &mut Lfs<D>, path: &str) -> bool {
-    fs.lookup(path).is_ok()
 }

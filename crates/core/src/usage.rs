@@ -226,13 +226,8 @@ impl UsageTable {
         self.clean_set.len() as u32
     }
 
-    /// Finds a clean segment to allocate, preferring low indices.
-    pub fn find_clean(&self) -> Option<u32> {
-        self.clean_set.iter().next().copied()
-    }
-
     /// Clean segments in ascending index order, without scanning the
-    /// whole table (the allocation order [`crate::Lfs`]'s layout wants).
+    /// whole table (the allocation order of the layout's `Placement`).
     pub fn clean_segs(&self) -> impl Iterator<Item = u32> + '_ {
         self.clean_set.iter().copied()
     }
@@ -317,9 +312,16 @@ impl UsageTable {
         self.dirty[idx] = false;
     }
 
-    /// Marks block `idx` as written at `addr` and clears its dirty bit.
-    pub fn block_written(&mut self, idx: usize, addr: DiskAddr) {
-        self.block_addrs[idx] = addr;
+    /// Records `addr` as block `idx`'s new home and returns the old one.
+    /// The block stays dirty until [`UsageTable::block_written`] says it
+    /// reached the log there.
+    pub fn set_block_addr(&mut self, idx: usize, addr: DiskAddr) -> DiskAddr {
+        std::mem::replace(&mut self.block_addrs[idx], addr)
+    }
+
+    /// Clears block `idx`'s dirty bit: its contents are in the log at
+    /// [`UsageTable::block_addr`].
+    pub fn block_written(&mut self, idx: usize) {
         self.dirty[idx] = false;
     }
 
@@ -347,7 +349,7 @@ mod tests {
     fn fresh_table_is_all_clean() {
         let t = UsageTable::new(10);
         assert_eq!(t.clean_count(), 10);
-        assert_eq!(t.find_clean(), Some(0));
+        assert_eq!(t.clean_segs().next(), Some(0));
     }
 
     #[test]
@@ -381,7 +383,7 @@ mod tests {
         assert_eq!(t.promote_pending(5), 1);
         assert_eq!(t.get(2).state, SegState::Clean);
         assert_eq!(t.clean_count(), 1);
-        assert_eq!(t.find_clean(), Some(2));
+        assert_eq!(t.clean_segs().next(), Some(2));
     }
 
     #[test]
@@ -413,7 +415,7 @@ mod tests {
         t.set_seal_seq(4, 2);
         assert_eq!(t.clean_segs().collect::<Vec<_>>(), vec![1, 2, 5]);
         assert_eq!(t.clean_count(), 3);
-        assert_eq!(t.find_clean(), Some(1));
+        assert_eq!(t.clean_segs().next(), Some(1));
         t.promote_pending(2);
         assert_eq!(t.clean_segs().collect::<Vec<_>>(), vec![1, 2, 4, 5]);
         // Loading a block from disk resyncs the set with decoded states.
@@ -437,7 +439,10 @@ mod tests {
         t.add_live(0, 1, 1);
         t.add_live(USAGE_ENTRIES_PER_BLOCK as u32, 1, 1);
         assert_eq!(t.dirty_blocks(), vec![0, 1]);
-        t.block_written(0, 5);
+        t.set_block_addr(0, 5);
+        assert_eq!(t.dirty_blocks(), vec![0, 1]);
+        t.block_written(0);
         assert_eq!(t.dirty_blocks(), vec![1]);
+        assert_eq!(t.block_addr(0), 5);
     }
 }

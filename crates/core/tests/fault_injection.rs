@@ -170,6 +170,45 @@ fn sync_after_a_failed_flush_survives_a_crash() {
     assert!(fs2.check().unwrap().is_clean());
 }
 
+/// A checkpoint whose flush fails leaves the inode-map and usage-table
+/// blocks it placed dirty, at their old addresses: the new ones never
+/// reached the disk. The next checkpoint then writes them again instead
+/// of recording where they would have gone, which would lose every file
+/// of the map block.
+#[test]
+fn failed_checkpoint_keeps_its_map_blocks_for_the_next() {
+    let cfg = LfsConfig::small();
+    let clean = Lfs::format(MemDisk::new(4096), cfg).unwrap().into_device();
+    let mut fs = Lfs::mount(FaultDisk::new(clean, FaultPlan::new(7)), cfg).unwrap();
+    for i in 0..200 {
+        fs.write_file(&format!("/f{i}"), b"x").unwrap();
+    }
+    fs.checkpoint().unwrap();
+    // `/f199`'s inode sits in the second inode-map block, with the
+    // inodes of `/f168` onwards.
+    fs.unlink("/f199").unwrap();
+    {
+        let plan = fs.device_mut().plan_mut();
+        plan.write_fault_rate = 1.0;
+        plan.transient_failures = 100;
+    }
+    assert!(matches!(fs.checkpoint(), Err(FsError::Device(_))));
+    fs.device_mut().plan_mut().write_fault_rate = 0.0;
+    fs.checkpoint().unwrap();
+
+    let image = fs.into_device().into_inner();
+    let mut fs2 = Lfs::mount_checkpoint_only(image, cfg).unwrap();
+    for i in 0..199 {
+        let ino = fs2
+            .lookup(&format!("/f{i}"))
+            .unwrap_or_else(|e| panic!("/f{i} lost: {e}"));
+        assert_eq!(fs2.read_to_vec(ino).unwrap(), b"x");
+    }
+    assert!(matches!(fs2.lookup("/f199"), Err(FsError::NotFound)));
+    let report = fs2.check().unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
+}
+
 #[test]
 fn rotted_checkpoint_headers_fail_mount_cleanly() {
     let cfg = LfsConfig::small();
