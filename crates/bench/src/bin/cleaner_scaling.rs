@@ -93,7 +93,7 @@ fn main() -> std::process::ExitCode {
     let mut gate_failures = Vec::new();
     for (slug, pattern) in mixes {
         let points: Vec<SimConfig> = VARIANTS.iter().map(|v| config(pattern, v)).collect();
-        let results = sweep::run(&points);
+        let results = sweep::stabilise(&points);
         let base_overhead = (results[0].write_cost - 1.0).max(f64::EPSILON);
         println!("{slug}:");
         let mut table = Table::new(&[

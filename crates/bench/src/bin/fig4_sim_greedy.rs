@@ -55,7 +55,7 @@ fn main() -> std::process::ExitCode {
         .iter()
         .flat_map(|&u| [config(u, false, smoke), config(u, true, smoke)])
         .collect();
-    let results = sweep::run(&points);
+    let results = sweep::stabilise(&points);
     for (i, &u) in utils.iter().enumerate() {
         let uniform = &results[2 * i];
         let hotcold = &results[2 * i + 1];

@@ -33,7 +33,7 @@ fn main() -> std::process::ExitCode {
     hc_cfg.age_sort = true;
 
     // Both curves are independent points; run them through the sweep.
-    let results = sweep::run(&[uniform_cfg, hc_cfg]);
+    let results = sweep::stabilise(&[uniform_cfg, hc_cfg]);
     let (uniform, hotcold) = (&results[0], &results[1]);
 
     let mut table = Table::new(&["segment utilization", "Uniform", "Hot-and-cold"]);

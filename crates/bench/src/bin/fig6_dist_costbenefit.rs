@@ -35,7 +35,7 @@ fn main() -> std::process::ExitCode {
     gr.age_sort = true;
 
     // Both policies are independent points; run them through the sweep.
-    let results = sweep::run(&[cb, gr]);
+    let results = sweep::stabilise(&[cb, gr]);
     let (cost_benefit, greedy) = (&results[0], &results[1]);
 
     let mut table = Table::new(&["segment utilization", "LFS Cost-Benefit", "LFS Greedy"]);

@@ -56,7 +56,7 @@ fn main() -> std::process::ExitCode {
             ]
         })
         .collect();
-    let results = sweep::run(&points);
+    let results = sweep::stabilise(&points);
     for (i, &u) in utils.iter().enumerate() {
         let greedy = &results[2 * i];
         let cb = &results[2 * i + 1];

@@ -109,7 +109,7 @@ fn main() -> std::process::ExitCode {
     // points — each formats its own fresh paper disk — so they run on
     // worker threads and come back in input order, bit-identical to the
     // old back-to-back loop.
-    let mut runs = lfs_bench::sweep::run(2, |i| {
+    let mut runs = cleaner_sim::sweep::run(2, |i| {
         if i == 0 {
             run_lfs(&bench, &host)
         } else {

@@ -65,7 +65,7 @@ fn main() -> std::process::ExitCode {
     // The two systems are independent sweep points (each owns a fresh
     // paper disk), so they run on worker threads; results come back in
     // input order, bit-identical to running them back to back.
-    let mut runs = lfs_bench::sweep::run(2, |i| run(if i == 0 { "lfs" } else { "ffs" }));
+    let mut runs = cleaner_sim::sweep::run(2, |i| run(if i == 0 { "lfs" } else { "ffs" }));
     let ffs = runs.pop().expect("ffs sweep point");
     let lfs = runs.pop().expect("lfs sweep point");
 

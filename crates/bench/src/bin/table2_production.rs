@@ -58,7 +58,7 @@ fn main() -> std::process::ExitCode {
         write_cost: f64,
         write_cost_measured: f64,
     }
-    let results = lfs_bench::sweep::run(models.len(), |i| {
+    let results = cleaner_sim::sweep::run(models.len(), |i| {
         let model = models[i];
         let cfg = lfs_bench::production_lfs_config(mb);
         let mut fs = or_die("format LFS", Lfs::format(disk_mb(mb), cfg));

@@ -18,13 +18,10 @@
 
 pub mod host;
 pub mod output;
-pub mod queue;
-pub mod sweep;
 pub mod volume;
 
 pub use host::{HostModel, PhaseMeasurement};
 pub use output::{append_jsonl, finish, or_die, results_dir, try_append_jsonl, Table};
-pub use queue::{run_queue_depth, QueueDepthRun};
 pub use volume::{run_volume_scaling, VolumeScalingRun, VolumeWorkload};
 
 use blockdev::{DiskModel, SimDisk};

@@ -16,6 +16,8 @@
 //! testing and diagnostics, not for crash recovery — recovery needs only
 //! the checkpoint and the log tail (§4).
 
+#![warn(clippy::too_many_lines)]
+
 use std::collections::HashMap;
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
@@ -24,6 +26,7 @@ use vfs::{FileType, FsResult, Ino, ROOT_INO};
 use crate::fs::{IndKey, Lfs};
 use crate::inode::INODE_DISK_SIZE;
 use crate::layout::{blocks_for_size, DiskAddr, NIL_ADDR};
+use crate::superblock::Superblock;
 use crate::usage::SegState;
 
 /// The result of a consistency check.
@@ -96,58 +99,42 @@ impl<D: QueueDevice> Lfs<D> {
     /// [`vfs::FileSystem::sync`]); dirty in-memory state that has not
     /// reached the log yet would legitimately disagree with the disk.
     pub fn check(&mut self) -> FsResult<CheckReport> {
-        let mut report = CheckReport::default();
-        let seg_bytes = self.cfg.seg_bytes();
-        let mut recount: Vec<u64> = vec![0; self.sb.nsegments as usize];
-        let mut owners: HashMap<DiskAddr, String> = HashMap::new();
-
         let live: Vec<Ino> = self.imap.live_inos().collect();
-        let claim = |addr: DiskAddr,
-                     bytes: u64,
-                     what: String,
-                     sb: &crate::superblock::Superblock,
-                     report: &mut CheckReport,
-                     recount: &mut Vec<u64>,
-                     owners: &mut HashMap<DiskAddr, String>,
-                     whole_block: bool| {
-            match sb.seg_of(addr) {
-                Some(seg) => recount[seg as usize] += bytes,
-                None => report
-                    .errors
-                    .push(format!("{what}: address {addr} outside the log")),
-            }
-            if whole_block {
-                if let Some(prev) = owners.insert(addr, what.clone()) {
-                    report
-                        .errors
-                        .push(format!("block {addr} owned by both {prev} and {what}"));
-                }
-            }
+        let mut census = Census {
+            report: CheckReport::default(),
+            recount: vec![0; self.sb.nsegments as usize],
+            owners: HashMap::new(),
         };
+        self.check_inodes(&live, &mut census)?;
+        self.check_inode_slots(&live, &mut census.report)?;
+        self.check_map_blocks(&mut census);
+        self.check_tree(&live, &mut census.report)?;
+        self.check_usage(&mut census);
+        Ok(census.report)
+    }
 
-        // Pass 1: inodes and block pointers.
-        for &ino in &live {
+    /// Pass 1: every live inode decodes, and it, its data blocks and its
+    /// indirect blocks are claimed.
+    fn check_inodes(&mut self, live: &[Ino], census: &mut Census) -> FsResult<()> {
+        for &ino in live {
             let entry = *self.imap.get(ino)?;
             let inode = match self.inode_clone(ino) {
                 Ok(i) => i,
                 Err(e) => {
-                    report.errors.push(format!("inode {ino}: unreadable: {e}"));
+                    census.error(format!("inode {ino}: unreadable: {e}"));
                     continue;
                 }
             };
-            claim(
+            census.claim(
+                &self.sb,
                 entry.addr,
                 INODE_DISK_SIZE as u64,
                 format!("inode {ino} (slot {})", entry.slot),
-                &self.sb,
-                &mut report,
-                &mut recount,
-                &mut owners,
                 false, // Inode blocks are legitimately shared by 16 slots.
             );
             match inode.ftype {
-                FileType::Regular => report.files += 1,
-                FileType::Directory => report.dirs += 1,
+                FileType::Regular => census.report.files += 1,
+                FileType::Directory => census.report.dirs += 1,
             }
             let nblocks = blocks_for_size(inode.size);
             for bno in 0..nblocks {
@@ -155,42 +142,14 @@ impl<D: QueueDevice> Lfs<D> {
                 if addr == NIL_ADDR {
                     continue; // A hole.
                 }
-                report.data_blocks += 1;
-                claim(
-                    addr,
-                    BLOCK_SIZE as u64,
-                    format!("data {ino}:{bno}"),
-                    &self.sb,
-                    &mut report,
-                    &mut recount,
-                    &mut owners,
-                    true,
-                );
+                census.report.data_blocks += 1;
+                census.claim_block(&self.sb, addr, format!("data {ino}:{bno}"));
             }
-            // Indirect blocks.
             if inode.indirect != NIL_ADDR {
-                claim(
-                    inode.indirect,
-                    BLOCK_SIZE as u64,
-                    format!("ind1 {ino}"),
-                    &self.sb,
-                    &mut report,
-                    &mut recount,
-                    &mut owners,
-                    true,
-                );
+                census.claim_block(&self.sb, inode.indirect, format!("ind1 {ino}"));
             }
             if inode.dindirect != NIL_ADDR {
-                claim(
-                    inode.dindirect,
-                    BLOCK_SIZE as u64,
-                    format!("ind2 {ino}"),
-                    &self.sb,
-                    &mut report,
-                    &mut recount,
-                    &mut owners,
-                    true,
-                );
+                census.claim_block(&self.sb, inode.dindirect, format!("ind2 {ino}"));
                 self.ensure_ind(ino, IndKey::Double, false)?;
                 let children: Vec<DiskAddr> = self.inds[&(ino, IndKey::Double)]
                     .blk
@@ -200,26 +159,19 @@ impl<D: QueueDevice> Lfs<D> {
                     .filter(|&p| p != NIL_ADDR)
                     .collect();
                 for (k, child) in children.into_iter().enumerate() {
-                    claim(
-                        child,
-                        BLOCK_SIZE as u64,
-                        format!("ind1 {ino}#{}", k + 1),
-                        &self.sb,
-                        &mut report,
-                        &mut recount,
-                        &mut owners,
-                        true,
-                    );
+                    census.claim_block(&self.sb, child, format!("ind1 {ino}#{}", k + 1));
                 }
             }
         }
+        Ok(())
+    }
 
-        // Shared inode blocks count their occupied slots; add each live
-        // inode block once for ownership purposes.
-        // (Slot-level double-use shows up as two imap entries pointing at
-        // the same (addr, slot); detect that directly.)
+    /// Inode blocks are shared by their slots, so block ownership cannot
+    /// catch two inodes in one slot; two map entries naming the same
+    /// `(addr, slot)` can.
+    fn check_inode_slots(&self, live: &[Ino], report: &mut CheckReport) -> FsResult<()> {
         let mut slot_owners: HashMap<(DiskAddr, u8), Ino> = HashMap::new();
-        for &ino in &live {
+        for &ino in live {
             let e = *self.imap.get(ino)?;
             if let Some(prev) = slot_owners.insert((e.addr, e.slot), ino) {
                 report.errors.push(format!(
@@ -228,40 +180,27 @@ impl<D: QueueDevice> Lfs<D> {
                 ));
             }
         }
+        Ok(())
+    }
 
-        // The inode map and usage table blocks are live data too.
+    /// The inode map and usage table blocks are live data too.
+    fn check_map_blocks(&self, census: &mut Census) {
         for i in 0..self.imap.num_blocks() {
             let addr = self.imap.block_addr(i);
             if addr != NIL_ADDR {
-                claim(
-                    addr,
-                    BLOCK_SIZE as u64,
-                    format!("imap block {i}"),
-                    &self.sb,
-                    &mut report,
-                    &mut recount,
-                    &mut owners,
-                    true,
-                );
+                census.claim_block(&self.sb, addr, format!("imap block {i}"));
             }
         }
         for i in 0..self.usage.num_blocks() {
             let addr = self.usage.block_addr(i);
             if addr != NIL_ADDR {
-                claim(
-                    addr,
-                    BLOCK_SIZE as u64,
-                    format!("usage block {i}"),
-                    &self.sb,
-                    &mut report,
-                    &mut recount,
-                    &mut owners,
-                    true,
-                );
+                census.claim_block(&self.sb, addr, format!("usage block {i}"));
             }
         }
+    }
 
-        // Pass 2: directory tree connectivity and reference counts.
+    /// Pass 2: directory tree connectivity and reference counts.
+    fn check_tree(&mut self, live: &[Ino], report: &mut CheckReport) -> FsResult<()> {
         let mut refcount: HashMap<Ino, u32> = HashMap::new();
         let mut stack = vec![ROOT_INO];
         let mut visited: HashMap<Ino, bool> = HashMap::new();
@@ -309,7 +248,7 @@ impl<D: QueueDevice> Lfs<D> {
                 }
             }
         }
-        for &ino in &live {
+        for &ino in live {
             if ino == ROOT_INO {
                 continue;
             }
@@ -332,24 +271,64 @@ impl<D: QueueDevice> Lfs<D> {
                 ));
             }
         }
+        Ok(())
+    }
 
-        // Pass 3: segment usage accounting.
+    /// Pass 3: the usage table's live-byte counts equal the recount, and
+    /// clean segments hold nothing.
+    fn check_usage(&self, census: &mut Census) {
         for (seg, usage) in self.usage.iter() {
-            let counted = recount[seg as usize];
+            let counted = census.recount[seg as usize];
             if usage.live_bytes as u64 != counted {
-                report.errors.push(format!(
+                census.error(format!(
                     "segment {seg}: usage table says {} live bytes, recount says {counted}",
                     usage.live_bytes
                 ));
             }
             if usage.state == SegState::Clean && counted != 0 {
-                report
-                    .errors
-                    .push(format!("clean segment {seg} holds {counted} live bytes"));
+                census.error(format!("clean segment {seg} holds {counted} live bytes"));
             }
-            let _ = seg_bytes;
         }
+    }
+}
 
-        Ok(report)
+/// What the passes of [`Lfs::check`] accumulate.
+struct Census {
+    report: CheckReport,
+    /// Live bytes per segment, recounted from what the passes claimed.
+    recount: Vec<u64>,
+    /// The owner of every whole block claimed so far.
+    owners: HashMap<DiskAddr, String>,
+}
+
+impl Census {
+    fn error(&mut self, msg: String) {
+        self.report.errors.push(msg);
+    }
+
+    /// Counts `bytes` at `addr` toward its segment's recount; with
+    /// `whole_block`, also records `what` as the block's one owner.
+    fn claim(
+        &mut self,
+        sb: &Superblock,
+        addr: DiskAddr,
+        bytes: u64,
+        what: String,
+        whole_block: bool,
+    ) {
+        match sb.seg_of(addr) {
+            Some(seg) => self.recount[seg as usize] += bytes,
+            None => self.error(format!("{what}: address {addr} outside the log")),
+        }
+        if whole_block {
+            if let Some(prev) = self.owners.insert(addr, what.clone()) {
+                self.error(format!("block {addr} owned by both {prev} and {what}"));
+            }
+        }
+    }
+
+    /// [`Census::claim`] for a block nothing else may share.
+    fn claim_block(&mut self, sb: &Superblock, addr: DiskAddr, what: String) {
+        self.claim(sb, addr, BLOCK_SIZE as u64, what, true);
     }
 }

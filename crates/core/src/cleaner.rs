@@ -15,6 +15,8 @@
 //! segregates into its own segments — the source of the bimodal
 //! distribution in Figure 6.
 
+#![warn(clippy::too_many_lines)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -61,6 +63,43 @@ pub(crate) struct CleanScratch {
     homes: Vec<(DiskAddr, Ino)>,
     /// The pass's live blocks, victim by victim in summary order.
     live: Vec<LiveBlock>,
+}
+
+/// Non-empty cleaning candidates as a max-heap of `(score bits, segment,
+/// live bytes)`; ties pop the lower segment first.
+type Ranked = BinaryHeap<(u64, Reverse<u32>, u64)>;
+
+/// A pass's victims so far, and what relocating them costs and reclaims.
+struct Pick {
+    segs: Vec<u32>,
+    /// Live bytes the picked victims relocate.
+    live: u64,
+    /// Bytes the picked victims give back.
+    reclaim: u64,
+    /// The most live bytes the pass may relocate.
+    budget: u64,
+    seg_bytes: u64,
+}
+
+impl Pick {
+    /// Picks `seg`, holding `live` bytes, unless that overruns the budget.
+    fn take(&mut self, seg: u32, live: u64) -> bool {
+        if self.live + live > self.budget {
+            return false;
+        }
+        self.live += live;
+        self.reclaim += self.seg_bytes - live;
+        self.segs.push(seg);
+        true
+    }
+
+    /// Whether the pass reclaims meaningfully more than its own overhead;
+    /// otherwise copying nearly-full segments burns bandwidth (and, near
+    /// capacity, the very space it is trying to regenerate) without making
+    /// progress.
+    fn pays_off(&self) -> bool {
+        self.reclaim > 8 * BLOCK_SIZE as u64 + self.live / 8
+    }
 }
 
 impl<D: QueueDevice> Lfs<D> {
@@ -153,11 +192,50 @@ impl<D: QueueDevice> Lfs<D> {
     /// `segs_per_clean` and by the free space available to absorb the
     /// live data.
     fn select_candidates(&self) -> Vec<u32> {
+        let (empties, mut heap, per_pass) = self.rank_victims();
+        let mut pick = Pick {
+            segs: Vec::new(),
+            live: 0,
+            reclaim: 0,
+            budget: self.relocation_budget(),
+            seg_bytes: self.cfg.seg_bytes(),
+        };
+        // Empty segments first, unconditionally: they cost nothing to
+        // reclaim ("need not be read at all") but, under cost-benefit
+        // ranking, young empty segments can paradoxically rank below old
+        // half-full ones and starve the free pool.
+        for seg in empties {
+            pick.take(seg, 0);
+        }
+        let nempties = pick.segs.len();
+        // Lazy best-first pop: most passes examine only a few segments
+        // beyond the `segs_per_clean` they pick (budget skips excepted).
+        while pick.segs.len() - nempties < per_pass as usize {
+            let Some((_, Reverse(seg), live)) = heap.pop() else {
+                break;
+            };
+            // Over budget, the segment is skipped: an emptier one later
+            // may still fit.
+            pick.take(seg, live);
+        }
+        if self.nshards > 1 {
+            self.top_up_starved_shards(&mut pick, heap);
+        }
+        if !pick.pays_off() {
+            return Vec::new();
+        }
+        pick.segs
+    }
+
+    /// Ranks the cleanable segments under the configured policy: sealed
+    /// dirty segments off the write points with something to reclaim.
+    /// Returns the empty ones best first (capped), the rest as a max-heap,
+    /// and how many non-empty segments the policy's pace asks for.
+    fn rank_victims(&self) -> (Vec<u32>, Ranked, u32) {
         let seg_bytes = self.cfg.seg_bytes();
         let now = self.clock;
         let policy = self.cfg.policy;
-        // Candidates as `(segment, live bytes, utilization, age)`: sealed
-        // dirty segments off the write points with something to reclaim.
+        // Candidates as `(segment, live bytes, utilization, age)`.
         let candidates = || {
             self.usage
                 .iter()
@@ -180,25 +258,25 @@ impl<D: QueueDevice> Lfs<D> {
         let per_pass = policy.pace(self.cfg.segs_per_clean, &pop);
         // Split candidates as they stream out of the usage table: empty
         // segments go to their own (small, capped) list, the rest into a
-        // max-heap popped lazily below. Only the handful of segments a
-        // pass actually picks pay ordering cost, instead of a full sort
+        // max-heap popped lazily by the pick. Only the handful of segments
+        // a pass actually picks pay ordering cost, instead of a full sort
         // of every dirty segment on each pass. Ties break toward the
         // lower segment id, matching what the previous stable sort (over
         // the id-ordered usage iterator) produced. Scores are never
         // negative or NaN, and such floats order exactly like their bit
         // patterns, which (unlike `f64`) a heap can key on.
-        let desc = |a: &(f64, u32, u64), b: &(f64, u32, u64)| {
+        let desc = |a: &(f64, u32), b: &(f64, u32)| {
             b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.1.cmp(&b.1))
         };
-        let mut empties: Vec<(f64, u32, u64)> = Vec::new();
-        let mut heap: BinaryHeap<(u64, Reverse<u32>, u64)> = candidates()
+        let mut empties: Vec<(f64, u32)> = Vec::new();
+        let heap: Ranked = candidates()
             .filter_map(|(seg, live, util, age)| {
                 let score = policy.rank(util, age, &pop);
                 debug_assert!(score >= 0.0, "segment {seg} scored {score}");
                 if live == 0 {
-                    empties.push((score, seg, live));
+                    empties.push((score, seg));
                     None
                 } else {
                     Some((score.to_bits(), Reverse(seg), live))
@@ -212,22 +290,23 @@ impl<D: QueueDevice> Lfs<D> {
             empties.truncate(empty_cap);
         }
         empties.sort_by(desc);
+        let empties = empties.into_iter().map(|(_, seg)| seg).collect();
+        (empties, heap, per_pass)
+    }
 
-        // Don't pick more live data than we can write back into the free
-        // space we currently have — otherwise the relocation itself runs
-        // out of room. The cleaner may use its reserved segments, so the
-        // full clean count stands; keep one segment of headroom for the
-        // metadata and summaries that ride along with relocations.
+    /// The most live data a pass may pick: no more than can be written
+    /// back into the free space there is now, or the relocation itself
+    /// runs out of room.
+    fn relocation_budget(&self) -> u64 {
+        let seg_bytes = self.cfg.seg_bytes();
+        // The cleaner may use its reserved segments, so the full clean
+        // count stands, plus what is left behind each write point.
         let head_room: u64 = self
             .write_points
             .iter()
             .map(|&(_, off)| (self.sb.seg_blocks.saturating_sub(off)) as u64 * BLOCK_SIZE as u64)
             .sum();
         let free_budget = self.usage.clean_count() as u64 * seg_bytes + head_room;
-        // The relocation flush also carries whatever dirty application
-        // data waits in the cache, plus metadata (inode blocks, map/table
-        // blocks, summaries); the covering checkpoint then writes its own
-        // settle batch, whose worst case scales with the inode map size.
         // Picked live data is rewritten alongside whatever dirty
         // application data is waiting, plus metadata whose fixed part can
         // be substantial: a relocation touching scattered files can dirty
@@ -236,79 +315,41 @@ impl<D: QueueDevice> Lfs<D> {
         // those, so a pass can never outgrow the space it runs in.
         let meta_fixed = (self.imap.num_blocks() as u64 + self.usage.num_blocks() as u64 + 8)
             * BLOCK_SIZE as u64;
-        let budget = free_budget.saturating_sub(self.dirty_bytes + meta_fixed) / 2;
-        let mut picked = Vec::new();
-        let mut live_total = 0u64;
-        let mut reclaim_total = 0u64;
-        // Empty segments first, unconditionally: they cost nothing to
-        // reclaim ("need not be read at all") but, under cost-benefit
-        // ranking, young empty segments can paradoxically rank below old
-        // half-full ones and starve the free pool.
-        for &(_, seg, _) in &empties {
-            reclaim_total += seg_bytes;
-            picked.push(seg);
-        }
-        let nempties = picked.len();
-        // Lazy best-first pop: most passes examine only a few segments
-        // beyond the `segs_per_clean` they pick (budget skips excepted).
-        while picked.len() - nempties < per_pass as usize {
-            let Some((_, Reverse(seg), live)) = heap.pop() else {
-                break;
-            };
-            if live_total + live > budget {
-                continue; // An emptier segment later may still fit.
-            }
-            live_total += live;
-            reclaim_total += seg_bytes - live;
-            picked.push(seg);
-        }
-        // On a multi-volume set, make sure no shard starves: the layout
-        // can only place chunks for shard `s` in segments with
-        // `seg % n == s`, so a shard with zero clean segments and no pick
-        // in this pass would stall even while the aggregate clean count
-        // looks healthy. Keep popping the heap for the best candidate on
-        // each starved shard (still subject to the live-data budget).
+        free_budget.saturating_sub(self.dirty_bytes + meta_fixed) / 2
+    }
+
+    /// On a multi-volume set, makes sure no shard starves: the layout can
+    /// only place chunks for shard `s` in segments with `seg % n == s`, so
+    /// a shard with zero clean segments and no pick in this pass would
+    /// stall even while the aggregate clean count looks healthy. Keeps
+    /// popping the heap for the best candidate on each starved shard
+    /// (still subject to the live-data budget).
+    fn top_up_starved_shards(&self, pick: &mut Pick, mut heap: Ranked) {
         let n = self.nshards;
-        if n > 1 {
-            let mut clean_per_shard = vec![0u32; n];
-            for (seg, u) in self.usage.iter() {
-                if u.state == SegState::Clean {
-                    clean_per_shard[self.shard_of_seg(seg)] += 1;
-                }
-            }
-            let mut has_pick = vec![false; n];
-            for &seg in &picked {
-                has_pick[self.shard_of_seg(seg)] = true;
-            }
-            let starved = |sh: usize, has_pick: &[bool]| clean_per_shard[sh] == 0 && !has_pick[sh];
-            if (0..n).any(|sh| starved(sh, &has_pick)) {
-                while let Some((_, Reverse(seg), live)) = heap.pop() {
-                    let sh = self.shard_of_seg(seg);
-                    if !starved(sh, &has_pick) {
-                        continue;
-                    }
-                    if live_total + live > budget {
-                        continue;
-                    }
-                    live_total += live;
-                    reclaim_total += seg_bytes - live;
-                    picked.push(seg);
-                    has_pick[sh] = true;
-                    if !(0..n).any(|s| starved(s, &has_pick)) {
-                        break;
-                    }
-                }
+        let mut clean_per_shard = vec![0u32; n];
+        for (seg, u) in self.usage.iter() {
+            if u.state == SegState::Clean {
+                clean_per_shard[self.shard_of_seg(seg)] += 1;
             }
         }
-        // Only clean when the pass reclaims meaningfully more than its
-        // own overhead — otherwise copying nearly-full segments burns
-        // bandwidth (and, near capacity, the very space it is trying to
-        // regenerate) without making progress.
-        let overhead = 8 * BLOCK_SIZE as u64 + live_total / 8;
-        if reclaim_total <= overhead {
-            return Vec::new();
+        let mut has_pick = vec![false; n];
+        for &seg in &pick.segs {
+            has_pick[self.shard_of_seg(seg)] = true;
         }
-        picked
+        let starved = |sh: usize, has_pick: &[bool]| clean_per_shard[sh] == 0 && !has_pick[sh];
+        if !(0..n).any(|sh| starved(sh, &has_pick)) {
+            return;
+        }
+        while let Some((_, Reverse(seg), live)) = heap.pop() {
+            let sh = self.shard_of_seg(seg);
+            if !starved(sh, &has_pick) || !pick.take(seg, live) {
+                continue;
+            }
+            has_pick[sh] = true;
+            if !(0..n).any(|s| starved(s, &has_pick)) {
+                break;
+            }
+        }
     }
 
     /// The cleaning mechanism: read segments, identify live blocks, stage

@@ -669,9 +669,9 @@ impl<D: QueueDevice> Lfs<D> {
             return Err(FsError::InvalidArgument("no such inode"));
         }
         let mut buf = [0u8; BLOCK_SIZE];
-        self.dev
-            .read_block(entry.addr, &mut buf)
-            .map_err(FsError::device)?;
+        self.retry_io(false, IO_ATTEMPTS, |dev| {
+            dev.read_block(entry.addr, &mut buf)
+        })?;
         self.adopt_inode_block(entry.addr, &buf)?;
         if !self.inodes.contains_key(&ino) {
             return Err(FsError::Corrupt(format!(
@@ -811,9 +811,7 @@ impl<D: QueueDevice> Lfs<D> {
             return Ok(true);
         }
         let mut buf = vec![0u8; BLOCK_SIZE];
-        self.dev
-            .read_blocks(addr, &mut buf)
-            .map_err(FsError::device)?;
+        self.read_retry(addr, &mut buf)?;
         self.inds.insert(
             (ino, key),
             CachedInd {
@@ -954,9 +952,7 @@ impl<D: QueueDevice> Lfs<D> {
             self.zeroed_buf()
         } else {
             let mut data = self.take_buf();
-            self.dev
-                .read_blocks(addr, &mut data)
-                .map_err(FsError::device)?;
+            self.read_retry(addr, &mut data)?;
             data
         };
         self.insert_fetched(ino, bno, data);
@@ -1142,17 +1138,15 @@ impl<D: QueueDevice> Lfs<D> {
             // Single-block run: skip the scatter-list machinery (this is
             // the common case for small files).
             let mut data = self.take_buf();
-            self.dev
-                .read_run(start, &mut data)
-                .map_err(FsError::device)?;
+            self.read_run_retry(start, &mut data)?;
             self.insert_fetched(ino, first_bno, data);
             return Ok(());
         }
         let mut boxes: Vec<Vec<u8>> = (0..count).map(|_| self.take_buf()).collect();
         let mut bufs: Vec<&mut [u8]> = boxes.iter_mut().map(|b| &mut b[..]).collect();
-        self.dev
-            .read_run_scatter(start, &mut bufs)
-            .map_err(FsError::device)?;
+        self.retry_io(false, IO_ATTEMPTS, |dev| {
+            dev.read_run_scatter(start, &mut bufs)
+        })?;
         for (i, data) in boxes.into_iter().enumerate() {
             self.insert_fetched(ino, first_bno + i as u64, data);
         }

@@ -271,3 +271,30 @@ fn transient_read_fault_does_not_truncate_roll_forward() {
     assert_eq!(fs2.stats().io_retries, 1);
     assert!(fs2.check().unwrap().is_clean());
 }
+
+/// A user's read is retried like the cleaner's and roll-forward's: one
+/// transient error on a file's data used to reach the caller as `EIO`.
+#[test]
+fn transient_read_fault_is_retried_for_a_user_read() {
+    let plan = FaultPlan::new(20);
+    let mut fs = Lfs::format(FaultDisk::new(MemDisk::new(2048), plan), LfsConfig::small()).unwrap();
+    let data = [[0x11u8; BLOCK_SIZE], [0x22; BLOCK_SIZE]].concat();
+    let ino = fs.write_file("/f", &data).unwrap();
+    fs.sync().unwrap();
+    fs.drop_caches();
+
+    // The file's first data block is the only block holding 0x11s.
+    let disk = fs.device_mut().inner_mut();
+    let mut buf = [0u8; BLOCK_SIZE];
+    let first = (0..disk.num_blocks())
+        .find(|&b| {
+            disk.read_block(b, &mut buf).unwrap();
+            buf == [0x11; BLOCK_SIZE]
+        })
+        .expect("data block on disk");
+    fs.device_mut().plan_mut().read_fault_at.insert(first);
+
+    assert_eq!(fs.read_to_vec(ino).unwrap(), data);
+    assert_eq!(fs.device().counts().read_faults, 1, "fault missed the read");
+    assert_eq!(fs.stats().io_retries, 1);
+}

@@ -1,19 +1,21 @@
-//! Parallel sweeps over independent simulator points.
+//! Parallel sweeps over independent benchmark points.
 //!
-//! Regenerating the paper's Figures 4–7 means running the §3.5 simulator
-//! to stabilisation at many independent `(utilization, pattern, policy)`
-//! points. Each point owns its own [`SimConfig`] — including its own PRNG
-//! seed — so the points share no state whatsoever and the sweep is
+//! Regenerating the paper's figures and tables means evaluating many
+//! independent points: the §3.5 simulator run to stabilisation at each
+//! `(utilization, pattern, policy)` of Figures 4–7, or a real `Lfs`/`Ffs`
+//! on its own fresh simulated disk for each configuration of Figures 8
+//! and 9 and Tables 2 and 3. Each point owns its own state — including
+//! its own PRNG seed — so the points share nothing and the sweep is
 //! embarrassingly parallel.
 //!
-//! Determinism is unaffected by parallelism: every point's RNG stream is
-//! derived only from its own config's seed, never from thread scheduling,
-//! so [`run_parallel`] returns bit-identical results to [`run_serial`] in
-//! the same (input) order. The determinism regression test below pins
-//! this.
+//! Determinism is unaffected by parallelism: a point's result depends only
+//! on its index, never on thread scheduling, so [`run_parallel`] returns
+//! bit-identical results to a serial loop in the same (input) order. The
+//! determinism regression tests below pin this.
 //!
 //! Thread count defaults to the host's available parallelism and can be
-//! overridden with the `LFS_SWEEP_THREADS` environment variable.
+//! overridden with the `LFS_SWEEP_THREADS` environment variable
+//! (`LFS_SWEEP_THREADS=1` forces the serial path).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -34,27 +36,23 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs every point to stabilisation on the calling thread, in order.
-pub fn run_serial(points: &[SimConfig]) -> Vec<SimResult> {
-    points
-        .iter()
-        .map(|&cfg| Simulator::new(cfg).run_until_stable())
-        .collect()
-}
-
-/// Runs every point to stabilisation across `threads` worker threads.
+/// Evaluates `f(0..n)` across `threads` workers and returns the results
+/// indexed exactly like the inputs.
 ///
-/// Results come back indexed exactly like `points`: workers pull the next
-/// unclaimed index from a shared counter and deposit the result in that
-/// point's slot, so scheduling affects only wall-clock, never content or
-/// order.
-pub fn run_parallel(points: &[SimConfig], threads: usize) -> Vec<SimResult> {
-    let n = points.len();
+/// Workers pull the next unclaimed index from a shared counter and deposit
+/// the result in that index's slot, so scheduling affects only wall-clock,
+/// never content or order — provided `f` is a pure function of its index
+/// (every point owns its simulator or file system, disk and RNG).
+pub fn run_parallel<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
     let threads = threads.clamp(1, n.max(1));
     if threads <= 1 || n <= 1 {
-        return run_serial(points);
+        return (0..n).map(f).collect();
     }
-    let slots: Vec<Mutex<Option<SimResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads {
@@ -63,7 +61,7 @@ pub fn run_parallel(points: &[SimConfig], threads: usize) -> Vec<SimResult> {
                 if i >= n {
                     break;
                 }
-                let result = Simulator::new(points[i]).run_until_stable();
+                let result = f(i);
                 *slots[i].lock().expect("sweep slot poisoned") = Some(result);
             });
         }
@@ -78,9 +76,20 @@ pub fn run_parallel(points: &[SimConfig], threads: usize) -> Vec<SimResult> {
         .collect()
 }
 
-/// Runs every point with [`default_threads`] workers.
-pub fn run(points: &[SimConfig]) -> Vec<SimResult> {
-    run_parallel(points, default_threads())
+/// Evaluates `f(0..n)` with [`default_threads`] workers.
+pub fn run<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    run_parallel(n, default_threads(), f)
+}
+
+/// Runs every simulator point to stabilisation with [`run`].
+pub fn stabilise(points: &[SimConfig]) -> Vec<SimResult> {
+    run(points.len(), |i| {
+        Simulator::new(points[i]).run_until_stable()
+    })
 }
 
 #[cfg(test)]
@@ -101,14 +110,19 @@ mod tests {
         }
     }
 
-    /// The satellite regression test: a parallel sweep must be
-    /// bit-identical to the serial loop at every point, regardless of
-    /// how many workers raced over the work queue.
+    fn stabilise_with(points: &[SimConfig], threads: usize) -> Vec<SimResult> {
+        run_parallel(points.len(), threads, |i| {
+            Simulator::new(points[i]).run_until_stable()
+        })
+    }
+
+    /// A parallel sweep must be bit-identical to the serial loop at every
+    /// point, regardless of how many workers raced over the work queue.
     #[test]
     fn parallel_sweep_matches_serial_bitwise() {
         let points: Vec<SimConfig> = [0.3, 0.5, 0.75].into_iter().map(point).collect();
-        let serial = run_serial(&points);
-        let parallel = run_parallel(&points, 4);
+        let serial = stabilise_with(&points, 1);
+        let parallel = stabilise_with(&points, 4);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             // Bit-identical, not approximately equal.
@@ -133,10 +147,22 @@ mod tests {
     fn thread_override_parses() {
         // Results must not depend on the worker count either.
         let points: Vec<SimConfig> = [0.4, 0.6].into_iter().map(point).collect();
-        let two = run_parallel(&points, 2);
-        let eight = run_parallel(&points, 8);
+        let two = stabilise_with(&points, 2);
+        let eight = stabilise_with(&points, 8);
         for (a, b) in two.iter().zip(&eight) {
             assert_eq!(a.write_cost.to_bits(), b.write_cost.to_bits());
         }
+    }
+
+    #[test]
+    fn parallel_matches_serial_in_order() {
+        let serial: Vec<u64> = (0..17).map(|i| (i as u64) * 31 + 7).collect();
+        let parallel = run_parallel(17, 8, |i| (i as u64) * 31 + 7);
+        assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn single_point_runs_inline() {
+        assert_eq!(run_parallel(1, 8, |i| i), vec![0]);
     }
 }

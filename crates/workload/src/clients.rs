@@ -31,7 +31,7 @@ pub struct ClientMix {
 }
 
 impl ClientMix {
-    /// 90% reads — the scaling mix of the `server_throughput` gate.
+    /// 90% reads — a read-scaling mix.
     pub fn read_heavy() -> ClientMix {
         ClientMix {
             read: 90,
