@@ -2,6 +2,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, IoSlice, IoSliceMut, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::device::{check_request, BlockDevice, WriteKind};
@@ -61,8 +62,8 @@ impl BlockDevice for FileDisk {
 
     fn read_blocks(&mut self, start: u64, buf: &mut [u8]) -> Result<()> {
         check_request(self.num_blocks, start, buf.len())?;
-        self.file.seek(SeekFrom::Start(start * BLOCK_SIZE as u64))?;
-        self.file.read_exact(buf)?;
+        // Positioned I/O: one `pread` per request, no separate seek.
+        self.file.read_exact_at(buf, start * BLOCK_SIZE as u64)?;
         self.stats.reads += 1;
         self.stats.bytes_read += buf.len() as u64;
         if let Some(obs) = &self.obs {
@@ -104,8 +105,7 @@ impl BlockDevice for FileDisk {
 
     fn write_blocks(&mut self, start: u64, buf: &[u8], _kind: WriteKind) -> Result<()> {
         check_request(self.num_blocks, start, buf.len())?;
-        self.file.seek(SeekFrom::Start(start * BLOCK_SIZE as u64))?;
-        self.file.write_all(buf)?;
+        self.file.write_all_at(buf, start * BLOCK_SIZE as u64)?;
         self.stats.writes += 1;
         self.stats.bytes_written += buf.len() as u64;
         if let Some(obs) = &self.obs {

@@ -416,7 +416,8 @@ impl<D: QueueDevice> Lfs<D> {
         // flush also carries the dirty map blocks: a victim may hold live
         // inode-map or usage-table blocks, which must move before the
         // check below, and the pass checkpoints right after anyway.
-        self.flush_tokened(true).map(drop)?;
+        self.flush_tokened(crate::flush::Scope::Checkpoint)
+            .map(drop)?;
         for &seg in segs {
             let live = self.usage.get(seg).live_bytes;
             if live != 0 {

@@ -11,6 +11,12 @@
 //!
 //! Roll-forward replays these records to complete or undo half-finished
 //! directory operations; they also make `rename` atomic.
+//!
+//! They are also the log's only copy of a directory's recent changes: a
+//! `sync` writes the records but not the blocks and inode of a directory
+//! already on disk, which wait for the next buffer-full flush, cleaner
+//! flush or checkpoint. Roll-forward rebuilds such a directory's entries
+//! from the records (see `Lfs::replay_record`).
 
 use blockdev::BLOCK_SIZE;
 use vfs::{FsError, FsResult, Ino};

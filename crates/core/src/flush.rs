@@ -19,6 +19,15 @@
 //! tail (§4.2). Every other flush leaves the maps dirty in memory; that
 //! includes a `sync`'s, which is a flush plus a fence (see `Lfs::sync`).
 //!
+//! A `sync`'s flush also leaves alone the directories already on disk
+//! ([`Scope::Sync`]): their blocks, indirect blocks and inode stay dirty,
+//! and the directory-log records the flush does write are the log's only
+//! record of their changes until the next buffer-full flush, cleaner flush
+//! or checkpoint, all of which write everything. Roll-forward rebuilds the
+//! entries from the records (§4.2), just as it rebuilds inode-map entries
+//! from the inodes that map blocks lag behind. The flush threshold bounds
+//! what waits: deferred directory blocks count towards it.
+//!
 //! A flush runs in six stages, one function each: **gather** turns the
 //! dirty state into item groups; **place** lays them out as chunks with
 //! [`Placement`]; **assign** gives the items their addresses and makes
@@ -37,9 +46,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use blockdev::{IoBuf, QueueDevice, WriteKind, BLOCK_SIZE};
-use vfs::{FsError, FsResult, Ino};
+use vfs::{FileType, FsError, FsResult, Ino};
 
-use crate::dirlog;
+use crate::dirlog::{self, DirOp};
 use crate::fs::{set_dirty, IndKey, Lfs, IO_ATTEMPTS};
 use crate::inode::INODE_DISK_SIZE;
 use crate::inodemap::InodeMap;
@@ -79,6 +88,19 @@ impl Item {
     }
 }
 
+/// What a flush writes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Scope {
+    /// A `sync`'s: everything dirty but the directories already on disk
+    /// (see the module docs and [`Lfs::logged_dir`]).
+    Sync,
+    /// Everything dirty: a buffer-full flush, a cleaner's staging flush.
+    All,
+    /// Everything dirty plus the inode-map and usage-table blocks: a flush
+    /// that ends in a checkpoint.
+    Checkpoint,
+}
+
 /// The layout of one flush: its chunks in sequence order, and the
 /// placement they leave behind.
 struct LayoutPlan {
@@ -87,12 +109,18 @@ struct LayoutPlan {
 }
 
 impl<D: QueueDevice> Lfs<D> {
-    /// True if a flush has work to do: file state waiting to reach the
-    /// log. Dirty inode-map and usage-table blocks do not count — only a
-    /// checkpoint writes them. O(1): the inode and indirect-block dirty
-    /// populations are running counts maintained at every flag transition,
-    /// not cache scans (this predicate runs on every write while the
-    /// caches hold the whole working set).
+    /// True if a flush has work a `sync` must do: file state or
+    /// directory-log records waiting to reach the log. Dirty inode-map and
+    /// usage-table blocks do not count — only a checkpoint writes them —
+    /// nor do the directories the last `sync` left dirty ([`Scope::Sync`]).
+    /// O(1): the dirty populations are running counts maintained at every
+    /// flag transition, not cache scans (this predicate runs on every write
+    /// while the caches hold the whole working set).
+    ///
+    /// The discount is a count, `sync_left`, not a set: after the flush
+    /// that set it, dirty state only grows until the next flush, except
+    /// where a deletion purges it, and a deletion leaves a directory-log
+    /// record pending.
     pub fn needs_flush(&self) -> bool {
         debug_assert_eq!(
             self.dirty_inode_count,
@@ -102,10 +130,59 @@ impl<D: QueueDevice> Lfs<D> {
             self.dirty_ind_count,
             self.inds.values().filter(|c| c.dirty).count()
         );
-        !self.dirty_blocks.is_empty()
-            || !self.dirlog_pending.is_empty()
-            || self.dirty_inode_count > 0
-            || self.dirty_ind_count > 0
+        let pending = !self.dirlog_pending.is_empty() || self.dirty_count() > self.sync_left;
+        debug_assert!(
+            pending || self.sync_left == 0 || self.dirt_is_logged(),
+            "a sync would leave file state behind"
+        );
+        pending
+    }
+
+    /// Dirty blocks, indirect blocks and inodes, together.
+    fn dirty_count(&self) -> usize {
+        self.dirty_blocks.len() + self.dirty_inode_count + self.dirty_ind_count
+    }
+
+    /// True if everything dirty belongs to a [`Lfs::logged_dir`]. A scan;
+    /// only debug builds ask.
+    fn dirt_is_logged(&self) -> bool {
+        let inodes = self
+            .inodes
+            .iter()
+            .filter_map(|(&i, c)| c.dirty.then_some(i));
+        let inds = self
+            .inds
+            .iter()
+            .filter_map(|(&(i, _), c)| c.dirty.then_some(i));
+        let blocks = self.dirty_blocks.iter().map(|&(i, _)| i);
+        let fresh = self.fresh_dirs();
+        inodes
+            .chain(inds)
+            .chain(blocks)
+            .all(|i| self.logged_dir(i, &fresh))
+    }
+
+    /// True if `ino` is a directory the log already holds: its inode has
+    /// reached the log, and it is not among the `fresh` ones
+    /// ([`Lfs::fresh_dirs`]). A `sync` may leave such a directory's
+    /// changes to the directory log alone ([`Scope::Sync`]); a directory
+    /// fresh from `mkdir` it must write, because roll-forward cannot
+    /// complete a `Mkdir` whose inode it never sees.
+    pub(crate) fn logged_dir(&self, ino: Ino, fresh: &[Ino]) -> bool {
+        self.inodes
+            .get(&ino)
+            .is_some_and(|c| c.inode.ftype == FileType::Directory)
+            && self.imap.get(ino).is_ok_and(|e| e.is_live())
+            && !fresh.contains(&ino)
+    }
+
+    /// The directories whose `Mkdir` record has not reached the log. A
+    /// flush that failed after giving such a directory's inode an address
+    /// leaves the record pending, so the address alone does not say the
+    /// inode is in the log.
+    fn fresh_dirs(&self) -> Vec<Ino> {
+        let mkdirs = self.dirlog_pending.iter().filter(|r| r.op == DirOp::Mkdir);
+        mkdirs.map(|r| r.ino).collect()
     }
 
     /// True if the inode map or usage table holds changes the log has not
@@ -114,10 +191,11 @@ impl<D: QueueDevice> Lfs<D> {
         self.imap.has_dirty() || self.usage.has_dirty()
     }
 
-    /// True when a `sync` would be a pure group commit: nothing a flush
+    /// True when a `sync` would be a pure group commit: nothing its flush
     /// would write, and the last fence already covers every partial
     /// write. Dirty map blocks do not count — they wait for the next
-    /// checkpoint. [`crate::SharedLfs`] mirrors this into an atomic so
+    /// checkpoint — nor do the directories a `sync` leaves to the
+    /// directory log. [`crate::SharedLfs`] mirrors this into an atomic so
     /// concurrent `sync` callers can hand off without taking the writer
     /// lane at all.
     pub(crate) fn sync_settled(&self) -> bool {
@@ -131,22 +209,28 @@ impl<D: QueueDevice> Lfs<D> {
     /// It does *not* write a checkpoint, nor the inode-map and usage-table
     /// blocks only a checkpoint writes; see [`Lfs::checkpoint`].
     pub fn flush(&mut self) -> FsResult<()> {
-        self.flush_tokened(false).map(drop)
+        self.flush_tokened(Scope::All).map(drop)
     }
 
     /// The one flush path, returning the [`Flush<DataWritten>`] ordering
-    /// token of the last chunk written; `maps` says whether the partial
-    /// writes also carry the dirty inode-map and usage-table blocks.
+    /// token of the last chunk written; `scope` says what the partial
+    /// writes carry. A flush with nothing to write is skipped, but one
+    /// that carries map blocks runs whenever they are dirty.
     /// `sync` and checkpointing go through this form: the token is the
     /// compile-time proof that the log writes a fence will cover were
     /// staged → sealed → submitted in order, and [`Flush::fence`] is the
     /// only way to turn it into the [`CheckpointReady`] the region write
     /// demands (a `sync` fences and stops there).
-    pub(crate) fn flush_tokened(&mut self, maps: bool) -> FsResult<Flush<DataWritten>> {
-        if !(self.needs_flush() || maps && self.maps_dirty()) {
+    pub(crate) fn flush_tokened(&mut self, scope: Scope) -> FsResult<Flush<DataWritten>> {
+        let work = match scope {
+            Scope::Sync => self.needs_flush(),
+            Scope::All => self.needs_flush() || self.sync_left > 0,
+            Scope::Checkpoint => self.needs_flush() || self.sync_left > 0 || self.maps_dirty(),
+        };
+        if !work {
             return Ok(Flush::idle());
         }
-        let res = self.timed(|o| &o.flush, |fs| fs.flush_inner(maps));
+        let res = self.timed(|o| &o.flush, |fs| fs.flush_inner(scope));
         // On a queued device the ring engine owns retries of transient
         // apply failures; fold whatever it absorbed (or gave up on) into
         // the same ledger the synchronous retry paths use.
@@ -155,9 +239,12 @@ impl<D: QueueDevice> Lfs<D> {
     }
 
     /// The stages of a flush, in order (see the module docs).
-    fn flush_inner(&mut self, maps: bool) -> FsResult<Flush<DataWritten>> {
-        let mut groups = self.gather(maps)?;
-        let plan = self.place(&mut groups, maps)?;
+    fn flush_inner(&mut self, scope: Scope) -> FsResult<Flush<DataWritten>> {
+        // The directories a sync defers pass to commit as a value: the
+        // cleaner can run inside `place`, and its nested flush must not
+        // see (or overwrite) them.
+        let (mut groups, deferred) = self.gather(scope)?;
+        let plan = self.place(&mut groups, scope == Scope::Checkpoint)?;
         // Flatten into the single write-order list: stream 0 (hottest)
         // first, the metadata group last so inodes take the highest
         // sequence numbers of the batch. The layout consumed per-group
@@ -181,7 +268,7 @@ impl<D: QueueDevice> Lfs<D> {
                 }
             })?;
         }
-        Ok(self.commit(written, plan, &items))
+        Ok(self.commit(written, plan, &items, &deferred))
     }
 
     /// **Gather**: the dirty state becomes the item groups, one per
@@ -200,7 +287,10 @@ impl<D: QueueDevice> Lfs<D> {
     ///   stops at the first missing sequence — so the inode/imap/usage
     ///   group must take the *highest* sequence numbers, i.e. come last,
     ///   even though its chunks land on the stream-0 cursor.
-    fn gather(&mut self, maps: bool) -> FsResult<Vec<Vec<Item>>> {
+    ///
+    /// A [`Scope::Sync`] gather skips every [`Lfs::logged_dir`] and hands
+    /// back the ones it skipped, sorted, which commit leaves dirty.
+    fn gather(&mut self, scope: Scope) -> FsResult<(Vec<Vec<Item>>, Vec<Ino>)> {
         let nstreams = self.stream_count();
         let ngroups = if nstreams == 1 { 1 } else { nstreams + 1 };
         let meta = ngroups - 1;
@@ -213,7 +303,12 @@ impl<D: QueueDevice> Lfs<D> {
         let mut inds: Vec<(Ino, IndKey)> = dirty_inds.collect();
         inds.sort_unstable();
         let mut dirty_inos: Vec<Ino> = Vec::new();
+        let (mut deferred, fresh) = (Vec::new(), self.fresh_dirs());
         for ino in self.file_order(&inds) {
+            if scope == Scope::Sync && self.logged_dir(ino, &fresh) {
+                deferred.push(ino);
+                continue;
+            }
             // Data blocks in file order, then indirect blocks: singles
             // first (their addresses go into the double), then the
             // double. Both follow the file's own heat class — an indirect
@@ -236,12 +331,13 @@ impl<D: QueueDevice> Lfs<D> {
         // Map blocks ride only a flush that ends in a checkpoint (see the
         // module docs): the dirty inode-map blocks plus those about to
         // change because of the inode relocations above.
-        if maps {
+        if scope == Scope::Checkpoint {
             let mut imap_blocks: BTreeSet<usize> = self.imap.dirty_blocks().into_iter().collect();
             imap_blocks.extend(dirty_inos.iter().map(|&ino| InodeMap::block_of(ino)));
             groups[meta].extend(imap_blocks.into_iter().map(Item::Imap));
         }
-        Ok(groups)
+        deferred.sort_unstable();
+        Ok((groups, deferred))
     }
 
     /// Makes sure every indirect block that will receive a pointer update
@@ -676,12 +772,14 @@ impl<D: QueueDevice> Lfs<D> {
     /// [`Flush<DataWritten>`] it requires and hands back proves, the flush
     /// becomes the file system's state. The sequence number and the write
     /// points advance, the map blocks are clean at their new homes, and
-    /// so is everything else the flush wrote.
+    /// so is everything else the flush wrote. The `deferred` directories
+    /// stay dirty, and `sync_left` counts what they hold.
     fn commit(
         &mut self,
         written: Flush<DataWritten>,
         plan: LayoutPlan,
         items: &[Item],
+        deferred: &[Ino],
     ) -> Flush<DataWritten> {
         self.write_seq += plan.chunks.len() as u64;
         self.write_points = plan.end.into_write_points();
@@ -692,25 +790,32 @@ impl<D: QueueDevice> Lfs<D> {
                 _ => {}
             }
         }
+        let kept = |ino: &Ino| deferred.binary_search(ino).is_ok();
         let mut blocks = self.blocks.lock_all();
         for key in std::mem::take(&mut self.dirty_blocks) {
-            if let Some(b) = blocks.get_mut(key) {
+            if kept(&key.0) {
+                self.dirty_blocks.insert(key);
+            } else if let Some(b) = blocks.get_mut(key) {
                 b.dirty = false;
             }
         }
         drop(blocks);
-        self.dirty_bytes = 0;
-        for c in self.inodes.values_mut() {
-            c.dirty = false;
-        }
+        self.dirty_bytes = self.dirty_blocks.len() as u64 * BLOCK_SIZE as u64;
         self.dirty_inode_count = 0;
-        for c in self.inds.values_mut() {
-            c.dirty = false;
+        for (ino, c) in &mut self.inodes {
+            c.dirty = c.dirty && kept(ino);
+            self.dirty_inode_count += c.dirty as usize;
         }
         self.dirty_ind_count = 0;
-        self.dirty_files.clear();
+        for ((ino, _), c) in &mut self.inds {
+            c.dirty = c.dirty && kept(ino);
+            self.dirty_ind_count += c.dirty as usize;
+        }
+        // Every file but the deferred directories is clean now.
+        self.dirty_files = deferred.iter().copied().collect();
         self.dirlog_pending.clear();
-        // Everything is clean now: trim the cache back to its limit.
+        self.sync_left = self.dirty_count();
+        // Everything else is clean now: trim the cache back to its limit.
         let (limit, _) = self.cache_bounds();
         self.evict(self.blocks.len().saturating_sub(limit), None);
         written
@@ -737,7 +842,7 @@ impl<D: QueueDevice> Lfs<D> {
         // Every flush hands back the ordering token of its last chunk;
         // the settle loop keeps only the newest one, which is all the
         // fence below needs — a barrier drains *everything* in flight.
-        let written = self.flush_tokened(true)?;
+        let written = self.flush_tokened(Scope::Checkpoint)?;
         // Let the inode map and usage table reach the log; their own
         // relocations are accounted quietly, so this settles quickly.
         // Settle writes may dip into the cleaner's reserve — finishing
@@ -748,7 +853,7 @@ impl<D: QueueDevice> Lfs<D> {
                 if !self.maps_dirty() {
                     break;
                 }
-                written = self.flush_tokened(true)?;
+                written = self.flush_tokened(Scope::Checkpoint)?;
             }
             Ok(written)
         })(written);
@@ -844,10 +949,10 @@ impl<D: QueueDevice> Lfs<D> {
 
 #[cfg(test)]
 mod tests {
-    use blockdev::{BlockDevice, MemDisk};
+    use blockdev::{BlockDevice, MemDisk, BLOCK_SIZE};
     use vfs::FileSystem;
 
-    use crate::{Lfs, LfsConfig};
+    use crate::{BlockKind, Lfs, LfsConfig};
 
     /// A change only the maps record (here a usage-table block) gives a
     /// flush nothing to write, so a `sync` group-commits past it: map
@@ -876,5 +981,51 @@ mod tests {
             "the map change was not written"
         );
         assert!(!fs.usage.has_dirty());
+    }
+
+    /// A `sync` after a create and a write in a directory already on disk
+    /// writes the file — its data blocks, one inode block — and the
+    /// directory log, but not the directory: its block and inode wait for
+    /// the checkpoint, which writes the block once. The sync settles all
+    /// the same, so the next one is a group commit.
+    #[test]
+    fn sync_leaves_a_logged_directory_to_the_directory_log() {
+        let mut fs = Lfs::format(MemDisk::new(2048), LfsConfig::small()).unwrap();
+        let dir = fs.mkdir("/d").unwrap();
+        fs.checkpoint().unwrap();
+        let before = *fs.stats();
+        let ino = fs.create("/d/f").unwrap();
+        fs.write(ino, 0, &[1u8; 3 * BLOCK_SIZE]).unwrap();
+        fs.sync().unwrap();
+        let block = BLOCK_SIZE as u64;
+        let grew =
+            |fs: &Lfs<MemDisk>, kind| fs.stats().log_bytes_new(kind) - before.log_bytes_new(kind);
+        assert_eq!(
+            grew(&fs, BlockKind::Data),
+            3 * block,
+            "a directory block was written"
+        );
+        assert_eq!(grew(&fs, BlockKind::Inode), block);
+        assert_eq!(grew(&fs, BlockKind::DirLog), block);
+        assert_eq!(grew(&fs, BlockKind::Indirect), 0);
+        assert!(fs.inodes[&dir].dirty && fs.dirty_blocks.contains(&(dir, 0)));
+        assert_eq!(fs.sync_left, 2, "the directory's block and inode");
+
+        assert!(!fs.needs_flush());
+        assert!(fs.sync_settled());
+        let (gc, writes) = (fs.stats().group_commits, fs.device().stats().writes);
+        fs.sync().unwrap();
+        assert_eq!(fs.stats().group_commits, gc + 1);
+        assert_eq!(fs.device().stats().writes, writes);
+
+        fs.checkpoint().unwrap();
+        assert_eq!(
+            grew(&fs, BlockKind::Data),
+            4 * block,
+            "the directory block, once"
+        );
+        assert_eq!((fs.sync_left, fs.dirty_files.len()), (0, 0));
+        fs.checkpoint().unwrap();
+        assert_eq!(grew(&fs, BlockKind::Data), 4 * block);
     }
 }

@@ -194,6 +194,11 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) dirty_files: BTreeSet<Ino>,
     /// Directory-op records not yet written to the log.
     pub(crate) dirlog_pending: Vec<DirLogRecord>,
+    /// Dirty blocks, indirect blocks and inodes the last flush left
+    /// behind: those of the directories a `sync` leaves to the directory
+    /// log (`flush::Scope::Sync`). Zero after any other flush;
+    /// `needs_flush` discounts them.
+    pub(crate) sync_left: usize,
     /// Depth of in-flight namespace operations (see [`Lfs::with_nsop`]).
     /// While non-zero, `checkpoint` degrades to a plain flush.
     pub(crate) nsop_depth: u32,
@@ -382,6 +387,7 @@ impl<D: QueueDevice> Lfs<D> {
             dcache: HashMap::new(),
             dirty_files: BTreeSet::new(),
             dirlog_pending: Vec::new(),
+            sync_left: 0,
             nsop_depth: 0,
             write_points,
             nshards: shards,
@@ -2051,18 +2057,23 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
     }
 
     /// Makes every acknowledged write durable through roll-forward: one
-    /// flush appends the dirty data, indirect and inode blocks and the
-    /// pending directory-log records as partial writes, and one fence
-    /// drains them to the device. No checkpoint is written; inode-map and
-    /// usage-table state (access times, segment states) waits for the
-    /// next one (§4.1–4.2). A `sync` that finds nothing dirty and the log
-    /// already fenced is a group commit: no device request at all.
+    /// flush appends the pending directory-log records and the dirty
+    /// data, indirect and inode blocks of files as partial writes, and one
+    /// fence drains them to the device. No checkpoint is written;
+    /// inode-map and usage-table state (access times, segment states)
+    /// waits for the next one (§4.1–4.2). Nor is a directory already on
+    /// disk rewritten: its blocks and inode wait for the next buffer-full
+    /// flush, cleaner flush or checkpoint, and until then the records are
+    /// the log's copy of its changes, from which roll-forward rebuilds its
+    /// entries. A directory fresh from `mkdir` is written. A `sync` that
+    /// finds nothing left to write and the log already fenced is a group
+    /// commit: no device request at all.
     fn sync(&mut self) -> FsResult<()> {
         if self.sync_settled() {
             self.stats.group_commits += 1;
             return Ok(());
         }
-        let written = self.flush_tokened(false)?;
+        let written = self.flush_tokened(crate::flush::Scope::Sync)?;
         // The fence is the commit; no region write follows it.
         let fence_res = written.fence(&mut self.dev).map_err(FsError::device);
         // As in `checkpoint_inner`: a ring giveup *is* the fence failure.

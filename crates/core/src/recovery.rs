@@ -9,7 +9,10 @@
 //! directory-operation log is replayed to restore consistency between
 //! directory entries and inodes — completing half-done operations, undoing
 //! the unfinishable ones (a create whose inode never reached the log), and
-//! freeing the inodes the tail unlinked. Inode-map and usage-table blocks
+//! freeing the inodes the tail unlinked. The replay rebuilds entries, not
+//! just repairs them: a `sync` leaves the blocks of a directory already on
+//! disk to a later flush, so a directory in the log may predate the
+//! records of its newest entries. Inode-map and usage-table blocks
 //! reach the log only in flushes that end in a checkpoint, so a tail holds
 //! them only when a crash cut that checkpoint off; roll-forward ignores
 //! them, as it ignores data blocks. It finds each chunk of the tail where
@@ -577,38 +580,45 @@ impl<D: QueueDevice> Lfs<D> {
     /// inodes produced, so each compares versions rather than testing
     /// for one: truncation to zero bumps a live inode's version, and an
     /// inode number freed in the tail may be live again by its end.
+    ///
+    /// The directory itself may be older than the record: a `sync` leaves
+    /// the blocks of a directory already on disk to a later flush, so the
+    /// records are the only trace of its newest entries, and replay
+    /// rebuilds them — it does not just repair a half-done operation. A
+    /// record whose inode is live at a newer version than the record's
+    /// still puts its entry back: if the number was freed and reused
+    /// since, a later `Unlink` or `Rename` record takes the entry out
+    /// again.
     fn replay_record(&mut self, rec: &DirLogRecord) -> FsResult<()> {
         let live = self.live_version(rec.ino);
         match rec.op {
             DirOp::Create | DirOp::Mkdir | DirOp::Link => {
-                // An inode live at a newer version than the record was
-                // written (and then truncated, or freed and reborn): not
-                // a create to undo. The records after this one say what
-                // became of it.
-                if live.is_some_and(|v| v > rec.version) || !self.live_dir(rec.dir)? {
+                if !self.live_dir(rec.dir)? {
                     return Ok(());
                 }
-                let existing = self.dir_lookup(rec.dir, &rec.name)?;
-                if live == Some(rec.version) {
-                    // Complete the operation: entry present, nlink right.
-                    if existing.map(|s| s.ino) != Some(rec.ino) {
-                        if existing.is_some() {
-                            self.dir_remove(rec.dir, &rec.name)?;
+                match live {
+                    // Complete the operation: entry present and, at the
+                    // record's version, nlink right.
+                    Some(v) if v >= rec.version => {
+                        self.restore_entry(rec.dir, &rec.name, rec.ino)?;
+                        if v == rec.version {
+                            let mut inode = self.inode_clone(rec.ino)?;
+                            if inode.nlink != rec.nlink {
+                                inode.nlink = rec.nlink;
+                                self.put_inode(inode);
+                            }
                         }
-                        let ftype = self.inode_clone(rec.ino)?.ftype;
-                        self.dir_insert(rec.dir, &rec.name, rec.ino, ftype)?;
                     }
-                    let mut inode = self.inode_clone(rec.ino)?;
-                    if inode.nlink != rec.nlink {
-                        inode.nlink = rec.nlink;
-                        self.put_inode(inode);
-                    }
-                } else if existing.map(|s| s.ino) == Some(rec.ino) {
                     // "The only operation that can't be completed is the
                     // creation of a new file for which the inode is never
                     // written; in this case the directory entry will be
                     // removed" (§4.2).
-                    self.dir_remove(rec.dir, &rec.name)?;
+                    _ => {
+                        let existing = self.dir_lookup(rec.dir, &rec.name)?;
+                        if existing.is_some_and(|s| s.ino == rec.ino) {
+                            self.dir_remove(rec.dir, &rec.name)?;
+                        }
+                    }
                 }
             }
             DirOp::Unlink | DirOp::Rmdir => {
@@ -646,20 +656,28 @@ impl<D: QueueDevice> Lfs<D> {
                         }
                     }
                 }
-                // Install the destination entry.
-                if live == Some(rec.version) && self.live_dir(rec.dir2)? {
-                    let existing = self.dir_lookup(rec.dir2, &rec.name2)?;
-                    if existing.map(|s| s.ino) != Some(rec.ino) {
-                        if existing.is_some() {
-                            self.dir_remove(rec.dir2, &rec.name2)?;
-                        }
-                        let ftype = self.inode_clone(rec.ino)?.ftype;
-                        self.dir_insert(rec.dir2, &rec.name2, rec.ino, ftype)?;
-                    }
+                // Install the destination entry, at a newer version too
+                // (as for a create).
+                if live.is_some_and(|v| v >= rec.version) && self.live_dir(rec.dir2)? {
+                    self.restore_entry(rec.dir2, &rec.name2, rec.ino)?;
                 }
             }
         }
         Ok(())
+    }
+
+    /// Makes `name` in `dir` refer to `ino`, replacing whatever entry it
+    /// held.
+    fn restore_entry(&mut self, dir: Ino, name: &str, ino: Ino) -> FsResult<()> {
+        let existing = self.dir_lookup(dir, name)?;
+        if existing.is_some_and(|s| s.ino == ino) {
+            return Ok(());
+        }
+        if existing.is_some() {
+            self.dir_remove(dir, name)?;
+        }
+        let ftype = self.inode_attrs(ino)?.ftype;
+        self.dir_insert(dir, name, ino, ftype)
     }
 
     /// The version of `ino` if the inode map holds it live.

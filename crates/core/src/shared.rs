@@ -51,9 +51,9 @@
 //! **Concurrent `sync` batches through the group-commit path.** A `sync`
 //! is a log append — a flush and a fence, no checkpoint — and callers
 //! with work to do serialize on the writer lane. A `settled` atomic
-//! mirrors [`Lfs::sync_settled`] (nothing dirty, and the last fence
-//! covers every partial write), refreshed at every lane exit, so a
-//! `sync` arriving after another one made everything durable returns
+//! mirrors [`Lfs::sync_settled`] (nothing a sync would write, and the
+//! last fence covers every partial write), refreshed at every lane exit,
+//! so a `sync` arriving after another one made everything durable returns
 //! without touching the lane at all (counted in `sync_handoffs` — the
 //! WAL-style commit handoff).
 //!
@@ -385,8 +385,10 @@ impl<D: QueueDevice> SharedLfs<D> {
         self.with_writer(|fs| fs.checkpoint())
     }
 
-    /// `sync` with the group-commit fast path. When nothing is dirty and
-    /// the last fence covers every partial write, every acknowledged
+    /// `sync` with the group-commit fast path. When nothing a sync would
+    /// write is dirty (directories already on disk wait for a later
+    /// flush; see [`Lfs`]'s `sync`) and the last fence covers every
+    /// partial write, every acknowledged
     /// write is already durable through roll-forward, so the call returns
     /// without taking the writer lane. Otherwise it runs [`Lfs`]'s
     /// `sync` — one flush and one fence, no checkpoint — on the lane.

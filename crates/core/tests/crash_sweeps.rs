@@ -11,7 +11,7 @@ use blockdev::{CrashDisk, MemDisk, QueueDevice, QueuedDev, WriteKind};
 use lfs_core::checkpoint::Checkpoint;
 use lfs_core::layout::{CR0_ADDR, CR1_ADDR};
 use lfs_core::{InvariantSuite, Lfs, LfsConfig};
-use vfs::{FileSystem, FsError};
+use vfs::{FileSystem, FsError, Ino};
 
 /// Asserts `suite` on a crashed image and hands back the mounted
 /// survivor for scenario-specific checks.
@@ -310,6 +310,151 @@ fn rename_replacing_target_under_crashes() {
             );
             if fs.lookup("/src").is_ok() {
                 assert_eq!(data, b"target-data", "cut {cut}/{n}");
+            }
+        },
+    );
+}
+
+/// One directory as `readdir` and `metadata` see it: its entries (name
+/// and inode number), its `size` and its `nlink`.
+type DirState = (Vec<(String, Ino)>, u64, u32);
+
+fn dir_states<D: QueueDevice>(fs: &mut Lfs<D>, dirs: &[&str]) -> Vec<DirState> {
+    dirs.iter()
+        .map(|&d| {
+            let ino = fs.lookup(d).unwrap();
+            let m = fs.metadata(ino).unwrap();
+            let entries = fs.readdir(d).unwrap().into_iter();
+            (entries.map(|e| (e.name, e.ino)).collect(), m.size, m.nlink)
+        })
+        .collect()
+}
+
+/// [`sweep`] for an operation on directories the log already holds. A
+/// `sync` leaves their blocks and inodes dirty, and the directory-log
+/// records are the log's only copy of the change until a later flush,
+/// so only roll-forward's rebuild of their entries brings it back. At
+/// every cut `dirs` must be as before the operation, as acknowledged
+/// after it, or — entry by entry — made of what those two hold; at the
+/// last cut, exactly as acknowledged. `check` adds the scenario's own
+/// assertions.
+fn dir_sweep<Setup, Op, Check>(dirs: &[&str], setup: Setup, op: Op, check: Check)
+where
+    Setup: Fn(&mut Lfs<CrashDisk>),
+    Op: Fn(&mut Lfs<CrashDisk>),
+    Check: Fn(&mut Lfs<MemDisk>, usize, usize),
+{
+    let mut fs = Lfs::format(CrashDisk::new(2048), LfsConfig::small()).unwrap();
+    setup(&mut fs);
+    let before = dir_states(&mut fs, dirs);
+    op(&mut fs);
+    let after = dir_states(&mut fs, dirs);
+    assert_ne!(before, after, "the operation changes no directory");
+    sweep(setup, op, |fs, cut, n| {
+        let got = dir_states(fs, dirs);
+        if cut == n {
+            assert_eq!(
+                got, after,
+                "cut {cut}/{n}: not the acknowledged directories"
+            );
+        }
+        for ((got, was), now) in got.iter().zip(&before).zip(&after) {
+            let known = |e: &(String, Ino)| was.0.contains(e) || now.0.contains(e);
+            assert!(got.0.iter().all(known), "cut {cut}/{n}: {got:?}");
+            assert!(
+                got.1 == was.1 || got.1 == now.1,
+                "cut {cut}/{n}: size {}",
+                got.1
+            );
+            assert!(
+                got.2 == was.2 || got.2 == now.2,
+                "cut {cut}/{n}: nlink {}",
+                got.2
+            );
+        }
+        check(fs, cut, n);
+    });
+}
+
+/// Rewrites `path` the way a truncating open does: to length zero, which
+/// bumps the inode's version (§3.3), then `data`. Replay must keep the
+/// entry of a create or rename record whose inode it finds at the newer
+/// version.
+fn rewrite<D: QueueDevice>(fs: &mut Lfs<D>, path: &str, data: &[u8]) {
+    let ino = fs.lookup(path).unwrap();
+    fs.truncate(ino, 0).unwrap();
+    fs.write(ino, 0, data).unwrap();
+}
+
+#[test]
+fn create_and_unlink_in_a_logged_directory_under_crashes() {
+    dir_sweep(
+        &["/", "/d"],
+        |fs| {
+            fs.mkdir("/d").unwrap();
+            fs.write_file("/d/old", b"old").unwrap();
+        },
+        |fs| {
+            fs.write_file("/d/new", b"draft").unwrap();
+            rewrite(fs, "/d/new", b"new");
+            fs.unlink("/d/old").unwrap();
+        },
+        |fs, cut, n| {
+            for (path, want) in [("/d/old", b"old"), ("/d/new", b"new")] {
+                if let Ok(ino) = fs.lookup(path) {
+                    assert_eq!(fs.read_to_vec(ino).unwrap(), want, "cut {cut}/{n}: {path}");
+                }
+            }
+        },
+    );
+}
+
+#[test]
+fn rename_between_logged_directories_under_crashes() {
+    dir_sweep(
+        &["/a", "/b"],
+        |fs| {
+            fs.mkdir("/a").unwrap();
+            fs.mkdir("/b").unwrap();
+            fs.write_file("/a/f", b"payload").unwrap();
+            fs.write_file("/b/g", b"other").unwrap();
+        },
+        |fs| {
+            fs.rename("/a/f", "/b/f").unwrap();
+            rewrite(fs, "/b/f", b"payload");
+        },
+        |fs, cut, n| {
+            let found: Vec<_> = ["/a/f", "/b/f"]
+                .into_iter()
+                .filter_map(|p| fs.lookup(p).ok())
+                .collect();
+            assert_eq!(found.len(), 1, "cut {cut}/{n}: the file under {found:?}");
+            assert_eq!(
+                fs.read_to_vec(found[0]).unwrap(),
+                b"payload",
+                "cut {cut}/{n}"
+            );
+        },
+    );
+}
+
+/// The first `sync` writes the directory `mkdir` made, which roll-forward
+/// could not complete without its inode; the second leaves it dirty.
+#[test]
+fn create_in_a_synced_new_directory_under_crashes() {
+    dir_sweep(
+        &["/", "/d"],
+        |fs| {
+            fs.mkdir("/d").unwrap();
+        },
+        |fs| {
+            fs.write_file("/d/f", b"draft").unwrap();
+            rewrite(fs, "/d/f", &[4u8; 6000]);
+        },
+        |fs, cut, n| {
+            if let Ok(ino) = fs.lookup("/d/f") {
+                let data = fs.read_to_vec(ino).unwrap();
+                assert!(data.is_empty() || data == [4u8; 6000], "cut {cut}/{n}");
             }
         },
     );

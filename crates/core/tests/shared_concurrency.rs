@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use blockdev::{BlockDevice, MemDisk};
-use lfs_core::{Lfs, LfsConfig, SharedLfs};
+use lfs_core::{BlockKind, Lfs, LfsConfig, SharedLfs};
 use proptest::prelude::*;
 use vfs::model::assert_same_tree;
 use vfs::{FileSystem, Ino, Names, Op, Outcome};
@@ -355,6 +355,42 @@ fn concurrent_syncs_batch_through_group_commit() {
         shared.with_fs(|fs| fs.device().stats().writes),
         base_writes,
         "idle syncs wrote to the device"
+    );
+}
+
+/// A `sync` that leaves a directory already on disk to the directory log
+/// still settles: concurrent `sync_all` calls after it hand off without
+/// the lane, and the directory's block reaches the log with the next
+/// checkpoint.
+#[test]
+fn syncs_hand_off_while_a_directory_waits_for_the_checkpoint() {
+    let shared = SharedLfs::format(MemDisk::new(DISK_BLOCKS), LfsConfig::small()).expect("format");
+    let mut w = shared.clone();
+    w.mkdir("/d").expect("mkdir");
+    shared.checkpoint().expect("checkpoint");
+    let data = || shared.stats().log_bytes_new(BlockKind::Data);
+    let before = data();
+    let ino = w.create("/d/f").expect("create");
+    w.write(ino, 0, &[7u8; 4096]).expect("write");
+    w.sync().expect("sync");
+    assert_eq!(data() - before, 4096, "the sync wrote the directory block");
+    let handoffs = shared.shared_stats().sync_handoffs;
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            let h = shared.clone();
+            s.spawn(move || {
+                for _ in 0..50 {
+                    h.sync_all().expect("sync");
+                }
+            });
+        }
+    });
+    assert_eq!(shared.shared_stats().sync_handoffs - handoffs, 200);
+    shared.checkpoint().expect("checkpoint");
+    assert_eq!(
+        data() - before,
+        2 * 4096,
+        "the checkpoint wrote no directory block"
     );
 }
 
