@@ -275,9 +275,16 @@ impl<D: QueueDevice> Lfs<D> {
     }
 
     /// Pass 3: the usage table's live-byte counts equal the recount, and
-    /// clean segments hold nothing.
+    /// clean segments hold nothing. A pending-free segment waits only for
+    /// the first checkpoint after it was cleaned, which promotes it.
     fn check_usage(&self, census: &mut Census) {
         for (seg, usage) in self.usage.iter() {
+            if usage.state == SegState::PendingFree && usage.seal_seq < self.checkpoint_seq {
+                census.error(format!(
+                    "segment {seg}: pending since seq {} but checkpoint {} did not promote it",
+                    usage.seal_seq, self.checkpoint_seq
+                ));
+            }
             let counted = census.recount[seg as usize];
             if usage.live_bytes as u64 != counted {
                 census.error(format!(

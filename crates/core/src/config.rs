@@ -39,11 +39,12 @@ pub struct LfsConfig {
     pub flush_threshold_bytes: u64,
     /// Write a checkpoint automatically after this many bytes of new log
     /// data (0 disables; checkpoints then happen only on an explicit
-    /// [`crate::Lfs::checkpoint`] and when the cleaner needs to recycle
-    /// segments — `sync` appends to the log and leaves the rest to
-    /// roll-forward). This is the paper's suggested alternative to the
-    /// fixed 30-second interval: "perform checkpoints after a given
-    /// amount of new data has been written" (§4.1).
+    /// [`crate::Lfs::checkpoint`] and when a cleaning run needs its
+    /// `PendingFree` victims reusable — once per run, not per pass;
+    /// `sync` appends to the log and leaves the rest to roll-forward).
+    /// This is the paper's suggested alternative to the fixed 30-second
+    /// interval: "perform checkpoints after a given amount of new data
+    /// has been written" (§4.1).
     pub checkpoint_every_bytes: u64,
     /// Maximum bytes of clean blocks cached in memory (the "file cache").
     pub cache_limit_bytes: u64,

@@ -10,8 +10,10 @@
 //! file systems into large asynchronous sequential transfers" (§3).
 //!
 //! Inode-map and segment-usage blocks ride only the flushes that end in a
-//! checkpoint: the checkpoint's own flush and settle loop, and the closing
-//! flush of a cleaner pass (which checkpoints right after). Sprite LFS
+//! checkpoint — the checkpoint's own flush and settle loop — and the
+//! closing flush of a cleaner pass whose victims hold a live map block,
+//! which has to move out of them. A pass writes no checkpoint: its victims
+//! wait as `PendingFree` for the one its cleaning run writes. Sprite LFS
 //! does the same — at a checkpoint it "first writes out all modified
 //! information to the log, including … blocks of the inode map and
 //! segment usage table" (§4.1) — and roll-forward rebuilds the newer map
@@ -94,10 +96,12 @@ pub(crate) enum Scope {
     /// A `sync`'s: everything dirty but the directories already on disk
     /// (see the module docs and [`Lfs::logged_dir`]).
     Sync,
-    /// Everything dirty: a buffer-full flush, a cleaner's staging flush.
+    /// Everything dirty: a buffer-full flush, a cleaner's staging flush
+    /// and, unless a victim holds a live map block, its closing flush.
     All,
     /// Everything dirty plus the inode-map and usage-table blocks: a flush
-    /// that ends in a checkpoint.
+    /// that ends in a checkpoint, and a cleaner pass's closing flush when
+    /// a victim holds a live map block.
     Checkpoint,
 }
 

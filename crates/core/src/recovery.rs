@@ -237,7 +237,8 @@ impl<D: QueueDevice> Lfs<D> {
         // blocks in the log can be quietly stale for the segments they
         // themselves landed in).
         self.usage.overlay_live(&cp.live_bytes);
-        // Segments recorded as PendingFree are safe to reuse: any
+        // Segments recorded as PendingFree are safe to reuse: a victim
+        // becomes PendingFree only after its pass's closing flush, so any
         // checkpoint that stored that state was written after the
         // cleaner's relocations reached the log.
         self.usage.promote_pending(cp.seq);
@@ -422,10 +423,11 @@ impl<D: QueueDevice> Lfs<D> {
                 // copy of the file's inode ... the roll-forward code ...
                 // ignores the new data blocks" (§4.2).
                 //
-                // Map blocks are ignored too. They reach the log only in
-                // the flushes that end in a checkpoint (a checkpoint's own,
-                // and a cleaner pass's closing one), so a tail holds them
-                // only when a crash cut that checkpoint off. What they
+                // Map blocks are ignored too. They reach the log with a
+                // checkpoint's own flushes, so a tail holds them when a
+                // crash cut that checkpoint off, and with the closing
+                // flush of a cleaner pass that moved map blocks out of its
+                // victims, which no checkpoint follows. What they
                 // record is what the inodes and directory log of the same
                 // tail rebuild; the copies the loaded checkpoint points to
                 // stay where they are, because the segments holding them

@@ -85,10 +85,21 @@ fn churn<D: QueueDevice>(fs: &mut Lfs<D>) {
 /// 0x1e9_f000 / 0x198_5000 → 0x1a0_e000 / 0x1bf_9000 / 0x17f_6000.
 /// What the cleaner reads is not pinned here, and the exact read counts
 /// below did not move.
+///
+/// Re-pinned by rule again (parent `7a3362b`): a cleaner pass no longer
+/// writes a checkpoint; its victims wait as `PendingFree` for the one
+/// checkpoint a cleaning run writes once clean and pending segments reach
+/// the high-water mark, and its closing flush carries map blocks only
+/// when a victim holds a live one. Images 0xb08a_d12c_8a95_fdaf /
+/// 0xbfce_1ab3_8ff1_87e1 / 0x4530_f790_345d_e405 → the three below;
+/// requests 0x307 / 0x4e9 / 0x251 → 0x309 / 0x4e7 / 0x253, bytes
+/// 0x1a0_e000 / 0x1bf_9000 / 0x17f_6000 → 0x1a0_2000 / 0x1be_a000 /
+/// 0x180_f000. With the per-pass checkpoint put back, the parent's three
+/// tuples come back exactly. The read counts below again did not move.
 const GOLDEN_CLEANED: [(u64, u64, u64); 3] = [
-    (0xb08a_d12c_8a95_fdaf, 0x307, 0x01a0_e000),
-    (0xbfce_1ab3_8ff1_87e1, 0x4e9, 0x01bf_9000),
-    (0x4530_f790_345d_e405, 0x251, 0x017f_6000),
+    (0xe9dc_f3e6_3f0f_d6c3, 0x309, 0x01a0_2000),
+    (0x1343_7644_1ce4_1cf3, 0x4e7, 0x01be_a000),
+    (0xf033_4b57_5b5a_078d, 0x253, 0x0180_f000),
 ];
 
 #[test]

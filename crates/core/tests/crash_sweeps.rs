@@ -10,6 +10,7 @@
 use blockdev::{CrashDisk, MemDisk, QueueDevice, QueuedDev, WriteKind};
 use lfs_core::checkpoint::Checkpoint;
 use lfs_core::layout::{CR0_ADDR, CR1_ADDR};
+use lfs_core::usage::SegState;
 use lfs_core::{InvariantSuite, Lfs, LfsConfig};
 use vfs::{FileSystem, FsError, Ino};
 
@@ -493,9 +494,10 @@ fn crash_during_cleaning_never_loses_data() {
     let crash: &CrashDisk = fs.device();
     let n = crash.num_writes();
     // Also cut just before every checkpoint region write (`Sync`, after
-    // its flush's `Async` log writes). Map blocks reach the log only in
-    // flushes that end in a checkpoint — its own, or a cleaner pass's
-    // closing one — so these are the tails that hold map blocks, which
+    // its flush's `Async` log writes). Map blocks reach the log with a
+    // checkpoint's own flushes (and with a cleaner pass's closing flush
+    // only when a victim held a live map block, which no checkpoint
+    // follows), so these are the tails that hold map blocks, which
     // roll-forward ignores.
     let before_regions: Vec<usize> = (1..n)
         .filter(|&i| {
@@ -508,6 +510,172 @@ fn crash_during_cleaning_never_loses_data() {
         let image = crash.image_after(cut).unwrap();
         verify_cut(&suite, image, cfg, &format!("cut {cut}/{n}"));
     }
+}
+
+/// One operation of [`PendingChurn`], as the crash journal saw it.
+struct Step {
+    /// The journal writes it issued.
+    writes: std::ops::Range<usize>,
+    /// Every segment's state when it began.
+    states: Vec<SegState>,
+}
+
+/// A cleaning churn on a crash-recording disk, with the cleaner's own
+/// schedule running and, every few rounds, one extra pass the churn asks
+/// for itself after a `sync`. A pass writes no checkpoint: its victims
+/// wait as `PendingFree` until the next one.
+struct PendingChurn {
+    fs: Lfs<CrashDisk>,
+    cfg: LfsConfig,
+    steps: Vec<Step>,
+    /// `(path, content, journal length once its sync returned)`: a new
+    /// file per `sync`, so every cut has a last acknowledged one.
+    synced: Vec<(String, Vec<u8>, usize)>,
+    /// Journal cuts from the start of a pass that cleaned something to
+    /// the end of the churn round that wrote the next checkpoint, with
+    /// whether the pass left its victims `PendingFree`.
+    windows: Vec<(std::ops::RangeInclusive<usize>, bool)>,
+}
+
+impl PendingChurn {
+    fn run() -> PendingChurn {
+        let cfg = LfsConfig::small();
+        let mut fs = Lfs::format(CrashDisk::new(1024), cfg).unwrap();
+        for i in 0..15 {
+            fs.write_file(&format!("/cold{i}"), &vec![i as u8; 8192])
+                .unwrap();
+        }
+        let hot = fs.create("/hot").unwrap();
+        fs.sync().unwrap();
+        fs.device_mut().checkpoint_baseline();
+        let mut churn = PendingChurn {
+            fs,
+            cfg,
+            steps: Vec::new(),
+            synced: Vec::new(),
+            windows: Vec::new(),
+        };
+        let mut open: Option<(usize, bool)> = None;
+        for round in 0..240u32 {
+            let checkpoints = churn.fs.stats().checkpoints;
+            let off = (round % 4) as u64 * 32 * 1024;
+            let data = vec![round as u8; 32 * 1024];
+            churn.step(|fs| fs.write(hot, off, &data).map(drop));
+            if round % 4 == 3 {
+                let path = format!("/synced{round}");
+                let content: Vec<u8> = (0..3000u32).map(|b| (b + round) as u8).collect();
+                churn.step(|fs| fs.write_file(&path, &content).map(drop));
+                churn.step(|fs| fs.sync());
+                let at = churn.fs.device().num_writes();
+                churn.synced.push((path, content, at));
+            }
+            if churn.fs.stats().checkpoints != checkpoints {
+                if let Some((from, pending)) = open.take() {
+                    let to = churn.fs.device().num_writes();
+                    churn.windows.push((from..=to, pending));
+                }
+            }
+            if round % 24 == 23 && open.is_none() {
+                let (from, checkpoints) =
+                    (churn.fs.device().num_writes(), churn.fs.stats().checkpoints);
+                let mut cleaned = 0;
+                churn.step(|fs| fs.clean_pass().map(|n| cleaned = n));
+                if cleaned > 0 && churn.fs.stats().checkpoints == checkpoints {
+                    let states = churn.fs.segment_snapshot();
+                    open = Some((
+                        from,
+                        states.iter().any(|&(s, _)| s == SegState::PendingFree),
+                    ));
+                }
+            }
+        }
+        churn
+    }
+
+    /// Runs `op`, journaling the writes it issues.
+    fn step(&mut self, op: impl FnOnce(&mut Lfs<CrashDisk>) -> vfs::FsResult<()>) {
+        let states = self.fs.segment_snapshot().iter().map(|&(s, _)| s).collect();
+        let from = self.fs.device().num_writes();
+        op(&mut self.fs).unwrap();
+        let to = self.fs.device().num_writes();
+        self.steps.push(Step {
+            writes: from..to,
+            states,
+        });
+    }
+
+    /// The suite for a crash that kept the first `cut` writes: the cold
+    /// files byte-exact, every file whose `sync` had returned byte-exact,
+    /// and the later ones absent or a prefix.
+    fn suite(&self, cut: usize) -> InvariantSuite {
+        let mut suite = InvariantSuite::new();
+        for i in 0..15 {
+            suite.expect_exact(format!("/cold{i}"), vec![i as u8; 8192]);
+        }
+        for (path, content, at) in &self.synced {
+            if *at <= cut {
+                suite.expect_exact(path.clone(), content.clone());
+            } else {
+                suite.expect_history(path.clone(), vec![content.clone()]);
+            }
+        }
+        suite
+    }
+}
+
+/// A pass cleans without a checkpoint, and its victims stay `PendingFree`
+/// until the next one. A crash anywhere from the pass's first write
+/// through the region write of the checkpoint that promotes its victims
+/// must recover the cold files byte-exact and every acknowledged `sync`.
+#[test]
+fn crash_between_a_pass_and_its_checkpoint_never_loses_data() {
+    let churn = PendingChurn::run();
+    let crash: &CrashDisk = churn.fs.device();
+    let mut cuts = 0;
+    for (window, _) in &churn.windows {
+        for cut in window.clone() {
+            let image = crash.image_after(cut).unwrap();
+            let tag = format!("cut {cut} in pass window {window:?}");
+            verify_cut(&churn.suite(cut), image, churn.cfg, &tag);
+            cuts += 1;
+        }
+    }
+    let pending = churn.windows.iter().filter(|(_, p)| *p).count();
+    assert!(
+        pending >= 3,
+        "only {pending} passes left victims pending before a checkpoint: {:?}",
+        churn.windows
+    );
+    assert!(cuts >= 100, "only {cuts} cuts");
+}
+
+/// No log write lands in a segment that was `PendingFree` when its
+/// operation began, until a checkpoint region write has promoted it.
+#[test]
+fn pending_segments_are_never_reused_before_a_checkpoint() {
+    let churn = PendingChurn::run();
+    let crash: &CrashDisk = churn.fs.device();
+    let sb = churn.fs.superblock();
+    let mut guarded = 0;
+    for step in &churn.steps {
+        if !step.states.contains(&SegState::PendingFree) {
+            continue;
+        }
+        let pending = |seg: u32| step.states[seg as usize] == SegState::PendingFree;
+        for i in step.writes.clone() {
+            let rec = crash.write_record(i).unwrap();
+            // Below the segments: a checkpoint region, which promotes.
+            let Some(seg) = sb.seg_of(rec.start) else {
+                break;
+            };
+            assert!(!pending(seg), "write {i} reused pending segment {seg}");
+            guarded += 1;
+        }
+    }
+    assert!(
+        guarded >= 20,
+        "only {guarded} writes behind pending segments"
+    );
 }
 
 #[test]
