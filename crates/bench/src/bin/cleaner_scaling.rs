@@ -9,6 +9,8 @@
 //! selection with age-sorted writeback on a single log head. The
 //! candidate is the Cleaner 2.0 stack: adaptive selection with three
 //! temperature streams (placement-time segregation replaces age-sort).
+//! The streams are the simulator's: the file system writes one log head
+//! per shard.
 //!
 //! The gate compares **cleaning overhead** (write cost − 1), not total
 //! write cost: every configuration pays the same 1.0× to write new data

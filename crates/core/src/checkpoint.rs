@@ -61,14 +61,6 @@ pub struct Checkpoint {
     /// checkpoint carries the authoritative counts so a mount restores
     /// exactly the state the running system had.
     pub live_bytes: Vec<u32>,
-    /// Per-inode write-heat snapshot, hottest first, as
-    /// `(ino, Q16 heat)` pairs. Empty on a single-stream file system,
-    /// which keeps the encoding byte-identical to the pre-stream format:
-    /// the pair count lives in a header field that was previously
-    /// written as reserved zero padding. A mount seeds its heat
-    /// estimator from these so temperature routing survives a remount
-    /// instead of restarting from an all-cold state.
-    pub heat: Vec<(u32, u32)>,
 }
 
 impl Checkpoint {
@@ -78,7 +70,6 @@ impl Checkpoint {
             + 8 * (self.imap_addrs.len() + self.usage_addrs.len())
             + 4 * self.live_bytes.len()
             + 8 * self.extra_write_points.len()
-            + 8 * self.heat.len()
             + 8
     }
 
@@ -121,10 +112,7 @@ impl Checkpoint {
             w.put_u32(self.usage_addrs.len() as u32);
             w.put_u32(self.live_bytes.len() as u32);
             w.put_u64(len as u64);
-            // Heat-entry count: zero on a single-stream file system,
-            // which is exactly the reserved zero padding older
-            // checkpoints wrote here.
-            w.put_u32(self.heat.len() as u32);
+            // Bytes 60..64 stay reserved zero (see `decode`).
             w.pad(HEADER_SIZE - w.pos());
             for &a in &self.imap_addrs {
                 w.put_u64(a);
@@ -138,10 +126,6 @@ impl Checkpoint {
             for &(seg, off) in &self.extra_write_points {
                 w.put_u32(seg);
                 w.put_u32(off);
-            }
-            for &(ino, q) in &self.heat {
-                w.put_u32(ino);
-                w.put_u32(q);
             }
         }
         let sum = checksum(&buf[..len - 8]);
@@ -177,16 +161,8 @@ impl Checkpoint {
         let n_usage = r.get_u32() as usize;
         let n_live = r.get_u32() as usize;
         let len = r.get_u64() as usize;
-        let n_heat = r.get_u32() as usize;
-        if len > buf.len()
-            || len
-                != HEADER_SIZE
-                    + 8 * (n_imap + n_usage)
-                    + 4 * n_live
-                    + 8 * n_extra_wp
-                    + 8 * n_heat
-                    + 8
-        {
+        let reserved = r.get_u32();
+        if len > buf.len() || len < HEADER_SIZE + 8 {
             return Err(FsError::Corrupt("checkpoint: bad length".into()));
         }
         let mut stored_bytes = [0u8; 8];
@@ -194,6 +170,19 @@ impl Checkpoint {
         let stored = u64::from_le_bytes(stored_bytes);
         if checksum(&buf[..len - 8]) != stored {
             return Err(FsError::Corrupt("checkpoint: bad checksum".into()));
+        }
+        // Bytes 60..64 once counted a per-inode heat snapshot, which only
+        // a file system with several temperature-keyed write streams per
+        // shard wrote. Streams are gone: refuse such an image by name.
+        if reserved != 0 {
+            return Err(FsError::Corrupt(
+                "checkpoint: multi-stream heat snapshot; temperature-keyed write \
+                 streams were removed, re-create the image with mklfs"
+                    .into(),
+            ));
+        }
+        if len != HEADER_SIZE + 8 * (n_imap + n_usage) + 4 * n_live + 8 * n_extra_wp + 8 {
+            return Err(FsError::Corrupt("checkpoint: bad length".into()));
         }
         r.skip(HEADER_SIZE - r.pos());
         let mut imap_addrs = Vec::with_capacity(n_imap);
@@ -214,12 +203,6 @@ impl Checkpoint {
             let off = r.get_u32();
             extra_write_points.push((seg, off));
         }
-        let mut heat = Vec::with_capacity(n_heat);
-        for _ in 0..n_heat {
-            let ino = r.get_u32();
-            let q = r.get_u32();
-            heat.push((ino, q));
-        }
         Ok(Checkpoint {
             epoch,
             seq,
@@ -230,7 +213,6 @@ impl Checkpoint {
             imap_addrs,
             usage_addrs,
             live_bytes,
-            heat,
         })
     }
 
@@ -347,7 +329,6 @@ mod tests {
             imap_addrs: vec![100, 101, 102],
             usage_addrs: vec![200],
             live_bytes: vec![7, 0, 4096],
-            heat: vec![],
         }
     }
 
@@ -421,7 +402,6 @@ mod tests {
             imap_addrs: vec![0; (CR_BLOCKS as usize) * BLOCK_SIZE / 8],
             usage_addrs: vec![],
             live_bytes: vec![],
-            heat: vec![],
         };
         assert!(cp.encode().is_err());
     }
@@ -438,29 +418,30 @@ mod tests {
             imap_addrs: vec![],
             usage_addrs: vec![],
             live_bytes: vec![],
-            heat: vec![],
         };
         let buf = cp.encode().unwrap();
         assert_eq!(Checkpoint::decode(&buf).unwrap(), cp);
     }
 
+    /// Bytes 60..64 are reserved zero. A multi-stream image counted its
+    /// heat snapshot there: such a region, checksum and all, is refused
+    /// by name rather than mounted.
     #[test]
-    fn heat_entries_roundtrip() {
-        let mut cp = sample(12);
-        cp.extra_write_points = vec![(4, 9)];
-        cp.heat = vec![(7, 3 << 16), (2, 1 << 16), (40, 9)];
-        let buf = cp.encode().unwrap();
-        let back = Checkpoint::decode(&buf).unwrap();
-        assert_eq!(back, cp);
-    }
-
-    #[test]
-    fn no_heat_encoding_matches_reserved_zero_format() {
-        // Bytes 60..64 held reserved zero padding before the heat
-        // snapshot existed; an empty snapshot must keep them zero so
-        // single-stream images stay byte-identical.
-        let buf = sample(9).encode().unwrap();
+    fn multi_stream_heat_snapshot_is_refused() {
+        let mut buf = sample(9).encode().unwrap();
         assert_eq!(&buf[60..64], &[0u8; 4]);
+        // One (ino, heat) pair after the live bytes, counted and checksummed.
+        let len = HEADER_SIZE + 8 * (3 + 1) + 4 * 3 + 8;
+        let heat_len = len + 8;
+        buf[52..60].copy_from_slice(&(heat_len as u64).to_le_bytes());
+        buf[60..64].copy_from_slice(&1u32.to_le_bytes());
+        buf[len - 8..len].copy_from_slice(&[7, 0, 0, 0, 0, 0, 3, 0]);
+        let sum = checksum(&buf[..heat_len - 8]);
+        buf[heat_len - 8..heat_len].copy_from_slice(&sum.to_le_bytes());
+        match Checkpoint::decode(&buf) {
+            Err(FsError::Corrupt(msg)) => assert!(msg.contains("multi-stream"), "{msg}"),
+            other => panic!("a multi-stream checkpoint decoded: {other:?}"),
+        }
     }
 
     #[test]

@@ -48,14 +48,6 @@ pub struct LfsConfig {
     pub checkpoint_every_bytes: u64,
     /// Maximum bytes of clean blocks cached in memory (the "file cache").
     pub cache_limit_bytes: u64,
-    /// Number of temperature-keyed write streams per shard (hot → cold).
-    /// 1 (the default) keeps the single write point per shard and is
-    /// bit-identical to the pre-stream image; 2 splits hot/cold; 3 adds a
-    /// warm class. Every block — the cleaner's survivors included — is
-    /// routed by its file's decayed write heat ([`crate::heat`]); an idle
-    /// file's heat decays to zero, so genuinely cold survivors still land
-    /// in the coldest stream. Capped at [`crate::stats::MAX_STREAMS`].
-    pub streams: u32,
 }
 
 impl LfsConfig {
@@ -71,7 +63,6 @@ impl LfsConfig {
             flush_threshold_bytes: 255 * BLOCK_SIZE as u64,
             checkpoint_every_bytes: 8 << 20,
             cache_limit_bytes: 64 << 20,
-            streams: 1,
         }
     }
 
@@ -89,7 +80,6 @@ impl LfsConfig {
             flush_threshold_bytes: 15 * BLOCK_SIZE as u64,
             checkpoint_every_bytes: 1 << 20,
             cache_limit_bytes: 8 << 20,
-            streams: 1,
         }
     }
 
@@ -104,13 +94,6 @@ impl LfsConfig {
     /// "LFS Greedy" configuration of Figures 5 and 7.
     pub fn greedy(mut self) -> LfsConfig {
         self.policy = CleaningPolicy::Greedy;
-        self
-    }
-
-    /// Splits each shard's log head into `n` temperature-keyed write
-    /// streams (see [`LfsConfig::streams`]).
-    pub fn with_streams(mut self, n: u32) -> LfsConfig {
-        self.streams = n.clamp(1, crate::stats::MAX_STREAMS as u32);
         self
     }
 

@@ -31,7 +31,7 @@
 //! what waits: deferred directory blocks count towards it.
 //!
 //! A flush runs in six stages, one function each: **gather** turns the
-//! dirty state into item groups; **place** lays them out as chunks with
+//! dirty state into one item list; **place** lays it out as chunks with
 //! [`Placement`]; **assign** gives the items their addresses and makes
 //! final everything the encoded blocks carry; **encode** renders one chunk
 //! into a [`Flush<SummarySealed>`]; **submit** consumes that and returns a
@@ -61,10 +61,6 @@ use crate::ordering::{CheckpointReady, DataWritten, Flush, SummarySealed};
 use crate::stats::BlockKind;
 use crate::summary::{EntryKind, Summary, SummaryEntry};
 use crate::usage::{SegState, UsageTable};
-
-/// Most heat entries a checkpoint persists (the hottest ones win).
-/// Bounds the region payload: 512 pairs cost 4 KB, one extra block.
-const MAX_CHECKPOINT_HEAT: usize = 512;
 
 /// One block scheduled for the current partial write.
 #[derive(Clone, Debug)]
@@ -247,14 +243,8 @@ impl<D: QueueDevice> Lfs<D> {
         // The directories a sync defers pass to commit as a value: the
         // cleaner can run inside `place`, and its nested flush must not
         // see (or overwrite) them.
-        let (mut groups, deferred) = self.gather(scope)?;
-        let plan = self.place(&mut groups, scope == Scope::Checkpoint)?;
-        // Flatten into the single write-order list: stream 0 (hottest)
-        // first, the metadata group last so inodes take the highest
-        // sequence numbers of the batch. The layout consumed per-group
-        // counts in the same order, so chunk `i` covers exactly the next
-        // `n` items of this list.
-        let items: Vec<Item> = groups.into_iter().flatten().collect();
+        let (mut items, deferred) = self.gather(scope)?;
+        let plan = self.place(&mut items, scope == Scope::Checkpoint)?;
         self.assign(&items, &plan)?;
         let mut written = Flush::idle();
         let mut first = 0;
@@ -275,33 +265,21 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(self.commit(written, plan, &items, &deferred))
     }
 
-    /// **Gather**: the dirty state becomes the item groups, one per
-    /// temperature stream, hot first, plus with several streams a trailing
-    /// metadata group. With a single stream this is one list. Two
-    /// constraints meet here:
-    ///
-    /// * *Placement*: metadata (directory log, inode/imap/usage blocks)
-    ///   rides the hot stream's write point — it turns over fastest, so
-    ///   segregating it from cold file data keeps cold segments at high,
-    ///   stable utilization (§3.4).
-    /// * *Ordering*: an inode must reach the log *after* every data and
-    ///   indirect block it references, or roll-forward could adopt an
-    ///   inode whose blocks a crash swallowed (§4.2). The streams write to
-    ///   distinct cursors but share one sequence numbering, and replay
-    ///   stops at the first missing sequence — so the inode/imap/usage
-    ///   group must take the *highest* sequence numbers, i.e. come last,
-    ///   even though its chunks land on the stream-0 cursor.
+    /// **Gather**: the dirty state becomes the flush's items, in write
+    /// order: directory-log records, then each file's data and indirect
+    /// blocks, then the inode blocks and, for a checkpoint, the inode-map
+    /// blocks. An inode must reach the log *after* every data and indirect
+    /// block it references, or roll-forward could adopt an inode whose
+    /// blocks a crash swallowed (§4.2); replay stops at the first missing
+    /// sequence number, so the inodes come last.
     ///
     /// A [`Scope::Sync`] gather skips every [`Lfs::logged_dir`] and hands
     /// back the ones it skipped, sorted, which commit leaves dirty.
-    fn gather(&mut self, scope: Scope) -> FsResult<(Vec<Vec<Item>>, Vec<Ino>)> {
-        let nstreams = self.stream_count();
-        let ngroups = if nstreams == 1 { 1 } else { nstreams + 1 };
-        let meta = ngroups - 1;
-        let mut groups: Vec<Vec<Item>> = vec![Vec::new(); ngroups];
-        for b in dirlog::encode_records(&self.dirlog_pending) {
-            groups[0].push(Item::DirLog(Arc::new(b.into_vec())));
-        }
+    fn gather(&mut self, scope: Scope) -> FsResult<(Vec<Item>, Vec<Ino>)> {
+        let mut items: Vec<Item> = dirlog::encode_records(&self.dirlog_pending)
+            .into_iter()
+            .map(|b| Item::DirLog(Arc::new(b.into_vec())))
+            .collect();
         self.dirty_parent_inds()?;
         let dirty_inds = self.inds.iter().filter_map(|(&k, c)| c.dirty.then_some(k));
         let mut inds: Vec<(Ino, IndKey)> = dirty_inds.collect();
@@ -315,21 +293,19 @@ impl<D: QueueDevice> Lfs<D> {
             }
             // Data blocks in file order, then indirect blocks: singles
             // first (their addresses go into the double), then the
-            // double. Both follow the file's own heat class — an indirect
-            // block changes whenever its file does.
-            let t = self.stream_of(ino);
+            // double.
             let blocks = self.dirty_blocks.range((ino, 0)..=(ino, u64::MAX));
-            groups[t].extend(blocks.map(|&(_, bno)| Item::Data { ino, bno }));
+            items.extend(blocks.map(|&(_, bno)| Item::Data { ino, bno }));
             let first = inds.partition_point(|&(i, _)| i < ino);
             let keys = inds[first..].iter().take_while(|&&(i, _)| i == ino);
-            groups[t].extend(keys.map(|&(_, key)| Item::Ind { ino, key }));
+            items.extend(keys.map(|&(_, key)| Item::Ind { ino, key }));
             if self.inodes.get(&ino).is_some_and(|c| c.dirty) || self.dirty_files.contains(&ino) {
                 dirty_inos.push(ino);
             }
         }
         // Pack dirty inodes 16 to a block, preserving the file order.
         let inode_blocks = dirty_inos.chunks(INODES_PER_BLOCK);
-        groups[meta].extend(inode_blocks.map(|inos| Item::InodeBlk {
+        items.extend(inode_blocks.map(|inos| Item::InodeBlk {
             inos: inos.to_vec(),
         }));
         // Map blocks ride only a flush that ends in a checkpoint (see the
@@ -338,10 +314,10 @@ impl<D: QueueDevice> Lfs<D> {
         if scope == Scope::Checkpoint {
             let mut imap_blocks: BTreeSet<usize> = self.imap.dirty_blocks().into_iter().collect();
             imap_blocks.extend(dirty_inos.iter().map(|&ino| InodeMap::block_of(ino)));
-            groups[meta].extend(imap_blocks.into_iter().map(Item::Imap));
+            items.extend(imap_blocks.into_iter().map(Item::Imap));
         }
         deferred.sort_unstable();
-        Ok((groups, deferred))
+        Ok((items, deferred))
     }
 
     /// Makes sure every indirect block that will receive a pointer update
@@ -399,17 +375,16 @@ impl<D: QueueDevice> Lfs<D> {
         keyed.into_iter().map(|(_, i)| i).collect()
     }
 
-    /// **Place**: lays the groups out as chunks.
+    /// **Place**: lays the items out as chunks.
     ///
     /// A flush that carries the maps also carries the usage block of every
     /// segment it touches, and which segments those are only the layout
-    /// says: usage items are appended to the metadata group and the layout
-    /// redone until the set stops growing (normally one extra round at
-    /// most). They are truncated off again between rounds — no per-round
-    /// clone of the whole item list, which holds directory-log payloads
-    /// and inode groups.
-    fn place(&mut self, groups: &mut [Vec<Item>], maps: bool) -> FsResult<LayoutPlan> {
-        let meta = groups.len() - 1;
+    /// says: usage items are appended to the list and the layout redone
+    /// until the set stops growing (normally one extra round at most).
+    /// They are truncated off again between rounds — no per-round clone of
+    /// the whole item list, which holds directory-log payloads and inode
+    /// groups.
+    fn place(&mut self, items: &mut Vec<Item>, maps: bool) -> FsResult<LayoutPlan> {
         let mut usage_blocks: BTreeSet<usize> = BTreeSet::new();
         if maps {
             usage_blocks.extend(self.usage.dirty_blocks());
@@ -423,15 +398,14 @@ impl<D: QueueDevice> Lfs<D> {
             let wps = self.write_points.iter();
             usage_blocks.extend(wps.map(|&(seg, _)| UsageTable::block_of(seg)));
         }
-        let base_meta = groups[meta].len();
+        let base = items.len();
         loop {
-            groups[meta].extend(usage_blocks.iter().map(|&idx| Item::Usage(idx)));
-            let counts: Vec<usize> = groups.iter().map(Vec::len).collect();
+            items.extend(usage_blocks.iter().map(|&idx| Item::Usage(idx)));
             // Out of clean segments, the cleaner regenerates some (it has
             // a reserved allocation pool precisely so it can still run
             // now) and the layout is retried; several rounds may be
             // needed when space is very tight.
-            let mut plan = self.layout(&counts);
+            let mut plan = self.layout(items.len());
             for _ in 0..4 {
                 if plan.is_some() || self.cleaning {
                     break;
@@ -440,7 +414,7 @@ impl<D: QueueDevice> Lfs<D> {
                 let res = self.clean_until_high_water();
                 self.cleaning = false;
                 res?;
-                plan = self.layout(&counts);
+                plan = self.layout(items.len());
             }
             let plan = plan.ok_or(FsError::NoSpace)?;
             let mut grew = false;
@@ -452,16 +426,14 @@ impl<D: QueueDevice> Lfs<D> {
             if !grew {
                 return Ok(plan);
             }
-            groups[meta].truncate(base_meta);
+            items.truncate(base);
         }
     }
 
-    /// Places chunks for the per-group item counts in `counts` (one entry
-    /// per temperature stream, hot first; with several streams a trailing
-    /// metadata group that targets the hot stream's cursors), chunk by
-    /// chunk through [`Placement::next`], without mutating anything.
-    /// `None` when they do not fit.
-    fn layout(&self, counts: &[usize]) -> Option<LayoutPlan> {
+    /// Places chunks for `count` items, chunk by chunk through
+    /// [`Placement::next`], without mutating anything. `None` when they do
+    /// not fit.
+    fn layout(&self, count: usize) -> Option<LayoutPlan> {
         // Normal writes leave a couple of segments per shard for the
         // cleaner, which needs somewhere to copy live data even when the
         // log is full — without this reserve the file system can wedge
@@ -475,18 +447,13 @@ impl<D: QueueDevice> Lfs<D> {
             CLEANER_RESERVE_SEGS
         };
         let mut end = self.placement(reserve);
-        let nstreams = end.streams();
         let mut chunks = Vec::new();
-        let mut seq = self.write_seq;
-        for (g, &count) in counts.iter().enumerate() {
-            let stream = if g < nstreams { g } else { 0 };
-            let mut left = count;
-            while left > 0 {
-                seq += 1;
-                let c = end.next(seq, stream, left)?;
-                left -= c.n;
-                chunks.push(c);
-            }
+        let (mut seq, mut left) = (self.write_seq, count);
+        while left > 0 {
+            seq += 1;
+            let c = end.next(seq, left)?;
+            left -= c.n;
+            chunks.push(c);
         }
         Some(LayoutPlan { chunks, end })
     }
@@ -763,7 +730,6 @@ impl<D: QueueDevice> Lfs<D> {
             self.bytes_since_checkpoint += bytes;
         }
         self.stats.partial_writes += 1;
-        self.stats.add_stream_bytes(c.cursor / self.nshards, bytes);
         self.emit(|| lfs_obs::TraceEvent::SegmentWrite {
             seg: c.seg,
             blocks: c.n as u32 + 1, // items + the summary block
@@ -863,14 +829,6 @@ impl<D: QueueDevice> Lfs<D> {
         })(written);
         self.settling = false;
         let written = settle?;
-        // The heat snapshot rides only multi-stream checkpoints: a
-        // single-stream image must stay byte-identical to the
-        // pre-stream format, and has no routing to seed anyway.
-        let heat = if self.stream_count() > 1 {
-            self.heat.snapshot(self.clock, MAX_CHECKPOINT_HEAT)
-        } else {
-            Vec::new()
-        };
         let cp = crate::checkpoint::Checkpoint {
             epoch: self.epoch,
             seq: self.write_seq,
@@ -881,7 +839,6 @@ impl<D: QueueDevice> Lfs<D> {
             imap_addrs: self.imap.block_addr_vec().to_vec(),
             usage_addrs: self.usage.block_addr_vec().to_vec(),
             live_bytes: self.usage.live_vec(),
-            heat,
         };
         // The summary → checkpoint ordering edge: every queued log write
         // must have completed before the region claims to cover it. On a

@@ -34,12 +34,6 @@ use crate::usage::{SegState, UsageTable};
 /// within a bounded delay.
 pub(crate) const IO_ATTEMPTS: u32 = 5;
 
-/// Half-life of the per-inode heat counters, in logical clock ticks
-/// (the clock advances once per mutation). A file needs roughly three
-/// writes inside a half-life to classify hot; one half-life of silence
-/// halves its heat. See [`crate::heat`].
-pub(crate) const HEAT_HALF_LIFE: u64 = 128;
-
 /// Stale entries the LRU index may carry beyond twice the resident block
 /// count before [`Lfs::stamp`] sweeps it.
 const LRU_INDEX_SLACK: usize = 64;
@@ -202,21 +196,13 @@ pub struct Lfs<D: QueueDevice> {
     /// Depth of in-flight namespace operations (see [`Lfs::with_nsop`]).
     /// While non-zero, `checkpoint` degrades to a plain flush.
     pub(crate) nsop_depth: u32,
-    /// Log write points, one per (temperature stream, shard) pair:
-    /// `write_points[t * nshards + s]` is the `(segment, next free block
-    /// offset)` of stream `t`'s log head on shard `s`. Stream 0 is the
-    /// hottest, the last the coldest; blocks are routed by their file's
-    /// heat ([`Lfs::stream_of`]). With `streams = 1` (the default) this is
-    /// one entry per shard and behaves exactly like the per-shard write
-    /// point it generalizes; on a single volume it is one entry, the
-    /// scalar `cur_seg`/`cur_off` pair of the paper. Always non-empty.
+    /// Log write points, one per shard: `write_points[s]` is the
+    /// `(segment, next free block offset)` of shard `s`'s log head. On a
+    /// single volume it is one entry, the scalar `cur_seg`/`cur_off` pair
+    /// of the paper. Always non-empty.
     pub(crate) write_points: Vec<(u32, u32)>,
-    /// Number of shards of the device (cached; `write_points.len()` is
-    /// `nshards × streams`, so it can no longer serve as the shard
-    /// count).
+    /// Number of shards of the device (cached).
     pub(crate) nshards: usize,
-    /// Per-inode update-temperature estimator driving stream routing.
-    pub(crate) heat: crate::heat::HeatMap,
     /// Segments cleaned per shard since mount (one entry per write
     /// point). Not part of [`crate::stats::CleanerStats`] — that struct
     /// is `Copy` — but published next to it as `shard.<i>.*` metrics so
@@ -295,23 +281,14 @@ impl<D: QueueDevice> Lfs<D> {
         // shard, which requires the striping unit to equal the segment
         // size; and each shard needs at least one segment to host its
         // write point.
-        if dev.shard_count() > 1 {
-            if dev.stripe_blocks() != Some(cfg.seg_blocks as u64) {
-                return Err(FsError::InvalidArgument(
-                    "stripe unit must equal the segment size",
-                ));
-            }
-            if (sb.nsegments as usize) < dev.shard_count() {
-                return Err(FsError::InvalidArgument(
-                    "device too small: fewer segments than shards",
-                ));
-            }
-        }
-        // Every (stream, shard) write point needs its own segment.
-        let streams = cfg.streams.clamp(1, crate::stats::MAX_STREAMS as u32) as usize;
-        if (sb.nsegments as usize) < dev.shard_count().max(1) * streams {
+        if dev.shard_count() > 1 && dev.stripe_blocks() != Some(cfg.seg_blocks as u64) {
             return Err(FsError::InvalidArgument(
-                "device too small: fewer segments than write streams",
+                "stripe unit must equal the segment size",
+            ));
+        }
+        if (sb.nsegments as usize) < dev.shard_count().max(1) {
+            return Err(FsError::InvalidArgument(
+                "device too small: fewer segments than shards",
             ));
         }
         let mut fs = Lfs::bare(dev, sb, cfg);
@@ -357,17 +334,14 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Constructs the in-memory state shared by `format` and `mount`.
     pub(crate) fn bare(dev: D, sb: Superblock, cfg: LfsConfig) -> Lfs<D> {
-        // One write point per (temperature stream, shard) pair, opened a
-        // row at a time as `reconcile_streams` does: each cursor starts
-        // its log in the lowest-numbered segment of its shard not claimed
-        // by a hotter stream. On a homogeneous set this is segment
-        // `t * nshards + s` for stream `t` on shard `s`; mount replaces
-        // the assignment with the checkpoint's.
+        // One write point per shard, each starting its log in the
+        // lowest-numbered segment of its shard: segment `s` for shard `s`
+        // on a homogeneous set. Mount replaces the assignment with the
+        // checkpoint's.
         let shards = dev.shard_count().max(1);
-        let streams = cfg.streams.clamp(1, crate::stats::MAX_STREAMS as u32) as usize;
         let segs = (0..sb.nsegments).map(|g| (g, dev.shard_of_stripe(g as u64).min(shards - 1)));
         let mut place = Placement::new(sb.seg_blocks, shards, Vec::new(), segs, 0);
-        while place.streams() < streams && place.open_row() {}
+        place.open_row();
         let write_points = place.into_write_points();
         Lfs {
             dev,
@@ -391,7 +365,6 @@ impl<D: QueueDevice> Lfs<D> {
             nsop_depth: 0,
             write_points,
             nshards: shards,
-            heat: crate::heat::HeatMap::new(HEAT_HALF_LIFE),
             cleaned_per_shard: vec![0; shards],
             write_seq: 0,
             checkpoint_seq: 0,
@@ -533,10 +506,8 @@ impl<D: QueueDevice> Lfs<D> {
         self.usage.clean_count()
     }
 
-    /// The log write points, one per (temperature stream, shard) pair,
-    /// stream-major: entry `t * nshards + s` is stream `t`'s `(segment,
-    /// next free block offset)` on shard `s`. A single-volume,
-    /// single-stream file system has exactly one.
+    /// The log write points, one `(segment, next free block offset)` per
+    /// shard in shard order. A single-volume file system has exactly one.
     pub fn write_points(&self) -> &[(u32, u32)] {
         &self.write_points
     }
@@ -544,11 +515,6 @@ impl<D: QueueDevice> Lfs<D> {
     /// Number of shards of the underlying device.
     pub fn shard_count(&self) -> usize {
         self.nshards
-    }
-
-    /// Number of temperature streams per shard.
-    pub fn stream_count(&self) -> usize {
-        self.write_points.len() / self.nshards
     }
 
     /// Which shard segment `seg` lives on (always 0 on a single
@@ -569,21 +535,6 @@ impl<D: QueueDevice> Lfs<D> {
             .map(|s| (s, self.shard_of_seg(s)));
         let wps = self.write_points.clone();
         Placement::new(self.sb.seg_blocks, self.nshards, wps, clean, reserve)
-    }
-
-    /// The temperature stream that should carry the dirty blocks of
-    /// `ino`: the inode's heat class, for cleaner relocations and
-    /// foreground writes alike. Routing survivors by their file's *own*
-    /// heat (not blanket-coldest) matters: blocks salvaged from a hot
-    /// segment are usually recent and about to die again, and burying them
-    /// in a cold segment seeds it with soon-to-be-dead bytes. Genuinely
-    /// cold survivors still land cold — an idle file's heat decays to zero.
-    pub(crate) fn stream_of(&self, ino: Ino) -> usize {
-        let nstreams = self.stream_count();
-        if nstreams == 1 {
-            return 0;
-        }
-        self.heat.class(ino, self.clock, nstreams)
     }
 
     /// Whether `seg` currently holds any shard's write point. Such
@@ -1549,7 +1500,6 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Deletes a file whose link count reached zero.
     pub(crate) fn delete_file(&mut self, ino: Ino) -> FsResult<()> {
-        self.heat.forget(ino);
         self.free_blocks_from(ino, 0)?;
         // Retire the on-disk inode slot.
         let entry = *self.imap.get(ino)?;
@@ -1817,7 +1767,6 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
                 if fs.inode_ref(ino)?.ftype == FileType::Directory {
                     return Err(FsError::IsADirectory);
                 }
-                fs.heat.touch(ino, fs.clock);
                 fs.write_internal(ino, offset, data, true)
             },
         )
@@ -1867,7 +1816,6 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
             }
         }
         let now = self.now();
-        self.heat.touch(ino, now);
         let m = self.inode_mut(ino)?;
         m.size = size;
         m.mtime = now;

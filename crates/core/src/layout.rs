@@ -109,9 +109,6 @@ pub(crate) const CLEANER_RESERVE_SEGS: usize = 2;
 /// Where [`Placement::next`] put one partial write.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Chunk {
-    /// The write point that carries the chunk: stream `cursor / nshards`
-    /// on shard `cursor % nshards`.
-    pub(crate) cursor: usize,
     /// Segment and block offset of the chunk's summary block.
     pub(crate) seg: u32,
     pub(crate) off: u32,
@@ -127,9 +124,8 @@ pub(crate) struct Chunk {
 /// segments that were written after the last checkpoint" (§4.2) without
 /// reading any other.
 ///
-/// It holds the write points, one cursor per (temperature stream, shard)
-/// pair stored stream-major, and each shard's pool of clean segments, and
-/// does no I/O.
+/// It holds the write points, one cursor per shard, and each shard's pool
+/// of clean segments, and does no I/O.
 #[derive(Clone, Debug)]
 pub(crate) struct Placement {
     seg_blocks: u32,
@@ -167,14 +163,9 @@ impl Placement {
         }
     }
 
-    /// The write points, stream-major.
+    /// The write points, one per shard in shard order.
     pub(crate) fn into_write_points(self) -> Vec<(u32, u32)> {
         self.wps
-    }
-
-    /// Number of temperature streams (rows of cursors).
-    pub(crate) fn streams(&self) -> usize {
-        self.wps.len() / self.nshards
     }
 
     /// Whether a cursor at `off` has room for a chunk: a summary plus at
@@ -191,99 +182,76 @@ impl Placement {
             .any(|&(s, off)| s == seg && self.has_room(off))
     }
 
-    /// Places chunk `seq`, the next of `n` blocks of stream `stream` still
-    /// to lay out; the returned chunk's `n` says how many it carries. `None`
-    /// means no cursor has room and no pool it may draw on has a segment.
+    /// Places chunk `seq`, the next of `n` blocks still to lay out; the
+    /// returned chunk's `n` says how many it carries. `None` means no
+    /// cursor has room and no pool it may draw on has a segment.
     ///
-    /// The chunk tries its own stream's cursor on every shard, shard
-    /// `seq % nshards` first and the next shards in wrap order after it,
-    /// and only then the next stream's cursors, in the same shard order.
-    /// Rotating the shard with `seq` spreads consecutive chunks across the
-    /// volumes; temperature is a placement hint and space a guarantee. A
-    /// cursor without room moves to the lowest-numbered segment of its
-    /// shard's pool, and is passed over when the pool is empty. On a
-    /// single volume with a single stream this is the paper's one log head.
-    pub(crate) fn next(&mut self, seq: u64, stream: usize, n: usize) -> Option<Chunk> {
-        let (nsh, nstr) = (self.nshards, self.streams());
-        let primary = (seq % nsh as u64) as usize;
-        for r in 0..nstr {
-            for k in 0..nsh {
-                let shard = (primary + k) % nsh;
-                let cursor = (stream + r) % nstr * nsh + shard;
-                let (mut seg, mut off) = self.wps[cursor];
-                let opened = !self.has_room(off);
-                if opened {
-                    match self.pools[shard].pop() {
-                        Some(fresh) => (seg, off) = (fresh, 0),
-                        None => continue,
-                    }
+    /// The chunk tries the cursor of shard `seq % nshards` first and the
+    /// next shards in wrap order after it. Rotating the shard with `seq`
+    /// spreads consecutive chunks across the volumes. A cursor without
+    /// room moves to the lowest-numbered segment of its shard's pool, and
+    /// is passed over when the pool is empty. On a single volume this is
+    /// the paper's one log head.
+    pub(crate) fn next(&mut self, seq: u64, n: usize) -> Option<Chunk> {
+        let nsh = self.nshards;
+        for k in 0..nsh as u64 {
+            let shard = ((seq + k) % nsh as u64) as usize;
+            let (mut seg, mut off) = self.wps[shard];
+            let opened = !self.has_room(off);
+            if opened {
+                match self.pools[shard].pop() {
+                    Some(fresh) => (seg, off) = (fresh, 0),
+                    None => continue,
                 }
-                let n = n
-                    .min((self.seg_blocks - off - 1) as usize)
-                    .min(MAX_SUMMARY_ENTRIES);
-                self.wps[cursor] = (seg, off + 1 + n as u32);
-                return Some(Chunk {
-                    cursor,
-                    seg,
-                    off,
-                    n,
-                    opened,
-                });
             }
+            let n = n
+                .min((self.seg_blocks - off - 1) as usize)
+                .min(MAX_SUMMARY_ENTRIES);
+            self.wps[shard] = (seg, off + 1 + n as u32);
+            return Some(Chunk {
+                seg,
+                off,
+                n,
+                opened,
+            });
         }
         None
     }
 
-    /// Every place `(cursor, seg, off)` where [`Placement::next`] can have
-    /// put chunk `seq`, shard `seq % nshards` first: each cursor where it
-    /// stands, or at its shard's lowest clean segment when it has no room.
-    /// The chunk's stream is not known, so every stream's cursors are
-    /// candidates, and a summary that decodes to this `seq` says which
-    /// place holds it.
-    ///
-    /// A place two full cursors of one shard share is listed once, for the
-    /// first of them. If the other one opened it, roll-forward carries on
-    /// with the two cursors' streams swapped, and the one left full stays
-    /// parked on the other full segment. Every later chunk is still among
-    /// the candidates: the cursors with room stand where the layout's do,
-    /// and every full cursor of a shard leads to the same place.
+    /// Every place `(shard, seg, off)` where [`Placement::next`] can have
+    /// put chunk `seq`, shard `seq % nshards` first: each shard's cursor
+    /// where it stands, or at its shard's lowest clean segment when it has
+    /// no room. A summary that decodes to this `seq` says which place
+    /// holds it.
     pub(crate) fn candidates(&self, seq: u64) -> Vec<(usize, u32, u32)> {
         let nsh = self.nshards;
-        let mut out: Vec<(usize, u32, u32)> = Vec::new();
-        for k in 0..nsh as u64 {
-            let shard = ((seq + k) % nsh as u64) as usize;
-            for cursor in (shard..self.wps.len()).step_by(nsh) {
-                let (seg, off) = match self.wps[cursor] {
-                    (seg, off) if self.has_room(off) => (seg, off),
-                    _ => match self.pools[shard].last() {
-                        Some(&fresh) => (fresh, 0),
-                        None => continue,
-                    },
-                };
-                if !out.iter().any(|&(_, s, o)| (s, o) == (seg, off)) {
-                    out.push((cursor, seg, off));
-                }
-            }
-        }
-        out
+        let place = |shard: usize| match self.wps[shard] {
+            (seg, off) if self.has_room(off) => Some((shard, seg, off)),
+            _ => self.pools[shard].last().map(|&fresh| (shard, fresh, 0)),
+        };
+        (0..nsh as u64)
+            .filter_map(|k| place(((seq + k) % nsh as u64) as usize))
+            .collect()
     }
 
-    /// Moves `cursor` past a chunk of `n` blocks found at `(seg, off)`, one
-    /// of [`Placement::candidates`]. Returns the segment the cursor left
-    /// when the chunk opened a fresh one.
-    pub(crate) fn adopt(&mut self, cursor: usize, seg: u32, off: u32, n: usize) -> Option<u32> {
-        let left = std::mem::replace(&mut self.wps[cursor], (seg, off + 1 + n as u32)).0;
+    /// Moves `shard`'s cursor past a chunk of `n` blocks found at `(seg,
+    /// off)`, one of [`Placement::candidates`]. Returns the segment the
+    /// cursor left when the chunk opened a fresh one.
+    pub(crate) fn adopt(&mut self, shard: usize, seg: u32, off: u32, n: usize) -> Option<u32> {
+        let left = std::mem::replace(&mut self.wps[shard], (seg, off + 1 + n as u32)).0;
         if seg == left {
             return None;
         }
-        self.pools[cursor % self.nshards].retain(|&s| s != seg);
+        self.pools[shard].retain(|&s| s != seg);
         Some(left)
     }
 
-    /// Adds one stream: a cursor on every shard, each at the start of its
-    /// shard's lowest clean segment. Returns false, and changes nothing,
-    /// when some shard's pool is empty.
+    /// Opens the write points of a placement made without any: a cursor
+    /// on every shard, each at the start of its shard's lowest clean
+    /// segment. Returns false, and changes nothing, when some shard's pool
+    /// is empty.
     pub(crate) fn open_row(&mut self) -> bool {
+        debug_assert!(self.wps.is_empty(), "one cursor per shard");
         if self.pools.iter().any(Vec::is_empty) {
             return false;
         }
@@ -357,54 +325,34 @@ mod tests {
         assert_eq!(PTRS_PER_BLOCK, 512);
     }
 
-    /// Two streams on two shards, 8-block segments. A chunk whose own
-    /// cursor is full on a shard with an empty pool goes to its own stream
-    /// on the next shard, not to the other stream's cursor on its shard.
-    #[test]
-    fn next_tries_its_own_stream_on_every_shard_before_the_next_stream() {
-        let full = |c: Chunk| (c.cursor, c.seg, c.off, c.n, c.opened);
-        // Stream 0 is full on both shards; only shard 1 has a clean segment.
-        let wps = vec![(0, 8), (1, 7), (2, 0), (3, 0)];
-        let mut place = Placement::new(8, 2, wps, [(5, 1)], 0);
-        // Chunk 2 prefers shard 0, where stream 1 has room, but opens
-        // stream 0's next segment on shard 1.
-        assert_eq!(full(place.next(2, 0, 3).unwrap()), (1, 5, 0, 3, true));
-        assert_eq!(full(place.next(3, 0, 10).unwrap()), (1, 5, 4, 3, false));
-        // Stream 0 has no room left anywhere: stream 1's cursors, shard
-        // `seq % nshards` first.
-        assert_eq!(full(place.next(4, 0, 2).unwrap()), (2, 2, 0, 2, false));
-        assert_eq!(full(place.next(5, 0, 2).unwrap()), (3, 3, 0, 2, false));
-        assert_eq!(place.wps, [(0, 8), (5, 8), (2, 3), (3, 3)]);
-    }
-
     #[test]
     fn open_row_takes_every_shards_lowest_clean_segment_or_nothing() {
-        let mut place = Placement::new(8, 2, vec![(0, 3), (1, 0)], [(2, 0), (4, 0), (5, 1)], 0);
+        let mut place = Placement::new(8, 2, vec![], [(2, 0), (4, 0), (5, 1)], 0);
         assert!(place.open_row());
-        assert_eq!(place.wps, [(0, 3), (1, 0), (2, 0), (5, 0)]);
-        assert!(!place.open_row(), "shard 1 has no clean segment left");
-        assert_eq!(place.streams(), 2);
+        assert_eq!(place.into_write_points(), [(2, 0), (5, 0)]);
+        let mut place = Placement::new(8, 2, vec![], [(2, 0), (4, 0)], 0);
+        assert!(!place.open_row(), "shard 1 has no clean segment");
+        assert!(place.into_write_points().is_empty());
     }
 
     /// A random start: `nsh` shards (segment `g` on shard `g % nsh`) of
-    /// `per_shard` segments, a cursor for each of `nstr` streams on each
-    /// shard at a random segment and offset, and a random clean set among
-    /// the other segments.
+    /// `per_shard` segments, a cursor on each shard at a random segment
+    /// and offset, and a random clean set among the other segments.
     type Start = (Vec<(u32, u32)>, Vec<(u32, usize)>);
 
     fn random_start(
-        (nsh, nstr, per_shard, seg_blocks): (usize, usize, usize, u32),
+        (nsh, per_shard, seg_blocks): (usize, usize, u32),
         picks: &[usize],
         clean_mask: &[bool],
     ) -> Start {
         let mut free: Vec<Vec<u32>> = (0..nsh)
             .map(|s| (0..per_shard).map(|i| (i * nsh + s) as u32).collect())
             .collect();
-        let wps = (0..nsh * nstr)
-            .map(|c| {
-                let pool = &mut free[c % nsh];
-                let seg = pool.remove(picks[2 * c] % pool.len());
-                (seg, picks[2 * c + 1] as u32 % (seg_blocks + 1))
+        let wps = (0..nsh)
+            .map(|s| {
+                let pool = &mut free[s];
+                let seg = pool.remove(picks[2 * s] % pool.len());
+                (seg, picks[2 * s + 1] as u32 % (seg_blocks + 1))
             })
             .collect();
         let mut clean: Vec<(u32, usize)> = free
@@ -420,45 +368,37 @@ mod tests {
     proptest::proptest! {
         /// The layout's placement and roll-forward's search are the same
         /// rule: every chunk `next` lays out is among its `seq`'s
-        /// candidates, and adopting each one where it was found ends on the
-        /// layout's final write points. That is, on each shard, the same
-        /// cursors with room at the same places and as many full ones:
-        /// which stream holds which cursor of a shard, and which full
-        /// segment a full cursor is parked on, is what roll-forward cannot
-        /// tell (see [`Placement::candidates`]).
+        /// candidates, on the shard that carried it, and adopting each one
+        /// where it was found ends on exactly the layout's final write
+        /// points.
         #[test]
         fn candidates_find_every_chunk_next_placed(
-            geometry in (1usize..=3, 1usize..=3, 1usize..=6, 3u32..=8),
-            picks in proptest::collection::vec(0usize..64, 18),
-            clean_mask in proptest::collection::vec(proptest::prelude::any::<bool>(), 54),
+            geometry in (1usize..=3, 1usize..=6, 3u32..=8),
+            picks in proptest::collection::vec(0usize..64, 6),
+            clean_mask in proptest::collection::vec(proptest::prelude::any::<bool>(), 21),
             reserve in proptest::prop_oneof![proptest::prelude::Just(0usize), proptest::prelude::Just(2)],
             seq0 in 0u64..40,
-            flushes in proptest::collection::vec(proptest::collection::vec(0usize..=12, 4), 1..8),
+            flushes in proptest::collection::vec(0usize..=24, 1..8),
         ) {
-            let (nsh, nstr, per_shard, seg_blocks) = geometry;
-            let per_shard = per_shard + nstr;
-            let (wps, clean) =
-                random_start((nsh, nstr, per_shard, seg_blocks), &picks, &clean_mask);
-            let ngroups = if nstr == 1 { 1 } else { nstr + 1 };
+            let (nsh, per_shard, seg_blocks) = geometry;
+            let per_shard = per_shard + 1;
+            let (wps, clean) = random_start((nsh, per_shard, seg_blocks), &picks, &clean_mask);
 
             // Lay out flush after flush; a flush that finds no space changes
             // nothing, as the layout discards a failed plan.
             let mut place = Placement::new(seg_blocks, nsh, wps.clone(), clean.clone(), reserve);
             let mut laid: Vec<(u64, Chunk)> = Vec::new();
             let mut seq = seq0;
-            'flushes: for counts in &flushes {
+            'flushes: for &count in &flushes {
                 let (mut trial, mut s, mut chunks) = (place.clone(), seq, Vec::new());
-                for (g, &count) in counts[..ngroups].iter().enumerate() {
-                    let stream = if g < nstr { g } else { 0 };
-                    let mut left = count;
-                    while left > 0 {
-                        s += 1;
-                        let Some(c) = trial.next(s, stream, left) else {
-                            break 'flushes;
-                        };
-                        left -= c.n;
-                        chunks.push((s, c));
-                    }
+                let mut left = count;
+                while left > 0 {
+                    s += 1;
+                    let Some(c) = trial.next(s, left) else {
+                        break 'flushes;
+                    };
+                    left -= c.n;
+                    chunks.push((s, c));
                 }
                 (place, seq) = (trial, s);
                 laid.extend(chunks);
@@ -471,23 +411,13 @@ mod tests {
                     .candidates(seq)
                     .into_iter()
                     .find(|&(_, seg, off)| (seg, off) == (c.seg, c.off));
-                let Some((cursor, ..)) = found else {
+                let Some((shard, ..)) = found else {
                     panic!("chunk {seq} at {:?} is not among its candidates", (c.seg, c.off));
                 };
-                proptest::prop_assert_eq!(cursor % nsh, c.cursor % nsh);
-                back.adopt(cursor, c.seg, c.off, c.n);
+                proptest::prop_assert_eq!(shard, c.seg as usize % nsh);
+                back.adopt(shard, c.seg, c.off, c.n);
             }
-            let per_shard_wps = |p: &Placement| {
-                let mut v: Vec<(usize, Option<(u32, u32)>)> = p
-                    .wps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(seg, off))| (i % nsh, p.has_room(off).then_some((seg, off))))
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            proptest::prop_assert_eq!(per_shard_wps(&back), per_shard_wps(&place));
+            proptest::prop_assert_eq!(back.wps, place.wps);
         }
     }
 }

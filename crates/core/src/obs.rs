@@ -141,16 +141,6 @@ impl<D: QueueDevice> Lfs<D> {
                 reg.gauge("queue.mean_in_flight_depth").set(mean);
             }
         }
-        // Per-temperature-stream fill rates (stream 0 is the hottest;
-        // a single-stream system publishes only stream 0) and the heat
-        // estimator's coverage.
-        for t in 0..self.stream_count() {
-            reg.counter(&format!("lfs.stream.{t}.bytes_written"))
-                .store(self.stats().stream_bytes(t));
-        }
-        if !self.heat.is_empty() {
-            reg.gauge("lfs.heat.tracked").set(self.heat.len() as f64);
-        }
         // On a multi-volume set, publish per-shard counters next to the
         // aggregates so an operator can spot a skewed or starved disk.
         let shards = self.dev.shard_count();

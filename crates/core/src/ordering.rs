@@ -63,7 +63,7 @@
 //! let cp = Checkpoint {
 //!     epoch: 1, seq: 1, timestamp: 0, cur_seg: 0, cur_off: 1,
 //!     extra_write_points: vec![],
-//!     imap_addrs: vec![], usage_addrs: vec![], live_bytes: vec![], heat: vec![],
+//!     imap_addrs: vec![], usage_addrs: vec![], live_bytes: vec![],
 //! };
 //! cp.write_ordered(&mut dev, CR0_ADDR, ready).unwrap();
 //! assert_eq!(Checkpoint::read_from(&mut dev, CR0_ADDR).unwrap(), cp);
@@ -105,7 +105,7 @@
 //! let cp = Checkpoint {
 //!     epoch: 1, seq: 1, timestamp: 0, cur_seg: 0, cur_off: 1,
 //!     extra_write_points: vec![],
-//!     imap_addrs: vec![], usage_addrs: vec![], live_bytes: vec![], heat: vec![],
+//!     imap_addrs: vec![], usage_addrs: vec![], live_bytes: vec![],
 //! };
 //! // ERROR: expected `CheckpointReady`, found `Flush<DataWritten>`
 //! cp.write_ordered(&mut dev, CR0_ADDR, written).unwrap();
@@ -124,7 +124,7 @@
 //! let cp = Checkpoint {
 //!     epoch: 1, seq: 1, timestamp: 0, cur_seg: 0, cur_off: 1,
 //!     extra_write_points: vec![],
-//!     imap_addrs: vec![], usage_addrs: vec![], live_bytes: vec![], heat: vec![],
+//!     imap_addrs: vec![], usage_addrs: vec![], live_bytes: vec![],
 //! };
 //! cp.write_ordered(&mut dev, CR0_ADDR, ready).unwrap();
 //! cp.write_ordered(&mut dev, CR1_ADDR, ready).unwrap(); // ERROR: use of moved value

@@ -173,17 +173,11 @@ impl<D: QueueDevice> Lfs<D> {
         roll_forward: bool,
     ) -> FsResult<()> {
         let corrupt = |what: &str| FsError::Corrupt(format!("checkpoint: {what}"));
-        // One write point per (stream, shard) pair, stored stream-major,
-        // each on its own shard. A checkpoint from a volume set of a
-        // different width describes a different disk geometry entirely;
-        // a different *stream* count is fine (the count is a tuning
-        // knob, not geometry) and is reconciled with the mount
-        // configuration after roll-forward.
+        // Exactly one write point per shard, each on its own shard. A
+        // checkpoint from a volume set of a different width describes a
+        // different disk geometry entirely.
         let wps = cp.write_points();
-        if wps.is_empty()
-            || !wps.len().is_multiple_of(self.nshards)
-            || wps.len() / self.nshards > crate::stats::MAX_STREAMS
-        {
+        if wps.len() != self.nshards {
             return Err(corrupt("write-point count does not match shard count"));
         }
         for (i, &(seg, off)) in wps.iter().enumerate() {
@@ -193,7 +187,7 @@ impl<D: QueueDevice> Lfs<D> {
             if off > self.sb.seg_blocks {
                 return Err(corrupt("log head offset out of range"));
             }
-            if self.shard_of_seg(seg) != i % self.nshards {
+            if self.shard_of_seg(seg) != i {
                 return Err(corrupt("write point on wrong shard"));
             }
         }
@@ -246,10 +240,6 @@ impl<D: QueueDevice> Lfs<D> {
         self.write_seq = cp.seq;
         self.checkpoint_seq = cp.seq;
         self.clock = cp.timestamp;
-        // Seed the heat estimator from the checkpoint's snapshot so
-        // temperature routing resumes where the last incarnation left
-        // off instead of treating every file as cold.
-        self.heat.restore(&cp.heat, cp.timestamp);
         self.next_cr = 1 - idx;
         self.write_points = wps;
 
@@ -268,37 +258,7 @@ impl<D: QueueDevice> Lfs<D> {
         // Only now is the map final: an inode the tail adopted must not
         // stay on the free list, or the next create reuses a live number.
         self.imap.rebuild_free_list();
-        self.reconcile_streams(self.write_seq);
         Ok(())
-    }
-
-    /// Brings the cursor set to the configured stream count after the
-    /// checkpoint (and any roll-forward) restored the on-disk cursors.
-    ///
-    /// This runs strictly *after* roll-forward: the tail may have been
-    /// written into segments the checkpoint still records as Clean, so
-    /// grabbing clean segments for new cursors any earlier could steal a
-    /// segment the tail lives in. Growing adds whole rows (one cursor
-    /// per shard) from the clean pool and stops early — without error —
-    /// when some shard has no clean segment left; shrinking seals the
-    /// coldest rows. Either way the end-of-mount checkpoint persists the
-    /// reconciled set.
-    fn reconcile_streams(&mut self, seal_seq: u64) {
-        let want = self.cfg.streams.clamp(1, crate::stats::MAX_STREAMS as u32) as usize;
-        if self.stream_count() < want {
-            let (mut place, old) = (self.placement(0), self.write_points.len());
-            while place.streams() < want && place.open_row() {}
-            self.write_points = place.into_write_points();
-            for &(seg, _) in &self.write_points[old..] {
-                self.usage.set_state(seg, SegState::Active);
-            }
-        }
-        if self.stream_count() > want {
-            for (seg, _) in self.write_points.split_off(want * self.nshards) {
-                self.usage.set_state(seg, SegState::Dirty);
-                self.usage.set_seal_seq(seg, seal_seq);
-            }
-        }
     }
 
     /// Scans the log tail written after checkpoint `cp` and recovers it.
@@ -317,7 +277,7 @@ impl<D: QueueDevice> Lfs<D> {
         let mut place = self.placement(0);
         let mut records: Vec<DirLogRecord> = Vec::new();
         let mut seq = cp.seq + 1;
-        while let Some((cur, (seg, off), summary)) = self.locate_chunk(cp.epoch, seq, &place) {
+        while let Some((shard, (seg, off), summary)) = self.locate_chunk(cp.epoch, seq, &place) {
             let nent = summary.entries.len() as u32;
             if off + 1 + nent > self.sb.seg_blocks {
                 break;
@@ -339,7 +299,7 @@ impl<D: QueueDevice> Lfs<D> {
             if !blocks.all(|(b, e)| crate::codec::block_checksum(b) == e.csum) {
                 break;
             }
-            if let Some(filled) = place.adopt(cur, seg, off, nent as usize) {
+            if let Some(filled) = place.adopt(shard, seg, off, nent as usize) {
                 // The chunk opened a fresh segment: the one its cursor
                 // filled was sealed by the chunk before.
                 self.usage.set_state(filled, SegState::Dirty);
@@ -362,7 +322,7 @@ impl<D: QueueDevice> Lfs<D> {
     }
 
     /// Finds chunk `seq` of the tail, given the placement `place` the
-    /// chunks before it left: the cursor that carried it, where it
+    /// chunks before it left: the shard whose cursor carried it, where it
     /// starts, and its summary. `None` is the end of the log.
     ///
     /// The places come from [`Placement::candidates`], the layout's own
@@ -376,13 +336,13 @@ impl<D: QueueDevice> Lfs<D> {
         place: &Placement,
     ) -> Option<(usize, (u32, u32), Summary)> {
         let mut buf = vec![0u8; BLOCK_SIZE];
-        for (cur, seg, off) in place.candidates(seq) {
+        for (shard, seg, off) in place.candidates(seq) {
             let addr = self.sb.seg_start(seg) + off as u64;
             if self.read_retry(addr, &mut buf).is_err() {
                 continue;
             }
             match Summary::decode(&buf) {
-                Ok(s) if s.epoch == epoch && s.seq == seq => return Some((cur, (seg, off), s)),
+                Ok(s) if s.epoch == epoch && s.seq == seq => return Some((shard, (seg, off), s)),
                 _ => {}
             }
         }

@@ -58,11 +58,6 @@ impl BlockKind {
     }
 }
 
-/// Upper bound on temperature-keyed write streams per shard (hot, warm,
-/// cold, plus one spare class). Sizes the fixed per-stream counter
-/// arrays so [`LfsStats`] stays `Copy`.
-pub const MAX_STREAMS: usize = 4;
-
 /// Statistics of the segment cleaner (the inputs to Table 2).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CleanerStats {
@@ -131,10 +126,6 @@ pub struct LfsStats {
     log_bytes: [u64; 7],
     /// Bytes appended to the log by the cleaner, per block kind.
     cleaner_log_bytes: [u64; 7],
-    /// Bytes appended to the log per temperature stream (chunk payloads
-    /// plus their summaries, attributed to the stream whose write point
-    /// carried them). All traffic lands in stream 0 when `streams = 1`.
-    stream_bytes: [u64; MAX_STREAMS],
     /// Cleaner statistics.
     pub cleaner: CleanerStats,
     /// Checkpoints performed.
@@ -176,16 +167,6 @@ impl LfsStats {
         } else {
             self.log_bytes[kind.index()] += bytes;
         }
-    }
-
-    /// Records `bytes` carried by temperature stream `stream`.
-    pub fn add_stream_bytes(&mut self, stream: usize, bytes: u64) {
-        self.stream_bytes[stream.min(MAX_STREAMS - 1)] += bytes;
-    }
-
-    /// Bytes carried by temperature stream `stream` so far.
-    pub fn stream_bytes(&self, stream: usize) -> u64 {
-        self.stream_bytes[stream.min(MAX_STREAMS - 1)]
     }
 
     /// Bytes of `kind` written to the log (including cleaner rewrites).

@@ -184,11 +184,10 @@ proptest! {
         imap_addrs in proptest::collection::vec(any::<u64>(), 0..50),
         usage_addrs in proptest::collection::vec(any::<u64>(), 0..20),
         live_bytes in proptest::collection::vec(any::<u32>(), 0..100),
-        heat in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..32),
     ) {
         let cp = Checkpoint {
             epoch, seq, timestamp, cur_seg, cur_off, extra_write_points,
-            imap_addrs, usage_addrs, live_bytes, heat,
+            imap_addrs, usage_addrs, live_bytes,
         };
         let enc = cp.encode().unwrap();
         prop_assert_eq!(Checkpoint::decode(&enc).unwrap(), cp);

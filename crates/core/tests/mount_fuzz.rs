@@ -11,9 +11,11 @@
 use std::sync::OnceLock;
 
 use blockdev::{MemDisk, BLOCK_SIZE};
+use lfs_core::checkpoint::Checkpoint;
+use lfs_core::layout::{CR0_ADDR, CR1_ADDR};
 use lfs_core::{Lfs, LfsConfig};
 use proptest::prelude::*;
-use vfs::FileSystem;
+use vfs::{FileSystem, FsError};
 
 fn cfg() -> LfsConfig {
     LfsConfig::small()
@@ -91,5 +93,29 @@ proptest! {
         let cut = keep.index(img.len());
         img[cut..].fill(fill);
         mount_must_not_panic(img);
+    }
+}
+
+/// One log head per shard: a single-volume checkpoint that lists two
+/// write points (what a file system with two temperature-keyed write
+/// streams wrote) is refused with an error, not mounted and not a panic.
+#[test]
+fn a_second_write_point_on_one_volume_is_refused() {
+    let mut dev = MemDisk::from_image(base_image().to_vec());
+    let regions = [CR0_ADDR, CR1_ADDR];
+    let (mut cp, _) = Checkpoint::read_latest(&mut dev, regions).unwrap();
+    assert!(cp.extra_write_points.is_empty());
+    let free = (0..cp.live_bytes.len() as u32)
+        .rev()
+        .find(|&s| cp.live_bytes[s as usize] == 0 && s != cp.cur_seg)
+        .unwrap();
+    cp.extra_write_points = vec![(free, 0)];
+    for region in regions {
+        cp.write_to(&mut dev, region).unwrap();
+    }
+    match Lfs::mount(dev, cfg()) {
+        Err(FsError::Corrupt(msg)) => assert!(msg.contains("write-point count"), "{msg}"),
+        Err(e) => panic!("refused for the wrong reason: {e}"),
+        Ok(_) => panic!("a two-write-point single-volume checkpoint mounted"),
     }
 }

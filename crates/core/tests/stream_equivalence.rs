@@ -1,28 +1,18 @@
-//! Temperature-stream equivalence pins.
+//! Layout golden pins.
 //!
-//! PR 10 introduced temperature-keyed write streams (hot/warm/cold write
-//! points layered on the per-shard write points). The default
-//! configuration keeps `streams = 1`, and this file pins that
-//! configuration to the exact behaviour of the pre-stream image:
-//!
-//! 1. **Golden bit-identity** — a fixed deterministic workload on a
-//!    `SimDisk` (and on a two-shard `VolumeSet`) must produce the exact
-//!    image hash and simulated service-time statistics recorded from the
-//!    tree immediately before the stream machinery landed. Any code path
-//!    that perturbs single-stream layout, cleaning, or timing trips this.
-//! 2. **Content equivalence** — multi-stream configurations must agree
-//!    with single-stream on every byte of every file, across random
-//!    workloads and a remount (streams change placement, never contents).
-//! 3. **Crash recovery** — a crash cut mid-multi-stream-flush recovers
-//!    every write point (one per (shard, temperature) pair).
+//! A fixed deterministic workload on a `SimDisk` (and on a two-shard
+//! `VolumeSet`) must produce the exact image hash and simulated
+//! service-time statistics pinned below, and a cold read-back of its
+//! files the exact device requests. Any code path that perturbs layout,
+//! cleaning or timing trips them. They were first captured as the
+//! single-stream half of the file system's temperature-keyed write
+//! streams; with the streams gone, one log head per shard is the only
+//! layout and the pins hold it.
 
-use blockdev::{BlockDevice, CrashDisk, DiskModel, MemDisk, SimDisk, VolumeSet};
+use blockdev::{BlockDevice, DiskModel, SimDisk, VolumeSet};
 use lfs_core::layout::SEGMENTS_START;
-use lfs_core::{InvariantSuite, Lfs, LfsConfig};
-use proptest::prelude::*;
-use vfs::{FileSystem, Ino, Op};
-
-mod common;
+use lfs_core::{Lfs, LfsConfig};
+use vfs::FileSystem;
 
 const SEG_BLOCKS: u64 = 16;
 
@@ -218,8 +208,6 @@ fn cold_read_back_matches_pinned_requests_and_service_time() {
     assert_eq!(got, GOLDEN_READ);
 }
 
-// ---- content equivalence ------------------------------------------------
-
 /// Reads back every workload file (`None` when it does not exist).
 fn contents<D: blockdev::QueueDevice>(fs: &mut Lfs<D>) -> Vec<Option<Vec<u8>>> {
     (0..6)
@@ -228,114 +216,4 @@ fn contents<D: blockdev::QueueDevice>(fs: &mut Lfs<D>) -> Vec<Option<Vec<u8>>> {
             Err(_) => None,
         })
         .collect()
-}
-
-#[test]
-fn multi_stream_multi_shard_agrees_with_single_stream_on_contents() {
-    let mem_set = || {
-        let shards: Vec<MemDisk> = (0..2)
-            .map(|_| MemDisk::new(SEGMENTS_START + 64 * SEG_BLOCKS))
-            .collect();
-        VolumeSet::new(shards, SEGMENTS_START, SEG_BLOCKS)
-    };
-    let mut base = run_golden(mem_set(), LfsConfig::small());
-    let mut streamed = run_golden(mem_set(), LfsConfig::small().with_streams(3));
-    assert_eq!(
-        contents(&mut base),
-        contents(&mut streamed),
-        "temperature streams changed file contents"
-    );
-}
-
-fn op_strategy() -> impl Strategy<Value = Option<Op>> {
-    (0u8..10, 0u8..6, 0u32..120_000, 1u16..8192, any::<u8>()).prop_map(
-        |(sel, file, offset, len, fill)| {
-            let (file, offset) = (file as Ino, offset as u64);
-            match sel {
-                0..=5 => Some(Op::Write(file, offset, vec![fill; len as usize])),
-                6 => Some(Op::Truncate(file, offset)),
-                7 => Some(Op::Unlink(common::path(file))),
-                8 => Some(Op::Sync),
-                _ => None,
-            }
-        },
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// Streams change *placement*, never contents: a three-stream file
-    /// system must agree with a single-stream one on every byte of
-    /// every file — including after a remount of the streamed image
-    /// (checkpointed cursors, heat snapshot, roll-forward all replayed).
-    #[test]
-    fn three_streams_agree_with_one_on_contents(
-        ops in proptest::collection::vec(op_strategy(), 1..120)
-    ) {
-        let cfg1 = LfsConfig::small();
-        let cfg3 = LfsConfig::small().with_streams(3);
-        let mut one = Lfs::format(MemDisk::new(4096), cfg1).expect("format");
-        let mut three = Lfs::format(MemDisk::new(4096), cfg3).expect("format");
-        let stream = common::stream(&ops);
-        common::run(&mut one, &stream);
-        common::run(&mut three, &stream);
-        one.sync().expect("sync");
-        three.sync().expect("sync");
-        let want = contents(&mut one);
-        prop_assert_eq!(&want, &contents(&mut three));
-        // Remount the streamed image and compare again.
-        let mut back = Lfs::mount(three.into_device(), cfg3).expect("mount");
-        prop_assert_eq!(back.write_points().len(), 3);
-        prop_assert_eq!(&want, &contents(&mut back));
-    }
-}
-
-// ---- crash recovery -----------------------------------------------------
-
-/// Cuts the log at every write boundary of a flush that spans all three
-/// temperature streams and asserts the invariant suite plus stream-cursor
-/// restoration on the survivor.
-#[test]
-fn crash_mid_multi_stream_flush_recovers_every_write_point() {
-    let cfg = LfsConfig::small().with_streams(3);
-    let mut fs = Lfs::format(CrashDisk::new(2048), cfg).unwrap();
-    // Build heat: /hot rewritten often, /cold written once.
-    let hot = fs.create("/hot").unwrap();
-    let cold = fs.create("/cold").unwrap();
-    fs.write(cold, 0, &vec![0xcc; 30_000]).unwrap();
-    for round in 0..6u8 {
-        fs.write(hot, 0, &vec![round; 20_000]).unwrap();
-        fs.sync().unwrap();
-    }
-    fs.device_mut().checkpoint_baseline();
-    // One batch dirtying all temperatures, then the flush under test.
-    fs.write(hot, 0, &vec![0xaa; 24_000]).unwrap();
-    fs.write(cold, 4096, &vec![0xdd; 16_000]).unwrap();
-    let fresh = fs.create("/fresh").unwrap();
-    fs.write(fresh, 0, &vec![0xee; 12_000]).unwrap();
-    fs.sync().unwrap();
-    let suite = InvariantSuite::new();
-    let crash: &CrashDisk = fs.device();
-    let n = crash.num_writes();
-    assert!(n > 0, "the batch must actually reach the device");
-    for cut in 0..=n {
-        let image = crash.image_after(cut).unwrap();
-        let (report, survivor) = suite.verify_device(image, cfg);
-        assert!(report.is_ok(), "cut {cut}/{n}: {report}");
-        let mut fs2 = survivor.unwrap_or_else(|| panic!("cut {cut}/{n}: no mounted fs"));
-        // Every (stream, shard) write point is restored and on a valid
-        // segment; the baseline data survives every cut.
-        assert_eq!(fs2.write_points().len(), 3, "cut {cut}/{n}");
-        let c = fs2.lookup("/cold").unwrap();
-        let data = fs2.read_to_vec(c).unwrap();
-        assert_eq!(&data[..8], &[0xcc; 8], "cut {cut}/{n}: baseline data lost");
-        let h = fs2.lookup("/hot").unwrap();
-        let hdata = fs2.read_to_vec(h).unwrap();
-        assert!(
-            hdata[0] == 5 || hdata[0] == 0xaa,
-            "cut {cut}/{n}: hot file in impossible state ({:#x})",
-            hdata[0]
-        );
-    }
 }

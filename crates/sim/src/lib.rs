@@ -21,6 +21,7 @@
 //! - Figure 6 — the bimodal distribution under cost-benefit cleaning;
 //! - Figure 7 — write cost of cost-benefit vs greedy.
 
+mod heat;
 mod histogram;
 mod simulator;
 pub mod sweep;

@@ -5,8 +5,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use lfs_policy::heat;
-
+use crate::heat;
 use crate::histogram::Histogram;
 use crate::{AccessPattern, SimConfig};
 

@@ -177,34 +177,6 @@ fn print_cleaner(snap: &MetricsSnapshot) -> bool {
         }
     }
 
-    // Per-temperature-stream fill rates (stream 0 is the hottest).
-    let stream = |i: usize| c(&format!("lfs.stream.{i}.bytes_written"));
-    let mut per_stream = Vec::new();
-    while let Some(b) = stream(per_stream.len()) {
-        per_stream.push(b);
-    }
-    if per_stream.len() > 1 {
-        let total: u64 = per_stream.iter().sum::<u64>().max(1);
-        let rows: Vec<Vec<String>> = per_stream
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| {
-                let label = match i {
-                    0 => "hot",
-                    _ if i == per_stream.len() - 1 => "cold",
-                    _ => "warm",
-                };
-                vec![
-                    i.to_string(),
-                    label.to_string(),
-                    format!("{:.1}", b as f64 / 1e6),
-                    format!("{:.1}%", b as f64 * 100.0 / total as f64),
-                ]
-            })
-            .collect();
-        println!("Write streams:");
-        println!("{}", render(&["stream", "class", "MBw", "share"], &rows));
-    }
     println!();
     true
 }
@@ -214,10 +186,8 @@ fn print_snapshot(snap: &MetricsSnapshot) {
     let cleaner_shown = print_cleaner(snap);
     // Keys already rendered in a dedicated panel stay out of the generic
     // dump.
-    let in_panel = |k: &str| {
-        k.starts_with("shard.")
-            || (cleaner_shown && (k.starts_with("lfs.cleaner.") || k.starts_with("lfs.stream.")))
-    };
+    let in_panel =
+        |k: &str| k.starts_with("shard.") || (cleaner_shown && k.starts_with("lfs.cleaner."));
     if !snap.counters.is_empty() {
         println!("Counters:");
         let rows: Vec<Vec<String>> = snap

@@ -59,11 +59,7 @@
 //! submission path and the shared-mount writer lane under the same
 //! torture.
 //!
-//! With `--streams N` (N > 1) the log runs N temperature-keyed write
-//! streams (hot/warm/cold write points per shard), so fault injection
-//! and crash cuts exercise the multi-cursor flush and recovery paths.
-//!
-//! Usage: `torture [--seeds N] [--start S] [--ops K] [--cuts C] [--queue N] [--clients N] [--volumes N] [--streams N] [--rot] [--verbose] [--metrics PATH]`
+//! Usage: `torture [--seeds N] [--start S] [--ops K] [--cuts C] [--queue N] [--clients N] [--volumes N] [--rot] [--verbose] [--metrics PATH]`
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -92,7 +88,6 @@ struct Options {
     queue: usize,
     clients: usize,
     volumes: usize,
-    streams: u32,
     rot: bool,
     verbose: bool,
     metrics: Option<String>,
@@ -101,7 +96,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: torture [--seeds N] [--start S] [--ops K] [--cuts C] [--queue N] [--clients N] \
-         [--volumes N] [--streams N] [--rot] [--verbose] [--metrics PATH]"
+         [--volumes N] [--rot] [--verbose] [--metrics PATH]"
     );
     std::process::exit(2);
 }
@@ -115,7 +110,6 @@ fn parse_args() -> Options {
         queue: 1,
         clients: 1,
         volumes: 1,
-        streams: 1,
         rot: false,
         verbose: false,
         metrics: None,
@@ -137,7 +131,6 @@ fn parse_args() -> Options {
             "--queue" => opts.queue = (take(&mut i) as usize).max(1),
             "--clients" => opts.clients = (take(&mut i) as usize).max(1),
             "--volumes" => opts.volumes = (take(&mut i) as usize).max(1),
-            "--streams" => opts.streams = (take(&mut i) as u32).max(1),
             "--rot" => opts.rot = true,
             "--metrics" => {
                 i += 1;
@@ -370,7 +363,7 @@ fn run_seed<D: TortureDev>(
     obs: &lfs_obs::Obs,
     make: impl FnOnce(Vec<FaultDisk<CrashDisk>>) -> D,
 ) -> Result<(), String> {
-    let mut cfg = LfsConfig::small().with_streams(opts.streams);
+    let mut cfg = LfsConfig::small();
     // Consecutive seeds rotate through the cleaning policies, so every
     // smoke covers all of them and a seed still replays exactly.
     let policies = lfs_core::CleaningPolicy::ALL;
@@ -526,7 +519,7 @@ fn run_seed_clients<D: TortureDev + Send>(
     obs: &lfs_obs::Obs,
     make: impl FnOnce(Vec<FaultDisk<CrashDisk>>) -> D,
 ) -> Result<(), String> {
-    let cfg = LfsConfig::small().with_streams(opts.streams);
+    let cfg = LfsConfig::small();
     let clients = opts.clients;
     // Scale the disk so N clients' private hot sets (plus cleaner slack)
     // fit; NoSpace under churn is still tolerable, like in classic mode.

@@ -91,9 +91,9 @@ fn crash_workload_then_recovery() {
 }
 
 #[test]
-fn kv_churn_on_multi_stream_lfs() {
+fn kv_churn_on_lfs() {
     use workload::{KvChurn, KvRun};
-    let cfg = LfsConfig::small().with_streams(3);
+    let cfg = LfsConfig::small();
     let mut fs = Lfs::format(MemDisk::new(8192), cfg).unwrap();
     let mut kv = KvRun::setup(
         &mut fs,
@@ -118,9 +118,9 @@ fn kv_churn_on_multi_stream_lfs() {
 }
 
 #[test]
-fn wal_on_multi_stream_lfs_and_survives_remount() {
+fn wal_on_lfs_and_survives_remount() {
     use workload::{WalConfig, WalRun};
-    let cfg = LfsConfig::small().with_streams(3);
+    let cfg = LfsConfig::small();
     let mut fs = Lfs::format(MemDisk::new(8192), cfg).unwrap();
     let mut wal = WalRun::create(
         &mut fs,
