@@ -42,9 +42,14 @@ pub fn disk_mb(mb: u64) -> SimDisk {
 /// the production-workload experiments: 512 KB segments (one of the
 /// paper's two sizes), an inode map sized to the expected file count, and
 /// cleaning watermarks that are a small fraction of the segment count.
+///
+/// It pins the paper's cost-benefit policy with age-sort, which the
+/// shipped default ([`LfsConfig::default`], greedy) does not use: Figure 10
+/// and Tables 2 and 4 reproduce Sprite LFS, so they clean the way it did.
 #[allow(clippy::field_reassign_with_default)]
 pub fn production_lfs_config(disk_mb: u64) -> LfsConfig {
     let mut cfg = LfsConfig::default();
+    cfg.policy = lfs_core::CleaningPolicy::CostBenefit;
     cfg.seg_blocks = 128; // 512 KB segments.
     cfg.flush_threshold_bytes = 127 * 4096;
     cfg.max_inodes = (disk_mb as u32 * 64).clamp(2048, 65_536);

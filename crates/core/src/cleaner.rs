@@ -342,8 +342,9 @@ impl<D: QueueDevice> Lfs<D> {
         // The cleaner may use its reserved segments, so the full clean
         // count stands, plus what is left behind each write point.
         // Pending segments do not count: what they give back is not
-        // allocatable until the checkpoint the cleaning run writes
-        // between passes, never inside one.
+        // allocatable until the run's checkpoint, which it writes once
+        // clean plus pending segments reach `clean_high_water`, never
+        // inside a pass.
         let head_room: u64 = self
             .write_points
             .iter()

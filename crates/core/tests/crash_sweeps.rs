@@ -461,11 +461,23 @@ fn create_in_a_synced_new_directory_under_crashes() {
     );
 }
 
+/// The cleaning sweeps run under the paper's policy, which `small()`
+/// keeps, and under the shipped default's, greedy.
+fn cleaning_policies() -> [LfsConfig; 2] {
+    [LfsConfig::small(), LfsConfig::small().greedy()]
+}
+
 #[test]
 fn crash_during_cleaning_never_loses_data() {
-    // Run churn that triggers cleaning on a crash-recording disk; then
-    // crash at every 7th write point and verify the cold files.
-    let cfg = LfsConfig::small();
+    for cfg in cleaning_policies() {
+        crash_during_cleaning(cfg);
+    }
+}
+
+/// Runs churn that triggers cleaning on a crash-recording disk under
+/// `cfg`, then crashes at every 7th write point and verifies the cold
+/// files.
+fn crash_during_cleaning(cfg: LfsConfig) {
     let mut fs = Lfs::format(CrashDisk::new(1024), cfg).unwrap();
     for i in 0..15 {
         fs.write_file(&format!("/cold{i}"), &vec![i as u8; 8192])
@@ -481,7 +493,8 @@ fn crash_during_cleaning_never_loses_data() {
     fs.sync().unwrap();
     assert!(
         fs.stats().cleaner.segments_cleaned > 0,
-        "no cleaning happened"
+        "{:?}: no cleaning happened",
+        cfg.policy
     );
 
     // The suite's content expectations replace the hand-rolled cold-file
@@ -505,10 +518,15 @@ fn crash_during_cleaning_never_loses_data() {
                 && crash.write_kind(i - 1) == Some(WriteKind::Async)
         })
         .collect();
-    assert!(before_regions.len() >= 4, "only {before_regions:?}");
+    assert!(
+        before_regions.len() >= 4,
+        "{:?}: only {before_regions:?}",
+        cfg.policy
+    );
     for cut in (0..=n).step_by(7).chain(before_regions) {
         let image = crash.image_after(cut).unwrap();
-        verify_cut(&suite, image, cfg, &format!("cut {cut}/{n}"));
+        let tag = format!("{:?}: cut {cut}/{n}", cfg.policy);
+        verify_cut(&suite, image, cfg, &tag);
     }
 }
 
@@ -538,8 +556,7 @@ struct PendingChurn {
 }
 
 impl PendingChurn {
-    fn run() -> PendingChurn {
-        let cfg = LfsConfig::small();
+    fn run(cfg: LfsConfig) -> PendingChurn {
         let mut fs = Lfs::format(CrashDisk::new(1024), cfg).unwrap();
         for i in 0..15 {
             fs.write_file(&format!("/cold{i}"), &vec![i as u8; 8192])
@@ -629,53 +646,62 @@ impl PendingChurn {
 /// must recover the cold files byte-exact and every acknowledged `sync`.
 #[test]
 fn crash_between_a_pass_and_its_checkpoint_never_loses_data() {
-    let churn = PendingChurn::run();
-    let crash: &CrashDisk = churn.fs.device();
-    let mut cuts = 0;
-    for (window, _) in &churn.windows {
-        for cut in window.clone() {
-            let image = crash.image_after(cut).unwrap();
-            let tag = format!("cut {cut} in pass window {window:?}");
-            verify_cut(&churn.suite(cut), image, churn.cfg, &tag);
-            cuts += 1;
+    for cfg in cleaning_policies() {
+        let churn = PendingChurn::run(cfg);
+        let crash: &CrashDisk = churn.fs.device();
+        let policy = cfg.policy;
+        let mut cuts = 0;
+        for (window, _) in &churn.windows {
+            for cut in window.clone() {
+                let image = crash.image_after(cut).unwrap();
+                let tag = format!("{policy:?}: cut {cut} in pass window {window:?}");
+                verify_cut(&churn.suite(cut), image, churn.cfg, &tag);
+                cuts += 1;
+            }
         }
+        let pending = churn.windows.iter().filter(|(_, p)| *p).count();
+        assert!(
+            pending >= 3,
+            "{policy:?}: only {pending} passes left victims pending before a checkpoint: {:?}",
+            churn.windows
+        );
+        assert!(cuts >= 100, "{policy:?}: only {cuts} cuts");
     }
-    let pending = churn.windows.iter().filter(|(_, p)| *p).count();
-    assert!(
-        pending >= 3,
-        "only {pending} passes left victims pending before a checkpoint: {:?}",
-        churn.windows
-    );
-    assert!(cuts >= 100, "only {cuts} cuts");
 }
 
 /// No log write lands in a segment that was `PendingFree` when its
 /// operation began, until a checkpoint region write has promoted it.
 #[test]
 fn pending_segments_are_never_reused_before_a_checkpoint() {
-    let churn = PendingChurn::run();
-    let crash: &CrashDisk = churn.fs.device();
-    let sb = churn.fs.superblock();
-    let mut guarded = 0;
-    for step in &churn.steps {
-        if !step.states.contains(&SegState::PendingFree) {
-            continue;
+    for cfg in cleaning_policies() {
+        let churn = PendingChurn::run(cfg);
+        let crash: &CrashDisk = churn.fs.device();
+        let sb = churn.fs.superblock();
+        let policy = cfg.policy;
+        let mut guarded = 0;
+        for step in &churn.steps {
+            if !step.states.contains(&SegState::PendingFree) {
+                continue;
+            }
+            let pending = |seg: u32| step.states[seg as usize] == SegState::PendingFree;
+            for i in step.writes.clone() {
+                let rec = crash.write_record(i).unwrap();
+                // Below the segments: a checkpoint region, which promotes.
+                let Some(seg) = sb.seg_of(rec.start) else {
+                    break;
+                };
+                assert!(
+                    !pending(seg),
+                    "{policy:?}: write {i} reused pending segment {seg}"
+                );
+                guarded += 1;
+            }
         }
-        let pending = |seg: u32| step.states[seg as usize] == SegState::PendingFree;
-        for i in step.writes.clone() {
-            let rec = crash.write_record(i).unwrap();
-            // Below the segments: a checkpoint region, which promotes.
-            let Some(seg) = sb.seg_of(rec.start) else {
-                break;
-            };
-            assert!(!pending(seg), "write {i} reused pending segment {seg}");
-            guarded += 1;
-        }
+        assert!(
+            guarded >= 20,
+            "{policy:?}: only {guarded} writes behind pending segments"
+        );
     }
-    assert!(
-        guarded >= 20,
-        "only {guarded} writes behind pending segments"
-    );
 }
 
 #[test]
