@@ -170,11 +170,9 @@ pub trait BlockDevice {
         None
     }
 
-    /// Which shard hosts stripe `stripe` of the striped region. On a
-    /// homogeneous sharded device this is plain round-robin
-    /// (`stripe % shard_count`); heterogeneous sets override it so the
-    /// rotation skips shards whose capacity is exhausted instead of
-    /// truncating the whole set to the smallest member. Meaningless (and
+    /// Which shard hosts stripe `stripe` of the striped region: plain
+    /// round-robin, `stripe % shard_count`, since every shard of a
+    /// sharded device holds the same number of stripes. Meaningless (and
     /// 0) on unsharded devices. Wrapper devices forward to the device
     /// they wrap.
     fn shard_of_stripe(&self, stripe: u64) -> usize {

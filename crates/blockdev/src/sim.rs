@@ -188,13 +188,6 @@ impl SimDisk {
         &self.data
     }
 
-    /// The simulated service time this disk would charge for a request of
-    /// `bytes` bytes starting at `start`, given the current head position.
-    pub fn service_time_ns(&self, start: u64, bytes: u64) -> u64 {
-        let positioning = self.positioning_ns(start);
-        positioning + self.model.transfer_ns(bytes)
-    }
-
     fn positioning_ns(&self, start: u64) -> u64 {
         if start == self.head {
             return 0;

@@ -114,11 +114,6 @@ impl IoStats {
         self.service_ns += delta.service_ns;
     }
 
-    /// Total bytes moved to and from the disk.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
-
     /// Fraction of busy time spent transferring data (as opposed to
     /// positioning the arm). This is the paper's notion of how much of the
     /// disk's raw bandwidth is actually used.

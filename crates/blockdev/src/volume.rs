@@ -62,18 +62,6 @@ struct Extent {
     blocks: u64,
 }
 
-/// One run of striping rounds with a fixed participant set (see
-/// [`VolumeSet`]'s mapping docs): rounds `round_lo ..` until the next
-/// level, preceded by `stripes_before` global stripes, each round
-/// placing one stripe on every shard in `participants` (ascending shard
-/// order).
-#[derive(Clone, Debug)]
-struct StripeLevel {
-    round_lo: u64,
-    stripes_before: u64,
-    participants: Vec<usize>,
-}
-
 /// One fanned-out submission: the global sequence number handed to the
 /// caller and the per-shard tickets it maps to.
 #[derive(Debug)]
@@ -88,13 +76,8 @@ pub struct VolumeSet<D: QueueDevice> {
     shards: Vec<D>,
     meta_blocks: u64,
     stripe: u64,
-    /// Total stripes across all shards (the sum of per-shard stripe
-    /// capacities — heterogeneous shards contribute everything they
-    /// hold, not just the smallest member's share).
-    total_stripes: u64,
-    /// The round table of the skip-full rotation; one entry per distinct
-    /// capacity class, so lookups are a short binary search.
-    levels: Vec<StripeLevel>,
+    /// Whole stripes each shard holds (the same on every shard).
+    shard_stripes: u64,
     next_seq: u64,
     completed_seq: u64,
     pending: VecDeque<PendingFan>,
@@ -108,21 +91,15 @@ pub struct VolumeSet<D: QueueDevice> {
 
 impl<D: QueueDevice> VolumeSet<D> {
     /// Presents `shards` as one block space: blocks `0 .. meta_blocks`
-    /// on shard 0, the remainder striped in units of `stripe_blocks`.
-    ///
-    /// Striping proceeds in *rounds*: round `r` places one stripe on
-    /// each shard that still has capacity beyond `r` local stripes, in
-    /// ascending shard order. On a homogeneous set this is exactly the
-    /// classic round-robin `t % N` / `t / N` mapping; with unequal
-    /// shards the rotation simply *skips* exhausted shards instead of
-    /// truncating the whole set to the smallest member, so every whole
-    /// stripe of every shard is addressable.
+    /// on shard 0, the remainder striped round-robin in units of
+    /// `stripe_blocks` (stripe `t` on shard `t % N`).
     ///
     /// # Panics
     ///
     /// Panics if `shards` is empty, `stripe_blocks` is zero, or (with
     /// more than one shard) some shard is too small to hold the meta
-    /// region plus at least one stripe.
+    /// region plus at least one stripe, or the shards do not all hold
+    /// the same number of whole stripes.
     pub fn new(shards: Vec<D>, meta_blocks: u64, stripe_blocks: u64) -> VolumeSet<D> {
         assert!(!shards.is_empty(), "VolumeSet needs at least one shard");
         assert!(stripe_blocks >= 1, "stripe must be at least one block");
@@ -134,39 +111,15 @@ impl<D: QueueDevice> VolumeSet<D> {
             shards.len() == 1 || caps.iter().all(|&c| c >= 1),
             "every shard must hold the meta region plus at least one stripe"
         );
-        // One level per distinct capacity: all rounds between two
-        // consecutive capacity classes share the same participant set.
-        let mut bounds: Vec<u64> = caps.clone();
-        bounds.sort_unstable();
-        bounds.dedup();
-        let mut levels = Vec::new();
-        let mut round_lo = 0u64;
-        let mut stripes_before = 0u64;
-        for &b in &bounds {
-            let participants: Vec<usize> = caps
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > round_lo)
-                .map(|(i, _)| i)
-                .collect();
-            if participants.is_empty() {
-                break;
-            }
-            let width = participants.len() as u64;
-            levels.push(StripeLevel {
-                round_lo,
-                stripes_before,
-                participants,
-            });
-            stripes_before += (b - round_lo) * width;
-            round_lo = b;
-        }
+        assert!(
+            caps.iter().all(|&c| c == caps[0]),
+            "every shard must hold the same number of whole stripes: {caps:?}"
+        );
         VolumeSet {
             shards,
             meta_blocks,
             stripe: stripe_blocks,
-            total_stripes: stripes_before,
-            levels,
+            shard_stripes: caps[0],
             next_seq: 1,
             completed_seq: 0,
             pending: VecDeque::new(),
@@ -175,25 +128,10 @@ impl<D: QueueDevice> VolumeSet<D> {
         }
     }
 
-    /// Maps global stripe `t` to `(shard, local stripe index)` under the
-    /// skip-full rotation. A shard participates in every round below its
-    /// capacity, so its local stripe index within round `r` is exactly
-    /// `r`.
+    /// Maps global stripe `t` to `(shard, local stripe index)`.
     fn locate_stripe(&self, t: u64) -> (usize, u64) {
-        let idx = match self
-            .levels
-            .binary_search_by(|l| l.stripes_before.cmp(&t.min(self.total_stripes - 1)))
-        {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        let l = &self.levels[idx];
-        let width = l.participants.len() as u64;
-        let dt = t.min(self.total_stripes - 1) - l.stripes_before;
-        (
-            l.participants[(dt % width) as usize],
-            l.round_lo + dt / width,
-        )
+        let n = self.shards.len() as u64;
+        ((t % n) as usize, t / n)
     }
 
     /// Number of shards.
@@ -330,7 +268,7 @@ impl<D: QueueDevice> BlockDevice for VolumeSet<D> {
         if self.shards.len() == 1 {
             return self.shards[0].num_blocks();
         }
-        self.meta_blocks + self.total_stripes * self.stripe
+        self.meta_blocks + self.shard_stripes * self.shards.len() as u64 * self.stripe
     }
 
     fn read_blocks(&mut self, start: u64, buf: &mut [u8]) -> Result<()> {
@@ -486,13 +424,6 @@ impl<D: QueueDevice> BlockDevice for VolumeSet<D> {
             return self.shards[0].stripe_blocks();
         }
         Some(self.stripe)
-    }
-
-    fn shard_of_stripe(&self, stripe: u64) -> usize {
-        if self.shards.len() == 1 {
-            return self.shards[0].shard_of_stripe(stripe);
-        }
-        self.locate_stripe(stripe).0
     }
 
     fn shard_stats(&self, shard: usize) -> Option<IoStats> {
@@ -983,65 +914,13 @@ mod tests {
     }
 
     #[test]
-    fn unequal_shards_expose_every_whole_stripe() {
-        // 5 + 3 whole stripes: the set used to truncate to 2 × 3 (the
-        // smallest member); the skip-full rotation addresses all 8.
-        let shards = vec![
-            MemDisk::new(META + 5 * STRIPE + 3),
-            MemDisk::new(META + 3 * STRIPE + 7),
-        ];
-        let vs = VolumeSet::new(shards, META, STRIPE);
-        assert_eq!(vs.num_blocks(), META + (5 + 3) * STRIPE);
-    }
-
-    #[test]
-    fn unequal_shard_rotation_skips_exhausted_shards() {
-        // Capacities 4, 2, 3: rounds 0–1 stripe all three shards
-        // (0,1,2), round 2 skips shard 1, round 3 is shard 0 alone.
+    #[should_panic(expected = "same number of whole stripes")]
+    fn rejects_shards_of_unequal_stripe_counts() {
         let shards = vec![
             MemDisk::new(META + 4 * STRIPE),
             MemDisk::new(META + 2 * STRIPE),
-            MemDisk::new(META + 3 * STRIPE),
         ];
-        let vs = VolumeSet::new(shards, META, STRIPE);
-        assert_eq!(vs.num_blocks(), META + 9 * STRIPE);
-        let owners: Vec<usize> = (0..9)
-            .map(|t| vs.shard_of_block(META + t * STRIPE))
-            .collect();
-        assert_eq!(owners, vec![0, 1, 2, 0, 1, 2, 0, 2, 0]);
-        // Trait view agrees, and local placement is round-ordered: a
-        // shard's r-th participation lands at local stripe r.
-        for t in 0..9u64 {
-            assert_eq!(BlockDevice::shard_of_stripe(&vs, t), owners[t as usize]);
-        }
-    }
-
-    #[test]
-    fn unequal_shard_stripes_round_trip_bytes() {
-        let shards = vec![
-            MemDisk::new(META + 4 * STRIPE),
-            MemDisk::new(META + 2 * STRIPE),
-            MemDisk::new(META + 3 * STRIPE),
-        ];
-        let mut vs = VolumeSet::new(shards, META, STRIPE);
-        let nb = vs.num_blocks();
-        // Write a distinct pattern over the whole striped region (in
-        // odd-sized chunks so requests cross stripe boundaries), read it
-        // back, and check nothing aliased.
-        let total = ((nb - META) as usize) * BLOCK_SIZE;
-        let image: Vec<u8> = (0..total).map(|i| (i / 512) as u8).collect();
-        let mut off = 0usize;
-        let mut addr = META;
-        while off < total {
-            let take = (3 * BLOCK_SIZE).min(total - off);
-            vs.write_blocks(addr, &image[off..off + take], WriteKind::Async)
-                .unwrap();
-            addr += (take / BLOCK_SIZE) as u64;
-            off += take;
-        }
-        let mut back = vec![0u8; total];
-        vs.read_blocks(META, &mut back).unwrap();
-        assert_eq!(back, image);
+        let _ = VolumeSet::new(shards, META, STRIPE);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Tests of the block cache's internals: which blocks [`Lfs::evict`]
-//! picks, and that a recycled buffer never shows its previous contents.
+//! Tests of the block cache's internals: which blocks its `evict` picks,
+//! and that a recycled buffer never shows its previous contents.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -14,20 +14,18 @@ type Key = (Ino, u64);
 
 /// Every resident block's key.
 fn resident(fs: &Lfs<MemDisk>) -> Vec<Key> {
-    let mut keys = Vec::new();
-    fs.blocks.for_each(|k, _| keys.push(k));
-    keys
+    fs.blocks.scan().into_iter().map(|(k, _, _)| k).collect()
 }
 
 /// What `evict(excess, protect)` must remove, computed the slow way: the
 /// `excess` smallest stamps among clean, unpinned, unprotected blocks.
 fn reference_victims(fs: &Lfs<MemDisk>, excess: usize, protect: Option<Key>) -> BTreeSet<Key> {
     let mut candidates: Vec<(u64, Key)> = Vec::new();
-    fs.blocks.for_each(|k, b| {
-        if !b.dirty && !b.pinned() && Some(k) != protect {
-            candidates.push((b.lru, k));
+    for (k, lru, pinned) in fs.blocks.scan() {
+        if !fs.blocks.dirty().contains(&k) && !pinned && Some(k) != protect {
+            candidates.push((lru, k));
         }
-    });
+    }
     candidates.sort_unstable();
     candidates.truncate(excess);
     candidates.into_iter().map(|(_, k)| k).collect()
@@ -65,7 +63,7 @@ proptest! {
                 7 => fs.truncate(ino, at).unwrap(),
                 8 if k == 0 => fs.drop_caches(),
                 8 => pins.truncate(pins.len() / 2),
-                _ => pins.extend(fs.blocks.get((ino, bno), |b| b.data.clone())),
+                _ => pins.extend(fs.blocks.for_write((ino, bno)).map(|(_, data)| data)),
             }
             fs.assert_running_counts();
 
@@ -73,7 +71,7 @@ proptest! {
             resident.sort_unstable();
             let protect = resident.get(k).copied();
             let expected = reference_victims(&fs, n, protect);
-            fs.evict(n, protect);
+            fs.blocks.evict(n, protect);
             let gone: BTreeSet<Key> = resident
                 .into_iter()
                 .filter(|&k| !fs.blocks.contains(k))
@@ -118,8 +116,8 @@ fn poison_pool<F: Under>(fs: &mut F, poison_ino: Ino) {
     assert!(buf.iter().all(|&b| b == POISON));
     fs.lfs(|l| {
         l.assert_running_counts();
-        assert!(!l.pool.is_empty(), "eviction pooled nothing");
-        assert!(l.pool.iter().flatten().all(|&b| b == POISON));
+        assert!(!l.blocks.pooled().is_empty(), "eviction pooled nothing");
+        assert!(l.blocks.pooled().iter().flatten().all(|&b| b == POISON));
     });
 }
 
@@ -178,6 +176,6 @@ fn drop_caches_empties_the_pool() {
     fs.sync().unwrap();
     poison_pool(&mut fs, a);
     fs.drop_caches();
-    assert!(fs.pool.is_empty() && fs.blocks.len() == 0 && fs.lru_index.is_empty());
+    assert!(fs.blocks.holds_nothing());
     fs.assert_running_counts();
 }

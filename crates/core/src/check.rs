@@ -16,8 +16,6 @@
 //! testing and diagnostics, not for crash recovery — recovery needs only
 //! the checkpoint and the log tail (§4).
 
-#![warn(clippy::too_many_lines)]
-
 use std::collections::HashMap;
 
 use blockdev::{QueueDevice, BLOCK_SIZE};

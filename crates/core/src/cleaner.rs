@@ -15,15 +15,12 @@
 //! segregates into its own segments — the source of the bimodal
 //! distribution in Figure 6.
 
-#![warn(clippy::too_many_lines)]
-
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{FsError, FsResult, Ino};
 
-use crate::cache::CachedBlock;
 use crate::fs::{IndKey, Lfs};
 use crate::layout::DiskAddr;
 use crate::summary::{EntryKind, Summary, SummaryEntry};
@@ -360,7 +357,7 @@ impl<D: QueueDevice> Lfs<D> {
         // space it runs in.
         let meta_fixed = (self.imap.num_blocks() as u64 + self.usage.num_blocks() as u64 + 8)
             * BLOCK_SIZE as u64;
-        free_budget.saturating_sub(self.dirty_bytes + meta_fixed) / 2
+        free_budget.saturating_sub(self.blocks.dirty_bytes() + meta_fixed) / 2
     }
 
     /// On a multi-volume set, makes sure no shard starves: the layout can
@@ -451,7 +448,7 @@ impl<D: QueueDevice> Lfs<D> {
                 self.usage.set_state(seg, SegState::PendingFree);
                 continue;
             }
-            if self.dirty_bytes >= stage_bound {
+            if self.blocks.dirty_bytes() >= stage_bound {
                 self.flush()?;
             }
             let u = usage.live_bytes as f64 / seg_bytes as f64;
@@ -792,33 +789,20 @@ impl<D: QueueDevice> Lfs<D> {
         }
         match entry.kind {
             EntryKind::Data => {
-                let bno = entry.offset as u64;
                 // Stage the block: dirty cache state relocates on flush.
                 // Crucially, keep the block's ORIGINAL modification time
                 // (from the summary entry): relocation does not make data
                 // young, and the cost-benefit policy depends on that.
-                if let Some(content) = content {
-                    let lru = self.stamp((ino, bno));
-                    let mut buf = self.take_buf();
-                    buf.copy_from_slice(content);
-                    self.blocks
-                        .insert((ino, bno), CachedBlock::clean(buf, lru, entry.mtime));
-                }
-                let original_mtime = self
-                    .blocks
-                    .get((ino, bno), |b| if b.dirty { b.mtime } else { entry.mtime })
-                    .unwrap_or(entry.mtime);
-                self.mark_block_dirty(ino, bno);
-                self.blocks
-                    .get_mut((ino, bno), |b| b.mtime = original_mtime);
+                let key = (ino, entry.offset as u64);
+                self.blocks.relocate(key, content, entry.mtime);
             }
             EntryKind::Indirect1 | EntryKind::Indirect2 => {
-                let cached = self
-                    .inds
-                    .get_mut(&(ino, ind_key(entry)))
-                    .expect("entry_is_live cached the indirect block");
-                crate::fs::set_dirty(&mut cached.dirty, &mut self.dirty_ind_count);
-                self.dirty_files.insert(ino);
+                let key = (ino, ind_key(entry));
+                assert!(
+                    self.inds.contains_key(&key),
+                    "entry_is_live cached the indirect block"
+                );
+                self.dirty_inds.insert(key);
             }
             EntryKind::InodeBlock => {
                 if let Some(content) = content {
@@ -829,11 +813,12 @@ impl<D: QueueDevice> Lfs<D> {
                     if !self.inode_lives_at(ino, addr) {
                         continue;
                     }
-                    let c = self.inodes.get_mut(&ino).ok_or_else(|| {
-                        FsError::Corrupt(format!("inode {ino}: block {addr} does not hold it"))
-                    })?;
-                    crate::fs::set_dirty(&mut c.dirty, &mut self.dirty_inode_count);
-                    self.dirty_files.insert(ino);
+                    if !self.inodes.contains_key(&ino) {
+                        return Err(FsError::Corrupt(format!(
+                            "inode {ino}: block {addr} does not hold it"
+                        )));
+                    }
+                    self.dirty_inodes.insert(ino);
                 }
             }
             EntryKind::ImapBlock => self.imap.mark_block_dirty(entry.offset as usize),

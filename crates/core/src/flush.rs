@@ -42,8 +42,6 @@
 //! leaves every dirty bit set and every write point where it was, and the
 //! next flush places the same state again.
 
-#![warn(clippy::too_many_lines)]
-
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -51,7 +49,7 @@ use blockdev::{IoBuf, QueueDevice, WriteKind, BLOCK_SIZE};
 use vfs::{FileType, FsError, FsResult, Ino};
 
 use crate::dirlog::{self, DirOp};
-use crate::fs::{set_dirty, IndKey, Lfs, IO_ATTEMPTS};
+use crate::fs::{IndKey, Lfs, IO_ATTEMPTS};
 use crate::inode::INODE_DISK_SIZE;
 use crate::inodemap::InodeMap;
 use crate::layout::{
@@ -113,23 +111,15 @@ impl<D: QueueDevice> Lfs<D> {
     /// directory-log records waiting to reach the log. Dirty inode-map and
     /// usage-table blocks do not count — only a checkpoint writes them —
     /// nor do the directories the last `sync` left dirty ([`Scope::Sync`]).
-    /// O(1): the dirty populations are running counts maintained at every
-    /// flag transition, not cache scans (this predicate runs on every write
-    /// while the caches hold the whole working set).
+    /// O(1): the dirty populations are the lengths of the dirty sets, not
+    /// cache scans (this predicate runs on every write while the caches
+    /// hold the whole working set).
     ///
     /// The discount is a count, `sync_left`, not a set: after the flush
     /// that set it, dirty state only grows until the next flush, except
     /// where a deletion purges it, and a deletion leaves a directory-log
     /// record pending.
     pub fn needs_flush(&self) -> bool {
-        debug_assert_eq!(
-            self.dirty_inode_count,
-            self.inodes.values().filter(|c| c.dirty).count()
-        );
-        debug_assert_eq!(
-            self.dirty_ind_count,
-            self.inds.values().filter(|c| c.dirty).count()
-        );
         let pending = !self.dirlog_pending.is_empty() || self.dirty_count() > self.sync_left;
         debug_assert!(
             pending || self.sync_left == 0 || self.dirt_is_logged(),
@@ -140,25 +130,15 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Dirty blocks, indirect blocks and inodes, together.
     fn dirty_count(&self) -> usize {
-        self.dirty_blocks.len() + self.dirty_inode_count + self.dirty_ind_count
+        self.blocks.dirty().len() + self.dirty_inodes.len() + self.dirty_inds.len()
     }
 
     /// True if everything dirty belongs to a [`Lfs::logged_dir`]. A scan;
     /// only debug builds ask.
     fn dirt_is_logged(&self) -> bool {
-        let inodes = self
-            .inodes
-            .iter()
-            .filter_map(|(&i, c)| c.dirty.then_some(i));
-        let inds = self
-            .inds
-            .iter()
-            .filter_map(|(&(i, _), c)| c.dirty.then_some(i));
-        let blocks = self.dirty_blocks.iter().map(|&(i, _)| i);
         let fresh = self.fresh_dirs();
-        inodes
-            .chain(inds)
-            .chain(blocks)
+        self.dirty_inos()
+            .into_iter()
             .all(|i| self.logged_dir(i, &fresh))
     }
 
@@ -281,12 +261,9 @@ impl<D: QueueDevice> Lfs<D> {
             .map(|b| Item::DirLog(Arc::new(b.into_vec())))
             .collect();
         self.dirty_parent_inds()?;
-        let dirty_inds = self.inds.iter().filter_map(|(&k, c)| c.dirty.then_some(k));
-        let mut inds: Vec<(Ino, IndKey)> = dirty_inds.collect();
-        inds.sort_unstable();
-        let mut dirty_inos: Vec<Ino> = Vec::new();
+        let mut inode_writes: Vec<Ino> = Vec::new();
         let (mut deferred, fresh) = (Vec::new(), self.fresh_dirs());
-        for ino in self.file_order(&inds) {
+        for ino in self.file_order() {
             if scope == Scope::Sync && self.logged_dir(ino, &fresh) {
                 deferred.push(ino);
                 continue;
@@ -294,17 +271,17 @@ impl<D: QueueDevice> Lfs<D> {
             // Data blocks in file order, then indirect blocks: singles
             // first (their addresses go into the double), then the
             // double.
-            let blocks = self.dirty_blocks.range((ino, 0)..=(ino, u64::MAX));
+            let blocks = self.blocks.dirty().range((ino, 0)..=(ino, u64::MAX));
             items.extend(blocks.map(|&(_, bno)| Item::Data { ino, bno }));
-            let first = inds.partition_point(|&(i, _)| i < ino);
-            let keys = inds[first..].iter().take_while(|&&(i, _)| i == ino);
+            let keys = self
+                .dirty_inds
+                .range((ino, IndKey::Single(0))..=(ino, IndKey::Double));
             items.extend(keys.map(|&(_, key)| Item::Ind { ino, key }));
-            if self.inodes.get(&ino).is_some_and(|c| c.dirty) || self.dirty_files.contains(&ino) {
-                dirty_inos.push(ino);
-            }
+            // Then the inode: its block pointers or its attributes changed.
+            inode_writes.push(ino);
         }
         // Pack dirty inodes 16 to a block, preserving the file order.
-        let inode_blocks = dirty_inos.chunks(INODES_PER_BLOCK);
+        let inode_blocks = inode_writes.chunks(INODES_PER_BLOCK);
         items.extend(inode_blocks.map(|inos| Item::InodeBlk {
             inos: inos.to_vec(),
         }));
@@ -313,7 +290,7 @@ impl<D: QueueDevice> Lfs<D> {
         // change because of the inode relocations above.
         if scope == Scope::Checkpoint {
             let mut imap_blocks: BTreeSet<usize> = self.imap.dirty_blocks().into_iter().collect();
-            imap_blocks.extend(dirty_inos.iter().map(|&ino| InodeMap::block_of(ino)));
+            imap_blocks.extend(inode_writes.iter().map(|&ino| InodeMap::block_of(ino)));
             items.extend(imap_blocks.into_iter().map(Item::Imap));
         }
         deferred.sort_unstable();
@@ -323,7 +300,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// Makes sure every indirect block that will receive a pointer update
     /// is in the cache and dirty, so it is part of the batch.
     fn dirty_parent_inds(&mut self) -> FsResult<()> {
-        let dirty_data: Vec<(Ino, u64)> = self.dirty_blocks.iter().copied().collect();
+        let dirty_data: Vec<(Ino, u64)> = self.blocks.dirty().iter().copied().collect();
         for (ino, bno) in dirty_data {
             let keys = match classify_block(bno).ok_or(FsError::FileTooLarge)? {
                 BlockClass::Direct(_) => [None, None],
@@ -334,8 +311,7 @@ impl<D: QueueDevice> Lfs<D> {
             };
             for key in keys.into_iter().flatten() {
                 self.ensure_ind(ino, key, true)?;
-                let e = self.inds.get_mut(&(ino, key)).expect("ensured above");
-                set_dirty(&mut e.dirty, &mut self.dirty_ind_count);
+                self.dirty_inds.insert((ino, key));
             }
         }
         Ok(())
@@ -346,13 +322,9 @@ impl<D: QueueDevice> Lfs<D> {
     /// oldest dirty block. "Sort the blocks by the time they were last
     /// modified and group blocks of similar age together into new
     /// segments" (§3.4, policy 4); within a file, blocks are relocated
-    /// together, which is the grouping the policy wants. `inds` are the
-    /// dirty indirect blocks.
-    fn file_order(&mut self, inds: &[(Ino, IndKey)]) -> Vec<Ino> {
-        let mut inos: BTreeSet<Ino> = self.dirty_blocks.iter().map(|&(i, _)| i).collect();
-        inos.extend(inds.iter().map(|&(i, _)| i));
-        inos.extend(self.inodes.iter().filter(|(_, c)| c.dirty).map(|(&i, _)| i));
-        inos.extend(self.dirty_files.iter().copied());
+    /// together, which is the grouping the policy wants.
+    fn file_order(&mut self) -> Vec<Ino> {
+        let inos = self.dirty_inos();
         if !self.cleaning || self.cfg.policy == crate::CleaningPolicy::Greedy {
             return inos.into_iter().collect();
         }
@@ -360,9 +332,10 @@ impl<D: QueueDevice> Lfs<D> {
             .into_iter()
             .map(|ino| {
                 let oldest_block = self
-                    .dirty_blocks
+                    .blocks
+                    .dirty()
                     .range((ino, 0)..=(ino, u64::MAX))
-                    .filter_map(|&k| self.blocks.get(k, |b| b.mtime))
+                    .filter_map(|&k| self.blocks.mtime(k))
                     .min();
                 let age = match oldest_block {
                     Some(t) => t,
@@ -390,7 +363,7 @@ impl<D: QueueDevice> Lfs<D> {
             usage_blocks.extend(self.usage.dirty_blocks());
             // Segments that will lose live bytes (old homes of rewritten
             // blocks) are known before layout.
-            let dirty_data: Vec<(Ino, u64)> = self.dirty_blocks.iter().copied().collect();
+            let dirty_data: Vec<(Ino, u64)> = self.blocks.dirty().iter().copied().collect();
             for (ino, bno) in dirty_data {
                 let old = self.block_ptr(ino, bno)?;
                 usage_blocks.extend(self.sb.seg_of(old).map(UsageTable::block_of));
@@ -490,7 +463,7 @@ impl<D: QueueDevice> Lfs<D> {
                 // Per-block modification time (the §3.6 refinement):
                 // segment ages reflect the blocks actually in them, not
                 // the owning file's latest touch.
-                let mtime = self.blocks.get((ino, bno), |b| b.mtime).unwrap_or(now);
+                let mtime = self.blocks.mtime((ino, bno)).unwrap_or(now);
                 let old = self.set_block_ptr(ino, bno, addr)?;
                 self.sub_live_at(old, BLOCK_SIZE);
                 self.usage.add_live(seg, BLOCK_SIZE as u32, mtime);
@@ -505,7 +478,7 @@ impl<D: QueueDevice> Lfs<D> {
                             .get_mut(&(ino, IndKey::Double))
                             .expect("double-indirect missing for child update");
                         d.blk.ptrs[(k - 1) as usize] = addr;
-                        set_dirty(&mut d.dirty, &mut self.dirty_ind_count);
+                        self.dirty_inds.insert((ino, IndKey::Double));
                     }
                     IndKey::Double => self.inode_mut(ino)?.dindirect = addr,
                 }
@@ -659,7 +632,7 @@ impl<D: QueueDevice> Lfs<D> {
             Item::Data { ino, bno } => {
                 let (mtime, data) = self
                     .blocks
-                    .get((ino, bno), |b| (b.mtime, b.data.clone()))
+                    .for_write((ino, bno))
                     .expect("dirty blocks are resident");
                 let entry = SummaryEntry::data(ino, bno as u32, self.imap.version(ino), mtime);
                 (entry, Some(data))
@@ -760,34 +733,14 @@ impl<D: QueueDevice> Lfs<D> {
                 _ => {}
             }
         }
-        let kept = |ino: &Ino| deferred.binary_search(ino).is_ok();
-        let mut blocks = self.blocks.lock_all();
-        for key in std::mem::take(&mut self.dirty_blocks) {
-            if kept(&key.0) {
-                self.dirty_blocks.insert(key);
-            } else if let Some(b) = blocks.get_mut(key) {
-                b.dirty = false;
-            }
-        }
-        drop(blocks);
-        self.dirty_bytes = self.dirty_blocks.len() as u64 * BLOCK_SIZE as u64;
-        self.dirty_inode_count = 0;
-        for (ino, c) in &mut self.inodes {
-            c.dirty = c.dirty && kept(ino);
-            self.dirty_inode_count += c.dirty as usize;
-        }
-        self.dirty_ind_count = 0;
-        for ((ino, _), c) in &mut self.inds {
-            c.dirty = c.dirty && kept(ino);
-            self.dirty_ind_count += c.dirty as usize;
-        }
-        // Every file but the deferred directories is clean now.
-        self.dirty_files = deferred.iter().copied().collect();
+        // Every file but the deferred directories is clean now, and the
+        // cache is trimmed back to its limit.
+        let kept = |ino: Ino| deferred.binary_search(&ino).is_ok();
+        self.blocks.clean_except(kept);
+        self.dirty_inodes.retain(|&ino| kept(ino));
+        self.dirty_inds.retain(|&(ino, _)| kept(ino));
         self.dirlog_pending.clear();
         self.sync_left = self.dirty_count();
-        // Everything else is clean now: trim the cache back to its limit.
-        let (limit, _) = self.cache_bounds();
-        self.evict(self.blocks.len().saturating_sub(limit), None);
         written
     }
 
@@ -969,7 +922,7 @@ mod tests {
         assert_eq!(grew(&fs, BlockKind::Inode), block);
         assert_eq!(grew(&fs, BlockKind::DirLog), block);
         assert_eq!(grew(&fs, BlockKind::Indirect), 0);
-        assert!(fs.inodes[&dir].dirty && fs.dirty_blocks.contains(&(dir, 0)));
+        assert!(fs.dirty_inodes.contains(&dir) && fs.blocks.dirty().contains(&(dir, 0)));
         assert_eq!(fs.sync_left, 2, "the directory's block and inode");
 
         assert!(!fs.needs_flush());
@@ -985,7 +938,7 @@ mod tests {
             4 * block,
             "the directory block, once"
         );
-        assert_eq!((fs.sync_left, fs.dirty_files.len()), (0, 0));
+        assert_eq!((fs.sync_left, fs.dirty_inos().len()), (0, 0));
         fs.checkpoint().unwrap();
         assert_eq!(grew(&fs, BlockKind::Data), 4 * block);
     }

@@ -8,13 +8,13 @@
 //! "once a file's inode has been found, the number of disk I/Os required
 //! to read the file is identical in Sprite LFS and Unix FFS" (§3.1).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{DirEntry, FileSystem, FileType, FsError, FsResult, Ino, Metadata, StatFs, ROOT_INO};
 
-use crate::cache::{BlockCache, CachedBlock, Key};
+use crate::cache::{BlockCache, Key};
 use crate::config::LfsConfig;
 use crate::dir::{self, DirRecord};
 use crate::dirlog::{DirLogRecord, DirOp};
@@ -34,10 +34,6 @@ use crate::usage::{SegState, UsageTable};
 /// within a bounded delay.
 pub(crate) const IO_ATTEMPTS: u32 = 5;
 
-/// Stale entries the LRU index may carry beyond twice the resident block
-/// count before [`Lfs::stamp`] sweeps it.
-const LRU_INDEX_SLACK: usize = 64;
-
 /// Whether a device error is worth retrying. Geometry errors are
 /// deterministic (a retry cannot fix an out-of-range request); only
 /// `Io` errors model conditions that can clear.
@@ -51,21 +47,12 @@ pub(crate) fn backoff(attempt: u32) {
     std::thread::sleep(std::time::Duration::from_micros(20u64 << attempt));
 }
 
-/// Sets a cache entry's dirty flag, bumping the matching running count on
-/// a clean→dirty transition. Taking the flag and counter as plain `&mut`s
-/// lets call sites hold a map entry and the counter (disjoint [`Lfs`]
-/// fields) at the same time.
-pub(crate) fn set_dirty(flag: &mut bool, count: &mut usize) {
-    if !*flag {
-        *flag = true;
-        *count += 1;
-    }
-}
+/// The bytes a truncation writes over the tail of the final block.
+static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
 
 /// A cached inode.
 pub(crate) struct CachedInode {
     pub(crate) inode: Inode,
-    pub(crate) dirty: bool,
     /// Sequential-read detector; lives and dies with the cache entry.
     pub(crate) ra: ReadAhead,
 }
@@ -127,7 +114,6 @@ pub(crate) enum IndKey {
 /// A cached indirect block together with its current on-disk home.
 pub(crate) struct CachedInd {
     pub(crate) blk: IndirectBlock,
-    pub(crate) dirty: bool,
     /// Where the block currently lives on disk ([`NIL_ADDR`] if never
     /// written); flush uses this to retire the old copy's live bytes.
     pub(crate) disk_addr: DiskAddr,
@@ -163,29 +149,15 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) imap: InodeMap,
     pub(crate) usage: UsageTable,
     pub(crate) inodes: HashMap<Ino, CachedInode>,
-    /// Running count of dirty entries in `inodes`, maintained at every
-    /// flag transition so `needs_flush` never scans the cache.
-    pub(crate) dirty_inode_count: usize,
-    /// The block cache, shared with [`crate::SharedLfs`]'s lock-free
-    /// readers; everything about it but the map lives in the fields below.
-    pub(crate) blocks: Arc<BlockCache>,
-    /// Every LRU stamp ever handed out, oldest first, with the block it
-    /// went to. An entry is *live* while that block is resident and still
-    /// carries the stamp; each resident block has exactly one live entry.
-    /// Stale entries (block gone or restamped) are dropped when
-    /// [`Lfs::evict`] meets them and when the index outgrows the cache
-    /// ([`Lfs::stamp`]).
-    pub(crate) lru_index: VecDeque<(u64, (Ino, u64))>,
-    /// Buffers of evicted blocks, contents arbitrary, for the next blocks
-    /// to enter the cache ([`Lfs::take_buf`]).
-    pub(crate) pool: Vec<Vec<u8>>,
-    pub(crate) dirty_blocks: BTreeSet<(Ino, u64)>,
+    /// The cached inodes the log does not hold yet.
+    pub(crate) dirty_inodes: BTreeSet<Ino>,
+    /// The block cache, its map shared with [`crate::SharedLfs`]'s
+    /// lock-free readers. It records which blocks are dirty.
+    pub(crate) blocks: BlockCache,
     pub(crate) inds: HashMap<(Ino, IndKey), CachedInd>,
-    /// Running count of dirty entries in `inds`; see `dirty_inode_count`.
-    pub(crate) dirty_ind_count: usize,
+    /// The cached indirect blocks the log does not hold yet.
+    pub(crate) dirty_inds: BTreeSet<(Ino, IndKey)>,
     pub(crate) dcache: HashMap<Ino, DirCache>,
-    /// Files with any dirty state (data, indirect, or inode).
-    pub(crate) dirty_files: BTreeSet<Ino>,
     /// Directory-op records not yet written to the log.
     pub(crate) dirlog_pending: Vec<DirLogRecord>,
     /// Dirty blocks, indirect blocks and inodes the last flush left
@@ -219,9 +191,6 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) next_cr: usize,
     /// Logical clock (incremented per mutation).
     pub(crate) clock: u64,
-    pub(crate) lru_tick: u64,
-    /// Bytes of dirty data blocks awaiting flush.
-    pub(crate) dirty_bytes: u64,
     /// New log bytes since the last checkpoint (drives the
     /// `checkpoint_every_bytes` policy).
     pub(crate) bytes_since_checkpoint: u64,
@@ -249,18 +218,6 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) scratch_pool: Vec<Arc<Vec<u8>>>,
     /// The cleaner's reusable working memory (see `cleaner.rs`).
     pub(crate) clean: crate::cleaner::CleanScratch,
-}
-
-/// A block-sized buffer from `pool`; see [`Lfs::take_buf`].
-fn take_buf(pool: &mut Vec<Vec<u8>>) -> Vec<u8> {
-    pool.pop().unwrap_or_else(|| vec![0u8; BLOCK_SIZE])
-}
-
-/// Marks a cached block dirty as of `now` and returns whether it already
-/// was; [`Lfs::note_dirty`] does the bookkeeping.
-fn dirty_at(b: &mut CachedBlock, now: u64) -> bool {
-    b.mtime = now;
-    std::mem::replace(&mut b.dirty, true)
 }
 
 /// Looks `bno` up in a pointer window (see [`Lfs::ptr_window`]).
@@ -314,12 +271,10 @@ impl<D: QueueDevice> Lfs<D> {
             ROOT_INO,
             CachedInode {
                 inode: root,
-                dirty: true,
                 ra: ReadAhead::default(),
             },
         );
-        fs.dirty_inode_count += 1;
-        fs.dirty_files.insert(ROOT_INO);
+        fs.dirty_inodes.insert(ROOT_INO);
         let wp_segs: Vec<u32> = fs.write_points.iter().map(|&(s, _)| s).collect();
         for s in wp_segs {
             fs.usage.set_state(s, SegState::Active);
@@ -335,14 +290,14 @@ impl<D: QueueDevice> Lfs<D> {
     /// Constructs the in-memory state shared by `format` and `mount`.
     pub(crate) fn bare(dev: D, sb: Superblock, cfg: LfsConfig) -> Lfs<D> {
         // One write point per shard, each starting its log in the
-        // lowest-numbered segment of its shard: segment `s` for shard `s`
-        // on a homogeneous set. Mount replaces the assignment with the
-        // checkpoint's.
+        // lowest-numbered segment of its shard: segment `s` for shard
+        // `s`. Mount replaces the assignment with the checkpoint's.
         let shards = dev.shard_count().max(1);
         let segs = (0..sb.nsegments).map(|g| (g, dev.shard_of_stripe(g as u64).min(shards - 1)));
         let mut place = Placement::new(sb.seg_blocks, shards, Vec::new(), segs, 0);
         place.open_row();
         let write_points = place.into_write_points();
+        let blocks = BlockCache::new(cfg.cache_limit_bytes);
         Lfs {
             dev,
             imap: InodeMap::new(sb.max_inodes),
@@ -351,15 +306,11 @@ impl<D: QueueDevice> Lfs<D> {
             cfg,
             epoch: 0,
             inodes: HashMap::new(),
-            dirty_inode_count: 0,
-            blocks: Arc::default(),
-            lru_index: VecDeque::new(),
-            pool: Vec::new(),
-            dirty_blocks: BTreeSet::new(),
+            dirty_inodes: BTreeSet::new(),
+            blocks,
             inds: HashMap::new(),
-            dirty_ind_count: 0,
+            dirty_inds: BTreeSet::new(),
             dcache: HashMap::new(),
-            dirty_files: BTreeSet::new(),
             dirlog_pending: Vec::new(),
             sync_left: 0,
             nsop_depth: 0,
@@ -371,8 +322,6 @@ impl<D: QueueDevice> Lfs<D> {
             durable_seq: 0,
             next_cr: 0,
             clock: 0,
-            lru_tick: 0,
-            dirty_bytes: 0,
             bytes_since_checkpoint: 0,
             nfiles: 0,
             cleaning: false,
@@ -518,9 +467,7 @@ impl<D: QueueDevice> Lfs<D> {
     }
 
     /// Which shard segment `seg` lives on (always 0 on a single
-    /// volume). Delegates to the device's stripe mapping, which is
-    /// `seg % nshards` on homogeneous sets but skips exhausted shards
-    /// on heterogeneous ones.
+    /// volume): the device's stripe mapping, `seg % nshards`.
     pub fn shard_of_seg(&self, seg: u32) -> usize {
         self.dev.shard_of_stripe(seg as u64).min(self.nshards - 1)
     }
@@ -580,13 +527,21 @@ impl<D: QueueDevice> Lfs<D> {
     /// the paper's machine (32 MB RAM) could not keep the working set
     /// resident.
     pub fn drop_caches(&mut self) {
-        self.blocks.retain(|_, b| b.dirty);
-        self.compact_lru_index();
-        self.pool = Vec::new();
-        self.inds.retain(|_, e| e.dirty);
-        let dirty: std::collections::HashSet<Ino> = self.dirty_files.iter().copied().collect();
-        self.inodes.retain(|ino, c| c.dirty || dirty.contains(ino));
+        self.blocks.drop_clean();
+        let dirty_inds = &self.dirty_inds;
+        self.inds.retain(|k, _| dirty_inds.contains(k));
+        let dirty = self.dirty_inos();
+        self.inodes.retain(|ino, _| dirty.contains(ino));
         self.dcache.clear();
+    }
+
+    /// The files with dirty state: data blocks, indirect blocks or the
+    /// inode itself, in inode order.
+    pub(crate) fn dirty_inos(&self) -> BTreeSet<Ino> {
+        let mut inos: BTreeSet<Ino> = self.blocks.dirty().iter().map(|&(i, _)| i).collect();
+        inos.extend(self.dirty_inds.iter().map(|&(i, _)| i));
+        inos.extend(self.dirty_inodes.iter().copied());
+        inos
     }
 
     /// Applies a deferred access-time update (see `shared.rs`: lock-free
@@ -663,7 +618,6 @@ impl<D: QueueDevice> Lfs<D> {
                     other,
                     CachedInode {
                         inode,
-                        dirty: false,
                         ra: ReadAhead::default(),
                     },
                 );
@@ -696,27 +650,15 @@ impl<D: QueueDevice> Lfs<D> {
     /// their change; do not use for conditional mutations.
     pub(crate) fn inode_mut(&mut self, ino: Ino) -> FsResult<&mut Inode> {
         self.ensure_inode(ino)?;
-        self.dirty_files.insert(ino);
-        let c = self.inodes.get_mut(&ino).expect("ensured above");
-        set_dirty(&mut c.dirty, &mut self.dirty_inode_count);
-        Ok(&mut c.inode)
+        self.dirty_inodes.insert(ino);
+        Ok(&mut self.inodes.get_mut(&ino).expect("ensured above").inode)
     }
 
     /// Stores a modified inode back into the cache and marks it dirty.
     pub(crate) fn put_inode(&mut self, inode: Inode) {
-        let ino = inode.ino;
-        let old = self.inodes.insert(
-            inode.ino,
-            CachedInode {
-                inode,
-                dirty: true,
-                ra: ReadAhead::default(),
-            },
-        );
-        if !old.is_some_and(|c| c.dirty) {
-            self.dirty_inode_count += 1;
-        }
-        self.dirty_files.insert(ino);
+        self.dirty_inodes.insert(inode.ino);
+        let ra = ReadAhead::default();
+        self.inodes.insert(inode.ino, CachedInode { inode, ra });
     }
 
     // ----- indirect blocks ---------------------------------------------
@@ -761,7 +703,6 @@ impl<D: QueueDevice> Lfs<D> {
                 (ino, key),
                 CachedInd {
                     blk: IndirectBlock::new(),
-                    dirty: false,
                     disk_addr: NIL_ADDR,
                 },
             );
@@ -773,7 +714,6 @@ impl<D: QueueDevice> Lfs<D> {
             (ino, key),
             CachedInd {
                 blk: IndirectBlock::decode(&buf),
-                dirty: false,
                 disk_addr: addr,
             },
         );
@@ -821,10 +761,8 @@ impl<D: QueueDevice> Lfs<D> {
             BlockClass::Indirect1(i) => {
                 self.ensure_ind(ino, IndKey::Single(0), true)?;
                 let e = self.inds.get_mut(&(ino, IndKey::Single(0))).unwrap();
-                let old = e.blk.ptrs[i];
-                e.blk.ptrs[i] = addr;
-                set_dirty(&mut e.dirty, &mut self.dirty_ind_count);
-                self.dirty_files.insert(ino);
+                let old = std::mem::replace(&mut e.blk.ptrs[i], addr);
+                self.dirty_inds.insert((ino, IndKey::Single(0)));
                 Ok(old)
             }
             BlockClass::Indirect2(i, j) => {
@@ -833,68 +771,16 @@ impl<D: QueueDevice> Lfs<D> {
                 self.ensure_ind(ino, key, true)?;
                 // The double-indirect block will need rewriting once the
                 // single relocates; mark it conservatively now.
-                let d = self.inds.get_mut(&(ino, IndKey::Double)).unwrap();
-                set_dirty(&mut d.dirty, &mut self.dirty_ind_count);
+                self.dirty_inds.insert((ino, IndKey::Double));
                 let e = self.inds.get_mut(&(ino, key)).unwrap();
-                let old = e.blk.ptrs[j];
-                e.blk.ptrs[j] = addr;
-                set_dirty(&mut e.dirty, &mut self.dirty_ind_count);
-                self.dirty_files.insert(ino);
+                let old = std::mem::replace(&mut e.blk.ptrs[j], addr);
+                self.dirty_inds.insert((ino, key));
                 Ok(old)
             }
         }
     }
 
     // ----- data block cache --------------------------------------------
-
-    /// Hands out the next LRU stamp and records in the index that it goes
-    /// to `key`. The caller stores it in the block (inserting the block if
-    /// need be) before anything else touches the cache.
-    pub(crate) fn stamp(&mut self, key: Key) -> u64 {
-        // Every earlier stamp is in its block by now, so whatever fails
-        // the liveness test is garbage; sweeping it only once it makes up
-        // half the index keeps a stamp O(1) amortised.
-        if self.lru_index.len() > 2 * self.blocks.len() + LRU_INDEX_SLACK {
-            self.compact_lru_index();
-        }
-        self.lru_tick += 1;
-        self.lru_index.push_back((self.lru_tick, key));
-        self.lru_tick
-    }
-
-    /// Drops every stale entry of the LRU index.
-    fn compact_lru_index(&mut self) {
-        let blocks = self.blocks.lock_all();
-        self.lru_index
-            .retain(|&(stamp, key)| blocks.get(key).is_some_and(|b| b.lru == stamp));
-    }
-
-    /// The cache limit in blocks, and the level to which clean blocks may
-    /// overshoot it before the read path evicts — which is also the most
-    /// that resident blocks and pooled buffers may add up to.
-    pub(crate) fn cache_bounds(&self) -> (usize, usize) {
-        let limit = (self.cfg.cache_limit_bytes / BLOCK_SIZE as u64) as usize;
-        (limit, limit + limit / 8)
-    }
-
-    /// A block-sized buffer for a block about to enter the cache. A pooled
-    /// buffer still holds the bytes of the block evicted from it, so every
-    /// caller overwrites all of it ([`Lfs::zeroed_buf`] otherwise).
-    pub(crate) fn take_buf(&mut self) -> Vec<u8> {
-        take_buf(&mut self.pool)
-    }
-
-    /// [`Lfs::take_buf`], zero-filled: a hole, or a block about to be
-    /// written in part.
-    fn zeroed_buf(&mut self) -> Vec<u8> {
-        match self.pool.pop() {
-            Some(mut buf) => {
-                buf.fill(0);
-                buf
-            }
-            None => vec![0u8; BLOCK_SIZE],
-        }
-    }
 
     /// Ensures file block `bno` of `ino` is cached (reading from disk or
     /// materialising zeros for a hole). The single-block helper of the
@@ -906,33 +792,14 @@ impl<D: QueueDevice> Lfs<D> {
         }
         let addr = self.block_ptr(ino, bno)?;
         let data = if addr == NIL_ADDR {
-            self.zeroed_buf()
+            self.blocks.zeroed_buf()
         } else {
-            let mut data = self.take_buf();
+            let mut data = self.blocks.take_buf();
             self.read_retry(addr, &mut data)?;
             data
         };
-        self.insert_fetched(ino, bno, data);
+        self.blocks.insert_fetched((ino, bno), data, self.clock);
         Ok(())
-    }
-
-    /// Inserts one freshly fetched (clean) block, with exactly the cache
-    /// bookkeeping [`Lfs::ensure_block`] does: LRU stamp, modification
-    /// time, eviction check.
-    ///
-    /// The block is protected from the eviction its own insertion
-    /// triggers: when every other entry is dirty or pinned it would be the
-    /// only candidate, and callers that fetch-then-access would find the
-    /// cache empty under them (panic in the write path, livelock in the
-    /// read path).
-    fn insert_fetched(&mut self, ino: Ino, bno: u64, data: Vec<u8>) {
-        let lru = self.stamp((ino, bno));
-        self.blocks
-            .insert((ino, bno), CachedBlock::clean(data, lru, self.clock));
-        let (limit, high) = self.cache_bounds();
-        if self.blocks.len() > high {
-            self.evict(self.blocks.len() - limit, Some((ino, bno)));
-        }
     }
 
     /// Ensures file blocks `first..=last` of `ino` are cached, fetching
@@ -994,8 +861,8 @@ impl<D: QueueDevice> Lfs<D> {
             if addr == NIL_ADDR {
                 // A hole: materialise zeros without a device read.
                 self.fetch_run(ino, &mut run)?;
-                let zeros = self.zeroed_buf();
-                self.insert_fetched(ino, bno, zeros);
+                let zeros = self.blocks.zeroed_buf();
+                self.blocks.insert_fetched((ino, bno), zeros, self.clock);
                 continue;
             }
             run = match run {
@@ -1094,172 +961,51 @@ impl<D: QueueDevice> Lfs<D> {
         if count == 1 {
             // Single-block run: skip the scatter-list machinery (this is
             // the common case for small files).
-            let mut data = self.take_buf();
+            let mut data = self.blocks.take_buf();
             self.read_run_retry(start, &mut data)?;
-            self.insert_fetched(ino, first_bno, data);
+            self.blocks
+                .insert_fetched((ino, first_bno), data, self.clock);
             return Ok(());
         }
-        let mut boxes: Vec<Vec<u8>> = (0..count).map(|_| self.take_buf()).collect();
+        let mut boxes: Vec<Vec<u8>> = (0..count).map(|_| self.blocks.take_buf()).collect();
         let mut bufs: Vec<&mut [u8]> = boxes.iter_mut().map(|b| &mut b[..]).collect();
         self.retry_io(false, IO_ATTEMPTS, |dev| {
             dev.read_run_scatter(start, &mut bufs)
         })?;
         for (i, data) in boxes.into_iter().enumerate() {
-            self.insert_fetched(ino, first_bno + i as u64, data);
+            let bno = first_bno + i as u64;
+            self.blocks.insert_fetched((ino, bno), data, self.clock);
         }
         Ok(())
     }
 
-    /// Marks a cached block dirty, tracking flush bookkeeping and
-    /// stamping the block's modification time.
-    pub(crate) fn mark_block_dirty(&mut self, ino: Ino, bno: u64) {
-        let now = self.clock;
-        let was_dirty = self
-            .blocks
-            .get_mut((ino, bno), |b| dirty_at(b, now))
-            .expect("block not cached");
-        self.note_dirty((ino, bno), was_dirty);
-    }
-
-    /// The flush bookkeeping of [`Lfs::mark_block_dirty`], for a block
-    /// [`dirty_at`] has just marked.
-    fn note_dirty(&mut self, key: Key, was_dirty: bool) {
-        if !was_dirty {
-            self.dirty_bytes += BLOCK_SIZE as u64;
-            self.dirty_blocks.insert(key);
-        }
-        self.dirty_files.insert(key.0);
-    }
-
-    /// Evicts the `excess` least recently stamped blocks among those that
-    /// are clean, unpinned and not `protect` (all of them when there are
-    /// fewer), walking the LRU index from its cold end: a round costs the
-    /// blocks it evicts plus the entries it steps over, not a scan of the
-    /// cache.
-    ///
-    /// Blocks whose payload `Arc` is shared are *pinned* and never
-    /// evicted: a second strong count means a queued submission still
-    /// references the block in flight. Evicting it would be data-safe
-    /// (the ring keeps its own reference), but its buffer could not go
-    /// back to the pool, and a re-read would install a second copy of a
-    /// block the ring still holds. Lock-free readers never pin: they copy
-    /// bytes out under the shard lock and keep no reference.
-    ///
-    /// A victim's buffer goes to the pool while resident blocks and pooled
-    /// buffers together stay within the cache's high-water mark.
-    pub(crate) fn evict(&mut self, excess: usize, protect: Option<Key>) {
-        let (_, high) = self.cache_bounds();
-        let mut kept = Vec::new();
-        let mut evicted = 0;
-        let mut blocks = self.blocks.lock_all();
-        while evicted < excess {
-            let Some((stamp, key)) = self.lru_index.pop_front() else {
-                break;
-            };
-            let Some(b) = blocks.get(key) else {
-                continue;
-            };
-            if b.lru != stamp {
-                continue;
-            }
-            if b.dirty || b.pinned() || Some(key) == protect {
-                kept.push((stamp, key));
-                continue;
-            }
-            let victim = blocks.remove(key).expect("looked up above");
-            evicted += 1;
-            if self.blocks.len() + self.pool.len() < high {
-                // Unpinned, so the count is one and the unwrap succeeds.
-                if let Ok(buf) = Arc::try_unwrap(victim.data) {
-                    self.pool.push(buf);
-                }
-            }
-        }
-        for e in kept.into_iter().rev() {
-            self.lru_index.push_front(e);
-        }
-    }
-
-    /// Asserts that every running count matches a fresh scan of the
-    /// caches: the dirty-inode and dirty-indirect populations
-    /// (`needs_flush`'s O(1) inputs), the dirty-block set, and the
-    /// dirty-byte total. Test-only hook for the eviction/pinning
-    /// interleaving proptests; release builds compile it to nothing.
+    /// Asserts that the dirty sets agree with the caches they index —
+    /// every dirty inode and indirect block cached, every dirty block
+    /// resident — and the block cache's own invariants. Test-only hook
+    /// for the eviction/pinning interleaving proptests; release builds
+    /// compile it to nothing.
     #[doc(hidden)]
     pub fn assert_running_counts(&self) {
-        debug_assert_eq!(
-            self.dirty_inode_count,
-            self.inodes.values().filter(|c| c.dirty).count(),
-            "dirty inode running count diverged from scan"
-        );
-        debug_assert_eq!(
-            self.dirty_ind_count,
-            self.inds.values().filter(|c| c.dirty).count(),
-            "dirty indirect running count diverged from scan"
-        );
-        if cfg!(debug_assertions) {
-            let mut dirty = 0;
-            self.blocks.for_each(|_, b| dirty += b.dirty as usize);
-            assert_eq!(
-                self.dirty_blocks.len(),
-                dirty,
-                "dirty block set diverged from scan"
-            );
-        }
-        debug_assert_eq!(
-            self.dirty_bytes,
-            self.dirty_blocks.len() as u64 * BLOCK_SIZE as u64,
-            "dirty byte total diverged from dirty block set"
-        );
-        if cfg!(debug_assertions) {
-            // Dirty and pinned blocks can hold the cache above its limit;
-            // the pool never adds to that.
-            let (_, high) = self.cache_bounds();
-            assert!(
-                self.pool.is_empty() || self.blocks.len() + self.pool.len() <= high,
-                "{} blocks + {} pooled buffers exceed the high-water mark {high}",
-                self.blocks.len(),
-                self.pool.len()
-            );
-            assert!(self.pool.iter().all(|b| b.len() == BLOCK_SIZE));
-            let live: Vec<_> = self
-                .lru_index
+        debug_assert!(
+            self.dirty_inodes
                 .iter()
-                .filter(|&&(stamp, key)| self.blocks.get(key, |b| b.lru == stamp) == Some(true))
-                .collect();
-            assert!(
-                live.windows(2).all(|w| w[0].0 < w[1].0),
-                "live LRU index entries are not in stamp order"
-            );
-            assert_eq!(
-                live.len(),
-                self.blocks.len(),
-                "a resident block lacks its live LRU index entry"
-            );
-        }
+                .all(|i| self.inodes.contains_key(i)),
+            "a dirty inode is not cached"
+        );
+        debug_assert!(
+            self.dirty_inds.iter().all(|k| self.inds.contains_key(k)),
+            "a dirty indirect block is not cached"
+        );
+        self.blocks.assert_consistent();
     }
 
     /// Drops all cached state for a deleted file.
     pub(crate) fn purge_file(&mut self, ino: Ino) {
-        if self.inodes.remove(&ino).is_some_and(|c| c.dirty) {
-            self.dirty_inode_count -= 1;
-        }
-        let dic = &mut self.dirty_ind_count;
-        self.inds.retain(|&(i, _), e| {
-            if i == ino && e.dirty {
-                *dic -= 1;
-            }
-            i != ino
-        });
-        let (dirty_bytes, dirty_blocks) = (&mut self.dirty_bytes, &mut self.dirty_blocks);
-        self.blocks.retain(|k, b| {
-            if k.0 == ino && b.dirty {
-                *dirty_bytes -= BLOCK_SIZE as u64;
-                dirty_blocks.remove(&k);
-            }
-            k.0 != ino
-        });
-        self.dirty_files.remove(&ino);
+        self.inodes.remove(&ino);
+        self.dirty_inodes.remove(&ino);
+        self.inds.retain(|&(i, _), _| i != ino);
+        self.dirty_inds.retain(|&(i, _)| i != ino);
+        self.blocks.purge(ino);
         self.dcache.remove(&ino);
     }
 
@@ -1290,7 +1036,7 @@ impl<D: QueueDevice> Lfs<D> {
             // write must not demand more clean segments at once than the
             // cleaner maintains, and a failing flush must not leave ever
             // more dirty data stranded in the cache.
-            if self.dirty_bytes >= self.flush_trigger_bytes() {
+            if self.blocks.dirty_bytes() >= self.flush_trigger_bytes() {
                 // Keep the inode's size current so a crash mid-write
                 // recovers a correct prefix. (Mutating the cached inode in
                 // place means there is no pre-flush clone whose pointers
@@ -1304,29 +1050,13 @@ impl<D: QueueDevice> Lfs<D> {
             let bno = abs / BLOCK_SIZE as u64;
             let off_in = (abs % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - off_in).min(data.len() - pos);
-            let now = self.clock;
-            // Copies this stretch in and marks the block dirty, under one
-            // shard lock.
-            let write = |b: &mut CachedBlock| {
-                Arc::make_mut(&mut b.data)[off_in..off_in + n].copy_from_slice(&data[pos..pos + n]);
-                dirty_at(b, now)
-            };
-            let was_dirty = if n == BLOCK_SIZE {
-                // No read needed: replace or insert the whole block.
-                let lru = self.stamp((ino, bno));
-                let pool = &mut self.pool;
-                let make = || CachedBlock::clean(take_buf(pool), lru, now);
-                self.blocks.upsert((ino, bno), make, |b| {
-                    b.lru = lru;
-                    write(b)
-                })
-            } else {
+            // A whole block needs no read: the cache replaces or inserts it.
+            if n < BLOCK_SIZE {
                 self.ensure_block(ino, bno)?;
-                self.blocks
-                    .get_mut((ino, bno), write)
-                    .expect("ensured above")
-            };
-            self.note_dirty((ino, bno), was_dirty);
+            }
+            let now = self.clock;
+            self.blocks
+                .write((ino, bno), off_in, &data[pos..pos + n], now);
             pos += n;
         }
         let now = self.now();
@@ -1365,11 +1095,10 @@ impl<D: QueueDevice> Lfs<D> {
             let bno = abs / BLOCK_SIZE as u64;
             let off_in = (abs % BLOCK_SIZE as u64) as usize;
             let len = (BLOCK_SIZE - off_in).min(n - pos);
-            let dst = &mut buf[pos..pos + len];
-            let copied = self.blocks.get((ino, bno), |b| {
-                dst.copy_from_slice(&b.data[off_in..off_in + len])
-            });
-            if copied.is_some() {
+            if self
+                .blocks
+                .copy_out((ino, bno), off_in, &mut buf[pos..pos + len])
+            {
                 pos += len;
             } else {
                 // A cache smaller than the request evicted the block
@@ -1382,14 +1111,6 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(n)
     }
 
-    /// Drops a block from the cache, dirty or not.
-    fn drop_block(&mut self, key: Key) {
-        if self.blocks.remove(key).is_some_and(|b| b.dirty) {
-            self.dirty_bytes -= BLOCK_SIZE as u64;
-        }
-        self.dirty_blocks.remove(&key);
-    }
-
     /// Frees all blocks of `ino` past `new_blocks` file blocks, adjusting
     /// usage accounting and pruning emptied indirect blocks.
     pub(crate) fn free_blocks_from(&mut self, ino: Ino, new_blocks: u64) -> FsResult<()> {
@@ -1398,16 +1119,17 @@ impl<D: QueueDevice> Lfs<D> {
         // buffered data and then failed before updating the size); drop
         // them too, or they leak in the cache forever.
         let zombies: Vec<Key> = self
-            .dirty_blocks
+            .blocks
+            .dirty()
             .range((ino, old_blocks.max(new_blocks))..=(ino, u64::MAX))
             .copied()
             .collect();
         for key in zombies {
-            self.drop_block(key);
+            self.blocks.remove(key);
         }
         for bno in new_blocks..old_blocks {
             // Drop the cached copy first.
-            self.drop_block((ino, bno));
+            self.blocks.remove((ino, bno));
             let old = match classify_block(bno) {
                 Some(BlockClass::Direct(_)) => self.set_block_ptr(ino, bno, NIL_ADDR)?,
                 Some(_) => {
@@ -1444,9 +1166,8 @@ impl<D: QueueDevice> Lfs<D> {
                 let e = &self.inds[&(ino, key)];
                 if e.blk.is_empty() {
                     let old = e.disk_addr;
-                    if self.inds.remove(&(ino, key)).is_some_and(|e| e.dirty) {
-                        self.dirty_ind_count -= 1;
-                    }
+                    self.inds.remove(&(ino, key));
+                    self.dirty_inds.remove(&(ino, key));
                     if old != NIL_ADDR {
                         if let Some(seg) = self.sb.seg_of(old) {
                             self.usage.sub_live(seg, BLOCK_SIZE as u32);
@@ -1463,23 +1184,17 @@ impl<D: QueueDevice> Lfs<D> {
                 if *k == 0 {
                     inode.indirect = NIL_ADDR;
                     inode_changed = true;
-                } else if self.inds.contains_key(&(ino, IndKey::Double)) {
-                    let d = self.inds.get_mut(&(ino, IndKey::Double)).unwrap();
+                } else if let Some(d) = self.inds.get_mut(&(ino, IndKey::Double)) {
                     d.blk.ptrs[(*k - 1) as usize] = NIL_ADDR;
-                    set_dirty(&mut d.dirty, &mut self.dirty_ind_count);
+                    self.dirty_inds.insert((ino, IndKey::Double));
                 }
             }
             // Now check whether the double-indirect block emptied out.
             if let Some(d) = self.inds.get(&(ino, IndKey::Double)) {
                 if d.blk.is_empty() {
                     let old = d.disk_addr;
-                    if self
-                        .inds
-                        .remove(&(ino, IndKey::Double))
-                        .is_some_and(|e| e.dirty)
-                    {
-                        self.dirty_ind_count -= 1;
-                    }
+                    self.inds.remove(&(ino, IndKey::Double));
+                    self.dirty_inds.remove(&(ino, IndKey::Double));
                     if old != NIL_ADDR {
                         if let Some(seg) = self.sb.seg_of(old) {
                             self.usage.sub_live(seg, BLOCK_SIZE as u32);
@@ -1491,8 +1206,6 @@ impl<D: QueueDevice> Lfs<D> {
             }
             if inode_changed {
                 self.put_inode(inode);
-            } else {
-                self.dirty_files.insert(ino);
             }
         }
         Ok(())
@@ -1556,7 +1269,7 @@ impl<D: QueueDevice> Lfs<D> {
     fn dir_block_records(&mut self, dirino: Ino, blk: u64) -> FsResult<Vec<DirRecord>> {
         self.ensure_block(dirino, blk)?;
         self.blocks
-            .get((dirino, blk), |b| dir::decode_block(&b.data))
+            .with_bytes((dirino, blk), dir::decode_block)
             .expect("ensured above")
     }
 
@@ -1701,7 +1414,7 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Applies the flush / clean / checkpoint policies after a mutation.
     pub(crate) fn after_mutation(&mut self) -> FsResult<()> {
-        if self.dirty_bytes >= self.flush_trigger_bytes() {
+        if self.blocks.dirty_bytes() >= self.flush_trigger_bytes() {
             self.flush()?;
         }
         if self.cfg.checkpoint_every_bytes > 0
@@ -1802,10 +1515,8 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
                 if self.block_ptr(ino, bno)? != NIL_ADDR || self.blocks.contains((ino, bno)) {
                     self.ensure_block(ino, bno)?;
                     let off = (size % BLOCK_SIZE as u64) as usize;
-                    self.blocks
-                        .get_mut((ino, bno), |b| Arc::make_mut(&mut b.data)[off..].fill(0))
-                        .expect("ensured above");
-                    self.mark_block_dirty(ino, bno);
+                    let now = self.clock;
+                    self.blocks.write((ino, bno), off, &ZERO_BLOCK[off..], now);
                 }
             }
             if size == 0 {
@@ -2034,7 +1745,7 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
     fn statfs(&mut self) -> FsResult<StatFs> {
         let live: u64 = self.usage.iter().map(|(_, u)| u.live_bytes as u64).sum();
         // Include data that is dirty in the cache but not yet on disk.
-        let pending = self.dirty_bytes;
+        let pending = self.blocks.dirty_bytes();
         Ok(StatFs {
             total_bytes: self.sb.nsegments as u64 * self.cfg.seg_bytes(),
             live_bytes: live + pending,

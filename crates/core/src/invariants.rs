@@ -130,15 +130,6 @@ impl InvariantSuite {
         (report, Some(fs))
     }
 
-    /// Asserts the structural and content invariants on an
-    /// already-mounted file system (the recoverability step is assumed —
-    /// `fs` exists). This is the entry point `lfsck` uses.
-    pub fn verify_mounted<D: QueueDevice>(&self, fs: &mut Lfs<D>) -> InvariantReport {
-        let mut report = InvariantReport::default();
-        self.verify_mounted_into(fs, &mut report);
-        report
-    }
-
     fn verify_mounted_into<D: QueueDevice>(&self, fs: &mut Lfs<D>, report: &mut InvariantReport) {
         match fs.check() {
             Ok(check) => {

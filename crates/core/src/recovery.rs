@@ -38,7 +38,6 @@
 //! alternating-region design of §4.1 exists to provide.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
-#![warn(clippy::too_many_lines)]
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{FileType, FsError, FsResult, Ino};
@@ -458,7 +457,6 @@ impl<D: QueueDevice> Lfs<D> {
         // other copy of this file to invalidate.
         let cached = CachedInode {
             inode: inode.clone(),
-            dirty: false,
             ra: ReadAhead::default(),
         };
         self.inodes.insert(ino, cached);

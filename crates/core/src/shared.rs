@@ -20,8 +20,8 @@
 //!
 //! * The cache maps `(ino, file block)` to the block's bytes and is split
 //!   into 16 shards behind `RwLock`s. The lane is its only writer: it
-//!   inserts, overwrites, dirties and evicts entries under the shard's
-//!   write lock. A read copies a resident block's bytes out under the
+//!   inserts, overwrites and evicts entries under the shard's write
+//!   lock. A read copies a resident block's bytes out under the
 //!   shard's read lock, so it sees the block whole, old or new, and keeps
 //!   no reference to it afterwards: readers never delay eviction.
 //! * Each inode has one atomic word: its size plus a directory bit, or
@@ -74,7 +74,7 @@ use blockdev::{QueueDevice, BLOCK_SIZE};
 use lfs_obs::{Histogram, MetricsSnapshot, Obs};
 use vfs::{DirEntry, FileSystem, FileType, FsError, FsResult, Ino, Metadata, StatFs};
 
-use crate::cache::BlockCache;
+use crate::cache::BlockMap;
 use crate::config::LfsConfig;
 use crate::fs::Lfs;
 use crate::stats::LfsStats;
@@ -124,12 +124,13 @@ pub struct SharedReadStats {
 }
 
 struct Inner<D: QueueDevice> {
-    /// The lane's block cache, read here without the lane. Declared (so
+    /// The lane's block map, read here without the lane. Declared (so
     /// dropped) before `writer`: the core's own handle is then the last,
     /// and the blocks are freed where a plain `Lfs` frees them, ahead of
-    /// its buffer pool. Freed after the pool instead, they doubled the
-    /// page faults of the next mount in a format–fill–drop loop.
-    cache: Arc<BlockCache>,
+    /// the cache's buffer pool. Freed after the pool instead, they
+    /// doubled the page faults of the next mount in a format–fill–drop
+    /// loop.
+    cache: Arc<BlockMap>,
     /// The writer lane: every mutation and every cache miss serializes
     /// here. Poisoning is deliberately ignored (a panicking client must
     /// not brick the mount); on-disk state stays crash-consistent because
@@ -210,7 +211,7 @@ impl<D: QueueDevice> SharedLfs<D> {
         }
         SharedLfs {
             inner: Arc::new(Inner {
-                cache: Arc::clone(&fs.blocks),
+                cache: fs.blocks.shared_map(),
                 attrs,
                 atimes: Mutex::new(Vec::new()),
                 clock: AtomicU64::new(fs.clock()),
@@ -329,10 +330,7 @@ impl<D: QueueDevice> SharedLfs<D> {
                 let (bno, off_in) = (at / BLOCK_SIZE as u64, (at % BLOCK_SIZE as u64) as usize);
                 let dst = &mut buf[pos..n.min(pos + BLOCK_SIZE - off_in)];
                 let len = dst.len();
-                let hit = inner.cache.get((ino, bno), |b| {
-                    dst.copy_from_slice(&b.data[off_in..off_in + len])
-                });
-                if hit.is_none() {
+                if !inner.cache.copy_out((ino, bno), off_in, dst) {
                     break;
                 }
                 pos += len;

@@ -8,8 +8,8 @@
 //!   protocol: length-prefixed frames, each carrying one [`vfs::Op`] or
 //!   its result in the [`vfs::wire`] encoding (numeric error codes from
 //!   [`vfs::FsError::wire_code`]).
-//! * [`pool`] — a bounded work-stealing thread pool; the bound doubles
-//!   as connection admission control.
+//! * `pool` — a bounded FIFO thread pool, one job per connection; the
+//!   bound doubles as connection admission control.
 //! * [`server`] — the TCP accept loop ([`serve`]) and the matching
 //!   [`Client`], which implements [`vfs::FileSystem`] so workload
 //!   generators can drive a remote mount unchanged.
@@ -19,9 +19,8 @@
 //! served lock-free from the core's block cache while mutations
 //! serialize through the writer lane (see `lfs_core::shared`).
 
-pub mod pool;
+mod pool;
 pub mod protocol;
 pub mod server;
 
-pub use pool::Pool;
 pub use server::{serve, Client, ServerConfig, ServerHandle};

@@ -1,221 +1,75 @@
-//! A bounded work-stealing thread pool.
-//!
-//! Jobs land in a bounded global injector; each worker owns a local deque
-//! it drains LIFO (cache-warm) and refills from the injector or — when
-//! both are empty — by stealing the *oldest* half-entry from a sibling's
-//! deque (FIFO steal, the classic Chase–Lev discipline, here with plain
-//! mutexed deques since contention is dominated by the file-system lock
-//! anyway). `spawn` blocks once `queue_cap` jobs are pending, which is
-//! the server's connection backpressure: accepting more clients than the
-//! pool can seat parks them in the injector instead of growing unbounded.
+//! A bounded FIFO thread pool: `workers` threads take jobs in arrival
+//! order from one `sync_channel`. `spawn` blocks once `queue_cap` jobs
+//! are pending, which is the server's connection backpressure: accepting
+//! more clients than the pool can seat parks them in the queue instead of
+//! growing it without bound.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct Shared {
-    /// Global injector queue (bounded by `cap`).
-    injector: Mutex<VecDeque<Job>>,
-    /// Signalled when a job is queued or the pool shuts down.
-    work: Condvar,
-    /// Signalled when injector space frees up.
-    space: Condvar,
-    /// Per-worker local deques, stealable by siblings.
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    cap: usize,
-    shutdown: AtomicBool,
-    /// Jobs executed to completion (for tests/metrics).
-    completed: AtomicU64,
-}
-
-/// The pool handle. Dropping it shuts the pool down after draining
-/// already-queued jobs.
-pub struct Pool {
-    shared: Arc<Shared>,
+/// The pool handle. Dropping it closes the queue and joins every worker
+/// once the jobs already queued have run.
+pub(crate) struct Pool {
+    queue: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 impl Pool {
-    /// Creates a pool with `workers` threads and an injector bounded at
+    /// Creates a pool with `workers` threads and a queue bounded at
     /// `queue_cap` pending jobs (minimums of 1 apply to both).
-    pub fn new(workers: usize, queue_cap: usize) -> Pool {
-        let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
-            space: Condvar::new(),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            cap: queue_cap.max(1),
-            shutdown: AtomicBool::new(false),
-            completed: AtomicU64::new(0),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("lfs-pool-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        Pool {
-            shared,
-            workers: handles,
-        }
+    pub(crate) fn new(workers: usize, queue_cap: usize) -> Pool {
+        let (queue, jobs) = sync_channel::<Job>(queue_cap.max(1));
+        let jobs = Arc::new(Mutex::new(jobs));
+        let spawn_worker = |i| {
+            let jobs = Arc::clone(&jobs);
+            std::thread::Builder::new()
+                .name(format!("lfs-pool-{i}"))
+                .spawn(move || worker_loop(&jobs))
+                .expect("spawn pool worker")
+        };
+        let workers = (0..workers.max(1)).map(spawn_worker).collect();
+        let queue = Some(queue);
+        Pool { queue, workers }
     }
 
-    /// Queues `job`, blocking while the injector is at capacity. Returns
-    /// `false` (dropping the job) once the pool is shutting down.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        let mut q = lock(&self.shared.injector);
-        while q.len() >= self.shared.cap {
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                return false;
-            }
-            q = self.shared.space.wait(q).unwrap_or_else(|e| e.into_inner());
-        }
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return false;
-        }
-        q.push_back(Box::new(job));
-        drop(q);
-        self.shared.work.notify_one();
-        true
+    /// Queues `job`, blocking while the queue is at capacity. Returns
+    /// `false` (dropping the job) when no worker is left to run it.
+    pub(crate) fn spawn(&self, job: impl FnOnce() + Send + 'static) -> bool {
+        let queue = self.queue.as_ref().expect("the queue closes on drop");
+        queue.send(Box::new(job)).is_ok()
     }
 
-    /// Number of jobs run to completion so far.
-    pub fn completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Acquire)
-    }
-
-    /// Signals shutdown and joins every worker. Queued jobs still drain;
-    /// new `spawn`s are refused.
-    pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.work.notify_all();
-        self.shared.space.notify_all();
-    }
+    /// Drops the pool: see [`Pool`].
+    pub(crate) fn shutdown(self) {}
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.begin_shutdown();
+        self.queue = None;
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// One attempt to find work: own deque (LIFO), then injector, then steal
-/// the oldest job from the most loaded sibling (FIFO).
-fn find_job(shared: &Shared, me: usize) -> Option<Job> {
-    if let Some(job) = lock(&shared.locals[me]).pop_back() {
-        return Some(job);
-    }
-    {
-        let mut q = lock(&shared.injector);
-        if let Some(job) = q.pop_front() {
-            drop(q);
-            shared.space.notify_one();
-            return Some(job);
-        }
-    }
-    let n = shared.locals.len();
-    let (mut best, mut best_len) = (None, 0usize);
-    for off in 1..n {
-        let v = (me + off) % n;
-        let len = lock(&shared.locals[v]).len();
-        if len > best_len {
-            best = Some(v);
-            best_len = len;
-        }
-    }
-    if let Some(v) = best {
-        if let Some(job) = lock(&shared.locals[v]).pop_front() {
-            return Some(job);
-        }
-    }
-    None
-}
-
-fn worker_loop(shared: &Shared, me: usize) {
+/// Runs jobs in queue order until the queue is closed and empty. The
+/// receiver's lock is held only while waiting for the next job.
+fn worker_loop(jobs: &Mutex<Receiver<Job>>) {
     loop {
-        if let Some(job) = find_job(shared, me) {
-            job();
-            shared.completed.fetch_add(1, Ordering::AcqRel);
-            continue;
-        }
-        let q = lock(&shared.injector);
-        if !q.is_empty() {
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
-            // Drained and shutting down — but a sibling deque might still
-            // hold stealable work; one last sweep before exiting.
-            drop(q);
-            if let Some(job) = find_job(shared, me) {
-                job();
-                shared.completed.fetch_add(1, Ordering::AcqRel);
-                continue;
-            }
-            return;
-        }
-        // Sleep until new work arrives (re-checked on wakeup).
-        let (_q, _timeout) = shared
-            .work
-            .wait_timeout(q, std::time::Duration::from_millis(50))
-            .unwrap_or_else(|e| e.into_inner());
-    }
-}
-
-/// Handle for jobs that want to fan further work out to their own pool:
-/// pushes onto the *local* deque of the worker running the current job.
-/// (Connections do not currently use this, but the pool keeps the
-/// work-stealing side honest and tested through it.)
-pub struct LocalSpawner {
-    shared: Arc<Shared>,
-    worker: usize,
-}
-
-impl Pool {
-    /// A spawner that pushes to `worker`'s local deque, from which
-    /// siblings steal FIFO.
-    pub fn local_spawner(&self, worker: usize) -> LocalSpawner {
-        assert!(worker < self.shared.locals.len());
-        LocalSpawner {
-            shared: Arc::clone(&self.shared),
-            worker,
-        }
-    }
-}
-
-impl LocalSpawner {
-    /// Queues `job` on the owning worker's deque (unbounded — local jobs
-    /// are already "admitted" work).
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        lock(&self.shared.locals[self.worker]).push_back(Box::new(job));
-        self.shared.work.notify_all();
+        let job = jobs.lock().unwrap_or_else(|e| e.into_inner()).recv();
+        let Ok(job) = job else { return };
+        job();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Condvar;
 
     #[test]
     fn runs_every_job_exactly_once() {
@@ -272,42 +126,5 @@ mod tests {
         });
         pool.shutdown();
         assert_eq!(done.load(Ordering::Acquire), 4);
-    }
-
-    #[test]
-    fn siblings_steal_local_work() {
-        let pool = Pool::new(3, 4);
-        let count = Arc::new(AtomicUsize::new(0));
-        let spawner = pool.local_spawner(0);
-        // Park worker 0 so it cannot run its own local jobs; 1 and 2 must
-        // steal them.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        pool.spawn(move || {
-            let (m, c) = &*g;
-            let mut open = m.lock().unwrap();
-            while !*open {
-                open = c.wait(open).unwrap();
-            }
-        });
-        // The parked job may land on any worker; push local jobs onto
-        // worker 0's deque regardless — someone else picks them up.
-        for _ in 0..100 {
-            let count = Arc::clone(&count);
-            spawner.spawn(move || {
-                count.fetch_add(1, Ordering::AcqRel);
-            });
-        }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while count.load(Ordering::Acquire) < 100 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(count.load(Ordering::Acquire), 100, "local jobs not stolen");
-        {
-            let (m, c) = &*gate;
-            *m.lock().unwrap() = true;
-            c.notify_all();
-        }
-        pool.shutdown();
     }
 }

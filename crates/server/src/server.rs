@@ -27,7 +27,7 @@ pub struct ServerConfig {
     /// Worker threads — the number of connections served concurrently.
     pub workers: usize,
     /// Accepted-but-unseated connections allowed to queue before `accept`
-    /// itself blocks (the pool's injector bound).
+    /// itself blocks (the pool's queue bound).
     pub queue_cap: usize,
 }
 
