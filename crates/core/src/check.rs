@@ -276,11 +276,12 @@ impl<D: QueueDevice> Lfs<D> {
     /// clean segments hold nothing. A pending-free segment waits only for
     /// the first checkpoint after it was cleaned, which promotes it.
     fn check_usage(&self, census: &mut Census) {
+        let checkpoint_seq = self.log.checkpoint_seq();
         for (seg, usage) in self.usage.iter() {
-            if usage.state == SegState::PendingFree && usage.seal_seq < self.checkpoint_seq {
+            if usage.state == SegState::PendingFree && usage.seal_seq < checkpoint_seq {
                 census.error(format!(
-                    "segment {seg}: pending since seq {} but checkpoint {} did not promote it",
-                    usage.seal_seq, self.checkpoint_seq
+                    "segment {seg}: pending since seq {} but checkpoint {checkpoint_seq} did not promote it",
+                    usage.seal_seq
                 ));
             }
             let counted = census.recount[seg as usize];

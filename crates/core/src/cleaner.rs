@@ -128,15 +128,21 @@ impl<D: QueueDevice> Lfs<D> {
     /// the low-water mark, continuing until the high-water mark is
     /// reached or nothing more can be cleaned.
     pub(crate) fn maybe_clean(&mut self) -> FsResult<()> {
-        if self.cleaning {
+        if self.cleaning || self.usage.clean_count() >= self.cfg.clean_low_water {
             return Ok(());
         }
-        if self.usage.clean_count() >= self.cfg.clean_low_water {
-            return Ok(());
-        }
-        self.cleaning = true;
-        let res = self.clean_until_high_water();
-        self.cleaning = false;
+        self.as_cleaner(Self::clean_until_high_water)
+    }
+
+    /// Runs `f` as the cleaner: its flushes count as relocation, and no
+    /// cleaning run starts inside it.
+    pub(crate) fn as_cleaner<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> FsResult<T>,
+    ) -> FsResult<T> {
+        let was_cleaning = std::mem::replace(&mut self.cleaning, true);
+        let res = f(self);
+        self.cleaning = was_cleaning;
         res
     }
 
@@ -145,11 +151,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// cleaner directly. Like every pass it writes no checkpoint: its
     /// victims stay [`SegState::PendingFree`] until the next one.
     pub fn clean_pass(&mut self) -> FsResult<u32> {
-        let was_cleaning = self.cleaning;
-        self.cleaning = true;
-        let res = self.pass();
-        self.cleaning = was_cleaning;
-        res
+        self.as_cleaner(Self::pass)
     }
 
     /// One pass: pick victims and relocate their live data. The victims
@@ -255,7 +257,7 @@ impl<D: QueueDevice> Lfs<D> {
             // may still fit.
             pick.take(seg, live);
         }
-        if self.nshards > 1 {
+        if self.shard_count() > 1 {
             self.top_up_starved_shards(&mut pick, heap);
         }
         if !pick.pays_off() {
@@ -277,9 +279,9 @@ impl<D: QueueDevice> Lfs<D> {
             self.usage
                 .iter()
                 .filter(|&(seg, u)| {
-                    !self.is_write_point_seg(seg)
+                    !self.log.is_write_point_seg(seg)
                         && u.state == SegState::Dirty
-                        && u.seal_seq <= self.checkpoint_seq
+                        && u.seal_seq <= self.log.checkpoint_seq()
                         && (u.live_bytes as u64) < seg_bytes
                 })
                 .map(|(seg, u)| {
@@ -342,11 +344,7 @@ impl<D: QueueDevice> Lfs<D> {
         // allocatable until the run's checkpoint, which it writes once
         // clean plus pending segments reach `clean_high_water`, never
         // inside a pass.
-        let head_room: u64 = self
-            .write_points
-            .iter()
-            .map(|&(_, off)| (self.sb.seg_blocks.saturating_sub(off)) as u64 * BLOCK_SIZE as u64)
-            .sum();
+        let head_room = self.log.head_room(self.sb.seg_blocks);
         let free_budget = self.usage.clean_count() as u64 * seg_bytes + head_room;
         // Picked live data is rewritten alongside whatever dirty
         // application data is waiting, plus metadata whose fixed part can
@@ -367,7 +365,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// Keeps popping the heap for the best candidate on each starved shard
     /// (still subject to the live-data budget).
     fn top_up_starved_shards(&self, pick: &mut Pick, mut heap: Ranked) {
-        let n = self.nshards;
+        let n = self.shard_count();
         let mut regenerated_per_shard = vec![0u32; n];
         // Pending segments count: the checkpoint that ends the cleaning
         // run makes them clean, so a shard holding one is not starved.
@@ -444,7 +442,7 @@ impl<D: QueueDevice> Lfs<D> {
                 // "If a segment to be cleaned has no live blocks then it
                 // need not be read at all" (§3.4).
                 self.stats.cleaner.segments_empty += 1;
-                self.usage.set_seal_seq(seg, self.write_seq);
+                self.usage.set_seal_seq(seg, self.log.write_seq());
                 self.usage.set_state(seg, SegState::PendingFree);
                 continue;
             }
@@ -486,7 +484,7 @@ impl<D: QueueDevice> Lfs<D> {
             // closing flush, so any checkpoint that records the state
             // covers the relocation (which is what lets `mount` promote
             // it).
-            self.usage.set_seal_seq(seg, self.write_seq);
+            self.usage.set_seal_seq(seg, self.log.write_seq());
             self.usage.set_state(seg, SegState::PendingFree);
         }
         Ok(())
@@ -883,8 +881,11 @@ mod tests {
             }
             for &(seg, seal) in &watched {
                 assert_eq!(fs.usage.get(seg).state, SegState::PendingFree);
-                assert!(seal > fs.checkpoint_seq, "segment {seg} sealed at {seal}");
-                assert!(!fs.is_write_point_seg(seg));
+                assert!(
+                    seal > fs.log.checkpoint_seq(),
+                    "segment {seg} sealed at {seal}"
+                );
+                assert!(!fs.log.is_write_point_seg(seg));
             }
             due |= round % 40 == 39;
             if due && watched.is_empty() {
@@ -892,7 +893,7 @@ mod tests {
                 // checkpoint, so even an empty victim's seal sequence is
                 // past it.
                 fs.sync().unwrap();
-                if fs.write_seq == fs.checkpoint_seq {
+                if fs.log.write_seq() == fs.log.checkpoint_seq() {
                     continue;
                 }
                 due = false;
@@ -902,7 +903,10 @@ mod tests {
                     watched = pending(&fs);
                     assert!(!watched.is_empty());
                     for &(seg, seal) in &watched {
-                        assert!(seal > fs.checkpoint_seq, "segment {seg} sealed at {seal}");
+                        assert!(
+                            seal > fs.log.checkpoint_seq(),
+                            "segment {seg} sealed at {seal}"
+                        );
                     }
                     watches += 1;
                 }

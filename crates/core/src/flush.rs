@@ -35,12 +35,15 @@
 //! [`Placement`]; **assign** gives the items their addresses and makes
 //! final everything the encoded blocks carry; **encode** renders one chunk
 //! into a [`Flush<SummarySealed>`]; **submit** consumes that and returns a
-//! [`Flush<DataWritten>`]; and **commit**, which requires it, advances
-//! `write_seq` and the write points and clears the dirty bits, the map
-//! blocks' too. Encode and submit alternate chunk by chunk, so the scratch
-//! pool stays at the ring depth + 1. A flush that fails before commit
-//! leaves every dirty bit set and every write point where it was, and the
-//! next flush places the same state again.
+//! [`Flush<DataWritten>`]; and **commit**, which requires it, hands the
+//! token and the placement's end to the log writer (`log.rs`), which
+//! advances `write_seq` and the write points, and clears the dirty bits,
+//! the map blocks' too. Encode and submit alternate chunk by chunk, so the
+//! log's scratch pool stays at the ring depth + 1. A flush that fails
+//! before commit leaves every dirty bit set and every write point where it
+//! was, and the next flush places the same state again. A `sync` and a
+//! checkpoint then take the token to [`Lfs::fence`], the one path that
+//! makes the log durable.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -179,7 +182,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// concurrent `sync` callers can hand off without taking the writer
     /// lane at all.
     pub(crate) fn sync_settled(&self) -> bool {
-        !self.needs_flush() && self.durable_seq == self.write_seq
+        !self.needs_flush() && self.log.is_durable()
     }
 
     /// Writes everything dirty to the log as one or more partial writes.
@@ -198,7 +201,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// that carries map blocks runs whenever they are dirty.
     /// `sync` and checkpointing go through this form: the token is the
     /// compile-time proof that the log writes a fence will cover were
-    /// staged → sealed → submitted in order, and [`Flush::fence`] is the
+    /// staged → sealed → submitted in order, and [`Lfs::fence`] is the
     /// only way to turn it into the [`CheckpointReady`] the region write
     /// demands (a `sync` fences and stops there).
     pub(crate) fn flush_tokened(&mut self, scope: Scope) -> FsResult<Flush<DataWritten>> {
@@ -228,7 +231,7 @@ impl<D: QueueDevice> Lfs<D> {
         self.assign(&items, &plan)?;
         let mut written = Flush::idle();
         let mut first = 0;
-        for (seq, c) in (self.write_seq + 1..).zip(&plan.chunks) {
+        for (seq, c) in (self.log.write_seq() + 1..).zip(&plan.chunks) {
             let (sealed, bufs) = self.encode(&items[first..first + c.n], seq);
             first += c.n;
             written = self.submit(sealed, c, bufs).inspect_err(|_| {
@@ -368,7 +371,7 @@ impl<D: QueueDevice> Lfs<D> {
                 let old = self.block_ptr(ino, bno)?;
                 usage_blocks.extend(self.sb.seg_of(old).map(UsageTable::block_of));
             }
-            let wps = self.write_points.iter();
+            let wps = self.log.write_points().iter();
             usage_blocks.extend(wps.map(|&(seg, _)| UsageTable::block_of(seg)));
         }
         let base = items.len();
@@ -383,10 +386,7 @@ impl<D: QueueDevice> Lfs<D> {
                 if plan.is_some() || self.cleaning {
                     break;
                 }
-                self.cleaning = true;
-                let res = self.clean_until_high_water();
-                self.cleaning = false;
-                res?;
+                self.as_cleaner(Self::clean_until_high_water)?;
                 plan = self.layout(items.len());
             }
             let plan = plan.ok_or(FsError::NoSpace)?;
@@ -421,7 +421,7 @@ impl<D: QueueDevice> Lfs<D> {
         };
         let mut end = self.placement(reserve);
         let mut chunks = Vec::new();
-        let (mut seq, mut left) = (self.write_seq, count);
+        let (mut seq, mut left) = (self.log.write_seq(), count);
         while left > 0 {
             seq += 1;
             let c = end.next(seq, left)?;
@@ -523,7 +523,7 @@ impl<D: QueueDevice> Lfs<D> {
     }
 
     /// Takes `bytes` live bytes off the segment holding `addr`, if any.
-    fn sub_live_at(&mut self, addr: DiskAddr, bytes: usize) {
+    pub(crate) fn sub_live_at(&mut self, addr: DiskAddr, bytes: usize) {
         if let Some(seg) = self.sb.seg_of(addr) {
             self.usage.sub_live(seg, bytes as u32);
         }
@@ -535,9 +535,10 @@ impl<D: QueueDevice> Lfs<D> {
     /// into it. Sealing happens before encoding so the usage blocks carry
     /// the final states.
     fn seal_segments(&mut self, plan: &LayoutPlan) {
-        let wps = self.write_points.iter();
-        let mut last_seq: BTreeMap<u32, u64> = wps.map(|&(seg, _)| (seg, self.write_seq)).collect();
-        for (seq, c) in (self.write_seq + 1..).zip(&plan.chunks) {
+        let seq = self.log.write_seq();
+        let wps = self.log.write_points().iter();
+        let mut last_seq: BTreeMap<u32, u64> = wps.map(|&(seg, _)| (seg, seq)).collect();
+        for (seq, c) in (seq + 1..).zip(&plan.chunks) {
             last_seq.insert(c.seg, seq);
         }
         for (seg, seq) in last_seq {
@@ -566,14 +567,7 @@ impl<D: QueueDevice> Lfs<D> {
         let staged = Flush::stage();
         let (time, by_cleaner) = (self.clock, self.cleaning);
         let n = items.len();
-        // A pool entry is free again once its submission completed and
-        // dropped the other strong references, so the pool never grows
-        // past the ring depth + 1 (one entry on a synchronous device).
-        let free = self
-            .scratch_pool
-            .iter()
-            .position(|a| Arc::strong_count(a) == 1);
-        let mut arc = free.map_or_else(Arc::default, |i| self.scratch_pool.swap_remove(i));
+        let mut arc = self.log.take_scratch();
         let scratch = Arc::make_mut(&mut arc);
         scratch.resize(scratch.len().max((1 + n) * BLOCK_SIZE), 0);
         let mut entries = Vec::with_capacity(n);
@@ -592,7 +586,7 @@ impl<D: QueueDevice> Lfs<D> {
             shared.push(block);
         }
         let summary = Summary {
-            epoch: self.epoch,
+            epoch: self.log.epoch(),
             seq,
             write_time: time,
             entries,
@@ -602,8 +596,6 @@ impl<D: QueueDevice> Lfs<D> {
         self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
         self.stats
             .add_log_bytes(BlockKind::Summary, BLOCK_SIZE as u64, by_cleaner);
-        // The pool entry goes back in the pool still pinned by the
-        // submission and becomes reusable on completion.
         let mut bufs: Vec<IoBuf> = Vec::with_capacity(1 + n);
         bufs.push(IoBuf::shared_range(arc.clone(), 0, BLOCK_SIZE));
         for (j, block) in shared.into_iter().enumerate() {
@@ -612,7 +604,7 @@ impl<D: QueueDevice> Lfs<D> {
                 None => IoBuf::shared_range(arc.clone(), (1 + j) * BLOCK_SIZE, BLOCK_SIZE),
             });
         }
-        self.scratch_pool.push(arc);
+        self.log.put_scratch(arc);
         (sealed, bufs)
     }
 
@@ -700,7 +692,7 @@ impl<D: QueueDevice> Lfs<D> {
         })?;
         let (bytes, by_cleaner) = (((1 + c.n) * BLOCK_SIZE) as u64, self.cleaning);
         if !by_cleaner {
-            self.bytes_since_checkpoint += bytes;
+            self.log.wrote(bytes);
         }
         self.stats.partial_writes += 1;
         self.emit(|| lfs_obs::TraceEvent::SegmentWrite {
@@ -713,9 +705,10 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// **Commit**: with every chunk submitted, which the
     /// [`Flush<DataWritten>`] it requires and hands back proves, the flush
-    /// becomes the file system's state. The sequence number and the write
-    /// points advance, the map blocks are clean at their new homes, and
-    /// so is everything else the flush wrote. The `deferred` directories
+    /// becomes the file system's state. The log advances its sequence
+    /// number and write points, which it does only with that token in
+    /// hand; the map blocks are clean at their new homes, and so is
+    /// everything else the flush wrote. The `deferred` directories
     /// stay dirty, and `sync_left` counts what they hold.
     fn commit(
         &mut self,
@@ -724,8 +717,7 @@ impl<D: QueueDevice> Lfs<D> {
         items: &[Item],
         deferred: &[Ino],
     ) -> Flush<DataWritten> {
-        self.write_seq += plan.chunks.len() as u64;
-        self.write_points = plan.end.into_write_points();
+        self.log.commit(&written, plan.chunks.len(), plan.end);
         for item in items {
             match *item {
                 Item::Imap(idx) => self.imap.block_written(idx),
@@ -771,63 +763,47 @@ impl<D: QueueDevice> Lfs<D> {
         // Settle writes may dip into the cleaner's reserve — finishing
         // this checkpoint is what turns pending segments clean again.
         self.settling = true;
-        let settle = (|mut written: Flush<DataWritten>| -> FsResult<Flush<DataWritten>> {
-            for _ in 0..4 {
-                if !self.maps_dirty() {
-                    break;
-                }
-                written = self.flush_tokened(Scope::Checkpoint)?;
+        let mut settled = Ok(written);
+        for _ in 0..4 {
+            if settled.is_err() || !self.maps_dirty() {
+                break;
             }
-            Ok(written)
-        })(written);
+            settled = self.flush_tokened(Scope::Checkpoint);
+        }
         self.settling = false;
-        let written = settle?;
+        let written = settled?;
+        let wps = self.log.write_points();
         let cp = crate::checkpoint::Checkpoint {
-            epoch: self.epoch,
-            seq: self.write_seq,
+            epoch: self.log.epoch(),
+            seq: self.log.write_seq(),
             timestamp: self.clock,
-            cur_seg: self.write_points[0].0,
-            cur_off: self.write_points[0].1,
-            extra_write_points: self.write_points[1..].to_vec(),
+            cur_seg: wps[0].0,
+            cur_off: wps[0].1,
+            extra_write_points: wps[1..].to_vec(),
             imap_addrs: self.imap.block_addr_vec().to_vec(),
             usage_addrs: self.usage.block_addr_vec().to_vec(),
             live_bytes: self.usage.live_vec(),
         };
         // The summary → checkpoint ordering edge: every queued log write
-        // must have completed before the region claims to cover it. On a
-        // synchronous device this is a no-op; on a ring it is the one
-        // explicit barrier of the flush pipeline (direct reads and the
-        // region writes below drain implicitly, but the edge deserves to
-        // be spelled out — CrashDisk enumerates legal reorderings between
-        // fences, never across them). The `written` token makes the edge
-        // a type: `CheckpointReady` only exists on the far side of the
-        // fence, and `write_region_ordered` will not run without it.
-        let fence_res = written.fence(&mut self.dev).map_err(FsError::device);
-        // Claim ring-side retry/giveup counts even when the fence itself
-        // failed — a giveup *is* the fence failure, and the stats ledger
-        // must reflect it on this call, not whenever the next flush runs.
-        self.absorb_queue_errors();
-        let ready = fence_res?;
-        self.durable_seq = self.write_seq;
-        let region = self.sb.checkpoint_addrs()[self.next_cr];
+        // completes before the region claims to cover it (CrashDisk
+        // enumerates reorderings between fences, never across them), and
+        // `write_region_ordered` will not run without the fence's token.
+        let ready = self.fence(written)?;
+        let region = self.sb.checkpoint_addrs()[self.log.next_region()];
         // Write the region payload-first, header-last (see
         // `Checkpoint::write_to`), retrying transient device errors so a
-        // flaky disk does not abort the checkpoint.
-        // The checkpoint image renders into the same reusable scratch
-        // pool the flush path uses, so steady-state checkpoints allocate
-        // nothing.
-        let mut enc = std::mem::take(&mut self.scratch);
-        cp.encode_into(&mut enc)?;
-        let write_res = self.write_region_ordered(region, &enc, ready);
-        self.scratch = enc;
-        write_res?;
-        let written_cr = self.next_cr;
-        self.next_cr = 1 - self.next_cr;
-        self.checkpoint_seq = self.write_seq;
-        self.bytes_since_checkpoint = 0;
+        // flaky disk does not abort the checkpoint. The image renders into
+        // the flush path's scratch pool, every entry of which the fence
+        // freed, so steady-state checkpoints allocate nothing.
+        let mut enc = self.log.take_scratch();
+        let res = cp.encode_into(Arc::make_mut(&mut enc));
+        let res = res.and_then(|()| self.write_region_ordered(region, &enc, ready));
+        self.log.put_scratch(enc);
+        res?;
+        let written_cr = self.log.checkpointed();
         self.stats.checkpoints += 1;
         self.emit(|| lfs_obs::TraceEvent::Checkpoint {
-            seq: self.write_seq,
+            seq: self.log.write_seq(),
             region: written_cr as u8,
         });
         // Only now do the cleaned segments become allocatable: the
@@ -837,8 +813,22 @@ impl<D: QueueDevice> Lfs<D> {
         // until the next checkpoint; `mount` promotes such segments on
         // load, which is sound for the same reason — any checkpoint that
         // recorded PendingFree was written after the relocation flush.
-        self.usage.promote_pending(self.checkpoint_seq);
+        self.usage.promote_pending(self.log.checkpoint_seq());
         Ok(())
+    }
+
+    /// Fences the log: drains every partial write up to `written`'s,
+    /// which makes them durable, and returns the [`CheckpointReady`] a
+    /// region write demands. A `sync` ends here.
+    pub(crate) fn fence(&mut self, written: Flush<DataWritten>) -> FsResult<CheckpointReady> {
+        let res = written.fence(&mut self.dev).map_err(FsError::device);
+        // Claim ring-side retry/giveup counts even when the fence itself
+        // failed — a giveup *is* the fence failure, and the stats ledger
+        // must reflect it on this call, not whenever the next flush runs.
+        self.absorb_queue_errors();
+        let ready = res?;
+        self.log.fenced(&ready);
+        Ok(ready)
     }
 
     /// The retrying flavour of [`Checkpoint::write_ordered`]: payload

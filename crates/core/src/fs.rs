@@ -9,7 +9,6 @@
 //! to read the file is identical in Sprite LFS and Unix FFS" (§3.1).
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{DirEntry, FileSystem, FileType, FsError, FsResult, Ino, Metadata, StatFs, ROOT_INO};
@@ -24,6 +23,7 @@ use crate::layout::{
     blocks_for_size, classify_block, BlockClass, DiskAddr, Placement, MAX_FILE_SIZE, NIL_ADDR,
     PTRS_PER_BLOCK,
 };
+use crate::log::Log;
 use crate::stats::LfsStats;
 use crate::superblock::Superblock;
 use crate::usage::{SegState, UsageTable};
@@ -144,8 +144,8 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) dev: D,
     pub(crate) sb: Superblock,
     pub(crate) cfg: LfsConfig,
-    /// Mount epoch (stamped into summaries; see `summary.rs`).
-    pub(crate) epoch: u32,
+    /// The log's position: write points, sequence counters, scratch pool.
+    pub(crate) log: Log,
     pub(crate) imap: InodeMap,
     pub(crate) usage: UsageTable,
     pub(crate) inodes: HashMap<Ino, CachedInode>,
@@ -168,32 +168,13 @@ pub struct Lfs<D: QueueDevice> {
     /// Depth of in-flight namespace operations (see [`Lfs::with_nsop`]).
     /// While non-zero, `checkpoint` degrades to a plain flush.
     pub(crate) nsop_depth: u32,
-    /// Log write points, one per shard: `write_points[s]` is the
-    /// `(segment, next free block offset)` of shard `s`'s log head. On a
-    /// single volume it is one entry, the scalar `cur_seg`/`cur_off` pair
-    /// of the paper. Always non-empty.
-    pub(crate) write_points: Vec<(u32, u32)>,
-    /// Number of shards of the device (cached).
-    pub(crate) nshards: usize,
     /// Segments cleaned per shard since mount (one entry per write
     /// point). Not part of [`crate::stats::CleanerStats`] — that struct
     /// is `Copy` — but published next to it as `shard.<i>.*` metrics so
     /// an operator can spot a cleaner neglecting one disk.
     pub(crate) cleaned_per_shard: Vec<u64>,
-    /// Sequence number of the last partial write.
-    pub(crate) write_seq: u64,
-    /// Sequence number covered by the last checkpoint.
-    pub(crate) checkpoint_seq: u64,
-    /// The `write_seq` covered by the last fence — a `sync`'s or a
-    /// checkpoint's. Every partial write up to it has reached the device.
-    pub(crate) durable_seq: u64,
-    /// Which checkpoint region the *next* checkpoint goes to.
-    pub(crate) next_cr: usize,
     /// Logical clock (incremented per mutation).
     pub(crate) clock: u64,
-    /// New log bytes since the last checkpoint (drives the
-    /// `checkpoint_every_bytes` policy).
-    pub(crate) bytes_since_checkpoint: u64,
     /// Live files + directories, excluding the root.
     pub(crate) nfiles: u64,
     /// Re-entrancy guard for the cleaner.
@@ -205,17 +186,6 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) stats: LfsStats,
     /// Observability handles (tracing + metrics); off by default.
     pub(crate) obs: crate::obs::FsObs,
-    /// Reusable checkpoint-region encode buffer: grows to the largest
-    /// region image seen and stays, so steady-state checkpoints allocate
-    /// nothing.
-    pub(crate) scratch: Vec<u8>,
-    /// Scratch pool of the chunk writer: each chunk's synthesized blocks
-    /// (summary, inode groups, map encodes) render into one
-    /// `Arc<Vec<u8>>` whose windows are submitted zero-copy
-    /// ([`blockdev::IoBuf::Shared`]). A buffer is reusable once its
-    /// strong count drops back to one (the submission completed), so the
-    /// pool never grows past the ring depth + 1.
-    pub(crate) scratch_pool: Vec<Arc<Vec<u8>>>,
     /// The cleaner's reusable working memory (see `cleaner.rs`).
     pub(crate) clean: crate::cleaner::CleanScratch,
 }
@@ -248,13 +218,8 @@ impl<D: QueueDevice> Lfs<D> {
                 "device too small: fewer segments than shards",
             ));
         }
-        let mut fs = Lfs::bare(dev, sb, cfg);
-        let sb_block = {
-            let enc = fs.sb.encode();
-            let mut b = [0u8; BLOCK_SIZE];
-            b.copy_from_slice(&enc);
-            b
-        };
+        let mut fs = Lfs::bare(dev, sb, cfg)?;
+        let sb_block = fs.sb.encode();
         fs.dev
             .write_block(
                 crate::layout::SUPERBLOCK_ADDR,
@@ -266,19 +231,8 @@ impl<D: QueueDevice> Lfs<D> {
         // Create the root directory through the normal machinery.
         fs.imap.reserve(ROOT_INO);
         let now = fs.now();
-        let root = Inode::new(ROOT_INO, 0, FileType::Directory, now);
-        fs.inodes.insert(
-            ROOT_INO,
-            CachedInode {
-                inode: root,
-                ra: ReadAhead::default(),
-            },
-        );
-        fs.dirty_inodes.insert(ROOT_INO);
-        let wp_segs: Vec<u32> = fs.write_points.iter().map(|&(s, _)| s).collect();
-        for s in wp_segs {
-            fs.usage.set_state(s, SegState::Active);
-        }
+        fs.put_inode(Inode::new(ROOT_INO, 0, FileType::Directory, now));
+        fs.log.activate(&mut fs.usage);
 
         // Write the initial state to *both* regions so `read_latest`
         // always has two candidates.
@@ -288,23 +242,23 @@ impl<D: QueueDevice> Lfs<D> {
     }
 
     /// Constructs the in-memory state shared by `format` and `mount`.
-    pub(crate) fn bare(dev: D, sb: Superblock, cfg: LfsConfig) -> Lfs<D> {
+    /// Refuses a geometry that leaves some shard without a segment.
+    pub(crate) fn bare(dev: D, sb: Superblock, cfg: LfsConfig) -> FsResult<Lfs<D>> {
         // One write point per shard, each starting its log in the
         // lowest-numbered segment of its shard: segment `s` for shard
         // `s`. Mount replaces the assignment with the checkpoint's.
         let shards = dev.shard_count().max(1);
         let segs = (0..sb.nsegments).map(|g| (g, dev.shard_of_stripe(g as u64).min(shards - 1)));
-        let mut place = Placement::new(sb.seg_blocks, shards, Vec::new(), segs, 0);
-        place.open_row();
-        let write_points = place.into_write_points();
+        let log = Log::open(sb.seg_blocks, shards, segs)
+            .ok_or_else(|| FsError::Corrupt("a shard holds no segment".into()))?;
         let blocks = BlockCache::new(cfg.cache_limit_bytes);
-        Lfs {
+        Ok(Lfs {
             dev,
+            log,
             imap: InodeMap::new(sb.max_inodes),
             usage: UsageTable::new(sb.nsegments),
             sb,
             cfg,
-            epoch: 0,
             inodes: HashMap::new(),
             dirty_inodes: BTreeSet::new(),
             blocks,
@@ -314,24 +268,15 @@ impl<D: QueueDevice> Lfs<D> {
             dirlog_pending: Vec::new(),
             sync_left: 0,
             nsop_depth: 0,
-            write_points,
-            nshards: shards,
             cleaned_per_shard: vec![0; shards],
-            write_seq: 0,
-            checkpoint_seq: 0,
-            durable_seq: 0,
-            next_cr: 0,
             clock: 0,
-            bytes_since_checkpoint: 0,
             nfiles: 0,
             cleaning: false,
             settling: false,
             stats: LfsStats::default(),
             obs: crate::obs::FsObs::default(),
-            scratch: Vec::new(),
-            scratch_pool: Vec::new(),
             clean: Default::default(),
-        }
+        })
     }
 
     /// Runs one device operation with up to `attempts` tries, backing off
@@ -458,37 +403,27 @@ impl<D: QueueDevice> Lfs<D> {
     /// The log write points, one `(segment, next free block offset)` per
     /// shard in shard order. A single-volume file system has exactly one.
     pub fn write_points(&self) -> &[(u32, u32)] {
-        &self.write_points
+        self.log.write_points()
     }
 
     /// Number of shards of the underlying device.
     pub fn shard_count(&self) -> usize {
-        self.nshards
+        self.log.shards()
     }
 
     /// Which shard segment `seg` lives on (always 0 on a single
-    /// volume): the device's stripe mapping, `seg % nshards`.
+    /// volume): the device's stripe mapping, `seg % shard_count`.
     pub fn shard_of_seg(&self, seg: u32) -> usize {
-        self.dev.shard_of_stripe(seg as u64).min(self.nshards - 1)
+        self.dev
+            .shard_of_stripe(seg as u64)
+            .min(self.shard_count() - 1)
     }
 
-    /// The [`Placement`] over the current write points and every clean
-    /// segment off them, each shard keeping `reserve` segments back.
+    /// The [`Placement`] over the write points and every clean segment
+    /// off them, each shard keeping `reserve` segments back.
     pub(crate) fn placement(&self, reserve: usize) -> Placement {
-        let clean = self
-            .usage
-            .clean_segs()
-            .filter(|&s| !self.is_write_point_seg(s))
-            .map(|s| (s, self.shard_of_seg(s)));
-        let wps = self.write_points.clone();
-        Placement::new(self.sb.seg_blocks, self.nshards, wps, clean, reserve)
-    }
-
-    /// Whether `seg` currently holds any shard's write point. Such
-    /// segments are off-limits to the cleaner: the log is still growing
-    /// into them.
-    pub(crate) fn is_write_point_seg(&self, seg: u32) -> bool {
-        self.write_points.iter().any(|&(s, _)| s == seg)
+        let clean = self.usage.clean_segs().map(|s| (s, self.shard_of_seg(s)));
+        self.log.placement(self.sb.seg_blocks, clean, reserve)
     }
 
     /// Dirty-byte level that triggers an automatic flush.
@@ -500,7 +435,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// full segment. Exactly the configured threshold on a single
     /// volume.
     pub(crate) fn flush_trigger_bytes(&self) -> u64 {
-        self.cfg.flush_threshold_bytes * self.nshards as u64
+        self.cfg.flush_threshold_bytes * self.shard_count() as u64
     }
 
     /// Per-segment `last_write` times (the age input to the cost-benefit
@@ -614,13 +549,7 @@ impl<D: QueueDevice> Lfs<D> {
                 Err(_) => false,
             };
             if current {
-                self.inodes.insert(
-                    other,
-                    CachedInode {
-                        inode,
-                        ra: ReadAhead::default(),
-                    },
-                );
+                self.cache_inode(inode);
             }
         }
         Ok(())
@@ -654,11 +583,17 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(&mut self.inodes.get_mut(&ino).expect("ensured above").inode)
     }
 
+    /// Caches `inode` as it is in the log, with a fresh read-ahead
+    /// detector.
+    pub(crate) fn cache_inode(&mut self, inode: Inode) {
+        let ra = ReadAhead::default();
+        self.inodes.insert(inode.ino, CachedInode { inode, ra });
+    }
+
     /// Stores a modified inode back into the cache and marks it dirty.
     pub(crate) fn put_inode(&mut self, inode: Inode) {
         self.dirty_inodes.insert(inode.ino);
-        let ra = ReadAhead::default();
-        self.inodes.insert(inode.ino, CachedInode { inode, ra });
+        self.cache_inode(inode);
     }
 
     // ----- indirect blocks ---------------------------------------------
@@ -694,29 +629,17 @@ impl<D: QueueDevice> Lfs<D> {
         if self.inds.contains_key(&(ino, key)) {
             return Ok(true);
         }
-        let addr = self.ind_parent_ptr(ino, key)?;
-        if addr == NIL_ADDR {
-            if !create {
-                return Ok(false);
-            }
-            self.inds.insert(
-                (ino, key),
-                CachedInd {
-                    blk: IndirectBlock::new(),
-                    disk_addr: NIL_ADDR,
-                },
-            );
-            return Ok(true);
-        }
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        self.read_retry(addr, &mut buf)?;
-        self.inds.insert(
-            (ino, key),
-            CachedInd {
-                blk: IndirectBlock::decode(&buf),
-                disk_addr: addr,
-            },
-        );
+        let disk_addr = self.ind_parent_ptr(ino, key)?;
+        let blk = if disk_addr != NIL_ADDR {
+            let mut buf = vec![0u8; BLOCK_SIZE];
+            self.read_retry(disk_addr, &mut buf)?;
+            IndirectBlock::decode(&buf)
+        } else if create {
+            IndirectBlock::new()
+        } else {
+            return Ok(false);
+        };
+        self.inds.insert((ino, key), CachedInd { blk, disk_addr });
         Ok(true)
     }
 
@@ -1142,11 +1065,7 @@ impl<D: QueueDevice> Lfs<D> {
                 }
                 None => NIL_ADDR,
             };
-            if old != NIL_ADDR {
-                if let Some(seg) = self.sb.seg_of(old) {
-                    self.usage.sub_live(seg, BLOCK_SIZE as u32);
-                }
-            }
+            self.sub_live_at(old, BLOCK_SIZE);
         }
         self.prune_indirect(ino)?;
         Ok(())
@@ -1168,11 +1087,7 @@ impl<D: QueueDevice> Lfs<D> {
                     let old = e.disk_addr;
                     self.inds.remove(&(ino, key));
                     self.dirty_inds.remove(&(ino, key));
-                    if old != NIL_ADDR {
-                        if let Some(seg) = self.sb.seg_of(old) {
-                            self.usage.sub_live(seg, BLOCK_SIZE as u32);
-                        }
-                    }
+                    self.sub_live_at(old, BLOCK_SIZE);
                     freed_single.push(k);
                 }
             }
@@ -1195,11 +1110,7 @@ impl<D: QueueDevice> Lfs<D> {
                     let old = d.disk_addr;
                     self.inds.remove(&(ino, IndKey::Double));
                     self.dirty_inds.remove(&(ino, IndKey::Double));
-                    if old != NIL_ADDR {
-                        if let Some(seg) = self.sb.seg_of(old) {
-                            self.usage.sub_live(seg, BLOCK_SIZE as u32);
-                        }
-                    }
+                    self.sub_live_at(old, BLOCK_SIZE);
                     inode.dindirect = NIL_ADDR;
                     inode_changed = true;
                 }
@@ -1217,10 +1128,7 @@ impl<D: QueueDevice> Lfs<D> {
         // Retire the on-disk inode slot.
         let entry = *self.imap.get(ino)?;
         if entry.is_live() {
-            if let Some(seg) = self.sb.seg_of(entry.addr) {
-                self.usage
-                    .sub_live(seg, crate::inode::INODE_DISK_SIZE as u32);
-            }
+            self.sub_live_at(entry.addr, crate::inode::INODE_DISK_SIZE);
         }
         self.imap.free(ino);
         self.purge_file(ino);
@@ -1244,15 +1152,8 @@ impl<D: QueueDevice> Lfs<D> {
         let nblocks = blocks_for_size(attrs.size);
         let mut cache = DirCache::default();
         for blk in 0..nblocks {
-            for rec in self.dir_block_records(dirino, blk)? {
-                cache.map.insert(
-                    rec.name,
-                    DirSlot {
-                        ino: rec.ino,
-                        ftype: rec.ftype,
-                        blk,
-                    },
-                );
+            for DirRecord { name, ino, ftype } in self.dir_block_records(dirino, blk)? {
+                cache.map.insert(name, DirSlot { ino, ftype, blk });
             }
         }
         self.dcache.insert(dirino, cache);
@@ -1304,12 +1205,7 @@ impl<D: QueueDevice> Lfs<D> {
         // Try the hint block first, then every block, then append.
         let mut target = None;
         let order = std::iter::once(hint).chain((0..nblocks).filter(|&b| b != hint));
-        let candidates: Vec<u64> = if nblocks == 0 {
-            vec![]
-        } else {
-            order.collect()
-        };
-        for blk in candidates {
+        for blk in order.take(nblocks as usize) {
             let mut records = self.dir_block_records(dirino, blk)?;
             records.push(pending.take().expect("record is pending"));
             if dir::fits(&records) {
@@ -1333,12 +1229,7 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Removes an entry from a directory, returning what it referred to.
     pub(crate) fn dir_remove(&mut self, dirino: Ino, name: &str) -> FsResult<DirSlot> {
-        self.ensure_dcache(dirino)?;
-        let slot = self.dcache[&dirino]
-            .map
-            .get(name)
-            .copied()
-            .ok_or(FsError::NotFound)?;
+        let slot = self.dir_lookup(dirino, name)?.ok_or(FsError::NotFound)?;
         let mut records = self.dir_block_records(dirino, slot.blk)?;
         records.retain(|r| r.name != name);
         self.dir_block_write(dirino, slot.blk, &records)?;
@@ -1351,11 +1242,8 @@ impl<D: QueueDevice> Lfs<D> {
     /// All live entries of a directory.
     pub(crate) fn dir_entries(&mut self, dirino: Ino) -> FsResult<Vec<(String, DirSlot)>> {
         self.ensure_dcache(dirino)?;
-        let mut out: Vec<(String, DirSlot)> = self.dcache[&dirino]
-            .map
-            .iter()
-            .map(|(n, s)| (n.clone(), *s))
-            .collect();
+        let map = &self.dcache[&dirino].map;
+        let mut out: Vec<_> = map.iter().map(|(n, s)| (n.clone(), *s)).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
     }
@@ -1364,7 +1252,11 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Resolves a path to an inode number.
     pub(crate) fn resolve(&mut self, path: &str) -> FsResult<Ino> {
-        let parts = vfs::path::components(path)?;
+        self.walk(vfs::path::components(path)?)
+    }
+
+    /// Follows the path components `parts` down from the root.
+    fn walk(&mut self, parts: Vec<&str>) -> FsResult<Ino> {
         let mut cur = ROOT_INO;
         for part in parts {
             if self.inode_ref(cur)?.ftype != FileType::Directory {
@@ -1378,13 +1270,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// Resolves a path to `(parent directory inode, final name)`.
     pub(crate) fn resolve_parent<'p>(&mut self, path: &'p str) -> FsResult<(Ino, &'p str)> {
         let (parent_parts, name) = vfs::path::split_parent(path)?;
-        let mut cur = ROOT_INO;
-        for part in parent_parts {
-            if self.inode_ref(cur)?.ftype != FileType::Directory {
-                return Err(FsError::NotADirectory);
-            }
-            cur = self.dir_lookup(cur, part)?.ok_or(FsError::NotFound)?.ino;
-        }
+        let cur = self.walk(parent_parts)?;
         if self.inode_ref(cur)?.ftype != FileType::Directory {
             return Err(FsError::NotADirectory);
         }
@@ -1418,11 +1304,52 @@ impl<D: QueueDevice> Lfs<D> {
             self.flush()?;
         }
         if self.cfg.checkpoint_every_bytes > 0
-            && self.bytes_since_checkpoint >= self.cfg.checkpoint_every_bytes
+            && self.log.bytes_since_checkpoint() >= self.cfg.checkpoint_every_bytes
         {
             self.checkpoint()?;
         }
         self.maybe_clean()?;
+        Ok(())
+    }
+
+    /// Queues the directory-log record of `op` on the entry `name` of
+    /// directory `dir`, which leaves `ino` with `nlink` links at
+    /// `version`. Not for a rename, which names two entries.
+    fn log_dir_op(
+        &mut self,
+        op: DirOp,
+        (dir, name): (Ino, &str),
+        ino: Ino,
+        nlink: u32,
+        version: u32,
+    ) {
+        let name = name.to_string();
+        let (dir2, name2) = (0, String::new());
+        let rec = DirLogRecord {
+            op,
+            dir,
+            name,
+            ino,
+            nlink,
+            version,
+            dir2,
+            name2,
+        };
+        self.dirlog_pending.push(rec);
+    }
+
+    /// Removes the entry `name` of `dir`, a link to the regular file
+    /// `ino`, and the file with its last link. Runs inside a namespace
+    /// operation.
+    fn unlink_entry(&mut self, dir: Ino, name: &str, ino: Ino) -> FsResult<()> {
+        let mut inode = self.inode_clone(ino)?;
+        inode.nlink -= 1;
+        self.log_dir_op(DirOp::Unlink, (dir, name), ino, inode.nlink, inode.version);
+        self.dir_remove(dir, name)?;
+        if inode.nlink == 0 {
+            return self.delete_file(ino);
+        }
+        self.put_inode(inode);
         Ok(())
     }
 
@@ -1439,19 +1366,11 @@ impl<D: QueueDevice> Lfs<D> {
             let inode = Inode::new(ino, version, ftype, now);
             fs.put_inode(inode);
             fs.nfiles += 1;
-            fs.dirlog_pending.push(DirLogRecord {
-                op: match ftype {
-                    FileType::Regular => DirOp::Create,
-                    FileType::Directory => DirOp::Mkdir,
-                },
-                dir: parent,
-                name: name.to_string(),
-                ino,
-                nlink: 1,
-                version,
-                dir2: 0,
-                name2: String::new(),
-            });
+            let op = match ftype {
+                FileType::Regular => DirOp::Create,
+                FileType::Directory => DirOp::Mkdir,
+            };
+            fs.log_dir_op(op, (parent, name), ino, 1, version);
             fs.dir_insert(parent, name, ino, ftype)?;
             Ok(ino)
         })?;
@@ -1543,31 +1462,8 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
                 if slot.ftype == FileType::Directory {
                     return Err(FsError::IsADirectory);
                 }
-                let mut inode = this.inode_clone(slot.ino)?;
-                inode.nlink -= 1;
-                let nlink = inode.nlink;
-                let version = inode.version;
-                this.with_nsop(|fs| {
-                    fs.dirlog_pending.push(DirLogRecord {
-                        op: DirOp::Unlink,
-                        dir: parent,
-                        name: name.to_string(),
-                        ino: slot.ino,
-                        nlink,
-                        version,
-                        dir2: 0,
-                        name2: String::new(),
-                    });
-                    fs.dir_remove(parent, name)?;
-                    if nlink == 0 {
-                        fs.delete_file(slot.ino)
-                    } else {
-                        fs.put_inode(inode);
-                        Ok(())
-                    }
-                })?;
-                this.after_mutation()?;
-                Ok(())
+                this.with_nsop(|fs| fs.unlink_entry(parent, name, slot.ino))?;
+                this.after_mutation()
             },
         )
     }
@@ -1583,21 +1479,11 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
         }
         let version = self.imap.version(slot.ino);
         self.with_nsop(|fs| {
-            fs.dirlog_pending.push(DirLogRecord {
-                op: DirOp::Rmdir,
-                dir: parent,
-                name: name.to_string(),
-                ino: slot.ino,
-                nlink: 0,
-                version,
-                dir2: 0,
-                name2: String::new(),
-            });
+            fs.log_dir_op(DirOp::Rmdir, (parent, name), slot.ino, 0, version);
             fs.dir_remove(parent, name)?;
             fs.delete_file(slot.ino)
         })?;
-        self.after_mutation()?;
-        Ok(())
+        self.after_mutation()
     }
 
     fn rename(&mut self, from: &str, to: &str) -> FsResult<()> {
@@ -1618,26 +1504,7 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
             if let Some(dst) = fs.dir_lookup(to_parent, to_name)? {
                 // Replace a regular-file target: unlink it as part of the
                 // atomic rename.
-                let mut dst_inode = fs.inode_clone(dst.ino)?;
-                dst_inode.nlink -= 1;
-                let nlink = dst_inode.nlink;
-                let version = dst_inode.version;
-                fs.dirlog_pending.push(DirLogRecord {
-                    op: DirOp::Unlink,
-                    dir: to_parent,
-                    name: to_name.to_string(),
-                    ino: dst.ino,
-                    nlink,
-                    version,
-                    dir2: 0,
-                    name2: String::new(),
-                });
-                fs.dir_remove(to_parent, to_name)?;
-                if nlink == 0 {
-                    fs.delete_file(dst.ino)?;
-                } else {
-                    fs.put_inode(dst_inode);
-                }
+                fs.unlink_entry(to_parent, to_name, dst.ino)?;
             }
             let src_inode = fs.inode_clone(src.ino)?;
             fs.dirlog_pending.push(DirLogRecord {
@@ -1653,8 +1520,7 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
             fs.dir_remove(from_parent, from_name)?;
             fs.dir_insert(to_parent, to_name, src.ino, src.ftype)
         })?;
-        self.after_mutation()?;
-        Ok(())
+        self.after_mutation()
     }
 
     fn link(&mut self, existing: &str, new: &str) -> FsResult<()> {
@@ -1670,24 +1536,13 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
         inode.nlink += 1;
         let now = self.now();
         inode.ctime = now;
-        let nlink = inode.nlink;
-        let version = inode.version;
+        let (nlink, version) = (inode.nlink, inode.version);
         self.with_nsop(|fs| {
             fs.put_inode(inode);
-            fs.dirlog_pending.push(DirLogRecord {
-                op: DirOp::Link,
-                dir: parent,
-                name: name.to_string(),
-                ino: src_ino,
-                nlink,
-                version,
-                dir2: 0,
-                name2: String::new(),
-            });
+            fs.log_dir_op(DirOp::Link, (parent, name), src_ino, nlink, version);
             fs.dir_insert(parent, name, src_ino, FileType::Regular)
         })?;
-        self.after_mutation()?;
-        Ok(())
+        self.after_mutation()
     }
 
     fn metadata(&mut self, ino: Ino) -> FsResult<Metadata> {
@@ -1734,12 +1589,7 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
         }
         let written = self.flush_tokened(crate::flush::Scope::Sync)?;
         // The fence is the commit; no region write follows it.
-        let fence_res = written.fence(&mut self.dev).map_err(FsError::device);
-        // As in `checkpoint_inner`: a ring giveup *is* the fence failure.
-        self.absorb_queue_errors();
-        let _committed = fence_res?;
-        self.durable_seq = self.write_seq;
-        Ok(())
+        self.fence(written).map(drop)
     }
 
     fn statfs(&mut self) -> FsResult<StatFs> {

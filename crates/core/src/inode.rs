@@ -139,16 +139,7 @@ impl Inode {
 
     /// Converts to the VFS metadata view.
     pub fn metadata(&self) -> vfs::Metadata {
-        vfs::Metadata {
-            ino: self.ino,
-            ftype: self.ftype,
-            size: self.size,
-            nlink: self.nlink,
-            mode: self.mode,
-            mtime: self.mtime,
-            atime: self.atime,
-            ctime: self.ctime,
-        }
+        self.attrs().metadata()
     }
 
     /// Copies out just the scalar attributes, leaving the block-pointer

@@ -143,7 +143,7 @@ impl<D: QueueDevice> Lfs<D> {
         }
         // On a multi-volume set, publish per-shard counters next to the
         // aggregates so an operator can spot a skewed or starved disk.
-        let shards = self.dev.shard_count();
+        let shards = self.shard_count();
         if shards > 1 {
             let mut clean_per_shard = vec![0u64; shards];
             for (seg, u) in self.usage.iter() {
@@ -151,7 +151,7 @@ impl<D: QueueDevice> Lfs<D> {
                     clean_per_shard[self.shard_of_seg(seg)] += 1;
                 }
             }
-            for i in 0..shards {
+            for (i, &clean) in clean_per_shard.iter().enumerate() {
                 let pfx = format!("shard.{i}");
                 if let Some(s) = self.dev.shard_stats(i) {
                     reg.counter(&format!("{pfx}.reads")).store(s.reads);
@@ -171,13 +171,9 @@ impl<D: QueueDevice> Lfs<D> {
                             .set(mean);
                     }
                 }
-                if let (Some(&clean), Some(&cleaned)) =
-                    (clean_per_shard.get(i), self.cleaned_per_shard.get(i))
-                {
-                    reg.gauge(&format!("{pfx}.clean_segs")).set(clean as f64);
-                    reg.counter(&format!("{pfx}.cleaner.segments_cleaned"))
-                        .store(cleaned);
-                }
+                reg.gauge(&format!("{pfx}.clean_segs")).set(clean as f64);
+                reg.counter(&format!("{pfx}.cleaner.segments_cleaned"))
+                    .store(self.cleaned_per_shard[i]);
             }
         }
     }

@@ -33,7 +33,8 @@
 //!    [`crate::checkpoint::Checkpoint::write_ordered`], and it is
 //!    consumed by it: one fence authorizes one checkpoint region write.
 //!    A `sync` stops here: its fence is the commit, and it writes no
-//!    region.
+//!    region. The log counts a partial write as durable only once it
+//!    has seen this token.
 //!
 //! Every token is zero-sized, `!Clone`, and constructible only at the
 //! chain's entry point, so the protocol costs nothing at runtime and the

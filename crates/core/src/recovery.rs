@@ -45,7 +45,7 @@ use vfs::{FileType, FsError, FsResult, Ino};
 use crate::checkpoint::Checkpoint;
 use crate::config::LfsConfig;
 use crate::dirlog::{self, DirLogRecord, DirOp};
-use crate::fs::{CachedInode, Lfs, ReadAhead};
+use crate::fs::Lfs;
 use crate::inode::{IndirectBlock, Inode, INODE_DISK_SIZE};
 use crate::layout::{DiskAddr, Placement, NIL_ADDR, SUPERBLOCK_ADDR};
 use crate::summary::{EntryKind, Summary};
@@ -114,51 +114,30 @@ impl<D: QueueDevice> Lfs<D> {
                 "no valid checkpoint region (both torn or corrupt)".into(),
             ));
         }
-        let mut last_err = FsError::Corrupt("no checkpoint candidate".into());
-        for (cp, idx) in candidates {
-            match Self::mount_at_checkpoint(dev, sb, cfg, &cp, idx, obs.clone(), roll_forward) {
-                Ok(mut fs) => {
-                    fs.nfiles = fs.imap.live_count().saturating_sub(1);
-                    // Commit the new epoch (and anything recovery
-                    // changed). This happens *outside* the fallback loop:
-                    // a device-write failure here is not corruption and
-                    // must not send mount chasing the older region.
-                    fs.checkpoint()?;
-                    return Ok(fs);
-                }
-                Err((returned, e)) => {
-                    dev = returned;
-                    last_err = e;
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Attempts to bring up the file system from one specific checkpoint.
-    /// On failure the (unmodified) device is handed back so the caller can
-    /// try the other region. Nothing in here writes to the device:
-    /// roll-forward's mutations live in the cache until the end-of-mount
-    /// checkpoint.
-    #[allow(clippy::type_complexity)]
-    fn mount_at_checkpoint(
-        dev: D,
-        sb: Superblock,
-        cfg: LfsConfig,
-        cp: &Checkpoint,
-        idx: usize,
-        obs: lfs_obs::Obs,
-        roll_forward: bool,
-    ) -> Result<Lfs<D>, (D, FsError)> {
         let mut cfg = cfg;
         cfg.seg_blocks = sb.seg_blocks;
         cfg.max_inodes = sb.max_inodes;
-        let mut fs = Lfs::bare(dev, sb, cfg);
-        fs.set_obs(obs);
-        match fs.load_checkpoint_state(cp, idx, roll_forward) {
-            Ok(()) => Ok(fs),
-            Err(e) => Err((fs.into_device(), e)),
+        let mut last_err = FsError::Corrupt("no checkpoint candidate".into());
+        for (cp, idx) in candidates {
+            // Nothing writes to the device before the end-of-mount
+            // checkpoint (roll-forward's mutations live in the cache), so
+            // a candidate that fails hands it back unmodified for the
+            // other region.
+            let mut fs = Lfs::bare(dev, sb, cfg)?;
+            fs.set_obs(obs.clone());
+            if let Err(e) = fs.load_checkpoint_state(&cp, idx, roll_forward) {
+                (dev, last_err) = (fs.into_device(), e);
+                continue;
+            }
+            fs.nfiles = fs.imap.live_count().saturating_sub(1);
+            // Commit the new epoch (and anything recovery changed). This
+            // happens *outside* the fallback: a device-write failure here
+            // is not corruption and must not send mount chasing the older
+            // region.
+            fs.checkpoint()?;
+            return Ok(fs);
         }
+        Err(last_err)
     }
 
     /// Validates a checkpoint against the superblock geometry and loads
@@ -172,24 +151,9 @@ impl<D: QueueDevice> Lfs<D> {
         roll_forward: bool,
     ) -> FsResult<()> {
         let corrupt = |what: &str| FsError::Corrupt(format!("checkpoint: {what}"));
-        // Exactly one write point per shard, each on its own shard. A
-        // checkpoint from a volume set of a different width describes a
-        // different disk geometry entirely.
-        let wps = cp.write_points();
-        if wps.len() != self.nshards {
-            return Err(corrupt("write-point count does not match shard count"));
-        }
-        for (i, &(seg, off)) in wps.iter().enumerate() {
-            if seg >= self.sb.nsegments {
-                return Err(corrupt("log head segment out of range"));
-            }
-            if off > self.sb.seg_blocks {
-                return Err(corrupt("log head offset out of range"));
-            }
-            if self.shard_of_seg(seg) != i {
-                return Err(corrupt("write point on wrong shard"));
-            }
-        }
+        self.log = self
+            .log
+            .resume(cp, idx, &self.sb, |seg| self.shard_of_seg(seg))?;
         if cp.imap_addrs.len() != self.imap.num_blocks() {
             return Err(corrupt("inode-map block count mismatch"));
         }
@@ -199,13 +163,8 @@ impl<D: QueueDevice> Lfs<D> {
         if cp.live_bytes.len() != self.sb.nsegments as usize {
             return Err(corrupt("live-byte vector length mismatch"));
         }
-        let in_range = |addr: DiskAddr| addr == NIL_ADDR || addr < self.sb.device_blocks;
-        if !cp
-            .imap_addrs
-            .iter()
-            .chain(cp.usage_addrs.iter())
-            .all(|&a| in_range(a))
-        {
+        let mut addrs = cp.imap_addrs.iter().chain(&cp.usage_addrs);
+        if !addrs.all(|&a| a == NIL_ADDR || a < self.sb.device_blocks) {
             return Err(corrupt("metadata block address out of range"));
         }
 
@@ -235,12 +194,7 @@ impl<D: QueueDevice> Lfs<D> {
         // checkpoint that stored that state was written after the
         // cleaner's relocations reached the log.
         self.usage.promote_pending(cp.seq);
-        self.epoch = cp.epoch + 1;
-        self.write_seq = cp.seq;
-        self.checkpoint_seq = cp.seq;
         self.clock = cp.timestamp;
-        self.next_cr = 1 - idx;
-        self.write_points = wps;
 
         // Allocation safety across the mount: every segment that looks
         // Clean here was Clean (or PendingFree with its relocation
@@ -251,9 +205,7 @@ impl<D: QueueDevice> Lfs<D> {
         if roll_forward {
             self.roll_forward(cp)?;
         }
-        for &(seg, _) in &self.write_points {
-            self.usage.set_state(seg, SegState::Active);
-        }
+        self.log.activate(&mut self.usage);
         // Only now is the map final: an inode the tail adopted must not
         // stay on the free list, or the next create reuses a live number.
         self.imap.rebuild_free_list();
@@ -307,11 +259,10 @@ impl<D: QueueDevice> Lfs<D> {
             self.replay_partial_write(&summary, first, &chunk, &mut records)?;
             self.emit(|| lfs_obs::TraceEvent::RollForward { seq, seg });
             self.usage.set_state(seg, SegState::Dirty);
-            self.write_seq = seq;
             self.clock = self.clock.max(summary.write_time);
             seq += 1;
         }
-        self.write_points = place.into_write_points();
+        self.log.rolled_forward(seq - 1, place);
 
         // Replay the directory operation log (§4.2).
         for rec in records {
@@ -424,19 +375,13 @@ impl<D: QueueDevice> Lfs<D> {
         // Retire the old version's blocks from the usage accounting. A
         // version adopted earlier in the tail is still in the cache.
         if old.is_live() {
-            if let Some(seg) = self.sb.seg_of(old.addr) {
-                self.usage.sub_live(seg, INODE_DISK_SIZE as u32);
-            }
+            self.sub_live_at(old.addr, INODE_DISK_SIZE);
             let old_inode = match self.inodes.get(&ino) {
                 Some(c) => Ok(c.inode.clone()),
                 None => self.read_inode_at(old.addr, old.slot, ino),
             };
             if let Ok(old_inode) = old_inode {
-                self.visit_inode_blocks(&old_inode, chunk, |fs, a| {
-                    if let Some(seg) = fs.sb.seg_of(a) {
-                        fs.usage.sub_live(seg, BLOCK_SIZE as u32);
-                    }
-                })?;
+                self.visit_inode_blocks(&old_inode, chunk, |fs, a| fs.sub_live_at(a, BLOCK_SIZE))?;
             }
         }
         // Adopt the new version.
@@ -455,11 +400,7 @@ impl<D: QueueDevice> Lfs<D> {
         // replay looks most of the tail's inodes up again. Until that
         // replay, roll-forward reads around the caches, so they hold no
         // other copy of this file to invalidate.
-        let cached = CachedInode {
-            inode: inode.clone(),
-            ra: ReadAhead::default(),
-        };
-        self.inodes.insert(ino, cached);
+        self.cache_inode(inode.clone());
         Ok(())
     }
 
@@ -562,33 +503,18 @@ impl<D: QueueDevice> Lfs<D> {
                     Some(v) if v >= rec.version => {
                         self.restore_entry(rec.dir, &rec.name, rec.ino)?;
                         if v == rec.version {
-                            let mut inode = self.inode_clone(rec.ino)?;
-                            if inode.nlink != rec.nlink {
-                                inode.nlink = rec.nlink;
-                                self.put_inode(inode);
-                            }
+                            self.set_nlink(rec.ino, rec.nlink)?;
                         }
                     }
                     // "The only operation that can't be completed is the
                     // creation of a new file for which the inode is never
                     // written; in this case the directory entry will be
                     // removed" (§4.2).
-                    _ => {
-                        let existing = self.dir_lookup(rec.dir, &rec.name)?;
-                        if existing.is_some_and(|s| s.ino == rec.ino) {
-                            self.dir_remove(rec.dir, &rec.name)?;
-                        }
-                    }
+                    _ => self.remove_entry_of(rec.dir, &rec.name, rec.ino)?,
                 }
             }
             DirOp::Unlink | DirOp::Rmdir => {
-                if self.live_dir(rec.dir)? {
-                    if let Some(slot) = self.dir_lookup(rec.dir, &rec.name)? {
-                        if slot.ino == rec.ino {
-                            self.dir_remove(rec.dir, &rec.name)?;
-                        }
-                    }
-                }
+                self.remove_entry_of(rec.dir, &rec.name, rec.ino)?;
                 match live {
                     // The last link went. Inode-map blocks reach the log
                     // only with checkpoints, so this record is what frees
@@ -598,30 +524,38 @@ impl<D: QueueDevice> Lfs<D> {
                         self.delete_file(rec.ino)?;
                     }
                     Some(v) if rec.nlink > 0 && v == rec.version => {
-                        let mut inode = self.inode_clone(rec.ino)?;
-                        if inode.nlink != rec.nlink {
-                            inode.nlink = rec.nlink;
-                            self.put_inode(inode);
-                        }
+                        self.set_nlink(rec.ino, rec.nlink)?;
                     }
                     _ => {}
                 }
             }
             DirOp::Rename => {
-                // Remove the source entry.
-                if self.live_dir(rec.dir)? {
-                    if let Some(slot) = self.dir_lookup(rec.dir, &rec.name)? {
-                        if slot.ino == rec.ino {
-                            self.dir_remove(rec.dir, &rec.name)?;
-                        }
-                    }
-                }
+                self.remove_entry_of(rec.dir, &rec.name, rec.ino)?;
                 // Install the destination entry, at a newer version too
                 // (as for a create).
                 if live.is_some_and(|v| v >= rec.version) && self.live_dir(rec.dir2)? {
                     self.restore_entry(rec.dir2, &rec.name2, rec.ino)?;
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Removes `name` from `dir` if `dir` is a live directory and the
+    /// entry still refers to `ino`.
+    fn remove_entry_of(&mut self, dir: Ino, name: &str, ino: Ino) -> FsResult<()> {
+        if self.live_dir(dir)? && self.dir_lookup(dir, name)?.is_some_and(|s| s.ino == ino) {
+            self.dir_remove(dir, name)?;
+        }
+        Ok(())
+    }
+
+    /// Sets `ino`'s link count to `nlink`, dirtying it only on a change.
+    fn set_nlink(&mut self, ino: Ino, nlink: u32) -> FsResult<()> {
+        let mut inode = self.inode_clone(ino)?;
+        if inode.nlink != nlink {
+            inode.nlink = nlink;
+            self.put_inode(inode);
         }
         Ok(())
     }

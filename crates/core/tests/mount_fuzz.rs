@@ -10,9 +10,9 @@
 
 use std::sync::OnceLock;
 
-use blockdev::{MemDisk, BLOCK_SIZE};
+use blockdev::{MemDisk, QueueDevice, VolumeSet, BLOCK_SIZE};
 use lfs_core::checkpoint::Checkpoint;
-use lfs_core::layout::{CR0_ADDR, CR1_ADDR};
+use lfs_core::layout::{CR0_ADDR, CR1_ADDR, SEGMENTS_START};
 use lfs_core::{Lfs, LfsConfig};
 use proptest::prelude::*;
 use vfs::{FileSystem, FsError};
@@ -96,26 +96,86 @@ proptest! {
     }
 }
 
-/// One log head per shard: a single-volume checkpoint that lists two
-/// write points (what a file system with two temperature-keyed write
-/// streams wrote) is refused with an error, not mounted and not a panic.
-#[test]
-fn a_second_write_point_on_one_volume_is_refused() {
-    let mut dev = MemDisk::from_image(base_image().to_vec());
+/// A two-volume image: the same file system striped over two `MemDisk`s,
+/// one write point per volume.
+fn two_volume_set() -> VolumeSet<MemDisk> {
+    let seg_blocks = cfg().seg_blocks as u64;
+    let disks = (0..2).map(|_| MemDisk::new(SEGMENTS_START + 16 * seg_blocks));
+    let set = VolumeSet::new(disks.collect(), SEGMENTS_START, seg_blocks);
+    let mut fs = Lfs::format(set, cfg()).unwrap();
+    fs.write_file("/f", &[3u8; 20_000]).unwrap();
+    fs.sync().unwrap();
+    fs.into_device()
+}
+
+/// Rewrites both checkpoint regions of `dev` through `edit` and mounts
+/// it. The mount must be refused as corrupt; returns the message.
+fn refused_mount<D: QueueDevice>(mut dev: D, edit: fn(&mut Checkpoint)) -> String {
     let regions = [CR0_ADDR, CR1_ADDR];
     let (mut cp, _) = Checkpoint::read_latest(&mut dev, regions).unwrap();
-    assert!(cp.extra_write_points.is_empty());
-    let free = (0..cp.live_bytes.len() as u32)
-        .rev()
-        .find(|&s| cp.live_bytes[s as usize] == 0 && s != cp.cur_seg)
-        .unwrap();
-    cp.extra_write_points = vec![(free, 0)];
+    edit(&mut cp);
     for region in regions {
         cp.write_to(&mut dev, region).unwrap();
     }
     match Lfs::mount(dev, cfg()) {
-        Err(FsError::Corrupt(msg)) => assert!(msg.contains("write-point count"), "{msg}"),
+        Err(FsError::Corrupt(msg)) => msg,
         Err(e) => panic!("refused for the wrong reason: {e}"),
-        Ok(_) => panic!("a two-write-point single-volume checkpoint mounted"),
+        Ok(_) => panic!("a checkpoint with a bad write point mounted"),
+    }
+}
+
+/// Every write point a checkpoint may not name is refused with an error
+/// of its own, not mounted and not a panic: one log head per shard (a
+/// single-volume checkpoint listing two write points, what a file system
+/// with two temperature-keyed write streams wrote), a segment past the
+/// disk, an offset past the segment, and a head on another shard's
+/// volume.
+#[test]
+fn a_bad_write_point_in_a_checkpoint_is_refused() {
+    type Row = (&'static str, bool, fn(&mut Checkpoint), &'static str);
+    let rows: [Row; 4] = [
+        (
+            "a second write point on one volume",
+            false,
+            |cp| {
+                assert!(cp.extra_write_points.is_empty());
+                let free = (0..cp.live_bytes.len() as u32)
+                    .rev()
+                    .find(|&s| cp.live_bytes[s as usize] == 0 && s != cp.cur_seg)
+                    .unwrap();
+                cp.extra_write_points = vec![(free, 0)];
+            },
+            "write-point count",
+        ),
+        (
+            "a segment past the disk",
+            false,
+            |cp| cp.cur_seg = cp.live_bytes.len() as u32,
+            "log head segment out of range",
+        ),
+        (
+            "an offset past the segment",
+            false,
+            |cp| cp.cur_off = cfg().seg_blocks + 1,
+            "log head offset out of range",
+        ),
+        (
+            "the heads of two volumes swapped",
+            true,
+            |cp| {
+                let first = (cp.cur_seg, cp.cur_off);
+                (cp.cur_seg, cp.cur_off) = cp.extra_write_points[0];
+                cp.extra_write_points[0] = first;
+            },
+            "write point on wrong shard",
+        ),
+    ];
+    for (what, two_volumes, edit, expect) in rows {
+        let msg = if two_volumes {
+            refused_mount(two_volume_set(), edit)
+        } else {
+            refused_mount(MemDisk::from_image(base_image().to_vec()), edit)
+        };
+        assert!(msg.contains(expect), "{what}: refused with {msg:?}");
     }
 }
