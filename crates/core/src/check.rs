@@ -10,7 +10,8 @@
 //!    every live inode is reachable, and reference counts match entry
 //!    counts;
 //! 4. the segment usage table's live-byte counts equal a from-scratch
-//!    recount, and clean segments hold no live data.
+//!    recount, clean segments hold no live data, and a segment is
+//!    `Active` exactly when a write point has room in it.
 //!
 //! Note the contrast with `fsck` for Unix FFS: this check exists for
 //! testing and diagnostics, not for crash recovery — recovery needs only
@@ -78,15 +79,10 @@ impl<D: QueueDevice> Lfs<D> {
                 out[1] += children as u64 * BLOCK_SIZE as u64;
             }
         }
-        for i in 0..self.imap.num_blocks() {
-            if self.imap.block_addr(i) != NIL_ADDR {
-                out[3] += BLOCK_SIZE as u64; // Inode map.
-            }
-        }
-        for i in 0..self.usage.num_blocks() {
-            if self.usage.block_addr(i) != NIL_ADDR {
-                out[4] += BLOCK_SIZE as u64; // Usage table.
-            }
+        // The inode map's blocks, then the usage table's.
+        for (k, blocks) in [(3, &self.imap.blocks), (4, &self.space.usage().blocks)] {
+            let written = blocks.addrs.iter().filter(|&&a| a != NIL_ADDR);
+            out[k] += written.count() as u64 * BLOCK_SIZE as u64;
         }
         Ok(out)
     }
@@ -183,16 +179,12 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// The inode map and usage table blocks are live data too.
     fn check_map_blocks(&self, census: &mut Census) {
-        for i in 0..self.imap.num_blocks() {
-            let addr = self.imap.block_addr(i);
-            if addr != NIL_ADDR {
-                census.claim_block(&self.sb, addr, format!("imap block {i}"));
-            }
-        }
-        for i in 0..self.usage.num_blocks() {
-            let addr = self.usage.block_addr(i);
-            if addr != NIL_ADDR {
-                census.claim_block(&self.sb, addr, format!("usage block {i}"));
+        let usage = &self.space.usage().blocks;
+        for (what, blocks) in [("imap", &self.imap.blocks), ("usage", usage)] {
+            for (i, &addr) in blocks.addrs.iter().enumerate() {
+                if addr != NIL_ADDR {
+                    census.claim_block(&self.sb, addr, format!("{what} block {i}"));
+                }
             }
         }
     }
@@ -274,10 +266,24 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Pass 3: the usage table's live-byte counts equal the recount, and
     /// clean segments hold nothing. A pending-free segment waits only for
-    /// the first checkpoint after it was cleaned, which promotes it.
+    /// the first checkpoint after it was cleaned, which promotes it. The
+    /// `Active` segments are exactly those a write point has room in: the
+    /// flush that fills a write point's segment seals it.
     fn check_usage(&self, census: &mut Census) {
         let checkpoint_seq = self.log.checkpoint_seq();
-        for (seg, usage) in self.usage.iter() {
+        let wps = self.log.write_points().iter();
+        let open: Vec<u32> = wps
+            .filter(|wp| wp.1 + 1 < self.sb.seg_blocks)
+            .map(|wp| wp.0)
+            .collect();
+        for (seg, usage) in self.space.usage().iter() {
+            let open = open.contains(&seg);
+            if (usage.state == SegState::Active) != open {
+                let (state, room) = (usage.state, if open { "a" } else { "no" });
+                census.error(format!(
+                    "segment {seg} is {state:?}, but {room} write point has room in it"
+                ));
+            }
             if usage.state == SegState::PendingFree && usage.seal_seq < checkpoint_seq {
                 census.error(format!(
                     "segment {seg}: pending since seq {} but checkpoint {checkpoint_seq} did not promote it",

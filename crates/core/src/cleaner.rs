@@ -8,15 +8,17 @@
 //! inode; surviving candidates are confirmed against the actual block
 //! pointers.
 //!
-//! Policy: segments are selected by [`crate::CleaningPolicy`] — greedy,
-//! cost-benefit or adaptive; the ranking and pacing maths live in the
-//! `lfs_policy` crate, which the simulator shares. Every policy but greedy
-//! also writes live blocks back grouped by age (see `flush`), so cold data
-//! segregates into its own segments — the source of the bimodal
+//! This module is the mechanism, and the schedule of a cleaning run: it
+//! needs the cache, the inodes and the device. The policy half reads only
+//! the usage table, and lives with it in the space manager (`space.rs`):
+//! victims are selected by [`crate::CleaningPolicy`] — greedy,
+//! cost-benefit or adaptive — whose ranking and pacing maths live in the
+//! `lfs_policy` crate, which the simulator shares. A pass hands its
+//! victims back to the space manager, which alone turns them
+//! `PendingFree` and, at the next checkpoint, clean. Every policy but
+//! greedy also writes live blocks back grouped by age (see `flush`), so
+//! cold data segregates into its own segments — the source of the bimodal
 //! distribution in Figure 6.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{FsError, FsResult, Ino};
@@ -24,7 +26,7 @@ use vfs::{FsError, FsResult, Ino};
 use crate::fs::{IndKey, Lfs};
 use crate::layout::DiskAddr;
 use crate::summary::{EntryKind, Summary, SummaryEntry};
-use crate::usage::SegState;
+use crate::usage::space::{Progress, View};
 
 /// A run of blocks the cleaner reads from a victim also covers a dead
 /// stretch (summary blocks included) of at most this many blocks, instead
@@ -46,9 +48,9 @@ struct LiveBlock {
     read: bool,
 }
 
-/// The cleaner's working memory. It lives in [`Lfs`] so that no victim and
-/// no run allocates: every buffer grows to its high-water mark once and is
-/// reused by every victim after.
+/// The cleaner's working memory. It lives in the space manager so that no
+/// victim and no run allocates: every buffer grows to its high-water mark
+/// once and is reused by every victim after.
 #[derive(Default)]
 pub(crate) struct CleanScratch {
     /// One segment of read buffer; block `b` of a victim lands at
@@ -62,73 +64,12 @@ pub(crate) struct CleanScratch {
     live: Vec<LiveBlock>,
 }
 
-/// Non-empty cleaning candidates as a max-heap of `(score bits, segment,
-/// live bytes)`; ties pop the lower segment first.
-type Ranked = BinaryHeap<(u64, Reverse<u32>, u64)>;
-
-/// A pass's victims so far, and what relocating them costs and reclaims.
-struct Pick {
-    segs: Vec<u32>,
-    /// Live bytes the picked victims relocate.
-    live: u64,
-    /// Bytes the picked victims give back.
-    reclaim: u64,
-    /// The most live bytes the pass may relocate.
-    budget: u64,
-    seg_bytes: u64,
-}
-
-impl Pick {
-    /// Picks `seg`, holding `live` bytes, unless that overruns the budget.
-    fn take(&mut self, seg: u32, live: u64) -> bool {
-        if self.live + live > self.budget {
-            return false;
-        }
-        self.live += live;
-        self.reclaim += self.seg_bytes - live;
-        self.segs.push(seg);
-        true
-    }
-
-    /// Whether the pass reclaims meaningfully more than its own overhead;
-    /// otherwise copying nearly-full segments burns bandwidth (and, near
-    /// capacity, the very space it is trying to regenerate) without making
-    /// progress.
-    fn pays_off(&self) -> bool {
-        self.reclaim > 8 * BLOCK_SIZE as u64 + self.live / 8
-    }
-}
-
-/// A cleaning run's progress: the most segments it has had clean or
-/// pending after a pass, and how many passes since have set no new best.
-/// A forced checkpoint's log writes lower the count between passes, so
-/// passes that only win that back are no progress: a cycle of pass and
-/// checkpoint that nets nothing still ends the run.
-struct Progress {
-    best: u32,
-    stalled: u32,
-}
-
-impl Progress {
-    /// Notes the clean plus pending count after a pass; true once eight
-    /// passes in a row have set no new best.
-    fn stuck(&mut self, regenerated: u32) -> bool {
-        if regenerated > self.best {
-            self.best = regenerated;
-            self.stalled = 0;
-        } else {
-            self.stalled += 1;
-        }
-        self.stalled >= 8
-    }
-}
-
 impl<D: QueueDevice> Lfs<D> {
     /// Runs the cleaner if the number of clean segments has fallen below
     /// the low-water mark, continuing until the high-water mark is
     /// reached or nothing more can be cleaned.
     pub(crate) fn maybe_clean(&mut self) -> FsResult<()> {
-        if self.cleaning || self.usage.clean_count() >= self.cfg.clean_low_water {
+        if self.space.cleaning || self.space.usage().clean_count() >= self.cfg.clean_low_water {
             return Ok(());
         }
         self.as_cleaner(Self::clean_until_high_water)
@@ -140,9 +81,9 @@ impl<D: QueueDevice> Lfs<D> {
         &mut self,
         f: impl FnOnce(&mut Self) -> FsResult<T>,
     ) -> FsResult<T> {
-        let was_cleaning = std::mem::replace(&mut self.cleaning, true);
+        let was_cleaning = std::mem::replace(&mut self.space.cleaning, true);
         let res = f(self);
-        self.cleaning = was_cleaning;
+        self.space.cleaning = was_cleaning;
         res
     }
 
@@ -160,7 +101,16 @@ impl<D: QueueDevice> Lfs<D> {
     /// [`Lfs::clean_until_high_water`] (or to the byte interval). Returns
     /// the number of segments cleaned.
     fn pass(&mut self) -> FsResult<u32> {
-        let cands = self.select_candidates();
+        let shard_of = |seg| self.shard_of_seg(seg);
+        let view = View {
+            cfg: &self.cfg,
+            log: &self.log,
+            now: self.clock,
+            overhead: self.blocks.dirty_bytes()
+                + (self.imap.blocks.addrs.len() * BLOCK_SIZE) as u64,
+            shard_of: &shard_of,
+        };
+        let cands = self.space.select_candidates(&view);
         if !cands.is_empty() {
             self.clean_segments(&cands)?;
         }
@@ -183,24 +133,18 @@ impl<D: QueueDevice> Lfs<D> {
             return Ok(());
         }
         let high = self.cfg.clean_high_water;
-        // Clean plus pending: what the run has regenerated so far, one
-        // checkpoint away from allocatable.
-        let regenerated = |fs: &Self| fs.usage.clean_count() + fs.usage.pending_count();
-        let mut progress = Progress {
-            best: regenerated(self),
-            stalled: 0,
-        };
+        let mut progress = Progress::new(self.space.regenerated());
         loop {
-            if self.usage.clean_count() >= high {
+            if self.space.usage().clean_count() >= high {
                 return Ok(());
             }
-            if regenerated(self) >= high {
+            if self.space.regenerated() >= high {
                 self.forced_checkpoint()?;
                 continue;
             }
             if self.pass()? == 0 {
                 // A checkpoint may still promote pending-free segments.
-                if self.usage.pending_count() > 0 {
+                if self.space.usage().pending_count() > 0 {
                     self.forced_checkpoint()?;
                     continue;
                 }
@@ -211,8 +155,8 @@ impl<D: QueueDevice> Lfs<D> {
             // space as it frees, stop — more free space must come from
             // future deletions, not from copying. What was regenerated
             // still becomes allocatable.
-            if progress.stuck(regenerated(self)) {
-                if self.usage.pending_count() > 0 {
+            if progress.stuck(self.space.regenerated()) {
+                if self.space.usage().pending_count() > 0 {
                     self.forced_checkpoint()?;
                 }
                 return Ok(());
@@ -225,174 +169,6 @@ impl<D: QueueDevice> Lfs<D> {
         self.checkpoint()?;
         self.stats.cleaner.forced_checkpoints += 1;
         Ok(())
-    }
-
-    /// Chooses segments to clean under the configured policy, bounded by
-    /// `segs_per_clean` and by the free space available to absorb the
-    /// live data.
-    fn select_candidates(&self) -> Vec<u32> {
-        let (empties, mut heap, per_pass) = self.rank_victims();
-        let mut pick = Pick {
-            segs: Vec::new(),
-            live: 0,
-            reclaim: 0,
-            budget: self.relocation_budget(),
-            seg_bytes: self.cfg.seg_bytes(),
-        };
-        // Empty segments first, unconditionally: they cost nothing to
-        // reclaim ("need not be read at all") but, under cost-benefit
-        // ranking, young empty segments can paradoxically rank below old
-        // half-full ones and starve the free pool.
-        for seg in empties {
-            pick.take(seg, 0);
-        }
-        let nempties = pick.segs.len();
-        // Lazy best-first pop: most passes examine only a few segments
-        // beyond the `segs_per_clean` they pick (budget skips excepted).
-        while pick.segs.len() - nempties < per_pass as usize {
-            let Some((_, Reverse(seg), live)) = heap.pop() else {
-                break;
-            };
-            // Over budget, the segment is skipped: an emptier one later
-            // may still fit.
-            pick.take(seg, live);
-        }
-        if self.shard_count() > 1 {
-            self.top_up_starved_shards(&mut pick, heap);
-        }
-        if !pick.pays_off() {
-            return Vec::new();
-        }
-        pick.segs
-    }
-
-    /// Ranks the cleanable segments under the configured policy: sealed
-    /// dirty segments off the write points with something to reclaim.
-    /// Returns the empty ones best first (capped), the rest as a max-heap,
-    /// and how many non-empty segments the policy's pace asks for.
-    fn rank_victims(&self) -> (Vec<u32>, Ranked, u32) {
-        let seg_bytes = self.cfg.seg_bytes();
-        let now = self.clock;
-        let policy = self.cfg.policy;
-        // Candidates as `(segment, live bytes, utilization, age)`.
-        let candidates = || {
-            self.usage
-                .iter()
-                .filter(|&(seg, u)| {
-                    !self.log.is_write_point_seg(seg)
-                        && u.state == SegState::Dirty
-                        && u.seal_seq <= self.log.checkpoint_seq()
-                        && (u.live_bytes as u64) < seg_bytes
-                })
-                .map(|(seg, u)| {
-                    let age = (now.saturating_sub(u.last_write) + 1) as f64;
-                    (seg, u.live_bytes as u64, u.utilization(seg_bytes), age)
-                })
-        };
-        let pop = policy.population(
-            candidates().map(|(_, _, util, age)| (util, age)),
-            self.usage.clean_count(),
-            self.cfg.clean_high_water,
-        );
-        let per_pass = policy.pace(self.cfg.segs_per_clean, &pop);
-        // Split candidates as they stream out of the usage table: empty
-        // segments go to their own (small, capped) list, the rest into a
-        // max-heap popped lazily by the pick. Only the handful of segments
-        // a pass actually picks pay ordering cost, instead of a full sort
-        // of every dirty segment on each pass. Ties break toward the
-        // lower segment id, matching what the previous stable sort (over
-        // the id-ordered usage iterator) produced. Scores are never
-        // negative or NaN, and such floats order exactly like their bit
-        // patterns, which (unlike `f64`) a heap can key on.
-        let desc = |a: &(f64, u32), b: &(f64, u32)| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        };
-        let mut empties: Vec<(f64, u32)> = Vec::new();
-        let heap: Ranked = candidates()
-            .filter_map(|(seg, live, util, age)| {
-                let score = policy.rank(util, age, &pop);
-                debug_assert!(score >= 0.0, "segment {seg} scored {score}");
-                if live == 0 {
-                    empties.push((score, seg));
-                    None
-                } else {
-                    Some((score.to_bits(), Reverse(seg), live))
-                }
-            })
-            .collect();
-        let empty_cap = 2 * self.cfg.clean_high_water as usize;
-        if empties.len() > empty_cap {
-            // Top-k selection: only the best `empty_cap` empties matter.
-            empties.select_nth_unstable_by(empty_cap - 1, desc);
-            empties.truncate(empty_cap);
-        }
-        empties.sort_by(desc);
-        let empties = empties.into_iter().map(|(_, seg)| seg).collect();
-        (empties, heap, per_pass)
-    }
-
-    /// The most live data a pass may pick: no more than can be written
-    /// back into the free space there is now, or the relocation itself
-    /// runs out of room.
-    fn relocation_budget(&self) -> u64 {
-        let seg_bytes = self.cfg.seg_bytes();
-        // The cleaner may use its reserved segments, so the full clean
-        // count stands, plus what is left behind each write point.
-        // Pending segments do not count: what they give back is not
-        // allocatable until the run's checkpoint, which it writes once
-        // clean plus pending segments reach `clean_high_water`, never
-        // inside a pass.
-        let head_room = self.log.head_room(self.sb.seg_blocks);
-        let free_budget = self.usage.clean_count() as u64 * seg_bytes + head_room;
-        // Picked live data is rewritten alongside whatever dirty
-        // application data is waiting, plus metadata whose fixed part can
-        // be substantial: a relocation touching scattered files can dirty
-        // every inode-map block, and the checkpoint that later promotes
-        // the victims settles the map and usage table again. Budget half
-        // of what remains after those, so a pass can never outgrow the
-        // space it runs in.
-        let meta_fixed = (self.imap.num_blocks() as u64 + self.usage.num_blocks() as u64 + 8)
-            * BLOCK_SIZE as u64;
-        free_budget.saturating_sub(self.blocks.dirty_bytes() + meta_fixed) / 2
-    }
-
-    /// On a multi-volume set, makes sure no shard starves: the layout can
-    /// only place chunks for shard `s` in segments with `seg % n == s`, so
-    /// a shard with no clean or pending segment and no pick in this pass
-    /// would stall even while the aggregate clean count looks healthy.
-    /// Keeps popping the heap for the best candidate on each starved shard
-    /// (still subject to the live-data budget).
-    fn top_up_starved_shards(&self, pick: &mut Pick, mut heap: Ranked) {
-        let n = self.shard_count();
-        let mut regenerated_per_shard = vec![0u32; n];
-        // Pending segments count: the checkpoint that ends the cleaning
-        // run makes them clean, so a shard holding one is not starved.
-        for (seg, u) in self.usage.iter() {
-            if matches!(u.state, SegState::Clean | SegState::PendingFree) {
-                regenerated_per_shard[self.shard_of_seg(seg)] += 1;
-            }
-        }
-        let mut has_pick = vec![false; n];
-        for &seg in &pick.segs {
-            has_pick[self.shard_of_seg(seg)] = true;
-        }
-        let starved =
-            |sh: usize, has_pick: &[bool]| regenerated_per_shard[sh] == 0 && !has_pick[sh];
-        if !(0..n).any(|sh| starved(sh, &has_pick)) {
-            return;
-        }
-        while let Some((_, Reverse(seg), live)) = heap.pop() {
-            let sh = self.shard_of_seg(seg);
-            if !starved(sh, &has_pick) || !pick.take(seg, live) {
-                continue;
-            }
-            has_pick[sh] = true;
-            if !(0..n).any(|s| starved(s, &has_pick)) {
-                break;
-            }
-        }
     }
 
     /// The cleaning mechanism: read segments, identify live blocks, stage
@@ -410,7 +186,7 @@ impl<D: QueueDevice> Lfs<D> {
         let mut utilizations = Vec::new();
         if self.obs.obs.trace.is_on() {
             for &seg in segs {
-                let u = self.usage.get(seg);
+                let u = self.space.usage().get(seg);
                 if u.live_bytes == 0 {
                     empty += 1;
                 } else {
@@ -432,18 +208,17 @@ impl<D: QueueDevice> Lfs<D> {
         // flush to roughly one segment write.
         let stage_bound = (self.sb.seg_blocks.saturating_sub(1)) as u64 * BLOCK_SIZE as u64;
         self.index_inode_homes(segs);
-        self.clean.live.clear();
+        self.space.scratch.live.clear();
         for &seg in segs {
-            let usage = *self.usage.get(seg);
+            let usage = *self.space.usage().get(seg);
             self.stats.cleaner.segments_cleaned += 1;
             let shard = self.shard_of_seg(seg);
-            self.cleaned_per_shard[shard] += 1;
+            self.space.cleaned_per_shard[shard] += 1;
             if usage.live_bytes == 0 {
                 // "If a segment to be cleaned has no live blocks then it
                 // need not be read at all" (§3.4).
                 self.stats.cleaner.segments_empty += 1;
-                self.usage.set_seal_seq(seg, self.log.write_seq());
-                self.usage.set_state(seg, SegState::PendingFree);
+                self.space.release(seg, self.log.write_seq());
                 continue;
             }
             if self.blocks.dirty_bytes() >= stage_bound {
@@ -461,7 +236,8 @@ impl<D: QueueDevice> Lfs<D> {
         // check below; otherwise they wait for the next checkpoint, like
         // every other flush's.
         let moves_maps = self
-            .clean
+            .space
+            .scratch
             .live
             .iter()
             .any(|b| matches!(b.entry.kind, EntryKind::ImapBlock | EntryKind::UsageBlock));
@@ -472,7 +248,7 @@ impl<D: QueueDevice> Lfs<D> {
         };
         self.flush_tokened(scope).map(drop)?;
         for &seg in segs {
-            let live = self.usage.get(seg).live_bytes;
+            let live = self.space.usage().get(seg).live_bytes;
             if live != 0 {
                 let detail = self.debug_scavenge_report(seg);
                 return Err(FsError::Corrupt(format!(
@@ -484,8 +260,7 @@ impl<D: QueueDevice> Lfs<D> {
             // closing flush, so any checkpoint that records the state
             // covers the relocation (which is what lets `mount` promote
             // it).
-            self.usage.set_seal_seq(seg, self.log.write_seq());
-            self.usage.set_state(seg, SegState::PendingFree);
+            self.space.release(seg, self.log.write_seq());
         }
         Ok(())
     }
@@ -498,10 +273,10 @@ impl<D: QueueDevice> Lfs<D> {
     /// cost).
     fn debug_scavenge_report(&mut self, seg: u32) -> String {
         let start = self.sb.seg_start(seg);
-        for i in 0..self.clean.live.len() {
+        for i in 0..self.space.scratch.live.len() {
             let LiveBlock {
                 seg: s, blk, entry, ..
-            } = self.clean.live[i];
+            } = self.space.scratch.live[i];
             if s == seg && matches!(self.entry_is_live(&entry, start + blk as u64), Ok(true)) {
                 return format!(
                     " {:?}(ino {} off {}) at block {blk} was staged but not relocated",
@@ -534,10 +309,10 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Lends `f` the cleaner's segment-sized buffer.
     fn with_seg_buf<T>(&mut self, f: impl FnOnce(&mut Self, &mut [u8]) -> T) -> T {
-        let mut buf = std::mem::take(&mut self.clean.buf);
+        let mut buf = std::mem::take(&mut self.space.scratch.buf);
         buf.resize(self.sb.seg_blocks as usize * BLOCK_SIZE, 0);
         let out = f(self, &mut buf);
-        self.clean.buf = buf;
+        self.space.scratch.buf = buf;
         out
     }
 
@@ -590,12 +365,12 @@ impl<D: QueueDevice> Lfs<D> {
     fn scavenge_segment(&mut self, seg: u32) -> FsResult<()> {
         self.with_seg_buf(|fs, buf| {
             let start = fs.sb.seg_start(seg);
-            let first = fs.clean.live.len();
+            let first = fs.space.scratch.live.len();
             let summaries = fs.walk_summaries(seg, buf, |fs, summary, first_blk| {
                 for (j, entry) in summary.entries.iter().enumerate() {
                     let blk = (first_blk + j) as u32;
                     if fs.entry_is_live(entry, start + blk as u64)? {
-                        fs.clean.live.push(LiveBlock {
+                        fs.space.scratch.live.push(LiveBlock {
                             seg,
                             blk,
                             entry: *entry,
@@ -610,12 +385,12 @@ impl<D: QueueDevice> Lfs<D> {
 
             // The pending run, as segment-relative blocks `from..to`.
             let mut run: Option<(usize, usize)> = None;
-            for i in first..fs.clean.live.len() {
-                let LiveBlock { blk, entry, .. } = fs.clean.live[i];
+            for i in first..fs.space.scratch.live.len() {
+                let LiveBlock { blk, entry, .. } = fs.space.scratch.live[i];
                 if !fs.needs_bytes(&entry, start + blk as u64) {
                     continue;
                 }
-                fs.clean.live[i].read = true;
+                fs.space.scratch.live[i].read = true;
                 let blk = blk as usize;
                 run = Some(match run {
                     Some((from, to)) if blk - to <= CLEAN_BRIDGE_BLOCKS => (from, blk + 1),
@@ -630,10 +405,10 @@ impl<D: QueueDevice> Lfs<D> {
                 fs.read_victim_run(start, from, to, buf)?;
             }
 
-            for i in first..fs.clean.live.len() {
+            for i in first..fs.space.scratch.live.len() {
                 let LiveBlock {
                     blk, entry, read, ..
-                } = fs.clean.live[i];
+                } = fs.space.scratch.live[i];
                 let at = blk as usize * BLOCK_SIZE;
                 let content = read.then(|| &buf[at..at + BLOCK_SIZE]);
                 fs.stage(&entry, start + blk as u64, content)?;
@@ -662,12 +437,12 @@ impl<D: QueueDevice> Lfs<D> {
     /// in a non-empty segment of `segs`: what lets a pass decide an inode
     /// block's liveness without reading it.
     fn index_inode_homes(&mut self, segs: &[u32]) {
-        let mut homes = std::mem::take(&mut self.clean.homes);
+        let mut homes = std::mem::take(&mut self.space.scratch.homes);
         homes.clear();
         let mut victims: Vec<u32> = segs
             .iter()
             .copied()
-            .filter(|&seg| self.usage.get(seg).live_bytes != 0)
+            .filter(|&seg| self.space.usage().get(seg).live_bytes != 0)
             .collect();
         victims.sort_unstable();
         if !victims.is_empty() {
@@ -683,13 +458,13 @@ impl<D: QueueDevice> Lfs<D> {
             );
             homes.sort_unstable();
         }
-        self.clean.homes = homes;
+        self.space.scratch.homes = homes;
     }
 
     /// The stretch of the pass's index that is about the inode block at
     /// `addr`.
     fn homes_at(&self, addr: DiskAddr) -> std::ops::Range<usize> {
-        let homes = &self.clean.homes;
+        let homes = &self.space.scratch.homes;
         let lo = homes.partition_point(|&(a, _)| a < addr);
         lo..lo + homes[lo..].partition_point(|&(a, _)| a == addr)
     }
@@ -704,7 +479,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// The inodes the inode map places in the inode block at `addr` — a
     /// block of one of this pass's victims.
     fn live_inodes_at(&self, addr: DiskAddr) -> impl Iterator<Item = Ino> + '_ {
-        self.clean.homes[self.homes_at(addr)]
+        self.space.scratch.homes[self.homes_at(addr)]
             .iter()
             .map(|&(_, ino)| ino)
             .filter(move |&ino| self.inode_lives_at(ino, addr))
@@ -750,12 +525,8 @@ impl<D: QueueDevice> Lfs<D> {
             }
             // Live while the inode map places any inode in it.
             EntryKind::InodeBlock => self.live_inodes_at(addr).next().is_some(),
-            EntryKind::ImapBlock => {
-                idx < self.imap.num_blocks() && self.imap.block_addr(idx) == addr
-            }
-            EntryKind::UsageBlock => {
-                idx < self.usage.num_blocks() && self.usage.block_addr(idx) == addr
-            }
+            EntryKind::ImapBlock => self.imap.blocks.addrs.get(idx) == Some(&addr),
+            EntryKind::UsageBlock => self.space.usage().blocks.addrs.get(idx) == Some(&addr),
             // Directory-log records matter only between a checkpoint and
             // a crash; segments eligible for cleaning are older than the
             // last checkpoint, so these are dead.
@@ -807,7 +578,7 @@ impl<D: QueueDevice> Lfs<D> {
                     self.adopt_inode_block(addr, content)?;
                 }
                 for i in self.homes_at(addr) {
-                    let ino = self.clean.homes[i].1;
+                    let ino = self.space.scratch.homes[i].1;
                     if !self.inode_lives_at(ino, addr) {
                         continue;
                     }
@@ -819,8 +590,8 @@ impl<D: QueueDevice> Lfs<D> {
                     self.dirty_inodes.insert(ino);
                 }
             }
-            EntryKind::ImapBlock => self.imap.mark_block_dirty(entry.offset as usize),
-            EntryKind::UsageBlock => self.usage.mark_block_dirty(entry.offset as usize),
+            EntryKind::ImapBlock => self.imap.blocks.dirty[entry.offset as usize] = true,
+            EntryKind::UsageBlock => self.space.blocks_mut().dirty[entry.offset as usize] = true,
             EntryKind::DirLog => {} // Never live.
         }
         Ok(())
@@ -841,13 +612,14 @@ mod tests {
     use blockdev::MemDisk;
     use vfs::FileSystem;
 
-    use super::Progress;
+    use crate::usage::space::Progress;
     use crate::usage::SegState;
     use crate::{Lfs, LfsConfig};
 
     /// The segments `fs` holds `PendingFree`, with their seal sequences.
     fn pending(fs: &Lfs<MemDisk>) -> Vec<(u32, u64)> {
-        fs.usage
+        fs.space
+            .usage()
             .iter()
             .filter(|(_, u)| u.state == SegState::PendingFree)
             .map(|(seg, u)| (seg, u.seal_seq))
@@ -875,12 +647,12 @@ mod tests {
             if fs.stats().checkpoints != checkpoints {
                 // Promoted — or, once clean, already reused.
                 for &(seg, _) in &watched {
-                    assert_ne!(fs.usage.get(seg).state, SegState::PendingFree);
+                    assert_ne!(fs.space.usage().get(seg).state, SegState::PendingFree);
                 }
                 watched.clear();
             }
             for &(seg, seal) in &watched {
-                assert_eq!(fs.usage.get(seg).state, SegState::PendingFree);
+                assert_eq!(fs.space.usage().get(seg).state, SegState::PendingFree);
                 assert!(
                     seal > fs.log.checkpoint_seq(),
                     "segment {seg} sealed at {seal}"
@@ -937,10 +709,7 @@ mod tests {
     #[test]
     fn a_pass_and_checkpoint_cycle_that_nets_nothing_ends_the_run() {
         let high = 12;
-        let mut progress = Progress {
-            best: high - 1,
-            stalled: 0,
-        };
+        let mut progress = Progress::new(high - 1);
         let mut passes = 0;
         while !progress.stuck(high) {
             passes += 1;
@@ -956,7 +725,7 @@ mod tests {
     fn a_run_toward_an_unreachable_high_water_mark_returns() {
         let mut fs = Lfs::format(MemDisk::new(1024), LfsConfig::small()).unwrap();
         let mut n = 0u32;
-        while fs.usage.clean_count() > 14 {
+        while fs.space.usage().clean_count() > 14 {
             fs.write_file(&format!("/f{n}"), &[n as u8; 4096]).unwrap();
             n += 1;
         }
@@ -964,11 +733,11 @@ mod tests {
             fs.unlink(&format!("/f{i}")).unwrap();
         }
         fs.checkpoint().unwrap();
-        let nsegs = fs.usage.iter().count() as u32;
+        let nsegs = fs.space.usage().iter().count() as u32;
         fs.cfg.clean_high_water = nsegs;
         fs.cfg.segs_per_clean = 1;
         fs.clean_until_high_water().unwrap();
-        assert!(fs.usage.clean_count() < nsegs);
+        assert!(fs.space.usage().clean_count() < nsegs);
         assert!(pending(&fs).is_empty());
         let report = fs.check().unwrap();
         assert!(report.is_clean(), "{:#?}", report.errors);

@@ -41,11 +41,12 @@
 //! the map blocks' too. Encode and submit alternate chunk by chunk, so the
 //! log's scratch pool stays at the ring depth + 1. A flush that fails
 //! before commit leaves every dirty bit set and every write point where it
-//! was, and the next flush places the same state again. A `sync` and a
+//! was, every segment as its plan found it (`Space::abandon`), and the
+//! next flush places the same state again. A `sync` and a
 //! checkpoint then take the token to [`Lfs::fence`], the one path that
 //! makes the log durable.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use blockdev::{IoBuf, QueueDevice, WriteKind, BLOCK_SIZE};
@@ -55,13 +56,12 @@ use crate::dirlog::{self, DirOp};
 use crate::fs::{IndKey, Lfs, IO_ATTEMPTS};
 use crate::inode::INODE_DISK_SIZE;
 use crate::inodemap::InodeMap;
-use crate::layout::{
-    classify_block, BlockClass, Chunk, DiskAddr, Placement, CLEANER_RESERVE_SEGS, INODES_PER_BLOCK,
-};
+use crate::layout::{classify_block, BlockClass, Chunk, DiskAddr, Placement, INODES_PER_BLOCK};
 use crate::ordering::{CheckpointReady, DataWritten, Flush, SummarySealed};
 use crate::stats::BlockKind;
 use crate::summary::{EntryKind, Summary, SummaryEntry};
-use crate::usage::{SegState, UsageTable};
+use crate::usage::space::Claim;
+use crate::usage::UsageTable;
 
 /// One block scheduled for the current partial write.
 #[derive(Clone, Debug)]
@@ -171,7 +171,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// True if the inode map or usage table holds changes the log has not
     /// seen — what a checkpoint writes beyond a flush.
     fn maps_dirty(&self) -> bool {
-        self.imap.has_dirty() || self.usage.has_dirty()
+        self.imap.blocks.has_dirty() || self.space.usage().blocks.has_dirty()
     }
 
     /// True when a `sync` would be a pure group commit: nothing its flush
@@ -228,24 +228,25 @@ impl<D: QueueDevice> Lfs<D> {
         // see (or overwrite) them.
         let (mut items, deferred) = self.gather(scope)?;
         let plan = self.place(&mut items, scope == Scope::Checkpoint)?;
-        self.assign(&items, &plan)?;
+        let claim = self.assign(&items, &plan)?;
+        let written = self.write_chunks(&items, &plan);
+        // Failed, the flush leaves the write points where they were, and
+        // every segment as its plan found it.
+        let written = written.inspect_err(|_| self.space.abandon(claim))?;
+        Ok(self.commit(written, plan, &items, &deferred))
+    }
+
+    /// Encodes and submits the plan's chunks in turn; returns the last
+    /// one's token.
+    fn write_chunks(&mut self, items: &[Item], plan: &LayoutPlan) -> FsResult<Flush<DataWritten>> {
         let mut written = Flush::idle();
         let mut first = 0;
         for (seq, c) in (self.log.write_seq() + 1..).zip(&plan.chunks) {
             let (sealed, bufs) = self.encode(&items[first..first + c.n], seq);
             first += c.n;
-            written = self.submit(sealed, c, bufs).inspect_err(|_| {
-                // The write points stay where they were, so the segments
-                // this plan opened were never opened: give them back to
-                // the clean set, where the next flush's layout takes them
-                // again — and where roll-forward, which replays that
-                // choice, looks for its chunks.
-                for opened in plan.chunks.iter().filter(|c| c.opened) {
-                    self.usage.set_state(opened.seg, SegState::Clean);
-                }
-            })?;
+            written = self.submit(sealed, c, bufs)?;
         }
-        Ok(self.commit(written, plan, &items, &deferred))
+        Ok(written)
     }
 
     /// **Gather**: the dirty state becomes the flush's items, in write
@@ -292,7 +293,8 @@ impl<D: QueueDevice> Lfs<D> {
         // module docs): the dirty inode-map blocks plus those about to
         // change because of the inode relocations above.
         if scope == Scope::Checkpoint {
-            let mut imap_blocks: BTreeSet<usize> = self.imap.dirty_blocks().into_iter().collect();
+            let mut imap_blocks: BTreeSet<usize> =
+                self.imap.blocks.dirty_indices().into_iter().collect();
             imap_blocks.extend(inode_writes.iter().map(|&ino| InodeMap::block_of(ino)));
             items.extend(imap_blocks.into_iter().map(Item::Imap));
         }
@@ -328,7 +330,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// together, which is the grouping the policy wants.
     fn file_order(&mut self) -> Vec<Ino> {
         let inos = self.dirty_inos();
-        if !self.cleaning || self.cfg.policy == crate::CleaningPolicy::Greedy {
+        if !self.space.cleaning || self.cfg.policy == crate::CleaningPolicy::Greedy {
             return inos.into_iter().collect();
         }
         let mut keyed: Vec<(u64, Ino)> = inos
@@ -363,7 +365,7 @@ impl<D: QueueDevice> Lfs<D> {
     fn place(&mut self, items: &mut Vec<Item>, maps: bool) -> FsResult<LayoutPlan> {
         let mut usage_blocks: BTreeSet<usize> = BTreeSet::new();
         if maps {
-            usage_blocks.extend(self.usage.dirty_blocks());
+            usage_blocks.extend(self.space.usage().blocks.dirty_indices());
             // Segments that will lose live bytes (old homes of rewritten
             // blocks) are known before layout.
             let dirty_data: Vec<(Ino, u64)> = self.blocks.dirty().iter().copied().collect();
@@ -383,7 +385,7 @@ impl<D: QueueDevice> Lfs<D> {
             // needed when space is very tight.
             let mut plan = self.layout(items.len());
             for _ in 0..4 {
-                if plan.is_some() || self.cleaning {
+                if plan.is_some() || self.space.cleaning {
                     break;
                 }
                 self.as_cleaner(Self::clean_until_high_water)?;
@@ -407,19 +409,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// [`Placement::next`], without mutating anything. `None` when they do
     /// not fit.
     fn layout(&self, count: usize) -> Option<LayoutPlan> {
-        // Normal writes leave a couple of segments per shard for the
-        // cleaner, which needs somewhere to copy live data even when the
-        // log is full — without this reserve the file system can wedge
-        // with free space it cannot reach. The cleaner's own relocations
-        // and a checkpoint's settle writes may use everything (the
-        // selection budget guarantees they fit, and completing them is
-        // what regenerates free space).
-        let reserve = if self.cleaning || self.settling {
-            0
-        } else {
-            CLEANER_RESERVE_SEGS
-        };
-        let mut end = self.placement(reserve);
+        let mut end = self.placement(self.space.reserve());
         let mut chunks = Vec::new();
         let (mut seq, mut left) = (self.log.write_seq(), count);
         while left > 0 {
@@ -433,13 +423,11 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// **Assign**: gives every item its address and makes final the state
     /// the encoded blocks carry — block pointers, live bytes, the inode
-    /// map, and the states of the segments the plan opens and seals. It
-    /// runs before any chunk is encoded, because the inode-map and usage
-    /// blocks a checkpoint writes must already hold all of it.
-    fn assign(&mut self, items: &[Item], plan: &LayoutPlan) -> FsResult<()> {
-        for c in plan.chunks.iter().filter(|c| c.opened) {
-            self.usage.set_state(c.seg, SegState::Active);
-        }
+    /// map, and the states of the segments the plan opens and seals (its
+    /// [`Claim`]). It runs before any chunk is encoded, because the
+    /// inode-map and usage blocks a checkpoint writes must already hold all
+    /// of it.
+    fn assign(&mut self, items: &[Item], plan: &LayoutPlan) -> FsResult<Claim> {
         let mut items = items.iter();
         for c in &plan.chunks {
             let first = self.sb.seg_start(c.seg) + c.off as u64 + 1;
@@ -448,8 +436,8 @@ impl<D: QueueDevice> Lfs<D> {
             }
         }
         debug_assert!(items.next().is_none(), "the chunks cover every item");
-        self.seal_segments(plan);
-        Ok(())
+        let (wps, seq) = (self.log.write_points(), self.log.write_seq());
+        Ok(self.space.claim(wps, seq, &plan.chunks, &plan.end))
     }
 
     /// Points whatever references `item` at `addr`, and moves the item's
@@ -465,8 +453,8 @@ impl<D: QueueDevice> Lfs<D> {
                 // the owning file's latest touch.
                 let mtime = self.blocks.mtime((ino, bno)).unwrap_or(now);
                 let old = self.set_block_ptr(ino, bno, addr)?;
-                self.sub_live_at(old, BLOCK_SIZE);
-                self.usage.add_live(seg, BLOCK_SIZE as u32, mtime);
+                self.space
+                    .move_live(self.sb.seg_of(old), seg, BLOCK_SIZE, mtime);
             }
             Item::Ind { ino, key } => {
                 // Update the parent pointer.
@@ -484,69 +472,29 @@ impl<D: QueueDevice> Lfs<D> {
                 }
                 let e = self.inds.get_mut(&(ino, key)).expect("gathered as dirty");
                 let old = std::mem::replace(&mut e.disk_addr, addr);
-                self.sub_live_at(old, BLOCK_SIZE);
-                self.usage.add_live(seg, BLOCK_SIZE as u32, now);
+                self.space
+                    .move_live(self.sb.seg_of(old), seg, BLOCK_SIZE, now);
             }
             Item::InodeBlk { ref inos } => {
                 for (slot, &ino) in inos.iter().enumerate() {
                     let old = *self.imap.get(ino)?;
-                    if old.is_live() {
-                        self.sub_live_at(old.addr, INODE_DISK_SIZE);
-                    }
+                    let old = old.is_live().then(|| self.sb.seg_of(old.addr)).flatten();
                     self.imap.set_location(ino, addr, slot as u8);
-                    self.usage.add_live(seg, INODE_DISK_SIZE as u32, now);
+                    self.space.move_live(old, seg, INODE_DISK_SIZE, now);
                 }
             }
             // Like everything else here, the map blocks stay dirty until
             // commit: a flush that fails writes them again next time.
             Item::Imap(idx) => {
-                let old = self.imap.set_block_addr(idx, addr);
-                self.move_map_block(old, seg);
+                let old = std::mem::replace(&mut self.imap.blocks.addrs[idx], addr);
+                self.space.move_map_block(self.sb.seg_of(old), seg, now);
             }
             Item::Usage(idx) => {
-                let old = self.usage.set_block_addr(idx, addr);
-                self.move_map_block(old, seg);
+                let old = std::mem::replace(&mut self.space.blocks_mut().addrs[idx], addr);
+                self.space.move_map_block(self.sb.seg_of(old), seg, now);
             }
         }
         Ok(())
-    }
-
-    /// Moves a map block's live bytes from `old`'s segment to `seg`,
-    /// quietly: accounting the maps' own moves loudly would dirty the
-    /// table again (see `UsageTable::add_live_quiet`).
-    fn move_map_block(&mut self, old: DiskAddr, seg: u32) {
-        if let Some(s) = self.sb.seg_of(old) {
-            self.usage.sub_live_quiet(s, BLOCK_SIZE as u32);
-        }
-        self.usage
-            .add_live_quiet(seg, BLOCK_SIZE as u32, self.clock);
-    }
-
-    /// Takes `bytes` live bytes off the segment holding `addr`, if any.
-    pub(crate) fn sub_live_at(&mut self, addr: DiskAddr, bytes: usize) {
-        if let Some(seg) = self.sb.seg_of(addr) {
-            self.usage.sub_live(seg, bytes as u32);
-        }
-    }
-
-    /// Seals every segment the plan leaves with no cursor on it, or with
-    /// no room for another partial write (a chunk needs a summary plus at
-    /// least one block), at the sequence number of the last chunk written
-    /// into it. Sealing happens before encoding so the usage blocks carry
-    /// the final states.
-    fn seal_segments(&mut self, plan: &LayoutPlan) {
-        let seq = self.log.write_seq();
-        let wps = self.log.write_points().iter();
-        let mut last_seq: BTreeMap<u32, u64> = wps.map(|&(seg, _)| (seg, seq)).collect();
-        for (seq, c) in (seq + 1..).zip(&plan.chunks) {
-            last_seq.insert(c.seg, seq);
-        }
-        for (seg, seq) in last_seq {
-            if !plan.end.is_open(seg) {
-                self.usage.set_state(seg, SegState::Dirty);
-                self.usage.set_seal_seq(seg, seq);
-            }
-        }
     }
 
     /// **Encode**: renders chunk `seq` of `items` — its summary block and
@@ -565,7 +513,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// replayed as garbage.
     fn encode(&mut self, items: &[Item], seq: u64) -> (Flush<SummarySealed>, Vec<IoBuf>) {
         let staged = Flush::stage();
-        let (time, by_cleaner) = (self.clock, self.cleaning);
+        let (time, by_cleaner) = (self.clock, self.space.cleaning);
         let n = items.len();
         let mut arc = self.log.take_scratch();
         let scratch = Arc::make_mut(&mut arc);
@@ -653,7 +601,7 @@ impl<D: QueueDevice> Lfs<D> {
                 (meta(EntryKind::ImapBlock, idx as u32), None)
             }
             Item::Usage(idx) => {
-                self.usage.encode_block_into(idx, dst);
+                self.space.usage().encode_block_into(idx, dst);
                 (meta(EntryKind::UsageBlock, idx as u32), None)
             }
         }
@@ -690,7 +638,7 @@ impl<D: QueueDevice> Lfs<D> {
             };
             dev.submit_gather(start, bufs, WriteKind::Async).map(drop)
         })?;
-        let (bytes, by_cleaner) = (((1 + c.n) * BLOCK_SIZE) as u64, self.cleaning);
+        let (bytes, by_cleaner) = (((1 + c.n) * BLOCK_SIZE) as u64, self.space.cleaning);
         if !by_cleaner {
             self.log.wrote(bytes);
         }
@@ -720,8 +668,8 @@ impl<D: QueueDevice> Lfs<D> {
         self.log.commit(&written, plan.chunks.len(), plan.end);
         for item in items {
             match *item {
-                Item::Imap(idx) => self.imap.block_written(idx),
-                Item::Usage(idx) => self.usage.block_written(idx),
+                Item::Imap(idx) => self.imap.blocks.dirty[idx] = false,
+                Item::Usage(idx) => self.space.blocks_mut().dirty[idx] = false,
                 _ => {}
             }
         }
@@ -762,7 +710,7 @@ impl<D: QueueDevice> Lfs<D> {
         // relocations are accounted quietly, so this settles quickly.
         // Settle writes may dip into the cleaner's reserve — finishing
         // this checkpoint is what turns pending segments clean again.
-        self.settling = true;
+        self.space.settling = true;
         let mut settled = Ok(written);
         for _ in 0..4 {
             if settled.is_err() || !self.maps_dirty() {
@@ -770,7 +718,7 @@ impl<D: QueueDevice> Lfs<D> {
             }
             settled = self.flush_tokened(Scope::Checkpoint);
         }
-        self.settling = false;
+        self.space.settling = false;
         let written = settled?;
         let wps = self.log.write_points();
         let cp = crate::checkpoint::Checkpoint {
@@ -780,9 +728,9 @@ impl<D: QueueDevice> Lfs<D> {
             cur_seg: wps[0].0,
             cur_off: wps[0].1,
             extra_write_points: wps[1..].to_vec(),
-            imap_addrs: self.imap.block_addr_vec().to_vec(),
-            usage_addrs: self.usage.block_addr_vec().to_vec(),
-            live_bytes: self.usage.live_vec(),
+            imap_addrs: self.imap.blocks.addrs.clone(),
+            usage_addrs: self.space.usage().blocks.addrs.clone(),
+            live_bytes: self.space.usage().live_vec(),
         };
         // The summary → checkpoint ordering edge: every queued log write
         // completes before the region claims to cover it (CrashDisk
@@ -813,7 +761,7 @@ impl<D: QueueDevice> Lfs<D> {
         // until the next checkpoint; `mount` promotes such segments on
         // load, which is sound for the same reason — any checkpoint that
         // recorded PendingFree was written after the relocation flush.
-        self.usage.promote_pending(self.log.checkpoint_seq());
+        self.space.promote(self.log.checkpoint_seq());
         Ok(())
     }
 
@@ -868,7 +816,7 @@ mod tests {
         fs.write_file("/f", b"x").unwrap();
         fs.sync().unwrap();
         assert!(fs.sync_settled());
-        fs.usage.mark_block_dirty(0);
+        fs.space.blocks_mut().dirty[0] = true;
         assert!(!fs.needs_flush());
         assert!(fs.sync_settled(), "map blocks do not unsettle a sync");
         let (cp, gc) = (fs.stats().checkpoints, fs.stats().group_commits);
@@ -877,14 +825,14 @@ mod tests {
         assert_eq!(fs.stats().group_commits, gc + 1);
         assert_eq!(fs.stats().checkpoints, cp);
         assert_eq!(fs.device().stats().writes, writes);
-        assert!(fs.usage.has_dirty());
+        assert!(fs.space.usage().blocks.has_dirty());
         fs.checkpoint().unwrap();
         assert_eq!(
             fs.stats().checkpoints,
             cp + 1,
             "the map change was not written"
         );
-        assert!(!fs.usage.has_dirty());
+        assert!(!fs.space.usage().blocks.has_dirty());
     }
 
     /// A `sync` after a create and a write in a directory already on disk

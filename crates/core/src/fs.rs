@@ -26,7 +26,8 @@ use crate::layout::{
 use crate::log::Log;
 use crate::stats::LfsStats;
 use crate::superblock::Superblock;
-use crate::usage::{SegState, UsageTable};
+use crate::usage::space::Space;
+use crate::usage::SegState;
 
 /// Attempts per device operation on the retry paths (1 initial + 4
 /// retries). Paired with [`blockdev::FaultPlan`]'s default burst length
@@ -147,7 +148,8 @@ pub struct Lfs<D: QueueDevice> {
     /// The log's position: write points, sequence counters, scratch pool.
     pub(crate) log: Log,
     pub(crate) imap: InodeMap,
-    pub(crate) usage: UsageTable,
+    /// Free space: the usage table and the cleaner's state.
+    pub(crate) space: Space,
     pub(crate) inodes: HashMap<Ino, CachedInode>,
     /// The cached inodes the log does not hold yet.
     pub(crate) dirty_inodes: BTreeSet<Ino>,
@@ -168,26 +170,13 @@ pub struct Lfs<D: QueueDevice> {
     /// Depth of in-flight namespace operations (see [`Lfs::with_nsop`]).
     /// While non-zero, `checkpoint` degrades to a plain flush.
     pub(crate) nsop_depth: u32,
-    /// Segments cleaned per shard since mount (one entry per write
-    /// point). Not part of [`crate::stats::CleanerStats`] — that struct
-    /// is `Copy` — but published next to it as `shard.<i>.*` metrics so
-    /// an operator can spot a cleaner neglecting one disk.
-    pub(crate) cleaned_per_shard: Vec<u64>,
     /// Logical clock (incremented per mutation).
     pub(crate) clock: u64,
     /// Live files + directories, excluding the root.
     pub(crate) nfiles: u64,
-    /// Re-entrancy guard for the cleaner.
-    pub(crate) cleaning: bool,
-    /// Set while a checkpoint writes its final metadata: those writes may
-    /// use every clean segment, including the cleaner's reserve, because
-    /// completing the checkpoint is what makes reserved space reusable.
-    pub(crate) settling: bool,
     pub(crate) stats: LfsStats,
     /// Observability handles (tracing + metrics); off by default.
     pub(crate) obs: crate::obs::FsObs,
-    /// The cleaner's reusable working memory (see `cleaner.rs`).
-    pub(crate) clean: crate::cleaner::CleanScratch,
 }
 
 /// Looks `bno` up in a pointer window (see [`Lfs::ptr_window`]).
@@ -232,7 +221,7 @@ impl<D: QueueDevice> Lfs<D> {
         fs.imap.reserve(ROOT_INO);
         let now = fs.now();
         fs.put_inode(Inode::new(ROOT_INO, 0, FileType::Directory, now));
-        fs.log.activate(&mut fs.usage);
+        fs.space.activate(fs.log.write_points());
 
         // Write the initial state to *both* regions so `read_latest`
         // always has two candidates.
@@ -256,7 +245,7 @@ impl<D: QueueDevice> Lfs<D> {
             dev,
             log,
             imap: InodeMap::new(sb.max_inodes),
-            usage: UsageTable::new(sb.nsegments),
+            space: Space::new(sb.nsegments, shards),
             sb,
             cfg,
             inodes: HashMap::new(),
@@ -268,14 +257,10 @@ impl<D: QueueDevice> Lfs<D> {
             dirlog_pending: Vec::new(),
             sync_left: 0,
             nsop_depth: 0,
-            cleaned_per_shard: vec![0; shards],
             clock: 0,
             nfiles: 0,
-            cleaning: false,
-            settling: false,
             stats: LfsStats::default(),
             obs: crate::obs::FsObs::default(),
-            clean: Default::default(),
         })
     }
 
@@ -397,7 +382,7 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Number of clean (immediately writable) segments.
     pub fn clean_segment_count(&self) -> u32 {
-        self.usage.clean_count()
+        self.space.usage().clean_count()
     }
 
     /// The log write points, one `(segment, next free block offset)` per
@@ -422,7 +407,8 @@ impl<D: QueueDevice> Lfs<D> {
     /// The [`Placement`] over the write points and every clean segment
     /// off them, each shard keeping `reserve` segments back.
     pub(crate) fn placement(&self, reserve: usize) -> Placement {
-        let clean = self.usage.clean_segs().map(|s| (s, self.shard_of_seg(s)));
+        let clean = self.space.usage().clean_segs();
+        let clean = clean.map(|s| (s, self.shard_of_seg(s)));
         self.log.placement(self.sb.seg_blocks, clean, reserve)
     }
 
@@ -443,15 +429,16 @@ impl<D: QueueDevice> Lfs<D> {
     /// segment full of cold blocks keeps its old age even while the
     /// owning files' mtimes advance.
     pub fn segment_ages(&self) -> Vec<u64> {
-        self.usage.iter().map(|(_, u)| u.last_write).collect()
+        let usage = self.space.usage().iter();
+        usage.map(|(_, u)| u.last_write).collect()
     }
 
     /// Per-segment `(state, utilization)` snapshot — the data behind
     /// Figure 10.
     pub fn segment_snapshot(&self) -> Vec<(SegState, f64)> {
         let seg_bytes = self.cfg.seg_bytes();
-        self.usage
-            .iter()
+        let usage = self.space.usage().iter();
+        usage
             .map(|(_, u)| (u.state, u.utilization(seg_bytes)))
             .collect()
     }
@@ -1065,7 +1052,7 @@ impl<D: QueueDevice> Lfs<D> {
                 }
                 None => NIL_ADDR,
             };
-            self.sub_live_at(old, BLOCK_SIZE);
+            self.space.kill(self.sb.seg_of(old), BLOCK_SIZE);
         }
         self.prune_indirect(ino)?;
         Ok(())
@@ -1087,7 +1074,7 @@ impl<D: QueueDevice> Lfs<D> {
                     let old = e.disk_addr;
                     self.inds.remove(&(ino, key));
                     self.dirty_inds.remove(&(ino, key));
-                    self.sub_live_at(old, BLOCK_SIZE);
+                    self.space.kill(self.sb.seg_of(old), BLOCK_SIZE);
                     freed_single.push(k);
                 }
             }
@@ -1110,7 +1097,7 @@ impl<D: QueueDevice> Lfs<D> {
                     let old = d.disk_addr;
                     self.inds.remove(&(ino, IndKey::Double));
                     self.dirty_inds.remove(&(ino, IndKey::Double));
-                    self.sub_live_at(old, BLOCK_SIZE);
+                    self.space.kill(self.sb.seg_of(old), BLOCK_SIZE);
                     inode.dindirect = NIL_ADDR;
                     inode_changed = true;
                 }
@@ -1128,7 +1115,8 @@ impl<D: QueueDevice> Lfs<D> {
         // Retire the on-disk inode slot.
         let entry = *self.imap.get(ino)?;
         if entry.is_live() {
-            self.sub_live_at(entry.addr, crate::inode::INODE_DISK_SIZE);
+            self.space
+                .kill(self.sb.seg_of(entry.addr), crate::inode::INODE_DISK_SIZE);
         }
         self.imap.free(ino);
         self.purge_file(ino);
@@ -1593,7 +1581,8 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
     }
 
     fn statfs(&mut self) -> FsResult<StatFs> {
-        let live: u64 = self.usage.iter().map(|(_, u)| u.live_bytes as u64).sum();
+        let usage = self.space.usage().iter();
+        let live: u64 = usage.map(|(_, u)| u.live_bytes as u64).sum();
         // Include data that is dirty in the cache but not yet on disk.
         let pending = self.blocks.dirty_bytes();
         Ok(StatFs {

@@ -16,7 +16,7 @@ use blockdev::BLOCK_SIZE;
 use vfs::{FsError, FsResult, Ino};
 
 use crate::codec::{Reader, Writer};
-use crate::layout::{DiskAddr, NIL_ADDR};
+use crate::layout::{DiskAddr, MapBlocks, NIL_ADDR};
 
 /// Bytes per on-disk inode-map entry.
 pub const IMAP_ENTRY_SIZE: usize = 24;
@@ -57,10 +57,8 @@ impl ImapEntry {
 /// The in-memory inode map with dirty-block tracking.
 pub struct InodeMap {
     entries: Vec<ImapEntry>,
-    /// Current on-disk address of each inode-map block ([`NIL_ADDR`] until
-    /// first written). The checkpoint region persists this vector.
-    block_addrs: Vec<DiskAddr>,
-    dirty: Vec<bool>,
+    /// The map's blocks in the log.
+    pub blocks: MapBlocks,
     /// Recycled inode numbers available for allocation.
     free: Vec<Ino>,
     /// Lowest inode number that has never been allocated.
@@ -74,17 +72,11 @@ impl InodeMap {
         let nblocks = (max_inodes as usize).div_ceil(IMAP_ENTRIES_PER_BLOCK);
         InodeMap {
             entries: vec![ImapEntry::FREE; max_inodes as usize],
-            block_addrs: vec![NIL_ADDR; nblocks],
-            dirty: vec![false; nblocks],
+            blocks: MapBlocks::new(nblocks),
             free: Vec::new(),
             next_unused: 2, // 0 is invalid, 1 is the root.
             live_count: 0,
         }
-    }
-
-    /// Number of inode-map blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.block_addrs.len()
     }
 
     /// Capacity in inodes.
@@ -118,13 +110,13 @@ impl InodeMap {
         if !was_live {
             self.live_count += 1;
         }
-        self.dirty[Self::block_of(ino)] = true;
+        self.blocks.dirty[Self::block_of(ino)] = true;
     }
 
     /// Updates an inode's access time.
     pub fn set_atime(&mut self, ino: Ino, atime: u64) {
         self.entries[ino as usize].atime = atime;
-        self.dirty[Self::block_of(ino)] = true;
+        self.blocks.dirty[Self::block_of(ino)] = true;
     }
 
     /// Updates an inode's access time without dirtying the map block, so
@@ -148,7 +140,7 @@ impl InodeMap {
     pub fn bump_version(&mut self, ino: Ino) -> u32 {
         let e = &mut self.entries[ino as usize];
         e.version += 1;
-        self.dirty[Self::block_of(ino)] = true;
+        self.blocks.dirty[Self::block_of(ino)] = true;
         e.version
     }
 
@@ -195,7 +187,7 @@ impl InodeMap {
         e.addr = NIL_ADDR;
         e.slot = 0;
         e.version += 1;
-        self.dirty[Self::block_of(ino)] = true;
+        self.blocks.dirty[Self::block_of(ino)] = true;
         self.free.push(ino);
     }
 
@@ -203,23 +195,6 @@ impl InodeMap {
     /// block stamped with an older version is dead, no inode read needed.
     pub fn version(&self, ino: Ino) -> u32 {
         self.entries[ino as usize].version
-    }
-
-    /// Indices of dirty inode-map blocks.
-    pub fn dirty_blocks(&self) -> Vec<usize> {
-        (0..self.dirty.len()).filter(|&i| self.dirty[i]).collect()
-    }
-
-    /// True if any block is dirty.
-    pub fn has_dirty(&self) -> bool {
-        self.dirty.iter().any(|&d| d)
-    }
-
-    /// Serializes inode-map block `idx`.
-    pub fn encode_block(&self, idx: usize) -> Box<[u8]> {
-        let mut buf = vec![0u8; BLOCK_SIZE].into_boxed_slice();
-        self.encode_block_into(idx, &mut buf);
-        buf
     }
 
     /// Serializes inode-map block `idx` into a caller-provided block-sized
@@ -264,36 +239,8 @@ impl InodeMap {
             }
             self.entries[i] = e;
         }
-        self.block_addrs[idx] = addr;
-        self.dirty[idx] = false;
-    }
-
-    /// Records `addr` as block `idx`'s new home and returns the old one.
-    /// The block stays dirty until [`InodeMap::block_written`] says it
-    /// reached the log there.
-    pub fn set_block_addr(&mut self, idx: usize, addr: DiskAddr) -> DiskAddr {
-        std::mem::replace(&mut self.block_addrs[idx], addr)
-    }
-
-    /// Clears block `idx`'s dirty bit: its contents are in the log at
-    /// [`InodeMap::block_addr`].
-    pub fn block_written(&mut self, idx: usize) {
-        self.dirty[idx] = false;
-    }
-
-    /// Current on-disk address of inode-map block `idx`.
-    pub fn block_addr(&self, idx: usize) -> DiskAddr {
-        self.block_addrs[idx]
-    }
-
-    /// The full on-disk address vector (persisted by the checkpoint).
-    pub fn block_addr_vec(&self) -> &[DiskAddr] {
-        &self.block_addrs
-    }
-
-    /// Marks an inode-map block dirty (used by the cleaner to relocate it).
-    pub fn mark_block_dirty(&mut self, idx: usize) {
-        self.dirty[idx] = true;
+        self.blocks.addrs[idx] = addr;
+        self.blocks.dirty[idx] = false;
     }
 
     /// Rebuilds the free list after loading from disk (recovery path).
@@ -377,17 +324,17 @@ mod tests {
     #[test]
     fn dirty_tracking_follows_mutations() {
         let mut m = InodeMap::new(IMAP_ENTRIES_PER_BLOCK as u32 * 3);
-        assert!(!m.has_dirty());
+        assert!(!m.blocks.has_dirty());
         m.set_location(2, 1, 0);
-        assert_eq!(m.dirty_blocks(), vec![0]);
+        assert_eq!(m.blocks.dirty_indices(), vec![0]);
         let far = (IMAP_ENTRIES_PER_BLOCK * 2 + 1) as Ino;
         m.set_location(far, 2, 0);
-        assert_eq!(m.dirty_blocks(), vec![0, 2]);
-        m.set_block_addr(0, 99);
-        assert_eq!(m.dirty_blocks(), vec![0, 2]);
-        m.block_written(0);
-        assert_eq!(m.dirty_blocks(), vec![2]);
-        assert_eq!(m.block_addr(0), 99);
+        assert_eq!(m.blocks.dirty_indices(), vec![0, 2]);
+        m.blocks.addrs[0] = 99;
+        assert_eq!(m.blocks.dirty_indices(), vec![0, 2]);
+        m.blocks.dirty[0] = false;
+        assert_eq!(m.blocks.dirty_indices(), vec![2]);
+        assert_eq!(m.blocks.addrs[0], 99);
     }
 
     #[test]
@@ -396,13 +343,14 @@ mod tests {
         m.set_location(2, 1234, 5);
         m.set_atime(2, 777);
         m.set_location(3, 888, 1);
-        let blk = m.encode_block(0);
+        let mut blk = [0u8; BLOCK_SIZE];
+        m.encode_block_into(0, &mut blk);
 
         let mut m2 = InodeMap::new(400);
         m2.load_block(0, &blk, 4321);
         assert_eq!(m2.get(2).unwrap(), m.get(2).unwrap());
         assert_eq!(m2.get(3).unwrap(), m.get(3).unwrap());
-        assert_eq!(m2.block_addr(0), 4321);
+        assert_eq!(m2.blocks.addrs[0], 4321);
         assert_eq!(m2.live_count(), 2);
     }
 
@@ -411,7 +359,8 @@ mod tests {
         let mut m = InodeMap::new(100);
         m.set_location(2, 10, 0);
         m.set_location(5, 11, 0);
-        let blk = m.encode_block(0);
+        let mut blk = [0u8; BLOCK_SIZE];
+        m.encode_block_into(0, &mut blk);
         let mut m2 = InodeMap::new(100);
         m2.load_block(0, &blk, 50);
         m2.rebuild_free_list();

@@ -101,6 +101,36 @@ pub fn blocks_for_size(size: u64) -> u64 {
     size.div_ceil(BLOCK_SIZE as u64)
 }
 
+/// The blocks of a table kept whole in memory and written to the log a
+/// block at a time (the inode map, the usage table): where each lives,
+/// which the checkpoint region persists, and which hold changes the log
+/// has not seen. A block stays dirty until a flush that wrote it commits.
+#[derive(Clone, Debug)]
+pub struct MapBlocks {
+    /// Each block's home in the log, [`NIL_ADDR`] until first written.
+    pub(crate) addrs: Vec<DiskAddr>,
+    pub(crate) dirty: Vec<bool>,
+}
+
+impl MapBlocks {
+    pub(crate) fn new(count: usize) -> MapBlocks {
+        MapBlocks {
+            addrs: vec![NIL_ADDR; count],
+            dirty: vec![false; count],
+        }
+    }
+
+    /// Indices of the dirty blocks.
+    pub fn dirty_indices(&self) -> Vec<usize> {
+        (0..self.dirty.len()).filter(|&i| self.dirty[i]).collect()
+    }
+
+    /// True if any block is dirty.
+    pub fn has_dirty(&self) -> bool {
+        self.dirty.iter().any(|&d| d)
+    }
+}
+
 /// Clean segments per shard that normal writes may never consume — the
 /// cleaner's private pool for relocating live data when the log runs out
 /// of space.

@@ -32,7 +32,6 @@ use crate::checkpoint::Checkpoint;
 use crate::layout::Placement;
 use crate::ordering::{CheckpointReady, DataWritten, Flush};
 use crate::superblock::Superblock;
-use crate::usage::{SegState, UsageTable};
 
 /// The log's position and the buffers it is written from.
 #[derive(Default)]
@@ -160,14 +159,6 @@ impl Log {
         let clean = clean.filter(|&(s, _)| !self.is_write_point_seg(s));
         let wps = self.write_points.clone();
         Placement::new(seg_blocks, self.shards(), wps, clean, reserve)
-    }
-
-    /// Marks the write points' segments `Active`: at format, and at mount
-    /// once roll-forward has moved them.
-    pub(crate) fn activate(&self, usage: &mut UsageTable) {
-        for &(seg, _) in &self.write_points {
-            usage.set_state(seg, SegState::Active);
-        }
     }
 
     /// Books `bytes` of log the cleaner did not write.

@@ -13,6 +13,7 @@ use vfs::FsResult;
 
 use crate::fs::Lfs;
 use crate::stats::{BlockKind, LfsStats};
+use crate::usage::SegState;
 
 /// Pre-registered per-operation latency histograms. Samples are the
 /// simulated disk time (`busy_ns` delta) each operation consumed,
@@ -127,7 +128,7 @@ impl<D: QueueDevice> Lfs<D> {
         reg.gauge("lfs.cleaner.backlog_segs").set(
             self.cfg
                 .clean_high_water
-                .saturating_sub(self.usage.clean_count()) as f64,
+                .saturating_sub(self.space.usage().clean_count()) as f64,
         );
         // Active selection policy, as a presence marker (`lfstop` probes
         // the known names): counters carry no string labels.
@@ -145,12 +146,8 @@ impl<D: QueueDevice> Lfs<D> {
         // aggregates so an operator can spot a skewed or starved disk.
         let shards = self.shard_count();
         if shards > 1 {
-            let mut clean_per_shard = vec![0u64; shards];
-            for (seg, u) in self.usage.iter() {
-                if u.state == crate::usage::SegState::Clean {
-                    clean_per_shard[self.shard_of_seg(seg)] += 1;
-                }
-            }
+            let shard_of = |seg| self.shard_of_seg(seg);
+            let clean_per_shard = self.space.per_shard(shards, &shard_of, &[SegState::Clean]);
             for (i, &clean) in clean_per_shard.iter().enumerate() {
                 let pfx = format!("shard.{i}");
                 if let Some(s) = self.dev.shard_stats(i) {
@@ -173,7 +170,7 @@ impl<D: QueueDevice> Lfs<D> {
                 }
                 reg.gauge(&format!("{pfx}.clean_segs")).set(clean as f64);
                 reg.counter(&format!("{pfx}.cleaner.segments_cleaned"))
-                    .store(self.cleaned_per_shard[i]);
+                    .store(self.space.cleaned_per_shard[i]);
             }
         }
     }

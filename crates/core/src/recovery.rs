@@ -50,7 +50,6 @@ use crate::inode::{IndirectBlock, Inode, INODE_DISK_SIZE};
 use crate::layout::{DiskAddr, Placement, NIL_ADDR, SUPERBLOCK_ADDR};
 use crate::summary::{EntryKind, Summary};
 use crate::superblock::Superblock;
-use crate::usage::SegState;
 
 impl<D: QueueDevice> Lfs<D> {
     /// Mounts an existing file system, recovering from a crash if the log
@@ -154,10 +153,10 @@ impl<D: QueueDevice> Lfs<D> {
         self.log = self
             .log
             .resume(cp, idx, &self.sb, |seg| self.shard_of_seg(seg))?;
-        if cp.imap_addrs.len() != self.imap.num_blocks() {
+        if cp.imap_addrs.len() != self.imap.blocks.addrs.len() {
             return Err(corrupt("inode-map block count mismatch"));
         }
-        if cp.usage_addrs.len() != self.usage.num_blocks() {
+        if cp.usage_addrs.len() != self.space.usage().blocks.addrs.len() {
             return Err(corrupt("usage-table block count mismatch"));
         }
         if cp.live_bytes.len() != self.sb.nsegments as usize {
@@ -183,17 +182,10 @@ impl<D: QueueDevice> Lfs<D> {
                 continue;
             }
             self.read_retry(addr, &mut buf)?;
-            self.usage.load_block(i, &buf, addr);
+            self.space.load_block(i, &buf, addr)?;
         }
-        // The checkpoint carries the authoritative live counts (the table
-        // blocks in the log can be quietly stale for the segments they
-        // themselves landed in).
-        self.usage.overlay_live(&cp.live_bytes);
-        // Segments recorded as PendingFree are safe to reuse: a victim
-        // becomes PendingFree only after its pass's closing flush, so any
-        // checkpoint that stored that state was written after the
-        // cleaner's relocations reached the log.
-        self.usage.promote_pending(cp.seq);
+        self.space
+            .resume(&cp.live_bytes, cp.seq, self.log.write_points())?;
         self.clock = cp.timestamp;
 
         // Allocation safety across the mount: every segment that looks
@@ -205,7 +197,7 @@ impl<D: QueueDevice> Lfs<D> {
         if roll_forward {
             self.roll_forward(cp)?;
         }
-        self.log.activate(&mut self.usage);
+        self.space.activate(self.log.write_points());
         // Only now is the map final: an inode the tail adopted must not
         // stay on the free list, or the next create reuses a live number.
         self.imap.rebuild_free_list();
@@ -253,12 +245,11 @@ impl<D: QueueDevice> Lfs<D> {
             if let Some(filled) = place.adopt(shard, seg, off, nent as usize) {
                 // The chunk opened a fresh segment: the one its cursor
                 // filled was sealed by the chunk before.
-                self.usage.set_state(filled, SegState::Dirty);
-                self.usage.set_seal_seq(filled, seq - 1);
+                self.space.open(seg);
+                self.space.seal(filled, seq - 1);
             }
             self.replay_partial_write(&summary, first, &chunk, &mut records)?;
             self.emit(|| lfs_obs::TraceEvent::RollForward { seq, seg });
-            self.usage.set_state(seg, SegState::Dirty);
             self.clock = self.clock.max(summary.write_time);
             seq += 1;
         }
@@ -374,28 +365,27 @@ impl<D: QueueDevice> Lfs<D> {
         }
         // Retire the old version's blocks from the usage accounting. A
         // version adopted earlier in the tail is still in the cache.
+        let kill = |fs: &mut Self, a, bytes| fs.space.kill(fs.sb.seg_of(a), bytes);
+        let mtime = inode.mtime;
+        let born = |fs: &mut Self, a, bytes| {
+            if let Some(seg) = fs.sb.seg_of(a) {
+                fs.space.move_live(None, seg, bytes, mtime);
+            }
+        };
         if old.is_live() {
-            self.sub_live_at(old.addr, INODE_DISK_SIZE);
+            kill(self, old.addr, INODE_DISK_SIZE);
             let old_inode = match self.inodes.get(&ino) {
                 Some(c) => Ok(c.inode.clone()),
                 None => self.read_inode_at(old.addr, old.slot, ino),
             };
             if let Ok(old_inode) = old_inode {
-                self.visit_inode_blocks(&old_inode, chunk, |fs, a| fs.sub_live_at(a, BLOCK_SIZE))?;
+                self.visit_inode_blocks(&old_inode, chunk, |fs, a| kill(fs, a, BLOCK_SIZE))?;
             }
         }
         // Adopt the new version.
         self.imap.set_entry(ino, addr, slot, inode.version);
-        if let Some(seg) = self.sb.seg_of(addr) {
-            self.usage
-                .add_live(seg, INODE_DISK_SIZE as u32, inode.mtime);
-        }
-        let mtime = inode.mtime;
-        self.visit_inode_blocks(inode, chunk, |fs, a| {
-            if let Some(seg) = fs.sb.seg_of(a) {
-                fs.usage.add_live(seg, BLOCK_SIZE as u32, mtime);
-            }
-        })?;
+        born(self, addr, INODE_DISK_SIZE);
+        self.visit_inode_blocks(inode, chunk, |fs, a| born(fs, a, BLOCK_SIZE))?;
         // Cache the adopted version, which is in hand: the directory-log
         // replay looks most of the tail's inodes up again. Until that
         // replay, roll-forward reads around the caches, so they hold no

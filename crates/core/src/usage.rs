@@ -9,18 +9,26 @@
 //! in the checkpoint regions. Roll-forward re-derives what changed since
 //! from the log tail (§4.2).
 //!
+//! The space manager (`space.rs`) is this module's child, so it alone
+//! reaches the table's private mutators of a segment's state, seal
+//! sequence and live bytes; everything else reads.
+//!
 //! The live-byte counts are *advisory*: the cleaning mechanism re-verifies
 //! every block's liveness against the inode map and inode pointers before
 //! copying it (§3.3), so a count that is one checkpoint stale can never
 //! corrupt data — it can only make the policy slightly suboptimal. This is
 //! what lets Sprite LFS do without a bitmap or free list.
 
+#[path = "space.rs"]
+pub(crate) mod space;
+
 use std::collections::BTreeSet;
 
 use blockdev::BLOCK_SIZE;
+use vfs::{FsError, FsResult};
 
 use crate::codec::{Reader, Writer};
-use crate::layout::{DiskAddr, NIL_ADDR};
+use crate::layout::{DiskAddr, MapBlocks};
 
 /// Bytes per on-disk usage-table entry.
 pub const USAGE_ENTRY_SIZE: usize = 24;
@@ -28,42 +36,30 @@ pub const USAGE_ENTRY_SIZE: usize = 24;
 /// Usage-table entries per disk block.
 pub const USAGE_ENTRIES_PER_BLOCK: usize = BLOCK_SIZE / USAGE_ENTRY_SIZE;
 
-/// Life-cycle state of a segment.
+/// Life-cycle state of a segment. The discriminant is its byte on disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SegState {
     /// Contains no live data and may be allocated for writing.
-    Clean,
+    Clean = 0,
     /// The segment currently being filled by the log.
-    Active,
+    Active = 1,
     /// Sealed and holding (possibly stale) data.
-    Dirty,
+    Dirty = 2,
     /// Cleaned, but its old contents must survive until the next
     /// checkpoint makes the relocation durable — only then does it become
     /// [`SegState::Clean`]. Without this, a crash after cleaning could
     /// leave the last checkpoint's inode map pointing into a reused
     /// segment.
-    PendingFree,
+    PendingFree = 3,
 }
 
-impl SegState {
-    fn encode(self) -> u8 {
-        match self {
-            SegState::Clean => 0,
-            SegState::Active => 1,
-            SegState::Dirty => 2,
-            SegState::PendingFree => 3,
-        }
-    }
-
-    fn decode(v: u8) -> SegState {
-        match v {
-            1 => SegState::Active,
-            2 => SegState::Dirty,
-            3 => SegState::PendingFree,
-            _ => SegState::Clean,
-        }
-    }
-}
+/// Every state, indexed by its byte on disk.
+const STATES: [SegState; 4] = [
+    SegState::Clean,
+    SegState::Active,
+    SegState::Dirty,
+    SegState::PendingFree,
+];
 
 /// Per-segment bookkeeping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,8 +93,8 @@ impl SegUsage {
 /// The in-memory segment usage table with dirty-block tracking.
 pub struct UsageTable {
     entries: Vec<SegUsage>,
-    block_addrs: Vec<DiskAddr>,
-    dirty: Vec<bool>,
+    /// The table's blocks in the log.
+    pub blocks: MapBlocks,
     /// Segments currently in [`SegState::Clean`], maintained at every
     /// state transition so allocation and `clean_count` never rescan the
     /// whole table. Ordered, so low indices are still preferred.
@@ -111,8 +107,7 @@ impl UsageTable {
         let nblocks = (nsegments as usize).div_ceil(USAGE_ENTRIES_PER_BLOCK);
         UsageTable {
             entries: vec![SegUsage::CLEAN; nsegments as usize],
-            block_addrs: vec![NIL_ADDR; nblocks],
-            dirty: vec![false; nblocks],
+            blocks: MapBlocks::new(nblocks),
             clean_set: (0..nsegments).collect(),
         }
     }
@@ -124,16 +119,6 @@ impl UsageTable {
         } else {
             self.clean_set.remove(&seg);
         }
-    }
-
-    /// Number of table blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.block_addrs.len()
-    }
-
-    /// Number of segments tracked.
-    pub fn nsegments(&self) -> u32 {
-        self.entries.len() as u32
     }
 
     /// The table block holding segment `seg`.
@@ -149,43 +134,30 @@ impl UsageTable {
     /// Adds live bytes to a segment (a block was appended) and refreshes
     /// its age with the block's modification time. Saturates: counts
     /// seeded from a hostile checkpoint image must not overflow-panic.
-    pub fn add_live(&mut self, seg: u32, bytes: u32, block_mtime: u64) {
+    ///
+    /// Only a `loud` change dirties the table block. The table's (and
+    /// inode map's) *own* block relocations are quiet: accounting them
+    /// loudly would re-dirty the table on every metadata write and the
+    /// checkpoint stabilisation loop would never terminate. The in-memory
+    /// counts stay exact (and the checkpoint persists them exactly); the
+    /// on-disk copy of the affected entry is at most one checkpoint stale,
+    /// which is safe because liveness is always re-verified by the
+    /// cleaning mechanism (§3.3).
+    fn add_live(&mut self, seg: u32, bytes: u32, block_mtime: u64, loud: bool) {
         let e = &mut self.entries[seg as usize];
         e.live_bytes = e.live_bytes.saturating_add(bytes);
         e.last_write = e.last_write.max(block_mtime);
-        self.dirty[Self::block_of(seg)] = true;
+        self.blocks.dirty[Self::block_of(seg)] |= loud;
     }
 
     /// Removes live bytes from a segment (a block there was superseded or
-    /// deleted). Saturates rather than panicking: during roll-forward the
-    /// counts are rebuilt from scratch and transient underflow is
-    /// harmless.
-    pub fn sub_live(&mut self, seg: u32, bytes: u32) {
+    /// deleted); `loud` as for [`UsageTable::add_live`]. Saturates rather
+    /// than panicking: during roll-forward the counts are rebuilt from
+    /// scratch and transient underflow is harmless.
+    fn sub_live(&mut self, seg: u32, bytes: u32, loud: bool) {
         let e = &mut self.entries[seg as usize];
         e.live_bytes = e.live_bytes.saturating_sub(bytes);
-        self.dirty[Self::block_of(seg)] = true;
-    }
-
-    /// Like [`UsageTable::add_live`] but without dirtying the table block.
-    ///
-    /// Used for the table's (and inode map's) *own* block relocations:
-    /// accounting them loudly would re-dirty the table on every metadata
-    /// write and the checkpoint stabilisation loop would never terminate.
-    /// The in-memory counts stay exact (and the checkpoint persists them
-    /// exactly); the on-disk copy of the affected entry is at most one
-    /// checkpoint stale, which is safe because liveness is always
-    /// re-verified by the cleaning mechanism (§3.3).
-    pub fn add_live_quiet(&mut self, seg: u32, bytes: u32, block_mtime: u64) {
-        let e = &mut self.entries[seg as usize];
-        e.live_bytes = e.live_bytes.saturating_add(bytes);
-        e.last_write = e.last_write.max(block_mtime);
-    }
-
-    /// Quiet counterpart of [`UsageTable::sub_live`]; see
-    /// [`UsageTable::add_live_quiet`].
-    pub fn sub_live_quiet(&mut self, seg: u32, bytes: u32) {
-        let e = &mut self.entries[seg as usize];
-        e.live_bytes = e.live_bytes.saturating_sub(bytes);
+        self.blocks.dirty[Self::block_of(seg)] |= loud;
     }
 
     /// Exact live counts for all segments (persisted by the checkpoint).
@@ -195,23 +167,23 @@ impl UsageTable {
 
     /// Restores exact live counts (from a checkpoint) without touching
     /// states, ages, or dirty bits.
-    pub fn overlay_live(&mut self, live: &[u32]) {
+    fn overlay_live(&mut self, live: &[u32]) {
         for (e, &l) in self.entries.iter_mut().zip(live) {
             e.live_bytes = l;
         }
     }
 
     /// Sets a segment's state.
-    pub fn set_state(&mut self, seg: u32, state: SegState) {
+    fn set_state(&mut self, seg: u32, state: SegState) {
         self.entries[seg as usize].state = state;
         self.note_state(seg, state);
-        self.dirty[Self::block_of(seg)] = true;
+        self.blocks.dirty[Self::block_of(seg)] = true;
     }
 
     /// Records the sequence number at which a segment was sealed.
-    pub fn set_seal_seq(&mut self, seg: u32, seq: u64) {
+    fn set_seal_seq(&mut self, seg: u32, seq: u64) {
         self.entries[seg as usize].seal_seq = seq;
-        self.dirty[Self::block_of(seg)] = true;
+        self.blocks.dirty[Self::block_of(seg)] = true;
     }
 
     /// Number of segments in [`SegState::Clean`]. O(1): the clean set is
@@ -245,41 +217,21 @@ impl UsageTable {
     /// Promotes [`SegState::PendingFree`] segments whose relocations are
     /// covered by a durable checkpoint (their `seal_seq` — set to the log
     /// sequence of the relocation — is ≤ `covered_seq`).
-    pub fn promote_pending(&mut self, covered_seq: u64) -> u32 {
-        let mut n = 0;
+    fn promote_pending(&mut self, covered_seq: u64) {
         for i in 0..self.entries.len() {
             if self.entries[i].state == SegState::PendingFree
                 && self.entries[i].seal_seq <= covered_seq
             {
                 self.entries[i] = SegUsage::CLEAN;
                 self.clean_set.insert(i as u32);
-                self.dirty[Self::block_of(i as u32)] = true;
-                n += 1;
+                self.blocks.dirty[Self::block_of(i as u32)] = true;
             }
         }
-        n
     }
 
     /// Iterates `(seg, usage)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &SegUsage)> + '_ {
         self.entries.iter().enumerate().map(|(i, e)| (i as u32, e))
-    }
-
-    /// Indices of dirty table blocks.
-    pub fn dirty_blocks(&self) -> Vec<usize> {
-        (0..self.dirty.len()).filter(|&i| self.dirty[i]).collect()
-    }
-
-    /// True if any table block is dirty.
-    pub fn has_dirty(&self) -> bool {
-        self.dirty.iter().any(|&d| d)
-    }
-
-    /// Serializes table block `idx`.
-    pub fn encode_block(&self, idx: usize) -> Box<[u8]> {
-        let mut buf = vec![0u8; BLOCK_SIZE].into_boxed_slice();
-        self.encode_block_into(idx, &mut buf);
-        buf
     }
 
     /// Serializes table block `idx` into a caller-provided block-sized
@@ -292,21 +244,26 @@ impl UsageTable {
         let mut w = Writer::new(buf);
         for e in &self.entries[start..end] {
             w.put_u32(e.live_bytes);
-            w.put_u8(e.state.encode());
+            w.put_u8(e.state as u8);
             w.pad(3);
             w.put_u64(e.last_write);
             w.put_u64(e.seal_seq);
         }
     }
 
-    /// Loads table block `idx` from a raw disk block.
-    pub fn load_block(&mut self, idx: usize, buf: &[u8], addr: DiskAddr) {
+    /// Loads table block `idx` from a raw disk block. Refuses, as corrupt,
+    /// a state byte no [`SegState`] encodes: read as clean, it would make
+    /// a segment full of live data allocatable.
+    fn load_block(&mut self, idx: usize, buf: &[u8], addr: DiskAddr) -> FsResult<()> {
         let start = idx * USAGE_ENTRIES_PER_BLOCK;
         let end = (start + USAGE_ENTRIES_PER_BLOCK).min(self.entries.len());
         let mut r = Reader::new(buf);
         for i in start..end {
             let live_bytes = r.get_u32();
-            let state = SegState::decode(r.get_u8());
+            let byte = r.get_u8();
+            let state = *STATES.get(byte as usize).ok_or_else(|| {
+                FsError::Corrupt(format!("usage table: segment {i} has unknown state {byte}"))
+            })?;
             r.skip(3);
             let last_write = r.get_u64();
             let seal_seq = r.get_u64();
@@ -318,42 +275,22 @@ impl UsageTable {
             };
             self.note_state(i as u32, state);
         }
-        self.block_addrs[idx] = addr;
-        self.dirty[idx] = false;
-    }
-
-    /// Records `addr` as block `idx`'s new home and returns the old one.
-    /// The block stays dirty until [`UsageTable::block_written`] says it
-    /// reached the log there.
-    pub fn set_block_addr(&mut self, idx: usize, addr: DiskAddr) -> DiskAddr {
-        std::mem::replace(&mut self.block_addrs[idx], addr)
-    }
-
-    /// Clears block `idx`'s dirty bit: its contents are in the log at
-    /// [`UsageTable::block_addr`].
-    pub fn block_written(&mut self, idx: usize) {
-        self.dirty[idx] = false;
-    }
-
-    /// Current on-disk address of table block `idx`.
-    pub fn block_addr(&self, idx: usize) -> DiskAddr {
-        self.block_addrs[idx]
-    }
-
-    /// The full on-disk address vector (persisted by the checkpoint).
-    pub fn block_addr_vec(&self) -> &[DiskAddr] {
-        &self.block_addrs
-    }
-
-    /// Marks a table block dirty (used by the cleaner to relocate it).
-    pub fn mark_block_dirty(&mut self, idx: usize) {
-        self.dirty[idx] = true;
+        self.blocks.addrs[idx] = addr;
+        self.blocks.dirty[idx] = false;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_state_is_its_byte() {
+        for (byte, &state) in STATES.iter().enumerate() {
+            assert_eq!(state as usize, byte);
+        }
+    }
 
     #[test]
     fn fresh_table_is_all_clean() {
@@ -365,18 +302,18 @@ mod tests {
     #[test]
     fn add_and_sub_live_track_bytes_and_age() {
         let mut t = UsageTable::new(4);
-        t.add_live(1, 4096, 100);
-        t.add_live(1, 4096, 50); // Older block must not lower last_write.
+        t.add_live(1, 4096, 100, true);
+        t.add_live(1, 4096, 50, true); // Older block must not lower last_write.
         assert_eq!(t.get(1).live_bytes, 8192);
         assert_eq!(t.get(1).last_write, 100);
-        t.sub_live(1, 4096);
+        t.sub_live(1, 4096, true);
         assert_eq!(t.get(1).live_bytes, 4096);
     }
 
     #[test]
     fn sub_live_saturates() {
         let mut t = UsageTable::new(2);
-        t.sub_live(0, 4096);
+        t.sub_live(0, 4096, true);
         assert_eq!(t.get(0).live_bytes, 0);
     }
 
@@ -389,8 +326,9 @@ mod tests {
         t.set_seal_seq(2, 5);
         assert_eq!((t.clean_count(), t.pending_count()), (0, 1));
         // Not yet covered by a checkpoint at seq 4.
-        assert_eq!(t.promote_pending(4), 0);
-        assert_eq!(t.promote_pending(5), 1);
+        t.promote_pending(4);
+        assert_eq!(t.pending_count(), 1);
+        t.promote_pending(5);
         assert_eq!(t.get(2).state, SegState::Clean);
         assert_eq!((t.clean_count(), t.pending_count()), (1, 0));
         assert_eq!(t.clean_segs().next(), Some(2));
@@ -399,20 +337,21 @@ mod tests {
     #[test]
     fn encode_load_roundtrip() {
         let mut t = UsageTable::new(300);
-        t.add_live(0, 123, 9);
+        t.add_live(0, 123, 9, true);
         t.set_state(0, SegState::Dirty);
         t.set_seal_seq(0, 77);
-        t.add_live(299, 456, 8);
-        let b0 = t.encode_block(0);
-        let b1 = t.encode_block(1);
+        t.add_live(299, 456, 8, true);
+        let (mut b0, mut b1) = ([0u8; BLOCK_SIZE], [0u8; BLOCK_SIZE]);
+        t.encode_block_into(0, &mut b0);
+        t.encode_block_into(1, &mut b1);
 
         let mut t2 = UsageTable::new(300);
-        t2.load_block(0, &b0, 11);
-        t2.load_block(1, &b1, 12);
+        t2.load_block(0, &b0, 11).unwrap();
+        t2.load_block(1, &b1, 12).unwrap();
         assert_eq!(t2.get(0), t.get(0));
         assert_eq!(t2.get(299), t.get(299));
-        assert_eq!(t2.block_addr(0), 11);
-        assert!(!t2.has_dirty());
+        assert_eq!(t2.blocks.addrs[0], 11);
+        assert!(!t2.blocks.has_dirty());
     }
 
     #[test]
@@ -429,9 +368,10 @@ mod tests {
         t.promote_pending(2);
         assert_eq!(t.clean_segs().collect::<Vec<_>>(), vec![1, 2, 4, 5]);
         // Loading a block from disk resyncs the set with decoded states.
-        let img = t.encode_block(0);
+        let mut img = [0u8; BLOCK_SIZE];
+        t.encode_block_into(0, &mut img);
         let mut t2 = UsageTable::new(6);
-        t2.load_block(0, &img, 9);
+        t2.load_block(0, &img, 9).unwrap();
         assert_eq!(t2.clean_segs().collect::<Vec<_>>(), vec![1, 2, 4, 5]);
         assert_eq!(t2.clean_count(), 4);
     }
@@ -439,20 +379,20 @@ mod tests {
     #[test]
     fn utilization_is_fraction_of_capacity() {
         let mut t = UsageTable::new(1);
-        t.add_live(0, 512 * 1024, 1);
+        t.add_live(0, 512 * 1024, 1, true);
         assert!((t.get(0).utilization(1 << 20) - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn dirty_blocks_reflect_touched_segments() {
         let mut t = UsageTable::new(USAGE_ENTRIES_PER_BLOCK as u32 + 5);
-        t.add_live(0, 1, 1);
-        t.add_live(USAGE_ENTRIES_PER_BLOCK as u32, 1, 1);
-        assert_eq!(t.dirty_blocks(), vec![0, 1]);
-        t.set_block_addr(0, 5);
-        assert_eq!(t.dirty_blocks(), vec![0, 1]);
-        t.block_written(0);
-        assert_eq!(t.dirty_blocks(), vec![1]);
-        assert_eq!(t.block_addr(0), 5);
+        t.add_live(0, 1, 1, true);
+        t.add_live(USAGE_ENTRIES_PER_BLOCK as u32, 1, 1, true);
+        assert_eq!(t.blocks.dirty_indices(), vec![0, 1]);
+        t.blocks.addrs[0] = 5;
+        assert_eq!(t.blocks.dirty_indices(), vec![0, 1]);
+        t.blocks.dirty[0] = false;
+        assert_eq!(t.blocks.dirty_indices(), vec![1]);
+        assert_eq!(t.blocks.addrs[0], 5);
     }
 }

@@ -298,3 +298,55 @@ fn transient_read_fault_is_retried_for_a_user_read() {
     assert_eq!(fs.device().counts().read_faults, 1, "fault missed the read");
     assert_eq!(fs.stats().io_retries, 1);
 }
+
+/// Sets segment 0's state byte, the fifth of its usage-table entry, in the
+/// usage block the checkpoint in region `region` points to.
+fn set_segment0_state(dev: &mut MemDisk, region: usize, state: u8) {
+    let cp = Checkpoint::read_from(dev, CR_ADDRS[region]).unwrap();
+    let mut block = [0u8; BLOCK_SIZE];
+    dev.read_block(cp.usage_addrs[0], &mut block).unwrap();
+    block[4] = state;
+    dev.write_block(cp.usage_addrs[0], &block, WriteKind::Sync)
+        .unwrap();
+}
+
+/// A usage-table state byte that encodes no segment state used to load as
+/// clean, which made a segment full of live data allocatable. Mount
+/// refuses the checkpoint that points to it, naming the segment and the
+/// byte, and falls back to the other region.
+#[test]
+fn an_unknown_segment_state_is_refused() {
+    let image = || {
+        let mut fs = Lfs::format(MemDisk::new(2048), LfsConfig::small()).unwrap();
+        fs.write_file("/a", &[7u8; 8 * BLOCK_SIZE]).unwrap();
+        fs.checkpoint().unwrap();
+        let mut dev = fs.into_device();
+        let (_, newest) = Checkpoint::read_latest(&mut dev, CR_ADDRS).unwrap();
+        set_segment0_state(&mut dev, newest, 9);
+        (dev, newest)
+    };
+    // The older region is the one format wrote, before `/a`.
+    let mut fs = mount_no_replay(image().0).expect("mount must fall back to the older region");
+    assert!(matches!(fs.lookup("/a"), Err(FsError::NotFound)));
+    let report = fs.check().unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
+    // Roll-forward from there finds `/a` in the log.
+    let mut fs = Lfs::mount(image().0, LfsConfig::small()).unwrap();
+    let a = fs.lookup("/a").unwrap();
+    assert_eq!(fs.read_to_vec(a).unwrap(), vec![7u8; 8 * BLOCK_SIZE]);
+    let report = fs.check().unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
+
+    let (mut dev, newest) = image();
+    set_segment0_state(&mut dev, 1 - newest, 9);
+    match mount_no_replay(dev) {
+        Err(FsError::Corrupt(msg)) => {
+            assert!(
+                msg.contains("segment 0") && msg.contains("state 9"),
+                "{msg}"
+            )
+        }
+        Err(e) => panic!("expected Corrupt, got {e}"),
+        Ok(_) => panic!("mount trusted an unknown segment state"),
+    }
+}
