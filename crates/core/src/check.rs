@@ -22,9 +22,11 @@ use std::collections::HashMap;
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{FileType, FsResult, Ino, ROOT_INO};
 
-use crate::fs::{IndKey, Lfs};
+use crate::fs::Lfs;
 use crate::inode::INODE_DISK_SIZE;
-use crate::layout::{blocks_for_size, DiskAddr, NIL_ADDR};
+use crate::layout::{DiskAddr, NIL_ADDR};
+use crate::meta::Owned;
+use crate::stats::BlockKind;
 use crate::superblock::Superblock;
 use crate::usage::SegState;
 
@@ -56,33 +58,23 @@ impl<D: QueueDevice> Lfs<D> {
         let mut out = [0u64; 7];
         let live: Vec<Ino> = self.imap.live_inos().collect();
         for ino in live {
-            out[2] += INODE_DISK_SIZE as u64; // Inode slots.
+            out[BlockKind::Inode as usize] += INODE_DISK_SIZE as u64;
             let inode = self.inode_clone(ino)?;
-            let nblocks = blocks_for_size(inode.size);
-            for bno in 0..nblocks {
-                if self.block_ptr(ino, bno)? != NIL_ADDR {
-                    out[0] += BLOCK_SIZE as u64; // Data.
-                }
-            }
-            if inode.indirect != NIL_ADDR {
-                out[1] += BLOCK_SIZE as u64; // Indirect.
-            }
-            if inode.dindirect != NIL_ADDR {
-                out[1] += BLOCK_SIZE as u64;
-                self.ensure_ind(ino, IndKey::Double, false)?;
-                let children = self.inds[&(ino, IndKey::Double)]
-                    .blk
-                    .ptrs
-                    .iter()
-                    .filter(|&&p| p != NIL_ADDR)
-                    .count();
-                out[1] += children as u64 * BLOCK_SIZE as u64;
+            for (owned, _) in self.owned_blocks(&inode, None)? {
+                let kind = match owned {
+                    Owned::Data(_) => BlockKind::Data,
+                    Owned::Ind(_) => BlockKind::Indirect,
+                };
+                out[kind as usize] += BLOCK_SIZE as u64;
             }
         }
-        // The inode map's blocks, then the usage table's.
-        for (k, blocks) in [(3, &self.imap.blocks), (4, &self.space.usage().blocks)] {
+        let usage = &self.space.usage().blocks;
+        for (kind, blocks) in [
+            (BlockKind::Imap, &self.imap.blocks),
+            (BlockKind::Usage, usage),
+        ] {
             let written = blocks.addrs.iter().filter(|&&a| a != NIL_ADDR);
-            out[k] += written.count() as u64 * BLOCK_SIZE as u64;
+            out[kind as usize] += written.count() as u64 * BLOCK_SIZE as u64;
         }
         Ok(out)
     }
@@ -130,31 +122,15 @@ impl<D: QueueDevice> Lfs<D> {
                 FileType::Regular => census.report.files += 1,
                 FileType::Directory => census.report.dirs += 1,
             }
-            let nblocks = blocks_for_size(inode.size);
-            for bno in 0..nblocks {
-                let addr = self.block_ptr(ino, bno)?;
-                if addr == NIL_ADDR {
-                    continue; // A hole.
-                }
-                census.report.data_blocks += 1;
-                census.claim_block(&self.sb, addr, format!("data {ino}:{bno}"));
-            }
-            if inode.indirect != NIL_ADDR {
-                census.claim_block(&self.sb, inode.indirect, format!("ind1 {ino}"));
-            }
-            if inode.dindirect != NIL_ADDR {
-                census.claim_block(&self.sb, inode.dindirect, format!("ind2 {ino}"));
-                self.ensure_ind(ino, IndKey::Double, false)?;
-                let children: Vec<DiskAddr> = self.inds[&(ino, IndKey::Double)]
-                    .blk
-                    .ptrs
-                    .iter()
-                    .copied()
-                    .filter(|&p| p != NIL_ADDR)
-                    .collect();
-                for (k, child) in children.into_iter().enumerate() {
-                    census.claim_block(&self.sb, child, format!("ind1 {ino}#{}", k + 1));
-                }
+            for (owned, addr) in self.owned_blocks(&inode, None)? {
+                let what = match owned {
+                    Owned::Data(bno) => {
+                        census.report.data_blocks += 1;
+                        format!("data {ino}:{bno}")
+                    }
+                    Owned::Ind(key) => format!("{key:?} of {ino}"),
+                };
+                census.claim_block(&self.sb, addr, what);
             }
         }
         Ok(())

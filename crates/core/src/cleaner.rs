@@ -23,8 +23,9 @@
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{FsError, FsResult, Ino};
 
-use crate::fs::{IndKey, Lfs};
+use crate::fs::Lfs;
 use crate::layout::DiskAddr;
+use crate::meta::IndKey;
 use crate::summary::{EntryKind, Summary, SummaryEntry};
 use crate::usage::space::{Progress, View};
 
@@ -494,7 +495,7 @@ impl<D: QueueDevice> Lfs<D> {
             EntryKind::Data => !self.blocks.contains((entry.ino, entry.offset as u64)),
             EntryKind::InodeBlock => self
                 .live_inodes_at(addr)
-                .any(|ino| !self.inodes.contains_key(&ino)),
+                .any(|ino| self.meta.inode(ino).is_none()),
             _ => false,
         }
     }
@@ -518,10 +519,10 @@ impl<D: QueueDevice> Lfs<D> {
                 uid_current(self) && self.block_ptr(entry.ino, entry.offset as u64)? == addr
             }
             EntryKind::Indirect1 | EntryKind::Indirect2 => {
-                let key = ind_key(entry);
-                uid_current(self)
-                    && self.ensure_ind(entry.ino, key, false)?
-                    && self.inds[&(entry.ino, key)].disk_addr == addr
+                match IndKey::from_summary(entry.kind, entry.offset) {
+                    Some(key) => uid_current(self) && self.ind_home(entry.ino, key)? == Some(addr),
+                    None => false,
+                }
             }
             // Live while the inode map places any inode in it.
             EntryKind::InodeBlock => self.live_inodes_at(addr).next().is_some(),
@@ -566,28 +567,24 @@ impl<D: QueueDevice> Lfs<D> {
                 self.blocks.relocate(key, content, entry.mtime);
             }
             EntryKind::Indirect1 | EntryKind::Indirect2 => {
-                let key = (ino, ind_key(entry));
-                assert!(
-                    self.inds.contains_key(&key),
-                    "entry_is_live cached the indirect block"
-                );
-                self.dirty_inds.insert(key);
+                // `entry_is_live` cached it; the rule marks its parent too.
+                let key = IndKey::from_summary(entry.kind, entry.offset).expect("a live entry");
+                self.meta.mark_ind_dirty(ino, key);
             }
             EntryKind::InodeBlock => {
                 if let Some(content) = content {
-                    self.adopt_inode_block(addr, content)?;
+                    self.meta.adopt_inode_block(addr, content, &self.imap)?;
                 }
                 for i in self.homes_at(addr) {
                     let ino = self.space.scratch.homes[i].1;
                     if !self.inode_lives_at(ino, addr) {
                         continue;
                     }
-                    if !self.inodes.contains_key(&ino) {
+                    if !self.meta.mark_inode_dirty(ino) {
                         return Err(FsError::Corrupt(format!(
                             "inode {ino}: block {addr} does not hold it"
                         )));
                     }
-                    self.dirty_inodes.insert(ino);
                 }
             }
             EntryKind::ImapBlock => self.imap.blocks.dirty[entry.offset as usize] = true,
@@ -595,15 +592,6 @@ impl<D: QueueDevice> Lfs<D> {
             EntryKind::DirLog => {} // Never live.
         }
         Ok(())
-    }
-}
-
-/// The cache key of the indirect block an `Indirect1`/`Indirect2` summary
-/// entry describes.
-fn ind_key(entry: &SummaryEntry) -> IndKey {
-    match entry.kind {
-        EntryKind::Indirect1 => IndKey::Single(entry.offset),
-        _ => IndKey::Double,
     }
 }
 

@@ -23,45 +23,39 @@ use vfs::{FsError, FsResult, Ino};
 
 use crate::codec::{Reader, Writer};
 
-/// The directory operation performed.
+/// The directory operation performed. The discriminant is its byte on
+/// disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DirOp {
     /// A regular file was created.
-    Create,
+    Create = 1,
     /// A hard link was added.
-    Link,
+    Link = 2,
     /// A directory entry was removed.
-    Unlink,
+    Unlink = 3,
     /// An entry moved from one (dir, name) to another, atomically.
-    Rename,
+    Rename = 4,
     /// A directory was created.
-    Mkdir,
+    Mkdir = 5,
     /// A directory was removed.
-    Rmdir,
+    Rmdir = 6,
 }
 
-impl DirOp {
-    fn encode(self) -> u8 {
-        match self {
-            DirOp::Create => 1,
-            DirOp::Link => 2,
-            DirOp::Unlink => 3,
-            DirOp::Rename => 4,
-            DirOp::Mkdir => 5,
-            DirOp::Rmdir => 6,
-        }
-    }
+/// Every operation, indexed by its byte on disk minus one.
+const OPS: [DirOp; 6] = [
+    DirOp::Create,
+    DirOp::Link,
+    DirOp::Unlink,
+    DirOp::Rename,
+    DirOp::Mkdir,
+    DirOp::Rmdir,
+];
 
+impl DirOp {
     fn decode(v: u8) -> FsResult<DirOp> {
-        Ok(match v {
-            1 => DirOp::Create,
-            2 => DirOp::Link,
-            3 => DirOp::Unlink,
-            4 => DirOp::Rename,
-            5 => DirOp::Mkdir,
-            6 => DirOp::Rmdir,
-            o => return Err(FsError::Corrupt(format!("dirlog: bad op {o}"))),
-        })
+        let op = (v as usize).checked_sub(1).and_then(|i| OPS.get(i));
+        op.copied()
+            .ok_or_else(|| FsError::Corrupt(format!("dirlog: bad op {v}")))
     }
 }
 
@@ -94,7 +88,7 @@ impl DirLogRecord {
     }
 
     fn encode_into(&self, w: &mut Writer<'_>) {
-        w.put_u8(self.op.encode());
+        w.put_u8(self.op as u8);
         w.put_u8(self.name.len() as u8);
         w.put_u8(self.name2.len() as u8);
         w.pad(1);
@@ -191,6 +185,18 @@ pub fn decode_block(buf: &[u8]) -> FsResult<Vec<DirLogRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_op_is_its_byte() {
+        for (i, &op) in OPS.iter().enumerate() {
+            assert_eq!(op as usize, i + 1);
+            assert_eq!(DirOp::decode(op as u8).unwrap(), op);
+        }
+        for bad in [0u8, 7, 255] {
+            let want = format!("dirlog: bad op {bad}");
+            assert!(matches!(DirOp::decode(bad), Err(FsError::Corrupt(m)) if m == want));
+        }
+    }
 
     fn rec(op: DirOp, name: &str) -> DirLogRecord {
         DirLogRecord {

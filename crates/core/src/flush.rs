@@ -53,10 +53,11 @@ use blockdev::{IoBuf, QueueDevice, WriteKind, BLOCK_SIZE};
 use vfs::{FileType, FsError, FsResult, Ino};
 
 use crate::dirlog::{self, DirOp};
-use crate::fs::{IndKey, Lfs, IO_ATTEMPTS};
+use crate::fs::{Lfs, IO_ATTEMPTS};
 use crate::inode::INODE_DISK_SIZE;
 use crate::inodemap::InodeMap;
-use crate::layout::{classify_block, BlockClass, Chunk, DiskAddr, Placement, INODES_PER_BLOCK};
+use crate::layout::{Chunk, DiskAddr, Placement, INODES_PER_BLOCK};
+use crate::meta::IndKey;
 use crate::ordering::{CheckpointReady, DataWritten, Flush, SummarySealed};
 use crate::stats::BlockKind;
 use crate::summary::{EntryKind, Summary, SummaryEntry};
@@ -133,7 +134,7 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Dirty blocks, indirect blocks and inodes, together.
     fn dirty_count(&self) -> usize {
-        self.blocks.dirty().len() + self.dirty_inodes.len() + self.dirty_inds.len()
+        self.blocks.dirty().len() + self.meta.dirty_count()
     }
 
     /// True if everything dirty belongs to a [`Lfs::logged_dir`]. A scan;
@@ -152,9 +153,9 @@ impl<D: QueueDevice> Lfs<D> {
     /// fresh from `mkdir` it must write, because roll-forward cannot
     /// complete a `Mkdir` whose inode it never sees.
     pub(crate) fn logged_dir(&self, ino: Ino, fresh: &[Ino]) -> bool {
-        self.inodes
-            .get(&ino)
-            .is_some_and(|c| c.inode.ftype == FileType::Directory)
+        self.meta
+            .inode(ino)
+            .is_some_and(|i| i.ftype == FileType::Directory)
             && self.imap.get(ino).is_ok_and(|e| e.is_live())
             && !fresh.contains(&ino)
     }
@@ -277,10 +278,8 @@ impl<D: QueueDevice> Lfs<D> {
             // double.
             let blocks = self.blocks.dirty().range((ino, 0)..=(ino, u64::MAX));
             items.extend(blocks.map(|&(_, bno)| Item::Data { ino, bno }));
-            let keys = self
-                .dirty_inds
-                .range((ino, IndKey::Single(0))..=(ino, IndKey::Double));
-            items.extend(keys.map(|&(_, key)| Item::Ind { ino, key }));
+            let keys = self.meta.dirty_inds_of(ino);
+            items.extend(keys.map(|key| Item::Ind { ino, key }));
             // Then the inode: its block pointers or its attributes changed.
             inode_writes.push(ino);
         }
@@ -307,16 +306,9 @@ impl<D: QueueDevice> Lfs<D> {
     fn dirty_parent_inds(&mut self) -> FsResult<()> {
         let dirty_data: Vec<(Ino, u64)> = self.blocks.dirty().iter().copied().collect();
         for (ino, bno) in dirty_data {
-            let keys = match classify_block(bno).ok_or(FsError::FileTooLarge)? {
-                BlockClass::Direct(_) => [None, None],
-                BlockClass::Indirect1(_) => [Some(IndKey::Single(0)), None],
-                BlockClass::Indirect2(i, _) => {
-                    [Some(IndKey::Double), Some(IndKey::Single(i as u32 + 1))]
-                }
-            };
-            for key in keys.into_iter().flatten() {
-                self.ensure_ind(ino, key, true)?;
-                self.dirty_inds.insert((ino, key));
+            self.ensure_inode(ino)?;
+            while let Some(load) = self.meta.hold(ino, bno)? {
+                self.load_ind(ino, load)?;
             }
         }
         Ok(())
@@ -427,7 +419,20 @@ impl<D: QueueDevice> Lfs<D> {
     /// [`Claim`]). It runs before any chunk is encoded, because the
     /// inode-map and usage blocks a checkpoint writes must already hold all
     /// of it.
+    ///
+    /// It marks nothing dirty: everything whose pointer moves was gathered.
     fn assign(&mut self, items: &[Item], plan: &LayoutPlan) -> FsResult<Claim> {
+        let gathered = |ino, key| {
+            let ind = |i: &Item| matches!(*i, Item::Ind { ino: o, key: k } if (o, k) == (ino, key));
+            items.iter().any(ind)
+        };
+        debug_assert!(
+            items.iter().all(|item| match *item {
+                Item::Ind { ino, key } => key.parent().is_none_or(|p| gathered(ino, p)),
+                _ => true,
+            }),
+            "an indirect block was gathered without its parent"
+        );
         let mut items = items.iter();
         for c in &plan.chunks {
             let first = self.sb.seg_start(c.seg) + c.off as u64 + 1;
@@ -452,26 +457,12 @@ impl<D: QueueDevice> Lfs<D> {
                 // segment ages reflect the blocks actually in them, not
                 // the owning file's latest touch.
                 let mtime = self.blocks.mtime((ino, bno)).unwrap_or(now);
-                let old = self.set_block_ptr(ino, bno, addr)?;
+                let old = self.meta.assign_ptr(ino, bno, addr)?;
                 self.space
                     .move_live(self.sb.seg_of(old), seg, BLOCK_SIZE, mtime);
             }
             Item::Ind { ino, key } => {
-                // Update the parent pointer.
-                match key {
-                    IndKey::Single(0) => self.inode_mut(ino)?.indirect = addr,
-                    IndKey::Single(k) => {
-                        let d = self
-                            .inds
-                            .get_mut(&(ino, IndKey::Double))
-                            .expect("double-indirect missing for child update");
-                        d.blk.ptrs[(k - 1) as usize] = addr;
-                        self.dirty_inds.insert((ino, IndKey::Double));
-                    }
-                    IndKey::Double => self.inode_mut(ino)?.dindirect = addr,
-                }
-                let e = self.inds.get_mut(&(ino, key)).expect("gathered as dirty");
-                let old = std::mem::replace(&mut e.disk_addr, addr);
+                let old = self.meta.relocate_ind(ino, key, addr);
                 self.space
                     .move_live(self.sb.seg_of(old), seg, BLOCK_SIZE, now);
             }
@@ -578,11 +569,8 @@ impl<D: QueueDevice> Lfs<D> {
                 (entry, Some(data))
             }
             Item::Ind { ino, key } => {
-                self.inds[&(ino, key)].blk.encode_into(dst);
-                let (kind, offset) = match key {
-                    IndKey::Single(k) => (EntryKind::Indirect1, k),
-                    IndKey::Double => (EntryKind::Indirect2, 0),
-                };
+                self.meta.encode_ind(ino, key, dst);
+                let (kind, offset) = key.summary();
                 let version = self.imap.version(ino);
                 let entry = SummaryEntry::data(ino, offset, version, time);
                 (SummaryEntry { kind, ..entry }, None)
@@ -592,7 +580,8 @@ impl<D: QueueDevice> Lfs<D> {
                 // group leaves the same zero padding a fresh buffer had.
                 dst.fill(0);
                 for (slot, ino) in dst.chunks_mut(INODE_DISK_SIZE).zip(inos) {
-                    self.inodes[ino].inode.encode_into(slot);
+                    let inode = self.meta.inode(*ino).expect("gathered inodes are cached");
+                    inode.encode_into(slot);
                 }
                 (meta(EntryKind::InodeBlock, 0), None)
             }
@@ -677,8 +666,7 @@ impl<D: QueueDevice> Lfs<D> {
         // cache is trimmed back to its limit.
         let kept = |ino: Ino| deferred.binary_search(&ino).is_ok();
         self.blocks.clean_except(kept);
-        self.dirty_inodes.retain(|&ino| kept(ino));
-        self.dirty_inds.retain(|&(ino, _)| kept(ino));
+        self.meta.clean_except(kept);
         self.dirlog_pending.clear();
         self.sync_left = self.dirty_count();
         written
@@ -860,7 +848,7 @@ mod tests {
         assert_eq!(grew(&fs, BlockKind::Inode), block);
         assert_eq!(grew(&fs, BlockKind::DirLog), block);
         assert_eq!(grew(&fs, BlockKind::Indirect), 0);
-        assert!(fs.dirty_inodes.contains(&dir) && fs.blocks.dirty().contains(&(dir, 0)));
+        assert!(fs.meta.inode_is_dirty(dir) && fs.blocks.dirty().contains(&(dir, 0)));
         assert_eq!(fs.sync_left, 2, "the directory's block and inode");
 
         assert!(!fs.needs_flush());

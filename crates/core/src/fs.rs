@@ -1,10 +1,10 @@
 //! The `Lfs` file system: state, caching, addressing, and the VFS surface.
 //!
 //! The write path is the paper's: modifications accumulate in the file
-//! cache ([`Lfs`] keeps dirty blocks, inodes, and indirect blocks in
-//! memory) and reach disk only through large sequential partial writes
-//! built by the flush machinery in `flush.rs`. Reads consult the cache
-//! first and otherwise walk inode pointers exactly as Unix FFS would —
+//! cache (the block cache in `cache.rs`, the inodes and indirect blocks
+//! in `meta.rs`) and reach disk only through large sequential partial
+//! writes built by the flush machinery in `flush.rs`. Reads consult the
+//! cache first and otherwise walk inode pointers exactly as Unix FFS would —
 //! "once a file's inode has been found, the number of disk I/Os required
 //! to read the file is identical in Sprite LFS and Unix FFS" (§3.1).
 
@@ -19,11 +19,9 @@ use crate::dir::{self, DirRecord};
 use crate::dirlog::{DirLogRecord, DirOp};
 use crate::inode::{IndirectBlock, Inode, InodeAttrs};
 use crate::inodemap::InodeMap;
-use crate::layout::{
-    blocks_for_size, classify_block, BlockClass, DiskAddr, Placement, MAX_FILE_SIZE, NIL_ADDR,
-    PTRS_PER_BLOCK,
-};
+use crate::layout::{blocks_for_size, DiskAddr, Placement, MAX_FILE_SIZE, NIL_ADDR};
 use crate::log::Log;
+use crate::meta::{IndKey, Load, MetaCache, Owned, Ptrs};
 use crate::stats::LfsStats;
 use crate::superblock::Superblock;
 use crate::usage::space::Space;
@@ -50,75 +48,6 @@ pub(crate) fn backoff(attempt: u32) {
 
 /// The bytes a truncation writes over the tail of the final block.
 static ZERO_BLOCK: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
-
-/// A cached inode.
-pub(crate) struct CachedInode {
-    pub(crate) inode: Inode,
-    /// Sequential-read detector; lives and dies with the cache entry.
-    pub(crate) ra: ReadAhead,
-}
-
-/// Largest read-ahead window, in blocks (128 KB).
-pub(crate) const READ_AHEAD_MAX: u32 = 32;
-
-/// Per-file sequential-read detector, fed by every request that reaches
-/// [`Lfs::fetch_blocks`]. Two marks, because the two front ends see
-/// different requests: [`Lfs::read`] sees every one, so a scan keeps
-/// landing on `next_req`; [`crate::SharedLfs`] serves hits without the
-/// writer lane, so the next request the detector sees begins where the
-/// last read-ahead ended.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct ReadAhead {
-    /// The file block after the last request.
-    next_req: u64,
-    /// The file block after the last read-ahead (never behind `next_req`
-    /// while a scan lasts).
-    next_ra: u64,
-    /// Blocks the next fetch may read past its request.
-    window: u32,
-}
-
-impl ReadAhead {
-    /// Opens the window for a request that begins at `first`: doubled
-    /// (2, 4, … [`READ_AHEAD_MAX`]) when the request continues a scan,
-    /// zero after a seek.
-    fn open(&mut self, first: u64) -> u32 {
-        self.window = if first == self.next_req || first == self.next_ra {
-            (self.window * 2).clamp(2, READ_AHEAD_MAX)
-        } else {
-            0
-        };
-        self.window
-    }
-
-    /// Records that the request ended at `last` and that blocks up to
-    /// `end` (exclusive) were fetched for it.
-    fn close(&mut self, last: u64, end: u64) {
-        self.next_req = last + 1;
-        self.next_ra = if self.window == 0 {
-            end
-        } else {
-            self.next_ra.max(end)
-        };
-    }
-}
-
-/// Identifies one indirect block of a file: `Single(k)` is single-indirect
-/// block `k` (k = 0 hangs off `inode.indirect`; k ≥ 1 off slot `k-1` of the
-/// double-indirect block); `Double` is the double-indirect block itself.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) enum IndKey {
-    Single(u32),
-    Double,
-}
-
-/// A cached indirect block together with its current on-disk home.
-pub(crate) struct CachedInd {
-    pub(crate) blk: IndirectBlock,
-    /// Where the block currently lives on disk ([`NIL_ADDR`] if never
-    /// written); flush uses this to retire the old copy's live bytes.
-    pub(crate) disk_addr: DiskAddr,
-}
 
 /// One name in the in-memory directory cache.
 #[derive(Clone, Copy, Debug)]
@@ -150,15 +79,12 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) imap: InodeMap,
     /// Free space: the usage table and the cleaner's state.
     pub(crate) space: Space,
-    pub(crate) inodes: HashMap<Ino, CachedInode>,
-    /// The cached inodes the log does not hold yet.
-    pub(crate) dirty_inodes: BTreeSet<Ino>,
+    /// Inodes and indirect blocks: the block-pointer tree, and which of
+    /// it is dirty.
+    pub(crate) meta: MetaCache,
     /// The block cache, its map shared with [`crate::SharedLfs`]'s
     /// lock-free readers. It records which blocks are dirty.
     pub(crate) blocks: BlockCache,
-    pub(crate) inds: HashMap<(Ino, IndKey), CachedInd>,
-    /// The cached indirect blocks the log does not hold yet.
-    pub(crate) dirty_inds: BTreeSet<(Ino, IndKey)>,
     pub(crate) dcache: HashMap<Ino, DirCache>,
     /// Directory-op records not yet written to the log.
     pub(crate) dirlog_pending: Vec<DirLogRecord>,
@@ -172,8 +98,6 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) nsop_depth: u32,
     /// Logical clock (incremented per mutation).
     pub(crate) clock: u64,
-    /// Live files + directories, excluding the root.
-    pub(crate) nfiles: u64,
     pub(crate) stats: LfsStats,
     /// Observability handles (tracing + metrics); off by default.
     pub(crate) obs: crate::obs::FsObs,
@@ -220,7 +144,8 @@ impl<D: QueueDevice> Lfs<D> {
         // Create the root directory through the normal machinery.
         fs.imap.reserve(ROOT_INO);
         let now = fs.now();
-        fs.put_inode(Inode::new(ROOT_INO, 0, FileType::Directory, now));
+        fs.meta
+            .put_inode(Inode::new(ROOT_INO, 0, FileType::Directory, now));
         fs.space.activate(fs.log.write_points());
 
         // Write the initial state to *both* regions so `read_latest`
@@ -248,17 +173,13 @@ impl<D: QueueDevice> Lfs<D> {
             space: Space::new(sb.nsegments, shards),
             sb,
             cfg,
-            inodes: HashMap::new(),
-            dirty_inodes: BTreeSet::new(),
+            meta: MetaCache::default(),
             blocks,
-            inds: HashMap::new(),
-            dirty_inds: BTreeSet::new(),
             dcache: HashMap::new(),
             dirlog_pending: Vec::new(),
             sync_left: 0,
             nsop_depth: 0,
             clock: 0,
-            nfiles: 0,
             stats: LfsStats::default(),
             obs: crate::obs::FsObs::default(),
         })
@@ -450,10 +371,8 @@ impl<D: QueueDevice> Lfs<D> {
     /// resident.
     pub fn drop_caches(&mut self) {
         self.blocks.drop_clean();
-        let dirty_inds = &self.dirty_inds;
-        self.inds.retain(|k, _| dirty_inds.contains(k));
         let dirty = self.dirty_inos();
-        self.inodes.retain(|ino, _| dirty.contains(ino));
+        self.meta.drop_clean(|ino| dirty.contains(&ino));
         self.dcache.clear();
     }
 
@@ -461,8 +380,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// inode itself, in inode order.
     pub(crate) fn dirty_inos(&self) -> BTreeSet<Ino> {
         let mut inos: BTreeSet<Ino> = self.blocks.dirty().iter().map(|&(i, _)| i).collect();
-        inos.extend(self.dirty_inds.iter().map(|&(i, _)| i));
-        inos.extend(self.dirty_inodes.iter().copied());
+        inos.extend(self.meta.dirty_inos());
         inos
     }
 
@@ -478,7 +396,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// keeps it.
     pub(crate) fn apply_atime_quiet(&mut self, ino: Ino, atime: u64) {
         let allocated = self.imap.get(ino).map(|e| e.is_live()).unwrap_or(false)
-            || self.inodes.contains_key(&ino);
+            || self.meta.inode(ino).is_some();
         if allocated {
             self.imap.set_atime_quiet(ino, atime);
         }
@@ -495,7 +413,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// Ensures `ino` is in the inode cache, loading it from the log if
     /// needed.
     pub(crate) fn ensure_inode(&mut self, ino: Ino) -> FsResult<()> {
-        if self.inodes.contains_key(&ino) {
+        if self.meta.inode(ino).is_some() {
             return Ok(());
         }
         let entry = *self.imap.get(ino)?;
@@ -506,8 +424,8 @@ impl<D: QueueDevice> Lfs<D> {
         self.retry_io(false, IO_ATTEMPTS, |dev| {
             dev.read_block(entry.addr, &mut buf)
         })?;
-        self.adopt_inode_block(entry.addr, &buf)?;
-        if !self.inodes.contains_key(&ino) {
+        self.meta.adopt_inode_block(entry.addr, &buf, &self.imap)?;
+        if self.meta.inode(ino).is_none() {
             return Err(FsError::Corrupt(format!(
                 "inode {ino}: slot {} of block {} does not hold it",
                 entry.slot, entry.addr
@@ -516,43 +434,16 @@ impl<D: QueueDevice> Lfs<D> {
         Ok(())
     }
 
-    /// Caches every inode of the inode block `buf`, read from `addr`, that
-    /// the inode map still places there and the cache does not hold yet.
-    /// Inodes are packed 16 to a block exactly so that one read serves
-    /// many files (a big win for "read files in creation order" workloads
-    /// — Figure 8's read phase).
-    pub(crate) fn adopt_inode_block(&mut self, addr: DiskAddr, buf: &[u8]) -> FsResult<()> {
-        for slot in 0..crate::layout::INODES_PER_BLOCK {
-            let off = slot * crate::inode::INODE_DISK_SIZE;
-            let Some(inode) = Inode::decode(&buf[off..off + crate::inode::INODE_DISK_SIZE])? else {
-                continue;
-            };
-            let other = inode.ino;
-            if self.inodes.contains_key(&other) {
-                continue;
-            }
-            let current = match self.imap.get(other) {
-                Ok(e) => e.is_live() && e.addr == addr && e.slot == slot as u8,
-                Err(_) => false,
-            };
-            if current {
-                self.cache_inode(inode);
-            }
-        }
-        Ok(())
-    }
-
     /// Returns a copy of the cached inode.
     pub(crate) fn inode_clone(&mut self, ino: Ino) -> FsResult<Inode> {
-        self.ensure_inode(ino)?;
-        Ok(self.inodes[&ino].inode.clone())
+        Ok(self.inode_ref(ino)?.clone())
     }
 
     /// Borrows the cached inode. The hot paths use this instead of
     /// [`Lfs::inode_clone`]: most callers only need one or two fields.
     pub(crate) fn inode_ref(&mut self, ino: Ino) -> FsResult<&Inode> {
         self.ensure_inode(ino)?;
-        Ok(&self.inodes[&ino].inode)
+        Ok(self.meta.inode(ino).expect("ensured above"))
     }
 
     /// Copies out just the scalar attributes — what stat and name
@@ -562,132 +453,82 @@ impl<D: QueueDevice> Lfs<D> {
     }
 
     /// Mutably borrows the cached inode, marking it dirty. Replaces the
-    /// clone-mutate-[`Lfs::put_inode`] dance on paths that always commit
+    /// clone-mutate-`put_inode` dance on paths that always commit
     /// their change; do not use for conditional mutations.
     pub(crate) fn inode_mut(&mut self, ino: Ino) -> FsResult<&mut Inode> {
         self.ensure_inode(ino)?;
-        self.dirty_inodes.insert(ino);
-        Ok(&mut self.inodes.get_mut(&ino).expect("ensured above").inode)
+        Ok(self.meta.inode_mut(ino).expect("ensured above"))
     }
 
-    /// Caches `inode` as it is in the log, with a fresh read-ahead
-    /// detector.
-    pub(crate) fn cache_inode(&mut self, inode: Inode) {
-        let ra = ReadAhead::default();
-        self.inodes.insert(inode.ino, CachedInode { inode, ra });
-    }
+    // ----- the block-pointer tree --------------------------------------
+    //
+    // The metadata cache answers from what it holds or names the indirect
+    // block to read; these read it and ask again.
 
-    /// Stores a modified inode back into the cache and marks it dirty.
-    pub(crate) fn put_inode(&mut self, inode: Inode) {
-        self.dirty_inodes.insert(inode.ino);
-        self.cache_inode(inode);
-    }
-
-    // ----- indirect blocks ---------------------------------------------
-
-    /// Disk address of the indirect block `key` of `ino`, as recorded in
-    /// its parent pointer, or [`NIL_ADDR`].
-    fn ind_parent_ptr(&mut self, ino: Ino, key: IndKey) -> FsResult<DiskAddr> {
-        let (indirect, dindirect) = {
-            let inode = self.inode_ref(ino)?;
-            (inode.indirect, inode.dindirect)
-        };
-        Ok(match key {
-            IndKey::Single(0) => indirect,
-            IndKey::Double => dindirect,
-            IndKey::Single(k) => {
-                if dindirect == NIL_ADDR && !self.inds.contains_key(&(ino, IndKey::Double)) {
-                    NIL_ADDR
-                } else {
-                    self.ensure_ind(ino, IndKey::Double, false)?;
-                    match self.inds.get(&(ino, IndKey::Double)) {
-                        Some(d) => d.blk.ptrs[(k - 1) as usize],
-                        None => NIL_ADDR,
-                    }
-                }
-            }
-        })
-    }
-
-    /// Ensures the indirect block `key` of `ino` is cached. With
-    /// `create`, a missing block is materialised empty (it becomes dirty
-    /// only when a pointer is stored). Returns whether the block exists.
-    pub(crate) fn ensure_ind(&mut self, ino: Ino, key: IndKey, create: bool) -> FsResult<bool> {
-        if self.inds.contains_key(&(ino, key)) {
-            return Ok(true);
-        }
-        let disk_addr = self.ind_parent_ptr(ino, key)?;
-        let blk = if disk_addr != NIL_ADDR {
-            let mut buf = vec![0u8; BLOCK_SIZE];
-            self.read_retry(disk_addr, &mut buf)?;
-            IndirectBlock::decode(&buf)
-        } else if create {
-            IndirectBlock::new()
-        } else {
-            return Ok(false);
-        };
-        self.inds.insert((ino, key), CachedInd { blk, disk_addr });
-        Ok(true)
+    /// Reads the indirect block `load` names into the metadata cache.
+    pub(crate) fn load_ind(&mut self, ino: Ino, load: Load) -> FsResult<()> {
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        self.read_retry(load.addr, &mut buf)?;
+        let blk = IndirectBlock::decode(&buf);
+        self.meta.insert_ind(ino, load.key, load.addr, blk);
+        Ok(())
     }
 
     /// Current disk address of file block `bno` of `ino` ([`NIL_ADDR`] for
     /// holes).
     pub(crate) fn block_ptr(&mut self, ino: Ino, bno: u64) -> FsResult<DiskAddr> {
-        match classify_block(bno).ok_or(FsError::FileTooLarge)? {
-            BlockClass::Direct(i) => Ok(self.inode_ref(ino)?.direct[i]),
-            BlockClass::Indirect1(i) => {
-                if !self.ensure_ind(ino, IndKey::Single(0), false)? {
-                    return Ok(NIL_ADDR);
-                }
-                Ok(self.inds[&(ino, IndKey::Single(0))].blk.ptrs[i])
-            }
-            BlockClass::Indirect2(i, j) => {
-                let key = IndKey::Single(i as u32 + 1);
-                if !self.ensure_ind(ino, key, false)? {
-                    return Ok(NIL_ADDR);
-                }
-                Ok(self.inds[&(ino, key)].blk.ptrs[j])
+        self.ensure_inode(ino)?;
+        loop {
+            match self.meta.ptrs(ino, bno)? {
+                Ptrs::Cached(p) => return Ok(p[0]),
+                Ptrs::Hole(_) => return Ok(NIL_ADDR),
+                Ptrs::Load(load) => self.load_ind(ino, load)?,
             }
         }
     }
 
-    /// Stores a new address for file block `bno`, returning the old one.
-    ///
-    /// Dirties whatever holds the pointer (inode or indirect block); the
-    /// caller is responsible for usage-table accounting.
-    pub(crate) fn set_block_ptr(
-        &mut self,
-        ino: Ino,
-        bno: u64,
-        addr: DiskAddr,
-    ) -> FsResult<DiskAddr> {
-        match classify_block(bno).ok_or(FsError::FileTooLarge)? {
-            BlockClass::Direct(i) => {
-                let inode = self.inode_mut(ino)?;
-                let old = inode.direct[i];
-                inode.direct[i] = addr;
-                Ok(old)
-            }
-            BlockClass::Indirect1(i) => {
-                self.ensure_ind(ino, IndKey::Single(0), true)?;
-                let e = self.inds.get_mut(&(ino, IndKey::Single(0))).unwrap();
-                let old = std::mem::replace(&mut e.blk.ptrs[i], addr);
-                self.dirty_inds.insert((ino, IndKey::Single(0)));
-                Ok(old)
-            }
-            BlockClass::Indirect2(i, j) => {
-                let key = IndKey::Single(i as u32 + 1);
-                self.ensure_ind(ino, IndKey::Double, true)?;
-                self.ensure_ind(ino, key, true)?;
-                // The double-indirect block will need rewriting once the
-                // single relocates; mark it conservatively now.
-                self.dirty_inds.insert((ino, IndKey::Double));
-                let e = self.inds.get_mut(&(ino, key)).unwrap();
-                let old = std::mem::replace(&mut e.blk.ptrs[j], addr);
-                self.dirty_inds.insert((ino, key));
-                Ok(old)
+    /// The current home of indirect block `key` of `ino`, `None` if the
+    /// file has none; the block is cached after.
+    pub(crate) fn ind_home(&mut self, ino: Ino, key: IndKey) -> FsResult<Option<DiskAddr>> {
+        self.ensure_inode(ino)?;
+        loop {
+            match self.meta.ind_home(ino, key) {
+                Ok(home) => return Ok(home),
+                Err(load) => self.load_ind(ino, load)?,
             }
         }
+    }
+
+    /// Every block `inode` owns, with its address, in the order of
+    /// [`crate::meta::owned_blocks`]. Indirect blocks come from the
+    /// metadata cache, read into it on a miss; or, given the verified
+    /// chunk roll-forward is replaying (with the address of its first
+    /// block), from that chunk when it holds them and else straight from
+    /// the device, around the cache.
+    pub(crate) fn owned_blocks(
+        &mut self,
+        inode: &Inode,
+        chunk: Option<(DiskAddr, &[u8])>,
+    ) -> FsResult<Vec<(Owned, DiskAddr)>> {
+        let ino = inode.ino;
+        crate::meta::owned_blocks(inode, |key, addr| {
+            if let Some((first, blocks)) = chunk {
+                let nblocks = (blocks.len() / BLOCK_SIZE) as u64;
+                if let Some(j) = addr.checked_sub(first).filter(|&j| j < nblocks) {
+                    let at = j as usize * BLOCK_SIZE;
+                    return Ok(IndirectBlock::decode(&blocks[at..at + BLOCK_SIZE]));
+                }
+            } else if let Some(blk) = self.meta.ind(ino, key) {
+                return Ok(blk.clone());
+            }
+            let mut buf = vec![0u8; BLOCK_SIZE];
+            self.read_retry(addr, &mut buf)?;
+            let blk = IndirectBlock::decode(&buf);
+            if chunk.is_none() {
+                self.meta.insert_ind(ino, key, addr, blk.clone());
+            }
+            Ok(blk)
+        })
     }
 
     // ----- data block cache --------------------------------------------
@@ -734,10 +575,9 @@ impl<D: QueueDevice> Lfs<D> {
     /// the blocks it would have read anyway, in the same order, in fewer
     /// requests.
     fn fetch_blocks(&mut self, ino: Ino, first: u64, last: u64) -> FsResult<()> {
-        self.ensure_inode(ino)?;
-        let c = self.inodes.get_mut(&ino).expect("ensured above");
-        let ahead = c.ra.open(first) as u64;
-        let file_blocks = blocks_for_size(c.inode.size);
+        let file_blocks = blocks_for_size(self.inode_ref(ino)?.size);
+        let ra = self.meta.read_ahead(ino).expect("cached above");
+        let ahead = ra.open(first) as u64;
         // The run being assembled: (start address, first file block,
         // block count).
         let mut run: Option<(DiskAddr, u64, u64)> = None;
@@ -805,8 +645,8 @@ impl<D: QueueDevice> Lfs<D> {
             end += 1;
         }
         self.fetch_run(ino, &mut run)?;
-        if let Some(c) = self.inodes.get_mut(&ino) {
-            c.ra.close(last, end);
+        if let Some(ra) = self.meta.read_ahead(ino) {
+            ra.close(last, end);
         }
         Ok(())
     }
@@ -816,49 +656,18 @@ impl<D: QueueDevice> Lfs<D> {
     /// pointer array: `(bno, the pointer values)`. `None` exactly when an
     /// indirect block would need its own device read first. A stretch
     /// under an absent indirect tree comes back as [`NIL_ADDR`]s, matching
-    /// per-block hole semantics.
+    /// per-block hole semantics. The inode must be cached.
     fn ptr_window(
         &mut self,
         ino: Ino,
         bno: u64,
         want: usize,
     ) -> FsResult<Option<(u64, Vec<DiskAddr>)>> {
-        let some = |ptrs: &[DiskAddr], i: usize| {
-            let n = want.min(ptrs.len() - i);
-            Ok(Some((bno, ptrs[i..i + n].to_vec())))
-        };
-        let nil = |i: usize| {
-            let n = want.min(PTRS_PER_BLOCK - i);
-            Ok(Some((bno, vec![NIL_ADDR; n])))
-        };
-        match classify_block(bno).ok_or(FsError::FileTooLarge)? {
-            BlockClass::Direct(i) => some(&self.inode_ref(ino)?.direct, i),
-            BlockClass::Indirect1(i) => {
-                if let Some(e) = self.inds.get(&(ino, IndKey::Single(0))) {
-                    return some(&e.blk.ptrs[..], i);
-                }
-                if self.inode_ref(ino)?.indirect == NIL_ADDR {
-                    return nil(i);
-                }
-                Ok(None)
-            }
-            BlockClass::Indirect2(i, j) => {
-                let key = IndKey::Single(i as u32 + 1);
-                if let Some(e) = self.inds.get(&(ino, key)) {
-                    return some(&e.blk.ptrs[..], j);
-                }
-                if let Some(d) = self.inds.get(&(ino, IndKey::Double)) {
-                    if d.blk.ptrs[i] == NIL_ADDR {
-                        return nil(j);
-                    }
-                    return Ok(None);
-                }
-                if self.inode_ref(ino)?.dindirect == NIL_ADDR {
-                    return nil(j);
-                }
-                Ok(None)
-            }
-        }
+        Ok(match self.meta.ptrs(ino, bno)? {
+            Ptrs::Cached(p) => Some((bno, p[..want.min(p.len())].to_vec())),
+            Ptrs::Hole(n) => Some((bno, vec![NIL_ADDR; want.min(n)])),
+            Ptrs::Load(_) => None,
+        })
     }
 
     /// Issues the pending run (if any) as one device request, scattered
@@ -896,25 +705,13 @@ impl<D: QueueDevice> Lfs<D> {
     /// compile it to nothing.
     #[doc(hidden)]
     pub fn assert_running_counts(&self) {
-        debug_assert!(
-            self.dirty_inodes
-                .iter()
-                .all(|i| self.inodes.contains_key(i)),
-            "a dirty inode is not cached"
-        );
-        debug_assert!(
-            self.dirty_inds.iter().all(|k| self.inds.contains_key(k)),
-            "a dirty indirect block is not cached"
-        );
+        self.meta.assert_consistent();
         self.blocks.assert_consistent();
     }
 
     /// Drops all cached state for a deleted file.
     pub(crate) fn purge_file(&mut self, ino: Ino) {
-        self.inodes.remove(&ino);
-        self.dirty_inodes.remove(&ino);
-        self.inds.retain(|&(i, _), _| i != ino);
-        self.dirty_inds.retain(|&(i, _)| i != ino);
+        self.meta.purge(ino);
         self.blocks.purge(ino);
         self.dcache.remove(&ino);
     }
@@ -1038,73 +835,16 @@ impl<D: QueueDevice> Lfs<D> {
             self.blocks.remove(key);
         }
         for bno in new_blocks..old_blocks {
-            // Drop the cached copy first.
+            // Drop the cached copy first; touch only pointers that exist.
             self.blocks.remove((ino, bno));
-            let old = match classify_block(bno) {
-                Some(BlockClass::Direct(_)) => self.set_block_ptr(ino, bno, NIL_ADDR)?,
-                Some(_) => {
-                    // Only touch indirect trees that exist.
-                    if self.block_ptr(ino, bno)? == NIL_ADDR {
-                        NIL_ADDR
-                    } else {
-                        self.set_block_ptr(ino, bno, NIL_ADDR)?
-                    }
-                }
-                None => NIL_ADDR,
-            };
+            if self.block_ptr(ino, bno)? != NIL_ADDR {
+                let old = self.meta.set_ptr(ino, bno, NIL_ADDR)?;
+                self.space.kill(self.sb.seg_of(old), BLOCK_SIZE);
+            }
+        }
+        // Release the indirect blocks left empty.
+        for old in self.meta.prune(ino) {
             self.space.kill(self.sb.seg_of(old), BLOCK_SIZE);
-        }
-        self.prune_indirect(ino)?;
-        Ok(())
-    }
-
-    /// Releases indirect blocks that no longer hold any pointers.
-    fn prune_indirect(&mut self, ino: Ino) -> FsResult<()> {
-        let keys: Vec<IndKey> = self
-            .inds
-            .keys()
-            .filter(|&&(i, _)| i == ino)
-            .map(|&(_, k)| k)
-            .collect();
-        let mut freed_single = Vec::new();
-        for key in keys {
-            if let IndKey::Single(k) = key {
-                let e = &self.inds[&(ino, key)];
-                if e.blk.is_empty() {
-                    let old = e.disk_addr;
-                    self.inds.remove(&(ino, key));
-                    self.dirty_inds.remove(&(ino, key));
-                    self.space.kill(self.sb.seg_of(old), BLOCK_SIZE);
-                    freed_single.push(k);
-                }
-            }
-        }
-        if !freed_single.is_empty() {
-            let mut inode = self.inode_clone(ino)?;
-            let mut inode_changed = false;
-            for k in &freed_single {
-                if *k == 0 {
-                    inode.indirect = NIL_ADDR;
-                    inode_changed = true;
-                } else if let Some(d) = self.inds.get_mut(&(ino, IndKey::Double)) {
-                    d.blk.ptrs[(*k - 1) as usize] = NIL_ADDR;
-                    self.dirty_inds.insert((ino, IndKey::Double));
-                }
-            }
-            // Now check whether the double-indirect block emptied out.
-            if let Some(d) = self.inds.get(&(ino, IndKey::Double)) {
-                if d.blk.is_empty() {
-                    let old = d.disk_addr;
-                    self.inds.remove(&(ino, IndKey::Double));
-                    self.dirty_inds.remove(&(ino, IndKey::Double));
-                    self.space.kill(self.sb.seg_of(old), BLOCK_SIZE);
-                    inode.dindirect = NIL_ADDR;
-                    inode_changed = true;
-                }
-            }
-            if inode_changed {
-                self.put_inode(inode);
-            }
         }
         Ok(())
     }
@@ -1120,9 +860,6 @@ impl<D: QueueDevice> Lfs<D> {
         }
         self.imap.free(ino);
         self.purge_file(ino);
-        // Saturating: during roll-forward replay the counter is still 0
-        // (mount recomputes it from the inode map after replay finishes).
-        self.nfiles = self.nfiles.saturating_sub(1);
         Ok(())
     }
 
@@ -1337,7 +1074,7 @@ impl<D: QueueDevice> Lfs<D> {
         if inode.nlink == 0 {
             return self.delete_file(ino);
         }
-        self.put_inode(inode);
+        self.meta.put_inode(inode);
         Ok(())
     }
 
@@ -1352,8 +1089,7 @@ impl<D: QueueDevice> Lfs<D> {
             let now = fs.now();
             let version = fs.imap.version(ino);
             let inode = Inode::new(ino, version, ftype, now);
-            fs.put_inode(inode);
-            fs.nfiles += 1;
+            fs.meta.put_inode(inode);
             let op = match ftype {
                 FileType::Regular => DirOp::Create,
                 FileType::Directory => DirOp::Mkdir,
@@ -1526,7 +1262,7 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
         inode.ctime = now;
         let (nlink, version) = (inode.nlink, inode.version);
         self.with_nsop(|fs| {
-            fs.put_inode(inode);
+            fs.meta.put_inode(inode);
             fs.log_dir_op(DirOp::Link, (parent, name), src_ino, nlink, version);
             fs.dir_insert(parent, name, src_ino, FileType::Regular)
         })?;
@@ -1588,7 +1324,7 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
         Ok(StatFs {
             total_bytes: self.sb.nsegments as u64 * self.cfg.seg_bytes(),
             live_bytes: live + pending,
-            num_files: self.nfiles,
+            num_files: self.imap.file_count(),
         })
     }
 }

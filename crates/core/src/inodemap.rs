@@ -63,7 +63,6 @@ pub struct InodeMap {
     free: Vec<Ino>,
     /// Lowest inode number that has never been allocated.
     next_unused: Ino,
-    live_count: u64,
 }
 
 impl InodeMap {
@@ -75,7 +74,6 @@ impl InodeMap {
             blocks: MapBlocks::new(nblocks),
             free: Vec::new(),
             next_unused: 2, // 0 is invalid, 1 is the root.
-            live_count: 0,
         }
     }
 
@@ -84,9 +82,13 @@ impl InodeMap {
         self.entries.len() as u32
     }
 
-    /// Number of live inodes.
-    pub fn live_count(&self) -> u64 {
-        self.live_count
+    /// Files and directories, the root left out: the numbers handed out
+    /// (1 for the root, then 2 up to the lowest never used), less the free
+    /// ones. Right after a load only once [`InodeMap::rebuild_free_list`]
+    /// ran.
+    pub fn file_count(&self) -> u64 {
+        let handed_out = self.next_unused as u64 - 1;
+        handed_out.saturating_sub(self.free.len() as u64 + 1)
     }
 
     /// The inode-map block holding `ino`.
@@ -103,13 +105,9 @@ impl InodeMap {
 
     /// Records that inode `ino` now lives at (`addr`, `slot`).
     pub fn set_location(&mut self, ino: Ino, addr: DiskAddr, slot: u8) {
-        let was_live = self.entries[ino as usize].is_live();
         let e = &mut self.entries[ino as usize];
         e.addr = addr;
         e.slot = slot;
-        if !was_live {
-            self.live_count += 1;
-        }
         self.blocks.dirty[Self::block_of(ino)] = true;
     }
 
@@ -181,9 +179,6 @@ impl InodeMap {
     /// reading the inode) and recycles the number.
     pub fn free(&mut self, ino: Ino) {
         let e = &mut self.entries[ino as usize];
-        if e.is_live() {
-            self.live_count -= 1;
-        }
         e.addr = NIL_ADDR;
         e.slot = 0;
         e.version += 1;
@@ -221,8 +216,7 @@ impl InodeMap {
         let end = (start + IMAP_ENTRIES_PER_BLOCK).min(self.entries.len());
         let mut r = Reader::new(buf);
         for i in start..end {
-            let was_live = self.entries[i].is_live();
-            let e = ImapEntry {
+            self.entries[i] = ImapEntry {
                 addr: r.get_u64(),
                 version: r.get_u32(),
                 slot: {
@@ -232,12 +226,6 @@ impl InodeMap {
                 },
                 atime: r.get_u64(),
             };
-            match (was_live, e.is_live()) {
-                (false, true) => self.live_count += 1,
-                (true, false) => self.live_count -= 1,
-                _ => {}
-            }
-            self.entries[i] = e;
         }
         self.blocks.addrs[idx] = addr;
         self.blocks.dirty[idx] = false;
@@ -246,14 +234,7 @@ impl InodeMap {
     /// Rebuilds the free list after loading from disk (recovery path).
     pub fn rebuild_free_list(&mut self) {
         self.free.clear();
-        self.live_count = 0;
-        let mut highest_live = 1u32;
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.is_live() {
-                self.live_count += 1;
-                highest_live = highest_live.max(i as u32);
-            }
-        }
+        let highest_live = self.live_inos().fold(1, Ino::max);
         self.next_unused = highest_live + 1;
         for i in 2..self.next_unused {
             if !self.entries[i as usize].is_live() {
@@ -311,14 +292,16 @@ mod tests {
     #[test]
     fn live_count_tracks_set_and_free() {
         let mut m = InodeMap::new(100);
-        assert_eq!(m.live_count(), 0);
-        m.set_location(2, 10, 0);
-        m.set_location(3, 11, 0);
-        assert_eq!(m.live_count(), 2);
-        m.set_location(2, 20, 1); // Relocation, not a new life.
-        assert_eq!(m.live_count(), 2);
-        m.free(3);
-        assert_eq!(m.live_count(), 1);
+        m.reserve(1);
+        assert_eq!(m.file_count(), 0);
+        let (a, b) = (m.allocate().unwrap(), m.allocate().unwrap());
+        m.set_location(a, 10, 0);
+        m.set_location(b, 11, 0);
+        assert_eq!(m.file_count(), 2);
+        m.set_location(a, 20, 1); // Relocation, not a new life.
+        assert_eq!(m.file_count(), 2);
+        m.free(b);
+        assert_eq!(m.file_count(), 1);
     }
 
     #[test]
@@ -351,7 +334,8 @@ mod tests {
         assert_eq!(m2.get(2).unwrap(), m.get(2).unwrap());
         assert_eq!(m2.get(3).unwrap(), m.get(3).unwrap());
         assert_eq!(m2.blocks.addrs[0], 4321);
-        assert_eq!(m2.live_count(), 2);
+        m2.rebuild_free_list();
+        assert_eq!(m2.file_count(), 2);
     }
 
     #[test]

@@ -61,41 +61,6 @@ pub const MAX_FILE_BLOCKS: u64 = IND2_START + (PTRS_PER_BLOCK * PTRS_PER_BLOCK) 
 /// Maximum file size in bytes.
 pub const MAX_FILE_SIZE: u64 = MAX_FILE_BLOCKS * BLOCK_SIZE as u64;
 
-/// Where a file block's address is stored.
-///
-/// Computed by [`classify_block`]; this is the indexing scheme of
-/// Section 3.1 (inode → direct pointers, single-indirect block,
-/// double-indirect tree).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlockClass {
-    /// `direct[i]` in the inode.
-    Direct(usize),
-    /// Slot `i` of the single-indirect block (`inode.indirect`).
-    Indirect1(usize),
-    /// Slot `j` of single-indirect block `i` hanging off the
-    /// double-indirect block (`inode.dindirect[i][j]`).
-    Indirect2(usize, usize),
-}
-
-/// Maps a file block number to its pointer location.
-///
-/// Returns `None` if `bno` exceeds [`MAX_FILE_BLOCKS`].
-pub fn classify_block(bno: u64) -> Option<BlockClass> {
-    if bno < IND1_START {
-        Some(BlockClass::Direct(bno as usize))
-    } else if bno < IND2_START {
-        Some(BlockClass::Indirect1((bno - IND1_START) as usize))
-    } else if bno < MAX_FILE_BLOCKS {
-        let off = bno - IND2_START;
-        Some(BlockClass::Indirect2(
-            (off / PTRS_PER_BLOCK as u64) as usize,
-            (off % PTRS_PER_BLOCK as u64) as usize,
-        ))
-    } else {
-        None
-    }
-}
-
 /// Number of file blocks needed to hold `size` bytes.
 pub fn blocks_for_size(size: u64) -> u64 {
     size.div_ceil(BLOCK_SIZE as u64)
@@ -298,35 +263,6 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn direct_blocks_classify_direct() {
-        assert_eq!(classify_block(0), Some(BlockClass::Direct(0)));
-        assert_eq!(classify_block(9), Some(BlockClass::Direct(9)));
-    }
-
-    #[test]
-    fn indirect_boundaries_are_exact() {
-        assert_eq!(classify_block(10), Some(BlockClass::Indirect1(0)));
-        assert_eq!(
-            classify_block(IND2_START - 1),
-            Some(BlockClass::Indirect1(PTRS_PER_BLOCK - 1))
-        );
-        assert_eq!(
-            classify_block(IND2_START),
-            Some(BlockClass::Indirect2(0, 0))
-        );
-        assert_eq!(
-            classify_block(IND2_START + PTRS_PER_BLOCK as u64),
-            Some(BlockClass::Indirect2(1, 0))
-        );
-    }
-
-    #[test]
-    fn max_file_block_is_rejected() {
-        assert_eq!(classify_block(MAX_FILE_BLOCKS), None);
-        assert!(classify_block(MAX_FILE_BLOCKS - 1).is_some());
-    }
 
     #[test]
     fn max_file_size_exceeds_one_gigabyte() {

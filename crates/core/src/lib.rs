@@ -63,6 +63,7 @@ pub mod inodemap;
 pub mod invariants;
 pub mod layout;
 mod log;
+mod meta;
 mod obs;
 pub mod ordering;
 pub mod recovery;

@@ -46,7 +46,7 @@ use crate::checkpoint::Checkpoint;
 use crate::config::LfsConfig;
 use crate::dirlog::{self, DirLogRecord, DirOp};
 use crate::fs::Lfs;
-use crate::inode::{IndirectBlock, Inode, INODE_DISK_SIZE};
+use crate::inode::{Inode, INODE_DISK_SIZE};
 use crate::layout::{DiskAddr, Placement, NIL_ADDR, SUPERBLOCK_ADDR};
 use crate::summary::{EntryKind, Summary};
 use crate::superblock::Superblock;
@@ -128,7 +128,6 @@ impl<D: QueueDevice> Lfs<D> {
                 (dev, last_err) = (fs.into_device(), e);
                 continue;
             }
-            fs.nfiles = fs.imap.live_count().saturating_sub(1);
             // Commit the new epoch (and anything recovery changed). This
             // happens *outside* the fallback: a device-write failure here
             // is not corruption and must not send mount chasing the older
@@ -374,23 +373,27 @@ impl<D: QueueDevice> Lfs<D> {
         };
         if old.is_live() {
             kill(self, old.addr, INODE_DISK_SIZE);
-            let old_inode = match self.inodes.get(&ino) {
-                Some(c) => Ok(c.inode.clone()),
+            let old_inode = match self.meta.inode(ino) {
+                Some(i) => Ok(i.clone()),
                 None => self.read_inode_at(old.addr, old.slot, ino),
             };
             if let Ok(old_inode) = old_inode {
-                self.visit_inode_blocks(&old_inode, chunk, |fs, a| kill(fs, a, BLOCK_SIZE))?;
+                for (_, a) in self.owned_blocks(&old_inode, Some(chunk))? {
+                    kill(self, a, BLOCK_SIZE);
+                }
             }
         }
         // Adopt the new version.
         self.imap.set_entry(ino, addr, slot, inode.version);
         born(self, addr, INODE_DISK_SIZE);
-        self.visit_inode_blocks(inode, chunk, |fs, a| born(fs, a, BLOCK_SIZE))?;
+        for (_, a) in self.owned_blocks(inode, Some(chunk))? {
+            born(self, a, BLOCK_SIZE);
+        }
         // Cache the adopted version, which is in hand: the directory-log
         // replay looks most of the tail's inodes up again. Until that
         // replay, roll-forward reads around the caches, so they hold no
         // other copy of this file to invalidate.
-        self.cache_inode(inode.clone());
+        self.meta.insert_inode(inode.clone());
         Ok(())
     }
 
@@ -408,60 +411,6 @@ impl<D: QueueDevice> Lfs<D> {
             )));
         }
         Ok(inode)
-    }
-
-    /// Calls `f` with the address of every block (data and indirect) that
-    /// `inode` references. Indirect blocks come from `chunk` (see
-    /// [`Lfs::adopt_inode`]) when it holds them, else from disk.
-    fn visit_inode_blocks<F: FnMut(&mut Self, DiskAddr)>(
-        &mut self,
-        inode: &Inode,
-        chunk: (DiskAddr, &[u8]),
-        mut f: F,
-    ) -> FsResult<()> {
-        for &a in &inode.direct {
-            if a != NIL_ADDR {
-                f(self, a);
-            }
-        }
-        let mut singles: Vec<DiskAddr> = Vec::new();
-        if inode.indirect != NIL_ADDR {
-            singles.push(inode.indirect);
-        }
-        if inode.dindirect != NIL_ADDR {
-            f(self, inode.dindirect);
-            let dind = self.read_indirect(inode.dindirect, chunk)?;
-            singles.extend(dind.ptrs.iter().copied().filter(|&p| p != NIL_ADDR));
-        }
-        for s in singles {
-            f(self, s);
-            let ind = self.read_indirect(s, chunk)?;
-            for &p in ind.ptrs.iter() {
-                if p != NIL_ADDR {
-                    f(self, p);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The indirect block at `addr`, from `chunk` if it holds it.
-    fn read_indirect(
-        &mut self,
-        addr: DiskAddr,
-        (first, blocks): (DiskAddr, &[u8]),
-    ) -> FsResult<IndirectBlock> {
-        match addr.checked_sub(first) {
-            Some(j) if j < (blocks.len() / BLOCK_SIZE) as u64 => {
-                let at = j as usize * BLOCK_SIZE;
-                Ok(IndirectBlock::decode(&blocks[at..at + BLOCK_SIZE]))
-            }
-            _ => {
-                let mut buf = vec![0u8; BLOCK_SIZE];
-                self.read_retry(addr, &mut buf)?;
-                Ok(IndirectBlock::decode(&buf))
-            }
-        }
     }
 
     /// Replays one directory-operation-log record, restoring consistency
@@ -545,7 +494,7 @@ impl<D: QueueDevice> Lfs<D> {
         let mut inode = self.inode_clone(ino)?;
         if inode.nlink != nlink {
             inode.nlink = nlink;
-            self.put_inode(inode);
+            self.meta.put_inode(inode);
         }
         Ok(())
     }

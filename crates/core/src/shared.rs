@@ -191,10 +191,10 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// the lane held (or `fs` owned), after the operation's blocks are in the
 /// cache — the release pairs with `read_at`'s acquire.
 fn publish<D: QueueDevice>(attrs: &[AtomicU64], fs: &Lfs<D>, ino: Ino) {
-    let word = match fs.inodes.get(&ino) {
+    let word = match fs.meta.inode(ino) {
         None => UNKNOWN,
-        Some(c) if c.inode.ftype == FileType::Directory => DIR,
-        Some(c) => c.inode.size,
+        Some(i) if i.ftype == FileType::Directory => DIR,
+        Some(i) => i.size,
     };
     if let Some(w) = attrs.get(ino as usize) {
         w.store(word, Ordering::Release);
@@ -206,7 +206,7 @@ impl<D: QueueDevice> SharedLfs<D> {
     pub fn new(fs: Lfs<D>) -> SharedLfs<D> {
         let max_inodes = fs.superblock().max_inodes as usize;
         let attrs: Vec<AtomicU64> = (0..=max_inodes).map(|_| AtomicU64::new(UNKNOWN)).collect();
-        for &ino in fs.inodes.keys() {
+        for ino in fs.meta.cached_inos() {
             publish(&attrs, &fs, ino);
         }
         SharedLfs {

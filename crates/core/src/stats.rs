@@ -2,22 +2,23 @@
 //! cleaning statistics and write cost (Table 2), and operation counters.
 
 /// The kind of a block written to the log — the row labels of Table 4.
+/// The discriminant is its row, its index in [`BlockKind::ALL`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BlockKind {
     /// File data blocks.
-    Data,
+    Data = 0,
     /// Single- and double-indirect blocks.
-    Indirect,
+    Indirect = 1,
     /// Blocks of packed inodes.
-    Inode,
+    Inode = 2,
     /// Inode-map blocks.
-    Imap,
+    Imap = 3,
     /// Segment-usage-table blocks.
-    Usage,
+    Usage = 4,
     /// Segment summary blocks.
-    Summary,
+    Summary = 5,
     /// Directory-operation-log blocks.
-    DirLog,
+    DirLog = 6,
 }
 
 impl BlockKind {
@@ -42,18 +43,6 @@ impl BlockKind {
             BlockKind::Usage => "Seg usage map",
             BlockKind::Summary => "Summary blocks",
             BlockKind::DirLog => "Dir op log",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            BlockKind::Data => 0,
-            BlockKind::Indirect => 1,
-            BlockKind::Inode => 2,
-            BlockKind::Imap => 3,
-            BlockKind::Usage => 4,
-            BlockKind::Summary => 5,
-            BlockKind::DirLog => 6,
         }
     }
 }
@@ -163,25 +152,25 @@ impl LfsStats {
     /// Records `bytes` of kind `kind` appended to the log.
     pub fn add_log_bytes(&mut self, kind: BlockKind, bytes: u64, by_cleaner: bool) {
         if by_cleaner {
-            self.cleaner_log_bytes[kind.index()] += bytes;
+            self.cleaner_log_bytes[kind as usize] += bytes;
         } else {
-            self.log_bytes[kind.index()] += bytes;
+            self.log_bytes[kind as usize] += bytes;
         }
     }
 
     /// Bytes of `kind` written to the log (including cleaner rewrites).
     pub fn log_bytes(&self, kind: BlockKind) -> u64 {
-        self.log_bytes[kind.index()] + self.cleaner_log_bytes[kind.index()]
+        self.log_bytes[kind as usize] + self.cleaner_log_bytes[kind as usize]
     }
 
     /// Bytes of `kind` appended by normal operation only.
     pub fn log_bytes_new(&self, kind: BlockKind) -> u64 {
-        self.log_bytes[kind.index()]
+        self.log_bytes[kind as usize]
     }
 
     /// Bytes of `kind` appended by the cleaner only.
     pub fn log_bytes_cleaner(&self, kind: BlockKind) -> u64 {
-        self.cleaner_log_bytes[kind.index()]
+        self.cleaner_log_bytes[kind as usize]
     }
 
     /// Total bytes appended to the log.
@@ -235,6 +224,13 @@ impl LfsStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_block_kind_is_its_index() {
+        for (i, &kind) in BlockKind::ALL.iter().enumerate() {
+            assert_eq!(kind as usize, i);
+        }
+    }
 
     #[test]
     fn bandwidth_share_sums_to_one() {

@@ -27,49 +27,42 @@ const SUM_FIELD: std::ops::Range<usize> = 32..HEADER_SIZE;
 /// Maximum blocks one summary can describe.
 pub const MAX_SUMMARY_ENTRIES: usize = (BLOCK_SIZE - HEADER_SIZE) / ENTRY_SIZE;
 
-/// What a block in a partial write is.
+/// What a block in a partial write is. The discriminant is its byte on
+/// disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EntryKind {
     /// File data block: `ino` + `offset` (file block number) + `version`.
-    Data,
+    Data = 1,
     /// Single-indirect block `offset` of file `ino`.
-    Indirect1,
+    Indirect1 = 2,
     /// The double-indirect block of file `ino`.
-    Indirect2,
+    Indirect2 = 3,
     /// A block of packed inodes (the block itself lists its inodes).
-    InodeBlock,
+    InodeBlock = 4,
     /// Inode-map block `offset`.
-    ImapBlock,
+    ImapBlock = 5,
     /// Segment-usage-table block `offset`.
-    UsageBlock,
+    UsageBlock = 6,
     /// A block of directory-operation-log records.
-    DirLog,
+    DirLog = 7,
 }
 
-impl EntryKind {
-    fn encode(self) -> u8 {
-        match self {
-            EntryKind::Data => 1,
-            EntryKind::Indirect1 => 2,
-            EntryKind::Indirect2 => 3,
-            EntryKind::InodeBlock => 4,
-            EntryKind::ImapBlock => 5,
-            EntryKind::UsageBlock => 6,
-            EntryKind::DirLog => 7,
-        }
-    }
+/// Every kind, indexed by its byte on disk minus one.
+const KINDS: [EntryKind; 7] = [
+    EntryKind::Data,
+    EntryKind::Indirect1,
+    EntryKind::Indirect2,
+    EntryKind::InodeBlock,
+    EntryKind::ImapBlock,
+    EntryKind::UsageBlock,
+    EntryKind::DirLog,
+];
 
+impl EntryKind {
     fn decode(v: u8) -> FsResult<EntryKind> {
-        Ok(match v {
-            1 => EntryKind::Data,
-            2 => EntryKind::Indirect1,
-            3 => EntryKind::Indirect2,
-            4 => EntryKind::InodeBlock,
-            5 => EntryKind::ImapBlock,
-            6 => EntryKind::UsageBlock,
-            7 => EntryKind::DirLog,
-            k => return Err(FsError::Corrupt(format!("summary: bad entry kind {k}"))),
-        })
+        let kind = (v as usize).checked_sub(1).and_then(|i| KINDS.get(i));
+        kind.copied()
+            .ok_or_else(|| FsError::Corrupt(format!("summary: bad entry kind {v}")))
     }
 }
 
@@ -177,7 +170,7 @@ impl Summary {
             w.put_u64(self.write_time);
             w.pad(8); // Checksum written below.
             for e in &self.entries {
-                w.put_u8(e.kind.encode());
+                w.put_u8(e.kind as u8);
                 w.pad(3);
                 w.put_u32(e.ino);
                 w.put_u32(e.offset);
@@ -252,6 +245,18 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_entry_kind_is_its_byte() {
+        for (i, &kind) in KINDS.iter().enumerate() {
+            assert_eq!(kind as usize, i + 1);
+            assert_eq!(EntryKind::decode(kind as u8).unwrap(), kind);
+        }
+        for bad in [0u8, 8, 255] {
+            let want = format!("summary: bad entry kind {bad}");
+            assert!(matches!(EntryKind::decode(bad), Err(FsError::Corrupt(m)) if m == want));
+        }
+    }
 
     fn sample() -> Summary {
         Summary {

@@ -208,6 +208,20 @@ fn statfs_tracks_lifecycle() {
     fs.rmdir("/d").unwrap();
     fs.sync().unwrap();
     assert_eq!(fs.statfs().unwrap().num_files, 0);
+    // A remount whose roll-forward replays a create and an unlink counts
+    // what the file system counted before it.
+    fs.write_file("/a", b"a").unwrap();
+    fs.write_file("/b", b"b").unwrap();
+    fs.checkpoint().unwrap();
+    fs.write_file("/c", b"c").unwrap();
+    fs.unlink("/a").unwrap();
+    fs.sync().unwrap();
+    assert_eq!(fs.statfs().unwrap().num_files, 2);
+    let mut fs = Lfs::mount(fs.into_device(), LfsConfig::small()).unwrap();
+    assert!(fs.lookup("/c").is_ok() && fs.lookup("/a").is_err());
+    assert_eq!(fs.statfs().unwrap().num_files, 2);
+    fs.write_file("/d", b"d").unwrap();
+    assert_eq!(fs.statfs().unwrap().num_files, 3);
 }
 
 #[test]

@@ -55,6 +55,53 @@ fn large_file_through_indirect_blocks() {
     check_clean(&mut fs);
 }
 
+/// A file with three children under its double-indirect block, truncated
+/// step by step down through every level of the tree. After the write and
+/// after each step, a remount's roll-forward walks the old tree and the
+/// new one; the check must be clean, the indirect blocks live exactly
+/// those the size needs, and the contents read back.
+#[test]
+fn truncating_through_the_double_indirect_tree_survives_remounts() {
+    const BS: u64 = 4096;
+    let pattern = |b: u64| vec![(b % 251) as u8 + 1; BS as usize];
+    let mut fs = Lfs::format(MemDisk::new(8192), LfsConfig::small()).unwrap();
+    let ino = fs.create("/big").unwrap();
+    let nblocks = 10 + 512 + 2 * 512 + 40;
+    for b in 0..nblocks {
+        fs.write(ino, b * BS, &pattern(b)).unwrap();
+    }
+    // (size in bytes, indirect blocks it needs): into Single(2), into
+    // Single(1), the end of Single(0), into the direct blocks, empty.
+    let steps = [
+        (nblocks * BS, 5),
+        ((10 + 512 + 512 + 100) * BS, 4),
+        ((10 + 512 + 100) * BS + 123, 3),
+        ((10 + 512) * BS, 1),
+        (5 * BS + 7, 0),
+        (0, 0),
+    ];
+    for (i, &(size, indirect)) in steps.iter().enumerate() {
+        if i > 0 {
+            fs.truncate(ino, size).unwrap();
+        }
+        fs.sync().unwrap();
+        fs = Lfs::mount(fs.into_device(), LfsConfig::small()).unwrap();
+        let report = fs.check().unwrap();
+        assert!(report.is_clean(), "size {size}: {:#?}", report.errors);
+        let live = fs.live_bytes_by_kind().unwrap();
+        assert_eq!(
+            live[BlockKind::Indirect as usize],
+            indirect * BS,
+            "size {size}"
+        );
+        let back = fs.read_to_vec(ino).unwrap();
+        assert_eq!(back.len() as u64, size);
+        for (b, got) in (0..).zip(back.chunks(BS as usize)) {
+            assert!(got == &pattern(b)[..got.len()], "size {size}: block {b}");
+        }
+    }
+}
+
 #[test]
 fn sparse_file_reads_zero_in_holes() {
     let mut fs = small_fs();
