@@ -159,6 +159,12 @@ impl CrashDisk {
         })
     }
 
+    /// The bytes the `i`-th journaled write carried, or `None` past the
+    /// end of the journal.
+    pub fn write_data(&self, i: usize) -> Option<&[u8]> {
+        self.journal.get(i).map(|w| &w.data[..])
+    }
+
     /// Write-journal positions at which an ordering barrier
     /// ([`crate::QueueDevice::fence`]) landed, ascending (one entry per
     /// barrier; entries repeat when no write landed in between). A fence

@@ -64,6 +64,12 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// The addresses of the inode-map and usage-table blocks the region
+    /// names.
+    pub(crate) fn map_addrs(&self) -> impl Iterator<Item = DiskAddr> + '_ {
+        self.imap_addrs.iter().chain(&self.usage_addrs).copied()
+    }
+
     /// Serialized payload size in bytes.
     fn payload_len(&self) -> usize {
         HEADER_SIZE
@@ -289,7 +295,8 @@ impl Checkpoint {
     }
 
     /// Reads both regions and returns every *valid* checkpoint, newest
-    /// (highest `seq`) first, each paired with its region index.
+    /// (highest `seq`, then highest epoch) first, each paired with its
+    /// region index.
     ///
     /// Mount tries candidates in this order: if the newest checkpoint is
     /// internally consistent but describes impossible geometry (a torn or
@@ -307,7 +314,11 @@ impl Checkpoint {
                 found.push((cp, i));
             }
         }
-        found.sort_by_key(|c| std::cmp::Reverse(c.0.seq));
+        // Newest first. A mount's checkpoint that wrote nothing to the
+        // log shares its sequence number with the one it loaded; its
+        // newer epoch decides, or the next mount would follow the old
+        // epoch and miss every chunk written since.
+        found.sort_by_key(|c| std::cmp::Reverse((c.0.seq, c.0.epoch)));
         found
     }
 }

@@ -44,9 +44,10 @@ pub struct LfsConfig {
     pub flush_threshold_bytes: u64,
     /// Write a checkpoint automatically after this many bytes of new log
     /// data (0 disables; checkpoints then happen only on an explicit
-    /// [`crate::Lfs::checkpoint`] and when a cleaning run needs its
-    /// `PendingFree` victims reusable — once per run, not per pass;
-    /// `sync` appends to the log and leaves the rest to roll-forward).
+    /// [`crate::Lfs::checkpoint`], and when a cleaning run short of clean
+    /// segments finds victims only among the segments written since the
+    /// last one; `sync` appends to the log and leaves the rest to
+    /// roll-forward). The cleaner's own writes do not count.
     /// This is the paper's suggested alternative to the fixed 30-second
     /// interval: "perform checkpoints after a given amount of new data
     /// has been written" (§4.1).

@@ -1014,8 +1014,8 @@ impl<D: QueueDevice> Lfs<D> {
     /// checkpoint landing between, say, a rename's entry removal and its
     /// entry insertion would freeze the orphaned intermediate state
     /// forever. While the guard is held, [`Lfs::checkpoint`] degrades to
-    /// a plain flush and the cleaner defers segment promotion; the
-    /// caller's `after_mutation` (outside the guard) checkpoints normally.
+    /// a plain flush; the caller's `after_mutation` (outside the guard)
+    /// checkpoints normally.
     fn with_nsop<T>(&mut self, f: impl FnOnce(&mut Self) -> FsResult<T>) -> FsResult<T> {
         self.nsop_depth += 1;
         let r = f(self);

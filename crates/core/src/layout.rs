@@ -169,12 +169,10 @@ impl Placement {
         off + 1 < self.seg_blocks
     }
 
-    /// Whether some cursor sits on `seg` with room left, so the segment is
-    /// still open for writing and not to be sealed.
-    pub(crate) fn is_open(&self, seg: u32) -> bool {
-        self.wps
-            .iter()
-            .any(|&(s, off)| s == seg && self.has_room(off))
+    /// Whether some cursor sits on `seg`, so the segment stays open for
+    /// writing, full or not, until the cursor moves on.
+    pub(crate) fn holds(&self, seg: u32) -> bool {
+        self.wps.iter().any(|&(s, _)| s == seg)
     }
 
     /// Places chunk `seq`, the next of `n` blocks still to lay out; the
@@ -239,6 +237,21 @@ impl Placement {
         }
         self.pools[shard].retain(|&s| s != seg);
         Some(left)
+    }
+
+    /// Adds the segments a cleaner pass released, `(segment, shard)`, to
+    /// their shards' pools: roll-forward does this right after the chunk
+    /// whose summary lists them, as the layout gets them once the fence
+    /// after that chunk has made them clean.
+    pub(crate) fn release(&mut self, segs: impl IntoIterator<Item = (u32, usize)>) {
+        for (seg, shard) in segs {
+            let pool = &mut self.pools[shard];
+            // Highest first, so `pop` still takes the lowest.
+            let at = pool.partition_point(|&s| s > seg);
+            if pool.get(at) != Some(&seg) {
+                pool.insert(at, seg);
+            }
+        }
     }
 
     /// Opens the write points of a placement made without any: a cursor
@@ -336,7 +349,9 @@ mod tests {
         /// rule: every chunk `next` lays out is among its `seq`'s
         /// candidates, on the shard that carried it, and adopting each one
         /// where it was found ends on exactly the layout's final write
-        /// points.
+        /// points. Some flushes end by releasing a segment a cursor left,
+        /// which both sides add to its pool after the flush's last chunk,
+        /// and later chunks may land in it.
         #[test]
         fn candidates_find_every_chunk_next_placed(
             geometry in (1usize..=3, 1usize..=6, 3u32..=8),
@@ -344,7 +359,7 @@ mod tests {
             clean_mask in proptest::collection::vec(proptest::prelude::any::<bool>(), 21),
             reserve in proptest::prop_oneof![proptest::prelude::Just(0usize), proptest::prelude::Just(2)],
             seq0 in 0u64..40,
-            flushes in proptest::collection::vec(0usize..=24, 1..8),
+            flushes in proptest::collection::vec((0usize..=24, proptest::prelude::any::<bool>()), 1..8),
         ) {
             let (nsh, per_shard, seg_blocks) = geometry;
             let per_shard = per_shard + 1;
@@ -354,8 +369,10 @@ mod tests {
             // nothing, as the layout discards a failed plan.
             let mut place = Placement::new(seg_blocks, nsh, wps.clone(), clean.clone(), reserve);
             let mut laid: Vec<(u64, Chunk)> = Vec::new();
+            // `(seq, segment)`: the flush ending with chunk `seq` released it.
+            let mut released: Vec<(u64, u32)> = Vec::new();
             let mut seq = seq0;
-            'flushes: for &count in &flushes {
+            'flushes: for &(count, release) in &flushes {
                 let (mut trial, mut s, mut chunks) = (place.clone(), seq, Vec::new());
                 let mut left = count;
                 while left > 0 {
@@ -368,6 +385,14 @@ mod tests {
                 }
                 (place, seq) = (trial, s);
                 laid.extend(chunks);
+                // A segment the log filled and left, released once.
+                let left_behind = laid.iter().map(|&(_, c)| c.seg).find(|&g| {
+                    !place.holds(g) && !released.iter().any(|&(_, r)| r == g)
+                });
+                if let Some(g) = left_behind.filter(|_| release && !laid.is_empty()) {
+                    place.release([(g, g as usize % nsh)]);
+                    released.push((seq, g));
+                }
             }
 
             // Replay from the same start, as roll-forward does.
@@ -382,6 +407,8 @@ mod tests {
                 };
                 proptest::prop_assert_eq!(shard, c.seg as usize % nsh);
                 back.adopt(shard, c.seg, c.off, c.n);
+                let after = released.iter().filter(|&&(r, _)| r == seq);
+                back.release(after.map(|&(_, g)| (g, g as usize % nsh)));
             }
             proptest::prop_assert_eq!(back.wps, place.wps);
         }

@@ -126,6 +126,12 @@ impl Log {
         self.checkpoint_seq
     }
 
+    /// The last partial write a fence covered: the watermark a summary
+    /// encoded now carries.
+    pub(crate) fn durable_seq(&self) -> u64 {
+        self.durable_seq
+    }
+
     pub(crate) fn bytes_since_checkpoint(&self) -> u64 {
         self.bytes_since_checkpoint
     }

@@ -228,8 +228,6 @@ impl LfsStats {
         reg.counter("lfs.cleaner.bytes_written")
             .store(c.bytes_written);
         reg.counter("lfs.cleaner.passes").store(c.passes);
-        reg.counter("lfs.cleaner.forced_checkpoints")
-            .store(c.forced_checkpoints);
         reg.gauge("lfs.cleaner.utilization_sum")
             .set(c.utilization_sum);
         // Utilization-at-clean histogram: how full victims were when

@@ -36,6 +36,14 @@
 //!    region. The log counts a partial write as durable only once it
 //!    has seen this token.
 //!
+//! A cleaner pass has one more edge. Its last chunk's summary lists the
+//! victims the pass releases ([`Flush::release`] turns that chunk's token
+//! into a [`Released<Listed>`]). Only the fence after it
+//! ([`Released::fence`]) yields the [`Released<Fenced>`] without which
+//! the space manager cannot make a victim clean. So every crash image
+//! that holds a write into a reused victim also holds the chunk that
+//! released it, and roll-forward meets the release before the reuse.
+//!
 //! Every token is zero-sized, `!Clone`, and constructible only at the
 //! chain's entry point, so the protocol costs nothing at runtime and the
 //! compiler rejects the reorderings the crash model checker would
@@ -131,6 +139,16 @@
 //! cp.write_ordered(&mut dev, CR1_ADDR, ready).unwrap(); // ERROR: use of moved value
 //! ```
 //!
+//! Releasing victims without the fence does not compile either: the
+//! space manager takes only a `Released<Fenced>`.
+//!
+//! ```compile_fail
+//! use lfs_core::ordering::{Fenced, Flush, Released};
+//!
+//! let listed = Flush::stage().seal_summary().submitted().release(vec![3]);
+//! let _: Released<Fenced> = listed; // ERROR: expected `Released<Fenced>`
+//! ```
+//!
 //! And a `CheckpointReady` cannot be minted out of thin air:
 //!
 //! ```compile_fail
@@ -221,6 +239,72 @@ impl Flush<DataWritten> {
     }
 }
 
+impl Flush<DataWritten> {
+    /// The chunk just issued lists `segs` in its summary: a cleaner pass
+    /// releases them, and they wait for the fence that covers it.
+    pub fn release(self, segs: Vec<u32>) -> Released<Listed> {
+        Released {
+            segs,
+            _stage: PhantomData,
+        }
+    }
+}
+
+/// Stage marker: the segments are listed in an issued chunk's summary.
+pub struct Listed {
+    _sealed: (),
+}
+
+/// Stage marker: a fence has drained the chunk that lists them.
+pub struct Fenced {
+    _sealed: (),
+}
+
+/// Segments a cleaner pass released, and how far their release has got:
+/// [`Listed`] in an issued summary, then [`Fenced`] behind an ordering
+/// barrier. Only a `Released<Fenced>` lets the space manager make them
+/// clean, so no write can land in one before the chunk that released it
+/// is durable.
+#[must_use = "released segments stay pending until their fence"]
+pub struct Released<S> {
+    segs: Vec<u32>,
+    _stage: PhantomData<S>,
+}
+
+impl Released<Listed> {
+    /// Issues the ordering barrier after the chunk that lists the
+    /// segments (see [`Flush::fence`]). Hands back the barrier's
+    /// [`CheckpointReady`] too, for the log's durable counter.
+    pub fn fence<D: QueueDevice>(
+        self,
+        dev: &mut D,
+    ) -> blockdev::Result<(Released<Fenced>, CheckpointReady)> {
+        dev.fence()?;
+        let fenced = Released {
+            segs: self.segs,
+            _stage: PhantomData,
+        };
+        Ok((fenced, CheckpointReady { _sealed: () }))
+    }
+}
+
+impl Released<Fenced> {
+    /// A release read back from the log by roll-forward: the chunk that
+    /// lists `segs` is on the disk, so it is as durable as a fence makes
+    /// it.
+    pub(crate) fn recovered(segs: Vec<u32>) -> Released<Fenced> {
+        Released {
+            segs,
+            _stage: PhantomData,
+        }
+    }
+
+    /// The released segments.
+    pub fn segs(&self) -> &[u32] {
+        &self.segs
+    }
+}
+
 /// Witness that an ordering barrier has drained every issued log write.
 ///
 /// Produced only by [`Flush::fence`] and consumed by
@@ -243,6 +327,17 @@ mod tests {
         assert_eq!(std::mem::size_of::<Flush<SummarySealed>>(), 0);
         assert_eq!(std::mem::size_of::<Flush<DataWritten>>(), 0);
         assert_eq!(std::mem::size_of::<CheckpointReady>(), 0);
+    }
+
+    #[test]
+    fn a_release_reaches_fenced_only_through_a_fence() {
+        let mut dev = blockdev::MemDisk::new(8);
+        let listed = Flush::stage()
+            .seal_summary()
+            .submitted()
+            .release(vec![4, 1]);
+        let (fenced, _ready) = listed.fence(&mut dev).unwrap();
+        assert_eq!(fenced.segs(), [4, 1]);
     }
 
     #[test]

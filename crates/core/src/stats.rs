@@ -68,11 +68,6 @@ pub struct CleanerStats {
     pub bytes_written: u64,
     /// Number of cleaning passes.
     pub passes: u64,
-    /// Checkpoints the cleaner wrote itself, to make the segments its
-    /// passes left `PendingFree` reusable: at most one per cleaning run
-    /// that reaches its high-water mark, plus one whenever the runs find
-    /// nothing more to clean while segments wait. A pass writes none.
-    pub forced_checkpoints: u64,
     /// Histogram of the utilizations at which non-empty segments were
     /// cleaned, in ten deciles (`[0,0.1)`, `[0.1,0.2)`, …, `[0.9,1.0]`).
     /// The adaptive policy's pacing reads the same shape; `lfstop`

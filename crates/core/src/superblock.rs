@@ -14,8 +14,10 @@ use crate::layout::{DiskAddr, CR0_ADDR, CR1_ADDR, SEGMENTS_START};
 const MAGIC: u64 = 0x4c46_5353_5052_3931; // "LFSSPR91"
 /// On-disk format version. History: 1 = byte-wise FNV-1a checksums
 /// (unreadable by this tree); 2 = checksum v2 ([`crate::codec::checksum`]),
-/// byte layout unchanged.
-const VERSION: u32 = 2;
+/// byte layout unchanged; 3 = summaries carry a fence watermark and the
+/// segments a cleaner pass releases (`summary.rs`), so a cleaned segment
+/// is reused after a fence instead of a checkpoint.
+const VERSION: u32 = 3;
 
 /// The on-disk superblock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,6 +104,13 @@ impl Superblock {
                         .into(),
                 ))
             }
+            2 => {
+                return Err(FsError::Corrupt(
+                    "superblock: on-disk format v2 (summaries without release lists) \
+                     is not supported; re-create the image with mklfs"
+                        .into(),
+                ))
+            }
             _ => return Err(FsError::Corrupt("superblock: bad version".into())),
         }
         let seg_blocks = r.get_u32();
@@ -157,7 +166,10 @@ mod tests {
         buf[8..12].copy_from_slice(&1u32.to_le_bytes());
         let err = Superblock::decode(&buf).unwrap_err().to_string();
         assert!(err.contains("on-disk format v1"), "{err}");
-        buf[8..12].copy_from_slice(&3u32.to_le_bytes());
+        buf[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = Superblock::decode(&buf).unwrap_err().to_string();
+        assert!(err.contains("on-disk format v2"), "{err}");
+        buf[8..12].copy_from_slice(&4u32.to_le_bytes());
         let err = Superblock::decode(&buf).unwrap_err().to_string();
         assert!(err.contains("bad version"), "{err}");
     }

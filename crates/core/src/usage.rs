@@ -45,11 +45,13 @@ pub enum SegState {
     Active = 1,
     /// Sealed and holding (possibly stale) data.
     Dirty = 2,
-    /// Cleaned, but its old contents must survive until the next
-    /// checkpoint makes the relocation durable — only then does it become
+    /// Cleaned, but its old contents must survive until the relocation is
+    /// durable: until the fence after the chunk that releases it, or,
+    /// when it holds a map block the last checkpoint region names, until
+    /// the next checkpoint. Only then does it become
     /// [`SegState::Clean`]. Without this, a crash after cleaning could
-    /// leave the last checkpoint's inode map pointing into a reused
-    /// segment.
+    /// leave the log's tail, or the checkpoint's maps, pointing into a
+    /// reused segment.
     PendingFree = 3,
 }
 
@@ -200,7 +202,7 @@ impl UsageTable {
     }
 
     /// Number of segments in [`SegState::PendingFree`]: cleaned, and
-    /// waiting for a checkpoint to make them reusable.
+    /// waiting for a fence or a checkpoint to make them reusable.
     pub fn pending_count(&self) -> u32 {
         self.entries
             .iter()
@@ -218,15 +220,19 @@ impl UsageTable {
     /// covered by a durable checkpoint (their `seal_seq` — set to the log
     /// sequence of the relocation — is ≤ `covered_seq`).
     fn promote_pending(&mut self, covered_seq: u64) {
-        for i in 0..self.entries.len() {
-            if self.entries[i].state == SegState::PendingFree
-                && self.entries[i].seal_seq <= covered_seq
-            {
-                self.entries[i] = SegUsage::CLEAN;
-                self.clean_set.insert(i as u32);
-                self.blocks.dirty[Self::block_of(i as u32)] = true;
+        for i in 0..self.entries.len() as u32 {
+            let e = self.get(i);
+            if e.state == SegState::PendingFree && e.seal_seq <= covered_seq {
+                self.free(i);
             }
         }
+    }
+
+    /// Makes `seg` clean: no live bytes, no age, no seal sequence.
+    fn free(&mut self, seg: u32) {
+        self.entries[seg as usize] = SegUsage::CLEAN;
+        self.clean_set.insert(seg);
+        self.blocks.dirty[Self::block_of(seg)] = true;
     }
 
     /// Iterates `(seg, usage)` pairs.

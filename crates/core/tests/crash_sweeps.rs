@@ -7,9 +7,10 @@
 //! of the legal states (before or after the operation, never in
 //! between).
 
-use blockdev::{CrashDisk, MemDisk, QueueDevice, QueuedDev, WriteKind};
+use blockdev::{CrashDisk, MemDisk, QueueDevice, QueuedDev, WriteKind, BLOCK_SIZE};
 use lfs_core::checkpoint::Checkpoint;
 use lfs_core::layout::{CR0_ADDR, CR1_ADDR};
+use lfs_core::summary::Summary;
 use lfs_core::usage::SegState;
 use lfs_core::{InvariantSuite, Lfs, LfsConfig};
 use vfs::{FileSystem, FsError, Ino};
@@ -530,29 +531,22 @@ fn crash_during_cleaning(cfg: LfsConfig) {
     }
 }
 
-/// One operation of [`PendingChurn`], as the crash journal saw it.
-struct Step {
-    /// The journal writes it issued.
-    writes: std::ops::Range<usize>,
-    /// Every segment's state when it began.
-    states: Vec<SegState>,
-}
-
 /// A cleaning churn on a crash-recording disk, with the cleaner's own
 /// schedule running and, every few rounds, one extra pass the churn asks
-/// for itself after a `sync`. A pass writes no checkpoint: its victims
-/// wait as `PendingFree` until the next one.
+/// for itself after a `sync`. A pass writes no checkpoint: its last chunk
+/// lists the victims it releases, and the fence after it makes them
+/// reusable, so the log can write into them long before the next
+/// checkpoint.
 struct PendingChurn {
     fs: Lfs<CrashDisk>,
     cfg: LfsConfig,
-    steps: Vec<Step>,
     /// `(path, content, journal length once its sync returned)`: a new
     /// file per `sync`, so every cut has a last acknowledged one.
     synced: Vec<(String, Vec<u8>, usize)>,
     /// Journal cuts from the start of a pass that cleaned something to
     /// the end of the churn round that wrote the next checkpoint, with
-    /// whether the pass left its victims `PendingFree`.
-    windows: Vec<(std::ops::RangeInclusive<usize>, bool)>,
+    /// the segments the pass cleaned and the journal length at its end.
+    windows: Vec<(std::ops::RangeInclusive<usize>, Vec<u32>, usize)>,
 }
 
 impl PendingChurn {
@@ -568,57 +562,53 @@ impl PendingChurn {
         let mut churn = PendingChurn {
             fs,
             cfg,
-            steps: Vec::new(),
             synced: Vec::new(),
             windows: Vec::new(),
         };
-        let mut open: Option<(usize, bool)> = None;
+        let mut open: Option<(usize, Vec<u32>, usize)> = None;
         for round in 0..240u32 {
             let checkpoints = churn.fs.stats().checkpoints;
             let off = (round % 4) as u64 * 32 * 1024;
-            let data = vec![round as u8; 32 * 1024];
-            churn.step(|fs| fs.write(hot, off, &data).map(drop));
+            churn
+                .fs
+                .write(hot, off, &vec![round as u8; 32 * 1024])
+                .unwrap();
             if round % 4 == 3 {
                 let path = format!("/synced{round}");
                 let content: Vec<u8> = (0..3000u32).map(|b| (b + round) as u8).collect();
-                churn.step(|fs| fs.write_file(&path, &content).map(drop));
-                churn.step(|fs| fs.sync());
+                churn.fs.write_file(&path, &content).unwrap();
+                churn.fs.sync().unwrap();
                 let at = churn.fs.device().num_writes();
                 churn.synced.push((path, content, at));
             }
             if churn.fs.stats().checkpoints != checkpoints {
-                if let Some((from, pending)) = open.take() {
+                if let Some((from, victims, end)) = open.take() {
                     let to = churn.fs.device().num_writes();
-                    churn.windows.push((from..=to, pending));
+                    churn.windows.push((from..=to, victims, end));
                 }
             }
             if round % 24 == 23 && open.is_none() {
                 let (from, checkpoints) =
                     (churn.fs.device().num_writes(), churn.fs.stats().checkpoints);
-                let mut cleaned = 0;
-                churn.step(|fs| fs.clean_pass().map(|n| cleaned = n));
-                if cleaned > 0 && churn.fs.stats().checkpoints == checkpoints {
-                    let states = churn.fs.segment_snapshot();
-                    open = Some((
-                        from,
-                        states.iter().any(|&(s, _)| s == SegState::PendingFree),
-                    ));
+                let before = churn.fs.segment_snapshot();
+                if churn.fs.clean_pass().unwrap() > 0 && churn.fs.stats().checkpoints == checkpoints
+                {
+                    // The pass's victims: dirty before it, regenerated now.
+                    let after = churn.fs.segment_snapshot();
+                    let victims = (0..before.len() as u32)
+                        .filter(|&seg| {
+                            before[seg as usize].0 == SegState::Dirty
+                                && matches!(
+                                    after[seg as usize].0,
+                                    SegState::Clean | SegState::PendingFree
+                                )
+                        })
+                        .collect();
+                    open = Some((from, victims, churn.fs.device().num_writes()));
                 }
             }
         }
         churn
-    }
-
-    /// Runs `op`, journaling the writes it issues.
-    fn step(&mut self, op: impl FnOnce(&mut Lfs<CrashDisk>) -> vfs::FsResult<()>) {
-        let states = self.fs.segment_snapshot().iter().map(|&(s, _)| s).collect();
-        let from = self.fs.device().num_writes();
-        op(&mut self.fs).unwrap();
-        let to = self.fs.device().num_writes();
-        self.steps.push(Step {
-            writes: from..to,
-            states,
-        });
     }
 
     /// The suite for a crash that kept the first `cut` writes: the cold
@@ -638,12 +628,19 @@ impl PendingChurn {
         }
         suite
     }
+
+    /// The segment journal write `i` landed in, if it was a log write.
+    fn seg_of_write(&self, i: usize) -> Option<u32> {
+        let rec = self.fs.device().write_record(i)?;
+        self.fs.superblock().seg_of(rec.start)
+    }
 }
 
-/// A pass cleans without a checkpoint, and its victims stay `PendingFree`
-/// until the next one. A crash anywhere from the pass's first write
-/// through the region write of the checkpoint that promotes its victims
-/// must recover the cold files byte-exact and every acknowledged `sync`.
+/// A pass cleans without a checkpoint, and the fence after its last chunk
+/// makes its victims reusable. A crash anywhere from the pass's first
+/// write through the region write of the next checkpoint — the log
+/// writing into the victims in between — must recover the cold files
+/// byte-exact and every acknowledged `sync`.
 #[test]
 fn crash_between_a_pass_and_its_checkpoint_never_loses_data() {
     for cfg in cleaning_policies() {
@@ -651,7 +648,10 @@ fn crash_between_a_pass_and_its_checkpoint_never_loses_data() {
         let crash: &CrashDisk = churn.fs.device();
         let policy = cfg.policy;
         let mut cuts = 0;
-        for (window, _) in &churn.windows {
+        let mut reused = 0;
+        for (window, victims, end) in &churn.windows {
+            let into_victim = |i| churn.seg_of_write(i).is_some_and(|s| victims.contains(&s));
+            reused += usize::from((*end..*window.end()).any(into_victim));
             for cut in window.clone() {
                 let image = crash.image_after(cut).unwrap();
                 let tag = format!("{policy:?}: cut {cut} in pass window {window:?}");
@@ -659,47 +659,59 @@ fn crash_between_a_pass_and_its_checkpoint_never_loses_data() {
                 cuts += 1;
             }
         }
-        let pending = churn.windows.iter().filter(|(_, p)| *p).count();
         assert!(
-            pending >= 3,
-            "{policy:?}: only {pending} passes left victims pending before a checkpoint: {:?}",
-            churn.windows
+            reused >= 3,
+            "{policy:?}: only {reused} passes had a victim reused before a checkpoint"
         );
         assert!(cuts >= 100, "{policy:?}: only {cuts} cuts");
     }
 }
 
-/// No log write lands in a segment that was `PendingFree` when its
-/// operation began, until a checkpoint region write has promoted it.
+/// No log write lands in a segment a pass released until a fence has
+/// covered the chunk whose summary lists it. The segment was sealed before
+/// the last checkpoint, so from that checkpoint's region write through the
+/// listing chunk nothing lands in it; and between the listing chunk and
+/// the first later write into it, the journal holds a fence.
 #[test]
-fn pending_segments_are_never_reused_before_a_checkpoint() {
+fn pending_segments_are_never_reused_before_a_fence_covers_its_release() {
     for cfg in cleaning_policies() {
         let churn = PendingChurn::run(cfg);
         let crash: &CrashDisk = churn.fs.device();
-        let sb = churn.fs.superblock();
+        let fences = crash.fence_points();
         let policy = cfg.policy;
         let mut guarded = 0;
-        for step in &churn.steps {
-            if !step.states.contains(&SegState::PendingFree) {
+        let mut checkpointed = 0;
+        for i in 0..crash.num_writes() {
+            if churn.seg_of_write(i).is_none() {
+                checkpointed = i; // A checkpoint region.
                 continue;
             }
-            let pending = |seg: u32| step.states[seg as usize] == SegState::PendingFree;
-            for i in step.writes.clone() {
-                let rec = crash.write_record(i).unwrap();
-                // Below the segments: a checkpoint region, which promotes.
-                let Some(seg) = sb.seg_of(rec.start) else {
-                    break;
+            let data = crash.write_data(i).unwrap();
+            let Ok(summary) = Summary::decode(&data[..BLOCK_SIZE]) else {
+                continue;
+            };
+            for &seg in &summary.released {
+                let early = (checkpointed..=i).find(|&j| churn.seg_of_write(j) == Some(seg));
+                assert!(
+                    early.is_none(),
+                    "{policy:?}: write {early:?} landed in segment {seg} before write {i} released it"
+                );
+                let later =
+                    (i + 1..crash.num_writes()).find(|&j| churn.seg_of_write(j) == Some(seg));
+                let Some(reuse) = later else {
+                    continue;
                 };
                 assert!(
-                    !pending(seg),
-                    "{policy:?}: write {i} reused pending segment {seg}"
+                    fences.iter().any(|&f| i < f && f <= reuse),
+                    "{policy:?}: write {reuse} reused segment {seg}, released by write {i}, \
+                     with no fence between"
                 );
                 guarded += 1;
             }
         }
         assert!(
             guarded >= 20,
-            "{policy:?}: only {guarded} writes behind pending segments"
+            "{policy:?}: only {guarded} reuses of released segments"
         );
     }
 }

@@ -719,3 +719,88 @@ fn read_write_at_odd_offsets() {
     assert_eq!(&buf[..], &expect[3999..3999 + 1234]);
     check_clean(&mut fs);
 }
+
+/// The segments `fs` holds in `state`.
+fn segs_in(fs: &Lfs<MemDisk>, state: lfs_core::usage::SegState) -> Vec<u32> {
+    let snap = fs.segment_snapshot();
+    (0..snap.len() as u32)
+        .filter(|&s| snap[s as usize].0 == state)
+        .collect()
+}
+
+/// Inside one log tail, with no checkpoint from the first pass to the
+/// crash, two passes each free victims the log then writes into. The
+/// second pass leaves alone the first one's reused victims: sealed inside
+/// the tail, they hold chunks roll-forward still reads, so only the next
+/// checkpoint makes them victims again. A mount of the image as the crash
+/// left it finds the whole tail, `check` is clean, and every block of
+/// every file reads back.
+#[test]
+fn victims_are_reused_inside_one_log_tail() {
+    use lfs_core::usage::SegState;
+    let cfg = LfsConfig {
+        checkpoint_every_bytes: 0,
+        ..LfsConfig::small()
+    };
+    let mut fs = Lfs::format(MemDisk::new(1024), cfg).unwrap();
+    let content = |i: u32, gen: u32| -> Vec<u8> {
+        (0..20_000u32)
+            .map(|b| (b * 7 + i * 13 + gen) as u8)
+            .collect()
+    };
+    let mut files: Vec<(String, Vec<u8>)> = Vec::new();
+    for i in 0..40u32 {
+        let path = format!("/f{i}");
+        fs.write_file(&path, &content(i, 0)).unwrap();
+        files.push((path, content(i, 0)));
+    }
+    // Every other file overwritten: half-empty segments to clean.
+    for i in (0..40u32).step_by(2) {
+        let ino = fs.lookup(&files[i as usize].0).unwrap();
+        fs.write(ino, 0, &content(i, 1)).unwrap();
+        files[i as usize].1 = content(i, 1);
+    }
+    fs.checkpoint().unwrap();
+    let checkpoints = fs.stats().checkpoints;
+
+    let mut reused_before: Vec<u32> = Vec::new();
+    for round in 0..2u32 {
+        let dirty = segs_in(&fs, SegState::Dirty);
+        assert!(
+            fs.clean_pass().unwrap() > 0,
+            "round {round}: nothing cleaned"
+        );
+        let clean = segs_in(&fs, SegState::Clean);
+        let victims: Vec<u32> = dirty.into_iter().filter(|s| clean.contains(s)).collect();
+        for seg in &reused_before {
+            assert!(
+                !victims.contains(seg),
+                "round {round}: cleaned reused segment {seg}"
+            );
+        }
+        // New files, synced: the log opens the lowest clean segments.
+        for i in 0..6u32 {
+            let path = format!("/r{round}_{i}");
+            fs.write_file(&path, &content(100 + i, round)).unwrap();
+            files.push((path, content(100 + i, round)));
+        }
+        fs.sync().unwrap();
+        let clean = segs_in(&fs, SegState::Clean);
+        let reused: Vec<u32> = victims.into_iter().filter(|s| !clean.contains(s)).collect();
+        assert!(!reused.is_empty(), "round {round}: no victim reused");
+        reused_before.extend(reused);
+    }
+    assert_eq!(
+        fs.stats().checkpoints,
+        checkpoints,
+        "a checkpoint ended the tail"
+    );
+
+    let mut fs = Lfs::mount(fs.into_device(), cfg).unwrap();
+    let report = fs.check().unwrap();
+    assert!(report.is_clean(), "{:#?}", report.errors);
+    for (path, data) in &files {
+        let ino = fs.lookup(path).unwrap();
+        assert_eq!(&fs.read_to_vec(ino).unwrap(), data, "{path}");
+    }
+}

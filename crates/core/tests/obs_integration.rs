@@ -121,10 +121,6 @@ fn snapshot_reproduces_table2_and_table4_exactly() {
     );
     assert_eq!(snap.counter("lfs.cleaner.passes"), stats.cleaner.passes);
     assert_eq!(
-        snap.counter("lfs.cleaner.forced_checkpoints"),
-        stats.cleaner.forced_checkpoints
-    );
-    assert_eq!(
         snap.gauge("lfs.cleaner.utilization_sum"),
         Some(stats.cleaner.utilization_sum),
         "utilization sum must survive the JSON round-trip exactly"

@@ -1,10 +1,16 @@
 //! `lfsdump` — inspect an LFS disk image: superblock, checkpoint regions,
-//! segment states, and the directory tree.
+//! segment summaries, segment states, and the directory tree.
 //!
-//! Usage: `lfsdump <image-path> [--segments] [--tree] [--histogram]`
+//! Usage: `lfsdump <image-path> [--summaries] [--segments] [--tree] [--histogram]`
+//!
+//! `--summaries` walks each segment's chain of summary blocks before the
+//! mount and prints every partial write: its sequence number and epoch,
+//! the blocks it carries, its fence watermark, and the segments a cleaner
+//! pass released with it.
 
 use blockdev::{BlockDevice, FileDisk, BLOCK_SIZE};
 use lfs_core::checkpoint::Checkpoint;
+use lfs_core::summary::Summary;
 use lfs_core::superblock::Superblock;
 use lfs_core::usage::SegState;
 use lfs_core::{Lfs, LfsConfig};
@@ -23,10 +29,11 @@ fn exit_for(e: &FsError) -> i32 {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.len() < 2 {
-        eprintln!("usage: lfsdump <image-path> [--segments] [--tree] [--histogram]");
+        eprintln!("usage: lfsdump <image-path> [--summaries] [--segments] [--tree] [--histogram]");
         std::process::exit(2);
     }
     let path = &args[1];
+    let show_summaries = args.iter().any(|a| a == "--summaries");
     let show_segments = args.iter().any(|a| a == "--segments");
     let show_tree = args.iter().any(|a| a == "--tree");
     let show_histogram = args.iter().any(|a| a == "--histogram");
@@ -68,6 +75,14 @@ fn main() {
             ),
             Err(e) => println!("checkpoint {i}: INVALID ({e})"),
         }
+    }
+
+    if show_summaries {
+        println!("\nsummaries:");
+        for seg in 0..sb.nsegments {
+            print_summaries(&mut disk, &sb, seg);
+        }
+        println!();
     }
 
     // Mount (read-only interrogation).
@@ -131,6 +146,41 @@ fn main() {
     if show_tree {
         println!("\ntree:");
         print_tree(&mut fs, "/", 1);
+    }
+}
+
+/// Prints the chain of summaries at the start of `seg`: each partial
+/// write, until a block that is no summary or one older than the last.
+fn print_summaries(disk: &mut FileDisk, sb: &Superblock, seg: u32) {
+    let mut buf = [0u8; BLOCK_SIZE];
+    let (mut off, mut prev) = (0u32, 0u64);
+    while off + 1 < sb.seg_blocks {
+        if disk
+            .read_block(sb.seg_start(seg) + off as u64, &mut buf)
+            .is_err()
+        {
+            break;
+        }
+        let Ok(s) = Summary::decode(&buf) else {
+            break;
+        };
+        if s.seq <= prev {
+            break;
+        }
+        let released = if s.released.is_empty() {
+            String::new()
+        } else {
+            format!(", releases segments {:?}", s.released)
+        };
+        println!(
+            "  seg {seg:4} off {off:4}: seq {} epoch {}, {} blocks, watermark {}{released}",
+            s.seq,
+            s.epoch,
+            s.entries.len(),
+            s.watermark
+        );
+        prev = s.seq;
+        off += 1 + s.entries.len() as u32;
     }
 }
 

@@ -158,27 +158,31 @@ fn torn_checkpoints_are_corrupt_not_crash() {
 
 #[test]
 fn format_v1_image_is_diagnosed_as_old() {
-    // An image from before checksum v2 must be called old, not corrupt.
+    // An image from before checksum v2, or from before the v3 summaries,
+    // must be called old, not corrupt.
     let dir = tmpdir("format_v1_image_is_diagnosed_as_old");
-    let img = dir.join("v1.img");
+    let img = dir.join("old.img");
     let img_s = img.to_str().unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_mklfs"))
-        .args([img_s, "16"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
+    for version in [1u32, 2] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mklfs"))
+            .args([img_s, "16"])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
 
-    // The superblock is block 0; its version is the u32 after the magic.
-    let mut bytes = std::fs::read(&img).unwrap();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&img, bytes).unwrap();
+        // The superblock is block 0; its version is the u32 after the magic.
+        let mut bytes = std::fs::read(&img).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&img, bytes).unwrap();
 
-    for bin in [env!("CARGO_BIN_EXE_lfsck"), env!("CARGO_BIN_EXE_lfsdump")] {
-        let out = Command::new(bin).arg(img_s).output().unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
-        assert!(stderr.contains("on-disk format v1"), "{bin}: {stderr}");
-        assert!(stderr.contains("mklfs"), "{bin}: {stderr}");
+        let named = format!("on-disk format v{version}");
+        for bin in [env!("CARGO_BIN_EXE_lfsck"), env!("CARGO_BIN_EXE_lfsdump")] {
+            let out = Command::new(bin).arg(img_s).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+            assert!(stderr.contains(&named), "{bin}: {stderr}");
+            assert!(stderr.contains("mklfs"), "{bin}: {stderr}");
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -189,4 +193,41 @@ fn tools_usage_errors() {
         let out = Command::new(bin).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{bin} without args");
     }
+}
+
+#[test]
+fn lfsdump_prints_each_summarys_watermark_and_release_list() {
+    let dir = tmpdir("lfsdump_prints_each_summarys_watermark_and_release_list");
+    let img = dir.join("disk.img");
+    let img_s = img.to_str().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_mklfs"))
+        .args([img_s, "16"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    // A file overwritten whole leaves its first segment empty, and a
+    // cleaner pass releases it.
+    {
+        use vfs::FileSystem;
+        let disk = blockdev::FileDisk::open(&img).unwrap();
+        let mut fs = lfs_core::Lfs::mount(disk, lfs_core::LfsConfig::default()).unwrap();
+        let ino = fs.write_file("/big", &vec![1u8; 1536 << 10]).unwrap();
+        fs.checkpoint().unwrap();
+        fs.write(ino, 0, &vec![2u8; 1536 << 10]).unwrap();
+        fs.checkpoint().unwrap();
+        assert!(fs.clean_pass().unwrap() > 0, "nothing cleaned");
+        fs.sync().unwrap();
+    }
+
+    let out = Command::new(env!("CARGO_BIN_EXE_lfsdump"))
+        .args([img_s, "--summaries"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("summaries:"), "{stdout}");
+    assert!(stdout.contains("watermark"), "{stdout}");
+    assert!(stdout.contains("releases segments ["), "{stdout}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
