@@ -370,8 +370,9 @@ impl<'a> ModelCheck<'a> {
     /// `false` to stop the search early (the stats are then marked
     /// truncated).
     ///
-    /// States arrive in deterministic order: prefix cuts (with their torn
-    /// refinements) by journal position, then fence-epoch reorderings.
+    /// States arrive in deterministic order: fence-epoch reorderings,
+    /// then prefix cuts (with their torn refinements) by journal
+    /// position.
     pub fn explore<F>(&self, mut visit: F) -> Result<ExploreStats>
     where
         F: FnMut(MemDisk, &CrashSpec) -> bool,
@@ -379,10 +380,6 @@ impl<'a> ModelCheck<'a> {
         let mut stats = ExploreStats::default();
         let mut seen: HashSet<u64> = HashSet::new();
         let journal = self.disk.journal();
-
-        // Running prefix image: all writes before the current position
-        // applied whole.
-        let mut prefix = self.disk.initial_image().to_vec();
 
         // Deliver one state; returns false when the search must stop.
         let mut emit =
@@ -408,8 +405,57 @@ impl<'a> ModelCheck<'a> {
                 true
             };
 
-        // Phase 1: every block-granular prefix cut, with torn-subset
-        // refinements inside each request.
+        // Fence-epoch reorderings first, so a walk `max_states` cuts
+        // short still reaches them: they are few, and a missing fence
+        // shows only there. Within [lo, hi) no barrier intervenes, so a
+        // crash may persist any subset of the epoch's in-flight tail —
+        // not just a prefix. Bounded to the last
+        // `reorder_window` writes of the epoch; the subset also ranges
+        // over *every* crash point inside the epoch because smaller
+        // subsets are themselves valid earlier states.
+        let barriers = self.barriers();
+        let mut image_at = self.disk.initial_image().to_vec();
+        let mut applied = 0usize;
+        for win in barriers.windows(2) {
+            let (lo, hi) = (win[0], win[1]);
+            let w = (hi - lo).min(self.budget.reorder_window as usize);
+            let tail = hi - w;
+            // Advance the shared image to `tail`.
+            for wr in &journal[applied..tail] {
+                let off = wr.start as usize * BLOCK_SIZE;
+                image_at[off..off + wr.data.len()].copy_from_slice(&wr.data);
+            }
+            applied = applied.max(tail);
+            if w < 2 {
+                continue; // subsets of <2 writes are all prefix cuts
+            }
+            for mask in 1u64..(1u64 << w) - 1 {
+                if mask.count_ones() == mask.trailing_ones() {
+                    continue; // contiguous prefix: a prefix cut
+                }
+                let mut image = image_at.clone();
+                let mut persisted: Vec<u32> = (0..tail as u32).collect();
+                for b in 0..w {
+                    if mask & (1 << b) != 0 {
+                        let wr = &journal[tail + b];
+                        let off = wr.start as usize * BLOCK_SIZE;
+                        image[off..off + wr.data.len()].copy_from_slice(&wr.data);
+                        persisted.push((tail + b) as u32);
+                    }
+                }
+                let spec = CrashSpec {
+                    persisted,
+                    torn: None,
+                };
+                if !emit(image, &spec, StateKind::Reorder, &mut stats) {
+                    return Ok(stats);
+                }
+            }
+        }
+        // Then every block-granular prefix cut, with torn-subset
+        // refinements inside each request. `prefix` holds all writes
+        // before the current position, applied whole.
+        let mut prefix = self.disk.initial_image().to_vec();
         if !emit(
             prefix.clone(),
             &CrashSpec::nothing(),
@@ -467,51 +513,6 @@ impl<'a> ModelCheck<'a> {
             }
         }
 
-        // Phase 2: fence-epoch reorderings. Within [lo, hi) no barrier
-        // intervenes, so a crash may persist any subset of the epoch's
-        // in-flight tail — not just a prefix. Bounded to the last
-        // `reorder_window` writes of the epoch; the subset also ranges
-        // over *every* crash point inside the epoch because smaller
-        // subsets are themselves valid earlier states.
-        let barriers = self.barriers();
-        let mut prefix = self.disk.initial_image().to_vec();
-        let mut applied = 0usize;
-        for win in barriers.windows(2) {
-            let (lo, hi) = (win[0], win[1]);
-            let w = (hi - lo).min(self.budget.reorder_window as usize);
-            let tail = hi - w;
-            // Advance the shared prefix image to `tail`.
-            for wr in &journal[applied..tail] {
-                let off = wr.start as usize * BLOCK_SIZE;
-                prefix[off..off + wr.data.len()].copy_from_slice(&wr.data);
-            }
-            applied = applied.max(tail);
-            if w < 2 {
-                continue; // subsets of <2 writes are all prefix cuts
-            }
-            for mask in 1u64..(1u64 << w) - 1 {
-                if mask.count_ones() == mask.trailing_ones() {
-                    continue; // contiguous prefix: phase 1 covered it
-                }
-                let mut image = prefix.clone();
-                let mut persisted: Vec<u32> = (0..tail as u32).collect();
-                for b in 0..w {
-                    if mask & (1 << b) != 0 {
-                        let wr = &journal[tail + b];
-                        let off = wr.start as usize * BLOCK_SIZE;
-                        image[off..off + wr.data.len()].copy_from_slice(&wr.data);
-                        persisted.push((tail + b) as u32);
-                    }
-                }
-                let spec = CrashSpec {
-                    persisted,
-                    torn: None,
-                };
-                if !emit(image, &spec, StateKind::Reorder, &mut stats) {
-                    return Ok(stats);
-                }
-            }
-        }
         Ok(stats)
     }
 }
@@ -674,6 +675,23 @@ mod tests {
         let stats = ModelCheck::new(&d, budget).explore(|_, _| true).unwrap();
         assert!(stats.truncated);
         assert_eq!(stats.visited(), 5);
+    }
+
+    /// A walk `max_states` cuts short still reaches the reorderings.
+    #[test]
+    fn a_capped_walk_reaches_the_reorderings() {
+        let mut d = CrashDisk::new(32);
+        for b in 0..4 {
+            let data = vec![b as u8 + 1; 4 * BLOCK_SIZE];
+            d.write_blocks(b * 4, &data, WriteKind::Async).unwrap();
+        }
+        let budget = ModelCheckBudget {
+            max_states: 3,
+            ..ModelCheckBudget::default()
+        };
+        let stats = ModelCheck::new(&d, budget).explore(|_, _| true).unwrap();
+        assert!(stats.truncated);
+        assert_eq!(stats.reorder_states, 3);
     }
 
     #[test]
