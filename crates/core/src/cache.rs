@@ -425,10 +425,10 @@ impl BlockCache {
         self.pool = Vec::new();
     }
 
-    /// After a flush: every block is clean but those of the files `kept`
-    /// accepts, and the cache is trimmed back to its limit.
-    pub(crate) fn clean_except(&mut self, kept: impl Fn(Ino) -> bool) {
-        self.dirty.retain(|k| kept(k.0));
+    /// After a flush: every block is clean but those `kept` accepts, and
+    /// the cache is trimmed back to its limit.
+    pub(crate) fn clean_except(&mut self, kept: impl Fn(Key) -> bool) {
+        self.dirty.retain(|&k| kept(k));
         self.evict(self.map.len().saturating_sub(self.limit), None);
     }
 

@@ -193,7 +193,9 @@ impl<D: QueueDevice> Lfs<D> {
         // any foreground flush behind it — for the whole multi-segment
         // burst. Flushing whenever the staged bytes reach one segment
         // bounds the delay a background pass can impose on a foreground
-        // flush to roughly one segment write.
+        // flush to roughly one segment write. Such a flush is a
+        // buffer-full one: it stops at the last segment boundary it
+        // reaches, and the closing flush writes what it leaves.
         let stage_bound = (self.sb.seg_blocks.saturating_sub(1)) as u64 * BLOCK_SIZE as u64;
         self.index_inode_homes(segs);
         self.space.scratch.live.clear();
@@ -209,7 +211,7 @@ impl<D: QueueDevice> Lfs<D> {
                 continue;
             }
             if self.blocks.dirty_bytes() >= stage_bound {
-                self.flush()?;
+                self.flush_buffer()?;
             }
             let u = usage.live_bytes as f64 / seg_bytes as f64;
             self.stats.cleaner.utilization_sum += u;

@@ -39,8 +39,10 @@ pub struct LfsConfig {
     /// "LFS Greedy" in Figures 5 and 7 is greedy without the sort.
     pub policy: CleaningPolicy,
     /// Flush the write buffer once this many dirty bytes accumulate.
-    /// Defaults to one segment's payload so that most flushes fill a whole
-    /// segment, as the paper assumes.
+    /// Defaults to one segment's payload, and such a flush stops at the
+    /// last segment boundary it reaches, leaving the rest for the next
+    /// one: most flushes fill a whole segment behind one summary block,
+    /// as the paper assumes (§3.1–3.3).
     pub flush_threshold_bytes: u64,
     /// Write a checkpoint automatically after this many bytes of new log
     /// data (0 disables; checkpoints then happen only on an explicit

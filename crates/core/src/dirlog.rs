@@ -14,8 +14,9 @@
 //!
 //! They are also the log's only copy of a directory's recent changes: a
 //! `sync` writes the records but not the blocks and inode of a directory
-//! already on disk, which wait for the next buffer-full flush, cleaner
-//! flush or checkpoint. Roll-forward rebuilds such a directory's entries
+//! already on disk, which wait for the next flush that reaches them: a
+//! buffer-full flush, a cleaner pass's closing flush or a checkpoint.
+//! Roll-forward rebuilds such a directory's entries
 //! from the records (see `Lfs::replay_record`).
 
 use blockdev::BLOCK_SIZE;

@@ -22,11 +22,26 @@
 //! tail (§4.2). Every other flush leaves the maps dirty in memory; that
 //! includes a `sync`'s, which is a flush plus a fence (see `Lfs::sync`).
 //!
+//! A buffer-full flush — the write path's, and a cleaner pass's between
+//! two victims ([`Scope::Threshold`]) — writes through the last chunk
+//! that fills its segment and leaves the items after it dirty, so the log
+//! is written a whole segment, behind one summary block, at a time where
+//! the buffer allows (§3.1–3.3). Every other flush writes everything it
+//! gathers: a `sync`, a checkpoint, an explicit [`Lfs::flush`], a pass's
+//! closing flush (its victims are released only behind everything it
+//! staged), and any flush that carries directory-log records, because
+//! roll-forward cannot finish a `Create` or `Mkdir` whose inode it never
+//! sees. Inode blocks come last, so a cut inode or indirect block usually
+//! waits for the next flush that writes everything; until then
+//! roll-forward ignores the data blocks the cut did write, as it ignores
+//! those of any chunk whose inode a crash swallowed (§4.2).
+//!
 //! A `sync`'s flush also leaves alone the directories already on disk
 //! ([`Scope::Sync`]): their blocks, indirect blocks and inode stay dirty,
 //! and the directory-log records the flush does write are the log's only
-//! record of their changes until the next buffer-full flush, cleaner flush
-//! or checkpoint, all of which write everything. Roll-forward rebuilds the
+//! record of their changes until the next flush that writes them: a
+//! buffer-full flush that reaches them, a cleaner pass's closing flush or
+//! a checkpoint. Roll-forward rebuilds the
 //! entries from the records (§4.2), just as it rebuilds inode-map entries
 //! from the inodes that map blocks lag behind. The flush threshold bounds
 //! what waits: deferred directory blocks count towards it.
@@ -97,8 +112,12 @@ pub(crate) enum Scope {
     /// A `sync`'s: everything dirty but the directories already on disk
     /// (see the module docs and [`Lfs::logged_dir`]).
     Sync,
-    /// Everything dirty: a buffer-full flush, and a cleaner pass's
-    /// staging and closing flushes.
+    /// A buffer-full flush's (the write path's, and a cleaner pass's
+    /// between two victims): everything dirty, written only through the
+    /// last chunk that fills its segment (see the module docs).
+    Threshold,
+    /// Everything dirty: an explicit [`Lfs::flush`], and a cleaner pass's
+    /// closing flush.
     All,
     /// Everything dirty plus the inode-map and usage-table blocks: a flush
     /// that ends in a checkpoint.
@@ -110,6 +129,9 @@ pub(crate) enum Scope {
 struct LayoutPlan {
     chunks: Vec<Chunk>,
     end: Placement,
+    /// How many of the items, from the first, the chunks carry: all of
+    /// them but after a cut.
+    kept: usize,
 }
 
 impl<D: QueueDevice> Lfs<D> {
@@ -198,6 +220,12 @@ impl<D: QueueDevice> Lfs<D> {
         self.flush_tokened(Scope::All).map(drop)
     }
 
+    /// A buffer-full flush ([`Scope::Threshold`]): the write path's, and
+    /// a cleaner pass's between victims.
+    pub(crate) fn flush_buffer(&mut self) -> FsResult<()> {
+        self.flush_tokened(Scope::Threshold).map(drop)
+    }
+
     /// The one flush path, returning the [`Flush<DataWritten>`] ordering
     /// token of the last chunk written; `scope` says what the partial
     /// writes carry. A flush with nothing to write is skipped, but one
@@ -226,7 +254,7 @@ impl<D: QueueDevice> Lfs<D> {
         let work = !released.is_empty()
             || match scope {
                 Scope::Sync => self.needs_flush(),
-                Scope::All => self.needs_flush() || self.sync_left > 0,
+                Scope::Threshold | Scope::All => self.needs_flush() || self.sync_left > 0,
                 Scope::Checkpoint => self.needs_flush() || self.sync_left > 0 || self.maps_dirty(),
             };
         if !work {
@@ -246,7 +274,12 @@ impl<D: QueueDevice> Lfs<D> {
         // cleaner can run inside `place`, and its nested flush must not
         // see (or overwrite) them.
         let (mut items, deferred) = self.gather(scope)?;
-        let plan = self.place(&mut items, scope == Scope::Checkpoint, released.len())?;
+        // A flush that carries directory-log records writes everything:
+        // roll-forward cannot finish a `Create` or `Mkdir` whose inode it
+        // never sees.
+        let stop = scope == Scope::Threshold && self.dirlog_pending.is_empty();
+        let maps = scope == Scope::Checkpoint;
+        let plan = self.place(&mut items, maps, released.len(), stop)?;
         let claim = self.assign(&items, &plan)?;
         let usage = self.space.usage();
         if let Some(&seg) = released.iter().find(|&&s| usage.get(s).live_bytes != 0) {
@@ -376,7 +409,8 @@ impl<D: QueueDevice> Lfs<D> {
     }
 
     /// **Place**: lays the items out as chunks, the last with room for a
-    /// list of `released` segments.
+    /// list of `released` segments; with `stop`, only through the last
+    /// chunk that ends on a segment boundary ([`Lfs::layout`]).
     ///
     /// A flush that carries the maps also carries the usage block of every
     /// segment it touches, and which segments those are only the layout
@@ -390,6 +424,7 @@ impl<D: QueueDevice> Lfs<D> {
         items: &mut Vec<Item>,
         maps: bool,
         released: usize,
+        stop: bool,
     ) -> FsResult<LayoutPlan> {
         let mut usage_blocks: BTreeSet<usize> = BTreeSet::new();
         if maps {
@@ -411,13 +446,13 @@ impl<D: QueueDevice> Lfs<D> {
             // a reserved allocation pool precisely so it can still run
             // now) and the layout is retried; several rounds may be
             // needed when space is very tight.
-            let mut plan = self.layout(items.len(), released);
+            let mut plan = self.layout(items.len(), released, stop);
             for _ in 0..4 {
                 if plan.is_some() || self.space.cleaning {
                     break;
                 }
                 self.as_cleaner(Self::clean_until_high_water)?;
-                plan = self.layout(items.len(), released);
+                plan = self.layout(items.len(), released, stop);
             }
             let plan = plan.ok_or(FsError::NoSpace)?;
             let mut grew = false;
@@ -437,21 +472,35 @@ impl<D: QueueDevice> Lfs<D> {
     /// [`Placement::next`], without mutating anything. `None` when they do
     /// not fit. When the last chunk has no room for a list of `released`
     /// segments, one more chunk, a summary alone, carries it.
-    fn layout(&self, count: usize, released: usize) -> Option<LayoutPlan> {
+    ///
+    /// With `stop`, the plan ends with the last chunk that fills its
+    /// segment, and the items after it are left for the next flush; a
+    /// plan with no such chunk but its last keeps every item.
+    fn layout(&self, count: usize, released: usize, stop: bool) -> Option<LayoutPlan> {
         let mut end = self.placement(self.space.reserve());
         let mut chunks: Vec<Chunk> = Vec::new();
+        let mut cut = None;
         let (mut seq, mut left) = (self.log.write_seq(), count);
         while left > 0 {
             seq += 1;
             let c = end.next(seq, left)?;
             left -= c.n;
             chunks.push(c);
+            let fills = c.off as usize + 1 + c.n == self.sb.seg_blocks as usize;
+            if stop && fills && left > 0 {
+                cut = Some((chunks.len(), count - left, seq, end.clone()));
+            }
+        }
+        let mut kept = count;
+        if let Some((n, items, at_seq, at)) = cut {
+            chunks.truncate(n);
+            (kept, seq, end) = (items, at_seq, at);
         }
         let room = crate::summary::capacity(released);
         if released > 0 && chunks.last().is_none_or(|c| c.n > room) {
             chunks.push(end.next(seq + 1, 0)?);
         }
-        Some(LayoutPlan { chunks, end })
+        Some(LayoutPlan { chunks, end, kept })
     }
 
     /// **Assign**: gives every item its address and makes final the state
@@ -461,12 +510,15 @@ impl<D: QueueDevice> Lfs<D> {
     /// inode-map and usage blocks a checkpoint writes must already hold all
     /// of it.
     ///
-    /// It marks nothing dirty: everything whose pointer moves was gathered.
+    /// It marks nothing dirty: everything whose pointer moves was gathered,
+    /// and what holds the pointers of a cut's kept items, left behind,
+    /// commit marks dirty.
     fn assign(&mut self, items: &[Item], plan: &LayoutPlan) -> FsResult<Claim> {
         let gathered = |ino, key| {
             let ind = |i: &Item| matches!(*i, Item::Ind { ino: o, key: k } if (o, k) == (ino, key));
             items.iter().any(ind)
         };
+        // Over the whole gathered list: a cut may leave the parent behind.
         debug_assert!(
             items.iter().all(|item| match *item {
                 Item::Ind { ino, key } => key.parent().is_none_or(|p| gathered(ino, p)),
@@ -474,14 +526,14 @@ impl<D: QueueDevice> Lfs<D> {
             }),
             "an indirect block was gathered without its parent"
         );
-        let mut items = items.iter();
+        let mut items = items[..plan.kept].iter();
         for c in &plan.chunks {
             let first = self.sb.seg_start(c.seg) + c.off as u64 + 1;
             for (addr, item) in (first..).zip(items.by_ref().take(c.n)) {
                 self.assign_item(item, addr)?;
             }
         }
-        debug_assert!(items.next().is_none(), "the chunks cover every item");
+        debug_assert_eq!(items.len(), 0, "the chunks cover the kept items");
         let (wps, seq) = (self.log.write_points(), self.log.write_seq());
         Ok(self.space.claim(wps, seq, &plan.chunks, &plan.end))
     }
@@ -696,6 +748,12 @@ impl<D: QueueDevice> Lfs<D> {
     /// hand; the map blocks are clean at their new homes, and so is
     /// everything else the flush wrote. The `deferred` directories
     /// stay dirty, and `sync_left` counts what they hold.
+    ///
+    /// After a cut, the data blocks left behind stay dirty, and every
+    /// indirect block and inode left behind is marked dirty again: the
+    /// kept items moved pointers they hold, and a cleaner pass run inside
+    /// [`Lfs::place`] may have written and cleaned them since gather.
+    /// `sync_left` is then 0, so the next `sync` writes them.
     fn commit(
         &mut self,
         written: Flush<DataWritten>,
@@ -704,6 +762,8 @@ impl<D: QueueDevice> Lfs<D> {
         deferred: &[Ino],
     ) -> Flush<DataWritten> {
         self.log.commit(&written, plan.chunks.len(), plan.end);
+        self.stats.flushes += 1;
+        let (items, left) = items.split_at(plan.kept);
         for item in items {
             match *item {
                 Item::Imap(idx) => self.imap.blocks.dirty[idx] = false,
@@ -711,13 +771,38 @@ impl<D: QueueDevice> Lfs<D> {
                 _ => {}
             }
         }
-        // Every file but the deferred directories is clean now, and the
-        // cache is trimmed back to its limit.
-        let kept = |ino: Ino| deferred.binary_search(&ino).is_ok();
-        self.blocks.clean_except(kept);
-        self.meta.clean_except(kept);
+        // Every file but the deferred directories is clean now, but for
+        // what a cut left behind, and the cache is trimmed back to its
+        // limit.
+        let deferred = |ino: Ino| deferred.binary_search(&ino).is_ok();
+        let left_data: BTreeSet<(Ino, u64)> = left
+            .iter()
+            .filter_map(|item| match *item {
+                Item::Data { ino, bno } => Some((ino, bno)),
+                _ => None,
+            })
+            .collect();
+        self.blocks
+            .clean_except(|key| deferred(key.0) || left_data.contains(&key));
+        self.meta.clean_except(deferred);
+        for item in left {
+            match *item {
+                Item::Ind { ino, key } => self.meta.mark_ind_dirty(ino, key),
+                Item::InodeBlk { ref inos } => {
+                    for &ino in inos {
+                        let cached = self.meta.mark_inode_dirty(ino);
+                        debug_assert!(cached, "a gathered inode left the cache");
+                    }
+                }
+                _ => {}
+            }
+        }
         self.dirlog_pending.clear();
-        self.sync_left = self.dirty_count();
+        self.sync_left = if left.is_empty() {
+            self.dirty_count()
+        } else {
+            0
+        };
         written
     }
 
@@ -850,10 +935,101 @@ impl<D: QueueDevice> Lfs<D> {
 
 #[cfg(test)]
 mod tests {
-    use blockdev::{BlockDevice, MemDisk, BLOCK_SIZE};
+    use blockdev::{BlockDevice, CrashDisk, MemDisk, BLOCK_SIZE};
     use vfs::FileSystem;
 
     use crate::{BlockKind, Lfs, LfsConfig};
+
+    /// `blocks` blocks of test data: every byte of block `k` is `k ^ salt`.
+    fn pattern(blocks: usize, salt: u8) -> Vec<u8> {
+        (0..blocks * BLOCK_SIZE)
+            .map(|i| (i / BLOCK_SIZE) as u8 ^ salt)
+            .collect()
+    }
+
+    /// A buffer-full flush writes through the chunk that fills the
+    /// current segment and leaves the rest dirty: data blocks, the
+    /// indirect block and the inode. `needs_flush` says so, and the next
+    /// `sync` writes them; a power cut right after it loses no byte.
+    #[test]
+    fn a_sync_after_a_cut_makes_the_leftovers_durable() {
+        let mut cfg = LfsConfig::small();
+        cfg.flush_threshold_bytes = u64::MAX; // only the flushes below
+        let mut fs = Lfs::format(CrashDisk::new(2048), cfg).unwrap();
+        let ino = fs.create("/f").unwrap();
+        // Nothing dirty, and no directory-log record pending: a flush
+        // carrying one writes everything.
+        fs.checkpoint().unwrap();
+        // The current segment has room for `room` blocks; the file's
+        // data overflows it by six, and behind the data come its indirect
+        // block and its inode block, short of filling the next segment.
+        let (seg_blocks, (_, off)) = (fs.sb.seg_blocks, fs.log.write_points()[0]);
+        let room = (seg_blocks - off - 1) as usize;
+        assert!(room + 6 > crate::layout::NUM_DIRECT, "an indirect block");
+        let data = pattern(room + 6, 0x5a);
+        fs.write(ino, 0, &data).unwrap();
+
+        let pw = fs.stats().partial_writes;
+        fs.flush_buffer().unwrap();
+        assert_eq!(fs.stats().partial_writes, pw + 1, "one chunk");
+        assert_eq!(
+            fs.log.write_points()[0].1,
+            seg_blocks,
+            "it fills the segment"
+        );
+        assert_eq!(fs.blocks.dirty().len(), 6);
+        assert!(fs.meta.inode_is_dirty(ino) && fs.meta.dirty_count() == 2);
+        assert_eq!(fs.sync_left, 0);
+        assert!(fs.needs_flush() && !fs.sync_settled());
+
+        fs.sync().unwrap();
+        assert!(!fs.needs_flush() && fs.dirty_inos().is_empty());
+        let cut = fs.device().num_writes();
+        let image = fs.into_device().image_after(cut).unwrap();
+        let mut fs = Lfs::mount(image, cfg).unwrap();
+        assert_eq!(fs.read_to_vec(ino).unwrap(), data);
+        let report = fs.check().unwrap();
+        assert!(report.is_clean(), "{:#?}", report.errors);
+    }
+
+    /// A buffer-full flush that finds no clean segment runs the cleaner
+    /// inside `place`. The pass's closing flush writes, and cleans, the
+    /// inodes and indirect blocks the outer flush gathered; the outer
+    /// flush's kept chunks then move pointers they hold. Its commit marks
+    /// every one it left behind dirty again, so the checkpoint writes
+    /// them, and the disk agrees with memory once the caches are dropped.
+    #[test]
+    fn a_cut_after_a_nested_cleaner_pass_leaves_what_it_moved_dirty() {
+        let mut cfg = LfsConfig::small();
+        // The cleaner runs only when a flush finds no clean segment.
+        cfg.clean_low_water = 0;
+        let mut fs = Lfs::format(MemDisk::new(1024), cfg).unwrap();
+        let files: Vec<_> = (0..8)
+            .map(|i| fs.create(&format!("/f{i}")).unwrap())
+            .collect();
+        fs.checkpoint().unwrap();
+        // Until a write's own buffer-full flush runs a pass: nothing
+        // else flushes inside a write but a checkpoint, which it did not.
+        let mut nested = false;
+        for round in 0..200u8 {
+            for (i, &ino) in files.iter().enumerate() {
+                let before = *fs.stats();
+                let at = (round as u64 % 3) * 6 * BLOCK_SIZE as u64;
+                fs.write(ino, at, &pattern(12, round ^ i as u8)).unwrap();
+                let after = fs.stats();
+                nested |= after.cleaner.passes > before.cleaner.passes
+                    && after.checkpoints == before.checkpoints;
+            }
+            if nested {
+                break;
+            }
+        }
+        assert!(nested, "no buffer-full flush ran the cleaner");
+        fs.checkpoint().unwrap();
+        fs.drop_caches();
+        let report = fs.check().unwrap();
+        assert!(report.is_clean(), "{:#?}", report.errors);
+    }
 
     /// A change only the maps record (here a usage-table block) gives a
     /// flush nothing to write, so a `sync` group-commits past it: map

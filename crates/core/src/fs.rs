@@ -90,7 +90,8 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) dirlog_pending: Vec<DirLogRecord>,
     /// Dirty blocks, indirect blocks and inodes the last flush left
     /// behind: those of the directories a `sync` leaves to the directory
-    /// log (`flush::Scope::Sync`). Zero after any other flush;
+    /// log (`flush::Scope::Sync`). Zero after any other flush, a
+    /// buffer-full flush that stopped at a segment boundary included;
     /// `needs_flush` discounts them.
     pub(crate) sync_left: usize,
     /// Depth of in-flight namespace operations (see [`Lfs::with_nsop`]).
@@ -750,7 +751,7 @@ impl<D: QueueDevice> Lfs<D> {
                 // could go stale.)
                 let m = self.inode_mut(ino)?;
                 m.size = m.size.max(offset + pos as u64);
-                self.flush()?;
+                self.flush_buffer()?;
                 self.maybe_clean()?;
             }
             let abs = offset + pos as u64;
@@ -1026,7 +1027,7 @@ impl<D: QueueDevice> Lfs<D> {
     /// Applies the flush / clean / checkpoint policies after a mutation.
     pub(crate) fn after_mutation(&mut self) -> FsResult<()> {
         if self.blocks.dirty_bytes() >= self.flush_trigger_bytes() {
-            self.flush()?;
+            self.flush_buffer()?;
         }
         if self.cfg.checkpoint_every_bytes > 0
             && self.log.bytes_since_checkpoint() >= self.cfg.checkpoint_every_bytes
@@ -1300,8 +1301,9 @@ impl<D: QueueDevice> FileSystem for Lfs<D> {
     /// fence drains them to the device. No checkpoint is written;
     /// inode-map and usage-table state (access times, segment states)
     /// waits for the next one (§4.1–4.2). Nor is a directory already on
-    /// disk rewritten: its blocks and inode wait for the next buffer-full
-    /// flush, cleaner flush or checkpoint, and until then the records are
+    /// disk rewritten: its blocks and inode wait for the next flush that
+    /// reaches them (a buffer-full flush, a cleaner pass's closing flush
+    /// or a checkpoint), and until then the records are
     /// the log's copy of its changes, from which roll-forward rebuilds its
     /// entries. A directory fresh from `mkdir` is written. A `sync` that
     /// finds nothing left to write and the log already fenced is a group

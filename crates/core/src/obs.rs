@@ -211,6 +211,7 @@ impl LfsStats {
         reg.counter("lfs.checkpoints").store(self.checkpoints);
         reg.counter("lfs.group_commits").store(self.group_commits);
         reg.counter("lfs.partial_writes").store(self.partial_writes);
+        reg.counter("lfs.flushes").store(self.flushes);
         reg.counter("lfs.app_bytes_written")
             .store(self.app_bytes_written);
         reg.counter("lfs.flush_copy_bytes")

@@ -119,8 +119,11 @@ pub struct LfsStats {
     /// amortized into the log append already on disk and issued no
     /// device request.
     pub group_commits: u64,
-    /// Partial writes (flushes) performed.
+    /// Partial writes performed: one summary block and the blocks it
+    /// describes, written as one device request.
     pub partial_writes: u64,
+    /// Flushes that wrote to the log, each one or more partial writes.
+    pub flushes: u64,
     /// Bytes of new file data accepted from applications.
     pub app_bytes_written: u64,
     /// Host-side bytes memcpy'd into write buffers while serializing

@@ -289,8 +289,9 @@ fn cleaner_reclaims_overwritten_segments() {
     // Small disk; write and overwrite until the cleaner must run.
     let mut fs = Lfs::format(MemDisk::new(4096), LfsConfig::small()).unwrap();
     let ino = fs.create("/churn").unwrap();
-    // 16 MB disk, ~60 KB segments: overwrite a 256 KB file many times.
-    for round in 0..200u32 {
+    // 16 MB disk, ~60 KB segments: overwrite a 64 KB file many times.
+    let rounds = 300u32;
+    for round in 0..rounds {
         let data = vec![(round % 251) as u8; 64 * 1024];
         fs.write(ino, 0, &data).unwrap();
     }
@@ -299,7 +300,8 @@ fn cleaner_reclaims_overwritten_segments() {
         stats.cleaner.segments_cleaned > 0,
         "cleaner never ran: {stats:?}"
     );
-    assert_eq!(fs.read_to_vec(ino).unwrap(), vec![199u8; 64 * 1024]);
+    let last = ((rounds - 1) % 251) as u8;
+    assert_eq!(fs.read_to_vec(ino).unwrap(), vec![last; 64 * 1024]);
     check_clean(&mut fs);
 }
 

@@ -15,7 +15,7 @@ fn small_cfg() -> LfsConfig {
 /// (same overwrite-churn shape as `cleaner_reclaims_overwritten_segments`).
 fn churn<D: blockdev::QueueDevice>(fs: &mut Lfs<D>) {
     let ino = fs.create("/churn").unwrap();
-    for round in 0..200u32 {
+    for round in 0..300u32 {
         let data = vec![(round % 251) as u8; 64 * 1024];
         fs.write(ino, 0, &data).unwrap();
         fs.advance_clock(100);
