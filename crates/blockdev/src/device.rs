@@ -219,17 +219,23 @@ pub(crate) fn check_request(device_blocks: u64, start: u64, len: usize) -> Resul
     Ok(count)
 }
 
-/// Validates a gather-write request: every slice must be a non-empty
-/// multiple of [`BLOCK_SIZE`], and the combined range must fit the device.
+/// Validates a gather-write request: every slice must be non-empty, the
+/// slices together a whole number of blocks, and the combined range must
+/// fit the device. A slice may end mid-block — a file system packing the
+/// tails of several cached blocks into one log block gathers them in
+/// place — but a request that ends mid-block is refused, with the length
+/// of its trailing partial block.
 ///
 /// Returns the total block count of the request.
 pub(crate) fn check_gather(device_blocks: u64, start: u64, bufs: &[&[u8]]) -> Result<u64> {
-    let mut len = 0usize;
-    for b in bufs {
-        if b.is_empty() || !b.len().is_multiple_of(BLOCK_SIZE) {
-            return Err(BlockError::Misaligned { len: b.len() });
-        }
-        len += b.len();
+    if bufs.iter().any(|b| b.is_empty()) {
+        return Err(BlockError::Misaligned { len: 0 });
+    }
+    let len: usize = bufs.iter().map(|b| b.len()).sum();
+    if !len.is_multiple_of(BLOCK_SIZE) {
+        return Err(BlockError::Misaligned {
+            len: len % BLOCK_SIZE,
+        });
     }
     check_request(device_blocks, start, len)
 }
@@ -276,6 +282,17 @@ mod tests {
         let a = vec![0u8; 2 * BLOCK_SIZE];
         let b = vec![0u8; BLOCK_SIZE];
         assert_eq!(check_gather(8, 4, &[&a, &b, &b]).unwrap(), 4);
+    }
+
+    /// Slices may end mid-block as long as the request does not.
+    #[test]
+    fn check_gather_accepts_slices_that_end_mid_block() {
+        let (head, tail) = (vec![0u8; 1024], vec![0u8; BLOCK_SIZE + 3072]);
+        assert_eq!(check_gather(8, 0, &[&head, &tail]).unwrap(), 2);
+        assert!(matches!(
+            check_gather(8, 0, &[&head, &head]),
+            Err(BlockError::Misaligned { len: 2048 })
+        ));
     }
 
     #[test]

@@ -232,6 +232,12 @@ pub(crate) struct BlockCache {
     dirty: BTreeSet<Key>,
     /// The cache limit, in blocks.
     limit: usize,
+    /// The last fragment block read, by log address, as it is in the log:
+    /// small files read in the order they were written find the next
+    /// one's fragment in it without a device read (Figure 8's read
+    /// phase). Any log write forgets it ([`BlockCache::forget_frag_block`]),
+    /// as does dropping the caches.
+    frag_block: Option<(u64, Vec<u8>)>,
 }
 
 impl BlockCache {
@@ -244,7 +250,34 @@ impl BlockCache {
             pool: Vec::new(),
             dirty: BTreeSet::new(),
             limit: (limit_bytes / BLOCK_SIZE as u64) as usize,
+            frag_block: None,
         }
+    }
+
+    /// The fragment block at log address `addr`, if it is the one kept.
+    pub(crate) fn frag_block(&self, addr: u64) -> Option<&[u8]> {
+        let (at, raw) = self.frag_block.as_ref()?;
+        (*at == addr).then_some(&raw[..])
+    }
+
+    /// A buffer to read a fragment block into: the kept one's, which is
+    /// forgotten, or a pooled one.
+    pub(crate) fn frag_buf(&mut self) -> Vec<u8> {
+        match self.frag_block.take() {
+            Some((_, raw)) => raw,
+            None => self.take_buf(),
+        }
+    }
+
+    /// Keeps `raw`, the fragment block just read from log address `addr`.
+    pub(crate) fn keep_frag_block(&mut self, addr: u64, raw: Vec<u8>) {
+        self.frag_block = Some((addr, raw));
+    }
+
+    /// Forgets the kept fragment block: the log is being written, and a
+    /// cleaned segment's blocks are written again.
+    pub(crate) fn forget_frag_block(&mut self) {
+        self.frag_block = None;
     }
 
     /// A handle to the map, for readers outside the writer lane.
@@ -423,6 +456,7 @@ impl BlockCache {
         self.map.retain(|k| dirty.contains(&k));
         self.compact_lru_index();
         self.pool = Vec::new();
+        self.frag_block = None;
     }
 
     /// After a flush: every block is clean but those `kept` accepts, and

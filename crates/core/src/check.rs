@@ -15,13 +15,17 @@
 //!    `PendingFree` past a checkpoint;
 //! 5. no chunk of the log tail landed in a segment the tail released
 //!    before a fence covered the release: its summary's watermark is at
-//!    least the releasing chunk's sequence number.
+//!    least the releasing chunk's sequence number;
+//! 6. the fragments that share a fragment block do not overlap, share no
+//!    block with a whole block, and each is described by a fragment entry
+//!    of the summary that wrote the block: the file, block, start, length
+//!    and version the pointer and the inode map say.
 //!
 //! Note the contrast with `fsck` for Unix FFS: this check exists for
 //! testing and diagnostics, not for crash recovery — recovery needs only
 //! the checkpoint and the log tail (§4).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use blockdev::{QueueDevice, BLOCK_SIZE};
 use vfs::{FileType, FsResult, Ino, ROOT_INO};
@@ -29,7 +33,7 @@ use vfs::{FileType, FsResult, Ino, ROOT_INO};
 use crate::fs::Lfs;
 use crate::inode::INODE_DISK_SIZE;
 use crate::layout::{DiskAddr, NIL_ADDR};
-use crate::meta::Owned;
+use crate::meta::{ptr_bytes, Frag, Owned};
 use crate::stats::BlockKind;
 use crate::superblock::Superblock;
 use crate::usage::SegState;
@@ -64,12 +68,12 @@ impl<D: QueueDevice> Lfs<D> {
         for ino in live {
             out[BlockKind::Inode as usize] += INODE_DISK_SIZE as u64;
             let inode = self.inode_clone(ino)?;
-            for (owned, _) in self.owned_blocks(&inode, None)? {
+            for (owned, ptr) in self.owned_blocks(&inode, None)? {
                 let kind = match owned {
                     Owned::Data(_) => BlockKind::Data,
                     Owned::Ind(_) => BlockKind::Indirect,
                 };
-                out[kind as usize] += BLOCK_SIZE as u64;
+                out[kind as usize] += ptr_bytes(ptr) as u64;
             }
         }
         let usage = &self.space.usage().blocks;
@@ -94,10 +98,12 @@ impl<D: QueueDevice> Lfs<D> {
             report: CheckReport::default(),
             recount: vec![0; self.sb.nsegments as usize],
             owners: HashMap::new(),
+            frags: BTreeMap::new(),
         };
         self.check_inodes(&live, &mut census)?;
         self.check_inode_slots(&live, &mut census.report)?;
         self.check_map_blocks(&mut census);
+        self.check_fragments(&mut census)?;
         self.check_tree(&live, &mut census.report)?;
         self.check_usage(&mut census);
         self.check_releases(&mut census.report)?;
@@ -135,7 +141,15 @@ impl<D: QueueDevice> Lfs<D> {
                     }
                     Owned::Ind(key) => format!("{key:?} of {ino}"),
                 };
-                census.claim_block(&self.sb, addr, what);
+                match (owned, Frag::of(addr)) {
+                    (Owned::Data(bno), Some(frag)) => {
+                        let uid = (ino, bno as u32, self.imap.version(ino));
+                        census.claim(&self.sb, frag.block, frag.len as u64, what.clone(), false);
+                        let placed = census.frags.entry(frag.block).or_default();
+                        placed.push((frag.start, frag.len, uid, what));
+                    }
+                    _ => census.claim_block(&self.sb, addr, what),
+                }
             }
         }
         Ok(())
@@ -168,6 +182,61 @@ impl<D: QueueDevice> Lfs<D> {
                 }
             }
         }
+    }
+
+    /// The fragments: those of one block do not overlap and share it with
+    /// no whole block, and a fragment entry describes each. Reads the
+    /// summaries of the segments that hold fragment blocks.
+    fn check_fragments(&mut self, census: &mut Census) -> FsResult<()> {
+        let mut segs: Vec<u32> = census
+            .frags
+            .keys()
+            .filter_map(|&b| self.sb.seg_of(b))
+            .collect();
+        segs.dedup();
+        // `(block, start, len, (ino, file block, version))` of every
+        // fragment entry of those segments' summaries.
+        let mut described = BTreeSet::new();
+        for seg in segs {
+            let start = self.sb.seg_start(seg);
+            self.with_seg_buf(|fs, buf| {
+                fs.walk_summaries(seg, buf, |_, s, first| {
+                    for (j, (_, frags)) in s.blocks().enumerate() {
+                        let block = start + (first + j) as u64;
+                        described.extend(frags.iter().map(|e| {
+                            let uid = (e.ino, e.offset, e.version);
+                            (block, e.start as usize, e.len as usize, uid)
+                        }));
+                    }
+                    Ok(())
+                })
+            })?;
+        }
+        for (&block, placed) in &mut census.frags {
+            placed.sort_unstable_by_key(|&(start, ..)| start);
+            if let Some(owner) = census.owners.get(&block) {
+                let frag = &placed[0].3;
+                let msg = format!("block {block} owned by both {owner} and fragment {frag}");
+                census.report.errors.push(msg);
+            }
+            for pair in placed.windows(2) {
+                let ((a, alen, _, what_a), (b, _, _, what_b)) = (&pair[0], &pair[1]);
+                if a + alen > *b {
+                    let msg = format!("fragments {what_a} and {what_b} overlap in block {block}");
+                    census.report.errors.push(msg);
+                }
+            }
+            for (start, len, uid, what) in placed.iter() {
+                if !described.contains(&(block, *start, *len, *uid)) {
+                    let msg = format!(
+                        "{what}: no fragment entry describes bytes {start}..{} of block {block}",
+                        start + len
+                    );
+                    census.report.errors.push(msg);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Pass 2: directory tree connectivity and reference counts.
@@ -332,7 +401,14 @@ struct Census {
     recount: Vec<u64>,
     /// The owner of every whole block claimed so far.
     owners: HashMap<DiskAddr, String>,
+    /// The fragments claimed so far, by block: start, length, the file,
+    /// file block and version their entry must name, and the owner.
+    frags: BTreeMap<DiskAddr, Vec<Fragment>>,
 }
+
+/// A fragment claimed in [`Lfs::check`]: start, length, `(ino, file
+/// block, version)`, owner.
+type Fragment = (usize, usize, (Ino, u32, u32), String);
 
 impl Census {
     fn error(&mut self, msg: String) {

@@ -27,7 +27,7 @@ use vfs::{FsError, FsResult, Ino};
 
 use crate::fs::Lfs;
 use crate::layout::DiskAddr;
-use crate::meta::IndKey;
+use crate::meta::{Frag, IndKey};
 use crate::summary::{EntryKind, Summary, SummaryEntry};
 use crate::usage::space::{Progress, View};
 
@@ -263,12 +263,15 @@ impl<D: QueueDevice> Lfs<D> {
         let mut out = String::new();
         let walked = self.with_seg_buf(|fs, buf| {
             fs.walk_summaries(seg, buf, |fs, summary, first| {
-                for (j, entry) in summary.entries.iter().enumerate() {
-                    if fs.entry_is_live(entry, start + (first + j) as u64)? {
-                        out.push_str(&format!(
-                            " {:?}(ino {} off {})",
-                            entry.kind, entry.ino, entry.offset
-                        ));
+                for (j, (head, frags)) in summary.blocks().enumerate() {
+                    let addr = start + (first + j) as u64;
+                    for entry in std::iter::once(head).chain(frags) {
+                        if fs.entry_is_live(entry, addr)? {
+                            out.push_str(&format!(
+                                " {:?}(ino {} off {})",
+                                entry.kind, entry.ino, entry.offset
+                            ));
+                        }
                     }
                 }
                 Ok(())
@@ -318,12 +321,13 @@ impl<D: QueueDevice> Lfs<D> {
             // Stale summaries left over from the segment's previous life
             // have smaller sequence numbers; the live chain is strictly
             // increasing.
-            if summary.seq <= prev_seq || off + 1 + summary.entries.len() > seg_blocks {
+            let nblocks = summary.block_count();
+            if summary.seq <= prev_seq || off + 1 + nblocks > seg_blocks {
                 break;
             }
             prev_seq = summary.seq;
             visit(self, &summary, off + 1)?;
-            off += 1 + summary.entries.len();
+            off += 1 + nblocks;
         }
         Ok(read)
     }
@@ -343,15 +347,18 @@ impl<D: QueueDevice> Lfs<D> {
             let start = fs.sb.seg_start(seg);
             let first = fs.space.scratch.live.len();
             let summaries = fs.walk_summaries(seg, buf, |fs, summary, first_blk| {
-                for (j, entry) in summary.entries.iter().enumerate() {
+                for (j, (head, frags)) in summary.blocks().enumerate() {
                     let blk = (first_blk + j) as u32;
-                    if fs.entry_is_live(entry, start + blk as u64)? {
-                        fs.space.scratch.live.push(LiveBlock {
-                            seg,
-                            blk,
-                            entry: *entry,
-                            read: false,
-                        });
+                    // A fragment block is live while any fragment is.
+                    for entry in std::iter::once(head).chain(frags) {
+                        if fs.entry_is_live(entry, start + blk as u64)? {
+                            fs.space.scratch.live.push(LiveBlock {
+                                seg,
+                                blk,
+                                entry: *entry,
+                                read: false,
+                            });
+                        }
                     }
                 }
                 Ok(())
@@ -369,6 +376,8 @@ impl<D: QueueDevice> Lfs<D> {
                 fs.space.scratch.live[i].read = true;
                 let blk = blk as usize;
                 run = Some(match run {
+                    // Two fragments of one block share its read.
+                    Some((from, to)) if blk < to => (from, to),
                     Some((from, to)) if blk - to <= CLEAN_BRIDGE_BLOCKS => (from, blk + 1),
                     Some((from, to)) => {
                         fs.read_victim_run(start, from, to, buf)?;
@@ -467,7 +476,9 @@ impl<D: QueueDevice> Lfs<D> {
     /// not. Everything else relocates from memory.
     fn needs_bytes(&self, entry: &SummaryEntry, addr: DiskAddr) -> bool {
         match entry.kind {
-            EntryKind::Data => !self.blocks.contains((entry.ino, entry.offset as u64)),
+            EntryKind::Data | EntryKind::Fragment => {
+                !self.blocks.contains((entry.ino, entry.offset as u64))
+            }
             EntryKind::InodeBlock => self
                 .live_inodes_at(addr)
                 .any(|ino| self.meta.inode(ino).is_none()),
@@ -493,6 +504,16 @@ impl<D: QueueDevice> Lfs<D> {
             EntryKind::Data => {
                 uid_current(self) && self.block_ptr(entry.ino, entry.offset as u64)? == addr
             }
+            EntryKind::Fragment => {
+                let frag = Frag {
+                    block: addr,
+                    start: entry.start as usize,
+                    len: entry.len as usize,
+                };
+                uid_current(self) && self.block_ptr(entry.ino, entry.offset as u64)? == frag.ptr()
+            }
+            // Live only through its fragments, which are asked one by one.
+            EntryKind::FragBlock => false,
             EntryKind::Indirect1 | EntryKind::Indirect2 => {
                 match IndKey::from_summary(entry.kind, entry.offset) {
                     Some(key) => uid_current(self) && self.ind_home(entry.ino, key)? == Some(addr),
@@ -520,12 +541,28 @@ impl<D: QueueDevice> Lfs<D> {
         content: Option<&[u8]>,
     ) -> FsResult<()> {
         let ino = entry.ino;
+        // A fragment is its own bytes of the block, zero-padded to its
+        // file's block.
+        let mut padded: [u8; BLOCK_SIZE];
+        let content = match (entry.kind, content) {
+            (EntryKind::Fragment, Some(c)) => {
+                let (start, len) = (entry.start as usize, entry.len as usize);
+                padded = [0; BLOCK_SIZE];
+                padded[..len].copy_from_slice(&c[start..start + len]);
+                Some(&padded[..])
+            }
+            _ => content,
+        };
         // The block is confirmed live; refuse to relocate it if the media
         // rotted it (silent propagation of bad data is worse than a loud
-        // failure). Dead blocks are never read, let alone checked — a
-        // torn chunk in a crashed segment legally holds garbage behind a
-        // valid summary.
-        if content.is_some_and(|c| crate::codec::block_checksum(c) != entry.csum) {
+        // failure); a fragment's sum covers its own bytes. Dead blocks
+        // are never read, let alone checked — a torn chunk in a crashed
+        // segment legally holds garbage behind a valid summary.
+        let summed = |c: &[u8]| match entry.kind {
+            EntryKind::Fragment => crate::codec::block_checksum(&c[..entry.len as usize]),
+            _ => crate::codec::block_checksum(c),
+        };
+        if content.is_some_and(|c| summed(c) != entry.csum) {
             return Err(FsError::Corrupt(format!(
                 "cleaner: live {:?} block (ino {ino} off {}) at addr {addr} \
                  failed its summary checksum (media rot?)",
@@ -533,7 +570,7 @@ impl<D: QueueDevice> Lfs<D> {
             )));
         }
         match entry.kind {
-            EntryKind::Data => {
+            EntryKind::Data | EntryKind::Fragment => {
                 // Stage the block: dirty cache state relocates on flush.
                 // Crucially, keep the block's ORIGINAL modification time
                 // (from the summary entry): relocation does not make data
@@ -564,7 +601,10 @@ impl<D: QueueDevice> Lfs<D> {
             }
             // Never live in a victim: a live map block is either the last
             // checkpoint's, whose segment is no victim, or in the log tail.
-            EntryKind::ImapBlock | EntryKind::UsageBlock | EntryKind::DirLog => {}
+            EntryKind::ImapBlock
+            | EntryKind::UsageBlock
+            | EntryKind::DirLog
+            | EntryKind::FragBlock => {}
         }
         Ok(())
     }

@@ -175,32 +175,49 @@ fn le_word(bytes: &[u8]) -> u64 {
 /// so a change confined to one aligned 8-byte word — any single-bit flip,
 /// any burst inside a word — always changes the sum.
 pub fn checksum(data: &[u8]) -> u64 {
+    checksum_pieces([data])
+}
+
+/// [`checksum`] of the concatenation of `pieces`, read in place: every
+/// piece but the last must be a whole number of 32-byte stripes. A
+/// fragment block is summed this way from the cached blocks its fragments
+/// come from.
+pub(crate) fn checksum_pieces<'a>(pieces: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     let mut lanes = LANE_SEEDS;
-    let mut stripes = data.chunks_exact(32);
-    for stripe in &mut stripes {
-        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-            *lane = mix(*lane, le_word(word));
+    let (mut len, mut tail): (usize, &[u8]) = (0, &[]);
+    for piece in pieces {
+        assert!(tail.is_empty(), "a piece before the last ends mid-stripe");
+        let mut stripes = piece.chunks_exact(32);
+        for stripe in &mut stripes {
+            for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+                *lane = mix(*lane, le_word(word));
+            }
         }
+        (len, tail) = (len + piece.len(), stripes.remainder());
     }
     let mut h = 0u64;
     for (lane, rot) in lanes.iter().zip(LANE_FOLD_ROT) {
         h = h.wrapping_add(lane.rotate_left(rot));
     }
-    for word in stripes.remainder().chunks(8) {
+    for word in tail.chunks(8) {
         h = mix(h, le_word(word));
     }
-    h ^= (data.len() as u64).wrapping_mul(LEN_MUL);
+    h ^= (len as u64).wrapping_mul(LEN_MUL);
     for m in FINAL_MUL {
         h = (h ^ (h >> 33)).wrapping_mul(m);
     }
     h ^ (h >> 33)
 }
 
+/// The 32-bit fold of a 64-bit [`checksum`].
+pub(crate) fn fold(h: u64) -> u32 {
+    (h ^ (h >> 32)) as u32
+}
+
 /// 32-bit fold of [`checksum`], used where space is tight (per-block
 /// checksums in segment-summary entries).
 pub fn block_checksum(data: &[u8]) -> u32 {
-    let h = checksum(data);
-    (h ^ (h >> 32)) as u32
+    fold(checksum(data))
 }
 
 #[cfg(test)]
@@ -239,6 +256,22 @@ mod tests {
         assert_eq!(r.get_u32(), 7);
         r.skip(4);
         assert_eq!(r.get_u32(), 9);
+    }
+
+    /// Summed in pieces of whole stripes, the sum is the whole input's.
+    #[test]
+    fn pieces_sum_like_their_concatenation() {
+        let ramp: Vec<u8> = (0..4096u32).map(|i| (i * 7 + 3) as u8).collect();
+        for cuts in [&[][..], &[64], &[1024, 3072], &[32, 64, 3968]] {
+            let mut pieces = Vec::new();
+            let mut from = 0;
+            for &to in cuts {
+                pieces.push(&ramp[from..to]);
+                from = to;
+            }
+            pieces.push(&ramp[from..4000]);
+            assert_eq!(checksum_pieces(pieces), checksum(&ramp[..4000]), "{cuts:?}");
+        }
     }
 
     #[test]

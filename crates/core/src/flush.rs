@@ -73,11 +73,11 @@ use crate::fs::{Lfs, IO_ATTEMPTS};
 use crate::inode::INODE_DISK_SIZE;
 use crate::inodemap::InodeMap;
 use crate::layout::{Chunk, DiskAddr, Placement, INODES_PER_BLOCK};
-use crate::meta::IndKey;
+use crate::meta::{ptr_block, tail_len, Frag, IndKey, FRAG_ALIGN};
 use crate::ordering::{
     CheckpointReady, DataWritten, Fenced, Flush, Listed, Released, SummarySealed,
 };
-use crate::stats::BlockKind;
+use crate::stats::{BlockKind, FlushScope};
 use crate::summary::{EntryKind, Summary, SummaryEntry};
 use crate::usage::space::Claim;
 use crate::usage::UsageTable;
@@ -86,24 +86,65 @@ use crate::usage::UsageTable;
 #[derive(Clone, Debug)]
 enum Item {
     DirLog(Arc<Vec<u8>>),
-    Data { ino: Ino, bno: u64 },
-    Ind { ino: Ino, key: IndKey },
-    InodeBlk { inos: Vec<Ino> },
+    Data {
+        ino: Ino,
+        bno: u64,
+    },
+    /// A fragment block: the partial last blocks of files, each at its
+    /// start ([`pack_tails`]).
+    Frags(Vec<Tail>),
+    Ind {
+        ino: Ino,
+        key: IndKey,
+    },
+    InodeBlk {
+        inos: Vec<Ino>,
+    },
     Imap(usize),
     Usage(usize),
+}
+
+/// A file's partial last block, written as a fragment of `len` bytes at
+/// byte `start` of a fragment block.
+#[derive(Clone, Copy, Debug)]
+struct Tail {
+    ino: Ino,
+    bno: u64,
+    start: usize,
+    len: usize,
 }
 
 impl Item {
     fn stats_kind(&self) -> BlockKind {
         match self {
             Item::DirLog(_) => BlockKind::DirLog,
-            Item::Data { .. } => BlockKind::Data,
+            Item::Data { .. } | Item::Frags(_) => BlockKind::Data,
             Item::Ind { .. } => BlockKind::Indirect,
             Item::InodeBlk { .. } => BlockKind::Inode,
             Item::Imap(_) => BlockKind::Imap,
             Item::Usage(_) => BlockKind::Usage,
         }
     }
+
+    /// The summary entries the item's block takes: its own, and one per
+    /// fragment of a fragment block.
+    fn entries(&self) -> usize {
+        match self {
+            Item::Frags(tails) => 1 + tails.len(),
+            _ => 1,
+        }
+    }
+}
+
+/// Where the bytes of one block of a partial write come from.
+enum Block {
+    /// Rendered into the block's slot of the scratch buffer.
+    Rendered,
+    /// A cached data block or a directory-log payload, whole.
+    Shared(Arc<Vec<u8>>),
+    /// A fragment block: the first `len` bytes of each cached block, in
+    /// order, then zeros from byte `used` on, from its scratch slot.
+    Frags(Vec<(Arc<Vec<u8>>, usize)>, usize),
 }
 
 /// What a flush writes.
@@ -132,6 +173,53 @@ struct LayoutPlan {
     /// How many of the items, from the first, the chunks carry: all of
     /// them but after a cut.
     kept: usize,
+}
+
+/// The layout rule of fragment blocks (DESIGN.md §7.3), which keeps each
+/// file's blocks one contiguous run. The tail of a file with full blocks
+/// to write opens a fragment block at start 0, right after them: the
+/// blocks `opened` names (indices into `items`). Each of those is filled
+/// first-fit, in gather order, with the `lone` tails, of files with no
+/// other block to write; the lone tails left over share fragment blocks of
+/// their own, appended to `items`.
+fn pack_tails(items: &mut Vec<Item>, opened: &[usize], lone: Vec<Tail>) {
+    let mut lone: Vec<Option<Tail>> = lone.into_iter().map(Some).collect();
+    let fill = |tails: &mut Vec<Tail>, lone: &mut [Option<Tail>]| {
+        let mut used: usize = tails.iter().map(|t| t.len).sum();
+        for slot in lone {
+            if BLOCK_SIZE - used < FRAG_ALIGN {
+                break;
+            }
+            if let Some(t) = slot.filter(|t| used + t.len <= BLOCK_SIZE) {
+                tails.push(Tail { start: used, ..t });
+                used += t.len;
+                *slot = None;
+            }
+        }
+    };
+    for &i in opened {
+        let Item::Frags(tails) = &mut items[i] else {
+            unreachable!("a tail opens a fragment block");
+        };
+        fill(tails, &mut lone);
+    }
+    // Filling one block at a time, each from all that is left in order, is
+    // first-fit over the new blocks.
+    while lone.iter().any(Option::is_some) {
+        let mut tails = Vec::new();
+        fill(&mut tails, &mut lone);
+        items.push(Item::Frags(tails));
+    }
+    // A tail alone in its block shares it with nothing: it is written as
+    // a whole block, which costs the log the same and leaves no room in it
+    // that only the cleaner could win back.
+    for item in items.iter_mut() {
+        if let Item::Frags(tails) = item {
+            if let [Tail { ino, bno, .. }] = tails[..] {
+                *item = Item::Data { ino, bno };
+            }
+        }
+    }
 }
 
 impl<D: QueueDevice> Lfs<D> {
@@ -290,6 +378,14 @@ impl<D: QueueDevice> Lfs<D> {
         // Failed, the flush leaves the write points where they were, and
         // every segment as its plan found it.
         let written = written.inspect_err(|_| self.space.abandon(claim))?;
+        let kind = match scope {
+            _ if !released.is_empty() => FlushScope::Closing,
+            Scope::Threshold => FlushScope::Threshold,
+            Scope::Sync => FlushScope::Sync,
+            Scope::All => FlushScope::All,
+            Scope::Checkpoint => FlushScope::Checkpoint,
+        };
+        self.stats.count_flush(kind, plan.chunks.len() as u64);
         Ok(self.commit(written, plan, &items, &deferred))
     }
 
@@ -315,11 +411,13 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// **Gather**: the dirty state becomes the flush's items, in write
     /// order: directory-log records, then each file's data and indirect
-    /// blocks, then the inode blocks and, for a checkpoint, the inode-map
-    /// blocks. An inode must reach the log *after* every data and indirect
-    /// block it references, or roll-forward could adopt an inode whose
-    /// blocks a crash swallowed (§4.2); replay stops at the first missing
-    /// sequence number, so the inodes come last.
+    /// blocks, the fragment blocks no file opened, then the inode blocks
+    /// and, for a checkpoint, the inode-map blocks. A regular file's
+    /// partial last block becomes a fragment ([`pack_tails`]). An inode
+    /// must reach the log *after* every data and indirect block it
+    /// references, or roll-forward could adopt an inode whose blocks a
+    /// crash swallowed (§4.2); replay stops at the first missing sequence
+    /// number, so the inodes come last.
     ///
     /// A [`Scope::Sync`] gather skips every [`Lfs::logged_dir`] and hands
     /// back the ones it skipped, sorted, which commit leaves dirty.
@@ -331,21 +429,40 @@ impl<D: QueueDevice> Lfs<D> {
         self.dirty_parent_inds()?;
         let mut inode_writes: Vec<Ino> = Vec::new();
         let (mut deferred, fresh) = (Vec::new(), self.fresh_dirs());
+        // The fragment blocks the tails of multi-block files open, and the
+        // tails of files with nothing else to write.
+        let (mut opened, mut lone) = (Vec::new(), Vec::new());
         for ino in self.file_order() {
             if scope == Scope::Sync && self.logged_dir(ino, &fresh) {
                 deferred.push(ino);
                 continue;
             }
-            // Data blocks in file order, then indirect blocks: singles
-            // first (their addresses go into the double), then the
-            // double.
+            // Data blocks in file order, the tail last, then indirect
+            // blocks: singles first (their addresses go into the double),
+            // then the double.
+            let tail = self.dirty_tail(ino);
+            let whole = |&&(_, bno): &&(Ino, u64)| tail.is_none_or(|t| t.bno != bno);
             let blocks = self.blocks.dirty().range((ino, 0)..=(ino, u64::MAX));
-            items.extend(blocks.map(|&(_, bno)| Item::Data { ino, bno }));
+            let before = items.len();
+            items.extend(
+                blocks
+                    .filter(whole)
+                    .map(|&(_, bno)| Item::Data { ino, bno }),
+            );
+            match tail {
+                Some(tail) if items.len() > before => {
+                    opened.push(items.len());
+                    items.push(Item::Frags(vec![tail]));
+                }
+                Some(tail) => lone.push(tail),
+                None => {}
+            }
             let keys = self.meta.dirty_inds_of(ino);
             items.extend(keys.map(|key| Item::Ind { ino, key }));
             // Then the inode: its block pointers or its attributes changed.
             inode_writes.push(ino);
         }
+        pack_tails(&mut items, &opened, lone);
         // Pack dirty inodes 16 to a block, preserving the file order.
         let inode_blocks = inode_writes.chunks(INODES_PER_BLOCK);
         items.extend(inode_blocks.map(|inos| Item::InodeBlk {
@@ -362,6 +479,22 @@ impl<D: QueueDevice> Lfs<D> {
         }
         deferred.sort_unstable();
         Ok((items, deferred))
+    }
+
+    /// The dirty partial last block of regular file `ino`, as a tail at
+    /// start 0: the block of its last byte, when that is not full.
+    /// Directories keep whole blocks.
+    fn dirty_tail(&self, ino: Ino) -> Option<Tail> {
+        let inode = self.meta.inode(ino)?;
+        let len = tail_len(inode.size).filter(|_| inode.ftype == FileType::Regular)?;
+        let bno = inode.size / BLOCK_SIZE as u64;
+        let dirty = self.blocks.dirty().contains(&(ino, bno));
+        dirty.then_some(Tail {
+            ino,
+            bno,
+            start: 0,
+            len,
+        })
     }
 
     /// Makes sure every indirect block that will receive a pointer update
@@ -433,7 +566,7 @@ impl<D: QueueDevice> Lfs<D> {
             // blocks) are known before layout.
             let dirty_data: Vec<(Ino, u64)> = self.blocks.dirty().iter().copied().collect();
             for (ino, bno) in dirty_data {
-                let old = self.block_ptr(ino, bno)?;
+                let old = ptr_block(self.block_ptr(ino, bno)?);
                 usage_blocks.extend(self.sb.seg_of(old).map(UsageTable::block_of));
             }
             let wps = self.log.write_points().iter();
@@ -442,17 +575,18 @@ impl<D: QueueDevice> Lfs<D> {
         let base = items.len();
         loop {
             items.extend(usage_blocks.iter().map(|&idx| Item::Usage(idx)));
+            let entries: Vec<usize> = items.iter().map(Item::entries).collect();
             // Out of clean segments, the cleaner regenerates some (it has
             // a reserved allocation pool precisely so it can still run
             // now) and the layout is retried; several rounds may be
             // needed when space is very tight.
-            let mut plan = self.layout(items.len(), released, stop);
+            let mut plan = self.layout(&entries, released, stop);
             for _ in 0..4 {
                 if plan.is_some() || self.space.cleaning {
                     break;
                 }
                 self.as_cleaner(Self::clean_until_high_water)?;
-                plan = self.layout(items.len(), released, stop);
+                plan = self.layout(&entries, released, stop);
             }
             let plan = plan.ok_or(FsError::NoSpace)?;
             let mut grew = false;
@@ -468,22 +602,24 @@ impl<D: QueueDevice> Lfs<D> {
         }
     }
 
-    /// Places chunks for `count` items, chunk by chunk through
-    /// [`Placement::next`], without mutating anything. `None` when they do
-    /// not fit. When the last chunk has no room for a list of `released`
-    /// segments, one more chunk, a summary alone, carries it.
+    /// Places chunks for the items, whose blocks take `entries[i]` summary
+    /// entries each, chunk by chunk through [`Placement::next`], without
+    /// mutating anything. `None` when they do not fit. When the last chunk
+    /// has no room for a list of `released` segments, one more chunk, a
+    /// summary alone, carries it.
     ///
     /// With `stop`, the plan ends with the last chunk that fills its
     /// segment, and the items after it are left for the next flush; a
     /// plan with no such chunk but its last keeps every item.
-    fn layout(&self, count: usize, released: usize, stop: bool) -> Option<LayoutPlan> {
+    fn layout(&self, entries: &[usize], released: usize, stop: bool) -> Option<LayoutPlan> {
         let mut end = self.placement(self.space.reserve());
         let mut chunks: Vec<Chunk> = Vec::new();
         let mut cut = None;
+        let count = entries.len();
         let (mut seq, mut left) = (self.log.write_seq(), count);
         while left > 0 {
             seq += 1;
-            let c = end.next(seq, left)?;
+            let c = end.next(seq, &entries[count - left..])?;
             left -= c.n;
             chunks.push(c);
             let fills = c.off as usize + 1 + c.n == self.sb.seg_blocks as usize;
@@ -497,8 +633,8 @@ impl<D: QueueDevice> Lfs<D> {
             (kept, seq, end) = (items, at_seq, at);
         }
         let room = crate::summary::capacity(released);
-        if released > 0 && chunks.last().is_none_or(|c| c.n > room) {
-            chunks.push(end.next(seq + 1, 0)?);
+        if released > 0 && chunks.last().is_none_or(|c| c.entries > room) {
+            chunks.push(end.next(seq + 1, &[])?);
         }
         Some(LayoutPlan { chunks, end, kept })
     }
@@ -551,8 +687,28 @@ impl<D: QueueDevice> Lfs<D> {
                 // the owning file's latest touch.
                 let mtime = self.blocks.mtime((ino, bno)).unwrap_or(now);
                 let old = self.meta.assign_ptr(ino, bno, addr)?;
-                self.space
-                    .move_live(self.sb.seg_of(old), seg, BLOCK_SIZE, mtime);
+                self.kill_ptr(old);
+                self.space.move_live(None, seg, BLOCK_SIZE, mtime);
+            }
+            // A fragment counts its aligned length as live bytes.
+            Item::Frags(ref tails) => {
+                for &Tail {
+                    ino,
+                    bno,
+                    start,
+                    len,
+                } in tails
+                {
+                    let mtime = self.blocks.mtime((ino, bno)).unwrap_or(now);
+                    let frag = Frag {
+                        block: addr,
+                        start,
+                        len,
+                    };
+                    let old = self.meta.assign_ptr(ino, bno, frag.ptr())?;
+                    self.kill_ptr(old);
+                    self.space.move_live(None, seg, len, mtime);
+                }
             }
             Item::Ind { ino, key } => {
                 let old = self.meta.relocate_ind(ino, key, addr);
@@ -609,19 +765,29 @@ impl<D: QueueDevice> Lfs<D> {
         let scratch = Arc::make_mut(&mut arc);
         scratch.resize(scratch.len().max((1 + n) * BLOCK_SIZE), 0);
         let mut entries = Vec::with_capacity(n);
-        // The blocks that are not rendered, in item order, for the list.
-        let mut shared = Vec::with_capacity(n);
+        // How each block reaches the list, in item order.
+        let mut blocks = Vec::with_capacity(n);
         for (j, item) in items.iter().enumerate() {
             let dst = &mut scratch[(1 + j) * BLOCK_SIZE..(2 + j) * BLOCK_SIZE];
-            let (mut entry, block) = self.render(item, dst, time);
-            entry.csum = crate::codec::block_checksum(block.as_deref().map_or(&*dst, |b| b));
-            if block.is_none() {
+            let at = entries.len();
+            let block = self.render(item, dst, time, &mut entries);
+            entries[at].csum = crate::codec::fold(match block {
+                Block::Rendered => crate::codec::checksum(dst),
+                Block::Shared(ref b) => crate::codec::checksum(b),
+                Block::Frags(ref frags, used) => crate::codec::checksum_pieces(
+                    frags
+                        .iter()
+                        .map(|(b, len)| &b[..*len])
+                        .chain([&dst[used..]]),
+                ),
+            });
+            if matches!(block, Block::Rendered) {
                 self.stats.flush_copy_bytes += BLOCK_SIZE as u64;
             }
             self.stats
                 .add_log_bytes(item.stats_kind(), BLOCK_SIZE as u64, by_cleaner);
-            entries.push(entry);
-            shared.push(block);
+            self.count_padding(item);
+            blocks.push(block);
         }
         let summary = Summary {
             epoch: self.log.epoch(),
@@ -638,43 +804,73 @@ impl<D: QueueDevice> Lfs<D> {
             .add_log_bytes(BlockKind::Summary, BLOCK_SIZE as u64, by_cleaner);
         let mut bufs: Vec<IoBuf> = Vec::with_capacity(1 + n);
         bufs.push(IoBuf::shared_range(arc.clone(), 0, BLOCK_SIZE));
-        for (j, block) in shared.into_iter().enumerate() {
-            bufs.push(match block {
-                Some(b) => IoBuf::shared(b),
-                None => IoBuf::shared_range(arc.clone(), (1 + j) * BLOCK_SIZE, BLOCK_SIZE),
-            });
+        for (j, block) in blocks.into_iter().enumerate() {
+            let slot = (1 + j) * BLOCK_SIZE;
+            match block {
+                Block::Rendered => bufs.push(IoBuf::shared_range(arc.clone(), slot, BLOCK_SIZE)),
+                Block::Shared(b) => bufs.push(IoBuf::shared(b)),
+                Block::Frags(frags, used) => {
+                    let frags = frags.into_iter();
+                    bufs.extend(frags.map(|(b, len)| IoBuf::shared_range(b, 0, len)));
+                    if used < BLOCK_SIZE {
+                        let pad = BLOCK_SIZE - used;
+                        bufs.push(IoBuf::shared_range(arc.clone(), slot + used, pad));
+                    }
+                }
+            }
         }
         self.log.put_scratch(arc);
         (sealed, bufs)
     }
 
-    /// One item of [`Lfs::encode`]: its summary entry, checksum still to
-    /// fill in, and the block itself when the cache or the directory log
-    /// already holds it. An indirect, inode, inode-map or usage block is
-    /// rendered into `dst` instead.
+    /// One item of [`Lfs::encode`]: pushes its block's summary entry,
+    /// checksum still to fill in, and a fragment block's fragment entries
+    /// after it, and says where the block's bytes are. An indirect,
+    /// inode, inode-map or usage block is rendered into `dst`; a fragment
+    /// block leaves its fragments in the cache and takes its zero padding
+    /// from `dst`.
     fn render(
         &self,
         item: &Item,
         dst: &mut [u8],
         time: u64,
-    ) -> (SummaryEntry, Option<Arc<Vec<u8>>>) {
+        entries: &mut Vec<SummaryEntry>,
+    ) -> Block {
         let meta = |kind, offset| SummaryEntry::meta(kind, offset, time);
-        match *item {
-            Item::DirLog(ref data) => (meta(EntryKind::DirLog, 0), Some(data.clone())),
+        let (entry, block) = match *item {
+            Item::DirLog(ref data) => (meta(EntryKind::DirLog, 0), Block::Shared(data.clone())),
             Item::Data { ino, bno } => {
                 let (mtime, data) = self
                     .blocks
                     .for_write((ino, bno))
                     .expect("dirty blocks are resident");
                 let entry = SummaryEntry::data(ino, bno as u32, self.imap.version(ino), mtime);
-                (entry, Some(data))
+                (entry, Block::Shared(data))
+            }
+            Item::Frags(ref tails) => {
+                entries.push(meta(EntryKind::FragBlock, 0));
+                let mut frags = Vec::with_capacity(tails.len());
+                for t in tails {
+                    let (mtime, data) = self
+                        .blocks
+                        .for_write((t.ino, t.bno))
+                        .expect("dirty blocks are resident");
+                    let file = (t.ino, t.bno as u32, self.imap.version(t.ino), mtime);
+                    let csum = crate::codec::block_checksum(&data[..t.len]);
+                    entries.push(SummaryEntry::fragment(file, t.start, t.len, csum));
+                    frags.push((data, t.len));
+                }
+                // The pool is reused: the padding must be zero.
+                let used = tails.iter().map(|t| t.len).sum();
+                dst[used..].fill(0);
+                return Block::Frags(frags, used);
             }
             Item::Ind { ino, key } => {
                 self.meta.encode_ind(ino, key, dst);
                 let (kind, offset) = key.summary();
                 let version = self.imap.version(ino);
                 let entry = SummaryEntry::data(ino, offset, version, time);
-                (SummaryEntry { kind, ..entry }, None)
+                (SummaryEntry { kind, ..entry }, Block::Rendered)
             }
             Item::InodeBlk { ref inos } => {
                 // The pool is reused: zero the slot so a partial inode
@@ -684,17 +880,39 @@ impl<D: QueueDevice> Lfs<D> {
                     let inode = self.meta.inode(*ino).expect("gathered inodes are cached");
                     inode.encode_into(slot);
                 }
-                (meta(EntryKind::InodeBlock, 0), None)
+                (meta(EntryKind::InodeBlock, 0), Block::Rendered)
             }
             Item::Imap(idx) => {
                 self.imap.encode_block_into(idx, dst);
-                (meta(EntryKind::ImapBlock, idx as u32), None)
+                (meta(EntryKind::ImapBlock, idx as u32), Block::Rendered)
             }
             Item::Usage(idx) => {
                 self.space.usage().encode_block_into(idx, dst);
-                (meta(EntryKind::UsageBlock, idx as u32), None)
+                (meta(EntryKind::UsageBlock, idx as u32), Block::Rendered)
             }
-        }
+        };
+        entries.push(entry);
+        block
+    }
+
+    /// Books the data bytes `item` writes past its files' ends
+    /// ([`crate::LfsStats::padding_bytes`]), and the fragments.
+    fn count_padding(&mut self, item: &Item) {
+        let file_bytes = |fs: &Self, ino: Ino, bno: u64| {
+            let size = fs.meta.inode(ino).map_or(0, |i| i.size);
+            size.saturating_sub(bno * BLOCK_SIZE as u64)
+                .min(BLOCK_SIZE as u64)
+        };
+        let used = match *item {
+            Item::Data { ino, bno } => file_bytes(self, ino, bno),
+            Item::Frags(ref tails) => {
+                self.stats.fragment_blocks += 1;
+                self.stats.fragments += tails.len() as u64;
+                tails.iter().map(|t| file_bytes(self, t.ino, t.bno)).sum()
+            }
+            _ => return,
+        };
+        self.stats.padding_bytes += BLOCK_SIZE as u64 - used;
     }
 
     /// **Submit**: issues a sealed chunk — summary first, then its blocks —
@@ -718,6 +936,7 @@ impl<D: QueueDevice> Lfs<D> {
     ) -> FsResult<Flush<DataWritten>> {
         let start = self.sb.seg_start(c.seg) + c.off as u64;
         let in_place = self.dev.queue_capacity() <= 1;
+        self.blocks.forget_frag_block();
         self.retry_io(true, if in_place { IO_ATTEMPTS } else { 1 }, |dev| {
             // An in-place retry needs the list again; cloning an `IoBuf`
             // is a reference-count bump.
@@ -762,7 +981,6 @@ impl<D: QueueDevice> Lfs<D> {
         deferred: &[Ino],
     ) -> Flush<DataWritten> {
         self.log.commit(&written, plan.chunks.len(), plan.end);
-        self.stats.flushes += 1;
         let (items, left) = items.split_at(plan.kept);
         for item in items {
             match *item {
@@ -777,9 +995,10 @@ impl<D: QueueDevice> Lfs<D> {
         let deferred = |ino: Ino| deferred.binary_search(&ino).is_ok();
         let left_data: BTreeSet<(Ino, u64)> = left
             .iter()
-            .filter_map(|item| match *item {
-                Item::Data { ino, bno } => Some((ino, bno)),
-                _ => None,
+            .flat_map(|item| match *item {
+                Item::Data { ino, bno } => vec![(ino, bno)],
+                Item::Frags(ref tails) => tails.iter().map(|t| (t.ino, t.bno)).collect(),
+                _ => Vec::new(),
             })
             .collect();
         self.blocks

@@ -21,7 +21,7 @@ use crate::inode::{IndirectBlock, Inode, InodeAttrs};
 use crate::inodemap::InodeMap;
 use crate::layout::{blocks_for_size, DiskAddr, Placement, MAX_FILE_SIZE, NIL_ADDR};
 use crate::log::Log;
-use crate::meta::{IndKey, Load, MetaCache, Owned, Ptrs};
+use crate::meta::{ptr_block, ptr_bytes, Frag, IndKey, Load, MetaCache, Owned, Ptrs};
 use crate::stats::LfsStats;
 use crate::superblock::Superblock;
 use crate::usage::space::Space;
@@ -102,6 +102,43 @@ pub struct Lfs<D: QueueDevice> {
     pub(crate) stats: LfsStats,
     /// Observability handles (tracing + metrics); off by default.
     pub(crate) obs: crate::obs::FsObs,
+}
+
+/// A run of file blocks with contiguous log addresses, read as one device
+/// request ([`Lfs::fetch_blocks`]).
+#[derive(Clone, Copy)]
+struct Run {
+    /// The log block of the first file block.
+    start: DiskAddr,
+    /// The first file block, and how many.
+    bno: u64,
+    count: u64,
+    /// The fragment the last block is, which ends the run.
+    tail: Option<Frag>,
+}
+
+impl Run {
+    fn new(ptr: DiskAddr, bno: u64) -> Run {
+        let tail = Frag::of(ptr);
+        let start = ptr_block(ptr);
+        Run {
+            start,
+            bno,
+            count: 1,
+            tail,
+        }
+    }
+
+    /// Grows the run by the block at `ptr` if it is the next log block and
+    /// the run does not already end in a fragment.
+    fn grow(&mut self, ptr: DiskAddr) -> bool {
+        let next = self.tail.is_none() && ptr_block(ptr) == self.start + self.count;
+        if next {
+            self.count += 1;
+            self.tail = Frag::of(ptr);
+        }
+        next
+    }
 }
 
 /// Looks `bno` up in a pointer window (see [`Lfs::ptr_window`]).
@@ -547,7 +584,10 @@ impl<D: QueueDevice> Lfs<D> {
             self.blocks.zeroed_buf()
         } else {
             let mut data = self.blocks.take_buf();
-            self.read_retry(addr, &mut data)?;
+            match Frag::of(addr) {
+                Some(frag) => self.read_fragment(frag, &mut data)?,
+                None => self.read_retry(addr, &mut data)?,
+            }
             data
         };
         self.blocks.insert_fetched((ino, bno), data, self.clock);
@@ -556,7 +596,9 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Ensures file blocks `first..=last` of `ino` are cached, fetching
     /// runs of blocks with *contiguous disk addresses* as single device
-    /// requests.
+    /// requests. A fragment ends its run: it is a file's last block, and
+    /// the layout puts the fragment block a multi-block file's tail opens
+    /// right after its full blocks, so the run reads it too.
     ///
     /// Over the requested blocks this is exactly equivalent to calling
     /// [`Lfs::ensure_block`] on each in order: device requests happen in
@@ -579,9 +621,8 @@ impl<D: QueueDevice> Lfs<D> {
         let file_blocks = blocks_for_size(self.inode_ref(ino)?.size);
         let ra = self.meta.read_ahead(ino).expect("cached above");
         let ahead = ra.open(first) as u64;
-        // The run being assembled: (start address, first file block,
-        // block count).
-        let mut run: Option<(DiskAddr, u64, u64)> = None;
+        // The run being assembled.
+        let mut run: Option<Run> = None;
         // Pointer window: a copied stretch of pointers (from the inode's
         // direct array or a cached indirect block), so assembly resolves
         // addresses with an array index per block instead of per-block
@@ -616,32 +657,24 @@ impl<D: QueueDevice> Lfs<D> {
                 self.blocks.insert_fetched((ino, bno), zeros, self.clock);
                 continue;
             }
-            run = match run {
-                Some((start, rb, count)) if addr == start + count => Some((start, rb, count + 1)),
-                Some(prev) => {
-                    let mut prev = Some(prev);
-                    self.fetch_run(ino, &mut prev)?;
-                    Some((addr, bno, 1))
-                }
-                None => Some((addr, bno, 1)),
-            };
+            if !run.as_mut().is_some_and(|r| r.grow(addr)) {
+                self.fetch_run(ino, &mut run)?;
+                run = Some(Run::new(addr, bno));
+            }
         }
         // Read-ahead: while the request's last run is still pending, let
         // it grow through the window.
         let mut end = last + 1;
         let stop = file_blocks.min(end.saturating_add(ahead));
-        while let Some((start, rb, count)) = run {
+        while let Some(r) = run.as_mut() {
             if end >= stop || self.blocks.contains((ino, end)) {
                 break;
             }
             if win_lookup(&win, end).is_none() {
                 win = self.ptr_window(ino, end, (stop - end) as usize)?;
             }
-            match win_lookup(&win, end) {
-                Some(a) if a != NIL_ADDR && a == start + count => {
-                    run = Some((start, rb, count + 1));
-                }
-                _ => break,
+            if !win_lookup(&win, end).is_some_and(|a| r.grow(a)) {
+                break;
             }
             end += 1;
         }
@@ -673,29 +706,52 @@ impl<D: QueueDevice> Lfs<D> {
 
     /// Issues the pending run (if any) as one device request, scattered
     /// straight into the blocks' final cache buffers (no bounce buffer,
-    /// no second copy), and inserts them in file order.
-    fn fetch_run(&mut self, ino: Ino, run: &mut Option<(DiskAddr, u64, u64)>) -> FsResult<()> {
-        let Some((start, first_bno, count)) = run.take() else {
+    /// no second copy), and inserts them in file order. A fragment that
+    /// ends the run keeps only its own bytes, at the front of its buffer.
+    fn fetch_run(&mut self, ino: Ino, run: &mut Option<Run>) -> FsResult<()> {
+        let Some(Run {
+            start,
+            bno: first_bno,
+            count,
+            tail,
+        }) = run.take()
+        else {
             return Ok(());
         };
-        if count == 1 {
+        let mut boxes: Vec<Vec<u8>> = (0..count).map(|_| self.blocks.take_buf()).collect();
+        match tail {
             // Single-block run: skip the scatter-list machinery (this is
             // the common case for small files).
-            let mut data = self.blocks.take_buf();
-            self.read_run_retry(start, &mut data)?;
-            self.blocks
-                .insert_fetched((ino, first_bno), data, self.clock);
-            return Ok(());
+            Some(frag) if count == 1 => self.read_fragment(frag, &mut boxes[0])?,
+            None if count == 1 => self.read_run_retry(start, &mut boxes[0])?,
+            _ => {
+                let mut bufs: Vec<&mut [u8]> = boxes.iter_mut().map(|b| &mut b[..]).collect();
+                self.retry_io(false, IO_ATTEMPTS, |dev| {
+                    dev.read_run_scatter(start, &mut bufs)
+                })?;
+                if let (Some(frag), Some(last)) = (tail, boxes.last_mut()) {
+                    frag.extract(last);
+                }
+            }
         }
-        let mut boxes: Vec<Vec<u8>> = (0..count).map(|_| self.blocks.take_buf()).collect();
-        let mut bufs: Vec<&mut [u8]> = boxes.iter_mut().map(|b| &mut b[..]).collect();
-        self.retry_io(false, IO_ATTEMPTS, |dev| {
-            dev.read_run_scatter(start, &mut bufs)
-        })?;
         for (i, data) in boxes.into_iter().enumerate() {
             let bno = first_bno + i as u64;
             self.blocks.insert_fetched((ino, bno), data, self.clock);
         }
+        Ok(())
+    }
+
+    /// Reads fragment `frag` into `buf` as its file's block: its bytes at
+    /// the front, zeros after. Its block is read into the block cache's
+    /// fragment-block buffer, unless it is the one kept there already.
+    fn read_fragment(&mut self, frag: Frag, buf: &mut [u8]) -> FsResult<()> {
+        if self.blocks.frag_block(frag.block).is_none() {
+            let mut raw = self.blocks.frag_buf();
+            self.read_run_retry(frag.block, &mut raw)?;
+            self.blocks.keep_frag_block(frag.block, raw);
+        }
+        let raw = self.blocks.frag_block(frag.block).expect("kept above");
+        frag.copy_out(raw, buf);
         Ok(())
     }
 
@@ -840,14 +896,21 @@ impl<D: QueueDevice> Lfs<D> {
             self.blocks.remove((ino, bno));
             if self.block_ptr(ino, bno)? != NIL_ADDR {
                 let old = self.meta.set_ptr(ino, bno, NIL_ADDR)?;
-                self.space.kill(self.sb.seg_of(old), BLOCK_SIZE);
+                self.kill_ptr(old);
             }
         }
         // Release the indirect blocks left empty.
         for old in self.meta.prune(ino) {
-            self.space.kill(self.sb.seg_of(old), BLOCK_SIZE);
+            self.kill_ptr(old);
         }
         Ok(())
+    }
+
+    /// The block or fragment at block pointer `ptr` is dead: its segment
+    /// loses the live bytes the pointer holds ([`ptr_bytes`]).
+    pub(crate) fn kill_ptr(&mut self, ptr: DiskAddr) {
+        self.space
+            .kill(self.sb.seg_of(ptr_block(ptr)), ptr_bytes(ptr));
     }
 
     /// Deletes a file whose link count reached zero.

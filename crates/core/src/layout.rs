@@ -109,6 +109,9 @@ pub(crate) struct Chunk {
     pub(crate) off: u32,
     /// Blocks after the summary.
     pub(crate) n: usize,
+    /// Entries of the chunk's summary: one per block, and one more per
+    /// fragment a fragment block holds.
+    pub(crate) entries: usize,
     /// Whether the cursor left a full segment for `seg`, a clean one.
     pub(crate) opened: bool,
 }
@@ -175,9 +178,11 @@ impl Placement {
         self.wps.iter().any(|&(s, _)| s == seg)
     }
 
-    /// Places chunk `seq`, the next of `n` blocks still to lay out; the
-    /// returned chunk's `n` says how many it carries. `None` means no
-    /// cursor has room and no pool it may draw on has a segment.
+    /// Places chunk `seq`, the next of the blocks still to lay out, which
+    /// need `entries[i]` summary entries each; the returned chunk's `n`
+    /// says how many it carries: as many as the segment has room for and
+    /// the summary has entries for. `None` means no cursor has room and no
+    /// pool it may draw on has a segment.
     ///
     /// The chunk tries the cursor of shard `seq % nshards` first and the
     /// next shards in wrap order after it. Rotating the shard with `seq`
@@ -185,7 +190,7 @@ impl Placement {
     /// room moves to the lowest-numbered segment of its shard's pool, and
     /// is passed over when the pool is empty. On a single volume this is
     /// the paper's one log head.
-    pub(crate) fn next(&mut self, seq: u64, n: usize) -> Option<Chunk> {
+    pub(crate) fn next(&mut self, seq: u64, entries: &[usize]) -> Option<Chunk> {
         let nsh = self.nshards;
         for k in 0..nsh as u64 {
             let shard = ((seq + k) % nsh as u64) as usize;
@@ -197,14 +202,24 @@ impl Placement {
                     None => continue,
                 }
             }
-            let n = n
-                .min((self.seg_blocks - off - 1) as usize)
-                .min(MAX_SUMMARY_ENTRIES);
+            let room = (self.seg_blocks - off - 1) as usize;
+            let (mut n, mut used) = (0, 0);
+            for &e in entries.iter().take(room) {
+                if used + e > MAX_SUMMARY_ENTRIES {
+                    break;
+                }
+                (n, used) = (n + 1, used + e);
+            }
+            debug_assert!(
+                n > 0 || entries.is_empty(),
+                "a block no summary can describe"
+            );
             self.wps[shard] = (seg, off + 1 + n as u32);
             return Some(Chunk {
                 seg,
                 off,
                 n,
+                entries: used,
                 opened,
             });
         }
@@ -360,6 +375,7 @@ mod tests {
             reserve in proptest::prop_oneof![proptest::prelude::Just(0usize), proptest::prelude::Just(2)],
             seq0 in 0u64..40,
             flushes in proptest::collection::vec((0usize..=24, proptest::prelude::any::<bool>()), 1..8),
+            weights in proptest::collection::vec(proptest::prop_oneof![proptest::prelude::Just(1usize), 2usize..=65], 24),
         ) {
             let (nsh, per_shard, seg_blocks) = geometry;
             let per_shard = per_shard + 1;
@@ -377,9 +393,10 @@ mod tests {
                 let mut left = count;
                 while left > 0 {
                     s += 1;
-                    let Some(c) = trial.next(s, left) else {
+                    let Some(c) = trial.next(s, &weights[count - left..count]) else {
                         break 'flushes;
                     };
+                    proptest::prop_assert!(c.entries <= MAX_SUMMARY_ENTRIES);
                     left -= c.n;
                     chunks.push((s, c));
                 }

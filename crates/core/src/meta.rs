@@ -22,6 +22,14 @@
 //! inode owns ([`owned_blocks`]) — is answered in this module and nowhere
 //! else.
 //!
+//! **Fragments.** A regular file's partial last block may live as a
+//! [`Frag`]: its bytes up to end of file, rounded up to [`FRAG_ALIGN`], at
+//! some start inside a log block it shares with other files' fragments.
+//! Its pointer is a tagged [`DiskAddr`] that carries the block, the start
+//! and the length; [`Frag::of`] alone decodes one, and [`ptr_block`] and
+//! [`ptr_bytes`] answer what the rest of the file system asks of a
+//! pointer: which log block it is in, and how many live bytes it holds.
+//!
 //! [`MetaCache`] is the component [`crate::Lfs`] owns as `meta`, as the
 //! block cache is `blocks`. It does no I/O. A lookup answers from cached
 //! state or names the indirect block that must be read first ([`Load`]);
@@ -39,6 +47,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use blockdev::BLOCK_SIZE;
 use vfs::{FsError, FsResult, Ino};
 
 use crate::inode::{IndirectBlock, Inode, INODE_DISK_SIZE};
@@ -47,6 +56,97 @@ use crate::layout::{
     DiskAddr, IND1_START, IND2_START, INODES_PER_BLOCK, MAX_FILE_BLOCKS, NIL_ADDR, PTRS_PER_BLOCK,
 };
 use crate::summary::EntryKind;
+
+/// Alignment of a fragment's start and length inside its block.
+pub const FRAG_ALIGN: usize = 64;
+
+/// Marks a block pointer as a fragment pointer.
+const FRAG_TAG: u64 = 1 << 63;
+/// Bits of a fragment pointer that hold its block's address.
+const FRAG_ADDR_BITS: u32 = 48;
+/// Where the start and the length sit, in units of [`FRAG_ALIGN`].
+const FRAG_START_SHIFT: u32 = FRAG_ADDR_BITS;
+const FRAG_LEN_SHIFT: u32 = FRAG_START_SHIFT + 6;
+
+/// A file's partial last block stored as a fragment: `len` bytes at byte
+/// `start` of log block `block`, both multiples of [`FRAG_ALIGN`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frag {
+    /// The log block holding the fragment.
+    pub block: DiskAddr,
+    /// Byte offset of the fragment in the block.
+    pub start: usize,
+    /// Length in bytes: the file's bytes in its last block, aligned up.
+    pub len: usize,
+}
+
+impl Frag {
+    /// Whether `start` and `len` describe a fragment inside one block.
+    pub fn fits(start: usize, len: usize) -> bool {
+        len > 0
+            && start.is_multiple_of(FRAG_ALIGN)
+            && len.is_multiple_of(FRAG_ALIGN)
+            && start + len <= BLOCK_SIZE
+    }
+
+    /// The tagged pointer that names this fragment.
+    pub fn ptr(self) -> DiskAddr {
+        debug_assert!(Frag::fits(self.start, self.len), "{self:?}");
+        debug_assert!(self.block < 1 << FRAG_ADDR_BITS, "{self:?}");
+        let units = |bytes: usize| (bytes / FRAG_ALIGN) as u64;
+        FRAG_TAG
+            | units(self.start) << FRAG_START_SHIFT
+            | units(self.len) << FRAG_LEN_SHIFT
+            | self.block
+    }
+
+    /// The fragment `ptr` names; `None` for a whole-block pointer, for
+    /// [`NIL_ADDR`], and for a tagged value no fragment encodes.
+    pub fn of(ptr: DiskAddr) -> Option<Frag> {
+        if ptr & FRAG_TAG == 0 || ptr >> (FRAG_LEN_SHIFT + 7) != FRAG_TAG >> (FRAG_LEN_SHIFT + 7) {
+            return None;
+        }
+        let field = |shift: u32, bits: u32| ((ptr >> shift) & ((1 << bits) - 1)) as usize;
+        let start = field(FRAG_START_SHIFT, 6) * FRAG_ALIGN;
+        let len = field(FRAG_LEN_SHIFT, 7) * FRAG_ALIGN;
+        let block = ptr & ((1 << FRAG_ADDR_BITS) - 1);
+        Frag::fits(start, len).then_some(Frag { block, start, len })
+    }
+
+    /// Turns `buf`, the fragment's whole block as read from the log, into
+    /// the file's block: the fragment's bytes at the front, zeros after.
+    /// No other file's bytes stay in it.
+    pub(crate) fn extract(self, buf: &mut [u8]) {
+        buf.copy_within(self.start..self.start + self.len, 0);
+        buf[self.len..].fill(0);
+    }
+
+    /// [`Frag::extract`] from `raw`, the fragment's block, into `buf`.
+    pub(crate) fn copy_out(self, raw: &[u8], buf: &mut [u8]) {
+        buf[..self.len].copy_from_slice(&raw[self.start..self.start + self.len]);
+        buf[self.len..].fill(0);
+    }
+}
+
+/// The fragment length of a regular file of `size` bytes: its bytes in its
+/// last block, aligned up to [`FRAG_ALIGN`]. `None` when the last block is
+/// full or the aligned tail would fill it anyway, so it is written whole.
+pub(crate) fn tail_len(size: u64) -> Option<usize> {
+    let tail = (size % BLOCK_SIZE as u64) as usize;
+    let len = tail.next_multiple_of(FRAG_ALIGN);
+    (tail > 0 && len < BLOCK_SIZE).then_some(len)
+}
+
+/// The log block a block pointer lives in.
+pub fn ptr_block(ptr: DiskAddr) -> DiskAddr {
+    Frag::of(ptr).map_or(ptr, |f| f.block)
+}
+
+/// The live bytes a block pointer holds: a whole block, or its fragment's
+/// aligned length.
+pub fn ptr_bytes(ptr: DiskAddr) -> usize {
+    Frag::of(ptr).map_or(BLOCK_SIZE, |f| f.len)
+}
 
 /// Largest read-ahead window, in blocks (128 KB).
 const READ_AHEAD_MAX: u32 = 32;

@@ -212,6 +212,17 @@ impl LfsStats {
         reg.counter("lfs.group_commits").store(self.group_commits);
         reg.counter("lfs.partial_writes").store(self.partial_writes);
         reg.counter("lfs.flushes").store(self.flushes);
+        for scope in crate::stats::FlushScope::ALL {
+            let row = self.scope(scope);
+            reg.counter(&format!("lfs.flushes.{}", scope.slug()))
+                .store(row.flushes);
+            reg.counter(&format!("lfs.partial_writes.{}", scope.slug()))
+                .store(row.partial_writes);
+        }
+        reg.counter("lfs.padding_bytes").store(self.padding_bytes);
+        reg.counter("lfs.fragments").store(self.fragments);
+        reg.counter("lfs.fragment_blocks")
+            .store(self.fragment_blocks);
         reg.counter("lfs.app_bytes_written")
             .store(self.app_bytes_written);
         reg.counter("lfs.flush_copy_bytes")

@@ -67,6 +67,7 @@ use crate::fs::Lfs;
 use crate::inode::{Inode, INODE_DISK_SIZE};
 use crate::inodemap::ImapEntry;
 use crate::layout::{DiskAddr, Placement, NIL_ADDR, SUPERBLOCK_ADDR};
+use crate::meta::{ptr_block, ptr_bytes};
 use crate::ordering::Released;
 use crate::summary::{EntryKind, Summary};
 use crate::superblock::Superblock;
@@ -251,7 +252,7 @@ impl<D: QueueDevice> Lfs<D> {
         let mut exact = true;
         let mut seq = cp.seq + 1;
         while let Some((shard, (seg, off), summary)) = self.locate_chunk(cp.epoch, seq, &place) {
-            let nent = summary.entries.len() as u32;
+            let nent = summary.block_count() as u32;
             if off + 1 + nent > self.sb.seg_blocks {
                 break;
             }
@@ -279,8 +280,11 @@ impl<D: QueueDevice> Lfs<D> {
             if nent > 0 && self.read_retry(first, &mut chunk).is_err() {
                 break;
             }
-            let mut blocks = chunk.chunks(BLOCK_SIZE).zip(&summary.entries);
-            if !blocks.all(|(b, e)| crate::codec::block_checksum(b) == e.csum) {
+            let verified = {
+                let mut blocks = chunk.chunks(BLOCK_SIZE).zip(summary.blocks());
+                blocks.all(|(b, (e, _))| crate::codec::block_checksum(b) == e.csum)
+            };
+            if !verified {
                 break;
             }
             if let Some(filled) = place.adopt(shard, seg, off, nent as usize) {
@@ -401,8 +405,9 @@ impl<D: QueueDevice> Lfs<D> {
         for ino in inos {
             count(self.imap.get(ino)?.addr, INODE_DISK_SIZE);
             let inode = self.inode_clone(ino)?;
-            for (_, addr) in self.owned_blocks(&inode, None)? {
-                count(addr, BLOCK_SIZE);
+            // A fragment counts its aligned length.
+            for (_, ptr) in self.owned_blocks(&inode, None)? {
+                count(ptr_block(ptr), ptr_bytes(ptr));
             }
         }
         let usage = &self.space.usage().blocks;
@@ -458,7 +463,7 @@ impl<D: QueueDevice> Lfs<D> {
         account: bool,
     ) -> FsResult<bool> {
         let mut exact = account;
-        for (j, entry) in summary.entries.iter().enumerate() {
+        for (j, (entry, _)) in summary.blocks().enumerate() {
             let addr = first_block + j as u64;
             let buf = &chunk[j * BLOCK_SIZE..(j + 1) * BLOCK_SIZE];
             match entry.kind {
@@ -494,6 +499,8 @@ impl<D: QueueDevice> Lfs<D> {
                 // where they are, because no segment holding one is a
                 // victim before the next checkpoint.
                 EntryKind::Data
+                | EntryKind::FragBlock
+                | EntryKind::Fragment
                 | EntryKind::Indirect1
                 | EntryKind::Indirect2
                 | EntryKind::ImapBlock
@@ -548,7 +555,6 @@ impl<D: QueueDevice> Lfs<D> {
         let ino = inode.ino;
         // Retire the old version's blocks from the usage accounting. A
         // version adopted earlier in the tail is still in the cache.
-        let kill = |fs: &mut Self, a, bytes| fs.space.kill(fs.sb.seg_of(a), bytes);
         let mtime = inode.mtime;
         let born = |fs: &mut Self, a, bytes| {
             if let Some(seg) = fs.sb.seg_of(a) {
@@ -556,18 +562,18 @@ impl<D: QueueDevice> Lfs<D> {
             }
         };
         if old.is_live() {
-            kill(self, old.addr, INODE_DISK_SIZE);
+            self.space.kill(self.sb.seg_of(old.addr), INODE_DISK_SIZE);
             let old_inode = match self.meta.inode(ino) {
                 Some(i) => i.clone(),
                 None => self.read_inode_at(old.addr, old.slot, ino)?,
             };
-            for (_, a) in self.owned_blocks(&old_inode, Some(chunk))? {
-                kill(self, a, BLOCK_SIZE);
+            for (_, ptr) in self.owned_blocks(&old_inode, Some(chunk))? {
+                self.kill_ptr(ptr);
             }
         }
         born(self, addr, INODE_DISK_SIZE);
-        for (_, a) in self.owned_blocks(inode, Some(chunk))? {
-            born(self, a, BLOCK_SIZE);
+        for (_, ptr) in self.owned_blocks(inode, Some(chunk))? {
+            born(self, ptr_block(ptr), ptr_bytes(ptr));
         }
         Ok(())
     }

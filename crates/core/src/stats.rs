@@ -47,6 +47,55 @@ impl BlockKind {
     }
 }
 
+/// The kinds of flush, by what they write and who asks: the rows of
+/// [`LfsStats::by_scope`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlushScope {
+    /// A buffer-full flush: the write path's, and a cleaner pass's
+    /// between two victims. It stops at the last segment boundary it
+    /// reaches.
+    Threshold = 0,
+    /// A `sync`'s.
+    Sync = 1,
+    /// An explicit flush, which writes everything.
+    All = 2,
+    /// A cleaner pass's closing flush, whose last chunk lists the victims.
+    Closing = 3,
+    /// The flushes of a checkpoint, its settle loop's included.
+    Checkpoint = 4,
+}
+
+impl FlushScope {
+    /// All scopes, in row order.
+    pub const ALL: [FlushScope; 5] = [
+        FlushScope::Threshold,
+        FlushScope::Sync,
+        FlushScope::All,
+        FlushScope::Closing,
+        FlushScope::Checkpoint,
+    ];
+
+    /// Stable metric-name slug (`lfs.flushes.<slug>`).
+    pub fn slug(self) -> &'static str {
+        match self {
+            FlushScope::Threshold => "threshold",
+            FlushScope::Sync => "sync",
+            FlushScope::All => "all",
+            FlushScope::Closing => "closing",
+            FlushScope::Checkpoint => "checkpoint",
+        }
+    }
+}
+
+/// What the flushes of one [`FlushScope`] wrote.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ScopeStats {
+    /// Flushes that wrote to the log.
+    pub flushes: u64,
+    /// Their partial writes.
+    pub partial_writes: u64,
+}
+
 /// Statistics of the segment cleaner (the inputs to Table 2).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CleanerStats {
@@ -124,6 +173,20 @@ pub struct LfsStats {
     pub partial_writes: u64,
     /// Flushes that wrote to the log, each one or more partial writes.
     pub flushes: u64,
+    /// Flushes and partial writes per kind of flush, indexed by
+    /// [`FlushScope`]; they sum to `flushes` and `partial_writes`.
+    pub by_scope: [ScopeStats; 5],
+    /// Bytes of data blocks the log was given that hold no file byte:
+    /// past end of file in a whole block, and in a fragment block, every
+    /// byte that is not a fragment's file bytes (the alignment of each
+    /// fragment and the room no fragment took). Directory blocks are full
+    /// to their size, so this is the regular files' rounding.
+    pub padding_bytes: u64,
+    /// Fragments written: regular files' partial last blocks, each
+    /// written as a fragment of a fragment block (see DESIGN.md §7.3).
+    pub fragments: u64,
+    /// Fragment blocks written.
+    pub fragment_blocks: u64,
     /// Bytes of new file data accepted from applications.
     pub app_bytes_written: u64,
     /// Host-side bytes memcpy'd into write buffers while serializing
@@ -145,6 +208,19 @@ impl LfsStats {
     /// (the degraded-mode signal of the fault-injection experiments).
     pub fn degraded(&self) -> bool {
         self.io_giveups > 0
+    }
+
+    /// Books a flush of `scope` that wrote `partial_writes` partial writes.
+    pub(crate) fn count_flush(&mut self, scope: FlushScope, partial_writes: u64) {
+        self.flushes += 1;
+        let row = &mut self.by_scope[scope as usize];
+        row.flushes += 1;
+        row.partial_writes += partial_writes;
+    }
+
+    /// The flushes and partial writes of `scope`.
+    pub fn scope(&self, scope: FlushScope) -> ScopeStats {
+        self.by_scope[scope as usize]
     }
 
     /// Records `bytes` of kind `kind` appended to the log.

@@ -27,11 +27,22 @@
 //! 24 write_time u64 32 watermark u64  40 checksum u64
 //! 48 entries, 28 bytes each; then the released segments, u32 each
 //! ```
+//!
+//! Format v4 adds sub-block fragments. A *fragment block* holds the
+//! partial last blocks of several regular files, each at a start aligned
+//! to [`FRAG_ALIGN`]. It has one block entry of kind
+//! [`EntryKind::FragBlock`], followed by one [`EntryKind::Fragment`] entry
+//! per fragment, which takes no block of its own: byte 1 of such an entry
+//! is the fragment's start and byte 2 its length, in units of
+//! [`FRAG_ALIGN`], and its checksum covers the fragment's bytes alone. So
+//! a summary's entries count against its capacity, and its block entries
+//! alone say how many blocks follow it ([`Summary::block_count`]).
 
 use blockdev::BLOCK_SIZE;
 use vfs::{FsError, FsResult, Ino};
 
 use crate::codec::{checksum, Reader, Writer};
+use crate::meta::{Frag, FRAG_ALIGN};
 
 const MAGIC: u32 = 0x5347_5355; // "SUGS"
 const HEADER_SIZE: usize = 48;
@@ -75,10 +86,17 @@ pub enum EntryKind {
     UsageBlock = 6,
     /// A block of directory-operation-log records.
     DirLog = 7,
+    /// A fragment block: the [`EntryKind::Fragment`] entries after it
+    /// describe what it holds.
+    FragBlock = 8,
+    /// One fragment of the fragment block before it: the partial last
+    /// block `offset` of file `ino`, at `start`, `len` bytes. Takes no
+    /// block of its own.
+    Fragment = 9,
 }
 
 /// Every kind, indexed by its byte on disk minus one.
-const KINDS: [EntryKind; 7] = [
+const KINDS: [EntryKind; 9] = [
     EntryKind::Data,
     EntryKind::Indirect1,
     EntryKind::Indirect2,
@@ -86,6 +104,8 @@ const KINDS: [EntryKind; 7] = [
     EntryKind::ImapBlock,
     EntryKind::UsageBlock,
     EntryKind::DirLog,
+    EntryKind::FragBlock,
+    EntryKind::Fragment,
 ];
 
 impl EntryKind {
@@ -122,8 +142,12 @@ pub struct SummaryEntry {
     /// segment write (summary persisted, some data blocks lost) is
     /// detected as the end of the log instead of being replayed as
     /// garbage; the cleaner uses it to refuse to relocate rotted live
-    /// blocks.
+    /// blocks. A `Fragment` entry's covers the fragment's bytes alone.
     pub csum: u32,
+    /// A `Fragment` entry's byte offset in its block, else 0.
+    pub start: u16,
+    /// A `Fragment` entry's length in bytes, else 0.
+    pub len: u16,
 }
 
 impl SummaryEntry {
@@ -136,19 +160,36 @@ impl SummaryEntry {
             version,
             mtime,
             csum: 0,
+            start: 0,
+            len: 0,
         }
     }
 
     /// A metadata entry with no owning file.
     pub fn meta(kind: EntryKind, offset: u32, mtime: u64) -> SummaryEntry {
+        SummaryEntry::data(0, offset, 0, mtime).with_kind(kind)
+    }
+
+    /// A fragment entry: file block `offset` of `ino` at `start`, `len`
+    /// bytes, whose bytes sum to `csum`.
+    pub fn fragment(
+        (ino, offset, version, mtime): (Ino, u32, u32, u64),
+        start: usize,
+        len: usize,
+        csum: u32,
+    ) -> SummaryEntry {
+        debug_assert!(Frag::fits(start, len), "fragment {start}+{len}");
         SummaryEntry {
-            kind,
-            ino: 0,
-            offset,
-            version: 0,
-            mtime,
-            csum: 0,
+            kind: EntryKind::Fragment,
+            csum,
+            start: start as u16,
+            len: len as u16,
+            ..SummaryEntry::data(ino, offset, version, mtime)
         }
+    }
+
+    fn with_kind(self, kind: EntryKind) -> SummaryEntry {
+        SummaryEntry { kind, ..self }
     }
 }
 
@@ -166,7 +207,8 @@ pub struct Summary {
     /// The log's durable sequence number at encode time: a fence had
     /// covered every chunk up to it.
     pub watermark: u64,
-    /// One entry per block following the summary, in disk order.
+    /// One entry per block following the summary, in disk order, each
+    /// fragment block's followed by one per fragment it holds.
     pub entries: Vec<SummaryEntry>,
     /// The segments a cleaner pass releases with this chunk.
     pub released: Vec<u32>,
@@ -211,7 +253,9 @@ impl Summary {
             w.pad(8); // Checksum written below.
             for e in &self.entries {
                 w.put_u8(e.kind as u8);
-                w.pad(3);
+                w.put_u8((e.start as usize / FRAG_ALIGN) as u8);
+                w.put_u8((e.len as usize / FRAG_ALIGN) as u8);
+                w.pad(1);
                 w.put_u32(e.ino);
                 w.put_u32(e.offset);
                 w.put_u32(e.version);
@@ -249,22 +293,33 @@ impl Summary {
         if Self::compute_checksum(buf, covered_len(n, nrel)) != stored {
             return Err(FsError::Corrupt("summary: bad checksum".into()));
         }
-        let mut entries = Vec::with_capacity(n);
+        let mut entries: Vec<SummaryEntry> = Vec::with_capacity(n);
         for _ in 0..n {
             let kind = EntryKind::decode(r.get_u8())?;
-            r.skip(3);
-            let ino = r.get_u32();
-            let offset = r.get_u32();
-            let version = r.get_u32();
-            let mtime = r.get_u64();
-            let csum = r.get_u32();
-            entries.push(SummaryEntry {
-                kind,
-                ino,
-                offset,
-                version,
-                mtime,
+            let start = r.get_u8() as usize * FRAG_ALIGN;
+            let len = r.get_u8() as usize * FRAG_ALIGN;
+            r.skip(1);
+            let (ino, offset, version) = (r.get_u32(), r.get_u32(), r.get_u32());
+            let (mtime, csum) = (r.get_u64(), r.get_u32());
+            let entry = SummaryEntry {
                 csum,
+                ..SummaryEntry::data(ino, offset, version, mtime).with_kind(kind)
+            };
+            if kind != EntryKind::Fragment {
+                entries.push(entry);
+                continue;
+            }
+            // A fragment lies inside the fragment block it follows.
+            let follows = entries
+                .last()
+                .is_some_and(|e| matches!(e.kind, EntryKind::FragBlock | EntryKind::Fragment));
+            if !follows || !Frag::fits(start, len) {
+                return Err(FsError::Corrupt("summary: stray fragment entry".into()));
+            }
+            entries.push(SummaryEntry {
+                start: start as u16,
+                len: len as u16,
+                ..entry
             });
         }
         let released = (0..nrel).map(|_| r.get_u32()).collect();
@@ -275,6 +330,30 @@ impl Summary {
             watermark,
             entries,
             released,
+        })
+    }
+
+    /// The blocks following the summary: how many there are, one per
+    /// entry but fragment entries.
+    pub fn block_count(&self) -> usize {
+        let frags = self
+            .entries
+            .iter()
+            .filter(|e| e.kind == EntryKind::Fragment);
+        self.entries.len() - frags.count()
+    }
+
+    /// The blocks following the summary, in disk order: each block's own
+    /// entry, and the fragment entries after it (empty but for a fragment
+    /// block).
+    pub fn blocks(&self) -> impl Iterator<Item = (&SummaryEntry, &[SummaryEntry])> + '_ {
+        let mut rest = &self.entries[..];
+        std::iter::from_fn(move || {
+            let (head, tail) = rest.split_first()?;
+            let n = tail.iter().take_while(|e| e.kind == EntryKind::Fragment);
+            let (frags, after) = tail.split_at(n.count());
+            rest = after;
+            Some((head, frags))
         })
     }
 
@@ -299,7 +378,7 @@ mod tests {
             assert_eq!(kind as usize, i + 1);
             assert_eq!(EntryKind::decode(kind as u8).unwrap(), kind);
         }
-        for bad in [0u8, 8, 255] {
+        for bad in [0u8, 10, 255] {
             let want = format!("summary: bad entry kind {bad}");
             assert!(matches!(EntryKind::decode(bad), Err(FsError::Corrupt(m)) if m == want));
         }
@@ -318,11 +397,8 @@ mod tests {
                 SummaryEntry::meta(EntryKind::ImapBlock, 5, 14),
                 SummaryEntry {
                     kind: EntryKind::Indirect1,
-                    ino: 7,
-                    offset: 0,
-                    version: 2,
-                    mtime: 15,
                     csum: 0xdead_beef,
+                    ..SummaryEntry::data(7, 0, 2, 15)
                 },
             ],
             released: vec![9, 2, 17],
@@ -382,6 +458,52 @@ mod tests {
             };
             assert_eq!(Summary::decode(&s.encode()).unwrap(), s);
         }
+    }
+
+    /// A fragment block's entry and its fragments' entries round-trip;
+    /// only the block entries count as blocks.
+    #[test]
+    fn fragment_entries_take_no_block() {
+        let frag = |ino, start, len| SummaryEntry::fragment((ino, 1, 3, 9), start, len, 77);
+        let s = Summary {
+            entries: vec![
+                SummaryEntry::data(4, 0, 1, 8),
+                SummaryEntry::meta(EntryKind::FragBlock, 0, 9),
+                frag(4, 0, 1024),
+                frag(5, 1024, 3072),
+                SummaryEntry::meta(EntryKind::InodeBlock, 0, 9),
+            ],
+            ..sample()
+        };
+        assert_eq!(Summary::decode(&s.encode()).unwrap(), s);
+        assert_eq!(s.block_count(), 3);
+        let frags: Vec<usize> = s.blocks().map(|(_, f)| f.len()).collect();
+        assert_eq!(frags, [0, 2, 0]);
+    }
+
+    /// A fragment entry that follows no fragment block, or reaches past
+    /// its block, is corruption.
+    #[test]
+    fn a_stray_fragment_entry_is_refused() {
+        let frag = SummaryEntry::fragment((4, 1, 3, 9), 0, 1024, 77);
+        let stray = Summary {
+            entries: vec![SummaryEntry::data(4, 0, 1, 8), frag],
+            ..sample()
+        };
+        let err = Summary::decode(&stray.encode()).unwrap_err().to_string();
+        assert!(err.contains("stray fragment"), "{err}");
+        let long = Summary {
+            entries: vec![SummaryEntry::meta(EntryKind::FragBlock, 0, 9), frag],
+            ..sample()
+        };
+        let mut buf = long.encode();
+        // Length 64 units from start 1 unit: one unit past the block.
+        buf[HEADER_SIZE + ENTRY_SIZE + 1] = 1;
+        buf[HEADER_SIZE + ENTRY_SIZE + 2] = 64;
+        let n = covered_len(2, long.released.len());
+        let sum = Summary::compute_checksum(&buf, n);
+        buf[SUM_FIELD].copy_from_slice(&sum.to_le_bytes());
+        assert!(Summary::decode(&buf).is_err());
     }
 
     #[test]

@@ -16,8 +16,10 @@ const MAGIC: u64 = 0x4c46_5353_5052_3931; // "LFSSPR91"
 /// (unreadable by this tree); 2 = checksum v2 ([`crate::codec::checksum`]),
 /// byte layout unchanged; 3 = summaries carry a fence watermark and the
 /// segments a cleaner pass releases (`summary.rs`), so a cleaned segment
-/// is reused after a fence instead of a checkpoint.
-const VERSION: u32 = 3;
+/// is reused after a fence instead of a checkpoint; 4 = a regular file's
+/// partial last block is a fragment that shares its log block with other
+/// files' (`meta.rs`, `summary.rs`).
+const VERSION: u32 = 4;
 
 /// The on-disk superblock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,6 +113,13 @@ impl Superblock {
                         .into(),
                 ))
             }
+            3 => {
+                return Err(FsError::Corrupt(
+                    "superblock: on-disk format v3 (no sub-block fragments) is not \
+                     supported; re-create the image with mklfs"
+                        .into(),
+                ))
+            }
             _ => return Err(FsError::Corrupt("superblock: bad version".into())),
         }
         let seg_blocks = r.get_u32();
@@ -169,7 +178,10 @@ mod tests {
         buf[8..12].copy_from_slice(&2u32.to_le_bytes());
         let err = Superblock::decode(&buf).unwrap_err().to_string();
         assert!(err.contains("on-disk format v2"), "{err}");
-        buf[8..12].copy_from_slice(&4u32.to_le_bytes());
+        buf[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let err = Superblock::decode(&buf).unwrap_err().to_string();
+        assert!(err.contains("on-disk format v3"), "{err}");
+        buf[8..12].copy_from_slice(&5u32.to_le_bytes());
         let err = Superblock::decode(&buf).unwrap_err().to_string();
         assert!(err.contains("bad version"), "{err}");
     }

@@ -6,7 +6,7 @@ use lfs_core::checkpoint::Checkpoint;
 use lfs_core::dirlog::{decode_block, encode_records, DirLogRecord, DirOp};
 use lfs_core::inode::{IndirectBlock, Inode, INODE_DISK_SIZE};
 use lfs_core::summary::{capacity, EntryKind, Summary, SummaryEntry, MAX_SUMMARY_ENTRIES};
-use lfs_core::NIL_ADDR;
+use lfs_core::{ptr_block, ptr_bytes, Frag, FRAG_ALIGN, NIL_ADDR};
 use proptest::prelude::*;
 use vfs::FileType;
 
@@ -53,12 +53,29 @@ fn arb_entry() -> impl Strategy<Value = SummaryEntry> {
     )
         .prop_map(|(kind, ino, offset, version, mtime, csum)| SummaryEntry {
             kind,
-            ino,
-            offset,
-            version,
-            mtime,
             csum,
+            ..SummaryEntry::data(ino, offset, version, mtime)
         })
+}
+
+/// A fragment block's entry and the entries of the fragments it holds,
+/// each at an aligned start with an aligned length inside the block.
+fn arb_fragment_block() -> impl Strategy<Value = Vec<SummaryEntry>> {
+    let frag = (
+        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()),
+        0usize..64,
+        1usize..=64,
+        any::<u32>(),
+    );
+    (any::<u64>(), proptest::collection::vec(frag, 1..8)).prop_map(|(mtime, frags)| {
+        let mut out = vec![SummaryEntry::meta(EntryKind::FragBlock, 0, mtime)];
+        for (file, start, len, csum) in frags {
+            let len = len.min(64 - start).max(1);
+            let (start, len) = (start.min(63) * FRAG_ALIGN, len * FRAG_ALIGN);
+            out.push(SummaryEntry::fragment(file, start, len, csum));
+        }
+        out
+    })
 }
 
 fn arb_dirlog_record() -> impl Strategy<Value = DirLogRecord> {
@@ -127,6 +144,43 @@ proptest! {
         let s = Summary { epoch, seq, write_time, watermark, entries, released };
         let enc = s.encode();
         prop_assert_eq!(Summary::decode(&enc).unwrap(), s);
+    }
+
+    /// Fragment entries round-trip among other entries, and only the
+    /// block entries count as blocks.
+    #[test]
+    fn summary_with_fragment_blocks_roundtrips(
+        groups in proptest::collection::vec(
+            prop_oneof![arb_entry().prop_map(|e| vec![e]), arb_fragment_block()],
+            0..40,
+        ),
+    ) {
+        let mut entries: Vec<SummaryEntry> = groups.concat();
+        entries.truncate(MAX_SUMMARY_ENTRIES);
+        let s = Summary { epoch: 1, seq: 2, write_time: 3, watermark: 1, entries, released: vec![] };
+        let back = Summary::decode(&s.encode()).unwrap();
+        let frags = s.entries.iter().filter(|e| e.kind == EntryKind::Fragment).count();
+        prop_assert_eq!(back.block_count(), s.entries.len() - frags);
+        prop_assert_eq!(back.blocks().count(), back.block_count());
+        prop_assert_eq!(back, s);
+    }
+
+    /// A fragment pointer names its block, start and length and nothing
+    /// else decodes as one: not a whole-block address, not `NIL_ADDR`.
+    #[test]
+    fn fragment_pointer_roundtrips(
+        block in 0u64..1 << 40,
+        start in 0usize..64,
+        len in 1usize..=64,
+    ) {
+        let len = len.min(64 - start.min(63)).max(1);
+        let frag = Frag { block, start: start.min(63) * FRAG_ALIGN, len: len * FRAG_ALIGN };
+        let ptr = frag.ptr();
+        prop_assert_eq!(Frag::of(ptr), Some(frag));
+        prop_assert_eq!((ptr_block(ptr), ptr_bytes(ptr)), (block, frag.len));
+        prop_assert_eq!(Frag::of(block), None);
+        prop_assert_eq!((ptr_block(block), ptr_bytes(block)), (block, 4096));
+        prop_assert_eq!(Frag::of(NIL_ADDR), None);
     }
 
     #[test]

@@ -279,3 +279,110 @@ proptest! {
         prop_assert_eq!(fs2.read_to_vec(ino2).unwrap(), shadow);
     }
 }
+
+/// The sizes around a block's edges, where a file's last block is or is
+/// not a fragment.
+const EDGES: [u64; 8] = [0, 1, 7, 8, 4095, 4096, 4097, 8191];
+
+/// One step of [`fragments_match_model`] on file `f` of four.
+#[derive(Clone, Debug)]
+enum FragStep {
+    Write { f: usize, off: usize, len: usize },
+    Append { f: usize, len: usize },
+    Truncate { f: usize, size: usize },
+    Unlink { f: usize },
+    Clean,
+    Remount,
+}
+
+fn frag_step() -> impl Strategy<Value = FragStep> {
+    let file = 0usize..4;
+    let edge = 0usize..EDGES.len();
+    prop_oneof![
+        (file.clone(), edge.clone(), edge.clone()).prop_map(|(f, off, len)| FragStep::Write {
+            f,
+            off,
+            len
+        }),
+        (file.clone(), edge.clone()).prop_map(|(f, len)| FragStep::Append { f, len }),
+        (file.clone(), edge.clone()).prop_map(|(f, len)| FragStep::Append { f, len }),
+        (file.clone(), edge).prop_map(|(f, size)| FragStep::Truncate { f, size }),
+        file.prop_map(|f| FragStep::Unlink { f }),
+        Just(FragStep::Clean),
+        Just(FragStep::Remount),
+    ]
+}
+
+/// Applies one step to `fs`, creating the file first where it is missing.
+fn apply_frag_step(fs: &mut impl FileSystem, step: &FragStep, fill: u8) {
+    let path = |f: usize| format!("/frag{f}");
+    let mut open = |f: usize| -> vfs::Ino {
+        let p = path(f);
+        fs.lookup(&p).or_else(|_| fs.create(&p)).unwrap()
+    };
+    match *step {
+        FragStep::Write { f, off, len } => {
+            let ino = open(f);
+            let data = vec![fill; EDGES[len] as usize];
+            fs.write(ino, EDGES[off], &data).unwrap();
+        }
+        FragStep::Append { f, len } => {
+            let ino = open(f);
+            let size = fs.metadata(ino).unwrap().size;
+            fs.write(ino, size, &vec![fill; EDGES[len] as usize])
+                .unwrap();
+        }
+        FragStep::Truncate { f, size } => {
+            let ino = open(f);
+            fs.truncate(ino, EDGES[size]).unwrap();
+        }
+        FragStep::Unlink { f } => {
+            let _ = fs.unlink(&path(f));
+        }
+        FragStep::Clean | FragStep::Remount => {}
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 48,
+        ..ProptestConfig::default()
+    })]
+
+    /// Writes, appends, truncations and unlinks whose sizes sit at a
+    /// block's edges, with cleaner passes and remounts in between, leave
+    /// the same files as the model: a file's partial last block moves
+    /// between fragment blocks and whole blocks without losing or
+    /// borrowing a byte.
+    #[test]
+    fn fragments_match_model(steps in proptest::collection::vec(frag_step(), 1..80)) {
+        let cfg = LfsConfig::small();
+        let mut fs = Lfs::format(MemDisk::new(1024), cfg).unwrap();
+        let mut model = ModelFs::new();
+        for (i, step) in steps.iter().enumerate() {
+            let fill = i as u8 | 1;
+            apply_frag_step(&mut fs, step, fill);
+            apply_frag_step(&mut model, step, fill);
+            match step {
+                FragStep::Clean => {
+                    fs.sync().unwrap();
+                    fs.clean_pass().unwrap();
+                }
+                FragStep::Remount => {
+                    if i % 2 == 0 { fs.sync().unwrap() } else { fs.flush().unwrap() }
+                    fs = Lfs::mount(fs.into_device(), cfg).unwrap();
+                    let report = fs.check().unwrap();
+                    prop_assert!(report.is_clean(), "step {}: {:#?}", i, report.errors);
+                    assert_same_tree(&mut fs, &mut model);
+                }
+                _ => {}
+            }
+        }
+        assert_same_tree(&mut fs, &mut model);
+        fs.sync().unwrap();
+        fs.drop_caches();
+        assert_same_tree(&mut fs, &mut model);
+        let report = fs.check().unwrap();
+        prop_assert!(report.is_clean(), "{:#?}", report.errors);
+    }
+}

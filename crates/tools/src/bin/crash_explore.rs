@@ -2,7 +2,8 @@
 //!
 //! Where `torture` *samples* crash states (random cuts, one seeded torn
 //! subset each), this tool *enumerates* them. It records a canonical
-//! short workload — creates, overwrites, renames, unlinks, an explicit
+//! short workload — creates, overwrites, renames, unlinks, a fragment
+//! block shared by a small file and another file's tail, an explicit
 //! cleaner pass, a pass whose victims the log reuses before any
 //! checkpoint, flushes, syncs, and checkpoints — on a journaling
 //! [`CrashDisk`], then walks [`ModelCheck`] over the journal:
@@ -246,6 +247,17 @@ fn record_trace<D: ExploreDev>(
 
     // The crash window: every op from here on may be cut anywhere.
     let mut version = BASE_FILES as u32;
+    // First, one fragment block: the tail of a multi-block file opens it
+    // and a small file fills the rest (DESIGN.md §7.3). The cleaner
+    // passes below move it.
+    for (path, len) in [("/tail", 5000), ("/small", 900)] {
+        version += 1;
+        let content = version_content(version, len);
+        suite.push_version(path, content.clone());
+        fs.write_file(path, &content)
+            .map_err(|e| format!("fragment write: {e}"))?;
+    }
+    fs.sync().map_err(|e| format!("fragment sync: {e}"))?;
     let mut live: Vec<Option<Vec<u8>>> = vec![None; HOT_FILES];
     let mut reused = 0;
     for opno in 0..ops {

@@ -172,15 +172,21 @@ fn print_summaries(disk: &mut FileDisk, sb: &Superblock, seg: u32) {
         } else {
             format!(", releases segments {:?}", s.released)
         };
+        let frags = s.entries.len() - s.block_count();
+        let frags = if frags == 0 {
+            String::new()
+        } else {
+            format!(" ({frags} fragments)")
+        };
         println!(
-            "  seg {seg:4} off {off:4}: seq {} epoch {}, {} blocks, watermark {}{released}",
+            "  seg {seg:4} off {off:4}: seq {} epoch {}, {} blocks{frags}, watermark {}{released}",
             s.seq,
             s.epoch,
-            s.entries.len(),
+            s.block_count(),
             s.watermark
         );
         prev = s.seq;
-        off += 1 + s.entries.len() as u32;
+        off += 1 + s.block_count() as u32;
     }
 }
 

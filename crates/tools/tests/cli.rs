@@ -158,12 +158,12 @@ fn torn_checkpoints_are_corrupt_not_crash() {
 
 #[test]
 fn format_v1_image_is_diagnosed_as_old() {
-    // An image from before checksum v2, or from before the v3 summaries,
-    // must be called old, not corrupt.
+    // An image from before checksum v2, from before the v3 summaries, or
+    // from before the v4 fragments, must be called old, not corrupt.
     let dir = tmpdir("format_v1_image_is_diagnosed_as_old");
     let img = dir.join("old.img");
     let img_s = img.to_str().unwrap();
-    for version in [1u32, 2] {
+    for version in [1u32, 2, 3] {
         let out = Command::new(env!("CARGO_BIN_EXE_mklfs"))
             .args([img_s, "16"])
             .output()
